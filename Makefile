@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check build vet fmt lint test race fuzz-smoke bench demo docs-lint swarm
+.PHONY: check build vet fmt lint test race fuzz-smoke stress bench demo docs-lint swarm
 
 # check is the tier-1 gate: everything CI runs (CI invokes this target).
 # vet covers every package, including the control-channel codec paths in
@@ -40,9 +40,16 @@ race:
 # `go test -fuzz` away.
 fuzz-smoke:
 	$(GO) test ./internal/wire/ -run '^$$' -fuzz FuzzFrameDecode -fuzztime 5s
-	$(GO) test ./internal/wire/ -run '^$$' -fuzz FuzzHandshake -fuzztime 5s
+	$(GO) test ./internal/dist/ -run '^$$' -fuzz FuzzControlPreamble -fuzztime 5s
 	$(GO) test ./internal/wire/ -run '^$$' -fuzz FuzzFlatCodec -fuzztime 5s
 	$(GO) test ./internal/journal/ -run '^$$' -fuzz FuzzJournalReplay -fuzztime 5s
+
+# stress repeats the suites whose failures have been timing flakes — the
+# coordinator and swarm packages, and the two tests that once failed on
+# fast or loaded hosts — so a flake is a red build, not a note.
+stress:
+	$(GO) test -count=20 ./internal/dist/ ./internal/swarm/
+	$(GO) test -count=5 -run 'TestCoordinatorCrashRecoveryRealNetwork|TestNetworkMatchesRunLocal' . ./internal/dist/
 
 # bench covers every package carrying benchmarks (the root harness plus
 # internal packages like align), so a bench added in a new file or package

@@ -9,13 +9,12 @@
 //	BenchmarkDSEARCHEndToEnd       real distributed search, in-process workers
 //	BenchmarkDPRmlEndToEnd         real distributed tree build, in-process workers
 //	BenchmarkCoordinatorSharding   RequestTask/SubmitResult throughput vs problem count
-//	BenchmarkDispatchLatencyPushVsPoll  idle-donor wakeup latency and idle control
-//	                               QPS, WaitTask long-poll vs jittered polling
+//	BenchmarkDispatchLatency       idle-donor wakeup latency and idle control QPS
+//	                               of WaitTask long-poll dispatch
 //	BenchmarkSharedBlobDedup       bulk bytes stored/fetched for 16 problems sharing
-//	                               one alignment, content-addressed vs per-problem keys
-//	BenchmarkCodecBatchAblation    tiny-unit drain throughput over a real loopback
-//	                               deployment, gob vs flat codec × single vs batched
-//	                               WaitTask dispatch
+//	                               one alignment
+//	BenchmarkTinyUnitDrain         tiny-unit drain throughput over a real loopback
+//	                               deployment, single vs batched WaitTask dispatch
 //	BenchmarkSwarmMakespan         1024-donor swarm drain on a straggler-heavy
 //	                               fleet, Fixed vs Adaptive vs Adaptive+speculation
 //
@@ -28,7 +27,6 @@ import (
 	"context"
 	"encoding/binary"
 	"fmt"
-	"math/rand"
 	"os"
 	"sync"
 	"sync/atomic"
@@ -384,7 +382,6 @@ func BenchmarkCoordinatorSharding(b *testing.B) {
 				dist.WithPolicy(sched.Fixed{Size: 1}),
 				dist.WithLeaseTTL(time.Hour),
 				dist.WithExpiryScan(time.Hour),
-				dist.WithWaitHint(time.Microsecond),
 			)
 			defer srv.Close()
 			for i := 0; i < nProblems; i++ {
@@ -461,7 +458,6 @@ func BenchmarkDispatchSkipsContended(b *testing.B) {
 		dist.WithPolicy(sched.Fixed{Size: 1}),
 		dist.WithLeaseTTL(time.Hour),
 		dist.WithExpiryScan(time.Hour),
-		dist.WithWaitHint(time.Microsecond),
 	)
 	defer srv.Close()
 	for i := 0; i < hot; i++ {
@@ -540,135 +536,96 @@ func (d *oneShotDM) Consume(int64, []byte) error  { d.consumed = true; return ni
 func (d *oneShotDM) Done() bool                   { return d.consumed }
 func (d *oneShotDM) FinalResult() ([]byte, error) { return nil, nil }
 
-// BenchmarkDispatchLatencyPushVsPoll measures how long an idle donor fleet
-// takes to pick up freshly submitted work, comparing the two dispatch
-// channels at 1/16/128/256/1024 donors:
-//
-//   - poll: the legacy loop — RequestTask, then sleep the server's WaitHint
-//     (the production default 50ms, jittered ±20% like the donor loop does)
-//     before asking again. Expected wakeup latency is the first poll
-//     arrival after the Submit: ~WaitHint/2 for one donor, ~WaitHint/(n+1)
-//     for n of them — donors buy latency with idle control traffic.
-//   - push: donors parked in WaitTask; the Submit wakes them. Latency is a
-//     channel close and one dispatch scan, independent of the fleet's poll
-//     phase, and an idle fleet costs ~one control call per donor per park
-//     (1s here) instead of 20/s each.
+// BenchmarkDispatchLatency measures how long an idle donor fleet takes to
+// pick up freshly submitted work at 1/16/128/256/1024 donors. Donors are
+// parked in WaitTask; the Submit wakes them. Latency is a channel close and
+// one dispatch scan, and an idle fleet costs ~one control call per donor
+// per park (1s here).
 //
 // Reported metrics: mean and worst wakeup latency across b.N submits, and
 // the idle control-channel call rate measured over a quiet window after
 // the timed section.
-func BenchmarkDispatchLatencyPushVsPoll(b *testing.B) {
+func BenchmarkDispatchLatency(b *testing.B) {
 	ctx := context.Background()
-	const waitHint = 50 * time.Millisecond
-	for _, mode := range []string{"poll", "push"} {
-		for _, donors := range []int{1, 16, 128, 256, 1024} {
-			b.Run(fmt.Sprintf("%s/donors=%d", mode, donors), func(b *testing.B) {
-				opts := []dist.ServerOption{
-					dist.WithPolicy(sched.Fixed{Size: 1}),
-					dist.WithLeaseTTL(time.Hour),
-					dist.WithExpiryScan(time.Hour),
-					dist.WithWaitHint(waitHint),
-				}
-				if mode == "poll" {
-					opts = append(opts, dist.WithLongPoll(-1))
-				}
-				srv := dist.NewServer(opts...)
-				defer srv.Close()
+	for _, donors := range []int{1, 16, 128, 256, 1024} {
+		b.Run(fmt.Sprintf("donors=%d", donors), func(b *testing.B) {
+			srv := dist.NewServer(
+				dist.WithPolicy(sched.Fixed{Size: 1}),
+				dist.WithLeaseTTL(time.Hour),
+				dist.WithExpiryScan(time.Hour),
+			)
+			defer srv.Close()
 
-				dispatched := make(chan time.Time, 1)
-				var calls atomic.Int64
-				stop := make(chan struct{})
-				var wg sync.WaitGroup
-				for g := 0; g < donors; g++ {
-					wg.Add(1)
-					go func(g int, name string) {
-						defer wg.Done()
-						// Per-donor seed: every poller needs its own jitter
-						// stream or their phases never decorrelate.
-						rng := rand.New(rand.NewSource(int64(g+1) * 7919))
-						for {
-							select {
-							case <-stop:
-								return
-							default:
-							}
-							calls.Add(1)
-							var task *dist.Task
-							var wait time.Duration
-							var err error
-							if mode == "push" {
-								task, wait, err = srv.WaitTask(ctx, name, time.Second)
-							} else {
-								task, wait, err = srv.RequestTask(ctx, name)
-							}
-							if err != nil {
-								return // ErrClosed at teardown
-							}
-							if task == nil {
-								if mode == "push" {
-									continue // park expired; re-park
-								}
-								// The donor loop's jittered poll sleep.
-								f := 0.8 + 0.4*rng.Float64()
-								t := time.NewTimer(time.Duration(float64(wait) * f))
-								select {
-								case <-stop:
-									t.Stop()
-									return
-								case <-t.C:
-								}
-								continue
-							}
-							select {
-							case dispatched <- time.Now():
-							default:
-							}
-							_ = srv.SubmitResult(ctx, &dist.Result{
-								ProblemID: task.ProblemID, UnitID: task.Unit.ID,
-								Elapsed: time.Millisecond, Donor: name, Epoch: task.Epoch,
-							})
+			dispatched := make(chan time.Time, 1)
+			var calls atomic.Int64
+			stop := make(chan struct{})
+			var wg sync.WaitGroup
+			for g := 0; g < donors; g++ {
+				wg.Add(1)
+				go func(name string) {
+					defer wg.Done()
+					for {
+						select {
+						case <-stop:
+							return
+						default:
 						}
-					}(g, fmt.Sprintf("%s-%d-%d", mode, donors, g))
+						calls.Add(1)
+						task, _, err := srv.WaitTask(ctx, name, time.Second)
+						if err != nil {
+							return // ErrClosed at teardown
+						}
+						if task == nil {
+							continue // park expired; re-park
+						}
+						select {
+						case dispatched <- time.Now():
+						default:
+						}
+						_ = srv.SubmitResult(ctx, &dist.Result{
+							ProblemID: task.ProblemID, UnitID: task.Unit.ID,
+							Elapsed: time.Millisecond, Donor: name, Epoch: task.Epoch,
+						})
+					}
+				}(fmt.Sprintf("push-%d-%d", donors, g))
+			}
+			// Let the fleet settle into its parks before measuring.
+			time.Sleep(150 * time.Millisecond)
+
+			var total, worst time.Duration
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				id := fmt.Sprintf("lat-%d-%d", donors, i)
+				t0 := time.Now()
+				if err := srv.Submit(ctx, &dist.Problem{ID: id, DM: &oneShotDM{}}); err != nil {
+					b.Fatal(err)
 				}
-				// Let the fleet settle into its park/poll rhythm before
-				// measuring.
-				time.Sleep(150 * time.Millisecond)
-
-				var total, worst time.Duration
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					id := fmt.Sprintf("lat-%s-%d-%d", mode, donors, i)
-					t0 := time.Now()
-					if err := srv.Submit(ctx, &dist.Problem{ID: id, DM: &oneShotDM{}}); err != nil {
-						b.Fatal(err)
-					}
-					lat := (<-dispatched).Sub(t0)
-					total += lat
-					if lat > worst {
-						worst = lat
-					}
-					if _, err := srv.Wait(ctx, id); err != nil {
-						b.Fatal(err)
-					}
-					_ = srv.Forget(id)
+				lat := (<-dispatched).Sub(t0)
+				total += lat
+				if lat > worst {
+					worst = lat
 				}
-				b.StopTimer()
+				if _, err := srv.Wait(ctx, id); err != nil {
+					b.Fatal(err)
+				}
+				_ = srv.Forget(id)
+			}
+			b.StopTimer()
 
-				// Idle control-channel rate: how hard does a fleet with no
-				// work hammer the server?
-				calls.Store(0)
-				time.Sleep(300 * time.Millisecond)
-				idleQPS := float64(calls.Load()) / 0.3
+			// Idle control-channel rate: how hard does a fleet with no
+			// work hammer the server?
+			calls.Store(0)
+			time.Sleep(300 * time.Millisecond)
+			idleQPS := float64(calls.Load()) / 0.3
 
-				close(stop)
-				srv.Close() // unparks push donors so the pool can exit
-				wg.Wait()
+			close(stop)
+			srv.Close() // unparks the donors so the pool can exit
+			wg.Wait()
 
-				b.ReportMetric(float64(total.Microseconds())/float64(b.N)/1000, "wakeup-ms")
-				b.ReportMetric(float64(worst.Microseconds())/1000, "worst-wakeup-ms")
-				b.ReportMetric(idleQPS, "idle-ctrl-qps")
-			})
-		}
+			b.ReportMetric(float64(total.Microseconds())/float64(b.N)/1000, "wakeup-ms")
+			b.ReportMetric(float64(worst.Microseconds())/1000, "worst-wakeup-ms")
+			b.ReportMetric(idleQPS, "idle-ctrl-qps")
+		})
 	}
 }
 
@@ -779,7 +736,6 @@ func BenchmarkSwarmMakespan(b *testing.B) {
 					dist.WithPolicy(v.policy),
 					dist.WithLeaseTTL(time.Hour), // expiry must never rescue the tail
 					dist.WithExpiryScan(time.Hour),
-					dist.WithWaitHint(20 * time.Millisecond),
 					dist.WithDispatchBatch(-1), // single-unit leases: makespan isolates sizing+speculation
 				}
 				if v.speculate > 0 {
@@ -864,25 +820,18 @@ func (d *dedupDM) Done() bool                   { return d.done >= d.units }
 func (d *dedupDM) FinalResult() ([]byte, error) { return nil, nil }
 
 // BenchmarkSharedBlobDedup measures the cost of the paper's shared data
-// when N problem instances share one alignment — the exact waste the
-// content-addressed bulk store exists to remove. 16 problems carrying the
-// same 1 MiB blob run over a real loopback deployment (4 networked donors
-// per mode); reported per mode:
+// when N problem instances share one alignment. 16 problems carrying the
+// same 1 MiB blob run over a real loopback deployment (4 networked
+// donors); reported:
 //
 //	stored-MB     bulk bytes resident server-side after the submits
 //	fetched-MB/donor  bulk bytes shipped to an average donor
-//	submit-ms     wall time of the 16 Submit calls (content mode pays the
-//	              SHA-256 here — microseconds per shared megabyte — which
-//	              is what buys the wire reduction)
-//	drain-ms      donor launch to last problem folded: the latency the
-//	              dedup actually removes, since per-problem keys make every
-//	              donor refetch the alignment per problem (and thrash its
-//	              bounded problem cache) before computing
+//	submit-ms     wall time of the 16 Submit calls (including the SHA-256
+//	              of the shared blob — microseconds per megabyte)
+//	drain-ms      donor launch to last problem folded
 //
-// With per-problem keys every problem stores its own copy and every donor
-// fetches every problem's copy; content-addressed, the server stores one
-// refcounted copy and each donor fetches it once (digest-keyed cache), an
-// ~16x drop on both byte axes. BENCH_pr5.json records the ablation.
+// The server stores one refcounted copy and each donor fetches it once
+// (digest-keyed cache), so both byte axes read ~1 MB, not ~16.
 func BenchmarkSharedBlobDedup(b *testing.B) {
 	registerDedupAlgOnce.Do(func() {
 		dist.RegisterAlgorithm("bench/dedup", func() dist.Algorithm { return &dedupAlg{} })
@@ -897,77 +846,68 @@ func BenchmarkSharedBlobDedup(b *testing.B) {
 		donors   = 4
 	)
 	ctx := context.Background()
-	for _, mode := range []struct {
-		name    string
-		content bool
-	}{{"content-addressed", true}, {"per-problem-keys", false}} {
-		b.Run(mode.name, func(b *testing.B) {
-			var storedMB, fetchedMBPerDonor, submitMS, drainMS float64
-			for iter := 0; iter < b.N; iter++ {
-				srv, err := dist.ListenAndServe("127.0.0.1:0", "127.0.0.1:0",
-					dist.WithPolicy(sched.Fixed{Size: 1}),
-					dist.WithLeaseTTL(time.Hour),
-					dist.WithExpiryScan(time.Hour),
-					dist.WithWaitHint(time.Millisecond),
-					dist.WithContentBulk(mode.content),
-				)
-				if err != nil {
-					b.Fatal(err)
-				}
-				t0 := time.Now()
-				for i := 0; i < problems; i++ {
-					if err := srv.Submit(ctx, &dist.Problem{
-						ID:         fmt.Sprintf("dedup-%d", i),
-						DM:         &dedupDM{units: units},
-						SharedData: shared,
-					}); err != nil {
-						b.Fatal(err)
-					}
-				}
-				submitMS += float64(time.Since(t0).Microseconds()) / 1000
-				storedMB += float64(srv.BulkStats().StoredBytes) / (1 << 20)
-
-				var wg sync.WaitGroup
-				pool := make([]*dist.Donor, donors)
-				clients := make([]*dist.RPCClient, donors)
-				t0 = time.Now()
-				for g := range pool {
-					cl, err := dist.Dial(srv.RPCAddr(), 10*time.Second)
-					if err != nil {
-						b.Fatal(err)
-					}
-					clients[g] = cl
-					pool[g] = dist.NewDonor(cl, dist.WithName(fmt.Sprintf("dedup-%s-%d", mode.name, g)))
-					wg.Add(1)
-					go func(d *dist.Donor) { defer wg.Done(); _ = d.Run(ctx) }(pool[g])
-				}
-				for i := 0; i < problems; i++ {
-					if _, err := srv.Wait(ctx, fmt.Sprintf("dedup-%d", i)); err != nil {
-						b.Fatal(err)
-					}
-				}
-				drainMS += float64(time.Since(t0).Microseconds()) / 1000
-				fetchedMBPerDonor += float64(srv.BulkStats().BytesServed) / (1 << 20) / donors
-				for _, d := range pool {
-					d.Stop()
-				}
-				wg.Wait()
-				for _, cl := range clients {
-					_ = cl.Close()
-				}
-				srv.Close()
+	var storedMB, fetchedMBPerDonor, submitMS, drainMS float64
+	for iter := 0; iter < b.N; iter++ {
+		srv, err := dist.ListenAndServe("127.0.0.1:0", "127.0.0.1:0",
+			dist.WithPolicy(sched.Fixed{Size: 1}),
+			dist.WithLeaseTTL(time.Hour),
+			dist.WithExpiryScan(time.Hour),
+		)
+		if err != nil {
+			b.Fatal(err)
+		}
+		t0 := time.Now()
+		for i := 0; i < problems; i++ {
+			if err := srv.Submit(ctx, &dist.Problem{
+				ID:         fmt.Sprintf("dedup-%d", i),
+				DM:         &dedupDM{units: units},
+				SharedData: shared,
+			}); err != nil {
+				b.Fatal(err)
 			}
-			b.ReportMetric(storedMB/float64(b.N), "stored-MB")
-			b.ReportMetric(fetchedMBPerDonor/float64(b.N), "fetched-MB/donor")
-			b.ReportMetric(submitMS/float64(b.N), "submit-ms")
-			b.ReportMetric(drainMS/float64(b.N), "drain-ms")
-		})
+		}
+		submitMS += float64(time.Since(t0).Microseconds()) / 1000
+		storedMB += float64(srv.BulkStats().StoredBytes) / (1 << 20)
+
+		var wg sync.WaitGroup
+		pool := make([]*dist.Donor, donors)
+		clients := make([]*dist.RPCClient, donors)
+		t0 = time.Now()
+		for g := range pool {
+			cl, err := dist.Dial(srv.RPCAddr(), 10*time.Second)
+			if err != nil {
+				b.Fatal(err)
+			}
+			clients[g] = cl
+			pool[g] = dist.NewDonor(cl, dist.WithName(fmt.Sprintf("dedup-%d", g)))
+			wg.Add(1)
+			go func(d *dist.Donor) { defer wg.Done(); _ = d.Run(ctx) }(pool[g])
+		}
+		for i := 0; i < problems; i++ {
+			if _, err := srv.Wait(ctx, fmt.Sprintf("dedup-%d", i)); err != nil {
+				b.Fatal(err)
+			}
+		}
+		drainMS += float64(time.Since(t0).Microseconds()) / 1000
+		fetchedMBPerDonor += float64(srv.BulkStats().BytesServed) / (1 << 20) / donors
+		for _, d := range pool {
+			d.Stop()
+		}
+		wg.Wait()
+		for _, cl := range clients {
+			_ = cl.Close()
+		}
+		srv.Close()
 	}
+	b.ReportMetric(storedMB/float64(b.N), "stored-MB")
+	b.ReportMetric(fetchedMBPerDonor/float64(b.N), "fetched-MB/donor")
+	b.ReportMetric(submitMS/float64(b.N), "submit-ms")
+	b.ReportMetric(drainMS/float64(b.N), "drain-ms")
 }
 
 // tinyDM hands out a fixed number of minimal units with a small payload —
-// the worst case for per-unit control overhead, which is exactly what the
-// flat codec and batched dispatch attack.
+// the worst case for per-unit control overhead, which is exactly what
+// batched dispatch attacks.
 type tinyDM struct {
 	units, seq, done int64
 	payload          []byte
@@ -996,14 +936,12 @@ func (tinyAlg) ProcessCtx(context.Context, []byte) ([]byte, error) {
 
 var registerTinyAlgOnce sync.Once
 
-// BenchmarkCodecBatchAblation drains one problem of 2000 tiny units
-// through a real loopback deployment (4 networked donors) under each
-// codec × dispatch-batch combination — the PR 7 ablation. With tiny units
-// the drain is dominated by control-channel round trips, so the reported
-// drain-ms/units-per-sec isolate what the flat codec (no per-message
-// reflection) and batched WaitTask replies (fewer round trips) each buy.
-// BENCH_pr7.json records the ablation.
-func BenchmarkCodecBatchAblation(b *testing.B) {
+// BenchmarkTinyUnitDrain drains one problem of 2000 tiny units through a
+// real loopback deployment (4 networked donors), single-unit and batched.
+// With tiny units the drain is dominated by control-channel round trips,
+// so the reported drain-ms/units-per-sec isolate what batched WaitTask
+// replies (fewer round trips) buy.
+func BenchmarkTinyUnitDrain(b *testing.B) {
 	registerTinyAlgOnce.Do(func() {
 		dist.RegisterAlgorithm("bench/tiny", func() dist.Algorithm { return tinyAlg{} })
 	})
@@ -1018,13 +956,10 @@ func BenchmarkCodecBatchAblation(b *testing.B) {
 	ctx := context.Background()
 	for _, mode := range []struct {
 		name  string
-		flat  bool
 		batch int
 	}{
-		{"gob/batch=1", false, -1},
-		{"gob/batch=8", false, 8},
-		{"flat/batch=1", true, -1},
-		{"flat/batch=8", true, 8},
+		{"batch=1", -1},
+		{"batch=8", 8},
 	} {
 		b.Run(mode.name, func(b *testing.B) {
 			b.ReportAllocs()
@@ -1034,15 +969,13 @@ func BenchmarkCodecBatchAblation(b *testing.B) {
 					dist.WithPolicy(sched.Fixed{Size: 1}),
 					dist.WithLeaseTTL(time.Hour),
 					dist.WithExpiryScan(time.Hour),
-					dist.WithWaitHint(time.Millisecond),
-					dist.WithFlatCodec(mode.flat),
 					dist.WithDispatchBatch(mode.batch),
 				)
 				if err != nil {
 					b.Fatal(err)
 				}
 				if err := srv.Submit(ctx, &dist.Problem{
-					ID: "codec-ablation",
+					ID: "tiny-drain",
 					DM: &tinyDM{units: units, payload: payload},
 				}); err != nil {
 					b.Fatal(err)
@@ -1052,19 +985,19 @@ func BenchmarkCodecBatchAblation(b *testing.B) {
 				clients := make([]*dist.RPCClient, donors)
 				t0 := time.Now()
 				for g := range pool {
-					cl, err := dist.Dial(srv.RPCAddr(), 10*time.Second, dist.WithDialFlatCodec(mode.flat))
+					cl, err := dist.Dial(srv.RPCAddr(), 10*time.Second)
 					if err != nil {
 						b.Fatal(err)
 					}
 					clients[g] = cl
 					pool[g] = dist.NewDonor(cl,
-						dist.WithName(fmt.Sprintf("codec-%s-%d", mode.name, g)),
+						dist.WithName(fmt.Sprintf("tiny-%s-%d", mode.name, g)),
 						dist.WithTaskBatch(mode.batch),
 					)
 					wg.Add(1)
 					go func(d *dist.Donor) { defer wg.Done(); _ = d.Run(ctx) }(pool[g])
 				}
-				if _, err := srv.Wait(ctx, "codec-ablation"); err != nil {
+				if _, err := srv.Wait(ctx, "tiny-drain"); err != nil {
 					b.Fatal(err)
 				}
 				drainMS += float64(time.Since(t0).Microseconds()) / 1000
@@ -1166,7 +1099,6 @@ func BenchmarkJournalOverhead(b *testing.B) {
 				dist.WithPolicy(sched.Fixed{Size: 1}), // one sequence per unit
 				dist.WithLeaseTTL(time.Hour),
 				dist.WithExpiryScan(time.Hour),
-				dist.WithWaitHint(time.Millisecond),
 				dist.WithAutoForget(true),
 			}
 			if durable {
@@ -1243,7 +1175,6 @@ func BenchmarkVerifyOverhead(b *testing.B) {
 				dist.WithPolicy(sched.Fixed{Size: 1}), // one sequence per unit
 				dist.WithLeaseTTL(time.Hour),
 				dist.WithExpiryScan(time.Hour),
-				dist.WithWaitHint(time.Millisecond),
 				dist.WithVerify(fraction, 2),
 			)
 			if err != nil {

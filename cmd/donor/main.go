@@ -32,16 +32,14 @@ func main() {
 		throttle   = flag.Duration("throttle", 0, "pause between units (be a polite background service)")
 		retry      = flag.Duration("retry", 30*time.Second, "max backoff while reconnecting to a vanished server (0 = exit instead of retrying)")
 		cancelPoll = flag.Duration("cancel-poll", 500*time.Millisecond, "how often to poll for server cancel notices mid-unit (<0 disables)")
-		longPoll   = flag.Duration("long-poll", 45*time.Second, "max park per WaitTask long-poll when the server supports it (<=0 = legacy RequestTask polling)")
+		longPoll   = flag.Duration("long-poll", 45*time.Second, "max park per WaitTask long-poll (<=0 keeps the default)")
 		blobCache  = flag.Int64("blob-cache", 256<<20, "shared-blob cache budget in bytes (<=0 keeps only the most recent blob); also bounds resident per-problem state")
-		flatCodec  = flag.Bool("flat-codec", true, "upgrade the control connection to the flat codec when the server offers it (false keeps gob)")
-		batch      = flag.Int("batch", 8, "units requested per WaitTask long-poll against a batch-capable server (<=1 = single-unit)")
+		batch      = flag.Int("batch", 8, "units requested per WaitTask long-poll (<=1 = single-unit)")
 	)
 	flag.Parse()
 
 	const dialTimeout = 30 * time.Second
-	dialOpts := []dist.DialOption{dist.WithDialFlatCodec(*flatCodec)}
-	client, err := dist.Dial(*server, dialTimeout, dialOpts...)
+	client, err := dist.Dial(*server, dialTimeout)
 	if err != nil {
 		log.Fatalf("donor: %v", err)
 	}
@@ -53,15 +51,7 @@ func main() {
 	// interrupt — ends the loop.
 	var redial func() (dist.Coordinator, error)
 	if *retry > 0 {
-		redial = func() (dist.Coordinator, error) { return dist.Dial(*server, dialTimeout, dialOpts...) }
-	}
-
-	// A donor prefers the long-poll dispatch channel (negotiated at Dial,
-	// so an old server transparently degrades to polling); "-long-poll 0"
-	// forces the legacy jittered poll loop.
-	longPollWait := *longPoll
-	if longPollWait <= 0 {
-		longPollWait = -1
+		redial = func() (dist.Coordinator, error) { return dist.Dial(*server, dialTimeout) }
 	}
 
 	// "-blob-cache 0" means no caching beyond the blob in use; the option
@@ -85,7 +75,7 @@ func main() {
 		dist.WithRedial(redial),
 		dist.WithRedialBackoff(0, *retry),
 		dist.WithCancelPoll(*cancelPoll),
-		dist.WithLongPollWait(longPollWait),
+		dist.WithLongPollWait(*longPoll),
 		dist.WithBlobCacheBytes(blobBudget),
 		dist.WithTaskBatch(taskBatch),
 	)

@@ -287,7 +287,6 @@ func runInstances(aln *seq.Alignment, opts dprml.Options, n, workers int, pol sc
 		dist.WithPolicy(pol),
 		dist.WithLeaseTTL(time.Hour),
 		dist.WithExpiryScan(time.Hour),
-		dist.WithWaitHint(time.Millisecond),
 	)
 	defer srv.Close()
 

@@ -46,9 +46,7 @@ func main() {
 		bulkAddr    = flag.String("bulk", ":7071", "bulk data listen address")
 		policy      = flag.String("policy", "adaptive:5s", "scheduling policy (fixed:N | adaptive:DUR | gss[:k] | factoring)")
 		lease       = flag.Duration("lease", 2*time.Minute, "work unit reissue timeout")
-		longPoll    = flag.Duration("long-poll", 45*time.Second, "max server-side park per WaitTask long-poll (<=0 = disable push dispatch; donors then poll)")
-		contentBulk = flag.Bool("content-bulk", true, "content-addressed shared blobs (one stored copy per distinct alignment, digest-verified donor caching); false restores per-problem bulk keys")
-		flatCodec   = flag.Bool("flat-codec", true, "flat control-channel codec (negotiated per connection; false keeps every donor on gob)")
+		longPoll    = flag.Duration("long-poll", 45*time.Second, "max server-side park per WaitTask long-poll (<=0 keeps the default)")
 		batch       = flag.Int("dispatch-batch", 8, "max units per batched WaitTask reply (<=1 = single-unit dispatch)")
 		speculate   = flag.Float64("speculate-after", 0, "re-dispatch straggler units to idle donors once this fraction of the problem is complete, first result wins (0 = off; 0.9 is a reasonable start)")
 		verifyFrac  = flag.Float64("verify-fraction", 0, "spot-check this fraction of units by redundant dispatch to distinct donors, folding only quorum-agreed results (0 = trust every donor; 0.05 is a reasonable start)")
@@ -97,12 +95,6 @@ func main() {
 	if err != nil {
 		log.Fatalf("server: %v", err)
 	}
-	// "-long-poll 0" disables push dispatch (the WaitTask capability is
-	// then not advertised and donors fall back to jittered polling).
-	longPollMax := *longPoll
-	if longPollMax <= 0 {
-		longPollMax = -1
-	}
 	// "-dispatch-batch 1" (or less) disables batching; the option layer
 	// treats 0 as "default", so map it to the negative sentinel.
 	dispatchBatch := *batch
@@ -115,9 +107,7 @@ func main() {
 	ns, err := dist.ListenAndServe(*rpcAddr, *bulkAddr,
 		dist.WithPolicy(pol),
 		dist.WithLeaseTTL(*lease),
-		dist.WithLongPoll(longPollMax),
-		dist.WithContentBulk(*contentBulk),
-		dist.WithFlatCodec(*flatCodec),
+		dist.WithLongPoll(*longPoll),
 		dist.WithDispatchBatch(dispatchBatch),
 		dist.WithDataDir(*dataDir),
 		dist.WithSnapshotBudget(0, *snapRecords),

@@ -300,10 +300,11 @@ func TestCoordinatorCrashRecoveryRealNetwork(t *testing.T) {
 	dir := t.TempDir()
 	dataDir := filepath.Join(dir, "journal")
 
-	// Sized like the churn workload: several seconds of work for three
-	// donors, so the kill lands mid-problem with units in flight.
+	// ~1.2M residues cut into fixed 6000-residue units: ~200 units whatever
+	// the host's speed, each donor throttled to at most 10 a second, so
+	// the drain cannot outrun the kill below.
 	gen := seq.NewGenerator(seq.Protein, 1234)
-	w := gen.NewSearchWorkload(12000, 3, 3, seq.LengthModel{Mean: 150, StdDev: 40, Min: 60, Max: 300})
+	w := gen.NewSearchWorkload(8000, 3, 3, seq.LengthModel{Mean: 150, StdDev: 40, Min: 60, Max: 300})
 	dbPath := filepath.Join(dir, "db.fasta")
 	qPath := filepath.Join(dir, "q.fasta")
 	if err := seq.WriteFASTAFile(dbPath, w.DB); err != nil {
@@ -319,8 +320,9 @@ func TestCoordinatorCrashRecoveryRealNetwork(t *testing.T) {
 		t.Helper()
 		args := []string{
 			"-app", "dsearch", "-rpc", rpcAddr, "-bulk", bulkAddr,
-			"-policy", "adaptive:300ms", "-lease", "2s",
+			"-policy", "fixed:6000", "-lease", "2s",
 			"-data-dir", dataDir, "-snapshot-records", "20",
+			"-progress", "0", // log every fold: the kill below is gated on these lines
 		}
 		if withInputs {
 			args = append(args, "-db", dbPath, "-queries", qPath)
@@ -346,7 +348,7 @@ func TestCoordinatorCrashRecoveryRealNetwork(t *testing.T) {
 	var donors []*exec.Cmd
 	for i := 0; i < 3; i++ {
 		d := exec.Command(donorBin, "-server", rpcAddr,
-			"-name", fmt.Sprintf("crash-donor-%d", i), "-retry", "500ms")
+			"-name", fmt.Sprintf("crash-donor-%d", i), "-retry", "500ms", "-throttle", "100ms")
 		d.Stdout = os.Stderr
 		d.Stderr = os.Stderr
 		if err := d.Start(); err != nil {
@@ -361,16 +363,34 @@ func TestCoordinatorCrashRecoveryRealNetwork(t *testing.T) {
 		}
 	}()
 
-	// Let the fleet work past at least one checkpoint scan (2s ticks, 20
-	// records per checkpoint), then kill the coordinator without ceremony.
-	time.Sleep(4 * time.Second)
-	select {
-	case err := <-done1:
-		t.Fatalf("workload finished before the crash (enlarge it): err=%v\n%s", err, out1.String())
-	default:
+	// Kill the coordinator without ceremony once its own output shows the
+	// state worth crashing in: a checkpoint on disk (2s scan ticks, 20
+	// records each), folds journaled past it, and units out on lease.
+	const killAfterUnits = 25
+	var doneAtKill, inflightAtKill int
+	for deadline := time.Now().Add(60 * time.Second); ; time.Sleep(10 * time.Millisecond) {
+		select {
+		case err := <-done1:
+			t.Fatalf("server exited before the crash: err=%v\n%s", err, out1.String())
+		default:
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("no checkpoint plus %d folds with units in flight within 60s:\n%s", killAfterUnits, out1.String())
+		}
+		snaps, _ := filepath.Glob(filepath.Join(dataDir, "snap-*"))
+		lines := progressLineRE.FindAllStringSubmatch(out1.String(), -1)
+		if len(snaps) == 0 || len(lines) == 0 {
+			continue
+		}
+		doneAtKill, _ = strconv.Atoi(lines[len(lines)-1][1])
+		inflightAtKill, _ = strconv.Atoi(lines[len(lines)-1][2])
+		if doneAtKill >= killAfterUnits && inflightAtKill >= 1 {
+			break
+		}
 	}
 	_ = server1.Process.Kill() // SIGKILL: journal tail stays as-is on disk
 	<-done1                    // reap via the goroutine already in Wait
+	t.Logf("killed the coordinator at %d units done, %d in flight", doneAtKill, inflightAtKill)
 
 	var out2 syncBuffer
 	server2 := startServer(&out2, false) // no -db/-queries: only the journal can resume this
@@ -397,8 +417,15 @@ func TestCoordinatorCrashRecoveryRealNetwork(t *testing.T) {
 	}
 	dispatched, completed, reissued := parseStatsLine(t, restarted)
 	t.Logf("post-recovery accounting: %d dispatched, %d completed, %d reissued", dispatched, completed, reissued)
-	if completed == 0 {
-		t.Error("no units completed")
+	// The kill landed mid-problem: the journal held fewer folds than the
+	// problem has units, and the successor had to compute the rest.
+	m := recoveredLineRE.FindStringSubmatch(restarted)
+	if m == nil {
+		t.Fatalf("restart log lacks the recovered-units count:\n%s", restarted)
+	}
+	if recovered, _ := strconv.Atoi(m[1]); recovered < killAfterUnits || recovered >= completed {
+		t.Errorf("journal restored %d folds of %d: want at least the %d seen before the kill and fewer than all",
+			recovered, completed, killAfterUnits)
 	}
 	if completed > dispatched {
 		t.Errorf("completed %d > dispatched %d: some unit was folded twice across the restart", completed, dispatched)
@@ -418,6 +445,13 @@ func TestCoordinatorCrashRecoveryRealNetwork(t *testing.T) {
 		}
 	}
 }
+
+// progressLineRE matches cmd/server's per-fold progress line;
+// recoveredLineRE its restart summary of what the journal restored.
+var (
+	progressLineRE  = regexp.MustCompile(`(\d+) units done \((\d+) in flight`)
+	recoveredLineRE = regexp.MustCompile(`recovered problem "dsearch" from journal \(epoch \d+, (\d+) units completed`)
+)
 
 // syncBuffer is a mutex-guarded bytes.Buffer: the server process writes
 // into it from its own pipe goroutines while the test reads mid-run.

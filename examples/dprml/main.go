@@ -62,7 +62,6 @@ func main() {
 		dist.WithPolicy(sched.Adaptive{Target: 200 * time.Millisecond, Bootstrap: 5000, Min: 1}),
 		dist.WithLeaseTTL(time.Hour),
 		dist.WithExpiryScan(time.Hour),
-		dist.WithWaitHint(time.Millisecond),
 		// Each instance's state is evicted as soon as its Wait below
 		// delivers the result — the lifecycle a long-lived multi-problem
 		// server uses to stay bounded.

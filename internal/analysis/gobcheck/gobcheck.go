@@ -1,15 +1,16 @@
-// Package gobcheck fences the codec boundary PR 3 established and PR 7
-// extended: all gob encoding — raw encoding/gob encoder/decoder
-// construction and the byte-level dist.Marshal/Unmarshal/MustMarshal
-// helpers — lives in internal/dist/typed.go (the typed-adapter boundary)
-// and internal/wire; and the flat control-channel codec's rpc codec
-// constructors (wire.NewFlatClientCodec/NewFlatServerCodec) live in
-// internal/dist/net.go and internal/wire, where the codec is negotiated
-// per connection. Application and runtime code everywhere else works with
-// typed values and lets the adapters own the bytes; a stray codec call
-// outside the boundary is how payload formats drift apart between server
-// and donor — doubly so for the flat codec, whose encoding is versioned
-// only by its capability token.
+// Package gobcheck fences the two codec boundaries: all gob encoding — raw
+// encoding/gob encoder/decoder construction and the byte-level
+// dist.Marshal/Unmarshal/MustMarshal helpers — lives in
+// internal/dist/typed.go (the typed-adapter boundary, where gob is the
+// payload codec) and internal/wire; and the control channel's rpc codec
+// constructors (wire.NewFlatClientCodec/NewFlatServerCodec) are called only
+// from internal/dist/net.go, where Dial and serveControlConn exchange the
+// protocol-version preamble before putting the codec on a connection.
+// Application and runtime code everywhere else works with typed values and
+// lets the adapters own the bytes; a stray codec call outside the boundary
+// is how payload formats drift apart between server and donor — and a flat
+// codec on a connection that skipped the version exchange is how two
+// incompatible encodings end up misframing each other.
 package gobcheck
 
 import (
@@ -36,7 +37,7 @@ var distCodecFuncs = map[string]bool{
 }
 
 // flatCodecFuncs are wire's flat-codec constructors — the only way to put
-// the flat encoding on a connection — confined to the negotiation site.
+// the flat encoding on a connection — confined to the connect sequence.
 var flatCodecFuncs = map[string]bool{
 	"NewFlatClientCodec": true, "NewFlatServerCodec": true,
 }
@@ -48,8 +49,8 @@ func run(pass *framework.Pass) error {
 	inDist := strings.HasSuffix(pass.Pkg.Path(), "internal/dist")
 	for _, file := range pass.Files {
 		base := filepath.Base(pass.Fset.Position(file.Pos()).Filename)
-		// typed.go is the gob boundary file; net.go is where the flat
-		// codec is negotiated onto connections.
+		// typed.go is the gob boundary file; net.go is where connections
+		// are version-checked and handed to the flat codec.
 		gobExempt := inDist && base == "typed.go"
 		flatExempt := inDist && base == "net.go"
 		ast.Inspect(file, func(n ast.Node) bool {
@@ -102,7 +103,7 @@ func report(pass *framework.Pass, pos token.Pos, fn *types.Func, gobExempt, flat
 	}
 	if !flatExempt && strings.HasSuffix(path, "internal/wire") && flatCodecFuncs[fn.Name()] {
 		pass.Reportf(pos,
-			"wire.%s outside the flat-codec boundary (internal/dist/net.go, internal/wire); the flat codec is negotiated per connection there",
+			"wire.%s outside the flat-codec boundary (internal/dist/net.go, internal/wire); connections are version-checked there before the codec goes on",
 			fn.Name())
 	}
 }

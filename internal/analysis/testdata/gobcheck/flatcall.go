@@ -1,6 +1,6 @@
 // Fixture for gobcheck's flat-codec rule: the flat rpc codec constructors
-// stay inside internal/dist/net.go (the negotiation site) and
-// internal/wire.
+// stay inside internal/dist/net.go (the version-checked connect sequence)
+// and internal/wire.
 package gobcheck
 
 import (

@@ -24,9 +24,6 @@ type (
 	Algorithm = dist.Algorithm
 	// TypedAlgorithm is the typed donor-side extension point.
 	TypedAlgorithm[S, U, R any] = dist.TypedAlgorithm[S, U, R]
-	// LegacyAlgorithm is the v1 donor-side shape (blocking Process, no
-	// context), still runnable through RegisterLegacyAlgorithm.
-	LegacyAlgorithm = dist.LegacyAlgorithm
 	// NoShared marks a problem without shared data (see NewTypedProblem).
 	NoShared = dist.NoShared
 	// Unit is one dispatched piece of work.
@@ -101,12 +98,15 @@ const (
 // Wait return ErrForgotten for a problem retired with Forget — distinct
 // from ErrUnknownProblem for an ID never submitted. RPC-backed donors see
 // ErrServerGone when the server's connection drops without an explicit
-// Close, and reconnect when the WithRedial option is set.
+// Close, and reconnect when the WithRedial option is set. Dial fails with
+// ErrProtocolMismatch against a server built for a different control
+// protocol version.
 var (
-	ErrClosed         = dist.ErrClosed
-	ErrUnknownProblem = dist.ErrUnknownProblem
-	ErrForgotten      = dist.ErrForgotten
-	ErrServerGone     = dist.ErrServerGone
+	ErrClosed           = dist.ErrClosed
+	ErrUnknownProblem   = dist.ErrUnknownProblem
+	ErrForgotten        = dist.ErrForgotten
+	ErrServerGone       = dist.ErrServerGone
+	ErrProtocolMismatch = dist.ErrProtocolMismatch
 )
 
 // Functional options for servers and donors, re-exported so callers need
@@ -115,12 +115,10 @@ var (
 	WithPolicy          = dist.WithPolicy
 	WithLeaseTTL        = dist.WithLeaseTTL
 	WithExpiryScan      = dist.WithExpiryScan
-	WithWaitHint        = dist.WithWaitHint
 	WithBulkThreshold   = dist.WithBulkThreshold
 	WithAutoForget      = dist.WithAutoForget
 	WithWatchBuffer     = dist.WithWatchBuffer
 	WithLongPoll        = dist.WithLongPoll
-	WithContentBulk     = dist.WithContentBulk
 	WithDataDir         = dist.WithDataDir
 	WithJournalFsync    = dist.WithJournalFsync
 	WithSpeculation     = dist.WithSpeculation
@@ -158,13 +156,6 @@ func RegisterAlgorithm(name string, f func() Algorithm) {
 // owns the gob codec for shared data, unit payloads and results.
 func RegisterTypedAlgorithm[S, U, R any](name string, f func() TypedAlgorithm[S, U, R]) {
 	dist.RegisterTypedAlgorithm(name, f)
-}
-
-// RegisterLegacyAlgorithm registers a v1 (blocking, context-free)
-// Algorithm through the compatibility shim: cancellation is then observed
-// at unit boundaries only.
-func RegisterLegacyAlgorithm(name string, f func() LegacyAlgorithm) {
-	dist.RegisterLegacyAlgorithm(name, f)
 }
 
 // NewTypedProblem assembles a Problem from a typed DataManager and typed

@@ -103,8 +103,8 @@ func register() {
 		core.RegisterTypedAlgorithm("core-test/vowels", func() core.TypedAlgorithm[vowelShared, vowelSpan, vowelCount] {
 			return &vowelAlg{}
 		})
-		core.RegisterLegacyAlgorithm("core-test/vowels-legacy", func() core.LegacyAlgorithm {
-			return &legacyVowelAlg{}
+		core.RegisterAlgorithm("core-test/vowels-bytes", func() core.Algorithm {
+			return &byteVowelAlg{}
 		})
 	})
 }
@@ -153,7 +153,6 @@ func TestNetworkDeploymentThroughFacade(t *testing.T) {
 	ctx := context.Background()
 	srv, err := core.ListenAndServe("127.0.0.1:0", "127.0.0.1:0",
 		core.WithLeaseTTL(time.Hour),
-		core.WithWaitHint(time.Millisecond),
 	)
 	if err != nil {
 		t.Fatal(err)
@@ -202,10 +201,11 @@ func TestNetworkDeploymentThroughFacade(t *testing.T) {
 	}
 }
 
-// legacyVowelAlg is the v1 shape, run through the compatibility shim.
-type legacyVowelAlg struct{ text []byte }
+// byteVowelAlg is the byte-level Algorithm shape: it decodes shared data
+// and payloads itself instead of going through the typed adapter.
+type byteVowelAlg struct{ text []byte }
 
-func (a *legacyVowelAlg) Init(shared []byte) error {
+func (a *byteVowelAlg) Init(shared []byte) error {
 	sd, err := core.Decode[vowelShared](shared)
 	if err != nil {
 		return err
@@ -214,7 +214,7 @@ func (a *legacyVowelAlg) Init(shared []byte) error {
 	return nil
 }
 
-func (a *legacyVowelAlg) Process(payload []byte) ([]byte, error) {
+func (a *byteVowelAlg) ProcessCtx(_ context.Context, payload []byte) ([]byte, error) {
 	span, err := core.Decode[vowelSpan](payload)
 	if err != nil {
 		return nil, err
@@ -229,18 +229,18 @@ func (a *legacyVowelAlg) Process(payload []byte) ([]byte, error) {
 	return core.Encode(vowelCount{N: count})
 }
 
-// TestLegacyAlgorithmShimThroughFacade runs the same problem with a v1
-// (blocking, context-free) algorithm registered through the shim; it must
+// TestByteLevelAlgorithmThroughFacade runs the same problem with a
+// byte-level algorithm registered through RegisterAlgorithm; it must
 // interoperate with the typed server side unchanged.
-func TestLegacyAlgorithmShimThroughFacade(t *testing.T) {
+func TestByteLevelAlgorithmThroughFacade(t *testing.T) {
 	register()
 	dm := &vowelDM{textLen: len(testText), chunk: 9, inflight: make(map[int64]int)}
-	p, err := core.NewTypedProblem[vowelSpan, vowelCount]("vowels-legacy", dm, vowelShared{Text: testText})
+	p, err := core.NewTypedProblem[vowelSpan, vowelCount]("vowels-bytes", dm, vowelShared{Text: testText})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Point the units at the legacy algorithm name.
-	relabel := relabelDM{inner: p.DM, algorithm: "core-test/vowels-legacy"}
+	// Point the units at the byte-level algorithm's name.
+	relabel := relabelDM{inner: p.DM, algorithm: "core-test/vowels-bytes"}
 	p.DM = &relabel
 	out, err := core.RunLocal(context.Background(), p, 2, core.Fixed(9))
 	if err != nil {
@@ -251,7 +251,7 @@ func TestLegacyAlgorithmShimThroughFacade(t *testing.T) {
 		t.Fatal(err)
 	}
 	if want := countVowels(testText); got != want {
-		t.Fatalf("legacy shim vowels = %d, want %d", got, want)
+		t.Fatalf("byte-level vowels = %d, want %d", got, want)
 	}
 }
 

@@ -27,8 +27,7 @@
 // take a context, a server-side Forget (or a cancelled RunLocal context)
 // propagates epoch-tagged cancel notices that abort in-flight ProcessCtx
 // calls on donors, and Server.Watch(ctx, id) streams lifecycle events
-// instead of Status polling. v1 Algorithms (blocking Process, no context)
-// keep working through RegisterLegacyAlgorithm.
+// instead of Status polling.
 //
 // # Deployment shapes
 //
@@ -37,9 +36,9 @@
 //   - RunLocal: in-process workers; zero configuration (tests, small jobs).
 //   - ListenAndServe + Dial/NewDonor: the paper's real shape — one server,
 //     many donor processes on other machines, control over net/rpc ("RMI")
-//     and bulk data over raw TCP sockets. Donors prefer the WaitTask
-//     long-poll dispatch channel (negotiated at Dial; see dist.TaskWaiter)
-//     and fall back to jittered RequestTask polling against old servers.
+//     and bulk data over raw TCP sockets. Donors park in the WaitTask
+//     long-poll dispatch verb between units (see dist.TaskWaiter); the
+//     control channel speaks one versioned protocol with no fallbacks.
 //   - package simnet: a discrete-event simulation of hundreds of donors,
 //     used to regenerate the paper's figures.
 //
@@ -51,7 +50,8 @@
 // re-exported here. The error sentinels callers branch on are re-exported
 // too: ErrClosed (explicit server shutdown — donors finish cleanly),
 // ErrServerGone (connection lost without a goodbye — donors with
-// WithRedial reconnect), ErrForgotten (problem retired with Forget) and
-// ErrUnknownProblem (ID never submitted). See package dist's documentation
-// for the full semantics.
+// WithRedial reconnect), ErrForgotten (problem retired with Forget),
+// ErrUnknownProblem (ID never submitted) and ErrProtocolMismatch (Dial
+// reached a server of a different protocol version). See package dist's
+// documentation for the full semantics.
 package core

@@ -7,18 +7,17 @@ import (
 )
 
 // BlobCache is the donor side of the content-addressed bulk channel: a
-// byte-budgeted LRU of shared blobs keyed by content digest (or, against
-// servers predating content addressing, by a per-incarnation pseudo-key).
-// Concurrent Get calls for one key are singleflighted — the first caller
-// fetches over the wire while the rest park on the entry — so a pool of
-// donors starting on the same problem performs exactly one fetch.
+// byte-budgeted LRU of shared blobs keyed by content digest. Concurrent
+// Get calls for one key are singleflighted — the first caller fetches over
+// the wire while the rest park on the entry — so a pool of donors starting
+// on the same problem performs exactly one fetch.
 //
 // One cache may be shared by several donors in a process (RunLocal wires
 // its whole worker pool to one, and WithBlobCache does the same for
 // hand-built pools); a Donor given no cache creates a private one sized by
-// DonorOptions.BlobCacheBytes. Content-digest entries are immutable by
-// construction — the key is the hash of the bytes — so sharing them across
-// donors, problems and even server reconnects is always safe.
+// DonorOptions.BlobCacheBytes. Entries are immutable by construction —
+// the key is the hash of the bytes — so sharing them across donors,
+// problems and even server reconnects is always safe.
 type BlobCache struct {
 	mu      sync.Mutex
 	budget  int64
@@ -151,34 +150,4 @@ func (c *BlobCache) dropLocked(key string) {
 			break
 		}
 	}
-}
-
-// drop removes one completed entry by key (in-flight fetches are left
-// alone). Donors use it to retire a legacy per-incarnation entry whose
-// epoch was superseded.
-func (c *BlobCache) drop(key string) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.dropLocked(key)
-}
-
-// dropNonContent evicts every entry not keyed by a content digest. Donors
-// call it on reconnect: a restarted server reuses epochs from 1, so a
-// legacy (problem, epoch) pseudo-key could collide with different bytes,
-// while digest-keyed entries are immutable and stay valid forever.
-func (c *BlobCache) dropNonContent() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for _, key := range append([]string(nil), c.order...) {
-		if !isContentDigest(key) {
-			c.dropLocked(key)
-		}
-	}
-}
-
-// isContentDigest reports whether a cache key is a content digest (as
-// opposed to a legacy per-incarnation pseudo-key).
-func isContentDigest(key string) bool {
-	const prefix = "sha256:"
-	return len(key) > len(prefix) && key[:len(prefix)] == prefix
 }

@@ -98,9 +98,6 @@ func TestContentBulkDedupAcrossProblems(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cl.Close()
-	if !cl.Supports(wire.CapContentBulk) {
-		t.Fatal("server did not advertise CapContentBulk")
-	}
 	d := newTestDonor(cl, DonorOptions{Name: "ca-donor", Logf: t.Logf})
 	var wg sync.WaitGroup
 	wg.Add(1)
@@ -125,7 +122,7 @@ func TestContentBulkDedupAcrossProblems(t *testing.T) {
 		t.Errorf("bulk channel answered %d fetches, want 1 (digest-cached donor)", st.Fetches)
 	}
 
-	// The last Forget releases the refcounted copy and the legacy aliases.
+	// The last Forget releases the refcounted copy and the per-problem aliases.
 	for _, id := range []string{"ca-1", "ca-2"} {
 		if err := srv.Forget(id); err != nil {
 			t.Fatal(err)
@@ -137,70 +134,59 @@ func TestContentBulkDedupAcrossProblems(t *testing.T) {
 	}
 	if _, err := wire.FetchBlob(srv.BulkAddr(), sharedKey("ca-1"), time.Second); err == nil ||
 		!strings.Contains(err.Error(), "not found") {
-		t.Errorf("legacy alias after Forget: err = %v, want not found", err)
+		t.Errorf("per-problem alias after Forget: err = %v, want not found", err)
 	}
 }
 
-// TestEpochResubmitDoesNotServeStaleBytes covers both cache keyings: a
-// forgotten ID resubmitted with different shared data must be computed
-// from the new bytes — under content addressing the digest changes (stale
-// bytes are unreachable by key), and on the legacy path the per-incarnation
-// pseudo-key misses.
+// TestEpochResubmitDoesNotServeStaleBytes: a forgotten ID resubmitted with
+// different shared data must be computed from the new bytes — the digest
+// changes, so the stale bytes are unreachable by cache key.
 func TestEpochResubmitDoesNotServeStaleBytes(t *testing.T) {
 	registerEcho(t)
-	for _, mode := range []struct {
-		name    string
-		content bool
-	}{{"content", true}, {"per-problem", false}} {
-		t.Run(mode.name, func(t *testing.T) {
-			opts := netOpts()
-			opts.NoContentBulk = !mode.content
-			srv, err := ListenAndServe("127.0.0.1:0", "127.0.0.1:0", WithServerOptions(opts))
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer srv.Close()
+	srv, err := ListenAndServe("127.0.0.1:0", "127.0.0.1:0", WithServerOptions(netOpts()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
 
-			cl, err := Dial(srv.RPCAddr(), 5*time.Second)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer cl.Close()
-			d := newTestDonor(cl, DonorOptions{Name: "resub-donor", Logf: t.Logf})
-			var wg sync.WaitGroup
-			wg.Add(1)
-			go func() { defer wg.Done(); _ = d.Run(bg) }()
-			defer func() { d.Stop(); wg.Wait() }()
+	cl, err := Dial(srv.RPCAddr(), 5*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	d := newTestDonor(cl, DonorOptions{Name: "resub-donor", Logf: t.Logf})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() { defer wg.Done(); _ = d.Run(bg) }()
+	defer func() { d.Stop(); wg.Wait() }()
 
-			first := []byte("incarnation one bytes")
-			second := []byte("incarnation TWO bytes — different")
-			if err := srv.Submit(bg, &Problem{ID: "resub", DM: newEchoDM(1), SharedData: first}); err != nil {
-				t.Fatal(err)
-			}
-			out, err := srv.Wait(bg, "resub")
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(out, first) {
-				t.Fatalf("first incarnation echoed %q", out)
-			}
-			if err := srv.Forget("resub"); err != nil {
-				t.Fatal(err)
-			}
-			if err := srv.Submit(bg, &Problem{ID: "resub", DM: newEchoDM(1), SharedData: second}); err != nil {
-				t.Fatal(err)
-			}
-			out, err = srv.Wait(bg, "resub")
-			if err != nil {
-				t.Fatal(err)
-			}
-			if bytes.Equal(out, first) {
-				t.Fatal("resubmitted incarnation served the predecessor's stale shared bytes")
-			}
-			if !bytes.Equal(out, second) {
-				t.Fatalf("second incarnation echoed %q", out)
-			}
-		})
+	first := []byte("incarnation one bytes")
+	second := []byte("incarnation TWO bytes — different")
+	if err := srv.Submit(bg, &Problem{ID: "resub", DM: newEchoDM(1), SharedData: first}); err != nil {
+		t.Fatal(err)
+	}
+	out, err := srv.Wait(bg, "resub")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(out, first) {
+		t.Fatalf("first incarnation echoed %q", out)
+	}
+	if err := srv.Forget("resub"); err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.Submit(bg, &Problem{ID: "resub", DM: newEchoDM(1), SharedData: second}); err != nil {
+		t.Fatal(err)
+	}
+	out, err = srv.Wait(bg, "resub")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bytes.Equal(out, first) {
+		t.Fatal("resubmitted incarnation served the predecessor's stale shared bytes")
+	}
+	if !bytes.Equal(out, second) {
+		t.Fatalf("second incarnation echoed %q", out)
 	}
 }
 
@@ -277,37 +263,41 @@ func TestDigestMismatchIsTransportFailure(t *testing.T) {
 	}
 }
 
-// legacyCoord simulates a donor binary predating content addressing: it
-// speaks only the baseline Coordinator verbs and never sees a digest.
-type legacyCoord struct{ c *RPCClient }
+// bareCoord narrows an RPCClient to the four Coordinator verbs — the shape
+// of a foreign coordinator client with no WaitTask, no batching and no
+// ContentFetcher. With stripDigest it also drops the content digest from
+// every task, as an implementation unaware of content addressing would.
+type bareCoord struct {
+	c           *RPCClient
+	stripDigest bool
+}
 
-func (l legacyCoord) RequestTask(ctx context.Context, donor string) (*Task, time.Duration, error) {
-	task, wait, err := l.c.RequestTask(ctx, donor)
-	if task != nil {
-		task.SharedDigest = "" // an old binary has no such field
+func (b bareCoord) RequestTask(ctx context.Context, donor string) (*Task, time.Duration, error) {
+	task, wait, err := b.c.RequestTask(ctx, donor)
+	if task != nil && b.stripDigest {
+		task.SharedDigest = ""
 	}
 	return task, wait, err
 }
 
-func (l legacyCoord) SharedData(ctx context.Context, problemID string) ([]byte, error) {
-	return l.c.SharedData(ctx, problemID)
+func (b bareCoord) SharedData(ctx context.Context, problemID string) ([]byte, error) {
+	return b.c.SharedData(ctx, problemID)
 }
 
-func (l legacyCoord) SubmitResult(ctx context.Context, res *Result) error {
-	return l.c.SubmitResult(ctx, res)
+func (b bareCoord) SubmitResult(ctx context.Context, res *Result) error {
+	return b.c.SubmitResult(ctx, res)
 }
 
-func (l legacyCoord) ReportFailure(ctx context.Context, donor, problemID string, unitID int64, reason string) error {
-	return l.c.ReportFailure(ctx, donor, problemID, unitID, reason)
+func (b bareCoord) ReportFailure(ctx context.Context, donor, problemID string, unitID int64, reason string) error {
+	return b.c.ReportFailure(ctx, donor, problemID, unitID, reason)
 }
 
-// TestMixedFleetDrains covers both directions of the CapContentBulk
-// negotiation on one loopback deployment: a content-addressed server
-// drains a fleet mixing digest-native donors, donors that never negotiated
-// the capability (fetching per-problem keys through the alias), and
-// simulated pre-digest binaries — and a content-disabled server drains a
-// new donor through the same fallback.
-func TestMixedFleetDrains(t *testing.T) {
+// TestBareCoordinatorDonorsDrain runs donors that know only the Coordinator
+// interface beside a full one on a loopback deployment: they poll
+// RequestTask, fetch shared data through the "shared/<problemID>" alias
+// (verified against the task's digest when it has one, uncached when it has
+// none), and every unit is dispatched and folded exactly once.
+func TestBareCoordinatorDonorsDrain(t *testing.T) {
 	registerEcho(t)
 	shared := bytes.Repeat([]byte("mixed"), 4096)
 
@@ -333,18 +323,13 @@ func TestMixedFleetDrains(t *testing.T) {
 		return cl
 	}
 
-	// New donor, full capabilities. Throttled so the fallback donors are
-	// guaranteed a share of the 24 units.
-	newDonor := newTestDonor(mkClient(), DonorOptions{Name: "new", Throttle: 10 * time.Millisecond})
-	// Donor whose dial never saw the capability (an old server in its
-	// past): FetchContent degrades to the per-problem key.
-	noCapClient := mkClient()
-	noCapClient.caps = map[string]bool{}
-	noCap := newTestDonor(noCapClient, DonorOptions{Name: "nocap"})
-	// Simulated pre-digest binary: baseline verbs only.
-	legacy := newTestDonor(legacyCoord{mkClient()}, DonorOptions{Name: "legacy"})
+	// The full donor is throttled so the bare ones are guaranteed a share
+	// of the 24 units.
+	full := newTestDonor(mkClient(), DonorOptions{Name: "full", Throttle: 10 * time.Millisecond})
+	bare := newTestDonor(bareCoord{c: mkClient()}, DonorOptions{Name: "bare"})
+	digestless := newTestDonor(bareCoord{c: mkClient(), stripDigest: true}, DonorOptions{Name: "digestless"})
 
-	donors := []*Donor{newDonor, noCap, legacy}
+	donors := []*Donor{full, bare, digestless}
 	var wg sync.WaitGroup
 	for _, d := range donors {
 		wg.Add(1)
@@ -377,45 +362,11 @@ func TestMixedFleetDrains(t *testing.T) {
 		d.Stop()
 	}
 	wg.Wait()
-	if noCap.Units() == 0 {
-		t.Error("cap-less donor drained nothing through the per-problem fallback")
+	if bare.Units() == 0 {
+		t.Error("bare-Coordinator donor drained nothing")
 	}
-	if legacy.Units() == 0 {
-		t.Error("simulated pre-digest donor drained nothing through the alias path")
-	}
-
-	// The other direction: a server with content addressing disabled and a
-	// fully modern donor — tasks carry no digest, the donor falls back to
-	// per-problem fetches.
-	opts := netOpts()
-	opts.NoContentBulk = true
-	old, err := ListenAndServe("127.0.0.1:0", "127.0.0.1:0", WithServerOptions(opts))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer old.Close()
-	if err := old.Submit(bg, &Problem{ID: "old-srv", DM: newEchoDM(3), SharedData: shared}); err != nil {
-		t.Fatal(err)
-	}
-	cl, err := Dial(old.RPCAddr(), 5*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Close()
-	if cl.Supports(wire.CapContentBulk) {
-		t.Error("content-disabled server advertised CapContentBulk")
-	}
-	d := newTestDonor(cl, DonorOptions{Name: "new-vs-old"})
-	wg.Add(1)
-	go func() { defer wg.Done(); _ = d.Run(bg) }()
-	out, err := old.Wait(bg, "old-srv")
-	d.Stop()
-	wg.Wait()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(out, shared) {
-		t.Error("new donor against old server echoed wrong bytes")
+	if digestless.Units() == 0 {
+		t.Error("digest-less donor drained nothing")
 	}
 }
 
@@ -578,7 +529,7 @@ func TestBlobCacheFailedFetchNotCached(t *testing.T) {
 }
 
 // TestBlobCacheStress churns a small cache from many goroutines so the
-// race detector can chew on Get/evict/drop interleavings.
+// race detector can chew on Get/evict interleavings.
 func TestBlobCacheStress(t *testing.T) {
 	c := NewBlobCache(1 << 12)
 	var wg sync.WaitGroup
@@ -598,12 +549,6 @@ func TestBlobCacheStress(t *testing.T) {
 				if !bytes.Equal(blob, bytes.Repeat([]byte(key), 40)) {
 					t.Errorf("key %s returned foreign bytes", key)
 					return
-				}
-				if i%17 == 0 {
-					c.drop(key)
-				}
-				if i%29 == 0 {
-					c.dropNonContent()
 				}
 			}
 		}(g)

@@ -99,39 +99,6 @@ type Algorithm interface {
 	ProcessCtx(ctx context.Context, payload []byte) ([]byte, error)
 }
 
-// LegacyAlgorithm is the v1 donor-side shape: a blocking Process with no
-// context. Wrap one with LegacyShim (or register it via
-// RegisterLegacyAlgorithm) to run it on the v2 runtime; cancellation then
-// takes effect at unit boundaries only, since a running Process cannot be
-// interrupted.
-type LegacyAlgorithm interface {
-	Init(shared []byte) error
-	Process(payload []byte) ([]byte, error)
-}
-
-// LegacyShim adapts a v1 LegacyAlgorithm to the context-aware Algorithm
-// interface. A cancellation arriving mid-Process is only observed after the
-// unit finishes: the computed result is then discarded by returning the
-// context's error instead.
-func LegacyShim(a LegacyAlgorithm) Algorithm { return legacyShim{a} }
-
-type legacyShim struct{ a LegacyAlgorithm }
-
-func (s legacyShim) Init(shared []byte) error { return s.a.Init(shared) }
-
-func (s legacyShim) ProcessCtx(ctx context.Context, payload []byte) ([]byte, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	out, err := s.a.Process(payload)
-	if cerr := ctx.Err(); cerr != nil {
-		// The unit was cancelled while Process ran; its result would be a
-		// straggler for a forgotten problem, so drop it here.
-		return nil, cerr
-	}
-	return out, err
-}
-
 // Unit is one dispatched piece of work.
 type Unit struct {
 	// ID is unique within the problem.
@@ -158,8 +125,8 @@ type Result struct {
 	Donor string
 	// Epoch echoes the Task's incarnation tag so the server can drop a
 	// straggler computed for a forgotten problem whose ID was reused.
-	// Zero means "unknown" (a donor predating the field) and is accepted
-	// unchecked.
+	// Zero means "unknown" (a foreign Coordinator client that does not echo
+	// the tag) and is accepted unchecked.
 	Epoch int64
 }
 
@@ -176,21 +143,17 @@ type Task struct {
 	// SharedDigest is the content address (wire.Digest) of the problem's
 	// shared blob. Donors key their blob cache by it — N problems sharing
 	// one alignment cost one fetch — and verify every fetched blob against
-	// it before use. Empty when the server predates (or disabled) content
-	// addressing; donors then fall back to per-problem fetches with no
-	// verification, the legacy behaviour.
+	// it before use. *Server always sets it; a foreign Coordinator may
+	// leave it empty, and donors then fetch through SharedData, uncached
+	// and unverified.
 	SharedDigest string
 	// Priority echoes the owning problem's Submit-time priority so a donor
-	// holding a batch can compute urgent units first. Zero for servers
-	// predating the field (gob drops it; the flat codec carries it under
-	// its own capability token).
+	// holding a batch can compute urgent units first.
 	Priority int
 	// Verify marks this task as one replica of a spot-checked unit: the
 	// server holds its result out of the fold until a quorum of replicas
 	// agrees (ServerOptions.VerifyFraction). Advisory on the donor side —
 	// the computation is identical — but surfaced for logs and metering.
-	// False from servers predating the field (gob drops it; the flat codec
-	// carries it under its own capability token).
 	Verify bool
 }
 
@@ -234,13 +197,12 @@ type CancelNotifier interface {
 }
 
 // ContentFetcher is implemented by coordinators that can fetch a shared
-// blob by its content digest (Task.SharedDigest). *RPCClient implements it,
-// fetching the digest's bulk key against servers that advertised
-// wire.CapContentBulk at Dial and transparently degrading to the problem's
-// legacy per-problem key otherwise — which is why problemID rides along.
-// Donors verify every digest-addressed blob against the digest regardless
-// of which path delivered it; coordinators without the interface are
-// fetched through Coordinator.SharedData and verified the same way.
+// blob by its content digest (Task.SharedDigest). *RPCClient implements it
+// by fetching the digest's bulk key; problemID rides along for
+// implementations that index by problem. Donors verify every
+// digest-addressed blob against the digest regardless of which path
+// delivered it; coordinators without the interface are fetched through
+// Coordinator.SharedData and verified the same way.
 type ContentFetcher interface {
 	FetchContent(ctx context.Context, problemID, digest string) ([]byte, error)
 }
@@ -267,14 +229,6 @@ func RegisterAlgorithm(name string, f func() Algorithm) {
 		panic(fmt.Sprintf("dist: algorithm %q registered twice", name))
 	}
 	registry[name] = f
-}
-
-// RegisterLegacyAlgorithm registers a v1 Algorithm through LegacyShim.
-func RegisterLegacyAlgorithm(name string, f func() LegacyAlgorithm) {
-	if f == nil {
-		panic("dist: RegisterLegacyAlgorithm with nil factory")
-	}
-	RegisterAlgorithm(name, func() Algorithm { return LegacyShim(f()) })
 }
 
 // RegisteredAlgorithms lists the registry's algorithm names, sorted.

@@ -26,9 +26,6 @@ func newTestDonor(c Coordinator, o DonorOptions) *Donor {
 }
 
 // The test problem: sum the squares of 1..N, partitioned into ranges.
-// sumAlg deliberately stays a v1 LegacyAlgorithm (blocking Process, no
-// context) and is registered through the legacy shim, so the whole suite
-// doubles as shim coverage.
 
 type sumUnit struct {
 	From, To int64 // [From, To)
@@ -90,7 +87,7 @@ func (d *sumDM) Done() bool                   { return d.completed >= d.n }
 func (d *sumDM) FinalResult() ([]byte, error) { return Marshal(d.total) }
 func (d *sumDM) Progress() (done, total int)  { return int(d.completed), int(d.n) }
 
-// failNext makes the sum algorithm fail its next K Process calls, whichever
+// failNext makes the sum algorithm fail its next K ProcessCtx calls, whichever
 // donor runs them — exercising the report-failure → requeue path.
 var failNext atomic.Int64
 
@@ -98,7 +95,7 @@ type sumAlg struct{}
 
 func (sumAlg) Init([]byte) error { return nil }
 
-func (sumAlg) Process(payload []byte) ([]byte, error) {
+func (sumAlg) ProcessCtx(_ context.Context, payload []byte) ([]byte, error) {
 	var u sumUnit
 	if err := Unmarshal(payload, &u); err != nil {
 		return nil, err
@@ -121,7 +118,7 @@ var registerSumOnce sync.Once
 func registerSum(t *testing.T) {
 	t.Helper()
 	registerSumOnce.Do(func() {
-		RegisterLegacyAlgorithm("dist-test/sum", func() LegacyAlgorithm { return sumAlg{} })
+		RegisterAlgorithm("dist-test/sum", func() Algorithm { return sumAlg{} })
 	})
 }
 
@@ -180,14 +177,14 @@ var registerDupOnce sync.Once
 func TestRegistryDuplicatePanics(t *testing.T) {
 	// Guarded so the test survives -count=N re-runs in one process.
 	registerDupOnce.Do(func() {
-		RegisterAlgorithm("dist-test/dup", func() Algorithm { return LegacyShim(sumAlg{}) })
+		RegisterAlgorithm("dist-test/dup", func() Algorithm { return sumAlg{} })
 	})
 	if msg := recoverPanic(func() {
-		RegisterAlgorithm("dist-test/dup", func() Algorithm { return LegacyShim(sumAlg{}) })
+		RegisterAlgorithm("dist-test/dup", func() Algorithm { return sumAlg{} })
 	}); !strings.Contains(msg, "registered twice") {
 		t.Errorf("duplicate registration panic = %q", msg)
 	}
-	if msg := recoverPanic(func() { RegisterAlgorithm("", func() Algorithm { return LegacyShim(sumAlg{}) }) }); msg == "" {
+	if msg := recoverPanic(func() { RegisterAlgorithm("", func() Algorithm { return sumAlg{} }) }); msg == "" {
 		t.Error("empty name accepted")
 	}
 	if msg := recoverPanic(func() { RegisterAlgorithm("dist-test/nilf", nil) }); msg == "" {
@@ -234,7 +231,6 @@ func TestRunLocalRequeuesFailedUnits(t *testing.T) {
 		Policy:     sched.Fixed{Size: 25},
 		Lease:      time.Hour,
 		ExpiryScan: time.Hour,
-		WaitHint:   time.Millisecond,
 	})
 	defer srv.Close()
 	p := &Problem{ID: "sum-fail", DM: newSumDM(n)}
@@ -288,7 +284,6 @@ func TestLeaseExpiryReissuesToOtherDonor(t *testing.T) {
 		Policy:     sched.Fixed{Size: 1 << 40}, // whole problem in one unit
 		Lease:      30 * time.Millisecond,
 		ExpiryScan: 5 * time.Millisecond,
-		WaitHint:   time.Millisecond,
 	})
 	defer srv.Close()
 	const n = 100
@@ -329,7 +324,6 @@ func TestRequeueFallsBackWhenOtherDonorDead(t *testing.T) {
 		Policy:     sched.Fixed{Size: 1 << 40}, // whole problem in one unit
 		Lease:      50 * time.Millisecond,
 		ExpiryScan: time.Hour, // expiry scan out of the picture
-		WaitHint:   time.Millisecond,
 	})
 	defer srv.Close()
 	if err := srv.Submit(bg, &Problem{ID: "fallback", DM: newSumDM(50)}); err != nil {
@@ -482,7 +476,7 @@ func TestDonorEvictsCacheOnEpochChange(t *testing.T) {
 }
 
 func TestServerValidation(t *testing.T) {
-	srv := newTestServer(ServerOptions{WaitHint: time.Millisecond})
+	srv := newTestServer(ServerOptions{})
 	defer srv.Close()
 	if err := srv.Submit(bg, nil); err == nil {
 		t.Error("nil problem accepted")
@@ -508,7 +502,7 @@ func TestServerValidation(t *testing.T) {
 }
 
 func TestForgetLifecycle(t *testing.T) {
-	srv := newTestServer(ServerOptions{WaitHint: time.Millisecond})
+	srv := newTestServer(ServerOptions{})
 	defer srv.Close()
 	if err := srv.Submit(bg, &Problem{ID: "gone", DM: newSumDM(0), SharedData: []byte("blob")}); err != nil {
 		t.Fatal(err)
@@ -563,7 +557,6 @@ func TestForgetWhileLeased(t *testing.T) {
 		Policy:     sched.Fixed{Size: 10},
 		Lease:      time.Hour,
 		ExpiryScan: time.Hour,
-		WaitHint:   time.Millisecond,
 	})
 	defer srv.Close()
 	if err := srv.Submit(bg, &Problem{ID: "leased", DM: newSumDM(100)}); err != nil {
@@ -613,7 +606,6 @@ func TestStaleResultAfterResubmitRejected(t *testing.T) {
 		Policy:     sched.Fixed{Size: 10},
 		Lease:      time.Hour,
 		ExpiryScan: time.Hour,
-		WaitHint:   time.Millisecond,
 	})
 	defer srv.Close()
 	if err := srv.Submit(bg, &Problem{ID: "re", DM: newSumDM(100)}); err != nil {
@@ -670,7 +662,7 @@ func TestStaleResultAfterResubmitRejected(t *testing.T) {
 }
 
 func TestForgottenTombstonesBounded(t *testing.T) {
-	srv := newTestServer(ServerOptions{WaitHint: time.Millisecond})
+	srv := newTestServer(ServerOptions{})
 	defer srv.Close()
 	for i := 0; i < maxForgottenTombstones+50; i++ {
 		id := fmt.Sprintf("tomb-%05d", i)
@@ -713,7 +705,7 @@ func TestDonorOptionsRedialDefaults(t *testing.T) {
 }
 
 func TestAutoForgetAfterWait(t *testing.T) {
-	srv := newTestServer(ServerOptions{WaitHint: time.Millisecond, AutoForget: true})
+	srv := newTestServer(ServerOptions{AutoForget: true})
 	defer srv.Close()
 	if err := srv.Submit(bg, &Problem{ID: "auto", DM: newSumDM(0)}); err != nil {
 		t.Fatal(err)
@@ -737,7 +729,6 @@ func TestConcurrentSubmitWaitReportFailure(t *testing.T) {
 		Policy:     sched.Fixed{Size: 7},
 		Lease:      time.Hour,
 		ExpiryScan: time.Hour,
-		WaitHint:   100 * time.Microsecond,
 	})
 	defer srv.Close()
 
@@ -840,7 +831,7 @@ func TestConcurrentSubmitWaitReportFailure(t *testing.T) {
 
 func TestStatusReportsProgress(t *testing.T) {
 	registerSum(t)
-	srv := newTestServer(ServerOptions{Policy: sched.Fixed{Size: 10}, WaitHint: time.Millisecond})
+	srv := newTestServer(ServerOptions{Policy: sched.Fixed{Size: 10}})
 	defer srv.Close()
 	dm := newSumDM(100)
 	if err := srv.Submit(bg, &Problem{ID: "prog", DM: dm}); err != nil {
@@ -872,7 +863,7 @@ func (stallDM) Done() bool                          { return false }
 func (stallDM) FinalResult() ([]byte, error)        { return nil, nil }
 
 func TestStalledProblemFailsLoudly(t *testing.T) {
-	srv := newTestServer(ServerOptions{WaitHint: time.Millisecond})
+	srv := newTestServer(ServerOptions{})
 	defer srv.Close()
 	if err := srv.Submit(bg, &Problem{ID: "stall", DM: stallDM{}}); err != nil {
 		t.Fatal(err)
@@ -887,7 +878,7 @@ func TestStalledProblemFailsLoudly(t *testing.T) {
 }
 
 func TestDoneAtSubmitFinalizesImmediately(t *testing.T) {
-	srv := newTestServer(ServerOptions{WaitHint: time.Millisecond})
+	srv := newTestServer(ServerOptions{})
 	defer srv.Close()
 	dm := newSumDM(0) // completed >= n holds immediately
 	if err := srv.Submit(bg, &Problem{ID: "empty", DM: dm}); err != nil {
@@ -903,7 +894,7 @@ func TestDoneAtSubmitFinalizesImmediately(t *testing.T) {
 }
 
 func TestCloseUnblocksWaiters(t *testing.T) {
-	srv := newTestServer(ServerOptions{WaitHint: time.Millisecond})
+	srv := newTestServer(ServerOptions{})
 	if err := srv.Submit(bg, &Problem{ID: "never", DM: newSumDM(1000)}); err != nil {
 		t.Fatal(err)
 	}

@@ -39,31 +39,34 @@
 //     unit-dispatched, unit-done, progress, failed, finished, forgotten)
 //     over a bounded non-blocking fan-out, replacing Status polling.
 //
-// v1 Algorithms (blocking Process with no context) keep working through
-// LegacyShim / RegisterLegacyAlgorithm; their only loss is that a cancel
-// notice takes effect at the next unit boundary rather than mid-unit.
+// # Dispatch: long-poll push
 //
-// # Dispatch: long-poll push vs. polling
+// Donors obtain work through WaitTask (see TaskWaiter): the server parks
+// the call until a unit is dispatchable for that donor — a Submit, a
+// failure or lease-expiry requeue, or a fold that can release
+// stage-barrier units all wake parked donors — so idle dispatch latency is
+// a channel wake, not a poll interval, and an idle fleet costs almost no
+// control traffic. One reply may carry several units (TaskBatchWaiter)
+// when the donor's measured unit time makes round trips dominate.
+// ServerOptions.LongPoll caps how long one call stays parked; donors
+// re-park on expiry. Only a foreign Coordinator implementation that lacks
+// TaskWaiter is polled through RequestTask.
 //
-// Donors obtain work over one of two control-channel shapes. The preferred
-// path is WaitTask (see TaskWaiter): the server parks the call until a
-// unit is dispatchable for that donor — a Submit, a failure or
-// lease-expiry requeue, or a fold that can release stage-barrier units
-// all wake parked donors — so idle dispatch latency is a channel
-// wake, not a poll interval, and an idle fleet costs almost no control
-// traffic. The capability is negotiated at Dial (wire.CapWaitTask in the
-// Handshake reply); against a server that predates the verb, or with
-// DonorOptions.LongPollWait negative, donors fall back to the classic
-// RequestTask poll loop, sleeping the server's WaitHint jittered ±20%
-// between empty replies. ServerOptions.LongPoll caps how long one call
-// stays parked (donors re-park on expiry) and disables the verb when
-// negative.
+// # One control protocol
+//
+// The control channel is net/rpc over the flat codec (flat.go, package
+// wire) on a single TCP connection per Dial. Both ends open by exchanging
+// wire.FlatPreamble, the protocol's one version token; a peer presenting
+// anything else is disconnected, and Dial reports ErrProtocolMismatch.
+// Long-poll dispatch, batched replies and content-addressed shared blobs
+// are part of that protocol, not negotiated extras. gob appears only as
+// the payload codec behind the typed adapters (typed.go).
 //
 // # Options
 //
 // Servers and donors are constructed with functional options so new knobs
 // never break call sites: WithPolicy, WithLeaseTTL, WithExpiryScan,
-// WithWaitHint, WithBulkThreshold, WithAutoForget, WithWatchBuffer and
+// WithBulkThreshold, WithAutoForget, WithWatchBuffer and
 // WithLongPoll mutate ServerOptions; WithName, WithThrottle, WithLogf,
 // WithRedial, WithRedialBackoff, WithCancelPoll and WithLongPollWait
 // mutate DonorOptions. WithServerOptions/WithDonorOptions adopt a whole
@@ -71,7 +74,7 @@
 //
 // # Error sentinels
 //
-// Three sentinels partition "the thing you addressed is not there":
+// Four sentinels partition "the thing you addressed is not there":
 //
 //   - ErrClosed: the server was shut down explicitly — Close ran, and for
 //     networked donors the sentinel travelled back in an RPC reply. A
@@ -80,6 +83,9 @@
 //     reset, a crashed or restarted server). The server may come back:
 //     donors configured with DonorOptions.Redial reconnect with capped
 //     exponential backoff, all others exit cleanly.
+//   - ErrProtocolMismatch: Dial reached something that does not speak
+//     this build's control protocol version. Not retried by Dial; a donor's
+//     Redial loop keeps trying, which is right for a rolling upgrade.
 //   - ErrForgotten: the problem existed but was retired with Forget (or
 //     auto-retired by ServerOptions.AutoForget after Wait). Distinct from
 //     ErrUnknownProblem, which marks an ID that was never submitted; the

@@ -46,13 +46,10 @@ type DonorOptions struct {
 	// implement CancelNotifier are never polled.
 	CancelPoll time.Duration
 	// LongPollWait is the park duration the donor requests per WaitTask
-	// long-poll when the coordinator supports one (see TaskWaiter): the
-	// server holds the call until a unit is dispatchable or the park
-	// expires, and the donor re-parks immediately on an empty reply — no
-	// idle latency, no poll traffic. Zero defaults to 45s; negative
-	// disables long-polling, restoring the jittered RequestTask poll loop
-	// even against a capable server. Against a server that lacks the
-	// capability the donor falls back to polling automatically.
+	// long-poll (see TaskWaiter): the server holds the call until a unit
+	// is dispatchable or the park expires, and the donor re-parks
+	// immediately on an empty reply — no idle latency, no poll traffic.
+	// Zero or negative defaults to 45s.
 	LongPollWait time.Duration
 	// BlobCacheBytes budgets the donor's shared-blob cache (see BlobCache)
 	// when BlobCache is nil. Zero defaults to 256 MiB; negative keeps only
@@ -74,8 +71,7 @@ type DonorOptions struct {
 	// itself. The batch is drained locally before the donor re-parks,
 	// amortizing one frame and one park wakeup across the units; the
 	// server clamps the request to its own ServerOptions.DispatchBatch.
-	// Zero defaults to 8; negative (or 1) keeps single-unit dispatch. Only
-	// the long-poll path batches — the legacy poll loop stays single-unit.
+	// Zero defaults to 8; negative (or 1) keeps single-unit dispatch.
 	DispatchBatch int
 	// WrapAlgorithm, when non-nil, interposes on every algorithm instance
 	// the donor creates: it receives the registered name and the fresh
@@ -107,7 +103,7 @@ func (o *DonorOptions) applyDefaults() {
 	if o.CancelPoll == 0 {
 		o.CancelPoll = 500 * time.Millisecond
 	}
-	if o.LongPollWait == 0 {
+	if o.LongPollWait <= 0 {
 		o.LongPollWait = 45 * time.Second
 	}
 	if o.DispatchBatch == 0 {
@@ -175,7 +171,7 @@ type Donor struct {
 	// Per-problem algorithm instances, initialised once with the problem's
 	// shared data (keyed by problemID + "\x00" + algorithm name). The
 	// shared bytes themselves live in opts.BlobCache, keyed by content
-	// digest (or a per-incarnation pseudo-key against legacy servers).
+	// digest.
 	algs map[string]Algorithm
 	// epochs records the incarnation tag each cached problem was fetched
 	// under: a forgotten ID may be resubmitted with different shared data,
@@ -279,19 +275,17 @@ func (d *Donor) Stop() {
 
 // Run fetches and computes work until ctx is cancelled, Stop is called, or
 // the server tells the donor it is shutting down (ErrClosed). Against a
-// coordinator that supports long-poll dispatch (TaskWaiter; negotiated at
-// Dial for networked donors) the loop parks in WaitTask between units and
-// is woken the moment work appears; with batched dispatch (TaskBatchWaiter
-// and DispatchBatch > 1) a park may return several units when measured
-// compute times make batching worthwhile (see batchSize), which the
-// loop drains before parking again; otherwise it polls RequestTask on the
-// server's jittered wait hint. A unit that fails to
-// compute is reported (and thereby requeued to another donor); a unit whose
-// problem is forgotten mid-compute is aborted on the server's cancel notice
-// and nothing is submitted for it. When the server merely becomes
-// unreachable (ErrServerGone — a crash, a restart, a partition) and Redial
-// is configured, Run reconnects with capped exponential backoff and keeps
-// going; without Redial it exits cleanly, the pre-reconnect behaviour.
+// *Server or an *RPCClient the loop parks in WaitTask between units and is
+// woken the moment work appears, and a park may return several units when
+// measured compute times make batching worthwhile (see batchSize), which
+// the loop drains before parking again; a foreign Coordinator that lacks
+// TaskWaiter is polled through RequestTask on its jittered wait hint. A
+// unit that fails to compute is reported (and thereby requeued to another
+// donor); a unit whose problem is forgotten mid-compute is aborted on the
+// server's cancel notice and nothing is submitted for it. When the server
+// merely becomes unreachable (ErrServerGone — a crash, a restart, a
+// partition) and Redial is configured, Run reconnects with capped
+// exponential backoff and keeps going; without Redial it exits cleanly.
 func (d *Donor) Run(ctx context.Context) error {
 	if ctx == nil {
 		ctx = context.Background() //dist:allow-background nil-ctx normalisation in a public entry point
@@ -494,23 +488,21 @@ func (d *Donor) observeUnitTime(elapsed time.Duration) {
 // nextTasks fetches the donor's next batch of units: a batched WaitTask
 // long-poll when the coordinator supports it and batchSize asks for
 // more than one unit, a single-unit WaitTask park when it only supports
-// that, and the classic RequestTask poll otherwise. parked reports that a
+// that, and a RequestTask poll for a bare Coordinator. parked reports that a
 // long-poll path was used — only then may an empty reply with a zero hint
 // mean "re-park immediately" (and Run still floors replies that came back
 // too fast to have parked); a foreign Coordinator returning a zero hint
 // from RequestTask always gets the sleep floor.
 func (d *Donor) nextTasks(ctx context.Context) (tasks []*Task, wait time.Duration, parked bool, err error) {
-	if d.opts.LongPollWait > 0 {
-		if batch := d.batchSize(); batch > 1 {
-			if tbw, ok := d.coord.(TaskBatchWaiter); ok {
-				tasks, wait, err = tbw.WaitTasks(ctx, d.opts.Name, d.opts.LongPollWait, batch)
-				return tasks, wait, true, err
-			}
+	if batch := d.batchSize(); batch > 1 {
+		if tbw, ok := d.coord.(TaskBatchWaiter); ok {
+			tasks, wait, err = tbw.WaitTasks(ctx, d.opts.Name, d.opts.LongPollWait, batch)
+			return tasks, wait, true, err
 		}
-		if tw, ok := d.coord.(TaskWaiter); ok {
-			task, wait, err := tw.WaitTask(ctx, d.opts.Name, d.opts.LongPollWait)
-			return taskSlice(task), wait, true, err
-		}
+	}
+	if tw, ok := d.coord.(TaskWaiter); ok {
+		task, wait, err := tw.WaitTask(ctx, d.opts.Name, d.opts.LongPollWait)
+		return taskSlice(task), wait, true, err
 	}
 	task, wait, err := d.coord.RequestTask(ctx, d.opts.Name)
 	return taskSlice(task), wait, false, err
@@ -588,11 +580,8 @@ func (d *Donor) reconnect(ctx context.Context) bool {
 			d.algs = make(map[string]Algorithm)
 			d.epochs = make(map[string]int64)
 			d.problemOrder = nil
-			// Digest-keyed blobs are content-addressed and survive the
-			// reconnect; legacy per-incarnation entries do not — a restarted
-			// server reuses epochs from 1, so their keys could collide with
-			// different bytes.
-			d.opts.BlobCache.dropNonContent()
+			// The blob cache survives the reconnect: its keys are content
+			// digests, valid against any server.
 			return true
 		}
 		d.logf("donor %s: server unreachable, retrying in %s (attempt %d): %v",
@@ -682,8 +671,8 @@ func (d *Donor) watchCancels(ctx context.Context, done <-chan struct{}, cn Cance
 // shared data and running Init on first use. The task's epoch is its
 // incarnation tag: a mismatch with the cache means the problem ID was
 // forgotten and reused — possibly with different shared data — so the
-// stale entry is evicted and refetched. Epoch zero (a server predating
-// the tag) disables the check.
+// stale entry is evicted and refetched. Epoch zero (a foreign Coordinator
+// that does not tag its tasks) disables the check.
 func (d *Donor) algorithm(ctx context.Context, t *Task) (Algorithm, error) {
 	problemID, name := t.ProblemID, t.Unit.Algorithm
 	if t.Epoch != 0 {
@@ -722,22 +711,18 @@ func (d *Donor) algorithm(ctx context.Context, t *Task) (Algorithm, error) {
 
 // sharedBlob returns the task's shared data through the blob cache.
 //
-// With a content digest on the task, the cache key is the digest itself:
-// every problem sharing the bytes hits one entry, an epoch-bumped
-// resubmission with different bytes carries a different digest (so stale
-// bytes are unreachable by construction), and the fetched blob is verified
-// against the digest before use whichever path delivered it — a mismatch
-// is a transport-level failure (wire.ErrDigestMismatch) that requeues the
-// unit without feeding the poisoned-unit caps. Without a digest (a legacy
-// or content-disabled server) the key is a per-incarnation pseudo-key and
-// the bytes are trusted as fetched, the pre-content behaviour.
+// The cache key is the task's content digest: every problem sharing the
+// bytes hits one entry, an epoch-bumped resubmission with different bytes
+// carries a different digest (so stale bytes are unreachable by
+// construction), and the fetched blob is verified against the digest before
+// use whichever path delivered it — a mismatch is a transport-level failure
+// (wire.ErrDigestMismatch) that requeues the unit without feeding the
+// poisoned-unit caps. A task without a digest — only a foreign Coordinator
+// issues one — has nothing to key or verify by and is fetched uncached.
 func (d *Donor) sharedBlob(ctx context.Context, t *Task) ([]byte, error) {
 	digest := t.SharedDigest
 	if digest == "" {
-		key := fmt.Sprintf("problem\x00%s\x00%d", t.ProblemID, t.Epoch)
-		return d.opts.BlobCache.Get(ctx, key, func(ctx context.Context) ([]byte, error) {
-			return d.coord.SharedData(ctx, t.ProblemID)
-		})
+		return d.coord.SharedData(ctx, t.ProblemID)
 	}
 	return d.opts.BlobCache.Get(ctx, digest, func(ctx context.Context) ([]byte, error) {
 		var data []byte
@@ -759,13 +744,9 @@ func (d *Donor) sharedBlob(ctx context.Context, t *Task) ([]byte, error) {
 }
 
 // evictProblem drops one problem's resident state: its algorithm
-// instances, its incarnation tag, and — for legacy per-incarnation cache
-// entries — its shared blob. A digest-keyed blob is left to the cache's
-// own LRU: it may be serving other problems that share the bytes.
+// instances and its incarnation tag. The shared blob is left to the
+// cache's own LRU: it may be serving other problems that share the bytes.
 func (d *Donor) evictProblem(problemID string) {
-	if epoch, ok := d.epochs[problemID]; ok {
-		d.opts.BlobCache.drop(fmt.Sprintf("problem\x00%s\x00%d", problemID, epoch))
-	}
 	delete(d.epochs, problemID)
 	for i, id := range d.problemOrder {
 		if id == problemID {

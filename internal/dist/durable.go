@@ -273,14 +273,10 @@ func (s *Server) recover(rec *journal.Recovered) error {
 			// the counters' dispatched ≥ completed invariant.
 			dispatched = completed
 		}
-		var digest string
-		if !s.opts.NoContentBulk {
-			digest = wire.Digest(sn.Shared)
-		}
 		ps := &problemState{
 			id:           id,
 			epoch:        s.epochSeq.Add(1),
-			sharedDigest: digest,
+			sharedDigest: wire.Digest(sn.Shared),
 			p:            &Problem{ID: id, DM: e.dm, SharedData: sn.Shared},
 			shared:       sn.Shared,
 			inflight:     make(map[int64]*leaseInfo),

@@ -1,17 +1,15 @@
 package dist
 
-// Flat-codec seam for the control-channel envelopes. Each hot message type
-// implements wire.FlatMarshaler/FlatUnmarshaler by hand; together with the
-// gob construction confined to typed.go this is the whole codec boundary —
-// RPCClient and the server serve the same envelopes through flat-or-gob
-// chosen per connection at handshake, and gob stays the versioned fallback
-// and the only reflection path.
+// Flat-codec seam for the control-channel envelopes: every message type
+// implements wire.FlatMarshaler/FlatUnmarshaler by hand, and this is the
+// only encoding the control channel speaks (gob survives solely as the
+// payload codec in typed.go).
 //
 // Field order is the encoding: MarshalFlat and UnmarshalFlat must touch
 // the same fields in the same order, and that order is frozen in
 // docs/ARCHITECTURE.md. The flat encoding has no field tags, so it cannot
-// evolve in place the way gob does — any incompatible change must ship
-// under a new capability token (see wire.CapFlatCodec).
+// evolve in place — any incompatible change must bump the version digit in
+// wire.FlatPreamble.
 //
 // Marshal methods take value receivers: net/rpc hands the codec args
 // structs by value and replies by pointer, and a value receiver satisfies
@@ -210,30 +208,11 @@ func (r *CancelReply) UnmarshalFlat(d *wire.Decoder) {
 	}
 }
 
-// MarshalFlat implements wire.FlatMarshaler. Handshake itself always runs
-// over gob (it is what negotiates the codec), but a fully flat client may
-// re-handshake on the upgraded connection, so the envelope round-trips
-// under both codecs.
-func (r HandshakeReply) MarshalFlat(e *wire.Encoder) {
-	e.String(r.BulkAddr)
-	e.Uvarint(uint64(len(r.Caps)))
-	for _, c := range r.Caps {
-		e.String(c)
-	}
-}
+// MarshalFlat implements wire.FlatMarshaler.
+func (r HandshakeReply) MarshalFlat(e *wire.Encoder) { e.String(r.BulkAddr) }
 
 // UnmarshalFlat implements wire.FlatUnmarshaler.
-func (r *HandshakeReply) UnmarshalFlat(d *wire.Decoder) {
-	r.BulkAddr = d.String()
-	n := d.Uvarint()
-	if d.Err() != nil || n == 0 {
-		return
-	}
-	r.Caps = make([]string, 0, min(int(n), 64))
-	for i := uint64(0); i < n && d.Err() == nil; i++ {
-		r.Caps = append(r.Caps, d.String())
-	}
-}
+func (r *HandshakeReply) UnmarshalFlat(d *wire.Decoder) { r.BulkAddr = d.String() }
 
 // MarshalFlat implements wire.FlatMarshaler.
 func (Empty) MarshalFlat(*wire.Encoder) {}

@@ -45,7 +45,7 @@ func TestFlatEnvelopeRoundTrip(t *testing.T) {
 			{ProblemID: "p-1", Epoch: 2, UnitID: 7},
 			{ProblemID: "p-2", Epoch: 1, UnitID: -1},
 		}}, &CancelReply{}},
-		{"HandshakeReply", HandshakeReply{BulkAddr: "127.0.0.1:7071", Caps: []string{wire.CapWaitTask, wire.CapFlatCodec}}, &HandshakeReply{}},
+		{"HandshakeReply", HandshakeReply{BulkAddr: "127.0.0.1:7071"}, &HandshakeReply{}},
 		{"Empty", Empty{}, &Empty{}},
 	}
 	for _, c := range cases {
@@ -62,99 +62,6 @@ func TestFlatEnvelopeRoundTrip(t *testing.T) {
 			}
 		})
 	}
-}
-
-// drainEcho submits one echo problem, runs the given client under a donor
-// until the problem completes, and checks the echoed shared blob.
-func drainEcho(t *testing.T, srv *NetworkServer, cl *RPCClient, id string, units int, shared []byte) {
-	t.Helper()
-	if err := srv.Submit(bg, &Problem{ID: id, DM: newEchoDM(units), SharedData: shared}); err != nil {
-		t.Fatal(err)
-	}
-	d := newTestDonor(cl, DonorOptions{Name: id + "-donor", Logf: t.Logf})
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() { defer wg.Done(); _ = d.Run(bg) }()
-	out, err := srv.Wait(bg, id)
-	d.Stop()
-	wg.Wait()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(out, shared) {
-		t.Errorf("echoed result = %q, want the shared blob (%d bytes)", out, len(shared))
-	}
-}
-
-// TestFlatCodecNegotiated: a default server and a default Dial settle on
-// the flat codec, and the upgraded connection drains a real problem.
-func TestFlatCodecNegotiated(t *testing.T) {
-	registerEcho(t)
-	srv, err := ListenAndServe("127.0.0.1:0", "127.0.0.1:0", WithServerOptions(netOpts()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	cl, err := Dial(srv.RPCAddr(), 5*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Close()
-	if !cl.Supports(wire.CapFlatCodec) {
-		t.Fatal("server did not advertise CapFlatCodec")
-	}
-	if !cl.flat {
-		t.Fatal("client did not upgrade to the flat codec")
-	}
-	drainEcho(t, srv, cl, "flat-neg", 6, []byte("flat codec blob"))
-}
-
-// TestFlatDonorGobOnlyServer: a flat-capable donor against a server with
-// the flat codec disabled must stay on gob and still drain — the mixed
-// fleet degrades per connection via the missing capability token.
-func TestFlatDonorGobOnlyServer(t *testing.T) {
-	registerEcho(t)
-	srv, err := ListenAndServe("127.0.0.1:0", "127.0.0.1:0",
-		WithServerOptions(netOpts()), WithFlatCodec(false))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	cl, err := Dial(srv.RPCAddr(), 5*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Close()
-	if cl.Supports(wire.CapFlatCodec) {
-		t.Fatal("gob-only server advertised CapFlatCodec")
-	}
-	if cl.flat {
-		t.Fatal("client upgraded to flat against a gob-only server")
-	}
-	drainEcho(t, srv, cl, "flat-gobsrv", 6, []byte("gob-only server blob"))
-}
-
-// TestGobDonorFlatServer: the reverse fleet mix — a legacy (gob-only)
-// donor against a flat-capable server keeps its gob connection and drains.
-func TestGobDonorFlatServer(t *testing.T) {
-	registerEcho(t)
-	srv, err := ListenAndServe("127.0.0.1:0", "127.0.0.1:0", WithServerOptions(netOpts()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	cl, err := Dial(srv.RPCAddr(), 5*time.Second, WithDialFlatCodec(false))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Close()
-	if !cl.Supports(wire.CapFlatCodec) {
-		t.Fatal("server stopped advertising CapFlatCodec")
-	}
-	if cl.flat {
-		t.Fatal("client upgraded to flat despite WithDialFlatCodec(false)")
-	}
-	drainEcho(t, srv, cl, "flat-gobcli", 6, []byte("gob donor blob"))
 }
 
 // TestBatchedWaitTasksOverWire proves multi-unit batches actually cross
@@ -221,7 +128,7 @@ func TestBatchedWaitTasksOverWire(t *testing.T) {
 // 16-donor herd test: with batching enabled a single unit must still be
 // dispatched exactly once across every parked WaitTasks call.
 func TestWaitTasksManyParkedDonorsOneUnit(t *testing.T) {
-	srv := newTestServer(ServerOptions{Policy: sched.Fixed{Size: 1000}, Lease: time.Hour, ExpiryScan: time.Hour, WaitHint: time.Millisecond})
+	srv := newTestServer(ServerOptions{Policy: sched.Fixed{Size: 1000}, Lease: time.Hour, ExpiryScan: time.Hour})
 	defer srv.Close()
 
 	const parked = 16
@@ -264,7 +171,6 @@ func TestWaitTasksWakesOnLeaseExpiry(t *testing.T) {
 		Policy:     sched.Fixed{Size: 1000},
 		Lease:      50 * time.Millisecond,
 		ExpiryScan: 20 * time.Millisecond,
-		WaitHint:   time.Millisecond,
 	})
 	defer srv.Close()
 	if err := srv.Submit(bg, &Problem{ID: "bwake-expiry", DM: newSumDM(100)}); err != nil {

@@ -30,7 +30,6 @@ func RunLocal(ctx context.Context, p *Problem, n int, policy sched.Policy) ([]by
 		// failure-requeue path, which reports explicitly.
 		WithLeaseTTL(time.Hour),
 		WithExpiryScan(time.Hour),
-		WithWaitHint(time.Millisecond),
 		// The problem's state is evicted as soon as Wait delivers the
 		// result below — the Submit → Wait → Forget lifecycle in one call.
 		WithAutoForget(true),

@@ -8,16 +8,14 @@ import (
 // TaskWaiter is implemented by coordinators that support long-poll
 // dispatch: WaitTask parks until a unit is dispatchable for the donor (or
 // maxWait passes) instead of returning "nothing yet" with a poll hint.
-// *Server implements it directly; *RPCClient implements it when the server
-// advertised the capability at Dial and falls back to a plain RequestTask
-// otherwise, so the donor loop can always call it and let the returned
-// wait hint decide whether to sleep (legacy poll) or re-park immediately.
+// *Server implements it directly and *RPCClient over the WaitTask verb; a
+// foreign Coordinator without it is polled through RequestTask.
 type TaskWaiter interface {
 	// WaitTask is RequestTask with server-side parking. A nil task with a
 	// zero wait hint means the park deadline elapsed with nothing to hand
 	// out — re-park immediately; a nil task with a positive hint means the
-	// coordinator could not park (legacy server, long-poll disabled) and
-	// the caller should sleep the hint like a poller.
+	// implementation did not park and the caller should sleep the hint
+	// like a poller.
 	WaitTask(ctx context.Context, donor string, maxWait time.Duration) (t *Task, wait time.Duration, err error)
 }
 
@@ -110,19 +108,15 @@ func (s *Server) wakeParked() {
 
 // WaitTask implements TaskWaiter: the long-poll dispatch path. It runs the
 // same dispatch scan as RequestTask, but instead of handing an empty reply
-// back to a donor that would sleep WaitHint and ask again, it parks until
-// a wake source fires — a Submit, a failure or lease-expiry requeue, or a
+// back to a donor that would sleep and ask again, it parks until a wake
+// source fires — a Submit, a failure or lease-expiry requeue, or a
 // folded result on a problem some scan starved on (stage barriers release
 // new units on a fold) — and rescans. The park is bounded by the smaller of
 // maxWait (donor-requested; <=0 means no preference) and
 // ServerOptions.LongPoll, after which a nil task with a zero hint tells
 // the donor to re-park immediately; the bound only limits how long one
-// call stays outstanding. With LongPoll negative the method degrades to a
-// single RequestTask scan, hint and all.
+// call stays outstanding.
 func (s *Server) WaitTask(ctx context.Context, donor string, maxWait time.Duration) (*Task, time.Duration, error) {
-	if s.opts.LongPoll < 0 {
-		return s.RequestTask(ctx, donor)
-	}
 	limit := s.opts.LongPoll
 	if maxWait > 0 && maxWait < limit {
 		limit = maxWait

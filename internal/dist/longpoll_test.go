@@ -4,15 +4,11 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"net"
-	"net/rpc"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/sched"
-	"repro/internal/wire"
 )
 
 // waitTaskResult carries one WaitTask outcome out of a parked goroutine.
@@ -50,7 +46,7 @@ func expectWake(t *testing.T, got <-chan waitTaskResult, within time.Duration) w
 // anywhere is woken by a Submit and handed the fresh problem's unit —
 // the push-dispatch path that replaces waiting out a poll interval.
 func TestWaitTaskWakesOnSubmit(t *testing.T) {
-	srv := newTestServer(ServerOptions{Policy: sched.Fixed{Size: 1000}, Lease: time.Hour, ExpiryScan: time.Hour, WaitHint: time.Millisecond})
+	srv := newTestServer(ServerOptions{Policy: sched.Fixed{Size: 1000}, Lease: time.Hour, ExpiryScan: time.Hour})
 	defer srv.Close()
 
 	got := parkWaitTask(srv, "parked", 10*time.Second)
@@ -70,7 +66,7 @@ func TestWaitTaskWakesOnSubmit(t *testing.T) {
 // TestWaitTaskWakesOnFailureRequeue: the only unit is leased to donor A;
 // parked donor B is woken the moment A's failure report requeues it.
 func TestWaitTaskWakesOnFailureRequeue(t *testing.T) {
-	srv := newTestServer(ServerOptions{Policy: sched.Fixed{Size: 1000}, Lease: time.Hour, ExpiryScan: time.Hour, WaitHint: time.Millisecond})
+	srv := newTestServer(ServerOptions{Policy: sched.Fixed{Size: 1000}, Lease: time.Hour, ExpiryScan: time.Hour})
 	defer srv.Close()
 	if err := srv.Submit(bg, &Problem{ID: "wake-requeue", DM: newSumDM(100)}); err != nil {
 		t.Fatal(err)
@@ -101,7 +97,6 @@ func TestWaitTaskWakesOnLeaseExpiry(t *testing.T) {
 		Policy:     sched.Fixed{Size: 1000},
 		Lease:      50 * time.Millisecond,
 		ExpiryScan: 20 * time.Millisecond,
-		WaitHint:   time.Millisecond,
 	})
 	defer srv.Close()
 	if err := srv.Submit(bg, &Problem{ID: "wake-expiry", DM: newSumDM(100)}); err != nil {
@@ -126,7 +121,7 @@ func TestWaitTaskWakesOnLeaseExpiry(t *testing.T) {
 // nothing dispatchable until the in-flight unit's result is folded. The
 // parked donor must wake on that SubmitResult, not on a timer.
 func TestWaitTaskWakesOnStageBarrierRelease(t *testing.T) {
-	srv := newTestServer(ServerOptions{Policy: sched.Fixed{Size: 1000}, Lease: time.Hour, ExpiryScan: time.Hour, WaitHint: time.Millisecond})
+	srv := newTestServer(ServerOptions{Policy: sched.Fixed{Size: 1000}, Lease: time.Hour, ExpiryScan: time.Hour})
 	defer srv.Close()
 	// barrierDM releases one unit per stage and refuses the next until the
 	// previous result was consumed.
@@ -176,7 +171,7 @@ func (d *barrierDM) FinalResult() ([]byte, error) {
 // (nil, 0, nil) — the "re-park immediately" shape — and a fresh park after
 // it must still be wakeable.
 func TestWaitTaskDeadlineReparks(t *testing.T) {
-	srv := newTestServer(ServerOptions{Policy: sched.Fixed{Size: 1000}, Lease: time.Hour, ExpiryScan: time.Hour, WaitHint: 50 * time.Millisecond})
+	srv := newTestServer(ServerOptions{Policy: sched.Fixed{Size: 1000}, Lease: time.Hour, ExpiryScan: time.Hour})
 	defer srv.Close()
 
 	t0 := time.Now()
@@ -203,7 +198,7 @@ func TestWaitTaskDeadlineReparks(t *testing.T) {
 // TestWaitTaskCtxCancelAndClose: a cancelled context unparks with the
 // context's error; Close unparks every parked donor with ErrClosed.
 func TestWaitTaskCtxCancelAndClose(t *testing.T) {
-	srv := newTestServer(ServerOptions{Policy: sched.Fixed{Size: 1000}, Lease: time.Hour, ExpiryScan: time.Hour, WaitHint: time.Millisecond})
+	srv := newTestServer(ServerOptions{Policy: sched.Fixed{Size: 1000}, Lease: time.Hour, ExpiryScan: time.Hour})
 
 	ctx, cancel := context.WithCancel(bg)
 	got := make(chan waitTaskResult, 1)
@@ -227,95 +222,6 @@ func TestWaitTaskCtxCancelAndClose(t *testing.T) {
 	}
 }
 
-// TestWaitTaskDisabled: with ServerOptions.LongPoll negative the server
-// neither parks nor advertises the capability, so WaitTask degrades to a
-// RequestTask and a dialing client reports the capability absent.
-func TestWaitTaskDisabled(t *testing.T) {
-	opts := netOpts()
-	opts.LongPoll = -1
-	srv, err := ListenAndServe("127.0.0.1:0", "127.0.0.1:0", WithServerOptions(opts))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-
-	t0 := time.Now()
-	task, wait, werr := srv.WaitTask(bg, "w", time.Second)
-	if werr != nil || task != nil {
-		t.Fatalf("disabled WaitTask = task %v, err %v", task, werr)
-	}
-	if wait <= 0 {
-		t.Errorf("disabled WaitTask hint = %v, want the positive poll hint", wait)
-	}
-	if elapsed := time.Since(t0); elapsed > 500*time.Millisecond {
-		t.Errorf("disabled WaitTask parked for %s; want an immediate reply", elapsed)
-	}
-
-	cl, err := Dial(srv.RPCAddr(), 2*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Close()
-	if cl.Supports(wire.CapWaitTask) {
-		t.Error("client reports CapWaitTask against a long-poll-disabled server")
-	}
-}
-
-// TestWaitTaskFallbackAgainstLegacyServer dials a stub speaking only the
-// pre-WaitTask verbs (its Handshake advertises no capabilities): the
-// client must not call the verb, and WaitTask must degrade to the polling
-// shape — nil task with the server's positive wait hint.
-func TestWaitTaskFallbackAgainstLegacyServer(t *testing.T) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-	rsrv := rpc.NewServer()
-	if err := rsrv.RegisterName(rpcServiceName, &legacyStubService{}); err != nil {
-		t.Fatal(err)
-	}
-	go func() {
-		for {
-			conn, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			go rsrv.ServeConn(conn)
-		}
-	}()
-
-	cl, err := Dial(ln.Addr().String(), 2*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Close()
-	if cl.Supports(wire.CapWaitTask) {
-		t.Fatal("client reports CapWaitTask against a legacy server")
-	}
-	task, wait, err := cl.WaitTask(bg, "w", 45*time.Second)
-	if err != nil || task != nil {
-		t.Fatalf("fallback WaitTask = task %v, err %v", task, err)
-	}
-	if wait != 40*time.Millisecond {
-		t.Errorf("fallback hint = %v, want the stub's 40ms poll hint", wait)
-	}
-}
-
-// legacyStubService is the control surface of a server predating WaitTask:
-// Handshake without capabilities, and plain polling dispatch.
-type legacyStubService struct{}
-
-func (s *legacyStubService) Handshake(_ Empty, reply *HandshakeReply) error {
-	reply.BulkAddr = "127.0.0.1:1" // never fetched in this test
-	return nil
-}
-
-func (s *legacyStubService) RequestTask(_ TaskArgs, reply *TaskReply) error {
-	reply.WaitHintNs = int64(40 * time.Millisecond)
-	return nil
-}
-
 // TestLongPollDonorSurvivesServerBounce crashes the server while the donor
 // is parked mid-WaitTask: the severed park must surface as ErrServerGone
 // (not a clean exit, not a hang), the redial loop must recover, and the
@@ -333,9 +239,6 @@ func TestLongPollDonorSurvivesServerBounce(t *testing.T) {
 	cl, err := Dial(rpcAddr, 2*time.Second)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if !cl.Supports(wire.CapWaitTask) {
-		t.Fatal("server did not advertise CapWaitTask")
 	}
 	d := newTestDonor(cl, DonorOptions{
 		Name:      "parked-bouncer",
@@ -390,64 +293,6 @@ func TestLongPollDonorSurvivesServerBounce(t *testing.T) {
 	}
 }
 
-// TestMixedFleetDrainsProblem runs one long-poll donor and one legacy
-// poller (long-poll disabled donor-side) against the same server over
-// loopback: both must contribute units and the problem must finish with
-// the right answer — the rolling-upgrade interop the capability
-// negotiation exists for.
-func TestMixedFleetDrainsProblem(t *testing.T) {
-	registerSum(t)
-	opts := netOpts()
-	opts.Policy = sched.Fixed{Size: 5} // 80 units: plenty for both donors
-	srv, err := ListenAndServe("127.0.0.1:0", "127.0.0.1:0", WithServerOptions(opts))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	const n = 400
-	if err := srv.Submit(bg, &Problem{ID: "mixed", DM: newSumDM(n)}); err != nil {
-		t.Fatal(err)
-	}
-
-	var wg sync.WaitGroup
-	mk := func(name string, longPoll time.Duration) *Donor {
-		cl, err := Dial(srv.RPCAddr(), 2*time.Second)
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { cl.Close() })
-		d := newTestDonor(cl, DonorOptions{
-			Name:         name,
-			Throttle:     2 * time.Millisecond,
-			LongPollWait: longPoll,
-			Logf:         t.Logf,
-		})
-		wg.Add(1)
-		go func() { defer wg.Done(); _ = d.Run(bg) }()
-		return d
-	}
-	push := mk("push-donor", 0)  // 0 → default: long-poll enabled
-	poll := mk("poll-donor", -1) // negative: legacy jittered polling
-
-	out, err := srv.Wait(bg, "mixed")
-	push.Stop()
-	poll.Stop()
-	wg.Wait()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := decodeSum(t, out); got != sumSquares(n) {
-		t.Errorf("mixed-fleet sum = %d, want %d", got, sumSquares(n))
-	}
-	if push.Units() == 0 {
-		t.Error("long-poll donor completed no units")
-	}
-	if poll.Units() == 0 {
-		t.Error("legacy poll donor completed no units")
-	}
-	t.Logf("mixed fleet: push=%d units, poll=%d units", push.Units(), poll.Units())
-}
-
 // TestFunctionalOptionsLongPoll covers the new knobs' defaults and
 // overrides alongside the existing option plumbing.
 func TestFunctionalOptionsLongPoll(t *testing.T) {
@@ -460,22 +305,15 @@ func TestFunctionalOptionsLongPoll(t *testing.T) {
 	if so.LongPoll != 3*time.Second {
 		t.Errorf("applyDefaults clobbered LongPoll: %v", so.LongPoll)
 	}
-	var def ServerOptions
-	def.applyDefaults()
-	if def.LongPoll != 45*time.Second {
-		t.Errorf("default LongPoll = %v, want 45s", def.LongPoll)
-	}
-
-	var do DonorOptions
-	WithLongPollWait(-1)(&do)
-	do.applyDefaults()
-	if do.LongPollWait != -1 {
-		t.Errorf("negative LongPollWait not preserved: %v", do.LongPollWait)
-	}
-	var ddef DonorOptions
-	ddef.applyDefaults()
-	if ddef.LongPollWait != 45*time.Second {
-		t.Errorf("default LongPollWait = %v, want 45s", ddef.LongPollWait)
+	// Non-positive values are not a "disable" switch: they take the default.
+	for _, v := range []time.Duration{0, -1} {
+		so := ServerOptions{LongPoll: v}
+		so.applyDefaults()
+		do := DonorOptions{LongPollWait: v}
+		do.applyDefaults()
+		if so.LongPoll != 45*time.Second || do.LongPollWait != 45*time.Second {
+			t.Errorf("LongPoll/LongPollWait %v defaulted to %v/%v, want 45s", v, so.LongPoll, do.LongPollWait)
+		}
 	}
 }
 
@@ -519,7 +357,7 @@ func TestDonorFloorsInstantEmptyParks(t *testing.T) {
 // problem is submitted; exactly one donor gets the unit and the rest
 // re-park without error — the broadcast wake must not duplicate dispatch.
 func TestWaitTaskManyParkedDonorsOneUnit(t *testing.T) {
-	srv := newTestServer(ServerOptions{Policy: sched.Fixed{Size: 1000}, Lease: time.Hour, ExpiryScan: time.Hour, WaitHint: time.Millisecond})
+	srv := newTestServer(ServerOptions{Policy: sched.Fixed{Size: 1000}, Lease: time.Hour, ExpiryScan: time.Hour})
 	defer srv.Close()
 
 	const parked = 16

@@ -1,7 +1,6 @@
 package dist
 
 import (
-	"bufio"
 	"context"
 	"errors"
 	"fmt"
@@ -34,6 +33,23 @@ func unitKey(problemID string, epoch, unitID int64) string {
 // bookkeeping.
 type unitRef struct{ epoch, unitID int64 }
 
+// ErrProtocolMismatch is returned by Dial when the peer does not speak this
+// build's control protocol: it presented a different wire.FlatPreamble
+// version, or hung up instead of presenting one. The control channel has
+// exactly one protocol and no fallback, so the only fix is matching builds.
+var ErrProtocolMismatch = errors.New("dist: control protocol version mismatch")
+
+// handshakeTimeout bounds the version exchange on a freshly accepted
+// control connection, so a peer that connects and sends nothing cannot pin
+// a goroutine until Close.
+const handshakeTimeout = 10 * time.Second
+
+// closeDrain is how long Close keeps the control connections open after
+// the coordinator has shut, so the ErrClosed replies to parked WaitTask
+// calls — and to a donor submitting just then — are written before the
+// sockets go away.
+const closeDrain = 100 * time.Millisecond
+
 // NetworkServer is a Server with the paper's two network channels attached:
 // control traffic (task handout, results, failures, cancel notices) over
 // net/rpc — Go's analogue of the Java RMI the paper used — and bulk data
@@ -42,6 +58,7 @@ type unitRef struct{ epoch, unitID int64 }
 type NetworkServer struct {
 	*Server
 	rpcLn net.Listener
+	rsrv  *rpc.Server
 	bulk  *wire.BulkServer
 
 	closeOnce sync.Once
@@ -49,7 +66,7 @@ type NetworkServer struct {
 	acceptWG  sync.WaitGroup
 
 	// connsMu guards the accepted control connections so Close can tear
-	// them down instead of leaving ServeConn goroutines to donors' mercy.
+	// them down instead of leaving their serving goroutines to donors' mercy.
 	connsMu sync.Mutex
 	conns   map[net.Conn]struct{} //dist:guardedby connsMu
 	connWG  sync.WaitGroup
@@ -92,6 +109,7 @@ func ListenAndServe(rpcAddr, bulkAddr string, opts ...ServerOption) (*NetworkSer
 	ns := &NetworkServer{
 		Server:        srv,
 		rpcLn:         ln,
+		rsrv:          rpc.NewServer(),
 		bulk:          bulk,
 		unitKeys:      make(map[string]map[unitRef]string),
 		sharedDigests: make(map[string]string),
@@ -104,8 +122,7 @@ func ListenAndServe(rpcAddr, bulkAddr string, opts ...ServerOption) (*NetworkSer
 	srv.onProblemDone = ns.dropProblemKeys
 	srv.onUnitRetired = ns.dropUnitKey
 	ns.republishRecovered()
-	rsrv := rpc.NewServer()
-	if err := rsrv.RegisterName(rpcServiceName, &rpcService{ns: ns}); err != nil {
+	if err := ns.rsrv.RegisterName(rpcServiceName, &rpcService{ns: ns}); err != nil {
 		_ = ns.Close()
 		return nil, fmt.Errorf("dist: registering rpc service: %w", err)
 	}
@@ -123,7 +140,7 @@ func ListenAndServe(rpcAddr, bulkAddr string, opts ...ServerOption) (*NetworkSer
 			ns.connWG.Add(1)
 			go func(c net.Conn) {
 				defer ns.connWG.Done()
-				ns.serveControlConn(rsrv, c)
+				ns.serveControlConn(c, handshakeTimeout)
 				ns.connsMu.Lock()
 				delete(ns.conns, c)
 				ns.connsMu.Unlock()
@@ -133,32 +150,39 @@ func ListenAndServe(rpcAddr, bulkAddr string, opts ...ServerOption) (*NetworkSer
 	return ns, nil
 }
 
-// serveControlConn sniffs which codec a freshly accepted control
-// connection speaks and serves it accordingly. A new donor that negotiated
-// wire.CapFlatCodec opens its upgraded connection with wire.FlatPreamble;
-// anything else — every legacy donor — is a gob-rpc stream, which can
-// never begin with the preamble's leading zero byte. Under NoFlatCodec the
-// sniff is skipped entirely so an ablation server is truly gob-only.
-func (ns *NetworkServer) serveControlConn(rsrv *rpc.Server, conn net.Conn) {
-	br := bufio.NewReader(conn)
-	if !ns.opts.NoFlatCodec {
-		if peek, err := br.Peek(len(wire.FlatPreamble)); err == nil && string(peek) == wire.FlatPreamble {
-			_, _ = br.Discard(len(wire.FlatPreamble))
-			rsrv.ServeCodec(wire.NewFlatServerCodec(&bufferedConn{r: br, Conn: conn}))
-			return
-		}
+// serveControlConn runs the version exchange on a freshly accepted control
+// connection and then serves net/rpc over the flat codec until the peer
+// hangs up. A peer that presents anything but wire.FlatPreamble within
+// timeout — an older build, a gob-rpc stream, a port scanner, silence — is
+// closed unserved; the server's own preamble has been written by then, so
+// a Dial on the other end can name both versions.
+func (ns *NetworkServer) serveControlConn(conn net.Conn, timeout time.Duration) {
+	if peer, err := exchangePreamble(conn, timeout); err != nil || peer != wire.FlatPreamble {
+		_ = conn.Close()
+		return
 	}
-	rsrv.ServeConn(&bufferedConn{r: br, Conn: conn})
+	ns.rsrv.ServeCodec(wire.NewFlatServerCodec(conn))
 }
 
-// bufferedConn rejoins a sniffed bufio.Reader with its connection's write
-// and close halves.
-type bufferedConn struct {
-	r *bufio.Reader
-	net.Conn
+// exchangePreamble is the connect sequence both ends of a control
+// connection run before any frame flows: write wire.FlatPreamble, read as
+// many bytes back, all within timeout (the deadline is cleared again on
+// return). It reports what the peer sent — short if the peer hung up
+// first — and leaves the comparison to the caller.
+func exchangePreamble(conn net.Conn, timeout time.Duration) (peer string, err error) {
+	if err := conn.SetDeadline(time.Now().Add(timeout)); err != nil {
+		return "", err
+	}
+	if _, err := conn.Write([]byte(wire.FlatPreamble)); err != nil {
+		return "", err
+	}
+	buf := make([]byte, len(wire.FlatPreamble))
+	n, err := io.ReadFull(conn, buf)
+	if err != nil && !errors.Is(err, io.EOF) && !errors.Is(err, io.ErrUnexpectedEOF) {
+		return "", err
+	}
+	return string(buf[:n]), conn.SetDeadline(time.Time{})
 }
-
-func (b *bufferedConn) Read(p []byte) (int, error) { return b.r.Read(p) }
 
 // RPCAddr returns the control-channel listen address.
 func (ns *NetworkServer) RPCAddr() string { return ns.rpcLn.Addr().String() }
@@ -173,25 +197,27 @@ func (ns *NetworkServer) BulkAddr() string { return ns.bulk.Addr() }
 // Submit never touches the live problem's blob.
 //
 // The blob is stored content-addressed (refcounted, one copy however many
-// problems share the bytes) with the legacy "shared/<problemID>" key
-// aliased onto it for donors predating wire.CapContentBulk; under
-// ServerOptions.NoContentBulk it is stored under the per-problem key only.
+// problems share the bytes) with the "shared/<problemID>" key — what
+// Coordinator.SharedData fetches — aliased onto it.
 func (ns *NetworkServer) Submit(ctx context.Context, p *Problem) error {
 	if p != nil && len(p.SharedData)+1 > wire.MaxFrameSize {
 		return fmt.Errorf("dist: shared data of %d bytes exceeds the bulk frame limit of %d",
 			len(p.SharedData), wire.MaxFrameSize-1)
 	}
 	return ns.Server.submitWith(ctx, p, func(sharedDigest string) {
-		if sharedDigest == "" {
-			ns.bulk.Put(sharedKey(p.ID), p.SharedData)
-			return
-		}
-		ns.bulk.PutContent(sharedDigest, p.SharedData)
-		ns.bulk.Alias(sharedKey(p.ID), sharedDigest)
-		ns.keysMu.Lock()
-		ns.sharedDigests[p.ID] = sharedDigest
-		ns.keysMu.Unlock()
+		ns.publishShared(p.ID, sharedDigest, p.SharedData)
 	})
+}
+
+// publishShared stores one problem's shared blob under its content digest,
+// aliases the per-problem key onto it, and records the reference
+// dropProblemKeys will release.
+func (ns *NetworkServer) publishShared(problemID, digest string, shared []byte) {
+	ns.bulk.PutContent(digest, shared)
+	ns.bulk.Alias(sharedKey(problemID), digest)
+	ns.keysMu.Lock()
+	ns.sharedDigests[problemID] = digest
+	ns.keysMu.Unlock()
 }
 
 // republishRecovered puts the shared blobs of journal-recovered problems
@@ -213,18 +239,9 @@ func (ns *NetworkServer) republishRecovered() {
 		digest := ps.sharedDigest
 		id := ps.id
 		ps.mu.Unlock()
-		if skip {
-			continue
+		if !skip {
+			ns.publishShared(id, digest, shared)
 		}
-		if digest == "" {
-			ns.bulk.Put(sharedKey(id), shared)
-			continue
-		}
-		ns.bulk.PutContent(digest, shared)
-		ns.bulk.Alias(sharedKey(id), digest)
-		ns.keysMu.Lock()
-		ns.sharedDigests[id] = digest
-		ns.keysMu.Unlock()
 	}
 }
 
@@ -233,35 +250,23 @@ func (ns *NetworkServer) republishRecovered() {
 func (ns *NetworkServer) BulkStats() wire.BulkStats { return ns.bulk.Stats() }
 
 // Close shuts down the coordinator and then both listeners. The
-// coordinator is closed FIRST and the control channel keeps answering for
-// a short drain window — a couple of poll intervals — so polling donors
-// receive the explicit ErrClosed reply that cleanly ends their reconnect
-// loops. Severing the connections first would turn every clean shutdown
+// coordinator is closed FIRST: that answers every parked WaitTask with
+// ErrClosed, the reply that cleanly ends a donor's reconnect loop, and the
+// control connections stay up for closeDrain so those replies reach the
+// wire. Severing the connections first would turn every clean shutdown
 // into an ambiguous EOF that a Redial-configured donor treats as a crash
-// and retries forever. Long-poll donors need no window: closing the
-// coordinator answers every parked WaitTask with ErrClosed immediately.
-// A donor that spends the whole window inside a long unit still misses
-// the sentinel and sees connection-refused on its next call; that
-// residual is inherent to the poll-era control channel.
+// and retries forever. A donor that spends the whole window inside a unit
+// misses the sentinel and sees connection-refused on its next call.
 func (ns *NetworkServer) Close() error {
 	ns.closeOnce.Do(func() {
 		err := ns.Server.Close()
-		// Drain only when someone is listening: a donor polls over a
-		// persistent control connection, so an empty conns map means
-		// nobody can receive the sentinel and the sleep would be wasted
-		// (e.g. the constructor's own error path, or an idle teardown).
+		// Drain only when someone is listening (not on the constructor's
+		// own error path, or an idle teardown).
 		ns.connsMu.Lock()
 		draining := len(ns.conns) > 0
 		ns.connsMu.Unlock()
 		if draining {
-			grace := 2 * ns.opts.WaitHint
-			if grace < 100*time.Millisecond {
-				grace = 100 * time.Millisecond
-			}
-			if grace > time.Second {
-				grace = time.Second
-			}
-			time.Sleep(grace)
+			time.Sleep(closeDrain)
 		}
 		if lerr := ns.rpcLn.Close(); err == nil {
 			err = lerr
@@ -336,10 +341,10 @@ func (ns *NetworkServer) dropUnitKey(problemID string, epoch, unitID int64) {
 	}
 }
 
-// dropProblemKeys discards a completed problem's bulk blobs: the legacy
-// shared key (a plain blob or an alias onto the content store), one
-// content reference — the bytes themselves survive while other problems
-// still reference them — and every offloaded unit payload.
+// dropProblemKeys discards a completed problem's bulk blobs: the
+// per-problem alias, one content reference — the bytes themselves survive
+// while other problems still reference them — and every offloaded unit
+// payload.
 func (ns *NetworkServer) dropProblemKeys(problemID string) {
 	ns.keysMu.Lock()
 	defer ns.keysMu.Unlock()
@@ -347,8 +352,6 @@ func (ns *NetworkServer) dropProblemKeys(problemID string) {
 		delete(ns.sharedDigests, problemID)
 		ns.bulk.DropAlias(sharedKey(problemID))
 		ns.bulk.Release(digest)
-	} else {
-		ns.bulk.Delete(sharedKey(problemID))
 	}
 	for _, key := range ns.unitKeys[problemID] {
 		ns.bulk.Delete(key)
@@ -356,7 +359,7 @@ func (ns *NetworkServer) dropProblemKeys(problemID string) {
 	delete(ns.unitKeys, problemID)
 }
 
-// Control-channel message types (gob-encoded by net/rpc).
+// Control-channel message types, flat-encoded (see flat.go).
 
 // TaskArgs identifies the donor requesting work.
 type TaskArgs struct{ Donor string }
@@ -368,16 +371,14 @@ type WaitTaskArgs struct {
 	Donor     string
 	MaxWaitNs int64
 	// MaxBatch asks for up to this many units in one reply (extras ride in
-	// TaskReply.Batch). Zero or one requests single-unit dispatch; the
-	// server further clamps to ServerOptions.DispatchBatch. Legacy donors
-	// never set the field and legacy servers never read it — gob drops
-	// unknown fields — so batching degrades to singles across a mixed
-	// fleet without negotiation.
+	// TaskReply.Batch). Zero or one requests a single unit; the server
+	// further clamps to ServerOptions.DispatchBatch.
 	MaxBatch int
 }
 
-// TaskReply carries one dispatched unit. When the payload was offloaded to
-// the bulk channel, Unit.Payload is nil and BulkKey names the blob.
+// TaskReply carries a dispatch of one or more units: the first in the
+// head fields, the rest in Batch. When a payload was offloaded to the bulk
+// channel, Unit.Payload is nil and BulkKey names the blob.
 type TaskReply struct {
 	HasTask    bool
 	ProblemID  string
@@ -388,28 +389,23 @@ type TaskReply struct {
 	// it in ResultArgs.
 	Epoch int64
 	// SharedDigest is the content address of the problem's shared blob
-	// (see Task.SharedDigest). Donors predating the field — or the whole
-	// content-bulk scheme — simply never see it: gob drops unknown fields.
+	// (see Task.SharedDigest).
 	SharedDigest string
 	// Priority echoes the problem's Submit-time priority (see
-	// Task.Priority) so donors order batched units. Donors predating the
-	// field ignore it: gob drops unknown fields, and the flat codec carries
-	// it only under the bumped wire.CapFlatCodec token.
+	// Task.Priority) so donors order batched units.
 	Priority int64
 	// Verify marks the unit as one replica of a quorum-verified dispatch
-	// (see Task.Verify). Advisory; donors predating the field ignore it
-	// (gob drops unknown fields, the flat codec carries it only under the
-	// bumped wire.CapFlatCodec token).
+	// (see Task.Verify). Advisory.
 	Verify bool
-	// Batch carries the extra units of a batched WaitTask dispatch (the
-	// first unit stays in the legacy fields above). Only present when the
-	// donor asked via WaitTaskArgs.MaxBatch; every entry is leased and
-	// epoch-tagged individually, exactly as if dispatched alone.
+	// Batch carries the extra units of a batched WaitTask dispatch. Only
+	// present when the donor asked via WaitTaskArgs.MaxBatch; every entry
+	// is leased and epoch-tagged individually, exactly as if dispatched
+	// alone.
 	Batch []BatchTask
 }
 
 // BatchTask is one extra unit in a batched TaskReply, carrying the same
-// per-unit dispatch fields as the reply's legacy head unit.
+// per-unit dispatch fields as the reply's head unit.
 type BatchTask struct {
 	ProblemID string
 	Unit      Unit
@@ -425,8 +421,7 @@ type BatchTask struct {
 }
 
 // ResultArgs carries one completed unit's output back to the server.
-// Epoch echoes TaskReply.Epoch (zero from donors predating the field is
-// accepted unchecked).
+// Epoch echoes TaskReply.Epoch.
 type ResultArgs struct {
 	Donor     string
 	ProblemID string
@@ -439,8 +434,8 @@ type ResultArgs struct {
 // FailureArgs reports a unit the donor could not compute. Transport marks
 // failures to *obtain* the unit (bulk payload fetch) rather than failures
 // of the computation itself; they requeue the unit without feeding the
-// poisoned-unit attempt caps. Epoch echoes TaskReply.Epoch (zero from
-// donors predating the field is accepted unchecked).
+// poisoned-unit attempt caps. Epoch echoes TaskReply.Epoch (zero — the
+// untagged Coordinator.ReportFailure — is accepted unchecked).
 type FailureArgs struct {
 	Donor     string
 	ProblemID string
@@ -458,15 +453,8 @@ type CancelArgs struct{ Donor string }
 // compute instead of collecting straggler results it would only drop.
 type CancelReply struct{ Notices []CancelNotice }
 
-// HandshakeReply tells a connecting donor where the bulk channel lives and
-// which optional control verbs the server speaks. Caps carries capability
-// tokens (wire.CapWaitTask, ...); gob drops fields unknown to the peer, so
-// an old donor ignores the list and a new donor dialing an old server sees
-// it empty and falls back to the baseline verbs.
-type HandshakeReply struct {
-	BulkAddr string
-	Caps     []string
-}
+// HandshakeReply tells a connecting donor where the bulk channel lives.
+type HandshakeReply struct{ BulkAddr string }
 
 // Empty is the placeholder reply for calls with no return value.
 type Empty struct{}
@@ -476,91 +464,18 @@ type Empty struct{}
 // cancellation crosses the wire as data (cancel notices), not as context.
 type rpcService struct{ ns *NetworkServer }
 
-// Handshake returns the bulk-channel address and the server's optional
-// control-verb capabilities.
+// Handshake returns the bulk-channel address.
 func (s *rpcService) Handshake(_ Empty, reply *HandshakeReply) error {
 	reply.BulkAddr = s.ns.BulkAddr()
-	if s.ns.opts.LongPoll >= 0 {
-		reply.Caps = append(reply.Caps, wire.CapWaitTask)
-	}
-	if !s.ns.opts.NoContentBulk {
-		reply.Caps = append(reply.Caps, wire.CapContentBulk)
-	}
-	if !s.ns.opts.NoFlatCodec {
-		reply.Caps = append(reply.Caps, wire.CapFlatCodec)
-	}
 	return nil
 }
 
-// fillTaskReply encodes one dispatch outcome, offloading a large payload
-// onto the bulk channel.
-func (s *rpcService) fillTaskReply(reply *TaskReply, task *Task, wait time.Duration) {
+// fillTaskReply encodes a dispatch of zero or more units: the first in the
+// reply's head fields, extras as Batch entries, each offloaded to the bulk
+// channel independently when large.
+func (s *rpcService) fillTaskReply(reply *TaskReply, tasks []*Task, wait time.Duration) {
 	reply.WaitHintNs = int64(wait)
-	if task == nil {
-		return
-	}
-	reply.HasTask = true
-	reply.ProblemID = task.ProblemID
-	reply.Unit = task.Unit
-	reply.Epoch = task.Epoch
-	reply.SharedDigest = task.SharedDigest
-	reply.Priority = int64(task.Priority)
-	reply.Verify = task.Verify
-	if key := s.ns.offloadPayload(task); key != "" {
-		reply.BulkKey = key
-		reply.Unit.Payload = nil
-	}
-}
-
-// RequestTask hands the donor its next unit.
-func (s *rpcService) RequestTask(args TaskArgs, reply *TaskReply) error {
-	task, wait, err := s.ns.Server.RequestTask(context.Background(), args.Donor) //dist:allow-background net/rpc handlers have no caller ctx
-	if err != nil {
-		return err
-	}
-	s.fillTaskReply(reply, task, wait)
-	return nil
-}
-
-// WaitTask is the long-poll dispatch verb: the call parks server-side
-// until a unit is dispatchable for the donor or the park deadline fires
-// (nil task, zero hint: the donor re-parks immediately). net/rpc runs each
-// request in its own goroutine, so a parked call never blocks the
-// connection; a server Close answers every parked call with ErrClosed
-// before the listener goes down, so long-poll donors always receive the
-// clean-shutdown sentinel the legacy drain window only delivers to lucky
-// pollers. net/rpc gives handlers no view of their connection, so a donor
-// that dies mid-park leaves this handler (and its ServeConn goroutine)
-// parked until the deadline — a deliberate, bounded cost: at most
-// ServerOptions.LongPoll per abandoned park, freed early by any wake and
-// entirely by Close.
-func (s *rpcService) WaitTask(args WaitTaskArgs, reply *TaskReply) error {
-	if args.MaxBatch > 1 {
-		tasks, wait, err := s.ns.Server.WaitTasks(context.Background(), args.Donor, time.Duration(args.MaxWaitNs), args.MaxBatch) //dist:allow-background net/rpc handlers have no caller ctx
-		if err != nil {
-			return err
-		}
-		s.fillTaskReplyBatch(reply, tasks, wait)
-		return nil
-	}
-	task, wait, err := s.ns.Server.WaitTask(context.Background(), args.Donor, time.Duration(args.MaxWaitNs)) //dist:allow-background net/rpc handlers have no caller ctx
-	if err != nil {
-		return err
-	}
-	s.fillTaskReply(reply, task, wait)
-	return nil
-}
-
-// fillTaskReplyBatch encodes a batched dispatch: the first unit in the
-// reply's legacy fields, extras as Batch entries, each offloaded to the
-// bulk channel independently when large.
-func (s *rpcService) fillTaskReplyBatch(reply *TaskReply, tasks []*Task, wait time.Duration) {
-	if len(tasks) == 0 {
-		s.fillTaskReply(reply, nil, wait)
-		return
-	}
-	s.fillTaskReply(reply, tasks[0], wait)
-	for _, task := range tasks[1:] {
+	for i, task := range tasks {
 		bt := BatchTask{
 			ProblemID:    task.ProblemID,
 			Unit:         task.Unit,
@@ -573,8 +488,48 @@ func (s *rpcService) fillTaskReplyBatch(reply *TaskReply, tasks []*Task, wait ti
 			bt.BulkKey = key
 			bt.Unit.Payload = nil
 		}
-		reply.Batch = append(reply.Batch, bt)
+		if i > 0 {
+			reply.Batch = append(reply.Batch, bt)
+			continue
+		}
+		reply.HasTask = true
+		reply.ProblemID = bt.ProblemID
+		reply.Unit = bt.Unit
+		reply.BulkKey = bt.BulkKey
+		reply.Epoch = bt.Epoch
+		reply.SharedDigest = bt.SharedDigest
+		reply.Priority = bt.Priority
+		reply.Verify = bt.Verify
 	}
+}
+
+// RequestTask hands the donor its next unit without parking.
+func (s *rpcService) RequestTask(args TaskArgs, reply *TaskReply) error {
+	task, wait, err := s.ns.Server.RequestTask(context.Background(), args.Donor) //dist:allow-background net/rpc handlers have no caller ctx
+	if err != nil {
+		return err
+	}
+	s.fillTaskReply(reply, taskSlice(task), wait)
+	return nil
+}
+
+// WaitTask is the long-poll dispatch verb: the call parks server-side
+// until a unit is dispatchable for the donor or the park deadline fires
+// (no task, zero hint: the donor re-parks immediately). net/rpc runs each
+// request in its own goroutine, so a parked call never blocks the
+// connection; a server Close answers every parked call with ErrClosed
+// before the listener goes down. net/rpc gives handlers no view of their
+// connection, so a donor that dies mid-park leaves this handler parked
+// until the deadline — a deliberate, bounded cost: at most
+// ServerOptions.LongPoll per abandoned park, freed early by any wake and
+// entirely by Close.
+func (s *rpcService) WaitTask(args WaitTaskArgs, reply *TaskReply) error {
+	tasks, wait, err := s.ns.Server.WaitTasks(context.Background(), args.Donor, time.Duration(args.MaxWaitNs), max(args.MaxBatch, 1)) //dist:allow-background net/rpc handlers have no caller ctx
+	if err != nil {
+		return err
+	}
+	s.fillTaskReply(reply, tasks, wait)
+	return nil
 }
 
 // SubmitResult folds one completed unit. Offloaded payloads are only
@@ -624,12 +579,6 @@ type RPCClient struct {
 	c        *rpc.Client
 	bulkAddr string
 	timeout  time.Duration
-	// caps are the capability tokens the server advertised at Handshake;
-	// optional verbs (WaitTask) are only called when listed.
-	caps map[string]bool
-	// flat records whether the control connection was upgraded to the flat
-	// codec after negotiation (false: gob, the versioned fallback).
-	flat bool
 }
 
 var _ Coordinator = (*RPCClient)(nil)
@@ -639,14 +588,12 @@ var _ TaskBatchWaiter = (*RPCClient)(nil)
 var _ ContentFetcher = (*RPCClient)(nil)
 
 // Dial connects to a server's control channel and learns its bulk address.
-// timeout bounds the dial and every bulk fetch.
+// timeout bounds the dial, the version exchange and every bulk fetch.
 //
-// The handshake always runs over gob — it is what discovers whether the
-// peer speaks anything else. When the server advertises wire.CapFlatCodec
-// (and no DialOption disables it), Dial opens a second connection with the
-// flat preamble and retires the gob one; if that upgrade dial fails the
-// gob connection is kept, so a flat-capable donor still drains a server it
-// can only reach over the baseline codec.
+// The connect sequence is one TCP connection: both ends exchange
+// wire.FlatPreamble, then the Handshake verb runs over the flat codec like
+// every later call. A server of a different protocol version fails the
+// dial with ErrProtocolMismatch; there is no fallback encoding.
 func Dial(rpcAddr string, timeout time.Duration, opts ...DialOption) (*RPCClient, error) {
 	if timeout <= 0 {
 		timeout = 30 * time.Second
@@ -662,49 +609,22 @@ func Dial(rpcAddr string, timeout time.Duration, opts ...DialOption) (*RPCClient
 	if dopts.wrapConn != nil {
 		conn = dopts.wrapConn(conn)
 	}
-	c := rpc.NewClient(conn)
+	peer, err := exchangePreamble(conn, timeout)
+	if err == nil && peer != wire.FlatPreamble {
+		err = fmt.Errorf("%w: this build speaks %q, the server answered %q", ErrProtocolMismatch, wire.FlatPreamble, peer)
+	}
+	if err != nil {
+		_ = conn.Close()
+		return nil, fmt.Errorf("dist: connecting to %s: %w", rpcAddr, err)
+	}
+	c := rpc.NewClientWithCodec(wire.NewFlatClientCodec(conn))
 	var hr HandshakeReply
 	if err := c.Call(rpcServiceName+".Handshake", Empty{}, &hr); err != nil {
 		_ = c.Close()
 		return nil, fmt.Errorf("dist: handshake with %s: %w", rpcAddr, err)
 	}
-	cl := &RPCClient{
-		c:        c,
-		bulkAddr: resolveBulkAddr(rpcAddr, hr.BulkAddr),
-		timeout:  timeout,
-		caps:     wire.NegotiateCaps(hr.Caps),
-	}
-	if cl.caps[wire.CapFlatCodec] && !dopts.noFlat {
-		if fc, err := dialFlat(rpcAddr, timeout, dopts.wrapConn); err == nil {
-			_ = c.Close()
-			cl.c = fc
-			cl.flat = true
-		}
-	}
-	return cl, nil
+	return &RPCClient{c: c, bulkAddr: resolveBulkAddr(rpcAddr, hr.BulkAddr), timeout: timeout}, nil
 }
-
-// dialFlat opens a flat-codec control connection: the preamble first, then
-// net/rpc over the flat codec. wrapConn (when non-nil) wraps the socket
-// before any bytes flow — the preamble itself rides the shaped connection.
-func dialFlat(rpcAddr string, timeout time.Duration, wrapConn func(net.Conn) net.Conn) (*rpc.Client, error) {
-	conn, err := net.DialTimeout("tcp", rpcAddr, timeout)
-	if err != nil {
-		return nil, err
-	}
-	if wrapConn != nil {
-		conn = wrapConn(conn)
-	}
-	if _, err := conn.Write([]byte(wire.FlatPreamble)); err != nil {
-		_ = conn.Close()
-		return nil, err
-	}
-	return rpc.NewClientWithCodec(wire.NewFlatClientCodec(conn)), nil
-}
-
-// Supports reports whether the server advertised a capability token (see
-// package wire's Cap constants) at Dial.
-func (c *RPCClient) Supports(token string) bool { return c.caps[token] }
 
 // resolveBulkAddr fills in the bulk address's host from the RPC address
 // when the server listens on the wildcard interface.
@@ -745,48 +665,24 @@ func (c *RPCClient) call(ctx context.Context, method string, args, reply any) er
 	}
 }
 
-// RequestTask implements Coordinator. A failure fetching an offloaded
-// payload is reported to the server (so the unit is requeued to another
-// donor, not silently dropped) and surfaced as a transient error the donor
-// loop retries past.
+// RequestTask implements Coordinator: one non-parking dispatch scan. See
+// tasksFromReply for how an unfetchable offloaded payload surfaces.
 func (c *RPCClient) RequestTask(ctx context.Context, donor string) (*Task, time.Duration, error) {
 	var r TaskReply
 	if err := c.call(ctx, rpcServiceName+".RequestTask", TaskArgs{Donor: donor}, &r); err != nil {
 		return nil, 0, err
 	}
-	return c.taskFromReply(ctx, donor, &r)
+	return firstTask(c.tasksFromReply(ctx, donor, &r))
 }
 
-// WaitTask implements TaskWaiter over the control channel. Against a
-// server that did not advertise wire.CapWaitTask at Dial it falls back to
-// a plain RequestTask — the reply then carries the server's positive poll
-// hint, which is exactly what tells the donor loop to sleep like a legacy
-// poller instead of re-parking immediately.
+// WaitTask implements TaskWaiter over the control channel.
 func (c *RPCClient) WaitTask(ctx context.Context, donor string, maxWait time.Duration) (*Task, time.Duration, error) {
-	if !c.caps[wire.CapWaitTask] {
-		return c.RequestTask(ctx, donor)
-	}
-	var r TaskReply
-	args := WaitTaskArgs{Donor: donor, MaxWaitNs: int64(maxWait)}
-	if err := c.call(ctx, rpcServiceName+".WaitTask", args, &r); err != nil {
-		return nil, 0, err
-	}
-	return c.taskFromReply(ctx, donor, &r)
+	return firstTask(c.WaitTasks(ctx, donor, maxWait, 1))
 }
 
 // WaitTasks implements TaskBatchWaiter over the control channel: one
-// long-poll carrying MaxBatch, extras decoded from TaskReply.Batch. The
-// same legacy fallbacks as WaitTask apply — a server without
-// wire.CapWaitTask degrades to single-unit polling, and a server that
-// ignores MaxBatch simply replies with an empty Batch.
+// long-poll carrying MaxBatch, extras decoded from TaskReply.Batch.
 func (c *RPCClient) WaitTasks(ctx context.Context, donor string, maxWait time.Duration, max int) ([]*Task, time.Duration, error) {
-	if !c.caps[wire.CapWaitTask] {
-		task, wait, err := c.RequestTask(ctx, donor)
-		if task == nil {
-			return nil, wait, err
-		}
-		return []*Task{task}, wait, nil
-	}
 	var r TaskReply
 	args := WaitTaskArgs{Donor: donor, MaxWaitNs: int64(maxWait), MaxBatch: max}
 	if err := c.call(ctx, rpcServiceName+".WaitTask", args, &r); err != nil {
@@ -795,11 +691,21 @@ func (c *RPCClient) WaitTasks(ctx context.Context, donor string, maxWait time.Du
 	return c.tasksFromReply(ctx, donor, &r)
 }
 
-// tasksFromReply decodes a batched dispatch reply. Entries whose offloaded
-// payload cannot be fetched are reported to the server as transport
-// failures (requeued elsewhere, not dropped) and skipped; only when the
-// whole batch is lost that way does the call surface a transient error for
-// the donor loop to retry past.
+// firstTask narrows a dispatch that asked for one unit to the
+// single-task shape of RequestTask and WaitTask.
+func firstTask(tasks []*Task, wait time.Duration, err error) (*Task, time.Duration, error) {
+	if len(tasks) == 0 {
+		return nil, wait, err
+	}
+	return tasks[0], wait, err
+}
+
+// tasksFromReply decodes a dispatch reply of one or more units. Entries
+// whose offloaded payload cannot be fetched are reported to the server as
+// transport failures (requeued elsewhere without feeding the poisoned-unit
+// caps, not dropped) and skipped; only when the whole reply is lost that
+// way does the call surface a transient error for the donor loop to retry
+// past.
 func (c *RPCClient) tasksFromReply(ctx context.Context, donor string, r *TaskReply) ([]*Task, time.Duration, error) {
 	wait := time.Duration(r.WaitHintNs)
 	if !r.HasTask {
@@ -834,30 +740,6 @@ func (c *RPCClient) tasksFromReply(ctx context.Context, donor string, r *TaskRep
 	return tasks, wait, nil
 }
 
-// taskFromReply decodes a dispatch reply, fetching an offloaded payload
-// from the bulk channel. A failed fetch is reported to the server as a
-// transport failure (the unit requeues without feeding the poisoned-unit
-// caps) and surfaced as a transient error the donor loop retries past.
-func (c *RPCClient) taskFromReply(ctx context.Context, donor string, r *TaskReply) (*Task, time.Duration, error) {
-	wait := time.Duration(r.WaitHintNs)
-	if !r.HasTask {
-		return nil, wait, nil
-	}
-	if r.BulkKey != "" {
-		payload, err := wire.FetchBlob(c.bulkAddr, r.BulkKey, c.timeout)
-		if err != nil {
-			ferr := fmt.Errorf("dist: fetching bulk payload %s: %w", r.BulkKey, err)
-			args := FailureArgs{Donor: donor, ProblemID: r.ProblemID, UnitID: r.Unit.ID,
-				Reason: ferr.Error(), Transport: true, Epoch: r.Epoch}
-			_ = c.call(ctx, rpcServiceName+".ReportFailure", args, &Empty{})
-			return nil, wait, &transientError{ferr}
-		}
-		r.Unit.Payload = payload
-	}
-	return &Task{ProblemID: r.ProblemID, Unit: r.Unit, Epoch: r.Epoch,
-		SharedDigest: r.SharedDigest, Priority: int(r.Priority), Verify: r.Verify}, wait, nil
-}
-
 // SharedData implements Coordinator: fetch the problem's shared blob over
 // the bulk channel.
 func (c *RPCClient) SharedData(ctx context.Context, problemID string) ([]byte, error) {
@@ -868,18 +750,13 @@ func (c *RPCClient) SharedData(ctx context.Context, problemID string) ([]byte, e
 }
 
 // FetchContent implements ContentFetcher: fetch a shared blob by content
-// digest from a server that advertised wire.CapContentBulk, degrading to
-// the problem's per-problem key otherwise — the fallback that lets a new
-// donor drain an old (or content-disabled) server. The caller (the donor's
-// blob cache) verifies the bytes against the digest either way.
-func (c *RPCClient) FetchContent(ctx context.Context, problemID, digest string) ([]byte, error) {
+// digest. The caller (the donor's blob cache) verifies the bytes against
+// the digest.
+func (c *RPCClient) FetchContent(ctx context.Context, _ string, digest string) ([]byte, error) {
 	if err := ctxErr(ctx); err != nil {
 		return nil, err
 	}
-	if digest != "" && c.caps[wire.CapContentBulk] {
-		return wire.FetchBlob(c.bulkAddr, wire.ContentKey(digest), c.timeout)
-	}
-	return wire.FetchBlob(c.bulkAddr, sharedKey(problemID), c.timeout)
+	return wire.FetchBlob(c.bulkAddr, wire.ContentKey(digest), c.timeout)
 }
 
 // SubmitResult implements Coordinator.

@@ -19,7 +19,6 @@ func netOpts() ServerOptions {
 		Policy:     sched.Fixed{Size: 17},
 		Lease:      time.Hour,
 		ExpiryScan: time.Hour,
-		WaitHint:   time.Millisecond,
 	}
 }
 
@@ -47,7 +46,8 @@ func TestNetworkMatchesRunLocal(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	var wg sync.WaitGroup
+	// Both clients dial and fetch before any donor runs: a running donor can
+	// drain the problem, and completion releases the shared blob.
 	var donors []*Donor
 	for i := 0; i < 2; i++ {
 		cl, err := Dial(srv.RPCAddr(), 5*time.Second)
@@ -58,8 +58,10 @@ func TestNetworkMatchesRunLocal(t *testing.T) {
 		if got, err := cl.SharedData(bg, "sum-net"); err != nil || string(got) != string(shared) {
 			t.Fatalf("shared data over bulk channel = %q, %v", got, err)
 		}
-		d := newTestDonor(cl, DonorOptions{Name: fmt.Sprintf("net-%d", i), Logf: t.Logf})
-		donors = append(donors, d)
+		donors = append(donors, newTestDonor(cl, DonorOptions{Name: fmt.Sprintf("net-%d", i), Logf: t.Logf}))
+	}
+	var wg sync.WaitGroup
+	for _, d := range donors {
 		wg.Add(1)
 		go func() { defer wg.Done(); _ = d.Run(bg) }()
 	}

@@ -37,12 +37,6 @@ func WithExpiryScan(d time.Duration) ServerOption {
 	return func(o *ServerOptions) { o.ExpiryScan = d }
 }
 
-// WithWaitHint sets how long donors are told to wait before polling again
-// when no unit is available.
-func WithWaitHint(d time.Duration) ServerOption {
-	return func(o *ServerOptions) { o.WaitHint = d }
-}
-
 // WithBulkThreshold sets the payload size above which a network server
 // ships unit payloads over the bulk channel (negative disables offloading).
 func WithBulkThreshold(n int) ServerOption {
@@ -63,19 +57,10 @@ func WithWatchBuffer(n int) ServerOption {
 }
 
 // WithLongPoll caps how long one WaitTask call may stay parked server-side
-// before replying "no task" (the donor immediately re-parks). Negative
-// disables long-poll dispatch: the capability is not advertised at
-// Handshake and donors fall back to the jittered poll loop.
+// before replying "no task" (the donor immediately re-parks). Zero or
+// negative keeps the 45s default.
 func WithLongPoll(d time.Duration) ServerOption {
 	return func(o *ServerOptions) { o.LongPoll = d }
-}
-
-// WithContentBulk toggles content-addressed shared blobs (on by default):
-// off restores per-problem bulk keys only — no task digests, no
-// wire.CapContentBulk at Handshake — for ablation benchmarks and
-// mixed-fleet debugging.
-func WithContentBulk(on bool) ServerOption {
-	return func(o *ServerOptions) { o.NoContentBulk = !on }
 }
 
 // WithDispatchBatch caps how many units one batched WaitTask reply may
@@ -83,14 +68,6 @@ func WithContentBulk(on bool) ServerOption {
 // the pre-batch single-unit replies, kept for ablation).
 func WithDispatchBatch(n int) ServerOption {
 	return func(o *ServerOptions) { o.DispatchBatch = n }
-}
-
-// WithFlatCodec toggles the flat control-channel codec (on by default):
-// off stops advertising wire.CapFlatCodec and sniffing for the flat
-// preamble, so every connection speaks gob — the pre-flat behaviour, kept
-// for ablation benchmarks and mixed-fleet debugging.
-func WithFlatCodec(on bool) ServerOption {
-	return func(o *ServerOptions) { o.NoFlatCodec = !on }
 }
 
 // WithDataDir makes the coordinator durable: mutations are journaled to a
@@ -201,8 +178,7 @@ func WithCancelPoll(d time.Duration) DonorOption {
 }
 
 // WithLongPollWait sets the park duration the donor requests per WaitTask
-// long-poll (negative disables long-polling; the donor then uses the
-// jittered RequestTask poll loop even against a capable server).
+// long-poll (zero or negative keeps the 45s default).
 func WithLongPollWait(d time.Duration) DonorOption {
 	return func(o *DonorOptions) { o.LongPollWait = d }
 }
@@ -242,29 +218,17 @@ type DialOption func(*dialOptions)
 
 // dialOptions is the bag DialOption mutates.
 type dialOptions struct {
-	// noFlat keeps the control connection on gob even against a server
-	// advertising wire.CapFlatCodec — the donor half of a codec ablation.
-	noFlat bool
 	// wrapConn, when non-nil, wraps the control connection the dial opens
 	// before any protocol bytes flow — the seam the swarm harness shapes
 	// latency and bandwidth through.
 	wrapConn func(net.Conn) net.Conn
 }
 
-// WithConnWrapper wraps the control connection a Dial opens (both the
-// handshake connection and the flat-codec upgrade) before any protocol
-// bytes flow, so tests and the swarm harness can inject latency, bandwidth
+// WithConnWrapper wraps the control connection a Dial opens before any
+// protocol bytes flow, so tests and the swarm harness can inject latency, bandwidth
 // shaping or abrupt drops at the socket seam. Bulk-channel fetches open
 // their own short-lived sockets and are not wrapped. The wrapper must
 // return a usable net.Conn; returning its argument unchanged is allowed.
 func WithConnWrapper(wrap func(net.Conn) net.Conn) DialOption {
 	return func(o *dialOptions) { o.wrapConn = wrap }
-}
-
-// WithDialFlatCodec toggles upgrading the control connection to the flat
-// codec when the server advertises wire.CapFlatCodec (on by default): off
-// keeps gob, simulating a pre-flat donor for ablations and mixed-fleet
-// tests.
-func WithDialFlatCodec(on bool) DialOption {
-	return func(o *dialOptions) { o.noFlat = !on }
 }

@@ -27,6 +27,11 @@ var ErrUnknownProblem = errors.New("dist: unknown problem")
 // with this error.
 var ErrForgotten = errors.New("dist: problem forgotten")
 
+// pollHint is the wait RequestTask suggests alongside an empty reply. No
+// donor of this repository sleeps on it — they park in WaitTask — so it
+// only paces a foreign Coordinator client that polls.
+const pollHint = 50 * time.Millisecond
+
 // throughputAlpha weights the newest cost/elapsed sample in the EWMA the
 // scheduler sizes units from.
 const throughputAlpha = 0.3
@@ -44,10 +49,6 @@ type ServerOptions struct {
 	// ExpiryScan is the interval between lease sweeps. Zero defaults to
 	// Lease/4 (at least one second).
 	ExpiryScan time.Duration
-	// WaitHint is how long donors are told to wait before polling again
-	// when no unit is available. Zero defaults to 50ms. Donors jitter the
-	// hint ±20% so a barrier release does not thundering-herd the server.
-	WaitHint time.Duration
 	// SpeculateAfter enables speculative re-dispatch of straggler units: a
 	// free donor with nothing fresh to compute is handed a copy of a unit
 	// that is already leased elsewhere, but only once the owning problem
@@ -76,19 +77,9 @@ type ServerOptions struct {
 	WatchBuffer int
 	// LongPoll caps how long one WaitTask call may stay parked server-side
 	// before replying "no task" (the donor immediately re-parks, so the
-	// cap only bounds how long a single RPC is outstanding). Zero defaults
-	// to 45s. Negative disables long-poll dispatch entirely: WaitTask
-	// degrades to RequestTask, the capability is not advertised at
-	// Handshake, and donors fall back to the jittered poll loop.
+	// cap only bounds how long a single RPC is outstanding). Zero or
+	// negative defaults to 45s.
 	LongPoll time.Duration
-	// NoContentBulk disables content-addressed shared blobs: tasks carry
-	// no SharedDigest, a network server publishes each problem's shared
-	// data under its per-problem key only, and wire.CapContentBulk is not
-	// advertised at Handshake — the pre-content wire behaviour, kept for
-	// ablation benchmarks and mixed-fleet debugging. Content addressing is
-	// on by default because it is what makes N problems sharing one
-	// alignment ship it once per donor instead of N times.
-	NoContentBulk bool
 	// DispatchBatch caps how many units one batched WaitTask reply may
 	// carry (see TaskBatchWaiter); the effective batch is the smaller of
 	// this cap and what the donor asked for, and every unit is leased
@@ -96,12 +87,6 @@ type ServerOptions struct {
 	// replies carry a single unit, the pre-batch behaviour, kept for
 	// ablation benchmarks.
 	DispatchBatch int
-	// NoFlatCodec disables the flat control-channel codec:
-	// wire.CapFlatCodec is not advertised at Handshake and the accept loop
-	// stops sniffing for the flat preamble, so every connection speaks
-	// gob — the pre-flat wire behaviour, kept for ablation benchmarks and
-	// mixed-fleet debugging.
-	NoFlatCodec bool
 	// DataDir enables the durable coordinator: submits, folds and forgets
 	// of DurableDM-backed problems are journaled under this directory and
 	// a restarted server recovers them (see durable.go). Empty — the
@@ -170,16 +155,13 @@ func (o *ServerOptions) applyDefaults() {
 			o.ExpiryScan = time.Second
 		}
 	}
-	if o.WaitHint <= 0 {
-		o.WaitHint = 50 * time.Millisecond
-	}
 	if o.BulkThreshold == 0 {
 		o.BulkThreshold = 64 << 10
 	}
 	if o.WatchBuffer <= 0 {
 		o.WatchBuffer = 64
 	}
-	if o.LongPoll == 0 {
+	if o.LongPoll <= 0 {
 		o.LongPoll = 45 * time.Second
 	}
 	if o.DispatchBatch == 0 {
@@ -279,7 +261,7 @@ type problemState struct {
 	epoch int64
 	// sharedDigest is the content address of the problem's shared blob,
 	// stamped on every dispatched Task so donors can cache and verify it.
-	// Empty under ServerOptions.NoContentBulk. Immutable after Submit.
+	// Immutable after Submit.
 	sharedDigest string
 	// durable marks a problem whose mutations are journaled; kind names
 	// its registered restorer. recovered marks a problem this process
@@ -554,9 +536,9 @@ func (s *Server) Submit(ctx context.Context, p *Problem) error {
 // dispatchable. The network server uses this to put the shared blob on the
 // bulk channel so no donor can be handed a unit whose shared data is not
 // yet fetchable — and a rejected duplicate Submit never touches the live
-// problem's blob. publish receives the blob's content digest (empty under
-// NoContentBulk) so the network layer stores the blob content-addressed
-// without hashing it a second time.
+// problem's blob. publish receives the blob's content digest so the
+// network layer stores the blob content-addressed without hashing it a
+// second time.
 func (s *Server) submitWith(ctx context.Context, p *Problem, publish func(sharedDigest string)) error {
 	if err := ctxErr(ctx); err != nil {
 		return err
@@ -569,10 +551,7 @@ func (s *Server) submitWith(ctx context.Context, p *Problem, publish func(shared
 	}
 	// The digest is computed outside the registry lock: hashing a large
 	// alignment must not stall every other problem's lookups.
-	var sharedDigest string
-	if !s.opts.NoContentBulk {
-		sharedDigest = wire.Digest(p.SharedData)
-	}
+	sharedDigest := wire.Digest(p.SharedData)
 	// Durable problems marshal their submit record before registration —
 	// the DataManager is still caller-owned here, so no lock is needed —
 	// and a state that cannot be marshalled is rejected up front rather
@@ -1000,13 +979,13 @@ func (s *Server) RequestTask(ctx context.Context, donor string) (*Task, time.Dur
 	ds := s.touchDonor(donor)
 	n := len(rotation)
 	if n == 0 {
-		return nil, s.opts.WaitHint, nil
+		return nil, pollHint, nil
 	}
 	view, quarantined := s.donorDispatchView(ds)
 	if quarantined {
 		// A quarantined donor gets no work at all; it keeps polling (and
 		// long-polling) and is let back in only by ReadmitAfter.
-		return nil, s.opts.WaitHint, nil
+		return nil, pollHint, nil
 	}
 	live := s.liveDonorCount()
 	// Peer liveness is sampled lazily — the O(donors) scan only runs when
@@ -1052,7 +1031,7 @@ func (s *Server) RequestTask(ctx context.Context, donor string) (*Task, time.Dur
 		}
 		if task != nil {
 			s.pruneRotation(finished)
-			return task, s.opts.WaitHint, nil
+			return task, pollHint, nil
 		}
 	}
 	// Slow pass: everything uncontended came up empty, so waiting on the
@@ -1065,11 +1044,11 @@ func (s *Server) RequestTask(ctx context.Context, donor string) (*Task, time.Dur
 		}
 		if task != nil {
 			s.pruneRotation(finished)
-			return task, s.opts.WaitHint, nil
+			return task, pollHint, nil
 		}
 	}
 	s.pruneRotation(finished)
-	return nil, s.opts.WaitHint, nil
+	return nil, pollHint, nil
 }
 
 // tryDispatch attempts to hand one of ps's units to donor under ps's own
@@ -1446,7 +1425,7 @@ func (s *Server) publishProgressLocked(ps *problemState) {
 
 // ReportFailure implements Coordinator: attribute the failure to the donor
 // and requeue the unit for another donor. The epoch goes unchecked on this
-// legacy path; in-process and RPC donors use the tagged variant.
+// untagged path; in-process and RPC donors use the tagged variant.
 func (s *Server) ReportFailure(ctx context.Context, donor, problemID string, unitID int64, reason string) error {
 	return s.reportFailure(ctx, donor, problemID, unitID, reason, failCompute, 0)
 }

@@ -73,7 +73,6 @@ func TestForgetCancelsInFlightUnitOverLoopback(t *testing.T) {
 		WithPolicy(sched.Fixed{Size: 1}),
 		WithLeaseTTL(time.Hour),
 		WithExpiryScan(time.Hour),
-		WithWaitHint(time.Millisecond),
 	)
 	if err != nil {
 		t.Fatal(err)
@@ -146,7 +145,7 @@ func waitFor(t *testing.T, timeout time.Duration, cond func() bool) {
 func TestCancelNoticesDrainOnce(t *testing.T) {
 	registerSum(t)
 	srv := newTestServer(ServerOptions{
-		Policy: sched.Fixed{Size: 10}, Lease: time.Hour, ExpiryScan: time.Hour, WaitHint: time.Millisecond,
+		Policy: sched.Fixed{Size: 10}, Lease: time.Hour, ExpiryScan: time.Hour,
 	})
 	defer srv.Close()
 	if err := srv.Submit(bg, &Problem{ID: "cn", DM: newSumDM(100)}); err != nil {
@@ -181,7 +180,7 @@ func TestCancelNoticesDrainOnce(t *testing.T) {
 func TestWatchEventOrdering(t *testing.T) {
 	registerSum(t)
 	srv := newTestServer(ServerOptions{
-		Policy: sched.Fixed{Size: 25}, Lease: time.Hour, ExpiryScan: time.Hour, WaitHint: time.Millisecond,
+		Policy: sched.Fixed{Size: 25}, Lease: time.Hour, ExpiryScan: time.Hour,
 	})
 	defer srv.Close()
 	if err := srv.Submit(bg, &Problem{ID: "watched", DM: newSumDM(200)}); err != nil {
@@ -255,7 +254,6 @@ func TestWatchSlowConsumerDrops(t *testing.T) {
 		WithPolicy(sched.Fixed{Size: 1}), // one unit per square: ~100 units, >> buffer
 		WithLeaseTTL(time.Hour),
 		WithExpiryScan(time.Hour),
-		WithWaitHint(time.Millisecond),
 		WithWatchBuffer(4),
 	)
 	defer srv.Close()
@@ -298,7 +296,7 @@ func TestWatchSlowConsumerDrops(t *testing.T) {
 // its terminal event immediately; forgotten and unknown IDs error; a
 // cancelled watch context closes the stream.
 func TestWatchLateAndInvalidSubscribers(t *testing.T) {
-	srv := NewServer(WithWaitHint(time.Millisecond))
+	srv := NewServer()
 	defer srv.Close()
 	if err := srv.Submit(bg, &Problem{ID: "done", DM: newSumDM(0)}); err != nil {
 		t.Fatal(err)
@@ -487,7 +485,7 @@ func TestFunctionalOptions(t *testing.T) {
 	srv := NewServer()
 	defer srv.Close()
 	o := srv.opts
-	if o.Policy == nil || o.Lease != 2*time.Minute || o.WaitHint != 50*time.Millisecond ||
+	if o.Policy == nil || o.Lease != 2*time.Minute ||
 		o.BulkThreshold != 64<<10 || o.WatchBuffer != 64 || o.AutoForget {
 		t.Errorf("zero-option defaults = %+v", o)
 	}
@@ -495,14 +493,13 @@ func TestFunctionalOptions(t *testing.T) {
 		WithPolicy(sched.Fixed{Size: 9}),
 		WithLeaseTTL(5*time.Second),
 		WithExpiryScan(time.Second),
-		WithWaitHint(7*time.Millisecond),
 		WithBulkThreshold(-1),
 		WithAutoForget(true),
 		WithWatchBuffer(3),
 	)
 	defer srv2.Close()
 	o = srv2.opts
-	if o.Lease != 5*time.Second || o.ExpiryScan != time.Second || o.WaitHint != 7*time.Millisecond ||
+	if o.Lease != 5*time.Second || o.ExpiryScan != time.Second ||
 		o.BulkThreshold != -1 || !o.AutoForget || o.WatchBuffer != 3 {
 		t.Errorf("explicit options = %+v", o)
 	}

@@ -85,7 +85,6 @@ func verifyTestOptions() ServerOptions {
 		VerifyQuorum:    2,
 		ProbationUnits:  -1,
 		QuarantineBelow: -1,
-		WaitHint:        time.Millisecond,
 	}
 }
 

@@ -45,7 +45,6 @@ func Bootstrap(ctx context.Context, aln *seq.Alignment, opts Options, b, nWorker
 		dist.WithPolicy(policy),
 		dist.WithLeaseTTL(time.Hour),
 		dist.WithExpiryScan(time.Hour),
-		dist.WithWaitHint(time.Millisecond),
 	)
 	defer srv.Close()
 

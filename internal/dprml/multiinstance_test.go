@@ -43,7 +43,6 @@ func TestMultiInstanceConcurrent(t *testing.T) {
 		dist.WithPolicy(sched.Adaptive{Target: 50 * time.Millisecond, Bootstrap: 2000, Min: 1}),
 		dist.WithLeaseTTL(time.Hour),
 		dist.WithExpiryScan(time.Hour),
-		dist.WithWaitHint(time.Millisecond),
 	)
 	defer srv.Close()
 	for i, ord := range orders {

@@ -157,7 +157,6 @@ func TestSwarmByzantine(t *testing.T) {
 		dist.WithPolicy(sched.Fixed{Size: 1}),
 		dist.WithLeaseTTL(2*time.Second),
 		dist.WithExpiryScan(100*time.Millisecond),
-		dist.WithWaitHint(20*time.Millisecond),
 		dist.WithVerify(0.1, 2),
 		dist.WithProbation(2),
 		dist.WithQuarantineBelow(0.3),

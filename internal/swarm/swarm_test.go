@@ -42,10 +42,18 @@ func (a sleepyAlg) ProcessCtx(ctx context.Context, payload []byte) ([]byte, erro
 
 var registerSleepyOnce sync.Once
 
+// sleepyLong names the 50ms variant: a drain of N rounds of it cannot
+// finish in under N×50ms however fast the host dials and dispatches, which
+// is what lets a test schedule churn that is certain to land mid-drain.
+const sleepyLong = "swarm/sleepy-long"
+
 func registerSleepy() {
 	registerSleepyOnce.Do(func() {
 		dist.RegisterAlgorithm("swarm/sleepy", func() dist.Algorithm {
 			return sleepyAlg{d: time.Millisecond}
+		})
+		dist.RegisterAlgorithm(sleepyLong, func() dist.Algorithm {
+			return sleepyAlg{d: 50 * time.Millisecond}
 		})
 	})
 }
@@ -55,13 +63,14 @@ func registerSleepy() {
 // under the problem lock; the mutex is for the test's own post-run reads.
 type countingDM struct {
 	mu    sync.Mutex
+	alg   string
 	units int64
 	seq   int64
 	folds map[int64]int
 }
 
 func newCountingDM(units int64) *countingDM {
-	return &countingDM{units: units, folds: make(map[int64]int)}
+	return &countingDM{alg: "swarm/sleepy", units: units, folds: make(map[int64]int)}
 }
 
 func (d *countingDM) NextUnit(int64) (*dist.Unit, bool, error) {
@@ -71,7 +80,7 @@ func (d *countingDM) NextUnit(int64) (*dist.Unit, bool, error) {
 		return nil, false, nil
 	}
 	d.seq++
-	return &dist.Unit{ID: d.seq, Algorithm: "swarm/sleepy", Cost: 1, Payload: []byte{byte(d.seq)}}, true, nil
+	return &dist.Unit{ID: d.seq, Algorithm: d.alg, Cost: 1, Payload: []byte{byte(d.seq)}}, true, nil
 }
 
 func (d *countingDM) Consume(unitID int64, _ []byte) error {
@@ -123,15 +132,15 @@ func soakFleet(donors int, churnFrac float64) []simnet.DonorSpec {
 	return specs
 }
 
-// runSoak is the shared body of the smoke and soak tests.
-func runSoak(t *testing.T, donors, problems int, unitsPer int64, churnFrac float64, timeout time.Duration) {
+// runSoak is the shared body of the smoke and soak tests; alg names the
+// unit algorithm every problem uses.
+func runSoak(t *testing.T, alg string, donors, problems int, unitsPer int64, churnFrac float64, timeout time.Duration) {
 	t.Helper()
 	registerSleepy()
 	srv, err := dist.ListenAndServe("127.0.0.1:0", "127.0.0.1:0",
 		dist.WithPolicy(sched.Fixed{Size: 1}),
 		dist.WithLeaseTTL(2*time.Second),
 		dist.WithExpiryScan(100*time.Millisecond),
-		dist.WithWaitHint(20*time.Millisecond),
 		dist.WithSpeculation(0.95),
 	)
 	if err != nil {
@@ -146,6 +155,7 @@ func runSoak(t *testing.T, donors, problems int, unitsPer int64, churnFrac float
 	ids := make([]string, problems)
 	for i := range dms {
 		dms[i] = newCountingDM(unitsPer)
+		dms[i].alg = alg
 		ids[i] = fmt.Sprintf("soak-%d", i)
 		p := &dist.Problem{ID: ids[i], DM: dms[i], Priority: i % 3}
 		if i%2 == 0 {
@@ -214,12 +224,14 @@ func runSoak(t *testing.T, donors, problems int, unitsPer int64, churnFrac float
 }
 
 // TestSwarmSmoke is the CI-sized swarm: 256 donors, 4 problems, 10%%
-// churn — rides `make check` and must stay well under a minute.
+// churn — rides `make check` and must stay well under a minute. 1600
+// units of 50ms over 256 donors is at least six rounds, 300ms, so the
+// churn windows opening from 100ms on land while units are in flight.
 func TestSwarmSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("swarm smoke needs wall-clock seconds; skipped under -short")
 	}
-	runSoak(t, 256, 4, 400, 0.10, 60*time.Second)
+	runSoak(t, sleepyLong, 256, 4, 400, 0.10, 60*time.Second)
 }
 
 // TestSwarmSoak1024 is the full-scale soak from the PR 9 acceptance bar:
@@ -229,7 +241,7 @@ func TestSwarmSoak1024(t *testing.T) {
 	if os.Getenv("SWARM_SOAK") == "" {
 		t.Skip("set SWARM_SOAK=1 (or run `make swarm`) for the 1024-donor soak")
 	}
-	runSoak(t, 1024, 8, 200, 0.10, 5*time.Minute)
+	runSoak(t, "swarm/sleepy", 1024, 8, 200, 0.10, 5*time.Minute)
 }
 
 // TestOnlineSegments pins the schedule → online-interval conversion:
@@ -331,7 +343,6 @@ func TestSwarmSharedBlobCache(t *testing.T) {
 		dist.WithPolicy(sched.Fixed{Size: 1}),
 		dist.WithLeaseTTL(time.Hour),
 		dist.WithExpiryScan(time.Hour),
-		dist.WithWaitHint(10*time.Millisecond),
 	)
 	if err != nil {
 		t.Fatalf("ListenAndServe: %v", err)

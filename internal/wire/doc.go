@@ -33,20 +33,20 @@
 // Shared blobs are content-addressed: PutContent stores bytes once under
 // ContentKey(Digest(blob)) — "content/sha256:<hex>" — however many
 // problems share them, refcounted so the copy lives exactly until the
-// last referencing problem releases it. Alias lets a legacy per-problem
-// key resolve to the same bytes without a second copy, which is how
-// donors predating the scheme keep working. The dist layer aliases a
-// problem's shared data at "shared/<problemID>" and stores offloaded unit
+// last referencing problem releases it. Alias lets a per-problem key
+// resolve to the same bytes without a second copy. The dist layer aliases
+// a problem's shared data at "shared/<problemID>" (the key behind
+// Coordinator.SharedData) and stores offloaded unit
 // payloads under "unit/<problemID>/<epoch>.<unitID>". Fetchers of a
 // content key verify the bytes hash back to the digest; a mismatch is
 // ErrDigestMismatch, handled like any transport failure.
 //
-// # Control-channel capabilities
+// # Control-channel version
 //
-// The control channel (net/rpc over gob) is versioned by capability
-// advertisement: optional behaviours are listed as tokens (CapWaitTask,
-// CapContentBulk, ...) in the server's Handshake reply, and a donor only
-// calls a verb — or trusts a key scheme — whose token it saw at Dial. gob
-// ignores unknown struct fields, so old and new binaries interoperate in
-// both directions; see protocol.go.
+// The control channel is net/rpc over the flat codec in flat.go and
+// nothing else. It is versioned by one token, FlatPreamble, which both
+// peers send first on every connection; a mismatch ends the connection
+// before any frame is read. There is no capability negotiation: long-poll
+// dispatch, batched replies and content-addressed shared blobs are part of
+// the one protocol.
 package wire

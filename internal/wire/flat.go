@@ -1,16 +1,14 @@
 package wire
 
-// Flat control-channel codec: a hand-rolled binary encoding for the hot
-// RPC envelopes (task dispatch, results, failure reports, cancel notices)
-// that retires gob — and its per-message reflection walk — from the unit
-// round-trip. Every message is one checksummed frame (WriteFrame/ReadFrame,
-// so corruption detection is inherited from the bulk channel): varint
-// scalars, length-prefixed strings and byte fields, nothing self-describing.
-// The field order is fixed per envelope and specified in
-// docs/ARCHITECTURE.md; there is no tag skipping and no schema evolution
-// inside the codec — the encoding is versioned as a whole by the
-// CapFlatCodec capability token, and any incompatible change must ship
-// under a new token while gob remains the negotiated fallback.
+// Flat control-channel codec: a hand-rolled binary encoding for the RPC
+// envelopes (handshake, task dispatch, results, failure reports, cancel
+// notices) — the only encoding the control channel speaks. Every message is
+// one checksummed frame (WriteFrame/ReadFrame, so corruption detection is
+// inherited from the bulk channel): varint scalars, length-prefixed strings
+// and byte fields, nothing self-describing. The field order is fixed per
+// envelope and specified in docs/ARCHITECTURE.md; there is no tag skipping
+// and no schema evolution inside the codec — the encoding is versioned as a
+// whole by FlatPreamble, and any incompatible change must bump it.
 //
 // Decoding is zero-copy: Decoder.Bytes returns subslices of the frame
 // buffer, so one allocation per received message covers every byte field
@@ -29,27 +27,18 @@ import (
 	"sync"
 )
 
-// CapFlatCodec marks a server that accepts the flat control-channel codec
-// on connections opened with the FlatPreamble. Negotiated at Dial exactly
-// like CapWaitTask/CapContentBulk: a donor that never sees the token — or
-// a server that never advertises it — stays on gob for that connection,
-// so mixed fleets keep draining. The token names the encoding version; an
-// incompatible flat-format change must introduce a new token. Version 2
-// added the Priority field to the dispatch envelopes; version 3 added the
-// Verify replica flag. A peer of an older version never matches the
-// current token (or preamble), so mixed-version fleets negotiate down to
-// gob — which tolerates the new fields — rather than misframing.
-const CapFlatCodec = "flat-codec/3"
-
-// FlatPreamble is written by a client as the very first bytes of a
-// connection that will speak the flat codec; the server sniffs it before
-// handing the connection to either RPC codec. The leading zero byte can
-// never begin a gob-rpc stream (gob frames a message with its non-zero
-// byte count first), so a legacy gob connection is never misread as flat.
-// The version digit tracks CapFlatCodec (a client only writes the
-// preamble after seeing the matching token), and every version keeps the
-// same byte length so the server's sniff window never changes.
-const FlatPreamble = "\x00dflt3\r\n"
+// FlatPreamble is the control channel's single protocol-version token:
+// both peers write it as the very first bytes of a connection and compare
+// what the other side sent before any frame flows, so a peer built against
+// a different envelope encoding is refused at connect instead of being
+// misframed. The digit is the encoding version — bump it with any
+// incompatible change to an envelope's field order (2 added Priority to the
+// dispatch envelopes, 3 the Verify replica flag, 4 dropped the capability
+// list from the handshake reply). Every version keeps the same byte length
+// so the read window never changes, and the leading zero byte keeps the
+// token unmistakable for the start of a gob-rpc stream, which is what
+// pre-version-4 peers may open a connection with.
+const FlatPreamble = "\x00dflt4\r\n"
 
 // Encoder appends flat-encoded fields to a frame buffer. Encoders come
 // from a sync.Pool (the codecs recycle them per message) and never fail:
@@ -254,8 +243,8 @@ type flatClientCodec struct {
 	dec Decoder
 }
 
-// NewFlatClientCodec speaks the flat codec over conn (client side). The
-// caller has already negotiated CapFlatCodec and written FlatPreamble.
+// NewFlatClientCodec speaks the flat codec over conn (client side), after
+// the caller has exchanged FlatPreamble with the server.
 func NewFlatClientCodec(conn io.ReadWriteCloser) rpc.ClientCodec {
 	return &flatClientCodec{conn: conn, w: bufio.NewWriter(conn), r: bufio.NewReader(conn)}
 }
@@ -312,7 +301,7 @@ type flatServerCodec struct {
 }
 
 // NewFlatServerCodec speaks the flat codec over conn (server side), after
-// the listener has consumed the FlatPreamble.
+// the listener has exchanged FlatPreamble with the client.
 func NewFlatServerCodec(conn io.ReadWriteCloser) rpc.ServerCodec {
 	return &flatServerCodec{conn: conn, w: bufio.NewWriter(conn), r: bufio.NewReader(conn)}
 }

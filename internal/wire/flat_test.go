@@ -210,15 +210,17 @@ func TestFlatCodecRejectsNonFlatBody(t *testing.T) {
 	}
 }
 
-// TestFlatPreambleDistinct pins the sniffing invariant: the preamble
-// starts with a zero byte, which can never open a gob-rpc stream (gob
-// frames every message with a non-zero byte count first).
-func TestFlatPreambleDistinct(t *testing.T) {
+// TestFlatPreambleShape pins what the version exchange relies on: the
+// preamble starts with a zero byte, which can never open a gob-rpc stream
+// (gob frames every message with a non-zero byte count first), and it is
+// the fixed eight bytes every protocol version has used, so a peer of any
+// version reads a whole token before comparing.
+func TestFlatPreambleShape(t *testing.T) {
 	if FlatPreamble[0] != 0 {
 		t.Fatalf("FlatPreamble must start with a zero byte, got %#x", FlatPreamble[0])
 	}
-	if len(FlatPreamble) < 4 {
-		t.Fatalf("FlatPreamble too short to sniff reliably: %d bytes", len(FlatPreamble))
+	if len(FlatPreamble) != 8 {
+		t.Fatalf("FlatPreamble is %d bytes, want the 8 every version has used", len(FlatPreamble))
 	}
 }
 

@@ -3,7 +3,6 @@ package wire
 import (
 	"bytes"
 	"errors"
-	"strings"
 	"testing"
 )
 
@@ -45,48 +44,6 @@ func FuzzFrameDecode(f *testing.F) {
 			bad[frameHeaderSize+len(payload)/2] ^= 0x01
 			if _, err := ReadFrame(bytes.NewReader(bad)); !errors.Is(err, ErrCorruptFrame) {
 				t.Fatalf("corrupted frame: got %v, want ErrCorruptFrame", err)
-			}
-		}
-	})
-}
-
-// FuzzHandshake drives NegotiateCaps with arbitrary advertised token lists
-// (split from a fuzzed string, mimicking a peer sending anything at all):
-// the set must contain exactly the advertised tokens, tolerate duplicates
-// and unknown tokens, and never report a capability nobody advertised.
-func FuzzHandshake(f *testing.F) {
-	f.Add("")
-	f.Add(CapWaitTask)
-	f.Add(CapWaitTask + "\n" + CapContentBulk)
-	f.Add(CapContentBulk + "\n" + CapContentBulk + "\nfuture-verb")
-
-	f.Fuzz(func(t *testing.T, raw string) {
-		var advertised []string
-		if raw != "" {
-			advertised = strings.Split(raw, "\n")
-		}
-		caps := NegotiateCaps(advertised)
-		if caps == nil {
-			t.Fatal("NegotiateCaps returned nil")
-		}
-		for _, token := range advertised {
-			if !caps[token] {
-				t.Fatalf("advertised token %q missing from negotiated set", token)
-			}
-		}
-		if len(advertised) == 0 && len(caps) != 0 {
-			t.Fatalf("empty advertisement negotiated %d capabilities", len(caps))
-		}
-		for token := range caps {
-			found := false
-			for _, adv := range advertised {
-				if adv == token {
-					found = true
-					break
-				}
-			}
-			if !found {
-				t.Fatalf("token %q appeared without being advertised", token)
 			}
 		}
 	})

@@ -135,19 +135,18 @@ type refBlob struct {
 // This is the "data files over ordinary sockets" channel.
 //
 // Blobs live in two stores. Put/Delete manage plainly named blobs (unit
-// payload offloads, legacy shared keys). PutContent/Release manage
-// content-addressed blobs: stored under ContentKey(digest), refcounted so
-// N problems sharing identical bytes keep one copy, and freed when the
-// last referencing problem releases. Alias lets a legacy per-problem key
-// resolve to a content blob without storing the bytes twice, which is how
-// old donors keep working against a content-addressed server.
+// payload offloads). PutContent/Release manage content-addressed blobs:
+// stored under ContentKey(digest), refcounted so N problems sharing
+// identical bytes keep one copy, and freed when the last referencing
+// problem releases. Alias lets a per-problem key resolve to a content blob
+// without storing the bytes twice.
 type BulkServer struct {
 	mu    sync.RWMutex
 	blobs map[string][]byte //dist:guardedby mu
 	// content maps ContentKey(digest) -> blob + refcount.
 	//dist:guardedby mu
 	content map[string]*refBlob
-	// aliases maps legacy key -> ContentKey(digest).
+	// aliases maps a plain key -> ContentKey(digest).
 	//dist:guardedby mu
 	aliases map[string]string
 	ln      net.Listener
@@ -227,7 +226,7 @@ func (s *BulkServer) Release(digest string) {
 }
 
 // Alias makes a plainly named key resolve to a content-addressed blob, so
-// a peer fetching the legacy key receives the shared bytes without the
+// a peer fetching that key receives the shared bytes without the
 // server storing them twice. The alias does not hold a reference: it dies
 // with (or before, via DropAlias) the content blob it points at.
 func (s *BulkServer) Alias(key, digest string) {
@@ -236,7 +235,7 @@ func (s *BulkServer) Alias(key, digest string) {
 	s.aliases[key] = ContentKey(digest)
 }
 
-// DropAlias removes a legacy-key alias.
+// DropAlias removes an alias.
 func (s *BulkServer) DropAlias(key string) {
 	s.mu.Lock()
 	defer s.mu.Unlock()

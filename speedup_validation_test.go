@@ -75,7 +75,6 @@ func measureRealMakespan(t *testing.T, n int, units, unitCost int64) time.Durati
 		dist.WithPolicy(sched.Fixed{Size: unitCost}),
 		dist.WithLeaseTTL(time.Hour),
 		dist.WithExpiryScan(time.Hour),
-		dist.WithWaitHint(2*time.Millisecond),
 	)
 	if err != nil {
 		t.Fatal(err)
