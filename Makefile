@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check build vet fmt lint test race fuzz-smoke stress bench demo docs-lint swarm
+.PHONY: check build vet fmt lint test race fuzz-smoke stress bench demo docs-lint swarm loc
 
 # check is the tier-1 gate: everything CI runs (CI invokes this target).
 # vet covers every package, including the control-channel codec paths in
@@ -46,10 +46,20 @@ fuzz-smoke:
 
 # stress repeats the suites whose failures have been timing flakes — the
 # coordinator and swarm packages, and the two tests that once failed on
-# fast or loaded hosts — so a flake is a red build, not a note.
+# fast or loaded hosts — so a flake is a red build, not a note; and the
+# seeded unit-lifecycle invariant test under the race detector.
 stress:
 	$(GO) test -count=20 ./internal/dist/ ./internal/swarm/
 	$(GO) test -count=5 -run 'TestCoordinatorCrashRecoveryRealNetwork|TestNetworkMatchesRunLocal' . ./internal/dist/
+	$(GO) test -race -count=10 -run TestAttemptLifecycleInvariants ./internal/dist/
+
+# loc prints the non-blank, non-comment line count of every non-test file in
+# the coordinator packages and their sum — the number a simplification PR
+# reports before and after (ROADMAP: "report net lines removed").
+loc:
+	@for f in $$(ls internal/dist/*.go internal/wire/*.go internal/sched/*.go internal/journal/*.go | grep -v _test.go); do \
+		printf '%6d %s\n' $$(grep -vE '^\s*(//|$$)' $$f | wc -l) $$f; \
+	done | awk '{ print; n += $$1 } END { printf "%6d total\n", n }'
 
 # bench covers every package carrying benchmarks (the root harness plus
 # internal packages like align), so a bench added in a new file or package

@@ -377,7 +377,11 @@ func TestCoordinatorCrashRecoveryRealNetwork(t *testing.T) {
 		if time.Now().After(deadline) {
 			t.Fatalf("no checkpoint plus %d folds with units in flight within 60s:\n%s", killAfterUnits, out1.String())
 		}
-		snaps, _ := filepath.Glob(filepath.Join(dataDir, "snap-*"))
+		// Only a renamed-into-place checkpoint counts: the journal writes
+		// snap-N.tmp first, and a kill landing mid-write leaves no snapshot
+		// at all, so recovery would replay from the Submit record and
+		// restore nothing.
+		snaps, _ := filepath.Glob(filepath.Join(dataDir, "snap-*[0-9]"))
 		lines := progressLineRE.FindAllStringSubmatch(out1.String(), -1)
 		if len(snaps) == 0 || len(lines) == 0 {
 			continue

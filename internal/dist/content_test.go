@@ -324,10 +324,12 @@ func TestBareCoordinatorDonorsDrain(t *testing.T) {
 	}
 
 	// The full donor is throttled so the bare ones are guaranteed a share
-	// of the 24 units.
+	// of the 24 units — and the bare ones a little, so that whichever of
+	// them starts first cannot drain every unit before the other's first
+	// request arrives.
 	full := newTestDonor(mkClient(), DonorOptions{Name: "full", Throttle: 10 * time.Millisecond})
-	bare := newTestDonor(bareCoord{c: mkClient()}, DonorOptions{Name: "bare"})
-	digestless := newTestDonor(bareCoord{c: mkClient(), stripDigest: true}, DonorOptions{Name: "digestless"})
+	bare := newTestDonor(bareCoord{c: mkClient()}, DonorOptions{Name: "bare", Throttle: 2 * time.Millisecond})
+	digestless := newTestDonor(bareCoord{c: mkClient(), stripDigest: true}, DonorOptions{Name: "digestless", Throttle: 2 * time.Millisecond})
 
 	donors := []*Donor{full, bare, digestless}
 	var wg sync.WaitGroup

@@ -721,8 +721,8 @@ func TestAutoForgetAfterWait(t *testing.T) {
 // TestConcurrentSubmitWaitReportFailure is the -race regression for the
 // sharded coordinator: problems are submitted while worker loops hammer
 // RequestTask/SubmitResult/ReportFailure across all of them and a waiter
-// blocks on each problem. Injected failures exercise requeueLocked and
-// popRequeueLocked concurrently with Wait on the same problem.
+// blocks on each problem. Injected failures exercise dropLeaseLocked and
+// reissueLocked concurrently with Wait on the same problem.
 func TestConcurrentSubmitWaitReportFailure(t *testing.T) {
 	registerSum(t)
 	srv := newTestServer(ServerOptions{

@@ -7,7 +7,11 @@
 // bulk data over raw TCP sockets with length-prefixed, CRC-32C-checksummed
 // frames (package wire), matching the paper's two-channel design. Failed
 // or expired units are requeued to other donors, which is how the system
-// tolerates lab machines being switched off mid-run. See
+// tolerates lab machines being switched off mid-run. Every outstanding
+// unit is one attempt set walking one lifecycle — granted, dropped,
+// offered a result, folded exactly once (attempts.go) — and straggler
+// speculation and quorum verification are two settings of that set, not
+// separate mechanisms. See
 // docs/ARCHITECTURE.md at the repository root for the layer map, the wire
 // protocol specification and the problem lifecycle.
 //

@@ -279,7 +279,7 @@ func (s *Server) recover(rec *journal.Recovered) error {
 			sharedDigest: wire.Digest(sn.Shared),
 			p:            &Problem{ID: id, DM: e.dm, SharedData: sn.Shared},
 			shared:       sn.Shared,
-			inflight:     make(map[int64]*leaseInfo),
+			units:        make(map[int64]*attemptSet),
 			doneCh:       make(chan struct{}),
 			durable:      true,
 			kind:         sn.Kind,
@@ -299,8 +299,8 @@ func (s *Server) recover(rec *journal.Recovered) error {
 			// completes during replay and waiters get the result without
 			// any recomputation.
 			s.finalizeLocked(ps)
-		} else if s.verifyEnabled() && len(e.replicas) > 0 {
-			// Rebuild the pending verification sets from their journaled
+		} else if s.verifyEnabled() {
+			// Rebuild the pending spot-checked sets from their journaled
 			// replicas, so quorums started before the crash complete across
 			// it instead of recomputing every copy. The sets have no unit
 			// yet (the restored DataManager re-emits it under its original
@@ -309,22 +309,16 @@ func (s *Server) recover(rec *journal.Recovered) error {
 			// whose quorum was already satisfied — the fold record was lost
 			// with the crash — resolves right here: no donor is trusted
 			// this early, so plain count quorum applies.
-			ps.verify = make(map[int64]*verifySet, len(e.replicas))
 			for uid, byDonor := range e.replicas {
-				vs := &verifySet{
-					uid:    uid,
-					donors: make(map[string]struct{}, len(byDonor)),
-					leases: make(map[string]verifyLease),
-				}
+				set := ps.addSetLocked(uid, nil, s.opts.VerifyQuorum)
 				for donor, payload := range byDonor {
-					vs.donors[donor] = struct{}{}
-					vs.results = append(vs.results, verifyResult{donor: donor, payload: payload})
+					set.donors = append(set.donors, donor)
+					set.results = append(set.results, heldResult{donor: donor, payload: payload})
 				}
-				ps.verify[uid] = vs
-				s.resolveVerifyLocked(ps, vs)
+				s.settleLocked(ps, set, time.Now())
 			}
 		}
-		ps.mu.Unlock()
+		s.unlock(ps)
 		info.Problems = append(info.Problems, RecoveredProblem{
 			ProblemID: id, Epoch: ps.epoch, Completed: completed, Requeued: requeued,
 		})
@@ -389,7 +383,7 @@ func (s *Server) snapshotNow() error {
 // and a done problem's folds in the WAL replay it back to done anyway
 // until compaction retires them.
 //
-// Pending verification replicas are re-appended to the (just rotated) WAL
+// Held replica results are re-appended to the (just rotated) WAL
 // here, under the same ps.mu a racing fold would take: compaction prunes
 // the segments holding their original records, and without the re-append a
 // crash after pruning would lose every held replica. Appending under the
@@ -431,9 +425,9 @@ func (s *Server) captureDurable() ([]journal.Snapshot, error) {
 			Completed:  int64(ps.completed),
 			Reissued:   int64(ps.reissued),
 		})
-		for _, vs := range ps.verify {
-			for _, r := range vs.results {
-				_ = s.journal.Append(&journal.Replica{ProblemID: ps.id, Epoch: ps.epoch, UnitID: vs.uid, Donor: r.donor, Payload: r.payload})
+		for _, set := range ps.units {
+			for _, r := range set.results {
+				_ = s.journal.Append(&journal.Replica{ProblemID: ps.id, Epoch: ps.epoch, UnitID: set.uid, Donor: r.donor, Payload: r.payload})
 			}
 		}
 		ps.mu.Unlock()

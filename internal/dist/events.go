@@ -31,9 +31,9 @@ const (
 	// EventSubmitted, but the kind tells the subscriber the problem
 	// predates this server process.
 	EventRecovered
-	// EventUnitSpeculated marks a straggler unit's lease re-dispatched to a
-	// second donor (ServerOptions.SpeculateAfter); Donor names the
-	// speculating donor the lease moved to.
+	// EventUnitSpeculated marks a straggler unit granted a second,
+	// concurrent lease (ServerOptions.SpeculateAfter); Donor names the
+	// speculating donor. The original donor's lease stays live.
 	EventUnitSpeculated
 	// EventUnitReplicaDispatched marks an extra replica of a spot-checked
 	// unit leased to a distinct donor for quorum verification
@@ -52,7 +52,7 @@ const (
 	EventQuorumConflict
 	// EventDonorQuarantined marks a donor's trust EWMA falling below
 	// ServerOptions.QuarantineBelow: the named Donor stops receiving work
-	// and its in-flight leases on this problem were requeued. UnitID is
+	// and its live leases on this problem were dropped. UnitID is
 	// zero; the event is published on each problem the quarantine touched.
 	EventDonorQuarantined
 )
@@ -214,26 +214,35 @@ func (s *Server) detachWatcher(ps *problemState, w *watcher) bool {
 	return false
 }
 
+// eventLocked starts an event of the given kind with the problem's identity
+// and current counters; app adds the DataManager's application-level
+// progress. Callers hold mu.
+//
+//dist:locked mu
+func (ps *problemState) eventLocked(kind EventKind, app bool) Event {
+	ev := Event{
+		Kind:      kind,
+		ProblemID: ps.id,
+		Epoch:     ps.epoch,
+		Time:      time.Now(),
+		Completed: ps.completed,
+		Inflight:  int(ps.inflightN.Load()),
+	}
+	if pr, ok := ps.p.DM.(Progresser); ok && app {
+		ev.AppDone, ev.AppTotal = pr.Progress()
+	}
+	return ev
+}
+
 // snapshotEventLocked builds the EventSubmitted opening snapshot. Callers
 // hold ps.mu.
 //
 //dist:locked mu
 func (s *Server) snapshotEventLocked(ps *problemState) Event {
-	ev := Event{
-		Kind:      EventSubmitted,
-		ProblemID: ps.id,
-		Epoch:     ps.epoch,
-		Time:      time.Now(),
-		Completed: ps.completed,
-		Inflight:  ps.inflightLocked(),
-	}
 	if ps.recovered {
-		ev.Kind = EventRecovered
+		return ps.eventLocked(EventRecovered, true)
 	}
-	if pr, ok := ps.p.DM.(Progresser); ok {
-		ev.AppDone, ev.AppTotal = pr.Progress()
-	}
-	return ev
+	return ps.eventLocked(EventSubmitted, true)
 }
 
 // terminalEventLocked builds the event describing how ps ended. Callers
@@ -241,14 +250,8 @@ func (s *Server) snapshotEventLocked(ps *problemState) Event {
 //
 //dist:locked mu
 func (s *Server) terminalEventLocked(ps *problemState) Event {
-	ev := Event{
-		Kind:      EventFinished,
-		ProblemID: ps.id,
-		Epoch:     ps.epoch,
-		Time:      time.Now(),
-		Completed: ps.completed,
-		Err:       ps.err,
-	}
+	ev := ps.eventLocked(EventFinished, false)
+	ev.Err = ps.err
 	switch {
 	case errors.Is(ps.err, ErrForgotten):
 		ev.Kind = EventForgotten
@@ -301,5 +304,28 @@ func (s *Server) sendLocked(ps *problemState, w *watcher, ev Event) {
 		w.dropped = 0
 	default:
 		w.dropped++
+	}
+}
+
+// publishUnitEventLocked emits a unit-granularity event. Callers hold
+// ps.mu.
+//
+//dist:locked mu
+func (s *Server) publishUnitEventLocked(ps *problemState, kind EventKind, unitID int64, donor string) {
+	if len(ps.watchers) == 0 {
+		return
+	}
+	ev := ps.eventLocked(kind, false)
+	ev.UnitID, ev.Donor = unitID, donor
+	s.publishLocked(ps, ev)
+}
+
+// publishProgressLocked emits an EventProgress with current counters.
+// Callers hold ps.mu.
+//
+//dist:locked mu
+func (s *Server) publishProgressLocked(ps *problemState) {
+	if len(ps.watchers) > 0 {
+		s.publishLocked(ps, ps.eventLocked(EventProgress, true))
 	}
 }

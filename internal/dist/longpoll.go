@@ -128,8 +128,9 @@ func (s *Server) WaitTask(ctx context.Context, donor string, maxWait time.Durati
 		done = ctx.Done()
 	}
 	// A parked donor makes no coordinator calls, but donor-liveness
-	// bookkeeping (liveDonorCount feeding policy budgets, otherDonorAlive
-	// arbitrating requeues) presumes anyone alive has been seen within one
+	// bookkeeping (liveDonorCount feeding policy budgets and arbitrating
+	// reissues, liveDonorExcept judging whether a quorum's tie-breaker can
+	// still arrive) presumes anyone alive has been seen within one
 	// Lease. The park is therefore sliced at half the lease: each slice
 	// expiry loops back through the dispatch scan, whose touchDonor stamps
 	// lastSeen, without ending the caller-visible park. With the default

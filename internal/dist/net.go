@@ -554,11 +554,7 @@ func (s *rpcService) SubmitResult(args ResultArgs, _ *Empty) error {
 // ReportFailure requeues a unit the donor could not compute. The offloaded
 // payload (if any) is kept: the reissue needs it.
 func (s *rpcService) ReportFailure(args FailureArgs, _ *Empty) error {
-	kind := failCompute
-	if args.Transport {
-		kind = failTransport
-	}
-	return s.ns.Server.reportFailure(context.Background(), args.Donor, args.ProblemID, args.UnitID, args.Reason, kind, args.Epoch) //dist:allow-background net/rpc handlers have no caller ctx
+	return s.ns.Server.reportTaggedFailure(context.Background(), args.Donor, args.ProblemID, args.UnitID, args.Reason, args.Transport, args.Epoch) //dist:allow-background net/rpc handlers have no caller ctx
 }
 
 // CancelNotices drains the donor's pending cancel notices.

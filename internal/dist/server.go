@@ -27,15 +27,6 @@ var ErrUnknownProblem = errors.New("dist: unknown problem")
 // with this error.
 var ErrForgotten = errors.New("dist: problem forgotten")
 
-// pollHint is the wait RequestTask suggests alongside an empty reply. No
-// donor of this repository sleeps on it — they park in WaitTask — so it
-// only paces a foreign Coordinator client that polls.
-const pollHint = 50 * time.Millisecond
-
-// throughputAlpha weights the newest cost/elapsed sample in the EWMA the
-// scheduler sizes units from.
-const throughputAlpha = 0.3
-
 // ServerOptions tunes scheduling and fault tolerance. Construct servers
 // with functional options (WithPolicy, WithLeaseTTL, ...); the struct is
 // the bag they mutate and can be adopted wholesale with WithServerOptions.
@@ -50,14 +41,15 @@ type ServerOptions struct {
 	// Lease/4 (at least one second).
 	ExpiryScan time.Duration
 	// SpeculateAfter enables speculative re-dispatch of straggler units: a
-	// free donor with nothing fresh to compute is handed a copy of a unit
-	// that is already leased elsewhere, but only once the owning problem
-	// is at least this fraction complete (completed over completed plus
-	// in-flight). The lease moves to the speculating donor — first result
-	// wins by the existing straggler rule (the server accepts whichever
-	// copy folds first and drops the other), so a unit can never be folded
-	// twice. Zero (the default) disables speculation; values outside
-	// (0, 1] are ignored. 0.9 is a reasonable tail-chasing setting.
+	// free donor with nothing fresh to compute is granted a second,
+	// concurrent lease on a unit that is already leased elsewhere, but only
+	// once the owning problem is at least this fraction complete (completed
+	// over completed plus outstanding). First result wins: the server folds
+	// whichever copy reports first and sends the other donor a cancel
+	// notice, so a unit can never be folded twice; the unit requeues only
+	// when its last lease is lost. Zero (the default) disables speculation;
+	// values outside (0, 1] are ignored. 0.9 is a reasonable tail-chasing
+	// setting.
 	SpeculateAfter float64
 	// BulkThreshold is the payload size in bytes above which a network
 	// server ships unit payloads over the raw-socket bulk channel instead
@@ -122,8 +114,8 @@ type ServerOptions struct {
 	// one would be the unverified fold). Meaningless without VerifyFraction.
 	VerifyQuorum int
 	// QuarantineBelow is the trust floor: a donor whose trust EWMA falls
-	// below it is quarantined — it receives no further work, its in-flight
-	// leases are requeued (failure kind "verify"), and its pending and
+	// below it is quarantined — it receives no further work, its live
+	// leases are dropped (failure kind "verify"), and its pending and
 	// future results are rejected. Zero defaults to 0.3; negative disables
 	// quarantine while keeping trust tracking. Meaningless without
 	// VerifyFraction.
@@ -132,7 +124,7 @@ type ServerOptions struct {
 	// accrue before its results are trusted: until then every unit it is
 	// handed is spot-checked regardless of VerifyFraction, and its results
 	// cannot complete a quorum on their own once any trusted donor exists
-	// (see verify.go). Zero defaults to 4; negative disables probation.
+	// (see attempts.go). Zero defaults to 4; negative disables probation.
 	// Meaningless without VerifyFraction.
 	ProbationUnits int
 	// ReadmitAfter lets a quarantined donor back in after this long, on
@@ -198,56 +190,12 @@ func (o *ServerOptions) applyDefaults() {
 	}
 }
 
-// maxUnitAttempts bounds how often one cached unit is re-dispatched after
-// failures before the whole problem is failed — a deterministically
-// poisoned unit must not ping-pong between donors forever.
-const maxUnitAttempts = 8
-
-// maxConsecutiveFailures bounds compute failures with no intervening
-// success for one problem. Requeuer DataManagers regenerate lost units
-// under fresh IDs, so the per-unit attempt cap cannot see a poisoned unit
-// cycling there; this problem-level bound catches it.
-const maxConsecutiveFailures = 64
-
 // maxForgottenTombstones bounds the retired-ID set a long-lived server
 // keeps for ErrForgotten answers.
 const maxForgottenTombstones = 4096
 
-// maxConsecutiveTransport bounds transport failures (unfetchable payloads)
-// with no intervening success. Deliberately very loose — partial-fleet
-// bulk-connectivity problems self-heal via requeue and any completed unit
-// resets it — but it turns "no donor can reach the bulk channel at all"
-// (a misconfigured advertised address, a NAT forwarding only the RPC port)
-// from a silent livelock into a diagnosable failure.
-const maxConsecutiveTransport = 1024
-
-// maxPendingCancels bounds one donor's queued cancel notices; a donor that
-// never drains (a v1 binary without the poll) loses the oldest notices,
-// which only costs it some wasted compute on doomed units.
-const maxPendingCancels = 256
-
-// leaseInfo tracks one in-flight unit.
-type leaseInfo struct {
-	unit     *Unit
-	donor    string
-	deadline time.Time
-	attempts int
-	// speculated marks a lease re-dispatched to a second donor under
-	// SpeculateAfter, so the tail-chasing scan never stacks a third copy on
-	// the same unit. Reset when the unit leaves the lease table.
-	speculated bool
-}
-
-// queuedUnit is a cached unit awaiting reissue (DataManagers implementing
-// Requeuer regenerate units instead and never enter this queue).
-type queuedUnit struct {
-	unit      *Unit
-	lastDonor string
-	attempts  int
-}
-
 // problemState is the server's bookkeeping for one submitted problem. Each
-// problem carries its own mutex, lease table and requeue queue, so
+// problem carries its own mutex and attempt table, so
 // RequestTask/SubmitResult/ReportFailure for different problems never
 // contend — the registry lock is held only for the map lookup.
 type problemState struct {
@@ -275,10 +223,11 @@ type problemState struct {
 	// afterwards, so RequestTask reads them without taking mu.
 	priority int
 	deadline time.Time
-	// inflightN mirrors len(inflight) as an atomic, so the dispatch scan
-	// can rank problems by outstanding leases (the work-stealing key)
-	// without locking shards it will not visit. Updated wherever the lease
-	// table grows or shrinks, always under mu.
+	// inflightN counts the live leases across every attempt set, as an
+	// atomic so the dispatch scan can rank problems by outstanding leases
+	// (the work-stealing key) without locking shards it will not visit. It
+	// is also what Status and every event report as Inflight. Updated
+	// wherever a lease is granted or goes, always under mu.
 	inflightN atomic.Int64
 
 	// mu guards every field below. DataManager methods are called with mu
@@ -291,16 +240,22 @@ type problemState struct {
 	// so retiring the problem can release it without mutating the
 	// caller-owned Problem struct.
 	//dist:guardedby mu
-	shared   []byte
-	inflight map[int64]*leaseInfo //dist:guardedby mu
-	requeue  []queuedUnit         //dist:guardedby mu
-	// verify tracks the units under quorum spot-checking, keyed by unit ID.
-	// A verified unit lives here INSTEAD of the inflight table: every
-	// replica lease, held result and excluded donor belongs to its
-	// verifySet, and the unit only folds when the set resolves (verify.go).
-	// Nil until the first set is created; lazily allocated.
+	shared []byte
+	// units is the attempt table: every outstanding unit — leased, awaiting
+	// reissue, or held for quorum — keyed by unit ID (attempts.go). open
+	// lists the sets that currently want a lease, oldest first, so dispatch
+	// never scans the table.
 	//dist:guardedby mu
-	verify map[int64]*verifySet
+	units map[int64]*attemptSet
+	//dist:guardedby mu
+	open []*attemptSet
+	// wake and trustDeltas are what the current critical section owes once
+	// mu drops: a wake of parked donors, and quorum outcomes for the donor
+	// trust EWMAs. Server.unlock pays both.
+	//dist:guardedby mu
+	wake bool
+	//dist:guardedby mu
+	trustDeltas []trustDelta
 	// verifyAcc is the deterministic sampling accumulator: each fresh
 	// dispatch adds VerifyFraction and a unit is spot-checked whenever the
 	// accumulator crosses 1 — no randomness, so tests can count on exact
@@ -335,7 +290,7 @@ type problemState struct {
 	// starved records that a dispatch scan came up empty-handed for this
 	// problem while it was still live (NextUnit said "nothing yet" — a
 	// stage barrier, typically). Only then can folding a result release
-	// new units, so only then does submitResult wake parked WaitTask
+	// new units, so only then does foldLocked wake parked WaitTask
 	// donors; gating the wake this way keeps a busy fleet's result stream
 	// from making every parked donor rescan on every fold.
 	//dist:guardedby mu
@@ -394,8 +349,8 @@ type Status struct {
 // wrap it with ListenAndServe for the networked deployment.
 //
 // State is sharded per problem: a small RWMutex-guarded registry maps IDs
-// to problemStates, each of which owns its mutex, lease table, requeue
-// queue and Watch subscriber list. Coordinator calls for different problems
+// to problemStates, each of which owns its mutex, attempt table and Watch
+// subscriber list. Coordinator calls for different problems
 // proceed in parallel, and RequestTask skips problem shards whose lock is
 // momentarily contended before falling back to a blocking pass.
 //
@@ -438,7 +393,7 @@ type Server struct {
 
 	// trusted counts donors past probation and not quarantined — the
 	// fleet-wide signal the quorum rule keys on: once any trusted donor
-	// exists, a quorum must include one (see verify.go). Maintained on the
+	// exists, a quorum must include one (see attempts.go). Maintained on the
 	// probation/quarantine/prune transitions.
 	trusted atomic.Int64
 
@@ -452,8 +407,9 @@ type Server struct {
 	// parkMu guards parkCh, the broadcast channel WaitTask callers park on
 	// while no unit is dispatchable. wakeParked closes and replaces it, so
 	// every parked donor re-runs its dispatch scan; the events that can
-	// make a unit dispatchable — a Submit, a failure or lease-expiry
-	// requeue, and a folded result on a problem some scan starved on
+	// make a unit dispatchable — a Submit, an attempt set left open by a
+	// failure, lease expiry or held result, and a folded result on a
+	// problem some scan starved on
 	// (stage barriers release new units on a fold; see problemState.
 	// starved) — all wake it. A leaf lock.
 	parkMu sync.Mutex
@@ -589,7 +545,7 @@ func (s *Server) submitWith(ctx context.Context, p *Problem, publish func(shared
 		deadline:     p.Deadline,
 		p:            p,
 		shared:       p.SharedData,
-		inflight:     make(map[int64]*leaseInfo),
+		units:        make(map[int64]*attemptSet),
 		doneCh:       make(chan struct{}),
 	}
 	s.problems[p.ID] = ps
@@ -660,6 +616,18 @@ func (s *Server) lookup(id string) (*problemState, error) {
 		return nil, fmt.Errorf("%w: %q", ErrForgotten, id)
 	}
 	return nil, fmt.Errorf("%w %q", ErrUnknownProblem, id)
+}
+
+// allProblems snapshots the registered problem states, so a sweep can take
+// each problem's lock without holding the registry's.
+func (s *Server) allProblems() []*problemState {
+	s.regMu.RLock()
+	defer s.regMu.RUnlock()
+	states := make([]*problemState, 0, len(s.problems))
+	for _, ps := range s.problems {
+		states = append(states, ps)
+	}
+	return states
 }
 
 // isClosed reports whether Close has begun.
@@ -854,7 +822,7 @@ func (s *Server) Status(ctx context.Context, id string) (Status, error) {
 	defer ps.mu.Unlock()
 	st := Status{
 		Completed: ps.completed,
-		Inflight:  ps.inflightLocked(),
+		Inflight:  int(ps.inflightN.Load()),
 		Reissued:  ps.reissued,
 		Done:      ps.done,
 		Recovered: ps.recovered,
@@ -951,281 +919,6 @@ func (s *Server) Close() error {
 	return jerr
 }
 
-// RequestTask implements Coordinator: pick the next unit for a donor,
-// round-robin across live problems. The rotation is snapshotted under the
-// registry read lock; each candidate problem is then tried under its own
-// lock. The first pass only TryLocks each shard — a problem whose
-// DataManager is busy partitioning or folding under its lock is skipped
-// rather than blocked on, so one slow problem never adds latency to a
-// request that an idle problem could serve. Shards skipped as contended
-// are retried with a blocking lock only if the fast pass found nothing.
-func (s *Server) RequestTask(ctx context.Context, donor string) (*Task, time.Duration, error) {
-	if err := ctxErr(ctx); err != nil {
-		return nil, 0, err
-	}
-	s.regMu.RLock()
-	if s.closed {
-		s.regMu.RUnlock()
-		return nil, 0, ErrClosed
-	}
-	rotation := make([]*problemState, 0, len(s.order))
-	for _, id := range s.order {
-		if ps := s.problems[id]; ps != nil {
-			rotation = append(rotation, ps)
-		}
-	}
-	s.regMu.RUnlock()
-
-	ds := s.touchDonor(donor)
-	n := len(rotation)
-	if n == 0 {
-		return nil, pollHint, nil
-	}
-	view, quarantined := s.donorDispatchView(ds)
-	if quarantined {
-		// A quarantined donor gets no work at all; it keeps polling (and
-		// long-polling) and is let back in only by ReadmitAfter.
-		return nil, pollHint, nil
-	}
-	live := s.liveDonorCount()
-	// Peer liveness is sampled lazily — the O(donors) scan only runs when
-	// some problem actually has a requeued unit to arbitrate — and at most
-	// once per request. The memoized value can be a poll interval stale;
-	// the consequence is at most one deferred requeue pickup (see
-	// popRequeueLocked), never a lost unit.
-	othersAliveMemo := -1
-	othersAlive := func() bool {
-		if othersAliveMemo < 0 {
-			othersAliveMemo = 0
-			if s.otherDonorAlive(donor) {
-				othersAliveMemo = 1
-			}
-		}
-		return othersAliveMemo == 1
-	}
-
-	// The visit order starts from the round-robin cursor (the fairness
-	// tiebreak) and is then reordered by urgency: priority descending,
-	// deadline, then fewest leases first. The lease rank is the
-	// work-stealing rule — a starved problem outranks a hot one, so the hot
-	// problem's surplus donors drain toward it. Keys are built from
-	// immutable Submit-time fields plus an atomic lease counter; no problem
-	// lock is taken for problems the scan never reaches.
-	start := int(s.rr.Add(1) % uint64(n))
-	keys := make([]sched.DispatchKey, n)
-	for i, ps := range rotation {
-		keys[i] = sched.DispatchKey{Priority: ps.priority, Deadline: ps.deadline, Inflight: ps.inflightN.Load(), Trust: view.trust}
-	}
-	scan := sched.ScanOrder(keys, start)
-	var finished []*problemState
-	var contended []*problemState
-	for _, idx := range scan {
-		ps := rotation[idx]
-		task, done, tried := s.tryDispatch(ps, donor, view, live, othersAlive, false)
-		if !tried {
-			contended = append(contended, ps)
-			continue
-		}
-		if done {
-			finished = append(finished, ps)
-		}
-		if task != nil {
-			s.pruneRotation(finished)
-			return task, pollHint, nil
-		}
-	}
-	// Slow pass: everything uncontended came up empty, so waiting on the
-	// busy shards is now worth it (their DataManagers may be mid-partition
-	// with units to give).
-	for _, ps := range contended {
-		task, done, _ := s.tryDispatch(ps, donor, view, live, othersAlive, true)
-		if done {
-			finished = append(finished, ps)
-		}
-		if task != nil {
-			s.pruneRotation(finished)
-			return task, pollHint, nil
-		}
-	}
-	s.pruneRotation(finished)
-	return nil, pollHint, nil
-}
-
-// tryDispatch attempts to hand one of ps's units to donor under ps's own
-// lock — acquired blockingly when block is set, with TryLock otherwise
-// (tried is false when the shard was skipped as contended). It returns the
-// dispatched task (nil when the problem has nothing for this donor) and
-// whether the problem is done — finished problems are pruned from the
-// rotation by the caller.
-func (s *Server) tryDispatch(ps *problemState, donor string, view dispatchView, live int, othersAlive func() bool, block bool) (task *Task, done, tried bool) {
-	if block {
-		ps.mu.Lock()
-	} else if !ps.mu.TryLock() {
-		return nil, false, false
-	}
-	defer ps.mu.Unlock()
-	if ps.done {
-		return nil, true, true
-	}
-	// A probation donor with ProbationUnits of unresolved verification
-	// backlog gets no new units — only replica service — until its
-	// quorums resolve: every unit it takes must be replicated, so an
-	// unbounded stream of them multiplies the problem by the quorum (and
-	// hands a malicious donor free amplification).
-	verifyCapped := s.verifyEnabled() && view.probation &&
-		ps.verifyBacklogLocked(donor, s.opts.ProbationUnits)
-	if !verifyCapped {
-		if u, attempts, ok := s.popRequeueLocked(ps, donor, othersAlive); ok {
-			// A probationary donor's requeued units are spot-checked like
-			// its fresh ones — no unit handed to an untrusted donor may
-			// fold unverified.
-			if s.verifyEnabled() && view.probation {
-				return s.startVerifyLocked(ps, u, donor, attempts, view), false, true
-			}
-			s.leaseLocked(ps, u, donor, attempts)
-			return s.taskLocked(ps, u), false, true
-		}
-	}
-	// A pending verification set wanting one more replica outranks fresh
-	// work: resolving a held unit unblocks its fold.
-	if t := s.replicaLocked(ps, donor, view); t != nil {
-		return t, false, true
-	}
-	if verifyCapped {
-		// Parked at the backlog cap: a resolving quorum must wake this
-		// donor so it can claim fresh work again.
-		ps.starved = true
-		return nil, false, true
-	}
-	budget := s.opts.Policy.Budget(view.stats, remainingCost(ps.p.DM), live)
-	budget = scaleBudgetByTrust(budget, view.trust)
-	for {
-		u, ok, err := ps.p.DM.NextUnit(budget)
-		if err != nil {
-			s.failLocked(ps, fmt.Errorf("dist: problem %q: NextUnit: %w", ps.id, err))
-			return nil, true, true
-		}
-		if !ok {
-			if ps.p.DM.Done() {
-				s.finalizeLocked(ps)
-				return nil, true, true
-			}
-			if len(ps.inflight) == 0 && len(ps.requeue) == 0 && len(ps.verify) == 0 {
-				// Nothing dispatchable, nothing in flight, nothing awaiting
-				// reissue or quorum, not done: no future event can unstick
-				// this problem. Fail loudly rather than leaving Wait hanging.
-				s.failLocked(ps, fmt.Errorf("dist: problem %q stalled: no dispatchable units, none in flight, not done", ps.id))
-				return nil, true, true
-			}
-			// Nothing fresh, but the problem is close to done with leases
-			// still out: offer this free donor a speculative copy of the
-			// oldest straggler before parking it. Probationary donors are
-			// never offered speculation — first-result-wins would let an
-			// untrusted copy fold unverified.
-			if !(s.verifyEnabled() && view.probation) {
-				if t := s.speculateLocked(ps, donor); t != nil {
-					return t, false, true
-				}
-			}
-			// A dispatch scan starved on this problem: the next folded result
-			// may release stage-barrier units, so it must wake parked donors.
-			ps.starved = true
-			return nil, false, true
-		}
-		if vs, hasSet := ps.verify[u.ID]; hasSet {
-			// A recovered verification set whose unit the DataManager just
-			// regenerated: attach the unit, and hand this donor a replica if
-			// it is eligible. Otherwise keep scanning — the set's replica
-			// slots are served to other donors by replicaLocked.
-			if vs.unit == nil {
-				vs.unit = u
-			}
-			if t := s.replicaForSetLocked(ps, vs, donor, view); t != nil {
-				return t, false, true
-			}
-			continue
-		}
-		if s.verifyEnabled() && (view.probation || s.sampleVerifyLocked(ps)) {
-			return s.startVerifyLocked(ps, u, donor, 0, view), false, true
-		}
-		s.leaseLocked(ps, u, donor, 0)
-		return s.taskLocked(ps, u), false, true
-	}
-}
-
-// taskLocked builds the dispatched Task for one of ps's units. Callers
-// hold ps.mu.
-//
-//dist:locked mu
-func (s *Server) taskLocked(ps *problemState, u *Unit) *Task {
-	return &Task{ProblemID: ps.id, Unit: *u, Epoch: ps.epoch, SharedDigest: ps.sharedDigest, Priority: ps.priority}
-}
-
-// speculateLocked implements straggler speculation (ServerOptions.
-// SpeculateAfter): when a problem has no fresh units but is at least the
-// configured fraction complete, a free donor is handed a copy of the
-// oldest outstanding lease instead of parking. The lease itself moves to
-// the speculating donor — the original holder becomes the straggler, and
-// whichever copy reports first is folded by submitResult's existing
-// unit-ID accept rule while the other is dropped, so no unit can fold
-// twice. The moved lease also redirects failure reports: the original
-// donor's are dropped as stale (li.donor no longer matches), the
-// speculator's requeue normally. Each lease is speculated at most once
-// per time through the lease table, and a donor is never handed a copy
-// of a unit it already holds. Callers hold ps.mu.
-//
-//dist:locked mu
-func (s *Server) speculateLocked(ps *problemState, donor string) *Task {
-	frac := s.opts.SpeculateAfter
-	if frac <= 0 || frac > 1 {
-		return nil
-	}
-	if len(ps.inflight) == 0 || len(ps.requeue) > 0 {
-		return nil
-	}
-	total := ps.completed + len(ps.inflight)
-	if float64(ps.completed) < frac*float64(total) {
-		return nil
-	}
-	var pick *leaseInfo
-	for _, li := range ps.inflight {
-		if li.speculated || li.donor == donor {
-			continue
-		}
-		if pick == nil || li.deadline.Before(pick.deadline) {
-			pick = li
-		}
-	}
-	if pick == nil {
-		return nil
-	}
-	pick.donor = donor
-	pick.deadline = time.Now().Add(s.opts.Lease)
-	pick.speculated = true
-	ps.dispatched++
-	ps.speculated++
-	s.publishUnitEventLocked(ps, EventUnitSpeculated, pick.unit.ID, donor)
-	return s.taskLocked(ps, pick.unit)
-}
-
-// pruneRotation removes finished problems from the dispatch order. Their
-// states stay addressable for Wait/Status/Stats until Forget. Pointer
-// identity is checked so a forgotten-and-resubmitted ID's fresh problem is
-// never pruned by a stale reference to its predecessor.
-func (s *Server) pruneRotation(finished []*problemState) {
-	if len(finished) == 0 {
-		return
-	}
-	s.regMu.Lock()
-	defer s.regMu.Unlock()
-	for _, ps := range finished {
-		if cur := s.problems[ps.id]; cur != ps {
-			continue
-		}
-		s.removeFromOrderLocked(ps.id)
-	}
-}
-
 // SharedData implements Coordinator.
 func (s *Server) SharedData(ctx context.Context, problemID string) ([]byte, error) {
 	if err := ctxErr(ctx); err != nil {
@@ -1238,559 +931,6 @@ func (s *Server) SharedData(ctx context.Context, problemID string) ([]byte, erro
 	ps.mu.Lock()
 	defer ps.mu.Unlock()
 	return ps.shared, nil
-}
-
-// SubmitResult implements Coordinator: fold one completed unit and feed the
-// donor's measured cost/elapsed back into its scheduling statistics.
-func (s *Server) SubmitResult(ctx context.Context, res *Result) error {
-	_, err := s.submitResult(ctx, res)
-	return err
-}
-
-// submitResult additionally reports whether the result was accepted (false
-// for stragglers whose unit already completed elsewhere or whose problem is
-// done) so the network layer keeps bulk payloads a reissued copy may still
-// need.
-func (s *Server) submitResult(ctx context.Context, res *Result) (accepted bool, err error) {
-	if err := ctxErr(ctx); err != nil {
-		return false, err
-	}
-	if res == nil {
-		return false, errors.New("dist: SubmitResult with nil result")
-	}
-	if s.isClosed() {
-		return false, ErrClosed
-	}
-	ds := s.touchDonor(res.Donor)
-	donorTrusted := false
-	if s.verifyEnabled() {
-		ds.mu.Lock()
-		rejected := ds.quarantined
-		donorTrusted = !ds.quarantined && ds.verifiedOK >= s.opts.ProbationUnits
-		ds.mu.Unlock()
-		if rejected {
-			// Results from quarantined donors are rejected outright; their
-			// revoked leases were already requeued with failure kind verify.
-			return false, nil
-		}
-	}
-	ps, lerr := s.lookup(res.ProblemID)
-	if lerr != nil {
-		return false, nil // problem finished (or was forgotten) while the unit was out
-	}
-	ps.mu.Lock()
-	if ps.done {
-		ps.mu.Unlock()
-		return false, nil
-	}
-	if res.Epoch != 0 && res.Epoch != ps.epoch {
-		// A straggler computed for a forgotten predecessor of this ID:
-		// unit numbering restarts per incarnation, so the IDs can collide
-		// while the payloads mean entirely different work. Drop it; the
-		// current incarnation's unit stays leased and completes normally.
-		ps.mu.Unlock()
-		return false, nil
-	}
-	if vs, ok := ps.verify[res.UnitID]; ok {
-		// A spot-checked unit: hold the result in its verification set and
-		// fold only on quorum agreement (verify.go). Trust updates are
-		// applied after the problem lock drops — donor locks are leaves and
-		// a quarantine walks every problem.
-		deltas, wake, held, cost := s.verifySubmitLocked(ps, vs, res, donorTrusted)
-		ps.mu.Unlock()
-		if wake {
-			s.wakeParked()
-		}
-		s.applyTrustDeltas(deltas)
-		if held && cost > 0 {
-			s.feedThroughput(ds, cost, res.Elapsed)
-		}
-		return held, nil
-	}
-	var cost int64
-	if li, ok := ps.inflight[res.UnitID]; ok {
-		cost = li.unit.Cost
-		delete(ps.inflight, res.UnitID)
-		ps.inflightN.Add(-1)
-	} else if q, ok := s.takeQueuedLocked(ps, res.UnitID); ok {
-		// The donor outlived its lease but finished before the unit was
-		// re-dispatched: the result is perfectly good, and accepting it
-		// saves recomputing the whole unit.
-		cost = q.unit.Cost
-	} else {
-		ps.mu.Unlock()
-		return false, nil // reissued copy already completed; drop the straggler
-	}
-	if cerr := ps.p.DM.Consume(res.UnitID, res.Payload); cerr != nil {
-		s.failLocked(ps, fmt.Errorf("dist: problem %q: Consume unit %d: %w", ps.id, res.UnitID, cerr))
-		ps.mu.Unlock()
-		return false, nil
-	}
-	if ps.durable {
-		// Folds are journaled with a buffered write before the ack; the
-		// group commit makes them durable within one sync interval (or
-		// before this append returns, under JournalFsyncEveryRecord). A
-		// crash inside that window loses at most an interval's folds,
-		// which recovery regenerates and the fleet recomputes. An I/O
-		// error here sticks in the store and surfaces at the next
-		// checkpoint or Close; the fold itself proceeds — durability
-		// degrades rather than aborting a healthy run.
-		_ = s.journal.Append(&journal.Fold{ProblemID: ps.id, Epoch: ps.epoch, UnitID: res.UnitID, Payload: res.Payload})
-	}
-	ps.completed++
-	ps.consecFails = 0
-	ps.consecTransport = 0
-	// Folding a result only creates dispatchable work when a dispatch scan
-	// previously starved on this problem (stage-barrier DataManagers
-	// release their next stage on a fold). Wake parked donors exactly
-	// then — an unconditional wake would make every parked donor rescan on
-	// every result a busy fleet folds.
-	wake := ps.starved && !ps.done
-	ps.starved = false
-	s.publishUnitEventLocked(ps, EventUnitDone, res.UnitID, res.Donor)
-	s.publishProgressLocked(ps)
-	if ps.p.DM.Done() {
-		s.finalizeLocked(ps)
-		wake = false // a finished problem releases no new units
-	}
-	ps.mu.Unlock()
-	if wake {
-		s.wakeParked()
-	}
-
-	// Scheduler feedback happens outside the problem lock: stats are
-	// per-donor state, not per-problem state.
-	s.feedThroughput(ds, cost, res.Elapsed)
-	return true, nil
-}
-
-// feedThroughput feeds one completed unit's measured cost/elapsed into the
-// donor's scheduling statistics. Elapsed is floored at 1ms: a
-// sub-millisecond (or bogus donor-reported) sample would otherwise make
-// the EWMA throughput — and with it the next adaptive budget, which has no
-// upper clamp by default — effectively infinite, serializing the whole
-// problem onto one donor.
-func (s *Server) feedThroughput(ds *donorState, cost int64, elapsed time.Duration) {
-	sec := elapsed.Seconds()
-	if sec < 1e-3 {
-		sec = 1e-3
-	}
-	ds.mu.Lock()
-	ds.stats.Completed++
-	ds.stats.Throughput = sched.EWMA(ds.stats.Throughput, float64(cost)/sec, throughputAlpha)
-	ds.mu.Unlock()
-}
-
-// publishUnitEventLocked emits a unit-granularity event. Callers hold
-// ps.mu.
-//
-//dist:locked mu
-func (s *Server) publishUnitEventLocked(ps *problemState, kind EventKind, unitID int64, donor string) {
-	if len(ps.watchers) == 0 {
-		return
-	}
-	s.publishLocked(ps, Event{
-		Kind:      kind,
-		ProblemID: ps.id,
-		Epoch:     ps.epoch,
-		Time:      time.Now(),
-		UnitID:    unitID,
-		Donor:     donor,
-		Completed: ps.completed,
-		Inflight:  ps.inflightLocked(),
-	})
-}
-
-// publishProgressLocked emits an EventProgress with current counters.
-// Callers hold ps.mu.
-//
-//dist:locked mu
-func (s *Server) publishProgressLocked(ps *problemState) {
-	if len(ps.watchers) == 0 {
-		return
-	}
-	ev := Event{
-		Kind:      EventProgress,
-		ProblemID: ps.id,
-		Epoch:     ps.epoch,
-		Time:      time.Now(),
-		Completed: ps.completed,
-		Inflight:  ps.inflightLocked(),
-	}
-	if pr, ok := ps.p.DM.(Progresser); ok {
-		ev.AppDone, ev.AppTotal = pr.Progress()
-	}
-	s.publishLocked(ps, ev)
-}
-
-// ReportFailure implements Coordinator: attribute the failure to the donor
-// and requeue the unit for another donor. The epoch goes unchecked on this
-// untagged path; in-process and RPC donors use the tagged variant.
-func (s *Server) ReportFailure(ctx context.Context, donor, problemID string, unitID int64, reason string) error {
-	return s.reportFailure(ctx, donor, problemID, unitID, reason, failCompute, 0)
-}
-
-// reportTaggedFailure implements taggedFailureReporter for in-process
-// donors.
-func (s *Server) reportTaggedFailure(ctx context.Context, donor, problemID string, unitID int64, reason string, transport bool, epoch int64) error {
-	kind := failCompute
-	if transport {
-		kind = failTransport
-	}
-	return s.reportFailure(ctx, donor, problemID, unitID, reason, kind, epoch)
-}
-
-// reportFailure requeues a failed unit. kind is failTransport for failures
-// to *fetch* the payload: those say nothing about the unit itself and must
-// not feed the poisoned-unit caps — half a fleet with a firewalled bulk
-// port would otherwise fail the whole problem while healthy donors remain.
-// A non-zero epoch that does not match the problem's incarnation marks a
-// straggler report from a forgotten predecessor of a reused ID: dropped,
-// like its submitResult counterpart, so it cannot revoke a live lease of
-// the successor when donor names collide.
-//
-// The donor's reputation (its Failures count, and lastSeen liveness) is
-// only touched AFTER the report validates against a live lease held by
-// this donor under the current epoch: a report for a never-leased unit, a
-// stale epoch, or someone else's lease says nothing about this donor and
-// must not move its stats.
-func (s *Server) reportFailure(ctx context.Context, donor, problemID string, unitID int64, reason string, kind failureKind, epoch int64) error {
-	if err := ctxErr(ctx); err != nil {
-		return err
-	}
-	if s.isClosed() {
-		return ErrClosed
-	}
-	if s.verifyEnabled() {
-		if ds := s.peekDonor(donor); ds != nil {
-			ds.mu.Lock()
-			rejected := ds.quarantined
-			ds.mu.Unlock()
-			if rejected {
-				return nil // quarantined donors' reports are rejected like their results
-			}
-		}
-	}
-	ps, lerr := s.lookup(problemID)
-	if lerr != nil {
-		return nil // problem finished or forgotten; nothing to requeue
-	}
-	var deltas []trustDelta
-	ps.mu.Lock()
-	if ps.done {
-		ps.mu.Unlock()
-		return nil
-	}
-	if epoch != 0 && epoch != ps.epoch {
-		ps.mu.Unlock()
-		return nil
-	}
-	if vs, ok := ps.verify[unitID]; ok {
-		if _, held := vs.leases[donor]; !held {
-			ps.mu.Unlock()
-			return nil // no replica lease: a straggler or an impostor
-		}
-		deltas = s.verifyFailureLocked(ps, vs, donor, reason, kind)
-		ps.mu.Unlock()
-	} else {
-		li, ok := ps.inflight[unitID]
-		if !ok {
-			ps.mu.Unlock()
-			return nil
-		}
-		if li.donor != donor {
-			// Stale report: the unit's lease already expired and the unit was
-			// re-dispatched to someone else. Results from stragglers are
-			// accepted; their failure reports must not revoke the new lease.
-			ps.mu.Unlock()
-			return nil
-		}
-		s.requeueLocked(ps, li, reason, kind)
-		ps.mu.Unlock()
-	}
-	// The requeued unit (or reopened replica slot) is dispatchable again,
-	// to a different donor by preference: wake parked WaitTask callers.
-	s.wakeParked()
-	s.applyTrustDeltas(deltas)
-	ds := s.touchDonor(donor)
-	ds.mu.Lock()
-	ds.stats.Failures++
-	ds.mu.Unlock()
-	return nil
-}
-
-// failureKind classifies why an in-flight unit came back, because each
-// class gets a different bound: compute failures feed the tight
-// poisoned-unit caps; transport failures (payload unfetchable) feed only a
-// very loose cap that catches a bulk channel no donor can reach; lease
-// expiries feed no cap at all — a healthy unit that merely takes many
-// lease periods, or a mass outage expiring every lease in one sweep, must
-// reissue, not fail the problem. Verify failures (a quarantined donor's
-// revoked leases) are uncapped like expiries: they blame the donor, not
-// the unit.
-type failureKind int
-
-const (
-	failCompute failureKind = iota
-	failTransport
-	failExpiry
-	failVerify
-)
-
-// requeueLocked returns a lost or failed in-flight unit to the dispatch
-// pool: Requeuer DataManagers regenerate it, others get the cached payload
-// re-dispatched (preferring a different donor). Callers hold ps.mu.
-//
-//dist:locked mu
-func (s *Server) requeueLocked(ps *problemState, li *leaseInfo, reason string, kind failureKind) {
-	if ps.done {
-		return
-	}
-	delete(ps.inflight, li.unit.ID)
-	ps.inflightN.Add(-1)
-	ps.reissued++
-	switch kind {
-	case failCompute:
-		ps.consecFails++
-		attempts := li.attempts + 1
-		if attempts >= maxUnitAttempts {
-			s.failLocked(ps, fmt.Errorf("dist: problem %q: unit %d failed %d times, last: %s",
-				ps.id, li.unit.ID, attempts, reason))
-			return
-		}
-		li.attempts = attempts
-		if ps.consecFails >= maxConsecutiveFailures {
-			s.failLocked(ps, fmt.Errorf("dist: problem %q: %d consecutive failures without a completed unit, last: %s",
-				ps.id, ps.consecFails, reason))
-			return
-		}
-	case failTransport:
-		ps.consecTransport++
-		if ps.consecTransport >= maxConsecutiveTransport {
-			s.failLocked(ps, fmt.Errorf("dist: problem %q: %d consecutive transport failures without a completed unit (bulk channel unreachable from every donor?), last: %s",
-				ps.id, ps.consecTransport, reason))
-			return
-		}
-	}
-	if rq, ok := ps.p.DM.(Requeuer); ok {
-		rq.Requeue(li.unit.ID)
-		if s.onUnitRetired != nil {
-			s.onUnitRetired(ps.id, ps.epoch, li.unit.ID)
-		}
-		return
-	}
-	ps.requeue = append(ps.requeue, queuedUnit{unit: li.unit, lastDonor: li.donor, attempts: li.attempts})
-}
-
-// takeQueuedLocked removes and returns the queued unit with the given ID,
-// if the unit is awaiting reissue (its lease expired but it has not been
-// handed out again). Callers hold ps.mu.
-//
-//dist:locked mu
-func (s *Server) takeQueuedLocked(ps *problemState, unitID int64) (queuedUnit, bool) {
-	for i, q := range ps.requeue {
-		if q.unit.ID == unitID {
-			ps.requeue = append(ps.requeue[:i], ps.requeue[i+1:]...)
-			return q, true
-		}
-	}
-	return queuedUnit{}, false
-}
-
-// popRequeueLocked takes a queued unit for the donor, preferring units last
-// held by a different donor so a unit one machine cannot compute migrates.
-// The preference only holds while some *other* donor is actually alive — a
-// donor that has not polled for a full lease is presumed gone, and waiting
-// for it would starve the unit forever. othersAlive is memoized per
-// request by the caller; a stale value defers the pickup by at most one
-// poll interval. Evaluating it here acquires donor locks under ps.mu,
-// which the lock order permits: donor locks are leaves — no code path
-// takes a registry or problem lock while holding one. Callers hold ps.mu.
-//
-//dist:locked mu
-func (s *Server) popRequeueLocked(ps *problemState, donor string, othersAlive func() bool) (*Unit, int, bool) {
-	pick := -1
-	for i, q := range ps.requeue {
-		if q.lastDonor != donor {
-			pick = i
-			break
-		}
-	}
-	if pick < 0 {
-		if len(ps.requeue) == 0 || othersAlive() {
-			return nil, 0, false // let another donor claim it
-		}
-		pick = 0 // no other live donor: better to retry than to stall
-	}
-	q := ps.requeue[pick]
-	ps.requeue = append(ps.requeue[:pick], ps.requeue[pick+1:]...)
-	return q.unit, q.attempts, true
-}
-
-// otherDonorAlive reports whether any donor other than name has polled
-// within the last lease interval.
-func (s *Server) otherDonorAlive(name string) bool {
-	cutoff := time.Now().Add(-s.opts.Lease)
-	s.donorMu.RLock()
-	defer s.donorMu.RUnlock()
-	for n, ds := range s.donors {
-		if n == name {
-			continue
-		}
-		ds.mu.Lock()
-		alive := ds.lastSeen.After(cutoff)
-		ds.mu.Unlock()
-		if alive {
-			return true
-		}
-	}
-	return false
-}
-
-// liveDonorCount counts donors seen within the last lease interval — the
-// pool size scheduling policies divide remaining work by. Counting every
-// donor ever seen would permanently shrink GSS/factoring unit sizes after
-// churn. Never returns less than 1 (the caller itself just polled).
-func (s *Server) liveDonorCount() int {
-	cutoff := time.Now().Add(-s.opts.Lease)
-	n := 0
-	s.donorMu.RLock()
-	for _, ds := range s.donors {
-		ds.mu.Lock()
-		if ds.lastSeen.After(cutoff) {
-			n++
-		}
-		ds.mu.Unlock()
-	}
-	s.donorMu.RUnlock()
-	if n < 1 {
-		n = 1
-	}
-	return n
-}
-
-// leaseLocked records a dispatched unit. Callers hold ps.mu.
-//
-//dist:locked mu
-func (s *Server) leaseLocked(ps *problemState, u *Unit, donor string, attempts int) {
-	ps.inflight[u.ID] = &leaseInfo{
-		unit:     u,
-		donor:    donor,
-		deadline: time.Now().Add(s.opts.Lease),
-		attempts: attempts,
-	}
-	ps.inflightN.Add(1)
-	ps.dispatched++
-	s.publishUnitEventLocked(ps, EventUnitDispatched, u.ID, donor)
-}
-
-// touchDonor returns the donor's state, creating it on first contact, and
-// stamps its last-seen time.
-func (s *Server) touchDonor(name string) *donorState {
-	now := time.Now()
-	s.donorMu.RLock()
-	ds, ok := s.donors[name]
-	s.donorMu.RUnlock()
-	if !ok {
-		s.donorMu.Lock()
-		ds, ok = s.donors[name]
-		if !ok {
-			ds = &donorState{trust: sched.TrustNeutral}
-			s.donors[name] = ds
-		}
-		s.donorMu.Unlock()
-	}
-	ds.mu.Lock()
-	ds.lastSeen = now
-	ds.mu.Unlock()
-	return ds
-}
-
-// peekDonor returns the donor's state without creating it or stamping its
-// last-seen time — for checks that must not count as donor activity.
-func (s *Server) peekDonor(name string) *donorState {
-	s.donorMu.RLock()
-	defer s.donorMu.RUnlock()
-	return s.donors[name]
-}
-
-// bumpFailures charges one failure to a donor's scheduling statistics, if
-// the donor is still tracked.
-func (s *Server) bumpFailures(name string) {
-	s.donorMu.RLock()
-	ds, ok := s.donors[name]
-	s.donorMu.RUnlock()
-	if !ok {
-		return
-	}
-	ds.mu.Lock()
-	ds.stats.Failures++
-	ds.mu.Unlock()
-}
-
-func remainingCost(dm DataManager) int64 {
-	if cr, ok := dm.(CostReporter); ok {
-		return cr.RemainingCost()
-	}
-	return 0
-}
-
-// CancelNotices implements CancelNotifier: drain and return the donor's
-// pending epoch-tagged cancel notices. Donors poll this while computing a
-// unit and abort when a notice matches the unit's problem incarnation.
-func (s *Server) CancelNotices(ctx context.Context, donor string) ([]CancelNotice, error) {
-	if err := ctxErr(ctx); err != nil {
-		return nil, err
-	}
-	if s.isClosed() {
-		return nil, ErrClosed
-	}
-	s.cancelMu.Lock()
-	notices := s.cancels[donor]
-	if notices != nil {
-		delete(s.cancels, donor)
-	}
-	s.cancelMu.Unlock()
-	return notices, nil
-}
-
-// queueCancels records a cancel notice for every donor holding one of ps's
-// in-flight leases — called when the problem ends (finalized early, failed,
-// forgotten, closed) with units still out, all compute on which is now
-// wasted. Callers hold ps.mu; cancelMu is a leaf below it.
-//
-//dist:locked mu
-func (s *Server) queueCancels(ps *problemState) {
-	if len(ps.inflight) == 0 && len(ps.verify) == 0 {
-		return
-	}
-	s.cancelMu.Lock()
-	defer s.cancelMu.Unlock()
-	for _, li := range ps.inflight {
-		s.queueOneCancelLocked(ps, li.donor, li.unit.ID)
-	}
-	for _, vs := range ps.verify {
-		for donor := range vs.leases {
-			s.queueOneCancelLocked(ps, donor, vs.uid)
-		}
-	}
-}
-
-// queueOneCancelLocked appends one cancel notice to a donor's bounded
-// queue. Callers hold ps.mu and cancelMu.
-//
-//dist:locked mu
-//dist:locked cancelMu
-func (s *Server) queueOneCancelLocked(ps *problemState, donor string, unitID int64) {
-	q := append(s.cancels[donor], CancelNotice{
-		ProblemID: ps.id,
-		Epoch:     ps.epoch,
-		UnitID:    unitID,
-	})
-	if len(q) > maxPendingCancels {
-		q = q[len(q)-maxPendingCancels:]
-	}
-	s.cancels[donor] = q
 }
 
 // finalizeLocked marks a problem done with its DataManager's final result.
@@ -1821,12 +961,12 @@ func (s *Server) failLocked(ps *problemState, err error) {
 	s.releaseLocked(ps)
 }
 
-// releaseLocked drops a finished problem's queued and leased unit payloads
-// and the shared blob: a problem that finalized early (Done with units
-// still out) must not pin them for the server's lifetime, and Status should
-// not report in-flight work for a done problem. Donors still computing one
-// of the leased units get a cancel notice so they abort instead of
-// finishing work whose result would be dropped. (A donor fetching shared
+// releaseLocked drops a finished problem's attempt table and the shared
+// blob: a problem that finalized early (Done with units still out) must not
+// pin unit payloads for the server's lifetime, and Status should not report
+// in-flight work for a done problem. Donors still computing one of the
+// leased units get a cancel notice so they abort instead of finishing work
+// whose result would be dropped. (A donor fetching shared
 // data for a finished problem gets nil, fails Init, and the failure report
 // is ignored — the problem is done.) The network layer's cleanup hook and
 // the terminal Watch event fire here too, under the problem lock. Callers
@@ -1834,136 +974,14 @@ func (s *Server) failLocked(ps *problemState, err error) {
 //
 //dist:locked mu
 func (s *Server) releaseLocked(ps *problemState) {
-	s.queueCancels(ps)
-	s.publishLocked(ps, s.terminalEventLocked(ps))
-	ps.requeue = nil
-	ps.inflightN.Add(-int64(len(ps.inflight)))
-	ps.inflight = nil
-	for _, vs := range ps.verify {
-		ps.inflightN.Add(-int64(len(vs.leases)))
+	for _, set := range ps.units {
+		s.cancelLeasesLocked(ps, set)
 	}
-	ps.verify = nil
+	ps.inflightN.Store(0)
+	ps.units, ps.open = nil, nil
+	s.publishLocked(ps, s.terminalEventLocked(ps))
 	ps.shared = nil // the server's reference only; the caller's Problem is untouched
 	if s.onProblemDone != nil {
 		s.onProblemDone(ps.id)
-	}
-}
-
-// expiryLoop periodically reissues units whose lease has lapsed — the
-// fault-tolerance path that lets the run survive donors being powered off.
-func (s *Server) expiryLoop() {
-	defer s.wg.Done()
-	ticker := time.NewTicker(s.opts.ExpiryScan)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-s.stop:
-			return
-		case <-ticker.C:
-			s.expireLeases(time.Now())
-		}
-	}
-}
-
-// expireLeases requeues every in-flight unit whose lease deadline passed
-// and prunes donors gone long enough that their scheduling statistics are
-// worthless, so the donor map stays bounded on a long-lived server.
-func (s *Server) expireLeases(now time.Time) {
-	if s.isClosed() {
-		return
-	}
-	donorCutoff := now.Add(-10 * s.opts.Lease)
-	s.donorMu.Lock()
-	var pruned []string
-	for name, ds := range s.donors {
-		ds.mu.Lock()
-		gone := ds.lastSeen.Before(donorCutoff)
-		wasTrusted := gone && s.verifyEnabled() && !ds.quarantined && ds.verifiedOK >= s.opts.ProbationUnits
-		ds.mu.Unlock()
-		if gone {
-			delete(s.donors, name)
-			pruned = append(pruned, name)
-			if wasTrusted {
-				// The trusted count must track live donors only, or a fleet
-				// that fully churned could leave quorums forever demanding a
-				// trusted participant that no longer exists.
-				s.trusted.Add(-1)
-			}
-		}
-	}
-	s.donorMu.Unlock()
-	if len(pruned) > 0 {
-		// A pruned donor will never drain its cancel queue; drop it.
-		s.cancelMu.Lock()
-		for _, name := range pruned {
-			delete(s.cancels, name)
-		}
-		s.cancelMu.Unlock()
-	}
-
-	s.regMu.RLock()
-	states := make([]*problemState, 0, len(s.problems))
-	for _, ps := range s.problems {
-		states = append(states, ps)
-	}
-	s.regMu.RUnlock()
-
-	requeued := false
-	for _, ps := range states {
-		var blamed []string
-		var deltas []trustDelta
-		ps.mu.Lock()
-		if ps.done {
-			ps.mu.Unlock()
-			continue
-		}
-		for _, li := range ps.inflight {
-			if ps.done {
-				break // requeueLocked failed the problem mid-sweep
-			}
-			if now.After(li.deadline) {
-				blamed = append(blamed, li.donor)
-				s.requeueLocked(ps, li, "lease expired", failExpiry)
-				requeued = true
-			}
-		}
-		// Expired replica leases reopen their verification slots; the
-		// timeout is a quorum outcome that drags the donor's trust down
-		// (gently — an outage is not a wrong answer).
-		for _, vs := range ps.verify {
-			if ps.done {
-				break
-			}
-			dropped := false
-			for donor, l := range vs.leases {
-				if now.After(l.deadline) {
-					delete(vs.leases, donor)
-					ps.inflightN.Add(-1)
-					ps.reissued++
-					blamed = append(blamed, donor)
-					deltas = append(deltas, trustDelta{donor: donor, outcome: outcomeTimeout})
-					dropped = true
-					requeued = true
-				}
-			}
-			if dropped && !ps.done {
-				// No new result, so this cannot fold — but it can expose a
-				// set that exhausted every allowed donor without quorum.
-				d2, _ := s.resolveVerifyLocked(ps, vs)
-				deltas = append(deltas, d2...)
-			}
-		}
-		ps.mu.Unlock()
-		// Donor stats are charged outside the problem lock (lock order:
-		// problem locks never nest around donor state).
-		for _, name := range blamed {
-			s.bumpFailures(name)
-		}
-		s.applyTrustDeltas(deltas)
-	}
-	if requeued {
-		// Expired leases put units back in play; one wake after the sweep
-		// lets parked WaitTask callers claim them all.
-		s.wakeParked()
 	}
 }

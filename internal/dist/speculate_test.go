@@ -77,8 +77,7 @@ func TestSpeculativeRedispatch(t *testing.T) {
 	}
 
 	// A third donor gets nothing: the one straggler is already
-	// speculated, and single-lease reassignment never fans one unit out
-	// twice.
+	// speculated, and a unit is never offered a third concurrent lease.
 	if extra, _, _ := srv.RequestTask(bg, "c"); extra != nil {
 		t.Fatalf("c got %+v, want nothing (straggler already speculated)", extra)
 	}
@@ -166,9 +165,9 @@ func TestSpeculatedUnitSurvivesOriginalDonorFailure(t *testing.T) {
 	if err != nil || spec == nil || spec.Unit.ID != ids[1] {
 		t.Fatalf("b got %+v, want speculative copy of %d", spec, ids[1])
 	}
-	// The original donor now reports a (compute) failure for the unit it
-	// no longer owns: the lease belongs to b, so the report is stale and
-	// must not requeue the unit.
+	// The original donor now reports a (compute) failure for its copy: that
+	// drops a's lease only — b's is still live, so the unit must not
+	// requeue (and, already speculated once, is not offered again).
 	if err := srv.ReportFailure(bg, "a", "fail", ids[1], "boom"); err != nil {
 		t.Fatalf("stale failure report: %v", err)
 	}
@@ -182,6 +181,106 @@ func TestSpeculatedUnitSurvivesOriginalDonorFailure(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got := dm.folds[ids[1]]; got != 1 {
+		t.Errorf("unit folded %d times, want 1", got)
+	}
+}
+
+// speculated drives a fresh server to the point where donor a holds every
+// unit of an n-unit problem, has completed the first, and donor b has just
+// been granted a speculative second lease on one of the rest; it returns
+// that unit's ID and the incarnation epoch.
+func speculated(t *testing.T, id string, n int64) (srv *Server, dm *gridDM, unitID, epoch int64) {
+	t.Helper()
+	srv = newTestServer(ServerOptions{
+		Policy:         sched.Fixed{Size: 1},
+		Lease:          time.Hour,
+		ExpiryScan:     time.Hour,
+		SpeculateAfter: 0.3,
+	})
+	dm = newGridDM(n)
+	if err := srv.Submit(bg, &Problem{ID: id, DM: dm}); err != nil {
+		t.Fatal(err)
+	}
+	for i := int64(0); i < n; i++ {
+		if task, _, err := srv.RequestTask(bg, "a"); err != nil || task == nil {
+			t.Fatalf("a task %d: %v %v", i, task, err)
+		}
+	}
+	if err := srv.SubmitResult(bg, &Result{ProblemID: id, UnitID: 1, Donor: "a"}); err != nil {
+		t.Fatal(err)
+	}
+	spec, _, err := srv.RequestTask(bg, "b")
+	if err != nil || spec == nil || spec.Unit.ID == 1 {
+		t.Fatalf("b got %+v (%v), want a speculative copy of an outstanding unit", spec, err)
+	}
+	return srv, dm, spec.Unit.ID, spec.Epoch
+}
+
+// TestSpeculationLoserIsCancelled: a speculated unit has two live leases;
+// whichever donor reports first folds it, and the other is sent exactly one
+// cancel notice for that unit and incarnation so it stops computing a result
+// that would only be dropped. The problem is still running afterwards, so
+// the notice comes from the fold, not from the problem ending.
+func TestSpeculationLoserIsCancelled(t *testing.T) {
+	for _, c := range []struct{ winner, loser string }{{"b", "a"}, {"a", "b"}} {
+		srv, dm, unit, epoch := speculated(t, "race", 3)
+		if err := srv.SubmitResult(bg, &Result{ProblemID: "race", UnitID: unit, Donor: c.winner, Epoch: epoch}); err != nil {
+			t.Fatal(err)
+		}
+		if got := dm.folds[unit]; got != 1 {
+			t.Errorf("%s wins: unit folded %d times, want 1", c.winner, got)
+		}
+		notices, err := srv.CancelNotices(bg, c.loser)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := (CancelNotice{ProblemID: "race", Epoch: epoch, UnitID: unit}); len(notices) != 1 || notices[0] != want {
+			t.Errorf("%s wins: loser %s got notices %+v, want exactly %+v", c.winner, c.loser, notices, want)
+		}
+		if notices, _ := srv.CancelNotices(bg, c.winner); len(notices) != 0 {
+			t.Errorf("winner %s got cancel notices %+v", c.winner, notices)
+		}
+		if st, _ := srv.Status(bg, "race"); st.Done || st.Inflight != 1 {
+			t.Errorf("%s wins: status %+v, want running with the one other unit in flight", c.winner, st)
+		}
+		srv.Close()
+	}
+}
+
+// TestSpeculatorFailureKeepsOriginalLease: the unit returns to the pool when
+// its LAST lease goes. The speculator's failure leaves the original lease
+// standing — no third dispatch, nothing reissued — and only the original's
+// expiry makes the unit dispatchable again, counted as one reissue.
+func TestSpeculatorFailureKeepsOriginalLease(t *testing.T) {
+	srv, dm, unit, _ := speculated(t, "last", 2)
+	defer srv.Close()
+	if err := srv.ReportFailure(bg, "b", "last", unit, "speculator crashed"); err != nil {
+		t.Fatal(err)
+	}
+	if task, _, _ := srv.RequestTask(bg, "c"); task != nil {
+		t.Fatalf("c got %+v while the original lease is still live", task)
+	}
+	if st, _ := srv.Stats(bg, "last"); st.Reissued != 0 {
+		t.Errorf("Reissued = %d after the speculator's failure, want 0", st.Reissued)
+	}
+	if st, _ := srv.Status(bg, "last"); st.Inflight != 1 {
+		t.Errorf("Inflight = %d, want the original lease only", st.Inflight)
+	}
+	srv.expireLeases(time.Now().Add(2 * time.Hour))
+	task, _, err := srv.RequestTask(bg, "c")
+	if err != nil || task == nil || task.Unit.ID != unit {
+		t.Fatalf("after the original lease expired c got %+v (%v), want unit %d", task, err, unit)
+	}
+	if st, _ := srv.Stats(bg, "last"); st.Reissued != 1 || st.Speculated != 1 {
+		t.Errorf("Reissued/Speculated = %d/%d, want 1/1", st.Reissued, st.Speculated)
+	}
+	if err := srv.SubmitResult(bg, &Result{ProblemID: "last", UnitID: unit, Donor: "c"}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := srv.Wait(bg, "last"); err != nil {
+		t.Fatal(err)
+	}
+	if got := dm.folds[unit]; got != 1 {
 		t.Errorf("unit folded %d times, want 1", got)
 	}
 }

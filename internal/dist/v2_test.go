@@ -243,6 +243,32 @@ func TestWatchEventOrdering(t *testing.T) {
 	if dispatchCount == 0 || doneCount == 0 {
 		t.Errorf("dispatched=%d done=%d events, want both > 0", dispatchCount, doneCount)
 	}
+
+	// Event.Inflight is the live-lease counter Status reports, the replica
+	// leases of a pending quorum included.
+	vsrv := newTestServer(verifyTestOptions())
+	defer vsrv.Close()
+	if err := vsrv.Submit(bg, &Problem{ID: "held", DM: newRecDM(1)}); err != nil {
+		t.Fatal(err)
+	}
+	vevents, err := vsrv.Watch(bg, "held")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ta := dispatch(t, vsrv, "a")
+	dispatch(t, vsrv, "b")
+	for want, kind := range []EventKind{EventSubmitted, EventUnitDispatched, EventUnitReplicaDispatched} {
+		if ev := <-vevents; ev.Kind != kind || ev.Inflight != want {
+			t.Errorf("event %v with Inflight %d, want %v with %d", ev.Kind, ev.Inflight, kind, want)
+		}
+	}
+	if st, _ := vsrv.Status(bg, "held"); st.Inflight != 2 {
+		t.Errorf("Status.Inflight = %d with two replicas leased, want 2", st.Inflight)
+	}
+	submitRaw(t, vsrv, ta, "a", []byte("x"))
+	if st, _ := vsrv.Status(bg, "held"); st.Inflight != 1 {
+		t.Errorf("Status.Inflight = %d with one replica held and one leased, want 1", st.Inflight)
+	}
 }
 
 // TestWatchSlowConsumerDrops: a subscriber that never reads loses

@@ -7,6 +7,7 @@ package dist
 // verification sets.
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"testing"
@@ -438,6 +439,142 @@ func TestCrashRecoveryResumesVerification(t *testing.T) {
 	}
 	if got := decodeSum(t, out); got != sumSquares(n) {
 		t.Errorf("sum = %d, want %d", got, sumSquares(n))
+	}
+}
+
+// TestQuorumResolvesWhenNoTieBreakerCanExist is the regression test for a
+// quorum that waited forever: unit U holds two agreeing results, both
+// submitted by donors still on probation, while the only trusted donor left
+// in the fleet is one of those two (it graduated after submitting). The
+// trusted-member rule then wants a trusted tie-breaker that cannot exist —
+// every live, non-quarantined donor is already involved in U — so the set
+// must resolve by plain count. (With exactly two donors the same state needs
+// a graduation to land between a concurrent submit's trust snapshot and its
+// resolve; the third donor c, later quarantined, reaches it without a race.)
+func TestQuorumResolvesWhenNoTieBreakerCanExist(t *testing.T) {
+	o := verifyTestOptions()
+	o.ProbationUnits, o.QuarantineBelow = 0, 0 // the defaults: 4 agreements, floor 0.3
+	o.Lease, o.ExpiryScan = time.Hour, time.Hour
+	s := newTestServer(o)
+	defer s.Close()
+	if err := s.Submit(bg, &Problem{ID: "stuck", DM: newRecDM(7)}); err != nil {
+		t.Fatal(err)
+	}
+	// U: a's result is held while a is on probation; b sits on its replica.
+	ua, ub := dispatch(t, s, "a"), dispatch(t, s, "b")
+	if ub.Unit.ID != ua.Unit.ID {
+		t.Fatalf("b got unit %d, want the replica of %d", ub.Unit.ID, ua.Unit.ID)
+	}
+	submitRaw(t, s, ua, "a", []byte("u"))
+	// a graduates through four other units, each agreed with c.
+	for i := 0; i < 4; i++ {
+		ta, tc := dispatch(t, s, "a"), dispatch(t, s, "c")
+		if tc.Unit.ID != ta.Unit.ID {
+			t.Fatalf("round %d: c got unit %d, want the replica of %d", i, tc.Unit.ID, ta.Unit.ID)
+		}
+		submitRaw(t, s, ta, "a", []byte("ok"))
+		submitRaw(t, s, tc, "c", []byte("ok"))
+	}
+	if info, _ := s.DonorTrust("a"); info.Probation {
+		t.Fatalf("a still on probation after 4 agreements: %+v", info)
+	}
+	// c is caught lying twice — a and b outvote it — and is quarantined.
+	for i := 0; i < 2; i++ {
+		ta, tc := dispatch(t, s, "a"), dispatch(t, s, "c")
+		submitRaw(t, s, ta, "a", []byte("right"))
+		submitRaw(t, s, tc, "c", []byte("WRONG"))
+		tb := dispatch(t, s, "b")
+		if tb.Unit.ID != ta.Unit.ID {
+			t.Fatalf("round %d: b got unit %d, want the tie-breaker of %d", i, tb.Unit.ID, ta.Unit.ID)
+		}
+		submitRaw(t, s, tb, "b", []byte("right"))
+	}
+	if q := s.QuarantinedDonors(); len(q) != 1 || q[0] != "c" {
+		t.Fatalf("QuarantinedDonors = %v, want [c]", q)
+	}
+	if info, _ := s.DonorTrust("b"); !info.Probation {
+		t.Fatalf("b graduated early: %+v", info)
+	}
+	// b agrees with a on U. Neither result was trusted when submitted, a
+	// trusted donor exists, and nobody is left to break the tie.
+	if !submitRaw(t, s, ub, "b", []byte("u")) {
+		t.Fatal("b's result for U rejected")
+	}
+	ctx, cancel := context.WithTimeout(bg, 2*time.Second)
+	defer cancel()
+	if _, err := s.Wait(ctx, "stuck"); err != nil {
+		t.Fatalf("Wait: %v — the quorum is waiting for a tie-breaker that cannot exist", err)
+	}
+}
+
+// TestNoTieBreakerFallbackDefersToTrustedVote: the count-quorum fallback
+// above must not let two unproven donors outvote a trusted one. Here every
+// live donor is involved in the unit too, but the trusted tie-breaker did
+// arrive and disagreed — the set keeps waiting (and the second trusted
+// replica then settles it) instead of folding the untrusted pair's answer.
+func TestNoTieBreakerFallbackDefersToTrustedVote(t *testing.T) {
+	o := verifyTestOptions()
+	o.ProbationUnits = 1
+	o.Lease, o.ExpiryScan = time.Hour, time.Hour
+	s := newTestServer(o)
+	defer s.Close()
+	dm := newRecDM(2)
+	if err := s.Submit(bg, &Problem{ID: "defer", DM: dm}); err != nil {
+		t.Fatal(err)
+	}
+	t0, p0 := dispatch(t, s, "T"), dispatch(t, s, "p")
+	submitRaw(t, s, t0, "T", []byte("ok"))
+	submitRaw(t, s, p0, "p", []byte("ok")) // T and p are trusted from here on
+	ua, ub := dispatch(t, s, "a"), dispatch(t, s, "b")
+	submitRaw(t, s, ua, "a", []byte("WRONG"))
+	submitRaw(t, s, ub, "b", []byte("WRONG"))
+	ut := dispatch(t, s, "T")
+	if ut.Unit.ID != ua.Unit.ID {
+		t.Fatalf("T got unit %d, want the trusted tie-breaker of %d", ut.Unit.ID, ua.Unit.ID)
+	}
+	submitRaw(t, s, ut, "T", []byte("right"))
+	up := dispatch(t, s, "p") // the last uninvolved donor takes a replica and sits on it
+	if up.Unit.ID != ua.Unit.ID {
+		t.Fatalf("p got unit %d, want a replica of %d", up.Unit.ID, ua.Unit.ID)
+	}
+	s.expireLeases(time.Now()) // re-evaluates held quorums; nothing has expired
+	if got := dm.foldsOf(ua.Unit.ID); len(got) != 0 {
+		t.Fatalf("folded %q over a trusted donor's dissent", got)
+	}
+	submitRaw(t, s, up, "p", []byte("right"))
+	if got := dm.foldsOf(ua.Unit.ID); len(got) != 1 || string(got[0]) != "right" {
+		t.Fatalf("folds = %q, want exactly one \"right\"", got)
+	}
+}
+
+// TestNoTieBreakerFallbackWaitsForOutstandingReplica: the fallback also
+// holds off while any replica of the unit is still out — its donor counts as
+// involved, but it may be the very tie-breaker the set asked for. Driven on
+// the set directly: a fleet whose only trusted donor holds the lease.
+func TestNoTieBreakerFallbackWaitsForOutstandingReplica(t *testing.T) {
+	s := newTestServer(verifyTestOptions())
+	defer s.Close()
+	dm := newRecDM(1)
+	if err := s.Submit(bg, &Problem{ID: "out", DM: dm}); err != nil {
+		t.Fatal(err)
+	}
+	for _, donor := range []string{"a", "b", "T"} {
+		s.touchDonor(donor, time.Now())
+	}
+	s.trusted.Store(1) // T
+	ps, _ := s.lookup("out")
+	ps.mu.Lock()
+	defer ps.mu.Unlock()
+	set := ps.addSetLocked(1, &Unit{ID: 1}, 2)
+	set.donors = []string{"a", "b", "T"}
+	set.results = []heldResult{{donor: "a", payload: []byte("x")}, {donor: "b", payload: []byte("x")}}
+	set.leases = append(set.leases, lease{donor: "T", deadline: time.Now().Add(time.Hour), trusted: true})
+	if s.resolveLocked(ps, set, time.Now()) {
+		t.Fatalf("resolved (folds %q) while the trusted tie-breaker is still computing", dm.foldsOf(1))
+	}
+	set.leases = set.leases[:0] // T's lease is lost without a result
+	if !s.resolveLocked(ps, set, time.Now()) || len(dm.foldsOf(1)) != 1 {
+		t.Fatalf("not resolved by count once no replica is out and every live donor is involved")
 	}
 }
 
