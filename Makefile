@@ -3,8 +3,8 @@ GO ?= go
 .PHONY: check build vet fmt lint test race fuzz-smoke stress bench demo docs-lint swarm loc
 
 # check is the tier-1 gate: everything CI runs (CI invokes this target).
-# vet covers every package, including the control-channel codec paths in
-# internal/dist and internal/wire; lint runs the distlint invariant
+# vet covers every package, including the control-channel mux and codec in
+# internal/wire and internal/dist; lint runs the distlint invariant
 # analyzers (lock/sentinel/context/epoch/codec rules — see
 # docs/ARCHITECTURE.md "Checked invariants"). The docs lint (markdown
 # links/anchors + README block compilation) is gated through `test`, which
@@ -42,16 +42,21 @@ fuzz-smoke:
 	$(GO) test ./internal/wire/ -run '^$$' -fuzz FuzzFrameDecode -fuzztime 5s
 	$(GO) test ./internal/dist/ -run '^$$' -fuzz FuzzControlPreamble -fuzztime 5s
 	$(GO) test ./internal/wire/ -run '^$$' -fuzz FuzzFlatCodec -fuzztime 5s
+	$(GO) test ./internal/wire/ -run '^$$' -fuzz FuzzMuxServe -fuzztime 5s
 	$(GO) test ./internal/journal/ -run '^$$' -fuzz FuzzJournalReplay -fuzztime 5s
 
 # stress repeats the suites whose failures have been timing flakes — the
 # coordinator and swarm packages, and the two tests that once failed on
-# fast or loaded hosts — so a flake is a red build, not a note; and the
-# seeded unit-lifecycle invariant test under the race detector.
+# fast or loaded hosts — so a flake is a red build, not a note; and, under
+# the race detector, the seeded unit-lifecycle invariant test, the two
+# control-connection lifetime tests (a parked donor's death, a clean Close)
+# and the mux's own suite.
 stress:
 	$(GO) test -count=20 ./internal/dist/ ./internal/swarm/
 	$(GO) test -count=5 -run 'TestCoordinatorCrashRecoveryRealNetwork|TestNetworkMatchesRunLocal' . ./internal/dist/
 	$(GO) test -race -count=10 -run TestAttemptLifecycleInvariants ./internal/dist/
+	$(GO) test -race -count=20 -run 'TestParkedDonorDeathLeasesNothing|TestCloseAnswersEveryParkedDonorOverTheWire' ./internal/dist/
+	$(GO) test -race -count=20 -run TestMux ./internal/wire/
 
 # loc prints the non-blank, non-comment line count of every non-test file in
 # the coordinator packages and their sum — the number a simplification PR

@@ -19,8 +19,8 @@ func buildDistlint(t *testing.T) string {
 }
 
 // TestRealTreeClean is the keystone regression: the committed tree must be
-// distlint-green. Reverting any invariant fix (the rpc.ErrShutdown
-// identity comparison, a missing //dist:locked annotation) fails here.
+// distlint-green. Reverting any invariant fix (a sentinel compared with
+// ==, a missing //dist:locked annotation) fails here.
 func TestRealTreeClean(t *testing.T) {
 	bin := buildDistlint(t)
 	cmd := exec.Command(bin, "-dir", "../..", "./...")

@@ -64,7 +64,7 @@ func buildCmdBinaries(t *testing.T) (serverBin, donorBin string) {
 
 // TestServerDonorBinaries is the full multi-process deployment test: it
 // builds the real cmd/server and cmd/donor binaries, starts one server and
-// two donor processes on loopback (control over net/rpc, bulk data over a
+// two donor processes on loopback (control over the wire mux, bulk data over a
 // raw socket), runs a DSEARCH problem end to end, and checks the report.
 func TestServerDonorBinaries(t *testing.T) {
 	if testing.Short() {
@@ -181,7 +181,7 @@ func TestDonorChurnRealNetwork(t *testing.T) {
 	// (donors compute ~300ms units back to back; the lease-free gap
 	// between SubmitResult and the next dispatch is microseconds).
 	gen := seq.NewGenerator(seq.Protein, 42)
-	w := gen.NewSearchWorkload(12000, 3, 3, seq.LengthModel{Mean: 150, StdDev: 40, Min: 60, Max: 300})
+	w := gen.NewSearchWorkload(30000, 3, 3, seq.LengthModel{Mean: 150, StdDev: 40, Min: 60, Max: 300})
 	dbPath := filepath.Join(dir, "db.fasta")
 	qPath := filepath.Join(dir, "q.fasta")
 	if err := seq.WriteFASTAFile(dbPath, w.DB); err != nil {

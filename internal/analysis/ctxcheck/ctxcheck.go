@@ -7,10 +7,10 @@
 //     context with context.Background() or context.TODO(): the caller's
 //     context carries cancellation, and swallowing it severs the
 //     cancellation chain PR 3 threaded through the runtime. Sites that
-//     legitimately have no caller context — the net/rpc handler methods,
-//     nil-ctx normalisation in public entry points — are annotated
-//     //dist:allow-background (on the enclosing function's doc comment or
-//     on the call's own line).
+//     legitimately have no caller context — the root of a control
+//     connection's ctx, nil-ctx normalisation in public entry points — are
+//     annotated //dist:allow-background (on the enclosing function's doc
+//     comment or on the call's own line).
 package ctxcheck
 
 import (

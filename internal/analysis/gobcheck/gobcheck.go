@@ -1,16 +1,13 @@
-// Package gobcheck fences the two codec boundaries: all gob encoding — raw
+// Package gobcheck fences the gob codec boundary: all gob encoding — raw
 // encoding/gob encoder/decoder construction and the byte-level
 // dist.Marshal/Unmarshal/MustMarshal helpers — lives in
 // internal/dist/typed.go (the typed-adapter boundary, where gob is the
-// payload codec) and internal/wire; and the control channel's rpc codec
-// constructors (wire.NewFlatClientCodec/NewFlatServerCodec) are called only
-// from internal/dist/net.go, where Dial and serveControlConn exchange the
-// protocol-version preamble before putting the codec on a connection.
-// Application and runtime code everywhere else works with typed values and
-// lets the adapters own the bytes; a stray codec call outside the boundary
-// is how payload formats drift apart between server and donor — and a flat
-// codec on a connection that skipped the version exchange is how two
-// incompatible encodings end up misframing each other.
+// payload codec) and internal/wire. Application and runtime code
+// everywhere else works with typed values and lets the adapters own the
+// bytes; a stray codec call outside the boundary is how payload formats
+// drift apart between server and donor. (The control channel's flat
+// encoding needs no fence: the only way onto a connection is the wire
+// mux, whose constructors run the version exchange themselves.)
 package gobcheck
 
 import (
@@ -26,7 +23,7 @@ import (
 // Analyzer is the gobcheck pass.
 var Analyzer = &framework.Analyzer{
 	Name: "gobcheck",
-	Doc:  "no gob.NewEncoder/NewDecoder or dist.Marshal outside internal/dist/typed.go and internal/wire; no wire.NewFlat*Codec outside internal/dist/net.go and internal/wire",
+	Doc:  "no gob.NewEncoder/NewDecoder or dist.Marshal outside internal/dist/typed.go and internal/wire",
 	Run:  run,
 }
 
@@ -36,12 +33,6 @@ var distCodecFuncs = map[string]bool{
 	"Marshal": true, "Unmarshal": true, "MustMarshal": true,
 }
 
-// flatCodecFuncs are wire's flat-codec constructors — the only way to put
-// the flat encoding on a connection — confined to the connect sequence.
-var flatCodecFuncs = map[string]bool{
-	"NewFlatClientCodec": true, "NewFlatServerCodec": true,
-}
-
 func run(pass *framework.Pass) error {
 	if strings.HasSuffix(pass.Pkg.Path(), "internal/wire") {
 		return nil // inside the boundary
@@ -49,10 +40,9 @@ func run(pass *framework.Pass) error {
 	inDist := strings.HasSuffix(pass.Pkg.Path(), "internal/dist")
 	for _, file := range pass.Files {
 		base := filepath.Base(pass.Fset.Position(file.Pos()).Filename)
-		// typed.go is the gob boundary file; net.go is where connections
-		// are version-checked and handed to the flat codec.
-		gobExempt := inDist && base == "typed.go"
-		flatExempt := inDist && base == "net.go"
+		if inDist && base == "typed.go" {
+			continue // the gob boundary file
+		}
 		ast.Inspect(file, func(n ast.Node) bool {
 			sel, ok := n.(*ast.SelectorExpr)
 			if !ok {
@@ -62,10 +52,10 @@ func run(pass *framework.Pass) error {
 			if !ok || fn.Pkg() == nil {
 				return true
 			}
-			report(pass, sel.Sel.Pos(), fn, gobExempt, flatExempt)
+			report(pass, sel.Sel.Pos(), fn)
 			return true
 		})
-		if inDist && !gobExempt {
+		if inDist {
 			// Within the dist package the codec helpers are called
 			// unqualified; catch those references too.
 			ast.Inspect(file, func(n ast.Node) bool {
@@ -77,7 +67,7 @@ func run(pass *framework.Pass) error {
 				if !ok || fn.Pkg() == nil || fn.Pkg().Path() != pass.Pkg.Path() {
 					return true
 				}
-				report(pass, ident.Pos(), fn, gobExempt, flatExempt)
+				report(pass, ident.Pos(), fn)
 				return true
 			})
 		}
@@ -86,24 +76,16 @@ func run(pass *framework.Pass) error {
 }
 
 // report flags one reference to a fenced codec function.
-func report(pass *framework.Pass, pos token.Pos, fn *types.Func, gobExempt, flatExempt bool) {
+func report(pass *framework.Pass, pos token.Pos, fn *types.Func) {
 	path := fn.Pkg().Path()
 	switch {
-	case gobExempt:
 	case path == "encoding/gob" && (fn.Name() == "NewEncoder" || fn.Name() == "NewDecoder"):
 		pass.Reportf(pos,
 			"gob.%s outside the codec boundary (internal/dist/typed.go, internal/wire); use the typed adapters or Encode/Decode",
 			fn.Name())
-		return
 	case strings.HasSuffix(path, "internal/dist") && distCodecFuncs[fn.Name()]:
 		pass.Reportf(pos,
 			"dist.%s outside the codec boundary (internal/dist/typed.go, internal/wire); use the typed adapters or Encode/Decode",
-			fn.Name())
-		return
-	}
-	if !flatExempt && strings.HasSuffix(path, "internal/wire") && flatCodecFuncs[fn.Name()] {
-		pass.Reportf(pos,
-			"wire.%s outside the flat-codec boundary (internal/dist/net.go, internal/wire); connections are version-checked there before the codec goes on",
 			fn.Name())
 	}
 }

@@ -1,17 +1,16 @@
 // Package sentinelcheck forbids identity comparison of sentinel errors.
 //
 // The runtime's sentinels (dist.ErrClosed, dist.ErrServerGone,
-// dist.ErrForgotten, wire.ErrCorruptFrame, wire.ErrDigestMismatch, and
-// net/rpc's ErrShutdown) routinely cross wrap boundaries — %w wrapping,
-// net/rpc's error flattening, the donor's transient-error envelopes — so
+// dist.ErrForgotten, wire.ErrCorruptFrame, wire.ErrDigestMismatch)
+// routinely cross wrap boundaries — %w wrapping, the control mux's status
+// codes, the donor's transient-error envelopes — so
 // `err == ErrClosed` silently stops matching the moment anyone adds
 // context to the chain. Comparisons (== / != and switch cases) against a
 // sentinel must go through errors.Is instead.
 //
 // A sentinel is any package-level exported `Err*` variable of type error
-// declared in this module, plus net/rpc's ErrShutdown (the one stdlib
-// sentinel the runtime handles). Stdlib sentinels like io.EOF are left
-// alone: parts of the io contract are specified as identity comparisons.
+// declared in this module. Stdlib sentinels like io.EOF are left alone:
+// parts of the io contract are specified as identity comparisons.
 package sentinelcheck
 
 import (
@@ -93,9 +92,6 @@ func sentinel(pass *framework.Pass, expr ast.Expr, modulePrefix string) (*types.
 		return nil, false
 	}
 	path := v.Pkg().Path()
-	if path == "net/rpc" && v.Name() == "ErrShutdown" {
-		return v, true
-	}
 	if !strings.HasPrefix(v.Name(), "Err") || !v.Exported() {
 		return nil, false
 	}

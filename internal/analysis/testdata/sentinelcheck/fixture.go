@@ -1,11 +1,10 @@
-// Fixture for sentinelcheck: module sentinels (and net/rpc.ErrShutdown)
-// must be matched with errors.Is, never identity comparison.
+// Fixture for sentinelcheck: module sentinels must be matched with
+// errors.Is, never identity comparison.
 package sentinelcheck
 
 import (
 	"errors"
 	"io"
-	"net/rpc"
 )
 
 // ErrGone is a module sentinel: package-level, exported, Err-prefixed.
@@ -20,9 +19,6 @@ func compare(err error) bool {
 	}
 	if err != ErrGone { // want "sentinel ErrGone compared with !="
 		return false
-	}
-	if err == rpc.ErrShutdown { // want "sentinel ErrShutdown compared with =="
-		return true
 	}
 	if errors.Is(err, ErrGone) { // the sanctioned form
 		return true

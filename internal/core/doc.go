@@ -35,8 +35,9 @@
 //
 //   - RunLocal: in-process workers; zero configuration (tests, small jobs).
 //   - ListenAndServe + Dial/NewDonor: the paper's real shape — one server,
-//     many donor processes on other machines, control over net/rpc ("RMI")
-//     and bulk data over raw TCP sockets. Donors park in the WaitTask
+//     many donor processes on other machines, control over the wire
+//     package's mux (the paper's "RMI") and bulk data over raw TCP
+//     sockets. Donors park in the WaitTask
 //     long-poll dispatch verb between units (see dist.TaskWaiter); the
 //     control channel speaks one versioned protocol with no fallbacks.
 //   - package simnet: a discrete-event simulation of hundreds of donors,

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"io"
 	"net"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -73,8 +74,8 @@ func presentToServer(t testing.TB, ns *NetworkServer, first []byte, hold bool) (
 			t.Fatalf("reading Handshake reply: %v", err)
 		}
 		d := wire.NewDecoder(frame)
-		if seq, method, rerr := d.Uvarint(), d.String(), d.String(); seq != 1 || method != rpcServiceName+".Handshake" || rerr != "" {
-			t.Fatalf("Handshake reply header = %d %q %q", seq, method, rerr)
+		if seq, status := d.Uvarint(), d.Byte(); seq != 1 || status != 0 {
+			t.Fatalf("Handshake reply header = seq %d status %d, want 1 and 0 (ok)", seq, status)
 		}
 		if addr := d.String(); d.Err() != nil || addr != ns.BulkAddr() {
 			t.Fatalf("Handshake reply bulk address = %q (%v), want %q", addr, d.Err(), ns.BulkAddr())
@@ -101,13 +102,13 @@ func presentToServer(t testing.TB, ns *NetworkServer, first []byte, hold bool) (
 	return served
 }
 
-// handshakeRequest is the flat rpc request frame body for seq 1 of
-// Dist.Handshake (header fields, then the Empty args).
+// handshakeRequest is the request frame body for seq 1 of the Handshake
+// verb: uvarint seq, verb byte 1, no body fields.
 type handshakeRequest struct{}
 
 func (handshakeRequest) MarshalFlat(e *wire.Encoder) {
 	e.Uvarint(1)
-	e.String(rpcServiceName + ".Handshake")
+	e.Byte(1)
 }
 
 // gobRPCPrefix is how a pre-version-4 donor opened its control connection:
@@ -135,6 +136,7 @@ func TestControlConnAcceptBoundary(t *testing.T) {
 		{"dflt1", []byte("\x00dflt1\r\n"), false, false},
 		{"dflt2", []byte("\x00dflt2\r\n"), false, false},
 		{"dflt3", []byte("\x00dflt3\r\n"), false, false},
+		{"dflt4", []byte("\x00dflt4\r\n"), false, false},
 		{"gob-rpc stream", gobRPCPrefix, false, false},
 		{"truncated then hang-up", []byte(wire.FlatPreamble[:5]), false, false},
 		{"truncated then silence", []byte(wire.FlatPreamble[:5]), true, false},
@@ -167,8 +169,8 @@ func FuzzControlPreamble(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, first []byte) {
 		if bytes.HasPrefix(first, []byte(wire.FlatPreamble)) {
-			// Past the boundary the bytes are rpc frames, which
-			// FuzzFrameDecode and FuzzFlatCodec cover; here only the
+			// Past the boundary the bytes are mux frames, which
+			// FuzzFrameDecode and FuzzMuxServe cover; here only the
 			// boundary itself is under test.
 			first = []byte(wire.FlatPreamble)
 		}
@@ -246,7 +248,8 @@ func TestDialProtocolMismatch(t *testing.T) {
 		name   string
 		banner string
 	}{
-		{"older version banner", "\x00dflt3\r\n"},
+		{"dflt3 banner", "\x00dflt3\r\n"},
+		{"dflt4 banner", "\x00dflt4\r\n"},
 		{"hangs up", ""},
 	} {
 		t.Run(c.name, func(t *testing.T) {
@@ -274,8 +277,8 @@ func TestDialProtocolMismatch(t *testing.T) {
 			if !errors.Is(err, ErrProtocolMismatch) {
 				t.Fatalf("Dial error = %v, want ErrProtocolMismatch", err)
 			}
-			if c.banner != "" && !bytes.Contains([]byte(err.Error()), []byte(`dflt3`)) {
-				t.Errorf("Dial error %q does not name the server's version", err)
+			if c.banner != "" && !(strings.Contains(err.Error(), c.banner[1:6]) && strings.Contains(err.Error(), "dflt5")) {
+				t.Errorf("Dial error %q does not name both versions", err)
 			}
 		})
 	}

@@ -3,9 +3,10 @@
 // problem into work units whose size is chosen per donor by an adaptive
 // scheduling policy (package sched), and donor machines fetch units,
 // compute them with a registered Algorithm, and return results. Control
-// traffic travels over net/rpc (Go's analogue of the paper's Java RMI) and
-// bulk data over raw TCP sockets with length-prefixed, CRC-32C-checksummed
-// frames (package wire), matching the paper's two-channel design. Failed
+// traffic travels over package wire's request/response mux (standing where
+// the paper used Java RMI) and bulk data over raw TCP sockets, both in
+// length-prefixed, CRC-32C-checksummed frames, matching the paper's
+// two-channel design. Failed
 // or expired units are requeued to other donors, which is how the system
 // tolerates lab machines being switched off mid-run. Every outstanding
 // unit is one attempt set walking one lifecycle — granted, dropped,
@@ -58,10 +59,13 @@
 //
 // # One control protocol
 //
-// The control channel is net/rpc over the flat codec (flat.go, package
-// wire) on a single TCP connection per Dial. Both ends open by exchanging
-// wire.FlatPreamble, the protocol's one version token; a peer presenting
-// anything else is disconnected, and Dial reports ErrProtocolMismatch.
+// The control channel is six verbs (net.go) over wire's mux in the flat
+// codec (flat.go) on a single TCP connection per Dial. Both ends open by
+// exchanging wire.FlatPreamble, the protocol's one version token; a peer
+// presenting anything else is disconnected, and Dial reports
+// ErrProtocolMismatch. Server-side, every verb runs under a context that
+// ends with its connection: a donor that dies while parked in WaitTask
+// unparks its handler at once and is leased nothing.
 // Long-poll dispatch, batched replies and content-addressed shared blobs
 // are part of that protocol, not negotiated extras. gob appears only as
 // the payload codec behind the typed adapters (typed.go).
@@ -81,7 +85,8 @@
 // Four sentinels partition "the thing you addressed is not there":
 //
 //   - ErrClosed: the server was shut down explicitly — Close ran, and for
-//     networked donors the sentinel travelled back in an RPC reply. A
+//     networked donors the sentinel travelled back as a reply status (or
+//     as the goodbye frame a cleanly closed connection ends with). A
 //     donor loop treats it as "finish cleanly"; it is never retried.
 //   - ErrServerGone: the control connection died without a goodbye (EOF,
 //     reset, a crashed or restarted server). The server may come back:

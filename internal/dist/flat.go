@@ -11,48 +11,30 @@ package dist
 // evolve in place — any incompatible change must bump the version digit in
 // wire.FlatPreamble.
 //
-// Marshal methods take value receivers: net/rpc hands the codec args
-// structs by value and replies by pointer, and a value receiver satisfies
-// the interface for both. Unmarshal methods need pointer receivers.
+// Marshal methods take value receivers, so an envelope satisfies
+// wire.FlatMarshaler both by value and by pointer; Unmarshal methods need
+// pointer receivers. A verb with no body in one direction passes nil to the
+// mux instead of an empty envelope. TestFlatEnvelopeRoundTrip's table holds
+// every envelope as both interfaces, so a dropped method fails to compile
+// there.
 
 import "repro/internal/wire"
 
-var (
-	_ wire.FlatMarshaler   = TaskArgs{}
-	_ wire.FlatUnmarshaler = (*TaskArgs)(nil)
-	_ wire.FlatMarshaler   = WaitTaskArgs{}
-	_ wire.FlatUnmarshaler = (*WaitTaskArgs)(nil)
-	_ wire.FlatMarshaler   = TaskReply{}
-	_ wire.FlatUnmarshaler = (*TaskReply)(nil)
-	_ wire.FlatMarshaler   = ResultArgs{}
-	_ wire.FlatUnmarshaler = (*ResultArgs)(nil)
-	_ wire.FlatMarshaler   = FailureArgs{}
-	_ wire.FlatUnmarshaler = (*FailureArgs)(nil)
-	_ wire.FlatMarshaler   = CancelArgs{}
-	_ wire.FlatUnmarshaler = (*CancelArgs)(nil)
-	_ wire.FlatMarshaler   = CancelReply{}
-	_ wire.FlatUnmarshaler = (*CancelReply)(nil)
-	_ wire.FlatMarshaler   = HandshakeReply{}
-	_ wire.FlatUnmarshaler = (*HandshakeReply)(nil)
-	_ wire.FlatMarshaler   = Empty{}
-	_ wire.FlatUnmarshaler = (*Empty)(nil)
-)
-
 // MarshalFlat implements wire.FlatMarshaler.
-func (a TaskArgs) MarshalFlat(e *wire.Encoder) { e.String(a.Donor) }
+func (a donorArgs) MarshalFlat(e *wire.Encoder) { e.String(a.Donor) }
 
 // UnmarshalFlat implements wire.FlatUnmarshaler.
-func (a *TaskArgs) UnmarshalFlat(d *wire.Decoder) { a.Donor = d.String() }
+func (a *donorArgs) UnmarshalFlat(d *wire.Decoder) { a.Donor = d.String() }
 
 // MarshalFlat implements wire.FlatMarshaler.
-func (a WaitTaskArgs) MarshalFlat(e *wire.Encoder) {
+func (a waitTaskArgs) MarshalFlat(e *wire.Encoder) {
 	e.String(a.Donor)
 	e.Varint(a.MaxWaitNs)
 	e.Varint(int64(a.MaxBatch))
 }
 
 // UnmarshalFlat implements wire.FlatUnmarshaler.
-func (a *WaitTaskArgs) UnmarshalFlat(d *wire.Decoder) {
+func (a *waitTaskArgs) UnmarshalFlat(d *wire.Decoder) {
 	a.Donor = d.String()
 	a.MaxWaitNs = d.Varint()
 	a.MaxBatch = int(d.Varint())
@@ -156,7 +138,7 @@ func (a *ResultArgs) UnmarshalFlat(d *wire.Decoder) {
 }
 
 // MarshalFlat implements wire.FlatMarshaler.
-func (a FailureArgs) MarshalFlat(e *wire.Encoder) {
+func (a failureArgs) MarshalFlat(e *wire.Encoder) {
 	e.String(a.Donor)
 	e.String(a.ProblemID)
 	e.Varint(a.UnitID)
@@ -166,7 +148,7 @@ func (a FailureArgs) MarshalFlat(e *wire.Encoder) {
 }
 
 // UnmarshalFlat implements wire.FlatUnmarshaler.
-func (a *FailureArgs) UnmarshalFlat(d *wire.Decoder) {
+func (a *failureArgs) UnmarshalFlat(d *wire.Decoder) {
 	a.Donor = d.String()
 	a.ProblemID = d.String()
 	a.UnitID = d.Varint()
@@ -176,13 +158,7 @@ func (a *FailureArgs) UnmarshalFlat(d *wire.Decoder) {
 }
 
 // MarshalFlat implements wire.FlatMarshaler.
-func (a CancelArgs) MarshalFlat(e *wire.Encoder) { e.String(a.Donor) }
-
-// UnmarshalFlat implements wire.FlatUnmarshaler.
-func (a *CancelArgs) UnmarshalFlat(d *wire.Decoder) { a.Donor = d.String() }
-
-// MarshalFlat implements wire.FlatMarshaler.
-func (r CancelReply) MarshalFlat(e *wire.Encoder) {
+func (r cancelReply) MarshalFlat(e *wire.Encoder) {
 	e.Uvarint(uint64(len(r.Notices)))
 	for i := range r.Notices {
 		n := &r.Notices[i]
@@ -193,7 +169,7 @@ func (r CancelReply) MarshalFlat(e *wire.Encoder) {
 }
 
 // UnmarshalFlat implements wire.FlatUnmarshaler.
-func (r *CancelReply) UnmarshalFlat(d *wire.Decoder) {
+func (r *cancelReply) UnmarshalFlat(d *wire.Decoder) {
 	n := d.Uvarint()
 	if d.Err() != nil || n == 0 {
 		return
@@ -209,13 +185,7 @@ func (r *CancelReply) UnmarshalFlat(d *wire.Decoder) {
 }
 
 // MarshalFlat implements wire.FlatMarshaler.
-func (r HandshakeReply) MarshalFlat(e *wire.Encoder) { e.String(r.BulkAddr) }
+func (r handshakeReply) MarshalFlat(e *wire.Encoder) { e.String(r.BulkAddr) }
 
 // UnmarshalFlat implements wire.FlatUnmarshaler.
-func (r *HandshakeReply) UnmarshalFlat(d *wire.Decoder) { r.BulkAddr = d.String() }
-
-// MarshalFlat implements wire.FlatMarshaler.
-func (Empty) MarshalFlat(*wire.Encoder) {}
-
-// UnmarshalFlat implements wire.FlatUnmarshaler.
-func (*Empty) UnmarshalFlat(*wire.Decoder) {}
+func (r *handshakeReply) UnmarshalFlat(d *wire.Decoder) { r.BulkAddr = d.String() }

@@ -22,8 +22,8 @@ func TestFlatEnvelopeRoundTrip(t *testing.T) {
 		in   wire.FlatMarshaler
 		out  wire.FlatUnmarshaler
 	}{
-		{"TaskArgs", TaskArgs{Donor: "d-1"}, &TaskArgs{}},
-		{"WaitTaskArgs", WaitTaskArgs{Donor: "d-1", MaxWaitNs: int64(45 * time.Second), MaxBatch: 8}, &WaitTaskArgs{}},
+		{"donorArgs", donorArgs{Donor: "d-1"}, &donorArgs{}},
+		{"waitTaskArgs", waitTaskArgs{Donor: "d-1", MaxWaitNs: int64(45 * time.Second), MaxBatch: 8}, &waitTaskArgs{}},
 		{"TaskReply", TaskReply{
 			HasTask:      true,
 			ProblemID:    "p-1",
@@ -39,14 +39,12 @@ func TestFlatEnvelopeRoundTrip(t *testing.T) {
 		}, &TaskReply{}},
 		{"TaskReply/empty", TaskReply{WaitHintNs: 5}, &TaskReply{}},
 		{"ResultArgs", ResultArgs{Donor: "d-1", ProblemID: "p-1", UnitID: 7, Payload: []byte("out"), ElapsedNs: 12345, Epoch: 2}, &ResultArgs{}},
-		{"FailureArgs", FailureArgs{Donor: "d-1", ProblemID: "p-1", UnitID: 7, Reason: "injected", Transport: true, Epoch: 2}, &FailureArgs{}},
-		{"CancelArgs", CancelArgs{Donor: "d-1"}, &CancelArgs{}},
-		{"CancelReply", CancelReply{Notices: []CancelNotice{
+		{"failureArgs", failureArgs{Donor: "d-1", ProblemID: "p-1", UnitID: 7, Reason: "injected", Transport: true, Epoch: 2}, &failureArgs{}},
+		{"cancelReply", cancelReply{Notices: []CancelNotice{
 			{ProblemID: "p-1", Epoch: 2, UnitID: 7},
 			{ProblemID: "p-2", Epoch: 1, UnitID: -1},
-		}}, &CancelReply{}},
-		{"HandshakeReply", HandshakeReply{BulkAddr: "127.0.0.1:7071"}, &HandshakeReply{}},
-		{"Empty", Empty{}, &Empty{}},
+		}}, &cancelReply{}},
+		{"handshakeReply", handshakeReply{BulkAddr: "127.0.0.1:7071"}, &handshakeReply{}},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

@@ -4,18 +4,12 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"net"
-	"net/rpc"
-	"strings"
 	"sync"
 	"time"
 
 	"repro/internal/wire"
 )
-
-// rpcServiceName is the registration name of the control-channel service.
-const rpcServiceName = "Dist"
 
 // sharedKey is the bulk-channel key of a problem's shared blob.
 func sharedKey(problemID string) string { return "shared/" + problemID }
@@ -44,32 +38,55 @@ var ErrProtocolMismatch = errors.New("dist: control protocol version mismatch")
 // a goroutine until Close.
 const handshakeTimeout = 10 * time.Second
 
-// closeDrain is how long Close keeps the control connections open after
-// the coordinator has shut, so the ErrClosed replies to parked WaitTask
-// calls — and to a donor submitting just then — are written before the
-// sockets go away.
-const closeDrain = 100 * time.Millisecond
+// ErrServerGone is returned by RPC-backed coordinator calls when the
+// control connection is lost without an explicit close reply from the
+// server — a crash, a restart, or a network partition. It is deliberately
+// distinct from ErrClosed: ErrClosed means the server *told* the donor it
+// is shutting down (the sentinel travelled back as a reply status, or as
+// the goodbye its connection ended with), while ErrServerGone means the
+// wire went dead mid-conversation — any read or write failure, no message
+// text is inspected — and the server may well come back. Donors configured
+// with DonorOptions.Redial reconnect on ErrServerGone and exit only on
+// ErrClosed.
+var ErrServerGone = errors.New("dist: server gone (connection lost)")
+
+// controlErrors are the sentinels the control mux surfaces on both ends:
+// ErrClosed crosses the wire as a status code, a dead connection fails
+// every call on it with ErrServerGone, a peer of another version fails
+// the dial with ErrProtocolMismatch.
+var controlErrors = wire.MuxErrors{Closed: ErrClosed, Lost: ErrServerGone, Mismatch: ErrProtocolMismatch}
+
+// The control channel's verbs: the byte after the sequence number in every
+// request frame (docs/ARCHITECTURE.md, "Control channel").
+const (
+	verbHandshake byte = 1 + iota
+	verbRequestTask
+	verbWaitTask
+	verbSubmitResult
+	verbReportFailure
+	verbCancelNotices
+)
 
 // NetworkServer is a Server with the paper's two network channels attached:
 // control traffic (task handout, results, failures, cancel notices) over
-// net/rpc — Go's analogue of the Java RMI the paper used — and bulk data
-// (shared blobs, large unit payloads) over raw TCP sockets with
-// length-prefixed, checksummed frames.
+// the wire package's request/response mux — standing where the paper used
+// Java RMI — and bulk data (shared blobs, large unit payloads) over raw
+// TCP sockets, both in length-prefixed, checksummed frames.
 type NetworkServer struct {
 	*Server
 	rpcLn net.Listener
-	rsrv  *rpc.Server
 	bulk  *wire.BulkServer
 
 	closeOnce sync.Once
 	closeErr  error
-	acceptWG  sync.WaitGroup
 
-	// connsMu guards the accepted control connections so Close can tear
-	// them down instead of leaving their serving goroutines to donors' mercy.
+	// connsMu guards the control connections being served, so Close can
+	// shut them down instead of leaving their serving goroutines to
+	// donors' mercy. The table is nil once Close has taken it.
 	connsMu sync.Mutex
-	conns   map[net.Conn]struct{} //dist:guardedby connsMu
-	connWG  sync.WaitGroup
+	conns   map[*wire.MuxServer]struct{} //dist:guardedby connsMu
+	// serving counts the accept loop and every connection it started.
+	serving sync.WaitGroup
 
 	// keysMu guards the bulk keys created for offloaded unit payloads, so
 	// they can be dropped once the unit (or the whole problem) completes,
@@ -104,16 +121,15 @@ func ListenAndServe(rpcAddr, bulkAddr string, opts ...ServerOption) (*NetworkSer
 	if err != nil {
 		_ = bulk.Close()
 		_ = srv.Close()
-		return nil, fmt.Errorf("dist: rpc listen: %w", err)
+		return nil, fmt.Errorf("dist: control listen: %w", err)
 	}
 	ns := &NetworkServer{
 		Server:        srv,
 		rpcLn:         ln,
-		rsrv:          rpc.NewServer(),
 		bulk:          bulk,
 		unitKeys:      make(map[string]map[unitRef]string),
 		sharedDigests: make(map[string]string),
-		conns:         make(map[net.Conn]struct{}),
+		conns:         make(map[*wire.MuxServer]struct{}),
 	}
 	// Release a problem's bulk blobs however it ends — finalized, failed,
 	// stalled, or shut down — not only on a final accepted RPC result; and
@@ -122,66 +138,45 @@ func ListenAndServe(rpcAddr, bulkAddr string, opts ...ServerOption) (*NetworkSer
 	srv.onProblemDone = ns.dropProblemKeys
 	srv.onUnitRetired = ns.dropUnitKey
 	ns.republishRecovered()
-	if err := ns.rsrv.RegisterName(rpcServiceName, &rpcService{ns: ns}); err != nil {
-		_ = ns.Close()
-		return nil, fmt.Errorf("dist: registering rpc service: %w", err)
-	}
-	ns.acceptWG.Add(1)
+	ns.serving.Add(1)
 	go func() {
-		defer ns.acceptWG.Done()
+		defer ns.serving.Done()
 		for {
 			conn, err := ln.Accept()
 			if err != nil {
 				return // listener closed
 			}
-			ns.connsMu.Lock()
-			ns.conns[conn] = struct{}{}
-			ns.connsMu.Unlock()
-			ns.connWG.Add(1)
-			go func(c net.Conn) {
-				defer ns.connWG.Done()
-				ns.serveControlConn(c, handshakeTimeout)
-				ns.connsMu.Lock()
-				delete(ns.conns, c)
-				ns.connsMu.Unlock()
-			}(conn)
+			ns.serving.Add(1)
+			go func() {
+				defer ns.serving.Done()
+				ns.serveControlConn(conn, handshakeTimeout)
+			}()
 		}
 	}()
 	return ns, nil
 }
 
-// serveControlConn runs the version exchange on a freshly accepted control
-// connection and then serves net/rpc over the flat codec until the peer
-// hangs up. A peer that presents anything but wire.FlatPreamble within
-// timeout — an older build, a gob-rpc stream, a port scanner, silence — is
-// closed unserved; the server's own preamble has been written by then, so
-// a Dial on the other end can name both versions.
+// serveControlConn serves one accepted control connection until it ends:
+// the mux runs the version exchange — a peer that presents anything but
+// wire.FlatPreamble within timeout (an older build, a gob-rpc stream, a
+// port scanner, silence) is closed unserved — and then hands every request
+// to handle under a ctx that is cancelled when the connection's read loop
+// ends. The connection sits in the conns table for as long, which is how
+// Close finds it.
 func (ns *NetworkServer) serveControlConn(conn net.Conn, timeout time.Duration) {
-	if peer, err := exchangePreamble(conn, timeout); err != nil || peer != wire.FlatPreamble {
+	mc := wire.NewMuxServer(conn, ns.handle, ErrClosed)
+	ns.connsMu.Lock()
+	if ns.conns == nil { // Close has run
+		ns.connsMu.Unlock()
 		_ = conn.Close()
 		return
 	}
-	ns.rsrv.ServeCodec(wire.NewFlatServerCodec(conn))
-}
-
-// exchangePreamble is the connect sequence both ends of a control
-// connection run before any frame flows: write wire.FlatPreamble, read as
-// many bytes back, all within timeout (the deadline is cleared again on
-// return). It reports what the peer sent — short if the peer hung up
-// first — and leaves the comparison to the caller.
-func exchangePreamble(conn net.Conn, timeout time.Duration) (peer string, err error) {
-	if err := conn.SetDeadline(time.Now().Add(timeout)); err != nil {
-		return "", err
-	}
-	if _, err := conn.Write([]byte(wire.FlatPreamble)); err != nil {
-		return "", err
-	}
-	buf := make([]byte, len(wire.FlatPreamble))
-	n, err := io.ReadFull(conn, buf)
-	if err != nil && !errors.Is(err, io.EOF) && !errors.Is(err, io.ErrUnexpectedEOF) {
-		return "", err
-	}
-	return string(buf[:n]), conn.SetDeadline(time.Time{})
+	ns.conns[mc] = struct{}{}
+	ns.connsMu.Unlock()
+	mc.Serve(timeout)
+	ns.connsMu.Lock()
+	delete(ns.conns, mc)
+	ns.connsMu.Unlock()
 }
 
 // RPCAddr returns the control-channel listen address.
@@ -250,34 +245,29 @@ func (ns *NetworkServer) republishRecovered() {
 func (ns *NetworkServer) BulkStats() wire.BulkStats { return ns.bulk.Stats() }
 
 // Close shuts down the coordinator and then both listeners. The
-// coordinator is closed FIRST: that answers every parked WaitTask with
-// ErrClosed, the reply that cleanly ends a donor's reconnect loop, and the
-// control connections stay up for closeDrain so those replies reach the
-// wire. Severing the connections first would turn every clean shutdown
-// into an ambiguous EOF that a Redial-configured donor treats as a crash
-// and retries forever. A donor that spends the whole window inside a unit
-// misses the sentinel and sees connection-refused on its next call.
+// coordinator is closed FIRST: that makes every parked WaitTask handler —
+// and any verb arriving from then on — return ErrClosed, the reply that
+// cleanly ends a donor's reconnect loop. Each control connection is then
+// shut down with the mux's goodbye, after which the donor's client answers
+// every pending and later call with ErrClosed itself — so the sentinel
+// reaches a parked donor, one between two calls and one inside a unit
+// alike, and nothing waits on a timer. Merely severing the connections
+// would turn every clean shutdown into an ambiguous EOF that a
+// Redial-configured donor treats as a crash and retries forever.
 func (ns *NetworkServer) Close() error {
 	ns.closeOnce.Do(func() {
 		err := ns.Server.Close()
-		// Drain only when someone is listening (not on the constructor's
-		// own error path, or an idle teardown).
-		ns.connsMu.Lock()
-		draining := len(ns.conns) > 0
-		ns.connsMu.Unlock()
-		if draining {
-			time.Sleep(closeDrain)
-		}
 		if lerr := ns.rpcLn.Close(); err == nil {
 			err = lerr
 		}
-		ns.acceptWG.Wait()
 		ns.connsMu.Lock()
-		for c := range ns.conns {
-			_ = c.Close()
-		}
+		conns := ns.conns
+		ns.conns = nil // a connection accepted from here on is closed unserved
 		ns.connsMu.Unlock()
-		ns.connWG.Wait()
+		for c := range conns {
+			c.Shutdown()
+		}
+		ns.serving.Wait()
 		if berr := ns.bulk.Close(); err == nil {
 			err = berr
 		}
@@ -288,8 +278,8 @@ func (ns *NetworkServer) Close() error {
 
 // offloadPayload moves a large unit payload onto the bulk channel,
 // returning the key the donor should fetch. Small payloads stay inline, as
-// do payloads too large for a single bulk frame (net/rpc has no frame
-// limit; the bulk server would answer not-found for them).
+// do payloads too large for a single bulk frame (the bulk server would
+// answer not-found for them).
 func (ns *NetworkServer) offloadPayload(t *Task) (bulkKey string) {
 	if ns.opts.BulkThreshold < 0 || len(t.Unit.Payload) <= ns.opts.BulkThreshold {
 		return ""
@@ -361,13 +351,14 @@ func (ns *NetworkServer) dropProblemKeys(problemID string) {
 
 // Control-channel message types, flat-encoded (see flat.go).
 
-// TaskArgs identifies the donor requesting work.
-type TaskArgs struct{ Donor string }
+// donorArgs names the calling donor: the whole request of RequestTask and
+// of CancelNotices.
+type donorArgs struct{ Donor string }
 
-// WaitTaskArgs identifies the donor long-polling for work. MaxWaitNs is
+// waitTaskArgs identifies the donor long-polling for work. MaxWaitNs is
 // the longest park the donor wants from this call (<=0 means no
 // preference); the server further clamps it to ServerOptions.LongPoll.
-type WaitTaskArgs struct {
+type waitTaskArgs struct {
 	Donor     string
 	MaxWaitNs int64
 	// MaxBatch asks for up to this many units in one reply (extras ride in
@@ -398,7 +389,7 @@ type TaskReply struct {
 	// (see Task.Verify). Advisory.
 	Verify bool
 	// Batch carries the extra units of a batched WaitTask dispatch. Only
-	// present when the donor asked via WaitTaskArgs.MaxBatch; every entry
+	// present when the donor asked for more than one unit; every entry
 	// is leased and epoch-tagged individually, exactly as if dispatched
 	// alone.
 	Batch []BatchTask
@@ -431,12 +422,12 @@ type ResultArgs struct {
 	Epoch     int64
 }
 
-// FailureArgs reports a unit the donor could not compute. Transport marks
+// failureArgs reports a unit the donor could not compute. Transport marks
 // failures to *obtain* the unit (bulk payload fetch) rather than failures
 // of the computation itself; they requeue the unit without feeding the
 // poisoned-unit attempt caps. Epoch echoes TaskReply.Epoch (zero — the
 // untagged Coordinator.ReportFailure — is accepted unchecked).
-type FailureArgs struct {
+type failureArgs struct {
 	Donor     string
 	ProblemID string
 	UnitID    int64
@@ -445,36 +436,90 @@ type FailureArgs struct {
 	Epoch     int64
 }
 
-// CancelArgs identifies the donor draining its cancel-notice queue.
-type CancelArgs struct{ Donor string }
-
-// CancelReply carries the donor's pending epoch-tagged cancel notices —
+// cancelReply carries the donor's pending epoch-tagged cancel notices —
 // the control verb that lets a server-side Forget abort in-flight donor
 // compute instead of collecting straggler results it would only drop.
-type CancelReply struct{ Notices []CancelNotice }
+type cancelReply struct{ Notices []CancelNotice }
 
-// HandshakeReply tells a connecting donor where the bulk channel lives.
-type HandshakeReply struct{ BulkAddr string }
+// handshakeReply tells a connecting donor where the bulk channel lives.
+type handshakeReply struct{ BulkAddr string }
 
-// Empty is the placeholder reply for calls with no return value.
-type Empty struct{}
+// handle serves one control request: decode the verb's envelope, run the
+// coordinator call under the connection's ctx, return the reply envelope.
+// The ctx ends with the connection, so a donor that dies while parked in
+// WaitTask unparks its handler at once — and, RequestTask refusing a
+// cancelled ctx, can no longer be leased a unit. Every parked call runs in
+// its own goroutine (the mux's), so it never blocks the connection; a
+// server Close answers each with ErrClosed before the connection goes.
+// Cancellation of a donor's compute crosses the wire as data (cancel
+// notices), not as context. A reply returned beside an error is ignored.
+func (ns *NetworkServer) handle(ctx context.Context, verb byte, d *wire.Decoder) (wire.FlatMarshaler, error) {
+	switch verb {
+	case verbHandshake:
+		return handshakeReply{BulkAddr: ns.BulkAddr()}, nil
 
-// rpcService adapts the Server's Coordinator interface to net/rpc. net/rpc
-// carries no caller context, so handlers run under context.Background();
-// cancellation crosses the wire as data (cancel notices), not as context.
-type rpcService struct{ ns *NetworkServer }
+	case verbRequestTask:
+		var a donorArgs
+		if a.UnmarshalFlat(d); d.Err() != nil {
+			return nil, d.Err()
+		}
+		task, wait, err := ns.Server.RequestTask(ctx, a.Donor)
+		return ns.taskReply(taskSlice(task), wait), err
 
-// Handshake returns the bulk-channel address.
-func (s *rpcService) Handshake(_ Empty, reply *HandshakeReply) error {
-	reply.BulkAddr = s.ns.BulkAddr()
-	return nil
+	case verbWaitTask:
+		// No task and a zero hint in the reply means the park deadline
+		// fired: the donor re-parks immediately.
+		var a waitTaskArgs
+		if a.UnmarshalFlat(d); d.Err() != nil {
+			return nil, d.Err()
+		}
+		tasks, wait, err := ns.Server.WaitTasks(ctx, a.Donor, time.Duration(a.MaxWaitNs), max(a.MaxBatch, 1))
+		return ns.taskReply(tasks, wait), err
+
+	case verbSubmitResult:
+		var a ResultArgs
+		if a.UnmarshalFlat(d); d.Err() != nil {
+			return nil, d.Err()
+		}
+		accepted, err := ns.Server.submitResult(ctx, &Result{
+			ProblemID: a.ProblemID,
+			UnitID:    a.UnitID,
+			Payload:   a.Payload,
+			Elapsed:   time.Duration(a.ElapsedNs),
+			Donor:     a.Donor,
+			Epoch:     a.Epoch,
+		})
+		// Offloaded payloads are only dropped for *accepted* results: a
+		// straggler's reissued copy may still need to fetch the same blob.
+		if err == nil && accepted {
+			ns.dropUnitKey(a.ProblemID, a.Epoch, a.UnitID)
+		}
+		return nil, err
+
+	case verbReportFailure:
+		// The offloaded payload (if any) is kept: the reissue needs it.
+		var a failureArgs
+		if a.UnmarshalFlat(d); d.Err() != nil {
+			return nil, d.Err()
+		}
+		return nil, ns.Server.reportTaggedFailure(ctx, a.Donor, a.ProblemID, a.UnitID, a.Reason, a.Transport, a.Epoch)
+
+	case verbCancelNotices:
+		var a donorArgs
+		if a.UnmarshalFlat(d); d.Err() != nil {
+			return nil, d.Err()
+		}
+		notices, err := ns.Server.CancelNotices(ctx, a.Donor)
+		return cancelReply{Notices: notices}, err
+	}
+	return nil, fmt.Errorf("dist: unknown control verb %d", verb)
 }
 
-// fillTaskReply encodes a dispatch of zero or more units: the first in the
+// taskReply encodes a dispatch of zero or more units: the first in the
 // reply's head fields, extras as Batch entries, each offloaded to the bulk
 // channel independently when large.
-func (s *rpcService) fillTaskReply(reply *TaskReply, tasks []*Task, wait time.Duration) {
-	reply.WaitHintNs = int64(wait)
+func (ns *NetworkServer) taskReply(tasks []*Task, wait time.Duration) *TaskReply {
+	reply := &TaskReply{WaitHintNs: int64(wait)}
 	for i, task := range tasks {
 		bt := BatchTask{
 			ProblemID:    task.ProblemID,
@@ -484,7 +529,7 @@ func (s *rpcService) fillTaskReply(reply *TaskReply, tasks []*Task, wait time.Du
 			Priority:     int64(task.Priority),
 			Verify:       task.Verify,
 		}
-		if key := s.ns.offloadPayload(task); key != "" {
+		if key := ns.offloadPayload(task); key != "" {
 			bt.BulkKey = key
 			bt.Unit.Payload = nil
 		}
@@ -501,78 +546,15 @@ func (s *rpcService) fillTaskReply(reply *TaskReply, tasks []*Task, wait time.Du
 		reply.Priority = bt.Priority
 		reply.Verify = bt.Verify
 	}
+	return reply
 }
 
-// RequestTask hands the donor its next unit without parking.
-func (s *rpcService) RequestTask(args TaskArgs, reply *TaskReply) error {
-	task, wait, err := s.ns.Server.RequestTask(context.Background(), args.Donor) //dist:allow-background net/rpc handlers have no caller ctx
-	if err != nil {
-		return err
-	}
-	s.fillTaskReply(reply, taskSlice(task), wait)
-	return nil
-}
-
-// WaitTask is the long-poll dispatch verb: the call parks server-side
-// until a unit is dispatchable for the donor or the park deadline fires
-// (no task, zero hint: the donor re-parks immediately). net/rpc runs each
-// request in its own goroutine, so a parked call never blocks the
-// connection; a server Close answers every parked call with ErrClosed
-// before the listener goes down. net/rpc gives handlers no view of their
-// connection, so a donor that dies mid-park leaves this handler parked
-// until the deadline — a deliberate, bounded cost: at most
-// ServerOptions.LongPoll per abandoned park, freed early by any wake and
-// entirely by Close.
-func (s *rpcService) WaitTask(args WaitTaskArgs, reply *TaskReply) error {
-	tasks, wait, err := s.ns.Server.WaitTasks(context.Background(), args.Donor, time.Duration(args.MaxWaitNs), max(args.MaxBatch, 1)) //dist:allow-background net/rpc handlers have no caller ctx
-	if err != nil {
-		return err
-	}
-	s.fillTaskReply(reply, tasks, wait)
-	return nil
-}
-
-// SubmitResult folds one completed unit. Offloaded payloads are only
-// dropped for *accepted* results: a straggler's reissued copy may still
-// need to fetch the same blob.
-func (s *rpcService) SubmitResult(args ResultArgs, _ *Empty) error {
-	accepted, err := s.ns.Server.submitResult(context.Background(), &Result{ //dist:allow-background net/rpc handlers have no caller ctx
-		ProblemID: args.ProblemID,
-		UnitID:    args.UnitID,
-		Payload:   args.Payload,
-		Elapsed:   time.Duration(args.ElapsedNs),
-		Donor:     args.Donor,
-		Epoch:     args.Epoch,
-	})
-	if err != nil || !accepted {
-		return err
-	}
-	s.ns.dropUnitKey(args.ProblemID, args.Epoch, args.UnitID)
-	return nil
-}
-
-// ReportFailure requeues a unit the donor could not compute. The offloaded
-// payload (if any) is kept: the reissue needs it.
-func (s *rpcService) ReportFailure(args FailureArgs, _ *Empty) error {
-	return s.ns.Server.reportTaggedFailure(context.Background(), args.Donor, args.ProblemID, args.UnitID, args.Reason, args.Transport, args.Epoch) //dist:allow-background net/rpc handlers have no caller ctx
-}
-
-// CancelNotices drains the donor's pending cancel notices.
-func (s *rpcService) CancelNotices(args CancelArgs, reply *CancelReply) error {
-	notices, err := s.ns.Server.CancelNotices(context.Background(), args.Donor) //dist:allow-background net/rpc handlers have no caller ctx
-	if err != nil {
-		return err
-	}
-	reply.Notices = notices
-	return nil
-}
-
-// RPCClient is the donor-side coordinator proxy: control calls over
-// net/rpc, payload and shared-blob fetches over the bulk socket channel.
-// Context cancellation abandons a call client-side; the RPC itself may
-// still complete on the server.
+// RPCClient is the donor-side coordinator proxy: control calls over the
+// control mux, payload and shared-blob fetches over the bulk socket
+// channel. Context cancellation abandons a call client-side; the call
+// itself may still complete on the server.
 type RPCClient struct {
-	c        *rpc.Client
+	mux      *wire.MuxClient
 	bulkAddr string
 	timeout  time.Duration
 }
@@ -587,9 +569,9 @@ var _ ContentFetcher = (*RPCClient)(nil)
 // timeout bounds the dial, the version exchange and every bulk fetch.
 //
 // The connect sequence is one TCP connection: both ends exchange
-// wire.FlatPreamble, then the Handshake verb runs over the flat codec like
-// every later call. A server of a different protocol version fails the
-// dial with ErrProtocolMismatch; there is no fallback encoding.
+// wire.FlatPreamble, then the Handshake verb runs over the mux like every
+// later call. A server of a different protocol version fails the dial
+// with ErrProtocolMismatch; there is no fallback encoding.
 func Dial(rpcAddr string, timeout time.Duration, opts ...DialOption) (*RPCClient, error) {
 	if timeout <= 0 {
 		timeout = 30 * time.Second
@@ -605,21 +587,16 @@ func Dial(rpcAddr string, timeout time.Duration, opts ...DialOption) (*RPCClient
 	if dopts.wrapConn != nil {
 		conn = dopts.wrapConn(conn)
 	}
-	peer, err := exchangePreamble(conn, timeout)
-	if err == nil && peer != wire.FlatPreamble {
-		err = fmt.Errorf("%w: this build speaks %q, the server answered %q", ErrProtocolMismatch, wire.FlatPreamble, peer)
-	}
+	mux, err := wire.NewMuxClient(conn, timeout, controlErrors)
 	if err != nil {
-		_ = conn.Close()
 		return nil, fmt.Errorf("dist: connecting to %s: %w", rpcAddr, err)
 	}
-	c := rpc.NewClientWithCodec(wire.NewFlatClientCodec(conn))
-	var hr HandshakeReply
-	if err := c.Call(rpcServiceName+".Handshake", Empty{}, &hr); err != nil {
-		_ = c.Close()
+	var hr handshakeReply
+	if err := mux.Call(nil, verbHandshake, nil, &hr); err != nil {
+		_ = mux.Close()
 		return nil, fmt.Errorf("dist: handshake with %s: %w", rpcAddr, err)
 	}
-	return &RPCClient{c: c, bulkAddr: resolveBulkAddr(rpcAddr, hr.BulkAddr), timeout: timeout}, nil
+	return &RPCClient{mux: mux, bulkAddr: resolveBulkAddr(rpcAddr, hr.BulkAddr), timeout: timeout}, nil
 }
 
 // resolveBulkAddr fills in the bulk address's host from the RPC address
@@ -640,35 +617,12 @@ func resolveBulkAddr(rpcAddr, bulkAddr string) string {
 }
 
 // Close tears down the control connection.
-func (c *RPCClient) Close() error { return c.c.Close() }
-
-// call runs one control-channel RPC under ctx: a cancelled context
-// abandons the wait (the reply, if any, is discarded by net/rpc).
-func (c *RPCClient) call(ctx context.Context, method string, args, reply any) error {
-	if err := ctxErr(ctx); err != nil {
-		return err
-	}
-	if ctx == nil || ctx.Done() == nil {
-		return rpcErr(c.c.Call(method, args, reply))
-	}
-	done := make(chan *rpc.Call, 1)
-	c.c.Go(method, args, reply, done)
-	select {
-	case <-ctx.Done():
-		return ctx.Err()
-	case res := <-done:
-		return rpcErr(res.Error)
-	}
-}
+func (c *RPCClient) Close() error { return c.mux.Close() }
 
 // RequestTask implements Coordinator: one non-parking dispatch scan. See
-// tasksFromReply for how an unfetchable offloaded payload surfaces.
+// dispatch for how an unfetchable offloaded payload surfaces.
 func (c *RPCClient) RequestTask(ctx context.Context, donor string) (*Task, time.Duration, error) {
-	var r TaskReply
-	if err := c.call(ctx, rpcServiceName+".RequestTask", TaskArgs{Donor: donor}, &r); err != nil {
-		return nil, 0, err
-	}
-	return firstTask(c.tasksFromReply(ctx, donor, &r))
+	return firstTask(c.dispatch(ctx, donor, verbRequestTask, donorArgs{Donor: donor}))
 }
 
 // WaitTask implements TaskWaiter over the control channel.
@@ -679,12 +633,7 @@ func (c *RPCClient) WaitTask(ctx context.Context, donor string, maxWait time.Dur
 // WaitTasks implements TaskBatchWaiter over the control channel: one
 // long-poll carrying MaxBatch, extras decoded from TaskReply.Batch.
 func (c *RPCClient) WaitTasks(ctx context.Context, donor string, maxWait time.Duration, max int) ([]*Task, time.Duration, error) {
-	var r TaskReply
-	args := WaitTaskArgs{Donor: donor, MaxWaitNs: int64(maxWait), MaxBatch: max}
-	if err := c.call(ctx, rpcServiceName+".WaitTask", args, &r); err != nil {
-		return nil, 0, err
-	}
-	return c.tasksFromReply(ctx, donor, &r)
+	return c.dispatch(ctx, donor, verbWaitTask, waitTaskArgs{Donor: donor, MaxWaitNs: int64(maxWait), MaxBatch: max})
 }
 
 // firstTask narrows a dispatch that asked for one unit to the
@@ -696,13 +645,17 @@ func firstTask(tasks []*Task, wait time.Duration, err error) (*Task, time.Durati
 	return tasks[0], wait, err
 }
 
-// tasksFromReply decodes a dispatch reply of one or more units. Entries
-// whose offloaded payload cannot be fetched are reported to the server as
-// transport failures (requeued elsewhere without feeding the poisoned-unit
-// caps, not dropped) and skipped; only when the whole reply is lost that
-// way does the call surface a transient error for the donor loop to retry
-// past.
-func (c *RPCClient) tasksFromReply(ctx context.Context, donor string, r *TaskReply) ([]*Task, time.Duration, error) {
+// dispatch runs one of the two dispatch verbs and materialises its reply
+// of zero or more units. Entries whose offloaded payload cannot be fetched
+// are reported to the server as transport failures (requeued elsewhere
+// without feeding the poisoned-unit caps, not dropped) and skipped; only
+// when the whole reply is lost that way does the call surface a transient
+// error for the donor loop to retry past.
+func (c *RPCClient) dispatch(ctx context.Context, donor string, verb byte, args wire.FlatMarshaler) ([]*Task, time.Duration, error) {
+	var r TaskReply
+	if err := c.mux.Call(ctx, verb, args, &r); err != nil {
+		return nil, 0, err
+	}
 	wait := time.Duration(r.WaitHintNs)
 	if !r.HasTask {
 		return nil, wait, nil
@@ -719,9 +672,7 @@ func (c *RPCClient) tasksFromReply(ctx context.Context, donor string, r *TaskRep
 			payload, err := wire.FetchBlob(c.bulkAddr, ent.BulkKey, c.timeout)
 			if err != nil {
 				ferr := fmt.Errorf("dist: fetching bulk payload %s: %w", ent.BulkKey, err)
-				fargs := FailureArgs{Donor: donor, ProblemID: ent.ProblemID, UnitID: ent.Unit.ID,
-					Reason: ferr.Error(), Transport: true, Epoch: ent.Epoch}
-				_ = c.call(ctx, rpcServiceName+".ReportFailure", fargs, &Empty{})
+				_ = c.reportTaggedFailure(ctx, donor, ent.ProblemID, ent.Unit.ID, ferr.Error(), true, ent.Epoch)
 				lastErr = ferr
 				continue
 			}
@@ -765,67 +716,26 @@ func (c *RPCClient) SubmitResult(ctx context.Context, res *Result) error {
 		ElapsedNs: int64(res.Elapsed),
 		Epoch:     res.Epoch,
 	}
-	return c.call(ctx, rpcServiceName+".SubmitResult", args, &Empty{})
+	return c.mux.Call(ctx, verbSubmitResult, args, nil)
 }
 
 // ReportFailure implements Coordinator.
 func (c *RPCClient) ReportFailure(ctx context.Context, donor, problemID string, unitID int64, reason string) error {
-	args := FailureArgs{Donor: donor, ProblemID: problemID, UnitID: unitID, Reason: reason}
-	return c.call(ctx, rpcServiceName+".ReportFailure", args, &Empty{})
+	return c.reportTaggedFailure(ctx, donor, problemID, unitID, reason, false, 0)
 }
 
 // reportTaggedFailure implements taggedFailureReporter.
 func (c *RPCClient) reportTaggedFailure(ctx context.Context, donor, problemID string, unitID int64, reason string, transport bool, epoch int64) error {
-	args := FailureArgs{Donor: donor, ProblemID: problemID, UnitID: unitID, Reason: reason,
+	args := failureArgs{Donor: donor, ProblemID: problemID, UnitID: unitID, Reason: reason,
 		Transport: transport, Epoch: epoch}
-	return c.call(ctx, rpcServiceName+".ReportFailure", args, &Empty{})
+	return c.mux.Call(ctx, verbReportFailure, args, nil)
 }
 
 // CancelNotices implements CancelNotifier over the control channel.
 func (c *RPCClient) CancelNotices(ctx context.Context, donor string) ([]CancelNotice, error) {
-	var r CancelReply
-	if err := c.call(ctx, rpcServiceName+".CancelNotices", CancelArgs{Donor: donor}, &r); err != nil {
+	var r cancelReply
+	if err := c.mux.Call(ctx, verbCancelNotices, donorArgs{Donor: donor}, &r); err != nil {
 		return nil, err
 	}
 	return r.Notices, nil
-}
-
-// ErrServerGone is returned by RPC-backed coordinator calls when the
-// control connection is lost without an explicit close reply from the
-// server — a crash, a restart, or a network partition. It is deliberately
-// distinct from ErrClosed: ErrClosed means the server *told* the donor it
-// is shutting down (the sentinel travelled back in an RPC reply), while
-// ErrServerGone means the wire went dead mid-conversation and the server
-// may well come back. Donors configured with DonorOptions.Redial reconnect
-// on ErrServerGone and exit only on ErrClosed.
-var ErrServerGone = errors.New("dist: server gone (connection lost)")
-
-// rpcErr classifies transport-level failures of a control-channel call.
-//
-//   - A reply actually carrying the ErrClosed sentinel (flattened to a
-//     string by net/rpc) is an explicit, clean shutdown: ErrClosed.
-//   - EOF, unexpected EOF, a reset or severed connection, and a shut-down
-//     rpc.Client all mean the conversation died without a goodbye — the
-//     server crashed, restarted, or the network dropped. Observed in
-//     loopback runs, even a clean server exit surfaces this way when a
-//     request was in flight, so the donor cannot tell a crash from a
-//     finish: both map to ErrServerGone and the reconnect loop (or, with
-//     no Redial configured, a clean donor exit) decides what happens next.
-func rpcErr(err error) error {
-	if err == nil {
-		return nil
-	}
-	if errors.Is(err, rpc.ErrShutdown) || errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
-		return ErrServerGone
-	}
-	msg := err.Error()
-	if strings.Contains(msg, ErrClosed.Error()) {
-		return ErrClosed
-	}
-	if strings.Contains(msg, "connection reset") ||
-		strings.Contains(msg, "broken pipe") ||
-		strings.Contains(msg, "use of closed network connection") {
-		return ErrServerGone
-	}
-	return err
 }

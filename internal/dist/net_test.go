@@ -1,6 +1,7 @@
 package dist
 
 import (
+	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -23,7 +24,7 @@ func netOpts() ServerOptions {
 }
 
 // TestNetworkMatchesRunLocal runs the same problem through RunLocal and
-// through a real loopback server↔donor deployment (control over net/rpc,
+// through a real loopback server↔donor deployment (control over the mux,
 // payloads forced onto the bulk socket channel) and demands identical
 // results.
 func TestNetworkMatchesRunLocal(t *testing.T) {
@@ -207,25 +208,21 @@ func TestBulkFetchFailureRequeuesUnit(t *testing.T) {
 // crashNetworkServer tears the network down with no clean-shutdown reply —
 // the donor-visible signature of a server process crash (SIGKILL) — then
 // disposes the coordinator. Unlike Close, the ErrClosed sentinel is never
-// delivered, so donors see only EOF/reset.
+// delivered, so donors see only EOF/reset. Severing a connection cancels
+// its parked handlers, so the connections retire on their own.
 func crashNetworkServer(t *testing.T, ns *NetworkServer) {
 	t.Helper()
 	ns.closeOnce.Do(func() {}) // a later Close must not re-run the teardown
 	_ = ns.rpcLn.Close()
-	ns.acceptWG.Wait()
 	ns.connsMu.Lock()
-	for c := range ns.conns {
+	conns := ns.conns
+	ns.conns = nil
+	ns.connsMu.Unlock()
+	for c := range conns {
 		_ = c.Close()
 	}
-	ns.connsMu.Unlock()
-	// Stop the coordinator BEFORE waiting out the connections: net/rpc's
-	// ServeConn only returns once its in-flight calls do, and a parked
-	// WaitTask handler unparks on Server.Close — waiting first would stall
-	// this helper for the park duration. (A real crash never waits: the
-	// process is simply gone. The donor-visible signature — a severed
-	// conn, no ErrClosed reply — is identical either way.)
+	ns.serving.Wait()
 	_ = ns.Server.Close()
-	ns.connWG.Wait()
 	_ = ns.bulk.Close()
 }
 
@@ -409,7 +406,7 @@ func TestStaleOffloadDoesNotClobberSuccessor(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Lease a unit of incarnation 1 without offloading — the state of an
-	// rpcService goroutine stalled between RequestTask and offloadPayload.
+	// control handler stalled between RequestTask and offloadPayload.
 	stale, _, err := srv.Server.RequestTask(bg, "a")
 	if err != nil || stale == nil {
 		t.Fatalf("no stale task: %v", err)
@@ -461,5 +458,127 @@ func TestResolveBulkAddr(t *testing.T) {
 		if got := resolveBulkAddr(c.rpc, c.bulk); got != c.want {
 			t.Errorf("resolveBulkAddr(%q, %q) = %q, want %q", c.rpc, c.bulk, got, c.want)
 		}
+	}
+}
+
+// parkClients dials n clients and parks each in a long-poll with no work
+// anywhere, returning the clients, their raw sockets, and the channel the
+// parks' outcomes arrive on. It returns once the server has seen every
+// donor's dispatch scan, i.e. every park is in (or a hair from) its wait.
+func parkClients(t *testing.T, ns *NetworkServer, n int) ([]*RPCClient, []net.Conn, <-chan error) {
+	t.Helper()
+	clients := make([]*RPCClient, n)
+	socks := make([]net.Conn, n)
+	parked := make(chan error, n)
+	for i := range clients {
+		cl, err := Dial(ns.RPCAddr(), 5*time.Second, WithConnWrapper(func(c net.Conn) net.Conn {
+			socks[i] = c
+			return c
+		}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { cl.Close() })
+		clients[i] = cl
+		go func() {
+			_, _, err := cl.WaitTasks(bg, fmt.Sprintf("parked-%d", i), time.Hour, 1)
+			parked <- err
+		}()
+	}
+	waitFor(t, 5*time.Second, func() bool { return ns.DonorCount() == n })
+	return clients, socks, parked
+}
+
+// TestParkedDonorDeathLeasesNothing: donors that die while parked in
+// WaitTask take their parks with them. A handler's ctx ends with its
+// connection, so the server retires the dead connections at once — and a
+// unit submitted afterwards is dispatched exactly once, to the live donor,
+// instead of being leased to a corpse's still-parked handler and sitting
+// out the (here one-hour) lease on a dead socket.
+func TestParkedDonorDeathLeasesNothing(t *testing.T) {
+	registerSum(t)
+	opts := netOpts() // Lease and ExpiryScan of an hour
+	opts.LongPoll = time.Hour
+	opts.Policy = sched.Fixed{Size: 1000}
+	ns, err := ListenAndServe("127.0.0.1:0", "127.0.0.1:0", WithServerOptions(opts))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ns.Close()
+
+	_, socks, parked := parkClients(t, ns, 8)
+	for _, s := range socks {
+		s.Close() // abrupt: no goodbye, the process is simply gone
+	}
+	for range socks {
+		if err := <-parked; !errors.Is(err, ErrServerGone) {
+			t.Fatalf("park on a severed socket = %v, want ErrServerGone", err)
+		}
+	}
+	// The server retires a dead donor's connection only once its parked
+	// handler has returned: all eight must go, or the handlers outlived
+	// their donors.
+	waitFor(t, 5*time.Second, func() bool {
+		ns.connsMu.Lock()
+		defer ns.connsMu.Unlock()
+		return len(ns.conns) == 0
+	})
+
+	const n = 100
+	if err := ns.Submit(bg, &Problem{ID: "after-death", DM: newSumDM(n)}); err != nil {
+		t.Fatal(err)
+	}
+	cl, err := Dial(ns.RPCAddr(), 5*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	d := newTestDonor(cl, DonorOptions{Name: "survivor", Logf: t.Logf})
+	done := make(chan struct{})
+	go func() { defer close(done); _ = d.Run(bg) }()
+	ctx, cancel := context.WithTimeout(bg, 10*time.Second)
+	defer cancel()
+	out, err := ns.Wait(ctx, "after-death")
+	d.Stop()
+	<-done
+	if err != nil {
+		t.Fatalf("Wait = %v: the unit is leased to a dead donor", err)
+	}
+	if got := decodeSum(t, out); got != sumSquares(n) {
+		t.Errorf("sum = %d, want %d", got, sumSquares(n))
+	}
+	if st, _ := ns.Stats(bg, "after-death"); st.Dispatched != 1 || st.Reissued != 0 {
+		t.Errorf("dispatched %d, reissued %d; want 1 and 0", st.Dispatched, st.Reissued)
+	}
+}
+
+// TestCloseAnswersEveryParkedDonorOverTheWire: a clean shutdown reaches
+// every parked donor as ErrClosed — the sentinel that ends a donor loop for
+// good — and never as ErrServerGone, which a Redial-configured donor would
+// answer by reconnecting forever. Close ends every connection with the
+// mux's goodbye; it waits on no timer.
+func TestCloseAnswersEveryParkedDonorOverTheWire(t *testing.T) {
+	ns, err := ListenAndServe("127.0.0.1:0", "127.0.0.1:0", WithServerOptions(netOpts()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ns.Close()
+	clients, _, parked := parkClients(t, ns, 32)
+	if err := ns.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for range clients {
+		select {
+		case err := <-parked:
+			if !errors.Is(err, ErrClosed) {
+				t.Errorf("parked call across Close = %v, want ErrClosed", err)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatal("a parked call was never answered")
+		}
+	}
+	// The goodbye covers a donor that was between calls too.
+	if _, _, err := clients[0].WaitTasks(bg, "parked-0", time.Second, 1); !errors.Is(err, ErrClosed) {
+		t.Errorf("call after Close = %v, want ErrClosed", err)
 	}
 }

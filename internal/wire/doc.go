@@ -1,13 +1,14 @@
 // Package wire implements the two communication channels of the paper's
-// system: typed control traffic (carried by net/rpc, Go's analogue of Java
-// RMI) and bulk data transfer over plain TCP sockets with length-prefixed
-// framing (the paper sends large data files over ordinary sockets because
-// that is more efficient than RMI). docs/ARCHITECTURE.md at the repository
+// system: typed control traffic (a request/response mux over flat-encoded
+// frames, standing where the paper used Java RMI) and bulk data transfer
+// over plain TCP sockets, both with length-prefixed, checksummed framing
+// (the paper sends large data files over ordinary sockets because that is
+// more efficient than RMI). docs/ARCHITECTURE.md at the repository
 // root holds the full protocol specification; this comment is the summary.
 //
 // # Frame format
 //
-// Every bulk-channel message is one frame:
+// Every message on either channel is one frame:
 //
 //	+--------------+---------------+-----------------+
 //	| length (4B)  | CRC-32C (4B)  | body (length B) |
@@ -41,12 +42,16 @@
 // content key verify the bytes hash back to the digest; a mismatch is
 // ErrDigestMismatch, handled like any transport failure.
 //
-// # Control-channel version
+// # Control channel
 //
-// The control channel is net/rpc over the flat codec in flat.go and
-// nothing else. It is versioned by one token, FlatPreamble, which both
-// peers send first on every connection; a mismatch ends the connection
-// before any frame is read. There is no capability negotiation: long-poll
+// The control channel is the mux in mux.go over the flat codec in flat.go
+// and nothing else: MuxClient numbers calls and matches replies by
+// sequence number, MuxServer runs one handler function per request under a
+// context that ends with the connection, and a reply carries a status byte
+// (ok, closed, error) instead of free text to be parsed. It is versioned
+// by one token, FlatPreamble, which both halves send first on every
+// connection themselves; a mismatch ends the connection before any frame
+// is read. There is no capability negotiation: long-poll
 // dispatch, batched replies and content-addressed shared blobs are part of
 // the one protocol.
 package wire

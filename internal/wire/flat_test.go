@@ -3,8 +3,6 @@ package wire
 import (
 	"bytes"
 	"errors"
-	"net"
-	"net/rpc"
 	"testing"
 )
 
@@ -96,120 +94,6 @@ func TestFlatDecoderTruncation(t *testing.T) {
 	}
 }
 
-// FlatPing is a minimal envelope for exercising the rpc codecs end to end.
-type FlatPing struct {
-	Seq     int64
-	Payload []byte
-	Note    string
-}
-
-func (p FlatPing) MarshalFlat(e *Encoder) {
-	e.Varint(p.Seq)
-	e.Bytes(p.Payload)
-	e.String(p.Note)
-}
-
-func (p *FlatPing) UnmarshalFlat(d *Decoder) {
-	p.Seq = d.Varint()
-	p.Payload = d.Bytes()
-	p.Note = d.String()
-}
-
-// FlatPingService echoes pings and fails on demand, covering both the
-// body-carrying and the error (body-less) response paths.
-type FlatPingService struct{}
-
-func (FlatPingService) Echo(args FlatPing, reply *FlatPing) error {
-	reply.Seq = args.Seq + 1
-	reply.Payload = append([]byte(nil), args.Payload...)
-	reply.Note = args.Note
-	return nil
-}
-
-func (FlatPingService) Fail(args FlatPing, _ *FlatPing) error {
-	return errors.New("deliberate failure for " + args.Note)
-}
-
-// TestFlatCodecRPCRoundTrip runs a real net/rpc client/server pair over
-// the flat codec on a loopback connection: concurrent echo calls, an
-// errored call (the response carries no body), and a call after the
-// error to prove the connection survives it.
-func TestFlatCodecRPCRoundTrip(t *testing.T) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-	srv := rpc.NewServer()
-	if err := srv.RegisterName("Ping", FlatPingService{}); err != nil {
-		t.Fatal(err)
-	}
-	go func() {
-		conn, err := ln.Accept()
-		if err != nil {
-			return
-		}
-		srv.ServeCodec(NewFlatServerCodec(conn))
-	}()
-
-	conn, err := net.Dial("tcp", ln.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	client := rpc.NewClientWithCodec(NewFlatClientCodec(conn))
-	defer client.Close()
-
-	done := make(chan error, 8)
-	for i := 0; i < 8; i++ {
-		go func(i int) {
-			args := FlatPing{Seq: int64(i), Payload: bytes.Repeat([]byte{byte(i)}, i*100), Note: "call"}
-			var reply FlatPing
-			if err := client.Call("Ping.Echo", args, &reply); err != nil {
-				done <- err
-				return
-			}
-			if reply.Seq != int64(i)+1 || !bytes.Equal(reply.Payload, args.Payload) || reply.Note != "call" {
-				done <- errors.New("echo mismatch")
-				return
-			}
-			done <- nil
-		}(i)
-	}
-	for i := 0; i < 8; i++ {
-		if err := <-done; err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	var reply FlatPing
-	err = client.Call("Ping.Fail", FlatPing{Note: "unit-9"}, &reply)
-	if err == nil || err.Error() != "deliberate failure for unit-9" {
-		t.Fatalf("errored call: got %v", err)
-	}
-	if err := client.Call("Ping.Echo", FlatPing{Seq: 7}, &reply); err != nil {
-		t.Fatalf("call after error: %v", err)
-	}
-	if reply.Seq != 8 {
-		t.Fatalf("call after error: seq %d, want 8", reply.Seq)
-	}
-}
-
-// TestFlatCodecRejectsNonFlatBody pins the misuse contract: a body that
-// does not implement FlatMarshaler fails the call with a diagnostic
-// instead of putting garbage on the wire.
-func TestFlatCodecRejectsNonFlatBody(t *testing.T) {
-	c1, c2 := net.Pipe()
-	defer c1.Close()
-	defer c2.Close()
-	client := rpc.NewClientWithCodec(NewFlatClientCodec(c1))
-	defer client.Close()
-	var reply FlatPing
-	err := client.Call("Ping.Echo", struct{ X int }{1}, &reply)
-	if err == nil || !bytes.Contains([]byte(err.Error()), []byte("FlatMarshaler")) {
-		t.Fatalf("non-flat body: got %v, want FlatMarshaler error", err)
-	}
-}
-
 // TestFlatPreambleShape pins what the version exchange relies on: the
 // preamble starts with a zero byte, which can never open a gob-rpc stream
 // (gob frames every message with a non-zero byte count first), and it is
@@ -225,19 +109,21 @@ func TestFlatPreambleShape(t *testing.T) {
 }
 
 // FuzzFlatCodec mirrors FuzzFrameDecode for the flat layer: a fuzzed
-// message round-trips through Encoder/Decoder exactly; its framed bytes
+// message — a mux request header, seq and verb byte, then one field of each
+// kind — round-trips through Encoder/Decoder exactly; its framed bytes
 // survive WriteFrame/ReadFrame; flipping a frame-body bit surfaces
 // ErrCorruptFrame; and feeding the raw fuzz input straight to a Decoder
 // fails cleanly (wrapping ErrCorruptFrame) or parses — never panics.
 func FuzzFlatCodec(f *testing.F) {
-	f.Add(uint64(1), "Dist.WaitTask", []byte("payload"), int64(-5), true, 3)
-	f.Add(uint64(0), "", []byte{}, int64(0), false, 0)
-	f.Add(uint64(1<<40), "Dist.SubmitResult", bytes.Repeat([]byte{0xA5}, 512), int64(1<<50), true, 100)
+	f.Add(uint64(1), byte(3), "donor-7", []byte("payload"), int64(-5), true, 3)
+	f.Add(uint64(0), byte(0), "", []byte{}, int64(0), false, 0)
+	f.Add(uint64(1<<40), byte(4), "problem/9", bytes.Repeat([]byte{0xA5}, 512), int64(1<<50), true, 100)
 
-	f.Fuzz(func(t *testing.T, seq uint64, method string, payload []byte, num int64, flag bool, flipAt int) {
+	f.Fuzz(func(t *testing.T, seq uint64, verb byte, name string, payload []byte, num int64, flag bool, flipAt int) {
 		e := newEncoder()
 		e.Uvarint(seq)
-		e.String(method)
+		e.Byte(verb)
+		e.String(name)
 		e.Bytes(payload)
 		e.Varint(num)
 		e.Bool(flag)
@@ -249,8 +135,11 @@ func FuzzFlatCodec(f *testing.F) {
 		if got := d.Uvarint(); got != seq {
 			t.Fatalf("seq: got %d, want %d", got, seq)
 		}
-		if got := d.String(); got != method {
-			t.Fatalf("method: got %q, want %q", got, method)
+		if got := d.Byte(); got != verb {
+			t.Fatalf("verb: got %d, want %d", got, verb)
+		}
+		if got := d.String(); got != name {
+			t.Fatalf("name: got %q, want %q", got, name)
 		}
 		if got := d.Bytes(); !bytes.Equal(got, payload) {
 			t.Fatalf("payload: got %x, want %x", got, payload)
@@ -290,6 +179,7 @@ func FuzzFlatCodec(f *testing.F) {
 		// Arbitrary bytes through a Decoder: must fail cleanly or parse.
 		wild := NewDecoder(payload)
 		_ = wild.Uvarint()
+		_ = wild.Byte()
 		_ = wild.String()
 		_ = wild.Bytes()
 		_ = wild.Varint()

@@ -58,10 +58,14 @@ func ContentKey(digest string) string { return "content/" + digest }
 // optional) are unaffected.
 const frameHeaderSize = 8
 
+// errFrameSize marks WriteFrame's refusal of an oversized payload — the one
+// write error after which nothing has been written.
+var errFrameSize = errors.New("wire: frame exceeds the size limit")
+
 // WriteFrame writes a length-prefixed, checksummed frame to w.
 func WriteFrame(w io.Writer, payload []byte) error {
 	if len(payload) > MaxFrameSize {
-		return fmt.Errorf("wire: frame of %d bytes exceeds limit %d", len(payload), MaxFrameSize)
+		return fmt.Errorf("%w: %d bytes, limit %d", errFrameSize, len(payload), MaxFrameSize)
 	}
 	var hdr [frameHeaderSize]byte
 	binary.BigEndian.PutUint32(hdr[:4], uint32(len(payload)))
