@@ -41,6 +41,7 @@ race:
 fuzz-smoke:
 	$(GO) test ./internal/wire/ -run '^$$' -fuzz FuzzFrameDecode -fuzztime 5s
 	$(GO) test ./internal/dist/ -run '^$$' -fuzz FuzzControlPreamble -fuzztime 5s
+	$(GO) test ./internal/dist/ -run '^$$' -fuzz FuzzBulkKey -fuzztime 5s
 	$(GO) test ./internal/wire/ -run '^$$' -fuzz FuzzFlatCodec -fuzztime 5s
 	$(GO) test ./internal/wire/ -run '^$$' -fuzz FuzzMuxServe -fuzztime 5s
 	$(GO) test ./internal/journal/ -run '^$$' -fuzz FuzzJournalReplay -fuzztime 5s
@@ -49,13 +50,14 @@ fuzz-smoke:
 # coordinator and swarm packages, and the two tests that once failed on
 # fast or loaded hosts — so a flake is a red build, not a note; and, under
 # the race detector, the seeded unit-lifecycle invariant test, the two
-# control-connection lifetime tests (a parked donor's death, a clean Close)
-# and the mux's own suite.
+# control-connection lifetime tests (a parked donor's death, a clean Close),
+# the offloaded-payload lifetime test (a replica fetching after a held
+# result) and the mux's own suite.
 stress:
 	$(GO) test -count=20 ./internal/dist/ ./internal/swarm/
 	$(GO) test -count=5 -run 'TestCoordinatorCrashRecoveryRealNetwork|TestNetworkMatchesRunLocal' . ./internal/dist/
 	$(GO) test -race -count=10 -run TestAttemptLifecycleInvariants ./internal/dist/
-	$(GO) test -race -count=20 -run 'TestParkedDonorDeathLeasesNothing|TestCloseAnswersEveryParkedDonorOverTheWire' ./internal/dist/
+	$(GO) test -race -count=20 -run 'TestParkedDonorDeathLeasesNothing|TestCloseAnswersEveryParkedDonorOverTheWire|TestHeldReplicaLeavesOffloadedPayloadFetchable' ./internal/dist/
 	$(GO) test -race -count=20 -run TestMux ./internal/wire/
 
 # loc prints the non-blank, non-comment line count of every non-test file in

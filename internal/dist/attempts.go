@@ -309,9 +309,6 @@ func (s *Server) dropLeaseLocked(ps *problemState, set *attemptSet, donor, reaso
 	if rq, ok := ps.p.DM.(Requeuer); ok && set.quorum == 1 && len(set.leases) == 0 {
 		ps.removeSetLocked(set)
 		rq.Requeue(set.uid)
-		if s.onUnitRetired != nil {
-			s.onUnitRetired(ps.id, ps.epoch, set.uid)
-		}
 		ps.reissued++
 		ps.wake = true
 		return
@@ -586,10 +583,9 @@ func (s *Server) SubmitResult(ctx context.Context, res *Result) error {
 	return err
 }
 
-// submitResult additionally reports whether the result was accepted (false
-// for stragglers whose unit already completed elsewhere or whose problem is
-// done) so the network layer keeps bulk payloads a reissued copy may still
-// need.
+// submitResult additionally reports whether the result was accepted —
+// folded or held — rather than dropped (a straggler whose unit already
+// completed elsewhere or whose problem is done, a quarantined donor).
 func (s *Server) submitResult(ctx context.Context, res *Result) (accepted bool, err error) {
 	if err := ctxErr(ctx); err != nil {
 		return false, err

@@ -66,10 +66,10 @@ func (d *echoDM) Consume(id int64, payload []byte) error {
 func (d *echoDM) Done() bool                   { return len(d.results) >= d.units }
 func (d *echoDM) FinalResult() ([]byte, error) { return d.results[1], nil }
 
-// TestContentBulkDedupAcrossProblems is the tentpole's core property over
-// a real loopback deployment: two problems sharing one alignment store one
-// server-side copy (refcounted), cost the donor one wire fetch, and the
-// copy is released when the last referencing problem is forgotten.
+// TestContentBulkDedupAcrossProblems is content addressing's core property
+// over a real loopback deployment: two problems sharing one alignment cost
+// the donor one wire fetch, and the bytes stop being served under their
+// digest when the last problem carrying them is forgotten.
 func TestContentBulkDedupAcrossProblems(t *testing.T) {
 	registerEcho(t)
 	shared := bytes.Repeat([]byte("alignment"), 8192)
@@ -84,13 +84,6 @@ func TestContentBulkDedupAcrossProblems(t *testing.T) {
 		if err := srv.Submit(bg, &Problem{ID: id, DM: newEchoDM(2), SharedData: shared}); err != nil {
 			t.Fatal(err)
 		}
-	}
-	st := srv.BulkStats()
-	if st.ContentBlobs != 1 || st.ContentRefs != 2 {
-		t.Errorf("content store = %d blobs / %d refs, want 1 / 2", st.ContentBlobs, st.ContentRefs)
-	}
-	if st.StoredBytes != int64(len(shared)) {
-		t.Errorf("StoredBytes = %d, want one copy (%d)", st.StoredBytes, len(shared))
 	}
 
 	cl, err := Dial(srv.RPCAddr(), 5*time.Second)
@@ -122,7 +115,7 @@ func TestContentBulkDedupAcrossProblems(t *testing.T) {
 		t.Errorf("bulk channel answered %d fetches, want 1 (digest-cached donor)", st.Fetches)
 	}
 
-	// The last Forget releases the refcounted copy and the per-problem aliases.
+	// The last Forget ends the digest's and the per-problem keys' life.
 	for _, id := range []string{"ca-1", "ca-2"} {
 		if err := srv.Forget(id); err != nil {
 			t.Fatal(err)
@@ -208,8 +201,9 @@ func TestDigestMismatchIsTransportFailure(t *testing.T) {
 	if err := srv.Submit(bg, &Problem{ID: "tamper", DM: newEchoDM(1), SharedData: shared}); err != nil {
 		t.Fatal(err)
 	}
-	// Shadow the content store: plain blobs resolve first, so every fetch
-	// of the digest key now returns bytes that do not hash to it.
+	// Shadow the coordinator's answer: the bulk server's own map resolves
+	// first, so every fetch of the digest key now returns bytes that do not
+	// hash to it.
 	srv.bulk.Put(wire.ContentKey(digest), []byte("evil bytes"))
 
 	var sawMismatch atomic.Bool

@@ -63,7 +63,7 @@ func (s *Server) WaitTasks(ctx context.Context, donor string, maxWait time.Durat
 			break
 		}
 		tasks = append(tasks, extra)
-		if len(extra.Unit.Payload) <= s.opts.BulkThreshold || s.opts.BulkThreshold < 0 {
+		if !s.offloads(extra.Unit.Payload) {
 			inline += len(extra.Unit.Payload)
 		}
 	}

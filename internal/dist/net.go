@@ -11,22 +11,6 @@ import (
 	"repro/internal/wire"
 )
 
-// sharedKey is the bulk-channel key of a problem's shared blob.
-func sharedKey(problemID string) string { return "shared/" + problemID }
-
-// unitKey is the bulk-channel key of one offloaded unit payload. The
-// problem's incarnation epoch is part of the key: unit numbering restarts
-// when a forgotten ID is resubmitted, and a stale offload racing the
-// Forget must never overwrite — or be fetched as — the successor's
-// payload for a colliding unit ID.
-func unitKey(problemID string, epoch, unitID int64) string {
-	return fmt.Sprintf("unit/%s/%d.%d", problemID, epoch, unitID)
-}
-
-// unitRef identifies one offloaded payload within a problem ID's
-// bookkeeping.
-type unitRef struct{ epoch, unitID int64 }
-
 // ErrProtocolMismatch is returned by Dial when the peer does not speak this
 // build's control protocol: it presented a different wire.FlatPreamble
 // version, or hung up instead of presenting one. The control channel has
@@ -71,7 +55,8 @@ const (
 // control traffic (task handout, results, failures, cancel notices) over
 // the wire package's request/response mux — standing where the paper used
 // Java RMI — and bulk data (shared blobs, large unit payloads) over raw
-// TCP sockets, both in length-prefixed, checksummed frames.
+// TCP sockets, both in length-prefixed, checksummed frames. The bulk socket
+// stores nothing: it serves the coordinator's own state (Server.bulkBlob).
 type NetworkServer struct {
 	*Server
 	rpcLn net.Listener
@@ -87,32 +72,19 @@ type NetworkServer struct {
 	conns   map[*wire.MuxServer]struct{} //dist:guardedby connsMu
 	// serving counts the accept loop and every connection it started.
 	serving sync.WaitGroup
-
-	// keysMu guards the bulk keys created for offloaded unit payloads, so
-	// they can be dropped once the unit (or the whole problem) completes,
-	// and the per-problem shared-blob digests whose content references
-	// must be released the same way.
-	keysMu sync.Mutex
-	// unitKeys maps problemID -> (epoch, unitID) -> key.
-	//dist:guardedby keysMu
-	unitKeys map[string]map[unitRef]string
-	// sharedDigests maps problemID -> content digest of its shared blob.
-	//dist:guardedby keysMu
-	sharedDigests map[string]string
 }
 
 // ListenAndServe starts a network-facing coordinator. rpcAddr carries
 // control traffic, bulkAddr carries bulk data; ":0" picks free ports.
 // Under ServerOptions.DataDir the coordinator first recovers journaled
-// problems (see OpenServer) and republishes their shared blobs on the
-// bulk channel before accepting connections, so a redialling donor never
-// races an unpublished blob.
+// problems (see OpenServer); their shared blobs are fetchable from the
+// bulk listener's first accept, since it reads the recovered state itself.
 func ListenAndServe(rpcAddr, bulkAddr string, opts ...ServerOption) (*NetworkServer, error) {
 	srv, err := OpenServer(opts...)
 	if err != nil {
 		return nil, err
 	}
-	bulk, err := wire.NewBulkServer(bulkAddr)
+	bulk, err := wire.NewBulkServerWithFallback(bulkAddr, srv.bulkBlob)
 	if err != nil {
 		_ = srv.Close()
 		return nil, err
@@ -124,20 +96,11 @@ func ListenAndServe(rpcAddr, bulkAddr string, opts ...ServerOption) (*NetworkSer
 		return nil, fmt.Errorf("dist: control listen: %w", err)
 	}
 	ns := &NetworkServer{
-		Server:        srv,
-		rpcLn:         ln,
-		bulk:          bulk,
-		unitKeys:      make(map[string]map[unitRef]string),
-		sharedDigests: make(map[string]string),
-		conns:         make(map[*wire.MuxServer]struct{}),
+		Server: srv,
+		rpcLn:  ln,
+		bulk:   bulk,
+		conns:  make(map[*wire.MuxServer]struct{}),
 	}
-	// Release a problem's bulk blobs however it ends — finalized, failed,
-	// stalled, or shut down — not only on a final accepted RPC result; and
-	// release a regenerated unit's offloaded payload as soon as its old ID
-	// is retired.
-	srv.onProblemDone = ns.dropProblemKeys
-	srv.onUnitRetired = ns.dropUnitKey
-	ns.republishRecovered()
 	ns.serving.Add(1)
 	go func() {
 		defer ns.serving.Done()
@@ -185,63 +148,20 @@ func (ns *NetworkServer) RPCAddr() string { return ns.rpcLn.Addr().String() }
 // BulkAddr returns the bulk-data listen address.
 func (ns *NetworkServer) BulkAddr() string { return ns.bulk.Addr() }
 
-// Submit registers a problem and publishes its shared blob on the bulk
-// channel. Publication happens under the server lock after validation but
-// before the problem becomes dispatchable: a donor can never be handed a
-// unit whose shared data is not yet fetchable, and a rejected duplicate
-// Submit never touches the live problem's blob.
-//
-// The blob is stored content-addressed (refcounted, one copy however many
-// problems share the bytes) with the "shared/<problemID>" key — what
-// Coordinator.SharedData fetches — aliased onto it.
+// Submit registers a problem, refusing shared data too large for the one
+// bulk frame a donor fetches it in. Nothing is published: the blob is
+// fetchable from the moment the problem is registered, which is also the
+// first moment a donor can be handed one of its units.
 func (ns *NetworkServer) Submit(ctx context.Context, p *Problem) error {
 	if p != nil && len(p.SharedData)+1 > wire.MaxFrameSize {
 		return fmt.Errorf("dist: shared data of %d bytes exceeds the bulk frame limit of %d",
 			len(p.SharedData), wire.MaxFrameSize-1)
 	}
-	return ns.Server.submitWith(ctx, p, func(sharedDigest string) {
-		ns.publishShared(p.ID, sharedDigest, p.SharedData)
-	})
+	return ns.Server.Submit(ctx, p)
 }
 
-// publishShared stores one problem's shared blob under its content digest,
-// aliases the per-problem key onto it, and records the reference
-// dropProblemKeys will release.
-func (ns *NetworkServer) publishShared(problemID, digest string, shared []byte) {
-	ns.bulk.PutContent(digest, shared)
-	ns.bulk.Alias(sharedKey(problemID), digest)
-	ns.keysMu.Lock()
-	ns.sharedDigests[problemID] = digest
-	ns.keysMu.Unlock()
-}
-
-// republishRecovered puts the shared blobs of journal-recovered problems
-// back on the bulk channel. Submit published them in the coordinator's
-// previous life; the blobs themselves live only in memory, so a restart
-// must re-derive them from the recovered problem state before any donor
-// is allowed to fetch. Runs once, before the control listener accepts.
-func (ns *NetworkServer) republishRecovered() {
-	ns.regMu.RLock()
-	var recovered []*problemState
-	for _, ps := range ns.problems {
-		recovered = append(recovered, ps)
-	}
-	ns.regMu.RUnlock()
-	for _, ps := range recovered {
-		ps.mu.Lock()
-		skip := ps.done || !ps.recovered
-		shared := ps.p.SharedData
-		digest := ps.sharedDigest
-		id := ps.id
-		ps.mu.Unlock()
-		if !skip {
-			ns.publishShared(id, digest, shared)
-		}
-	}
-}
-
-// BulkStats reports the bulk channel's storage and traffic counters — the
-// observable the dedup benchmark and the blob-cache tests read.
+// BulkStats reports the bulk channel's traffic counters — the observable
+// the dedup benchmark and the blob-cache tests read.
 func (ns *NetworkServer) BulkStats() wire.BulkStats { return ns.bulk.Stats() }
 
 // Close shuts down the coordinator and then both listeners. The
@@ -274,79 +194,6 @@ func (ns *NetworkServer) Close() error {
 		ns.closeErr = err
 	})
 	return ns.closeErr
-}
-
-// offloadPayload moves a large unit payload onto the bulk channel,
-// returning the key the donor should fetch. Small payloads stay inline, as
-// do payloads too large for a single bulk frame (the bulk server would
-// answer not-found for them).
-func (ns *NetworkServer) offloadPayload(t *Task) (bulkKey string) {
-	if ns.opts.BulkThreshold < 0 || len(t.Unit.Payload) <= ns.opts.BulkThreshold {
-		return ""
-	}
-	if len(t.Unit.Payload)+1 > wire.MaxFrameSize {
-		return ""
-	}
-	key := unitKey(t.ProblemID, t.Epoch, t.Unit.ID)
-	ns.bulk.Put(key, t.Unit.Payload)
-	ns.keysMu.Lock()
-	m := ns.unitKeys[t.ProblemID]
-	if m == nil {
-		m = make(map[unitRef]string)
-		ns.unitKeys[t.ProblemID] = m
-	}
-	m[unitRef{t.Epoch, t.Unit.ID}] = key
-	ns.keysMu.Unlock()
-	// The problem may have finalized, failed, or been forgotten — even
-	// forgotten and resubmitted under the same ID — between the task being
-	// leased and the payload being published; the cleanup hook has already
-	// run and will not cover this key, so undo the publication ourselves.
-	// The check is by incarnation, not just ID, and the undo removes only
-	// this task's key: a live successor's blobs must never be touched. The
-	// key was registered before this check, so a cleanup racing in after
-	// it also finds and deletes the blob — either way nothing leaks.
-	if epoch, live := ns.Server.liveEpoch(t.ProblemID); !live || epoch != t.Epoch {
-		ns.dropUnitKey(t.ProblemID, t.Epoch, t.Unit.ID)
-		return ""
-	}
-	return key
-}
-
-// dropUnitKey discards one offloaded payload once its unit completed (or
-// its publication turned out stale).
-func (ns *NetworkServer) dropUnitKey(problemID string, epoch, unitID int64) {
-	ns.keysMu.Lock()
-	defer ns.keysMu.Unlock()
-	if m := ns.unitKeys[problemID]; m != nil {
-		ref := unitRef{epoch, unitID}
-		if key, ok := m[ref]; ok {
-			ns.bulk.Delete(key)
-			delete(m, ref)
-		}
-		if len(m) == 0 {
-			// A stale offload can re-create this entry after the problem's
-			// cleanup already ran; don't leak empty maps for retired IDs.
-			delete(ns.unitKeys, problemID)
-		}
-	}
-}
-
-// dropProblemKeys discards a completed problem's bulk blobs: the
-// per-problem alias, one content reference — the bytes themselves survive
-// while other problems still reference them — and every offloaded unit
-// payload.
-func (ns *NetworkServer) dropProblemKeys(problemID string) {
-	ns.keysMu.Lock()
-	defer ns.keysMu.Unlock()
-	if digest, ok := ns.sharedDigests[problemID]; ok {
-		delete(ns.sharedDigests, problemID)
-		ns.bulk.DropAlias(sharedKey(problemID))
-		ns.bulk.Release(digest)
-	}
-	for _, key := range ns.unitKeys[problemID] {
-		ns.bulk.Delete(key)
-	}
-	delete(ns.unitKeys, problemID)
 }
 
 // Control-channel message types, flat-encoded (see flat.go).
@@ -481,7 +328,7 @@ func (ns *NetworkServer) handle(ctx context.Context, verb byte, d *wire.Decoder)
 		if a.UnmarshalFlat(d); d.Err() != nil {
 			return nil, d.Err()
 		}
-		accepted, err := ns.Server.submitResult(ctx, &Result{
+		return nil, ns.Server.SubmitResult(ctx, &Result{
 			ProblemID: a.ProblemID,
 			UnitID:    a.UnitID,
 			Payload:   a.Payload,
@@ -489,15 +336,8 @@ func (ns *NetworkServer) handle(ctx context.Context, verb byte, d *wire.Decoder)
 			Donor:     a.Donor,
 			Epoch:     a.Epoch,
 		})
-		// Offloaded payloads are only dropped for *accepted* results: a
-		// straggler's reissued copy may still need to fetch the same blob.
-		if err == nil && accepted {
-			ns.dropUnitKey(a.ProblemID, a.Epoch, a.UnitID)
-		}
-		return nil, err
 
 	case verbReportFailure:
-		// The offloaded payload (if any) is kept: the reissue needs it.
 		var a failureArgs
 		if a.UnmarshalFlat(d); d.Err() != nil {
 			return nil, d.Err()
@@ -516,8 +356,8 @@ func (ns *NetworkServer) handle(ctx context.Context, verb byte, d *wire.Decoder)
 }
 
 // taskReply encodes a dispatch of zero or more units: the first in the
-// reply's head fields, extras as Batch entries, each offloaded to the bulk
-// channel independently when large.
+// reply's head fields, extras as Batch entries, each shipped by bulk key
+// instead of inline when large (Server.offloads).
 func (ns *NetworkServer) taskReply(tasks []*Task, wait time.Duration) *TaskReply {
 	reply := &TaskReply{WaitHintNs: int64(wait)}
 	for i, task := range tasks {
@@ -529,8 +369,8 @@ func (ns *NetworkServer) taskReply(tasks []*Task, wait time.Duration) *TaskReply
 			Priority:     int64(task.Priority),
 			Verify:       task.Verify,
 		}
-		if key := ns.offloadPayload(task); key != "" {
-			bt.BulkKey = key
+		if ns.offloads(task.Unit.Payload) {
+			bt.BulkKey = unitKey(task.ProblemID, task.Epoch, task.Unit.ID)
 			bt.Unit.Payload = nil
 		}
 		if i > 0 {

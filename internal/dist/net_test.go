@@ -1,6 +1,7 @@
 package dist
 
 import (
+	"bytes"
 	"context"
 	"encoding/binary"
 	"errors"
@@ -387,11 +388,11 @@ func TestForgetReleasesBulkBlobs(t *testing.T) {
 }
 
 // TestStaleOffloadDoesNotClobberSuccessor: a task leased from a problem
-// that is then forgotten and resubmitted under the same ID can have its
-// payload published to the bulk channel late (the RPC goroutine runs
-// offloadPayload after the server lock is released). The stale offload
-// must neither be advertised nor disturb the successor incarnation's blob
-// for a colliding unit ID.
+// that is then forgotten and resubmitted under the same ID may be fetched
+// late (the donor's fetch follows the reply that carried the key). The
+// stale incarnation's key must answer not-found — never the successor's
+// payload for a colliding unit ID — and the successor's own key must keep
+// serving the successor's bytes.
 func TestStaleOffloadDoesNotClobberSuccessor(t *testing.T) {
 	registerSum(t)
 	opts := netOpts()
@@ -405,8 +406,8 @@ func TestStaleOffloadDoesNotClobberSuccessor(t *testing.T) {
 	if err := srv.Submit(bg, &Problem{ID: "so", DM: newSumDM(500)}); err != nil {
 		t.Fatal(err)
 	}
-	// Lease a unit of incarnation 1 without offloading — the state of an
-	// control handler stalled between RequestTask and offloadPayload.
+	// Lease a unit of incarnation 1 without fetching — the state of a
+	// control handler whose reply is in flight.
 	stale, _, err := srv.Server.RequestTask(bg, "a")
 	if err != nil || stale == nil {
 		t.Fatalf("no stale task: %v", err)
@@ -422,16 +423,12 @@ func TestStaleOffloadDoesNotClobberSuccessor(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cl.Close()
-	live, _, err := cl.RequestTask(bg, "b") // offloads the successor's payload
+	live, _, err := cl.RequestTask(bg, "b") // fetches the successor's payload by key
 	if err != nil || live == nil {
 		t.Fatalf("no live task: %v", err)
 	}
 	if live.Unit.ID != stale.Unit.ID {
 		t.Fatalf("test setup: unit IDs %d vs %d do not collide", live.Unit.ID, stale.Unit.ID)
-	}
-	// The stalled goroutine finally publishes the stale payload.
-	if key := srv.offloadPayload(stale); key != "" {
-		t.Errorf("stale offload advertised key %q", key)
 	}
 	got, err := wire.FetchBlob(srv.BulkAddr(), unitKey("so", live.Epoch, live.Unit.ID), time.Second)
 	if err != nil {
@@ -443,6 +440,75 @@ func TestStaleOffloadDoesNotClobberSuccessor(t *testing.T) {
 	// The stale incarnation's blob is not left behind either.
 	if _, err := wire.FetchBlob(srv.BulkAddr(), unitKey("so", stale.Epoch, stale.Unit.ID), time.Second); err == nil || !strings.Contains(err.Error(), "not found") {
 		t.Errorf("stale blob leaked: err = %v, want not found", err)
+	}
+}
+
+// TestHeldReplicaLeavesOffloadedPayloadFetchable pins the payload lifetime
+// rule (ROADMAP 5b): an offloaded payload is fetchable until its unit
+// folds, not until the first result for it is accepted. Replica "b" of a
+// spot-checked unit is leased before replica "a" submits but fetches after
+// — "a"'s result is merely held, so the payload must still be served, or
+// "b" is charged a transport failure and the set burns another donor.
+func TestHeldReplicaLeavesOffloadedPayloadFetchable(t *testing.T) {
+	registerSum(t)
+	opts := verifyTestOptions()
+	opts.Policy = sched.Fixed{Size: 50}
+	opts.Lease, opts.ExpiryScan = time.Hour, time.Hour
+	opts.BulkThreshold = 1
+	srv, err := ListenAndServe("127.0.0.1:0", "127.0.0.1:0", WithServerOptions(opts))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	const n = 10 // one unit under Fixed{50}
+	if err := srv.Submit(bg, &Problem{ID: "held", DM: newSumDM(n)}); err != nil {
+		t.Fatal(err)
+	}
+	cl, err := Dial(srv.RPCAddr(), 2*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	first, _, err := cl.RequestTask(bg, "a") // payload arrives via the bulk key
+	if err != nil || first == nil || len(first.Unit.Payload) == 0 {
+		t.Fatalf("no task with a fetched payload: %+v, %v", first, err)
+	}
+	// "b" is leased the replica, but its fetch has not happened yet — the
+	// state of a control handler whose reply is in flight.
+	replica, _, err := srv.Server.RequestTask(bg, "b")
+	if err != nil || replica == nil || replica.Unit.ID != first.Unit.ID {
+		t.Fatalf("no replica of unit %d: %+v, %v", first.Unit.ID, replica, err)
+	}
+	result, err := Marshal(sumSquares(n))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cl.SubmitResult(bg, &Result{ProblemID: "held", UnitID: first.Unit.ID, Payload: result,
+		Elapsed: time.Millisecond, Donor: "a", Epoch: first.Epoch}); err != nil {
+		t.Fatal(err)
+	}
+	if st, _ := srv.Status(bg, "held"); st.Completed != 0 {
+		t.Fatalf("test setup: unit folded on one result (completed = %d), not held", st.Completed)
+	}
+	got, err := wire.FetchBlob(srv.BulkAddr(), unitKey("held", replica.Epoch, replica.Unit.ID), time.Second)
+	if err != nil {
+		t.Fatalf("replica's payload fetch after a held result: %v", err)
+	}
+	if !bytes.Equal(got, replica.Unit.Payload) {
+		t.Error("replica fetched different bytes than it was leased")
+	}
+	if !submitRaw(t, srv.Server, replica, "b", result) {
+		t.Fatal("replica's result rejected")
+	}
+	out, err := srv.Wait(bg, "held")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sum := decodeSum(t, out); sum != sumSquares(n) {
+		t.Errorf("sum = %d, want %d", sum, sumSquares(n))
+	}
+	if st, _ := srv.Stats(bg, "held"); st.Verified != 1 || st.Reissued != 0 {
+		t.Errorf("verified/reissued = %d/%d, want 1/0", st.Verified, st.Reissued)
 	}
 }
 

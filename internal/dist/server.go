@@ -199,8 +199,8 @@ const maxForgottenTombstones = 4096
 // RequestTask/SubmitResult/ReportFailure for different problems never
 // contend — the registry lock is held only for the map lookup.
 type problemState struct {
-	// id duplicates p.ID so lock-free callers (cleanup hooks, rotation
-	// pruning) never have to touch the caller-owned Problem struct.
+	// id duplicates p.ID so lock-free callers (rotation pruning) never have
+	// to touch the caller-owned Problem struct.
 	id string
 	// epoch tags this incarnation of the ID (Forget frees IDs for reuse);
 	// dispatched tasks carry it and results must echo it, so a straggler
@@ -358,7 +358,10 @@ type Status struct {
 // donorMu / donorState.mu / cancelMu / parkMu. A problem lock is never held
 // while acquiring the registry lock, and the donor, cancel and park locks
 // are leaves: no code path takes a registry or problem lock while holding
-// one.
+// one. The bulk channel's resolver (bulkBlob) enters this order from the
+// top like any other caller — regMu.RLock, dropped, then one problem's mu —
+// holding nothing of its own: wire.BulkServer releases its mutex before
+// calling out, or that mutex would be a new outermost lock.
 type Server struct {
 	opts ServerOptions
 
@@ -414,17 +417,6 @@ type Server struct {
 	// starved) — all wake it. A leaf lock.
 	parkMu sync.Mutex
 	parkCh chan struct{} //dist:guardedby parkMu
-
-	// onProblemDone, when non-nil, is invoked (under the problem's lock)
-	// each time a problem finalizes, fails, or is forgotten; the network
-	// layer uses it to drop the problem's bulk-channel blobs however the
-	// problem ended.
-	onProblemDone func(problemID string)
-	// onUnitRetired, when non-nil, is invoked (under the problem's lock)
-	// when a lost unit is regenerated by a Requeuer DataManager — its old
-	// ID will never be dispatched again, so the network layer can drop the
-	// ID's offloaded payload immediately instead of at problem end.
-	onUnitRetired func(problemID string, epoch, unitID int64)
 
 	// journal is the durable coordinator's write-ahead store (nil without
 	// ServerOptions.DataDir); recovery holds what was rebuilt from it at
@@ -482,20 +474,12 @@ func (s *Server) start() {
 }
 
 // Submit registers a problem for dispatch. An ID retired with Forget may be
-// reused; a live or completed-but-unforgotten ID may not.
+// reused; a live or completed-but-unforgotten ID may not. From the moment
+// the problem is registered its shared blob is what the network layer's
+// bulk channel serves (bulkBlob reads it from here), so no donor can be
+// handed a unit whose shared data is not yet fetchable, and a rejected
+// duplicate Submit never touches the live problem's blob.
 func (s *Server) Submit(ctx context.Context, p *Problem) error {
-	return s.submitWith(ctx, p, nil)
-}
-
-// submitWith registers a problem, invoking publish (when non-nil) under the
-// registry lock after validation but before the problem becomes
-// dispatchable. The network server uses this to put the shared blob on the
-// bulk channel so no donor can be handed a unit whose shared data is not
-// yet fetchable — and a rejected duplicate Submit never touches the live
-// problem's blob. publish receives the blob's content digest so the
-// network layer stores the blob content-addressed without hashing it a
-// second time.
-func (s *Server) submitWith(ctx context.Context, p *Problem, publish func(sharedDigest string)) error {
 	if err := ctxErr(ctx); err != nil {
 		return err
 	}
@@ -531,9 +515,6 @@ func (s *Server) submitWith(ctx context.Context, p *Problem, publish func(shared
 	if _, dup := s.problems[p.ID]; dup {
 		s.regMu.Unlock()
 		return fmt.Errorf("dist: problem %q already submitted", p.ID)
-	}
-	if publish != nil {
-		publish(sharedDigest)
 	}
 	ps := &problemState{
 		id:           p.ID,
@@ -637,22 +618,6 @@ func (s *Server) isClosed() bool {
 	return s.closed
 }
 
-// liveEpoch reports the incarnation currently registered — and not yet
-// done — under id. The network layer uses it to detect that an offload it
-// just published was for a stale task.
-func (s *Server) liveEpoch(id string) (int64, bool) {
-	ps, err := s.lookup(id)
-	if err != nil {
-		return 0, false
-	}
-	ps.mu.Lock()
-	defer ps.mu.Unlock()
-	if ps.done {
-		return 0, false
-	}
-	return ps.epoch, true
-}
-
 // Wait blocks until the problem completes (or ctx is cancelled) and returns
 // its final result. With ServerOptions.AutoForget the problem is retired
 // once the result has been delivered; subsequent calls return ErrForgotten.
@@ -685,13 +650,13 @@ func (s *Server) Wait(ctx context.Context, id string) ([]byte, error) {
 	return out, werr
 }
 
-// Forget retires a problem: its state is evicted from the server and its
-// network-layer resources (shared blob, offloaded unit payloads) are
-// released. A problem forgotten before completion fails with ErrForgotten,
-// unblocking any Wait; leased and requeued units are discarded, not
-// reissued, and every donor holding one of its leases is queued an
-// epoch-tagged cancel notice so it aborts the unit's ProcessCtx instead of
-// finishing doomed work. Forgetting an already-forgotten ID is a no-op;
+// Forget retires a problem: its state is evicted from the server, and with
+// it everything the bulk channel served for it (shared blob, offloaded
+// unit payloads). A problem forgotten before completion fails with
+// ErrForgotten, unblocking any Wait; leased and requeued units are
+// discarded, not reissued, and every donor holding one of its leases is
+// queued an epoch-tagged cancel notice so it aborts the unit's ProcessCtx
+// instead of finishing doomed work. Forgetting an already-forgotten ID is a no-op;
 // forgetting a never-submitted ID returns ErrUnknownProblem.
 func (s *Server) Forget(id string) error {
 	return s.forgetMatching(id, nil)
@@ -723,17 +688,13 @@ func (s *Server) forgetMatching(id string, only *problemState) error {
 	}
 	s.regMu.Unlock()
 
-	// Release the problem BEFORE unregistering its ID. The network layer's
-	// blob cleanup is keyed by problem ID, so it must run while the ID is
-	// still registered — a duplicate Submit is rejected until the delete
-	// below, which means the cleanup can only ever touch this incarnation's
-	// blobs, never a successor's. This ordering also keeps the exclusive
-	// registry lock from being held while waiting on the problem's lock
-	// (a DataManager call may hold it for a while, and stalling every
-	// other problem's lookups behind regMu would re-serialize the
-	// coordinator).
+	// Release the problem BEFORE unregistering its ID, with the registry
+	// lock dropped: the exclusive registry lock must not be held while
+	// waiting on the problem's lock (a DataManager call may hold it for a
+	// while, and stalling every other problem's lookups behind regMu would
+	// re-serialize the coordinator).
 	ps.mu.Lock()
-	// A still-running problem fails (releasing its units and blobs,
+	// A still-running problem fails (releasing its units and shared blob,
 	// cancelling its donors, and unblocking waiters); a completed one
 	// already released everything in finalize/fail, so this is a no-op.
 	s.failLocked(ps, fmt.Errorf("%w: %q evicted before completion", ErrForgotten, id))
@@ -968,9 +929,10 @@ func (s *Server) failLocked(ps *problemState, err error) {
 // leased units get a cancel notice so they abort instead of finishing work
 // whose result would be dropped. (A donor fetching shared
 // data for a finished problem gets nil, fails Init, and the failure report
-// is ignored — the problem is done.) The network layer's cleanup hook and
-// the terminal Watch event fire here too, under the problem lock. Callers
-// hold ps.mu; ps.done is already true.
+// is ignored — the problem is done.) Dropping the table and the blob is
+// also what ends their life on the bulk channel, which serves them from
+// here (bulkBlob). The terminal Watch event fires here too, under the
+// problem lock. Callers hold ps.mu; ps.done is already true.
 //
 //dist:locked mu
 func (s *Server) releaseLocked(ps *problemState) {
@@ -981,7 +943,4 @@ func (s *Server) releaseLocked(ps *problemState) {
 	ps.units, ps.open = nil, nil
 	s.publishLocked(ps, s.terminalEventLocked(ps))
 	ps.shared = nil // the server's reference only; the caller's Problem is untouched
-	if s.onProblemDone != nil {
-		s.onProblemDone(ps.id)
-	}
 }

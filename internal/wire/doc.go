@@ -31,16 +31,17 @@
 // byte (statusOK / statusNotFound) followed by the blob. FetchBlob is the
 // client side.
 //
-// Shared blobs are content-addressed: PutContent stores bytes once under
-// ContentKey(Digest(blob)) — "content/sha256:<hex>" — however many
-// problems share them, refcounted so the copy lives exactly until the
-// last referencing problem releases it. Alias lets a per-problem key
-// resolve to the same bytes without a second copy. The dist layer aliases
-// a problem's shared data at "shared/<problemID>" (the key behind
-// Coordinator.SharedData) and stores offloaded unit
-// payloads under "unit/<problemID>/<epoch>.<unitID>". Fetchers of a
-// content key verify the bytes hash back to the digest; a mismatch is
-// ErrDigestMismatch, handled like any transport failure.
+// A BulkServer holds one map of plainly named blobs (Put/Delete) and, on a
+// miss, asks the fallback it was built with (NewBulkServerWithFallback) —
+// called with no BulkServer lock held. The dist layer's coordinator serves
+// everything that way, straight from its own state and for exactly as long
+// as that state lives: "content/sha256:<hex>" (ContentKey(Digest(blob))) is
+// the shared blob of any live problem carrying those bytes,
+// "shared/<problemID>" the same bytes under the per-problem name behind
+// Coordinator.SharedData, and "unit/<problemID>/<epoch>.<unitID>" the
+// payload of a unit that can still fold. Fetchers of a content key verify
+// the bytes hash back to the digest; a mismatch is ErrDigestMismatch,
+// handled like any transport failure.
 //
 // # Control channel
 //

@@ -37,8 +37,8 @@ var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
 // Digest returns a blob's content address: "sha256:" followed by the
 // lowercase hex SHA-256 of its bytes. Identical bytes always produce the
-// same digest, which is what lets N problems sharing one alignment store
-// and ship it once.
+// same digest, which is what lets a donor fetch and cache one alignment
+// once however many problems share it.
 func Digest(blob []byte) string {
 	sum := sha256.Sum256(blob)
 	return "sha256:" + hex.EncodeToString(sum[:])
@@ -50,12 +50,10 @@ func Digest(blob []byte) string {
 func ContentKey(digest string) string { return "content/" + digest }
 
 // frameHeaderSize is the fixed per-frame overhead: 4 bytes big-endian body
-// length followed by 4 bytes CRC-32C of the body. Adding the checksum word
-// changed the frame format incompatibly: server and donors must run the
-// same build (there is no version negotiation on the bulk channel — a
-// pre-checksum peer would consume the CRC word as body bytes). The control
-// channel's compatibility affordances (epoch 0 accepted, cancel notices
-// optional) are unaffected.
+// length followed by 4 bytes CRC-32C of the body. The frame format is not
+// versioned on its own: the control channel's FlatPreamble covers both
+// channels, so a peer that passed the control version exchange frames bulk
+// traffic the same way.
 const frameHeaderSize = 8
 
 // errFrameSize marks WriteFrame's refusal of an oversized payload — the one
@@ -126,54 +124,52 @@ var keyBufPool = sync.Pool{
 	},
 }
 
-// refBlob is one content-addressed blob and the number of problems still
-// referencing it.
-type refBlob struct {
-	data []byte
-	refs int
-}
-
 // BulkServer serves named blobs over raw TCP: a client connects, sends one
 // frame containing the blob key, and receives one frame with the blob (or
 // an empty frame if unknown, distinguished by a one-byte status prefix).
 // This is the "data files over ordinary sockets" channel.
 //
-// Blobs live in two stores. Put/Delete manage plainly named blobs (unit
-// payload offloads). PutContent/Release manage content-addressed blobs:
-// stored under ContentKey(digest), refcounted so N problems sharing
-// identical bytes keep one copy, and freed when the last referencing
-// problem releases. Alias lets a per-problem key resolve to a content blob
-// without storing the bytes twice.
+// A key resolves against the server's own map first (Put/Delete) and, on a
+// miss, through the fallback the server was built with: the owner of the
+// data answers from its live state, so nothing has to be copied into — and
+// kept in step with — a second store.
 type BulkServer struct {
 	mu    sync.RWMutex
 	blobs map[string][]byte //dist:guardedby mu
-	// content maps ContentKey(digest) -> blob + refcount.
-	//dist:guardedby mu
-	content map[string]*refBlob
-	// aliases maps a plain key -> ContentKey(digest).
-	//dist:guardedby mu
-	aliases map[string]string
-	ln      net.Listener
-	done    chan struct{}
-	wg      sync.WaitGroup
+	// fallback resolves keys the map does not hold; nil means none. It is
+	// called with mu released — it takes its owner's locks, and holding mu
+	// across it would make mu the outermost lock of a foreign lock order —
+	// and must not mutate the bytes it returns afterwards: they are written
+	// to the socket after it has returned. Immutable after construction.
+	fallback func(key string) ([]byte, bool)
+	ln       net.Listener
+	done     chan struct{}
+	wg       sync.WaitGroup
 
 	// bytesServed / fetchesServed account traffic for BulkStats.
 	bytesServed   atomic.Int64
 	fetchesServed atomic.Int64
 }
 
-// NewBulkServer starts a bulk server on addr ("host:0" picks a free port).
+// NewBulkServer starts a bulk server on addr ("host:0" picks a free port)
+// that serves only what is Put into it.
 func NewBulkServer(addr string) (*BulkServer, error) {
+	return NewBulkServerWithFallback(addr, nil)
+}
+
+// NewBulkServerWithFallback is NewBulkServer with a resolver for the keys
+// its own map does not hold (see BulkServer); a fallback miss is the usual
+// not-found reply.
+func NewBulkServerWithFallback(addr string, fallback func(key string) ([]byte, bool)) (*BulkServer, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("wire: bulk listen: %w", err)
 	}
 	s := &BulkServer{
-		blobs:   make(map[string][]byte),
-		content: make(map[string]*refBlob),
-		aliases: make(map[string]string),
-		ln:      ln,
-		done:    make(chan struct{}),
+		blobs:    make(map[string][]byte),
+		fallback: fallback,
+		ln:       ln,
+		done:     make(chan struct{}),
 	}
 	s.wg.Add(1)
 	go s.acceptLoop()
@@ -197,66 +193,13 @@ func (s *BulkServer) Delete(key string) {
 	delete(s.blobs, key)
 }
 
-// PutContent stores (or takes another reference on) a content-addressed
-// blob. digest must be Digest(blob) — the caller has usually computed it
-// already for task metadata, so it is passed rather than re-hashed here.
-// The blob becomes fetchable under ContentKey(digest); each PutContent
-// must be balanced by one Release.
-func (s *BulkServer) PutContent(digest string, blob []byte) {
-	key := ContentKey(digest)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if rb, ok := s.content[key]; ok {
-		rb.refs++
-		return
-	}
-	s.content[key] = &refBlob{data: blob, refs: 1}
-}
-
-// Release drops one reference on a content-addressed blob, deleting it
-// when the last reference is gone. Releasing an unknown digest is a no-op
-// (the blob may already be fully released by a concurrent cleanup).
-func (s *BulkServer) Release(digest string) {
-	key := ContentKey(digest)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	rb, ok := s.content[key]
-	if !ok {
-		return
-	}
-	if rb.refs--; rb.refs <= 0 {
-		delete(s.content, key)
-	}
-}
-
-// Alias makes a plainly named key resolve to a content-addressed blob, so
-// a peer fetching that key receives the shared bytes without the
-// server storing them twice. The alias does not hold a reference: it dies
-// with (or before, via DropAlias) the content blob it points at.
-func (s *BulkServer) Alias(key, digest string) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.aliases[key] = ContentKey(digest)
-}
-
-// DropAlias removes an alias.
-func (s *BulkServer) DropAlias(key string) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	delete(s.aliases, key)
-}
-
 // BulkStats is a snapshot of a bulk server's storage and traffic. Stored
-// figures count each resident blob once — aliases and extra content
-// references add nothing — which is exactly the dedup the content store
-// buys; served figures accumulate over the server's lifetime.
+// figures cover the server's own map only — what a fallback resolves is
+// its owner's to count; served figures accumulate over the server's
+// lifetime whichever of the two answered.
 type BulkStats struct {
-	// Blobs and StoredBytes cover both stores (plain + content).
 	Blobs       int
 	StoredBytes int64
-	// ContentBlobs/ContentRefs expose the content store's sharing factor.
-	ContentBlobs int
-	ContentRefs  int
 	// Fetches counts answered fetch requests (found or not);
 	// BytesServed sums the blob bytes shipped to clients.
 	Fetches     int64
@@ -268,17 +211,12 @@ func (s *BulkServer) Stats() BulkStats {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	st := BulkStats{
-		Blobs:        len(s.blobs) + len(s.content),
-		ContentBlobs: len(s.content),
-		Fetches:      s.fetchesServed.Load(),
-		BytesServed:  s.bytesServed.Load(),
+		Blobs:       len(s.blobs),
+		Fetches:     s.fetchesServed.Load(),
+		BytesServed: s.bytesServed.Load(),
 	}
 	for _, b := range s.blobs {
 		st.StoredBytes += int64(len(b))
-	}
-	for _, rb := range s.content {
-		st.StoredBytes += int64(len(rb.data))
-		st.ContentRefs += rb.refs
 	}
 	return st
 }
@@ -319,21 +257,16 @@ const (
 	statusNotFound = 0x02
 )
 
-// lookup resolves a fetch key against the plain store, then the alias
-// table, then the content store.
+// lookup resolves a fetch key against the server's own map, then the
+// fallback — the latter with mu already released.
 func (s *BulkServer) lookup(key string) ([]byte, bool) {
 	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if blob, ok := s.blobs[key]; ok {
-		return blob, true
+	blob, ok := s.blobs[key]
+	s.mu.RUnlock()
+	if ok || s.fallback == nil {
+		return blob, ok
 	}
-	if target, ok := s.aliases[key]; ok {
-		key = target
-	}
-	if rb, ok := s.content[key]; ok {
-		return rb.data, true
-	}
-	return nil, false
+	return s.fallback(key)
 }
 
 func (s *BulkServer) serveConn(conn net.Conn) {

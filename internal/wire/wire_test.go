@@ -5,6 +5,7 @@ import (
 	"errors"
 	"net"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -202,60 +203,66 @@ func TestDigestFormat(t *testing.T) {
 	}
 }
 
-// TestContentStoreRefcountAndAlias covers the content store's lifecycle:
-// N references to identical bytes keep one stored copy, the legacy alias
-// serves the same bytes, and the blob survives exactly until its last
-// Release.
-func TestContentStoreRefcountAndAlias(t *testing.T) {
-	s, err := NewBulkServer("127.0.0.1:0")
+// TestBulkFallback covers the one lookup rule: the server's own map wins,
+// a miss falls through to the fallback, a fallback miss is not-found, and
+// the fallback runs with no BulkServer lock held — it may call back into
+// the server it serves.
+func TestBulkFallback(t *testing.T) {
+	var self atomic.Pointer[BulkServer]
+	var calls atomic.Int64
+	s, err := NewBulkServerWithFallback("127.0.0.1:0", func(key string) ([]byte, bool) {
+		calls.Add(1)
+		switch key {
+		case "owner/live", "both":
+			return []byte("from the owner: " + key), true
+		case "owner/reentrant":
+			// Would self-deadlock if lookup still held mu (Put takes it
+			// exclusively); FetchBlob's timeout turns that into a failure.
+			self.Load().Put("cached", []byte("put by the fallback"))
+			return []byte("reentrant"), true
+		}
+		return nil, false
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	blob := bytes.Repeat([]byte("shared alignment"), 4096)
-	digest := Digest(blob)
-	for i := 0; i < 3; i++ {
-		s.PutContent(digest, blob)
-	}
-	s.Alias("shared/p1", digest)
-	s.Alias("shared/p2", digest)
+	self.Store(s)
+	s.Put("both", []byte("from the map"))
 
-	st := s.Stats()
-	if st.ContentBlobs != 1 || st.ContentRefs != 3 {
-		t.Errorf("content store = %d blobs / %d refs, want 1 / 3", st.ContentBlobs, st.ContentRefs)
-	}
-	if st.StoredBytes != int64(len(blob)) {
-		t.Errorf("StoredBytes = %d, want one copy (%d)", st.StoredBytes, len(blob))
-	}
-
-	for _, key := range []string{ContentKey(digest), "shared/p1", "shared/p2"} {
-		got, err := FetchBlob(s.Addr(), key, 5*time.Second)
+	for _, c := range []struct {
+		key, want string
+		calls     int64 // fallback calls this fetch adds
+	}{
+		{"both", "from the map", 0},
+		{"owner/live", "from the owner: owner/live", 1},
+		{"owner/reentrant", "reentrant", 1},
+		{"cached", "put by the fallback", 0},
+	} {
+		before := calls.Load()
+		got, err := FetchBlob(s.Addr(), c.key, 5*time.Second)
 		if err != nil {
-			t.Fatalf("fetch %q: %v", key, err)
+			t.Fatalf("fetch %q: %v", c.key, err)
 		}
-		if !bytes.Equal(got, blob) {
-			t.Errorf("fetch %q returned different bytes", key)
+		if string(got) != c.want {
+			t.Errorf("fetch %q = %q, want %q", c.key, got, c.want)
+		}
+		if n := calls.Load() - before; n != c.calls {
+			t.Errorf("fetch %q consulted the fallback %d times, want %d", c.key, n, c.calls)
 		}
 	}
-
-	// Two releases leave the blob alive; the third frees it.
-	s.Release(digest)
-	s.Release(digest)
-	if _, err := FetchBlob(s.Addr(), ContentKey(digest), 2*time.Second); err != nil {
-		t.Errorf("blob gone with a live reference: %v", err)
-	}
-	s.DropAlias("shared/p1")
-	s.Release(digest)
-	if _, err := FetchBlob(s.Addr(), ContentKey(digest), 2*time.Second); err == nil ||
+	if _, err := FetchBlob(s.Addr(), "nowhere", 2*time.Second); err == nil ||
 		!strings.Contains(err.Error(), "not found") {
-		t.Errorf("fully released blob: err = %v, want not found", err)
+		t.Errorf("key unknown to map and fallback: err = %v, want not found", err)
 	}
-	// The surviving alias now dangles and answers not-found, not stale bytes.
-	if _, err := FetchBlob(s.Addr(), "shared/p2", 2*time.Second); err == nil ||
-		!strings.Contains(err.Error(), "not found") {
-		t.Errorf("dangling alias: err = %v, want not found", err)
+	// Deleting the shadowing entry uncovers the owner's answer.
+	s.Delete("both")
+	if got, err := FetchBlob(s.Addr(), "both", 5*time.Second); err != nil || string(got) != "from the owner: both" {
+		t.Errorf("fetch after Delete = %q, %v; want the fallback's bytes", got, err)
 	}
-	s.Release(digest) // releasing an unknown digest is a no-op
+	if st := s.Stats(); st.Blobs != 1 || st.Fetches != 6 {
+		t.Errorf("stats = %d own blobs / %d fetches, want 1 (\"cached\") / 6", st.Blobs, st.Fetches)
+	}
 }
 
 // TestBulkStatsTraffic checks the fetch/byte accounting the dedup
