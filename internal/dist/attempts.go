@@ -631,26 +631,17 @@ func (s *Server) submitResult(ctx context.Context, res *Result) (accepted bool, 
 
 // ReportFailure implements Coordinator: attribute the failure to the donor
 // and requeue the unit for another donor. The epoch goes unchecked on this
-// untagged path; in-process and RPC donors use the tagged variant.
+// untagged path; in-process and RPC donors use reportFailure.
 func (s *Server) ReportFailure(ctx context.Context, donor, problemID string, unitID int64, reason string) error {
 	return s.reportFailure(ctx, donor, problemID, unitID, reason, failCompute, 0)
 }
 
-// reportTaggedFailure implements taggedFailureReporter for in-process
-// donors.
-func (s *Server) reportTaggedFailure(ctx context.Context, donor, problemID string, unitID int64, reason string, transport bool, epoch int64) error {
-	kind := failCompute
-	if transport {
-		kind = failTransport
-	}
-	return s.reportFailure(ctx, donor, problemID, unitID, reason, kind, epoch)
-}
-
-// reportFailure drops the reporting donor's lease on a failed unit. kind
-// is failTransport for failures to *fetch* the payload: those say nothing
-// about the unit itself and must not feed the poisoned-unit caps — half a
-// fleet with a firewalled bulk port would otherwise fail the whole problem
-// while healthy donors remain. A non-zero epoch that does not match the
+// reportFailure implements failureReporter: it drops the reporting donor's
+// lease on a failed unit. kind is failTransport for failures to *fetch*
+// the payload or shared data: those say nothing about the unit itself and
+// must not feed the poisoned-unit caps — half a fleet with a firewalled
+// bulk port would otherwise fail the whole problem while healthy donors
+// remain. A non-zero epoch that does not match the
 // problem's incarnation marks a straggler report from a forgotten
 // predecessor of a reused ID: dropped, like its submitResult counterpart,
 // so it cannot revoke a live lease of the successor when donor names

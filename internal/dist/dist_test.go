@@ -380,7 +380,8 @@ func (sharedStub) ReportFailure(context.Context, string, string, int64, string) 
 // algFor drives Donor.algorithm with a synthetic task — the pre-digest
 // call shape the donor cache tests were written against.
 func algFor(d *Donor, problemID, name string, epoch int64) (Algorithm, error) {
-	return d.algorithm(bg, &Task{ProblemID: problemID, Unit: Unit{Algorithm: name}, Epoch: epoch})
+	alg, _, err := d.algorithm(bg, &Task{ProblemID: problemID, Unit: Unit{Algorithm: name}, Epoch: epoch})
+	return alg, err
 }
 
 func TestDonorCacheBounded(t *testing.T) {
@@ -397,11 +398,15 @@ func TestDonorCacheBounded(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if len(d.epochs) > cap || len(d.problemOrder) > cap {
-		t.Errorf("cache grew unbounded: %d epochs, %d tracked", len(d.epochs), len(d.problemOrder))
+	if len(d.problems) > cap || len(d.problemOrder) > cap {
+		t.Errorf("cache grew unbounded: %d problems, %d tracked", len(d.problems), len(d.problemOrder))
 	}
-	if len(d.algs) > cap {
-		t.Errorf("algorithm cache grew unbounded: %d", len(d.algs))
+	algs := 0
+	for _, rp := range d.problems {
+		algs += len(rp.algs)
+	}
+	if algs > cap {
+		t.Errorf("algorithm cache grew unbounded: %d", algs)
 	}
 	d.opts.BlobCache.mu.Lock()
 	blobEntries := len(d.opts.BlobCache.entries)
@@ -411,7 +416,7 @@ func TestDonorCacheBounded(t *testing.T) {
 	}
 	// The most recent problem must still be cached.
 	last := fmt.Sprintf("p%02d", 3*cap-1)
-	if _, ok := d.epochs[last]; !ok {
+	if _, ok := d.problems[last]; !ok {
 		t.Errorf("most recent problem %s evicted", last)
 	}
 }

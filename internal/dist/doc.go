@@ -46,16 +46,16 @@
 //
 // # Dispatch: long-poll push
 //
-// Donors obtain work through WaitTask (see TaskWaiter): the server parks
-// the call until a unit is dispatchable for that donor — a Submit, a
+// Donors obtain work through WaitTasks (see TaskBatchWaiter): the server
+// parks the call until a unit is dispatchable for that donor — a Submit, a
 // failure or lease-expiry requeue, or a fold that can release
 // stage-barrier units all wake parked donors — so idle dispatch latency is
 // a channel wake, not a poll interval, and an idle fleet costs almost no
-// control traffic. One reply may carry several units (TaskBatchWaiter)
-// when the donor's measured unit time makes round trips dominate.
+// control traffic. One reply may carry several units when the donor's
+// measured unit time makes round trips dominate.
 // ServerOptions.LongPoll caps how long one call stays parked; donors
 // re-park on expiry. Only a foreign Coordinator implementation that lacks
-// TaskWaiter is polled through RequestTask.
+// TaskBatchWaiter is polled through RequestTask.
 //
 // # One control protocol
 //

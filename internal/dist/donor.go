@@ -1,13 +1,13 @@
 package dist
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"io"
 	"math/rand/v2"
-	"sort"
-	"strings"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -38,12 +38,13 @@ type DonorOptions struct {
 	// RedialMin and RedialMax bound the exponential backoff between
 	// redial attempts. Zero values default to 250ms and 30s.
 	RedialMin, RedialMax time.Duration
-	// CancelPoll is how often the donor polls the coordinator for cancel
-	// notices while a unit is computing, so a server-side Forget aborts
-	// the in-flight ProcessCtx instead of letting it finish doomed work.
-	// Zero defaults to 500ms; negative disables the poll (cancellation is
-	// then observed at unit boundaries only). Coordinators that do not
-	// implement CancelNotifier are never polled.
+	// CancelPoll is how often the donor's one cancel poller asks the
+	// coordinator for cancel notices. It asks only while a unit is
+	// computing — an idle donor makes no such call — and a notice naming
+	// that exact unit aborts its ProcessCtx instead of letting it finish
+	// doomed work. Zero defaults to 500ms; negative disables the poll (a
+	// doomed unit then runs to the end and the server drops its result).
+	// Coordinators that do not implement CancelNotifier are never polled.
 	CancelPoll time.Duration
 	// LongPollWait is the park duration the donor requests per WaitTask
 	// long-poll (see TaskWaiter): the server holds the call until a unit
@@ -134,25 +135,21 @@ const (
 // problemBytesQuantum, floored. At the 256 MiB default this reproduces the
 // pre-budget hardcoded bound of 8.
 func (o *DonorOptions) problemCacheCap() int {
-	c := int(o.BlobCacheBytes / problemBytesQuantum)
-	if c < minCachedProblems {
-		c = minCachedProblems
-	}
-	return c
+	return max(int(o.BlobCacheBytes/problemBytesQuantum), minCachedProblems)
 }
 
-// pollJitterFrac spreads each poll-wait uniformly ±20% around the server's
-// hint, so hundreds of donors released by the same stage barrier do not
-// thundering-herd RequestTask in lockstep forever after.
-const pollJitterFrac = 0.2
+// pollJitterDiv spreads each poll-wait uniformly ±1/5 (20%) around the
+// server's hint, so hundreds of donors released by the same stage barrier
+// do not thundering-herd RequestTask in lockstep forever after.
+const pollJitterDiv = 5
 
-// jitter returns d perturbed uniformly within ±pollJitterFrac.
+// jitter returns d perturbed uniformly within ±d/pollJitterDiv.
 func jitter(d time.Duration) time.Duration {
 	if d <= 0 {
 		return d
 	}
-	f := 1 - pollJitterFrac + 2*pollJitterFrac*rand.Float64()
-	return time.Duration(float64(d) * f)
+	spread := d / pollJitterDiv
+	return d - spread + rand.N(2*spread+1)
 }
 
 // Donor is one worker's compute loop: poll the coordinator for units, run
@@ -163,28 +160,19 @@ type Donor struct {
 	coord Coordinator
 	opts  DonorOptions
 
-	stop     chan struct{}
-	stopOnce sync.Once
-	units    atomic.Int64
-	aborted  atomic.Int64
+	// halted ends when Stop calls halt; every Run's context ends with it.
+	halted  context.Context
+	halt    context.CancelFunc
+	units   atomic.Int64
+	aborted atomic.Int64
 
-	// Per-problem algorithm instances, initialised once with the problem's
-	// shared data (keyed by problemID + "\x00" + algorithm name). The
-	// shared bytes themselves live in opts.BlobCache, keyed by content
-	// digest.
-	algs map[string]Algorithm
-	// epochs records the incarnation tag each cached problem was fetched
-	// under: a forgotten ID may be resubmitted with different shared data,
-	// and serving the successor from the predecessor's cache would
-	// silently corrupt results (the epoch on the result would be correct,
-	// so the server could not catch it). A task whose epoch differs from
-	// the cache's evicts and refetches.
-	epochs map[string]int64
-	// problemOrder tracks problem first-use order so resident algorithm
-	// state stays bounded (problemCacheCap): a donor is a long-lived
-	// service, and the server cycles through many problems over its
-	// lifetime. Oldest-first eviction; a still-active problem that gets
-	// evicted is simply re-initialised.
+	// problems is the per-problem state kept between units, in first-use
+	// order problemOrder. It stays bounded (problemCacheCap): a donor is a
+	// long-lived service and the server cycles through many problems over
+	// its lifetime, so the oldest is evicted first (a still-active problem
+	// is simply re-initialised). The shared bytes themselves live in
+	// opts.BlobCache, keyed by content digest.
+	problems     map[string]*residentProblem
 	problemOrder []string
 
 	// unitEWMA tracks this donor's recent per-unit compute time
@@ -192,54 +180,37 @@ type Donor struct {
 	// sizing. Only Run's goroutine touches it.
 	unitEWMA time.Duration
 
-	// cancelMu guards cancelledIncs.
-	cancelMu sync.Mutex
-	// cancelledIncs records the problem incarnations cancel notices named
-	// while the current batch drains. With batched dispatch a Forget can
-	// arrive (via the watcher polling during unit 1) for units 2..N still
-	// queued locally; checking this set before each pending unit drops
-	// them without wasted compute. Cleared at every batch refill — stale
-	// incarnations can never be re-dispatched, so old entries are dead
-	// weight.
-	//dist:guardedby cancelMu
-	cancelledIncs map[string]struct{}
+	// pollMu guards what Run shares with its cancel poller.
+	pollMu sync.Mutex
+	// computing is the unit inside the compute stage (the zero value
+	// between units); the poller calls CancelNotices only while it is set.
+	//dist:guardedby pollMu
+	computing watchedUnit
+	// noticed holds the cancel notices drained since the last park, one
+	// per unit: a queued batch unit found here is dropped before compute.
+	// Cleared at every park — a notice only matters for units in hand.
+	//dist:guardedby pollMu
+	noticed map[CancelNotice]struct{}
 }
 
-// incKey is the cancelledIncs map key for one problem incarnation.
-func incKey(problemID string, epoch int64) string {
-	return fmt.Sprintf("%s\x00%d", problemID, epoch)
+// residentProblem is one problem's cached state: the incarnation its shared
+// data was fetched under, and its initialised algorithm instances by name.
+// A forgotten ID may be resubmitted with different shared data, and serving
+// the successor from the predecessor's instances would silently corrupt
+// results (the epoch on the result would be correct, so the server could
+// not catch it), so a task of another epoch evicts and refetches.
+type residentProblem struct {
+	epoch int64
+	algs  map[string]Algorithm
 }
 
-// noteCancelled records cancel notices' problem incarnations.
-func (d *Donor) noteCancelled(notices []CancelNotice) {
-	if len(notices) == 0 {
-		return
-	}
-	d.cancelMu.Lock()
-	if d.cancelledIncs == nil {
-		d.cancelledIncs = make(map[string]struct{})
-	}
-	for _, n := range notices {
-		d.cancelledIncs[incKey(n.ProblemID, n.Epoch)] = struct{}{}
-	}
-	d.cancelMu.Unlock()
-}
-
-// incCancelled reports whether a cancel notice named this incarnation
-// since the last batch refill.
-func (d *Donor) incCancelled(problemID string, epoch int64) bool {
-	d.cancelMu.Lock()
-	defer d.cancelMu.Unlock()
-	_, ok := d.cancelledIncs[incKey(problemID, epoch)]
-	return ok
-}
-
-// resetCancelled clears the recorded incarnations (called before each
-// batch fetch; notices only matter for units already in hand).
-func (d *Donor) resetCancelled() {
-	d.cancelMu.Lock()
-	clear(d.cancelledIncs)
-	d.cancelMu.Unlock()
+// watchedUnit is what the cancel poller needs of the computing unit: its
+// exact key, the coordinator that leased it (nil if that one delivers no
+// notices) and the cancel of its compute ctx.
+type watchedUnit struct {
+	key      CancelNotice
+	notifier CancelNotifier
+	cancel   context.CancelFunc
 }
 
 // NewDonor creates a donor bound to a coordinator — a *Server for
@@ -252,12 +223,14 @@ func NewDonor(coord Coordinator, opts ...DonorOption) *Donor {
 		opt(&o)
 	}
 	o.applyDefaults()
+	halted, halt := context.WithCancel(context.Background()) //dist:allow-background the donor owns its stop signal
 	return &Donor{
-		coord:  coord,
-		opts:   o,
-		stop:   make(chan struct{}),
-		algs:   make(map[string]Algorithm),
-		epochs: make(map[string]int64),
+		coord:    coord,
+		opts:     o,
+		halted:   halted,
+		halt:     halt,
+		problems: make(map[string]*residentProblem),
+		noticed:  make(map[CancelNotice]struct{}),
 	}
 }
 
@@ -268,185 +241,135 @@ func (d *Donor) Units() int { return int(d.units.Load()) }
 // server cancel notice (the problem was forgotten or finished early).
 func (d *Donor) Aborted() int { return int(d.aborted.Load()) }
 
-// Stop asks Run to return after the unit in progress (idempotent).
-func (d *Donor) Stop() {
-	d.stopOnce.Do(func() { close(d.stop) })
-}
+// Stop ends Run (idempotent). It cancels Run's context, so the unit in
+// progress is aborted — its ProcessCtx context is cancelled and nothing is
+// submitted for it — and its lease expires server-side and reissues.
+func (d *Donor) Stop() { d.halt() }
 
 // Run fetches and computes work until ctx is cancelled, Stop is called, or
-// the server tells the donor it is shutting down (ErrClosed). Against a
-// *Server or an *RPCClient the loop parks in WaitTask between units and is
-// woken the moment work appears, and a park may return several units when
+// the server tells the donor it is shutting down (ErrClosed). It is one
+// loop over three stages — park (one dispatch call), compute (one unit),
+// report (submit the result, or the failure) — and one switch that maps
+// every coordinator error to continue, back off, reconnect (dropping the
+// batch tail) or exit.
+//
+// Against a *Server or an *RPCClient the donor parks in WaitTasks and is
+// woken the moment work appears; a park may return several units when
 // measured compute times make batching worthwhile (see batchSize), which
-// the loop drains before parking again; a foreign Coordinator that lacks
-// TaskWaiter is polled through RequestTask on its jittered wait hint. A
-// unit that fails to compute is reported (and thereby requeued to another
-// donor); a unit whose problem is forgotten mid-compute is aborted on the
-// server's cancel notice and nothing is submitted for it. When the server
-// merely becomes unreachable (ErrServerGone — a crash, a restart, a
-// partition) and Redial is configured, Run reconnects with capped
-// exponential backoff and keeps going; without Redial it exits cleanly.
+// the loop drains before parking again. A coordinator without
+// TaskBatchWaiter is polled through RequestTask on its jittered wait hint.
+// A unit that fails to compute is reported (and thereby requeued to
+// another donor); a unit a server cancel notice names is aborted, or
+// dropped unstarted if still queued, and nothing is submitted for it. When
+// the server merely becomes unreachable (ErrServerGone — a crash, a
+// restart, a partition) and Redial is configured, Run reconnects with
+// capped exponential backoff and keeps going; without Redial it exits
+// cleanly.
 func (d *Donor) Run(ctx context.Context) error {
 	if ctx == nil {
 		ctx = context.Background() //dist:allow-background nil-ctx normalisation in a public entry point
 	}
 	// One context carries both stop signals: the caller's ctx and Stop().
 	runCtx, cancel := context.WithCancel(ctx)
+	defer context.AfterFunc(d.halted, cancel)()
+	var poller sync.WaitGroup
+	defer poller.Wait()
 	defer cancel()
-	stopWatch := make(chan struct{})
-	defer close(stopWatch)
-	go func() {
-		select {
-		case <-d.stop:
-			cancel()
-		case <-stopWatch:
-		}
-	}()
+	if _, ok := d.coord.(CancelNotifier); ok && d.opts.CancelPoll > 0 {
+		poller.Add(1)
+		go func() {
+			defer poller.Done()
+			d.pollCancels(runCtx)
+		}()
+	}
 
 	// pending holds the not-yet-computed tail of the last dispatch batch.
 	// It is drained before the donor re-parks, and dropped on reconnect:
 	// the old server's leases died with it, and a restarted server may
 	// carry different work under the same unit IDs.
 	var pending []*Task
-	for {
-		if runCtx.Err() != nil {
-			return nil
-		}
+	for runCtx.Err() == nil {
+		var wait time.Duration // back-off before the next stage
+		var err error
 		if len(pending) == 0 {
-			d.resetCancelled()
-			var tasks []*Task
-			var wait time.Duration
-			var parked bool
-			fetchStart := time.Now()
-			err := d.call(runCtx, func() error {
-				var err error
-				tasks, wait, parked, err = d.nextTasks(runCtx)
-				return err
-			})
-			if err != nil {
-				if runCtx.Err() != nil || errors.Is(err, ErrClosed) || errors.Is(err, ErrServerGone) {
-					return nil
-				}
-				if isTransient(err) {
-					d.logf("donor %s: transient: %v", d.opts.Name, err)
-					if !d.sleep(runCtx, jitter(wait)) {
-						return nil
-					}
-					continue
-				}
-				return err
-			}
-			if len(tasks) == 0 {
-				if parked && wait <= 0 {
-					// The long-poll park expired with nothing to hand out: the
-					// server already did the waiting, so re-park immediately.
-					// Unless it did no such thing — the hint rides the wire, so
-					// a buggy or hostile server can answer "parked" instantly
-					// with a zero hint forever; an empty reply that came back
-					// faster than any real park gets the poll loop's sleep
-					// floor instead of spinning the control channel hot.
-					if time.Since(fetchStart) >= 5*time.Millisecond {
-						continue
-					}
-					if !d.sleep(runCtx, time.Millisecond) {
-						return nil
-					}
-					continue
-				}
-				if !d.sleep(runCtx, jitter(wait)) {
-					return nil
-				}
-				continue
-			}
-			// Within one batch, urgent units run first: tasks echo their
-			// problem's Submit-time priority, and the stable sort keeps the
-			// server's dispatch order among equals.
-			sort.SliceStable(tasks, func(i, j int) bool {
-				return tasks[i].Priority > tasks[j].Priority
-			})
-			pending = tasks
+			pending, wait, err = d.park(runCtx)
+		} else {
+			t := pending[0]
+			pending = pending[1:]
+			res, kind, cerr := d.compute(runCtx, t)
+			wait, err = d.report(runCtx, t, res, kind, cerr)
 		}
-		task := pending[0]
-		pending = pending[1:]
-		if d.incCancelled(task.ProblemID, task.Epoch) {
-			// A notice during an earlier unit of this batch already killed
-			// the incarnation; its queued siblings die unstarted.
-			d.aborted.Add(1)
-			d.logf("donor %s: unit %d of %s cancelled by server; dropped before compute",
-				d.opts.Name, task.Unit.ID, task.ProblemID)
-			continue
-		}
-		out, elapsed, aborted, perr := d.process(runCtx, task)
-		d.observeUnitTime(elapsed)
-		if aborted {
-			// The server cancelled this unit (Forget, early finish): no
-			// result, no failure report — the lease is already discarded.
-			d.aborted.Add(1)
-			d.logf("donor %s: unit %d of %s cancelled by server; dropped mid-compute",
-				d.opts.Name, task.Unit.ID, task.ProblemID)
-			continue
-		}
-		if perr != nil {
-			if runCtx.Err() != nil {
-				return nil // shutting down; the lease will expire and reissue
-			}
-			d.logf("donor %s: unit %d of %s failed: %v", d.opts.Name, task.Unit.ID, task.ProblemID, perr)
-			// A shared-data fetch failure is transport-level, not evidence
-			// the unit is bad: route it past the poisoned-unit caps when
-			// the coordinator can make the distinction. The tagged path
-			// also carries the task's epoch so a straggler report can
-			// never revoke a lease of a successor problem reusing the ID.
-			var sf *sharedFetchError
-			transport := errors.As(perr, &sf)
-			var err error
-			if tr, ok := d.coord.(taggedFailureReporter); ok {
-				err = tr.reportTaggedFailure(runCtx, d.opts.Name, task.ProblemID, task.Unit.ID, perr.Error(), transport, task.Epoch)
-			} else {
-				err = d.coord.ReportFailure(runCtx, d.opts.Name, task.ProblemID, task.Unit.ID, perr.Error())
-			}
-			if gone, alive := d.handleGone(runCtx, err, "failure report for unit", task); gone {
-				pending = nil // leases died with the connection; don't compute the batch tail
-				if !alive {
-					return nil
-				}
-				continue
-			}
-			if err != nil {
-				if runCtx.Err() != nil || errors.Is(err, ErrClosed) {
-					return nil
-				}
-				return err
-			}
-			continue
-		}
-		err := d.coord.SubmitResult(runCtx, &Result{
-			ProblemID: task.ProblemID,
-			UnitID:    task.Unit.ID,
-			Payload:   out,
-			Elapsed:   elapsed,
-			Donor:     d.opts.Name,
-			Epoch:     task.Epoch,
-		})
-		if gone, alive := d.handleGone(runCtx, err, "result of unit", task); gone {
-			pending = nil // leases died with the connection; don't compute the batch tail
-			if !alive {
+		switch {
+		case err == nil:
+			if wait > 0 && !d.sleep(runCtx, wait) {
 				return nil
 			}
-			continue
-		}
-		if err != nil {
-			if runCtx.Err() != nil || errors.Is(err, ErrClosed) {
+		case runCtx.Err() != nil || errors.Is(err, ErrClosed):
+			return nil
+		case errors.Is(err, ErrServerGone):
+			// Whatever died with the connection — a park, a result, a
+			// failure report — is never replayed: the reconnected server
+			// may be another instance whose unit IDs mean different work.
+			// The old leases, the batch tail's included, expire and reissue.
+			d.logf("donor %s: server connection lost (%d queued units dropped): %v", d.opts.Name, len(pending), err)
+			pending = nil
+			if d.opts.Redial == nil || !d.reconnect(runCtx) {
 				return nil
 			}
+		default:
 			return err
 		}
-		d.units.Add(1)
-		if d.opts.Throttle > 0 {
-			if !d.sleep(runCtx, d.opts.Throttle) {
-				return nil
-			}
-		}
 	}
+	return nil
+}
+
+// park is the dispatch stage: one WaitTasks long-poll for up to batchSize
+// units, or one RequestTask poll for a coordinator without TaskBatchWaiter.
+// It returns the delivered units in run order, or how long to back off
+// before parking again: nothing after a park that expired (the server did
+// the waiting), the 1ms floor after an empty "park" that came back too
+// fast to have parked (the zero hint rides the wire, so a buggy or hostile
+// server could otherwise spin the loop hot), and the jittered hint after
+// an empty poll or a reply that says it did not park.
+func (d *Donor) park(ctx context.Context) ([]*Task, time.Duration, error) {
+	d.pollMu.Lock()
+	clear(d.noticed)
+	d.pollMu.Unlock()
+	start := d.now()
+	var tasks []*Task
+	var wait time.Duration
+	var err error
+	tbw, parks := d.coord.(TaskBatchWaiter)
+	if parks {
+		tasks, wait, err = tbw.WaitTasks(ctx, d.opts.Name, d.opts.LongPollWait, d.batchSize())
+	} else {
+		var t *Task
+		t, wait, err = d.coord.RequestTask(ctx, d.opts.Name)
+		tasks = taskSlice(t)
+	}
+	switch {
+	case err != nil:
+		return nil, 0, err
+	case len(tasks) > 0:
+		// Within one batch, urgent units run first: tasks echo their
+		// problem's Submit-time priority, and the stable sort keeps the
+		// server's dispatch order among equals.
+		slices.SortStableFunc(tasks, func(a, b *Task) int { return cmp.Compare(b.Priority, a.Priority) })
+		return tasks, 0, nil
+	case !parks || wait > 0:
+		return nil, max(jitter(wait), time.Millisecond), nil
+	case d.now().Sub(start) < 5*time.Millisecond:
+		return nil, time.Millisecond, nil
+	}
+	return nil, 0, nil
+}
+
+// taskSlice lifts a single dispatch into batch shape.
+func taskSlice(t *Task) []*Task {
+	if t == nil {
+		return nil
+	}
+	return []*Task{t}
 }
 
 // batchLatencyTarget bounds the compute time a donor queues behind its
@@ -485,103 +408,166 @@ func (d *Donor) observeUnitTime(elapsed time.Duration) {
 	d.unitEWMA += (elapsed - d.unitEWMA) * 3 / 10
 }
 
-// nextTasks fetches the donor's next batch of units: a batched WaitTask
-// long-poll when the coordinator supports it and batchSize asks for
-// more than one unit, a single-unit WaitTask park when it only supports
-// that, and a RequestTask poll for a bare Coordinator. parked reports that a
-// long-poll path was used — only then may an empty reply with a zero hint
-// mean "re-park immediately" (and Run still floors replies that came back
-// too fast to have parked); a foreign Coordinator returning a zero hint
-// from RequestTask always gets the sleep floor.
-func (d *Donor) nextTasks(ctx context.Context) (tasks []*Task, wait time.Duration, parked bool, err error) {
-	if batch := d.batchSize(); batch > 1 {
-		if tbw, ok := d.coord.(TaskBatchWaiter); ok {
-			tasks, wait, err = tbw.WaitTasks(ctx, d.opts.Name, d.opts.LongPollWait, batch)
-			return tasks, wait, true, err
+// errUnitCancelled is compute's verdict on a unit a cancel notice named.
+var errUnitCancelled = errors.New("dist: unit cancelled by server")
+
+// compute is the compute stage: run one unit, lazily creating and
+// initialising the algorithm instance for (problem, algorithm name). From
+// start to end the unit is the one the cancel poller watches: a notice
+// naming it cancels its ctx, and a unit named while still queued is never
+// started — either way the verdict is errUnitCancelled. A failure's kind is
+// failTransport when the shared data could not be fetched and failCompute
+// otherwise, a panicking Algorithm included: it must not kill the loop.
+// Elapsed covers only ProcessCtx — the scheduler's throughput estimate must
+// not absorb one-time shared-data fetch and Init cost, or a donor's first
+// sample would make it look far slower than it is.
+func (d *Donor) compute(ctx context.Context, t *Task) (res *Result, kind failureKind, err error) {
+	key := CancelNotice{ProblemID: t.ProblemID, Epoch: t.Epoch, UnitID: t.Unit.ID}
+	unitCtx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	if !d.watch(key, cancel) {
+		return nil, failCompute, errUnitCancelled
+	}
+	defer func() {
+		if r := recover(); r != nil {
+			res, kind, err = nil, failCompute, fmt.Errorf("algorithm panicked: %v", r)
 		}
+		if d.unwatch(key) {
+			// Whether ProcessCtx aborted with the ctx error or raced to a
+			// completed result, the unit is dead server-side.
+			res, err = nil, errUnitCancelled
+		}
+	}()
+	alg, kind, err := d.algorithm(unitCtx, t)
+	if err != nil {
+		return nil, kind, err
 	}
-	if tw, ok := d.coord.(TaskWaiter); ok {
-		task, wait, err := tw.WaitTask(ctx, d.opts.Name, d.opts.LongPollWait)
-		return taskSlice(task), wait, true, err
+	start := d.now()
+	out, err := alg.ProcessCtx(unitCtx, t.Unit.Payload)
+	if err != nil {
+		return nil, failCompute, err
 	}
-	task, wait, err := d.coord.RequestTask(ctx, d.opts.Name)
-	return taskSlice(task), wait, false, err
+	return &Result{ProblemID: t.ProblemID, UnitID: t.Unit.ID, Payload: out,
+		Elapsed: d.now().Sub(start), Donor: d.opts.Name, Epoch: t.Epoch}, failCompute, nil
 }
 
-// taskSlice lifts a single dispatch into batch shape.
-func taskSlice(t *Task) []*Task {
-	if t == nil {
-		return nil
+// watch makes key the unit the cancel poller watches, unless a notice
+// already named it while it was queued (then it reports false).
+func (d *Donor) watch(key CancelNotice, cancel context.CancelFunc) bool {
+	cn, _ := d.coord.(CancelNotifier)
+	d.pollMu.Lock()
+	defer d.pollMu.Unlock()
+	if _, dead := d.noticed[key]; dead {
+		return false
 	}
-	return []*Task{t}
+	d.computing = watchedUnit{key: key, notifier: cn, cancel: cancel}
+	return true
 }
 
-// call runs one coordinator operation, transparently redialing and
-// retrying while the server is unreachable. Only use it for operations
-// that are safe to replay against a *different* server instance —
-// RequestTask is (it merely asks the current server for work). Results
-// and failure reports are NOT replayed after a reconnect: a restarted
-// server may carry a resubmitted problem under the same ID whose unit IDs
-// cover different ranges, and a stale replayed payload would be silently
-// folded into the wrong unit (see handleGone). call returns ErrServerGone
-// only when redialing is not configured or ctx was cancelled mid-backoff.
-func (d *Donor) call(ctx context.Context, op func() error) error {
+// unwatch ends the watch on key and reports whether a notice named it.
+func (d *Donor) unwatch(key CancelNotice) bool {
+	d.pollMu.Lock()
+	defer d.pollMu.Unlock()
+	d.computing = watchedUnit{}
+	_, dead := d.noticed[key]
+	return dead
+}
+
+// pollCancels is Run's one cancel poller. Every CancelPoll, if a unit is
+// computing, it drains the coordinator's notices into noticed and cancels
+// the unit's ctx when one names it exactly — problem, epoch and unit: a
+// fold sends a notice to every other holder of the unit it folded (a
+// speculation loser, a settled replica), and that notice must not touch
+// the same donor's other units of the problem. Between units it makes no
+// call, so an idle donor costs no control traffic.
+func (d *Donor) pollCancels(ctx context.Context) {
+	tick := time.NewTicker(jitter(d.opts.CancelPoll))
+	defer tick.Stop()
 	for {
-		err := op()
-		if err == nil || !errors.Is(err, ErrServerGone) {
-			return err
+		select {
+		case <-ctx.Done():
+			return
+		case <-tick.C:
 		}
-		if d.opts.Redial == nil || !d.reconnect(ctx) {
-			return err
+		d.pollMu.Lock()
+		cn := d.computing.notifier
+		d.pollMu.Unlock()
+		if cn == nil {
+			continue
 		}
+		notices, err := cn.CancelNotices(ctx, d.opts.Name)
+		if err != nil {
+			continue // transport hiccup; the next tick retries
+		}
+		d.pollMu.Lock()
+		for _, n := range notices {
+			d.noticed[n] = struct{}{}
+		}
+		if _, hit := d.noticed[d.computing.key]; hit && d.computing.cancel != nil {
+			d.computing.cancel()
+		}
+		d.pollMu.Unlock()
 	}
 }
 
-// handleGone deals with a result/failure-report delivery that died with
-// the server connection. The pending message is dropped, never replayed:
-// the reconnected server may be a different instance carrying a
-// resubmitted problem whose unit IDs mean different work, so replaying a
-// stale payload could be silently consumed as the wrong unit. Dropping is
-// always safe — the old server's lease expires and the unit reissues.
-// gone reports whether err was a lost-connection error; alive is false
-// when the donor should exit (no Redial configured, or the run context was
-// cancelled / Stop fired during backoff).
-func (d *Donor) handleGone(ctx context.Context, err error, what string, task *Task) (gone, alive bool) {
-	if err == nil || !errors.Is(err, ErrServerGone) {
-		return false, true
+// report is the report stage: submit the unit's result, or tell the
+// coordinator why there is none. A cancelled unit gets neither — its lease
+// is already discarded server-side — and neither does a unit that failed
+// because Run is shutting down: its lease expires and reissues. It returns
+// the Throttle pause after a submitted result.
+func (d *Donor) report(ctx context.Context, t *Task, res *Result, kind failureKind, err error) (time.Duration, error) {
+	switch {
+	case errors.Is(err, errUnitCancelled):
+		d.aborted.Add(1)
+		d.logf("donor %s: unit %d of %s cancelled by server; dropped", d.opts.Name, t.Unit.ID, t.ProblemID)
+		return 0, nil
+	case err != nil && ctx.Err() != nil:
+		return 0, ctx.Err()
+	case err != nil:
+		d.logf("donor %s: unit %d of %s failed: %v", d.opts.Name, t.Unit.ID, t.ProblemID, err)
+		if r, ok := d.coord.(failureReporter); ok {
+			return 0, r.reportFailure(ctx, d.opts.Name, t.ProblemID, t.Unit.ID, err.Error(), kind, t.Epoch)
+		}
+		return 0, d.coord.ReportFailure(ctx, d.opts.Name, t.ProblemID, t.Unit.ID, err.Error())
 	}
-	if d.opts.Redial == nil {
-		return true, false
+	d.observeUnitTime(res.Elapsed)
+	if err := d.coord.SubmitResult(ctx, res); err != nil {
+		return 0, err
 	}
-	d.logf("donor %s: %s %d of %s lost with the server connection (a lease expiry will reissue it)",
-		d.opts.Name, what, task.Unit.ID, task.ProblemID)
-	return true, d.reconnect(ctx)
+	d.units.Add(1)
+	return d.opts.Throttle, nil
+}
+
+// failureReporter is implemented by coordinators that accept the failure
+// context Coordinator.ReportFailure cannot carry: the kind (failTransport
+// requeues the unit without feeding the poisoned-unit caps) and the task's
+// epoch (a straggler report from a forgotten problem ID is dropped instead
+// of revoking the successor's lease). *Server and *RPCClient implement it;
+// foreign Coordinators fall back to plain ReportFailure.
+type failureReporter interface {
+	reportFailure(ctx context.Context, donor, problemID string, unitID int64, reason string, kind failureKind, epoch int64) error
 }
 
 // reconnect closes the dead coordinator and redials — immediately at
 // first (a rolling restart may already be back up), then with exponential
-// backoff between RedialMin and RedialMax — until a dial succeeds or the
-// donor is stopped (returning false). Problem caches are cleared on
-// success: a restarted server may resubmit an ID with different shared
+// backoff between RedialMin and RedialMax — until a dial succeeds or ctx,
+// which Stop cancels, ends (returning false). Problem caches are cleared
+// on success: a restarted server may resubmit an ID with different shared
 // data, and a stale Init would silently corrupt results.
 func (d *Donor) reconnect(ctx context.Context) bool {
 	if c, ok := d.coord.(io.Closer); ok {
 		_ = c.Close()
 	}
 	backoff := d.opts.RedialMin
-	for attempt := 1; ; attempt++ {
-		if d.stopped() || ctxErr(ctx) != nil {
-			return false
-		}
+	for attempt := 1; ctx.Err() == nil; attempt++ {
 		coord, err := d.opts.Redial()
 		if err == nil {
 			d.logf("donor %s: reconnected to server (attempt %d)", d.opts.Name, attempt)
 			d.coord = coord
-			d.algs = make(map[string]Algorithm)
-			d.epochs = make(map[string]int64)
-			d.problemOrder = nil
 			// The blob cache survives the reconnect: its keys are content
 			// digests, valid against any server.
+			clear(d.problems)
+			d.problemOrder = nil
 			return true
 		}
 		d.logf("donor %s: server unreachable, retrying in %s (attempt %d): %v",
@@ -589,124 +575,52 @@ func (d *Donor) reconnect(ctx context.Context) bool {
 		if !d.sleep(ctx, jitter(backoff)) {
 			return false
 		}
-		backoff *= 2
-		if backoff > d.opts.RedialMax {
-			backoff = d.opts.RedialMax
-		}
+		backoff = min(2*backoff, d.opts.RedialMax)
 	}
-}
-
-// process computes one unit, lazily creating and initialising the
-// algorithm instance for (problem, algorithm name). While ProcessCtx runs,
-// a watcher goroutine polls the coordinator for cancel notices; a notice
-// matching the task's problem incarnation cancels the unit's context, and
-// process reports aborted=true so the loop drops the unit without
-// submitting anything. elapsed covers only ProcessCtx — the scheduler's
-// throughput estimate must not absorb one-time shared-data fetch and Init
-// cost, or a donor's first sample would make it look far slower than it
-// is.
-func (d *Donor) process(ctx context.Context, t *Task) (out []byte, elapsed time.Duration, aborted bool, err error) {
-	defer func() {
-		// A panicking Algorithm must not kill the donor loop: convert it to
-		// a failure so the unit is requeued.
-		if r := recover(); r != nil {
-			out, err = nil, fmt.Errorf("algorithm panicked: %v", r)
-		}
-	}()
-	unitCtx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	var cancelled atomic.Bool
-	if cn, ok := d.coord.(CancelNotifier); ok && d.opts.CancelPoll > 0 {
-		watchDone := make(chan struct{})
-		defer close(watchDone)
-		go d.watchCancels(unitCtx, watchDone, cn, t, &cancelled, cancel)
-	}
-	alg, err := d.algorithm(unitCtx, t)
-	if err != nil {
-		return nil, 0, cancelled.Load(), err
-	}
-	start := time.Now()
-	out, err = alg.ProcessCtx(unitCtx, t.Unit.Payload)
-	if cancelled.Load() {
-		// Whether ProcessCtx aborted with the context error or raced to a
-		// completed result, the unit is dead server-side; drop everything.
-		return nil, 0, true, nil
-	}
-	return out, time.Since(start), false, err
-}
-
-// watchCancels polls the coordinator for cancel notices until the unit
-// finishes, cancelling the unit's context when a notice matches its
-// problem incarnation. Notices for other incarnations (or problems this
-// donor no longer computes) are discarded — their leases are already gone
-// server-side.
-func (d *Donor) watchCancels(ctx context.Context, done <-chan struct{}, cn CancelNotifier, t *Task, cancelled *atomic.Bool, cancel context.CancelFunc) {
-	ticker := time.NewTicker(jitter(d.opts.CancelPoll))
-	defer ticker.Stop()
-	for {
-		select {
-		case <-done:
-			return
-		case <-ctx.Done():
-			return
-		case <-ticker.C:
-			notices, err := cn.CancelNotices(ctx, d.opts.Name)
-			if err != nil {
-				continue // transport hiccup; the next tick retries
-			}
-			// Record every named incarnation — with batched dispatch the
-			// notices may cover units still queued locally, and the drain
-			// loop checks the set before starting each one.
-			d.noteCancelled(notices)
-			if d.incCancelled(t.ProblemID, t.Epoch) {
-				cancelled.Store(true)
-				cancel()
-				return
-			}
-		}
-	}
+	return false
 }
 
 // algorithm returns the cached (problem, algorithm) instance, fetching
-// shared data and running Init on first use. The task's epoch is its
-// incarnation tag: a mismatch with the cache means the problem ID was
-// forgotten and reused — possibly with different shared data — so the
-// stale entry is evicted and refetched. Epoch zero (a foreign Coordinator
-// that does not tag its tasks) disables the check.
-func (d *Donor) algorithm(ctx context.Context, t *Task) (Algorithm, error) {
-	problemID, name := t.ProblemID, t.Unit.Algorithm
-	if t.Epoch != 0 {
-		if cached, ok := d.epochs[problemID]; ok && cached != t.Epoch {
-			d.evictProblem(problemID)
-		}
+// shared data and running Init on first use; a failure's kind says whether
+// it was the fetch (failTransport) or not. The task's epoch is its
+// incarnation tag: a mismatch with the resident problem's means the ID was
+// forgotten and reused, so the stale entry is evicted and refetched. Epoch
+// zero (a foreign Coordinator that does not tag its tasks) disables the
+// check.
+func (d *Donor) algorithm(ctx context.Context, t *Task) (Algorithm, failureKind, error) {
+	name := t.Unit.Algorithm
+	rp := d.problems[t.ProblemID]
+	if rp != nil && t.Epoch != 0 && rp.epoch != t.Epoch {
+		d.evictProblem(t.ProblemID)
+		rp = nil
 	}
-	key := problemID + "\x00" + name
-	if alg, ok := d.algs[key]; ok {
-		return alg, nil
+	if rp != nil && rp.algs[name] != nil {
+		return rp.algs[name], failCompute, nil
 	}
 	alg, err := newAlgorithm(name)
 	if err != nil {
-		return nil, err
+		return nil, failCompute, err
 	}
 	if d.opts.WrapAlgorithm != nil {
 		alg = d.opts.WrapAlgorithm(name, alg)
 	}
 	shared, err := d.sharedBlob(ctx, t)
 	if err != nil {
-		return nil, &sharedFetchError{fmt.Errorf("fetching shared data: %w", err)}
+		return nil, failTransport, fmt.Errorf("fetching shared data: %w", err)
 	}
-	if _, tracked := d.epochs[problemID]; !tracked {
+	if rp == nil {
 		if len(d.problemOrder) >= d.opts.problemCacheCap() {
 			d.evictProblem(d.problemOrder[0])
 		}
-		d.epochs[problemID] = t.Epoch
-		d.problemOrder = append(d.problemOrder, problemID)
+		rp = &residentProblem{epoch: t.Epoch, algs: make(map[string]Algorithm)}
+		d.problems[t.ProblemID] = rp
+		d.problemOrder = append(d.problemOrder, t.ProblemID)
 	}
 	if err := alg.Init(shared); err != nil {
-		return nil, fmt.Errorf("initialising %s: %w", name, err)
+		return nil, failCompute, fmt.Errorf("initialising %s: %w", name, err)
 	}
-	d.algs[key] = alg
-	return alg, nil
+	rp.algs[name] = alg
+	return alg, failCompute, nil
 }
 
 // sharedBlob returns the task's shared data through the blob cache.
@@ -743,53 +657,28 @@ func (d *Donor) sharedBlob(ctx context.Context, t *Task) ([]byte, error) {
 	})
 }
 
-// evictProblem drops one problem's resident state: its algorithm
-// instances and its incarnation tag. The shared blob is left to the
-// cache's own LRU: it may be serving other problems that share the bytes.
+// evictProblem drops one problem's resident state. The shared blob is left
+// to the cache's own LRU: it may be serving other problems that share the
+// bytes.
 func (d *Donor) evictProblem(problemID string) {
-	delete(d.epochs, problemID)
-	for i, id := range d.problemOrder {
-		if id == problemID {
-			d.problemOrder = append(d.problemOrder[:i], d.problemOrder[i+1:]...)
-			break
-		}
-	}
-	prefix := problemID + "\x00"
-	for key := range d.algs {
-		if strings.HasPrefix(key, prefix) {
-			delete(d.algs, key)
-		}
-	}
+	delete(d.problems, problemID)
+	d.problemOrder = slices.DeleteFunc(d.problemOrder, func(id string) bool { return id == problemID })
 }
 
-// sleep waits for at most wait, returning false if ctx was cancelled or
-// Stop fired first.
+// now is the donor's one clock reading, taken at stage boundaries: a park's
+// start and end, ProcessCtx's start and end.
+func (d *Donor) now() time.Time { return time.Now() }
+
+// sleep waits for at most wait, returning false if ctx (which Stop
+// cancels) ended first.
 func (d *Donor) sleep(ctx context.Context, wait time.Duration) bool {
-	if wait <= 0 {
-		wait = time.Millisecond
-	}
 	t := time.NewTimer(wait)
 	defer t.Stop()
-	var done <-chan struct{}
-	if ctx != nil {
-		done = ctx.Done()
-	}
 	select {
-	case <-d.stop:
-		return false
-	case <-done:
+	case <-ctx.Done():
 		return false
 	case <-t.C:
 		return true
-	}
-}
-
-func (d *Donor) stopped() bool {
-	select {
-	case <-d.stop:
-		return true
-	default:
-		return false
 	}
 }
 
@@ -797,34 +686,4 @@ func (d *Donor) logf(format string, args ...any) {
 	if d.opts.Logf != nil {
 		d.opts.Logf(format, args...)
 	}
-}
-
-// transientError wraps coordinator errors a donor should retry rather than
-// exit on (e.g. a bulk payload fetch that failed after the unit was already
-// reported lost to the server).
-type transientError struct{ err error }
-
-func (e *transientError) Error() string { return e.err.Error() }
-func (e *transientError) Unwrap() error { return e.err }
-
-func isTransient(err error) bool {
-	var t *transientError
-	return errors.As(err, &t)
-}
-
-// sharedFetchError marks a failure to obtain a problem's shared blob.
-type sharedFetchError struct{ err error }
-
-func (e *sharedFetchError) Error() string { return e.err.Error() }
-func (e *sharedFetchError) Unwrap() error { return e.err }
-
-// taggedFailureReporter is implemented by coordinators that accept the
-// full failure context Coordinator.ReportFailure cannot carry: transport
-// marks payload-fetch failures (requeued without feeding the
-// poisoned-unit caps), and epoch is the failed task's incarnation tag (a
-// mismatched straggler report from a forgotten problem ID is dropped
-// instead of revoking the successor's lease). *Server and *RPCClient both
-// implement it; foreign Coordinators fall back to plain ReportFailure.
-type taggedFailureReporter interface {
-	reportTaggedFailure(ctx context.Context, donor, problemID string, unitID int64, reason string, transport bool, epoch int64) error
 }

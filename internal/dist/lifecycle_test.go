@@ -275,16 +275,17 @@ func runLifecycleSeed(t *testing.T, seed int64) {
 			}
 		case op == 15 || op == 16: // compute / transport failure
 			if task := r.take(rng); task != nil {
-				transport := op == 16
-				if !transport {
+				kind := failTransport
+				if op == 15 {
 					if computeFails == 0 {
 						r.out = append(r.out, task)
 						break
 					}
 					computeFails--
+					kind = failCompute
 				}
-				if err := s.reportTaggedFailure(bg, r.owner[task], task.ProblemID, task.Unit.ID, "injected", transport, task.Epoch); err != nil {
-					r.failf("reportTaggedFailure: %v", err)
+				if err := s.reportFailure(bg, r.owner[task], task.ProblemID, task.Unit.ID, "injected", kind, task.Epoch); err != nil {
+					r.failf("reportFailure: %v", err)
 				}
 			}
 		case op == 17: // failure report from a donor without the lease

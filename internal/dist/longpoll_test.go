@@ -317,7 +317,7 @@ func TestFunctionalOptionsLongPoll(t *testing.T) {
 	}
 }
 
-// spinStub is a buggy (or hostile) coordinator: WaitTask claims the
+// spinStub is a buggy (or hostile) coordinator: WaitTasks claims the
 // long-poll shape but answers instantly with an empty reply and a zero
 // hint, forever. The donor loop must floor these instead of hammering
 // the control channel in a hot loop.
@@ -328,8 +328,9 @@ func (s *spinStub) RequestTask(context.Context, string) (*Task, time.Duration, e
 	return nil, 0, nil
 }
 
-func (s *spinStub) WaitTask(ctx context.Context, donor string, _ time.Duration) (*Task, time.Duration, error) {
-	return s.RequestTask(ctx, donor)
+func (s *spinStub) WaitTasks(ctx context.Context, donor string, _ time.Duration, _ int) ([]*Task, time.Duration, error) {
+	t, wait, err := s.RequestTask(ctx, donor)
+	return taskSlice(t), wait, err
 }
 
 func (s *spinStub) SharedData(context.Context, string) ([]byte, error)                 { return nil, nil }

@@ -342,7 +342,11 @@ func (ns *NetworkServer) handle(ctx context.Context, verb byte, d *wire.Decoder)
 		if a.UnmarshalFlat(d); d.Err() != nil {
 			return nil, d.Err()
 		}
-		return nil, ns.Server.reportTaggedFailure(ctx, a.Donor, a.ProblemID, a.UnitID, a.Reason, a.Transport, a.Epoch)
+		kind := failCompute
+		if a.Transport {
+			kind = failTransport
+		}
+		return nil, ns.Server.reportFailure(ctx, a.Donor, a.ProblemID, a.UnitID, a.Reason, kind, a.Epoch)
 
 	case verbCancelNotices:
 		var a donorArgs
@@ -488,9 +492,8 @@ func firstTask(tasks []*Task, wait time.Duration, err error) (*Task, time.Durati
 // dispatch runs one of the two dispatch verbs and materialises its reply
 // of zero or more units. Entries whose offloaded payload cannot be fetched
 // are reported to the server as transport failures (requeued elsewhere
-// without feeding the poisoned-unit caps, not dropped) and skipped; only
-// when the whole reply is lost that way does the call surface a transient
-// error for the donor loop to retry past.
+// without feeding the poisoned-unit caps, not dropped) and skipped, so the
+// reply may come back empty; that is not an error.
 func (c *RPCClient) dispatch(ctx context.Context, donor string, verb byte, args wire.FlatMarshaler) ([]*Task, time.Duration, error) {
 	var r TaskReply
 	if err := c.mux.Call(ctx, verb, args, &r); err != nil {
@@ -505,24 +508,19 @@ func (c *RPCClient) dispatch(ctx context.Context, donor string, verb byte, args 
 		Epoch: r.Epoch, SharedDigest: r.SharedDigest, Priority: r.Priority, Verify: r.Verify})
 	entries = append(entries, r.Batch...)
 	tasks := make([]*Task, 0, len(entries))
-	var lastErr error
 	for i := range entries {
 		ent := &entries[i]
 		if ent.BulkKey != "" {
 			payload, err := wire.FetchBlob(c.bulkAddr, ent.BulkKey, c.timeout)
 			if err != nil {
-				ferr := fmt.Errorf("dist: fetching bulk payload %s: %w", ent.BulkKey, err)
-				_ = c.reportTaggedFailure(ctx, donor, ent.ProblemID, ent.Unit.ID, ferr.Error(), true, ent.Epoch)
-				lastErr = ferr
+				reason := fmt.Sprintf("dist: fetching bulk payload %s: %v", ent.BulkKey, err)
+				_ = c.reportFailure(ctx, donor, ent.ProblemID, ent.Unit.ID, reason, failTransport, ent.Epoch)
 				continue
 			}
 			ent.Unit.Payload = payload
 		}
 		tasks = append(tasks, &Task{ProblemID: ent.ProblemID, Unit: ent.Unit, Epoch: ent.Epoch,
 			SharedDigest: ent.SharedDigest, Priority: int(ent.Priority), Verify: ent.Verify})
-	}
-	if len(tasks) == 0 && lastErr != nil {
-		return nil, wait, &transientError{lastErr}
 	}
 	return tasks, wait, nil
 }
@@ -561,13 +559,14 @@ func (c *RPCClient) SubmitResult(ctx context.Context, res *Result) error {
 
 // ReportFailure implements Coordinator.
 func (c *RPCClient) ReportFailure(ctx context.Context, donor, problemID string, unitID int64, reason string) error {
-	return c.reportTaggedFailure(ctx, donor, problemID, unitID, reason, false, 0)
+	return c.reportFailure(ctx, donor, problemID, unitID, reason, failCompute, 0)
 }
 
-// reportTaggedFailure implements taggedFailureReporter.
-func (c *RPCClient) reportTaggedFailure(ctx context.Context, donor, problemID string, unitID int64, reason string, transport bool, epoch int64) error {
+// reportFailure implements failureReporter; the wire carries the kind as
+// failureArgs.Transport.
+func (c *RPCClient) reportFailure(ctx context.Context, donor, problemID string, unitID int64, reason string, kind failureKind, epoch int64) error {
 	args := failureArgs{Donor: donor, ProblemID: problemID, UnitID: unitID, Reason: reason,
-		Transport: transport, Epoch: epoch}
+		Transport: kind == failTransport, Epoch: epoch}
 	return c.mux.Call(ctx, verbReportFailure, args, nil)
 }
 

@@ -170,9 +170,9 @@ func WithRedialBackoff(min, max time.Duration) DonorOption {
 	return func(o *DonorOptions) { o.RedialMin, o.RedialMax = min, max }
 }
 
-// WithCancelPoll sets how often a busy donor polls the coordinator for
-// cancel notices while a unit is computing (negative disables the poll, so
-// cancellation is only observed at unit boundaries).
+// WithCancelPoll sets how often a donor's one cancel poller asks the
+// coordinator for cancel notices, which it does only while a unit computes
+// (negative disables the poll, so a doomed unit runs to the end).
 func WithCancelPoll(d time.Duration) DonorOption {
 	return func(o *DonorOptions) { o.CancelPoll = d }
 }
