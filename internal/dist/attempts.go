@@ -20,16 +20,19 @@ package dist
 //
 // Invariants, for every set: at most one lease per donor; exactly one fold
 // (the set leaves the table in foldLocked, so late and duplicate results
-// find nothing); a spot-checked set involves at most maxVerifyDonors donors.
+// find nothing); a spot-checked set involves at most maxVerifyDonors donors
+// at a time (a quarantine frees the donor's place).
 //
-// Collusion defence: once any post-probation ("trusted") donor exists, a
-// result group only wins a quorum if it contains at least one trusted
-// member — two unproven donors can never validate each other past the cold
-// start, so a pair submitting identical wrong answers merely forces a
-// trusted tie-breaking replica that outvotes them. Before any trusted donor
-// exists (bootstrap), and when no tie-breaker can ever arrive (no replica
-// is out, every live donor is already involved, and none of them was
-// trusted when it answered), plain count quorum applies.
+// Collusion defence: a donor is trusted iff its trust EWMA is at or above
+// the one bar (trust.go), and a result is trusted iff its donor was when it
+// answered. Once any known donor is trusted, a result group only wins a
+// quorum if it contains at least one trusted result — two unproven donors
+// can never validate each other past the cold start, so a pair submitting
+// identical wrong answers merely forces a trusted tie-breaking replica that
+// outvotes them. Before any trusted donor exists (bootstrap), and when no
+// tie-breaker can ever arrive (no replica is out, every live donor is
+// already involved, and none of them was trusted when it answered), plain
+// count quorum applies.
 
 import (
 	"bytes"
@@ -64,7 +67,9 @@ const maxConsecutiveTransport = 1024
 // involve. A unit that burns through this many donors without reaching
 // quorum agreement fails the problem loudly — a nondeterministic
 // DataManager (missing its ResultEquivaler) or a majority-malicious fleet
-// must surface, not livelock.
+// must surface, not livelock. Quarantined donors do not count: their
+// results were evicted, so they are no evidence either way, and each donor
+// is quarantined at most once per readmission.
 const maxVerifyDonors = 8
 
 // maxPendingCancels bounds one donor's queued cancel notices; a donor that
@@ -93,9 +98,6 @@ const (
 type lease struct {
 	donor    string
 	deadline time.Time
-	// trusted records whether the donor was post-probation when leased, so
-	// a set waiting for a trusted tie-breaker knows one is on its way.
-	trusted bool
 }
 
 // heldResult is one result of a spot-checked unit awaiting quorum.
@@ -105,6 +107,7 @@ type heldResult struct {
 	// trusted records the donor's standing when the result was accepted —
 	// the quorum rule keys on it, and a donor promoted later must not
 	// retroactively legitimize a result it submitted while unproven.
+	// Recovered results are never trusted: trust is soft state.
 	trusted bool
 }
 
@@ -122,8 +125,8 @@ type attemptSet struct {
 	first  [1]lease
 	// results are the held results of a spot-checked set; donors is every
 	// donor ever granted one of its leases (or, after recovery, journaled
-	// with a result) — none of them is granted another, even after its
-	// lease expired.
+	// with a result) and not quarantined since — none of them is granted
+	// another, even after its lease expired.
 	results []heldResult
 	donors  []string
 	// lastDonor is the donor that most recently lost a lease on the set;
@@ -136,7 +139,7 @@ type attemptSet struct {
 	// fails counts compute failures, feeding maxUnitAttempts.
 	fails int
 	// open mirrors membership of problemState.open; trustedOnly narrows an
-	// open spot-checked set to post-probation donors.
+	// open spot-checked set to trusted donors.
 	open, trustedOnly bool
 	// speculated marks a set that was granted its second concurrent lease
 	// under SpeculateAfter, so the tail-chasing scan never offers the unit
@@ -155,7 +158,8 @@ func (set *attemptSet) leaseOf(donor string) int {
 }
 
 // involves reports whether donor may not be granted a lease on the set:
-// it holds one, or the set is spot-checked and the donor ever did.
+// it holds one, or the set is spot-checked and the donor ever did (and was
+// not quarantined since).
 func (set *attemptSet) involves(donor string) bool {
 	if set.leaseOf(donor) >= 0 {
 		return true
@@ -231,9 +235,9 @@ func (s *Server) unlock(ps *problemState) {
 
 // grantLeaseLocked is the only place a lease is recorded: it leases the
 // set's unit to donor and returns the task, or nil when the donor is
-// already involved in the set. A unit handed to a probationary donor is
-// spot-checked from here on — no unit an untrusted donor computes may fold
-// unverified. Callers hold ps.mu.
+// already involved in the set. A unit handed to a donor below the trust bar
+// is spot-checked from here on — no unit an untrusted donor computes may
+// fold unverified. Callers hold ps.mu.
 //
 //dist:locked mu
 func (s *Server) grantLeaseLocked(ps *problemState, set *attemptSet, donor string, view dispatchView) *Task {
@@ -253,7 +257,7 @@ func (s *Server) grantLeaseLocked(ps *problemState, set *attemptSet, donor strin
 	case len(set.leases) > 0:
 		kind = EventUnitSpeculated
 	}
-	set.leases = append(set.leases, lease{donor: donor, deadline: view.now.Add(s.opts.Lease), trusted: !view.probation})
+	set.leases = append(set.leases, lease{donor: donor, deadline: view.now.Add(s.opts.Lease)})
 	ps.inflightN.Add(1)
 	ps.dispatched++
 	s.publishUnitEventLocked(ps, kind, set.uid, donor)
@@ -438,9 +442,10 @@ func (s *Server) syncOpenLocked(ps *problemState, set *attemptSet) {
 // spot-checked set wants replicas while no result group can reach quorum
 // with what is held plus what is outstanding; once some group has quorum
 // count but (necessarily — it would have resolved otherwise) no trusted
-// member, exactly one trusted tie-breaker is wanted instead, so a colluding
-// pair cannot burn the donor cap by piling on untrusted agreement. Callers
-// hold ps.mu.
+// member, one trusted tie-breaker is wanted instead, and only while no
+// replica is out — resolveLocked waits on any outstanding lease anyway —
+// so a colluding pair cannot burn the donor cap by piling on untrusted
+// agreement. Callers hold ps.mu.
 //
 //dist:locked mu
 func (s *Server) wantsLeaseLocked(ps *problemState, set *attemptSet) (want, trustedOnly bool) {
@@ -461,12 +466,7 @@ func (s *Server) wantsLeaseLocked(ps *problemState, set *attemptSet) (want, trus
 	if missing := set.quorum - best; missing > 0 {
 		return missing > len(set.leases), false
 	}
-	for _, l := range set.leases {
-		if l.trusted {
-			return false, true // a trusted tie-breaker is already on its way
-		}
-	}
-	return true, true
+	return len(set.leases) == 0, true
 }
 
 // groupResultsLocked partitions the set's held results into equivalence
@@ -506,12 +506,11 @@ func (s *Server) groupResultsLocked(ps *problemState, set *attemptSet) [][]int {
 // can ever arrive: no trusted donor has weighed in on the set, no replica
 // is still out, and every live donor is already involved in it. That is
 // evaluated on every offer and again by the expiry sweep, since liveness
-// changes with time. Callers hold ps.mu.
+// and trust change with time. Callers hold ps.mu.
 //
 //dist:locked mu
 func (s *Server) resolveLocked(ps *problemState, set *attemptSet, now time.Time) bool {
 	groups := s.groupResultsLocked(ps, set)
-	trustedExists := s.trusted.Load() > 0
 	trustedVoted := false
 	for _, r := range set.results {
 		trustedVoted = trustedVoted || r.trusted
@@ -521,7 +520,7 @@ func (s *Server) resolveLocked(ps *problemState, set *attemptSet, now time.Time)
 		if len(g) < set.quorum {
 			continue
 		}
-		if trustedExists && !groupHasTrusted(set, g) &&
+		if !groupHasTrusted(set, g) && s.trustedDonorExists() &&
 			(trustedVoted || len(set.leases) > 0 || s.liveDonorExcept(now, set.involves)) {
 			continue
 		}

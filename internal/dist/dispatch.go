@@ -122,7 +122,7 @@ func (s *Server) tryDispatch(ps *problemState, donor string, view dispatchView, 
 	if ps.done {
 		return nil, true, true
 	}
-	// A probation donor with ProbationUnits of unresolved verification
+	// An untrusted donor with ProbationUnits of unresolved verification
 	// backlog gets no new units — only replica service — until its
 	// quorums resolve: every unit it takes must be replicated, so an
 	// unbounded stream of them multiplies the problem by the quorum (and
@@ -161,9 +161,9 @@ func (s *Server) tryDispatch(ps *problemState, donor string, view dispatchView, 
 			}
 			// Nothing fresh, but the problem is close to done with leases
 			// still out: offer this free donor a speculative copy of the
-			// oldest straggler before parking it. Probationary donors are
-			// never offered speculation — first-result-wins would let an
-			// untrusted copy fold unverified.
+			// oldest straggler before parking it. A donor below the trust
+			// bar is never offered speculation — first-result-wins would
+			// let an untrusted copy fold unverified.
 			if !view.probation {
 				if t := s.speculateLocked(ps, donor, view); t != nil {
 					return t, false, true
@@ -394,17 +394,10 @@ func (s *Server) pruneDonors(now time.Time) {
 	for name, ds := range s.donors {
 		ds.mu.Lock()
 		gone := ds.lastSeen.Before(cutoff)
-		wasTrusted := gone && s.verifyEnabled() && !ds.quarantined && ds.verifiedOK >= s.opts.ProbationUnits
 		ds.mu.Unlock()
 		if gone {
 			delete(s.donors, name)
 			pruned = append(pruned, name)
-			if wasTrusted {
-				// The trusted count must track live donors only, or a fleet
-				// that fully churned could leave quorums forever demanding a
-				// trusted participant that no longer exists.
-				s.trusted.Add(-1)
-			}
 		}
 	}
 	s.donorMu.Unlock()

@@ -168,6 +168,9 @@ func (r *lifeRun) request(donor string) {
 		r.failf("RequestTask(%s): %v", donor, err)
 	}
 	if task != nil {
+		if info, _ := r.s.DonorTrust(donor); info.Probation && !task.Verify {
+			r.failf("unit %d granted to probationary donor %s without Verify", task.Unit.ID, donor)
+		}
 		r.out = append(r.out, task)
 		r.owner[task] = donor
 	}

@@ -102,7 +102,7 @@ func WithSpeculation(frac float64) ServerOption {
 
 // WithVerify enables quorum spot-checking of results from untrusted
 // donors: fraction of freshly dispatched units (plus every unit handed to
-// a donor still in probation) is replicated to quorum distinct donors, and
+// a donor below the trust bar) is replicated to quorum distinct donors, and
 // the unit folds only once quorum results agree (see
 // ServerOptions.VerifyFraction/VerifyQuorum). Fraction zero — the
 // default — disables verification entirely.
@@ -119,17 +119,17 @@ func WithQuarantineBelow(trust float64) ServerOption {
 	return func(o *ServerOptions) { o.QuarantineBelow = trust }
 }
 
-// WithProbation sets how many quorum agreements a new donor must accrue
-// before its unverified results are folded directly; until then every unit
-// it receives is spot-checked (see ServerOptions.ProbationUnits). Zero
-// keeps the default; negative disables probation. Meaningless without
+// WithProbation sets the trust bar to the trust that many consecutive
+// quorum agreements earn a new donor; while a donor is below the bar every
+// unit it receives is spot-checked (see ServerOptions.ProbationUnits).
+// Zero keeps the default; negative disables probation. Meaningless without
 // WithVerify.
 func WithProbation(units int) ServerOption {
 	return func(o *ServerOptions) { o.ProbationUnits = units }
 }
 
 // WithReadmitAfter lets a quarantined donor back in after d on re-entry
-// probation: trust and probation progress reset as if it had just joined.
+// probation: its trust resets to neutral as if it had just joined.
 // Zero — the default — quarantines forever. Meaningless without
 // WithVerify.
 func WithReadmitAfter(d time.Duration) ServerOption {

@@ -102,12 +102,13 @@ type ServerOptions struct {
 	SnapshotScan time.Duration
 	// VerifyFraction enables quorum spot-checking of results from untrusted
 	// donors: this fraction of freshly dispatched units (deterministically
-	// sampled per problem) — plus every unit handed to a donor still in
-	// probation — is replicated to VerifyQuorum distinct donors, and the
-	// unit folds only once quorum replica results agree (byte-identical, or
-	// equivalent under the DataManager's ResultEquivaler). Zero — the
-	// default — disables verification entirely: no replicas, no trust
-	// tracking, no quarantine. Values above 1 verify every unit.
+	// sampled per problem) — plus every unit handed to a donor below the
+	// trust bar (see ProbationUnits) — is replicated to VerifyQuorum
+	// distinct donors, and the unit folds only once quorum replica results
+	// agree (byte-identical, or equivalent under the DataManager's
+	// ResultEquivaler). Zero — the default — disables verification
+	// entirely: no replicas, no trust tracking, no quarantine. Values above
+	// 1 verify every unit.
 	VerifyFraction float64
 	// VerifyQuorum is how many agreeing replica results fold a verified
 	// unit. Zero defaults to 2; values below 2 are raised to 2 (a quorum of
@@ -120,16 +121,19 @@ type ServerOptions struct {
 	// quarantine while keeping trust tracking. Meaningless without
 	// VerifyFraction.
 	QuarantineBelow float64
-	// ProbationUnits is how many quorum *agreements* a new donor must
-	// accrue before its results are trusted: until then every unit it is
-	// handed is spot-checked regardless of VerifyFraction, and its results
-	// cannot complete a quorum on their own once any trusted donor exists
-	// (see attempts.go). Zero defaults to 4; negative disables probation.
+	// ProbationUnits sets the trust bar: the trust EWMA this many
+	// consecutive quorum agreements earn from neutral, so a new donor is
+	// trusted after exactly that many. A donor below the bar — new, or
+	// demoted by a lost quorum or a lapsed replica lease — has every unit
+	// it is handed spot-checked regardless of VerifyFraction, and its
+	// results cannot complete a quorum on their own once any trusted donor
+	// exists (see attempts.go). Zero defaults to 4; negative disables
+	// probation (bar zero: every non-quarantined donor is trusted).
 	// Meaningless without VerifyFraction.
 	ProbationUnits int
 	// ReadmitAfter lets a quarantined donor back in after this long, on
-	// re-entry probation: its trust and probation progress reset as if it
-	// had just joined. Zero — the default — quarantines forever.
+	// re-entry probation: its trust resets to neutral as if it had just
+	// joined. Zero — the default — quarantines forever.
 	// Meaningless without VerifyFraction.
 	ReadmitAfter time.Duration
 }
@@ -313,16 +317,13 @@ type donorState struct {
 	// trust is the donor's reputation EWMA in [0, 1], fed by quorum
 	// outcomes (agree pulls toward 1, disagree and timeout toward 0);
 	// seeded at sched.TrustNeutral on first contact. Only meaningful while
-	// verification is enabled.
+	// verification is enabled; the donor is trusted while it is at or
+	// above Server.trustBar (trustedLocked).
 	//dist:guardedby mu
 	trust float64
-	// verifiedOK counts the donor's quorum agreements; probation ends once
-	// it reaches ServerOptions.ProbationUnits.
-	//dist:guardedby mu
-	verifiedOK int
 	// quarantined marks a donor whose trust fell below the floor: it
 	// receives no work and its results are rejected until readmission
-	// (ServerOptions.ReadmitAfter) resets it to re-entry probation.
+	// (ServerOptions.ReadmitAfter) resets it to neutral trust.
 	//dist:guardedby mu
 	quarantined bool
 	//dist:guardedby mu
@@ -394,11 +395,9 @@ type Server struct {
 	donorMu sync.RWMutex
 	donors  map[string]*donorState //dist:guardedby donorMu
 
-	// trusted counts donors past probation and not quarantined — the
-	// fleet-wide signal the quorum rule keys on: once any trusted donor
-	// exists, a quorum must include one (see attempts.go). Maintained on the
-	// probation/quarantine/prune transitions.
-	trusted atomic.Int64
+	// trustBar is the trust a donor must hold to be trusted (trustedLocked):
+	// probationBar(ProbationUnits), zero with probation off. Immutable.
+	trustBar float64
 
 	// cancelMu guards cancels, the per-donor queues of epoch-tagged cancel
 	// notices for in-flight units of problems that ended while the unit
@@ -453,6 +452,7 @@ func NewServer(opts ...ServerOption) *Server {
 func newServer(o ServerOptions) *Server {
 	return &Server{
 		opts:      o,
+		trustBar:  probationBar(o.ProbationUnits),
 		problems:  make(map[string]*problemState),
 		forgotten: make(map[string]struct{}),
 		donors:    make(map[string]*donorState),

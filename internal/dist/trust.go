@@ -5,11 +5,14 @@ package dist
 // machines; without verification any donor can submit an arbitrary fold
 // and the coordinator trusts it blindly. With ServerOptions.VerifyFraction
 // set, a sampled fraction of units — and every unit handed to a donor
-// still in probation — becomes an attempt set with quorum VerifyQuorum
-// (attempts.go). Quorum outcomes feed the per-donor trust EWMA kept here;
-// donors falling below the trust floor are quarantined.
+// that is not trusted — becomes an attempt set with quorum VerifyQuorum
+// (attempts.go). Quorum outcomes feed the per-donor trust EWMA kept here,
+// the only per-donor verification state: a donor is trusted iff it is not
+// quarantined and its trust is at or above Server.trustBar, and donors
+// falling below the trust floor are quarantined.
 
 import (
+	"slices"
 	"sort"
 	"time"
 
@@ -57,20 +60,64 @@ type dispatchView struct {
 // verifyEnabled reports whether quorum spot-checking is configured.
 func (s *Server) verifyEnabled() bool { return s.opts.VerifyFraction > 0 }
 
-// standing reports whether a donor is trusted (past probation) or
-// quarantined; neither for an unknown donor or with verification disabled.
+// probationBar is the trust a donor must hold to be trusted: what
+// ProbationUnits consecutive agreements make of neutral trust, so a new
+// donor graduates on exactly its ProbationUnits-th agreement (the same
+// float steps, hence bit-identical). Zero — everyone trusted — when
+// probation is off.
+func probationBar(units int) float64 {
+	if units <= 0 {
+		return 0
+	}
+	bar := sched.TrustNeutral
+	for ; units > 0; units-- {
+		bar = nextTrust(bar, outcomeAgree)
+	}
+	return bar
+}
+
+// trustedLocked is the one trust predicate every probation question reads:
+// not quarantined, and trust at or above the bar. A trusted donor that
+// loses a quorum or lets a replica lease lapse drops below the bar and is
+// spot-checked again until agreements earn it back. Callers hold ds.mu.
+//
+//dist:locked mu
+func (s *Server) trustedLocked(ds *donorState) bool {
+	return !ds.quarantined && ds.trust >= s.trustBar
+}
+
+// standing reports whether a donor is trusted or quarantined; neither for
+// an unknown donor or with verification disabled.
 func (s *Server) standing(ds *donorState) (trusted, quarantined bool) {
 	if ds == nil || !s.verifyEnabled() {
 		return false, false
 	}
 	ds.mu.Lock()
 	defer ds.mu.Unlock()
-	return !ds.quarantined && ds.verifiedOK >= s.opts.ProbationUnits, ds.quarantined
+	return s.trustedLocked(ds), ds.quarantined
+}
+
+// trustedDonorExists reports whether some known donor is trusted — the
+// fleet-wide condition under which a quorum must include a trusted member
+// (see resolveLocked). It takes donor locks, possibly under a problem
+// lock, which the lock order permits: donor locks are leaves.
+func (s *Server) trustedDonorExists() bool {
+	s.donorMu.RLock()
+	defer s.donorMu.RUnlock()
+	for _, ds := range s.donors {
+		ds.mu.Lock()
+		trusted := s.trustedLocked(ds)
+		ds.mu.Unlock()
+		if trusted {
+			return true
+		}
+	}
+	return false
 }
 
 // donorDispatchView snapshots the donor's stats and verification standing
 // for one dispatch scan, performing readmission of a quarantined donor
-// whose ReadmitAfter has elapsed (back to re-entry probation).
+// whose ReadmitAfter has elapsed (back to neutral trust).
 func (s *Server) donorDispatchView(ds *donorState, now time.Time) (view dispatchView, quarantined bool) {
 	ds.mu.Lock()
 	defer ds.mu.Unlock()
@@ -82,13 +129,12 @@ func (s *Server) donorDispatchView(ds *donorState, now time.Time) (view dispatch
 		if s.opts.ReadmitAfter > 0 && now.Sub(ds.quarantinedAt) >= s.opts.ReadmitAfter {
 			ds.quarantined = false
 			ds.trust = sched.TrustNeutral
-			ds.verifiedOK = 0
 		} else {
 			return view, true
 		}
 	}
 	view.trust = ds.trust
-	view.probation = ds.verifiedOK < s.opts.ProbationUnits
+	view.probation = !s.trustedLocked(ds)
 	return view, false
 }
 
@@ -108,7 +154,7 @@ func scaleBudgetByTrust(budget int64, trust float64) int64 {
 
 // verifyBacklogLocked reports whether the donor is involved in at least
 // limit pending spot-checked sets — outstanding unverified work
-// attributable to it. A probation donor at ProbationUnits of backlog
+// attributable to it. An untrusted donor at ProbationUnits of backlog
 // receives no fresh units (it may still serve other sets' replicas):
 // without the bound, a fast unproven donor streams primaries quicker than
 // the fleet resolves them and every one must be replicated, so the
@@ -160,10 +206,11 @@ func nextTrust(cur float64, o verifyOutcome) float64 {
 	}
 }
 
-// applyTrustDeltas feeds quorum outcomes into donor trust EWMAs, promotes
-// donors out of probation, and enacts quarantine for donors crossing the
-// floor. Must be called with no problem lock held: donor locks are leaves,
-// and a quarantine walks every problem's attempt table.
+// applyTrustDeltas feeds quorum outcomes into donor trust EWMAs — which
+// alone moves a donor across the trust bar, either way — and enacts
+// quarantine for donors crossing the floor. Must be called with no problem
+// lock held: donor locks are leaves, and a quarantine walks every
+// problem's attempt table.
 func (s *Server) applyTrustDeltas(deltas []trustDelta) {
 	if len(deltas) == 0 || !s.verifyEnabled() {
 		return
@@ -175,27 +222,13 @@ func (s *Server) applyTrustDeltas(deltas []trustDelta) {
 			continue // pruned while the outcome was pending
 		}
 		ds.mu.Lock()
-		if ds.quarantined {
-			ds.mu.Unlock()
-			continue
-		}
-		wasTrusted := ds.verifiedOK >= s.opts.ProbationUnits
-		ds.trust = nextTrust(ds.trust, d.outcome)
-		if d.outcome == outcomeAgree {
-			ds.verifiedOK++
-		}
-		if floor := s.opts.QuarantineBelow; floor > 0 && ds.trust < floor {
-			ds.quarantined = true
-			ds.quarantinedAt = time.Now()
-			if wasTrusted {
-				s.trusted.Add(-1)
+		if !ds.quarantined {
+			ds.trust = nextTrust(ds.trust, d.outcome)
+			if floor := s.opts.QuarantineBelow; floor > 0 && ds.trust < floor {
+				ds.quarantined = true
+				ds.quarantinedAt = time.Now()
+				newlyQuarantined = append(newlyQuarantined, d.donor)
 			}
-			newlyQuarantined = append(newlyQuarantined, d.donor)
-			ds.mu.Unlock()
-			continue
-		}
-		if !wasTrusted && s.opts.ProbationUnits > 0 && ds.verifiedOK >= s.opts.ProbationUnits {
-			s.trusted.Add(1)
 		}
 		ds.mu.Unlock()
 	}
@@ -205,11 +238,13 @@ func (s *Server) applyTrustDeltas(deltas []trustDelta) {
 }
 
 // quarantineDonor enacts one donor's quarantine across the server: every
-// problem drops the donor's leases (failure kind verify) and its held
-// results — a proven-bad donor's answers must not keep counting toward
-// quorums — and publishes EventDonorQuarantined. Called with no locks
-// held; evicting results can itself resolve quorums, whose outcomes may
-// cascade into further quarantines (bounded: each donor transitions once).
+// problem drops the donor's leases (failure kind verify), its held results
+// — a proven-bad donor's answers must not keep counting toward quorums —
+// and its places in spot-checked sets, which must not use up a set's
+// maxVerifyDonors while an honest result waits there for a tie-breaker;
+// then it publishes EventDonorQuarantined. Called with no locks held;
+// evicting results can itself resolve quorums, whose outcomes may cascade
+// into further quarantines (bounded: each donor transitions once).
 func (s *Server) quarantineDonor(name string) {
 	now := time.Now()
 	for _, ps := range s.allProblems() {
@@ -218,14 +253,10 @@ func (s *Server) quarantineDonor(name string) {
 			if ps.done {
 				break
 			}
-			evicted := false
-			for i, r := range set.results {
-				if r.donor == name {
-					set.results = append(set.results[:i], set.results[i+1:]...)
-					evicted = true
-					break
-				}
-			}
+			before := len(set.results) + len(set.donors)
+			set.results = slices.DeleteFunc(set.results, func(r heldResult) bool { return r.donor == name })
+			set.donors = slices.DeleteFunc(set.donors, func(d string) bool { return d == name })
+			evicted := len(set.results)+len(set.donors) < before
 			if set.leaseOf(name) >= 0 {
 				s.dropLeaseLocked(ps, set, name, "donor quarantined", failVerify, now)
 			} else if evicted {
@@ -244,9 +275,10 @@ func (s *Server) quarantineDonor(name string) {
 type DonorTrustInfo struct {
 	// Trust is the donor's reputation EWMA in [0, 1].
 	Trust float64
-	// Agreements counts the donor's quorum agreements; probation ends at
-	// ServerOptions.ProbationUnits of them.
-	Agreements  int
+	// Probation reports a donor below the trust bar — the trust
+	// ServerOptions.ProbationUnits agreements earn from neutral — whose
+	// every unit is spot-checked; a quarantined donor is neither on
+	// probation nor trusted.
 	Probation   bool
 	Quarantined bool
 }
@@ -265,8 +297,7 @@ func (s *Server) DonorTrust(name string) (DonorTrustInfo, bool) {
 	defer ds.mu.Unlock()
 	return DonorTrustInfo{
 		Trust:       ds.trust,
-		Agreements:  ds.verifiedOK,
-		Probation:   !ds.quarantined && ds.verifiedOK < s.opts.ProbationUnits,
+		Probation:   !ds.quarantined && !s.trustedLocked(ds),
 		Quarantined: ds.quarantined,
 	}, true
 }
@@ -289,10 +320,10 @@ func (s *Server) QuarantinedDonors() []string {
 
 // VerifyStats summarises the fleet's verification standing.
 type VerifyStats struct {
-	// Trusted counts donors past probation and not quarantined; Probation
-	// counts donors still accruing agreements; Quarantined counts donors
-	// below the trust floor awaiting readmission (or forever, without
-	// ReadmitAfter).
+	// Trusted counts donors at or above the trust bar and not quarantined;
+	// Probation counts the other non-quarantined donors; Quarantined counts
+	// donors below the trust floor awaiting readmission (or forever,
+	// without ReadmitAfter).
 	Trusted, Probation, Quarantined int
 }
 
@@ -310,7 +341,7 @@ func (s *Server) FleetTrust() VerifyStats {
 		switch {
 		case ds.quarantined:
 			vs.Quarantined++
-		case ds.verifiedOK >= s.opts.ProbationUnits:
+		case s.trustedLocked(ds):
 			vs.Trusted++
 		default:
 			vs.Probation++

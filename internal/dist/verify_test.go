@@ -9,6 +9,7 @@ package dist
 import (
 	"context"
 	"fmt"
+	"math/rand"
 	"sync"
 	"testing"
 	"time"
@@ -156,7 +157,7 @@ func TestProbationAlwaysVerifies(t *testing.T) {
 	}
 	for _, donor := range []string{"a", "b"} {
 		info, ok := s.DonorTrust(donor)
-		if !ok || info.Probation || info.Agreements != 2 {
+		if !ok || info.Probation {
 			t.Fatalf("donor %s after 2 agreements: %+v, ok=%v; want out of probation", donor, info, ok)
 		}
 	}
@@ -166,6 +167,179 @@ func TestProbationAlwaysVerifies(t *testing.T) {
 	if task := dispatch(t, s, "late"); !task.Verify {
 		t.Error("late-joining donor's first unit not spot-checked")
 	}
+}
+
+// TestDemotedDonorIsSpotCheckedAgain: trust, not a count of past
+// agreements, decides probation. Donor a graduates, then loses a quorum on
+// a late donor's unit — its trust halves to just above the quarantine
+// floor, below the bar — so its next unit is spot-checked again even at a
+// sampling fraction that would verify almost nothing.
+func TestDemotedDonorIsSpotCheckedAgain(t *testing.T) {
+	o := verifyTestOptions()
+	o.VerifyFraction = 0.0001
+	o.ProbationUnits = 2
+	o.QuarantineBelow = 0.3
+	s := newTestServer(o)
+	defer s.Close()
+	if err := s.Submit(bg, &Problem{ID: "demote", DM: newRecDM(20)}); err != nil {
+		t.Fatal(err)
+	}
+	for round := 0; round < 2; round++ {
+		ta, tb := dispatch(t, s, "a"), dispatch(t, s, "b")
+		submitRaw(t, s, ta, "a", []byte("ok"))
+		submitRaw(t, s, tb, "b", []byte("ok"))
+	}
+	if info, _ := s.DonorTrust("a"); info.Probation {
+		t.Fatalf("a still on probation after 2 agreements: %+v", info)
+	}
+	// c is on probation, so its unit is replicated — to a, which lies; b
+	// breaks the tie against a.
+	tc := dispatch(t, s, "c")
+	ta := dispatch(t, s, "a")
+	if !tc.Verify || ta.Unit.ID != tc.Unit.ID {
+		t.Fatalf("a got %+v, want the replica of c's unit %d", ta, tc.Unit.ID)
+	}
+	submitRaw(t, s, ta, "a", []byte("WRONG"))
+	submitRaw(t, s, tc, "c", []byte("right"))
+	tb := dispatch(t, s, "b")
+	if tb.Unit.ID != tc.Unit.ID {
+		t.Fatalf("b got unit %d, want the tie-breaker of %d", tb.Unit.ID, tc.Unit.ID)
+	}
+	submitRaw(t, s, tb, "b", []byte("right"))
+	if info, _ := s.DonorTrust("a"); info.Quarantined {
+		t.Fatalf("a quarantined after one lost quorum: %+v", info)
+	}
+	if task := dispatch(t, s, "a"); !task.Verify {
+		t.Errorf("demoted donor a's next unit %d not spot-checked", task.Unit.ID)
+	}
+	if info, _ := s.DonorTrust("a"); !info.Probation {
+		t.Errorf("a after losing a quorum: %+v, want back on probation", info)
+	}
+}
+
+// TestTwoDonorQuorumWithProbationDrains is the liveness case for the
+// smallest verifying fleet: two donors, quorum 2, default probation, so
+// every spot-checked unit needs both donors and no third can ever break a
+// tie. Seeded interleavings of requests and submissions run in both submit
+// orders of a replicated unit, and include submissions whose trust
+// snapshot is taken before the peer's result on another unit graduates
+// both donors and whose offer lands after it — the window between
+// submitResult's standing read and its resolve. Every unit must fold
+// exactly once and Wait must return promptly.
+func TestTwoDonorQuorumWithProbationDrains(t *testing.T) {
+	graduatedInWindow := 0
+	for seed := int64(0); seed < 50; seed++ {
+		for _, replicaFirst := range []bool{false, true} {
+			graduatedInWindow += runTwoDonorDrain(t, seed, replicaFirst)
+		}
+	}
+	if graduatedInWindow == 0 {
+		t.Error("no interleaving graduated a donor between a submission's trust snapshot and its offer")
+	}
+}
+
+// heldTask is a task some donor holds and has not yet answered.
+type heldTask struct {
+	donor string
+	task  *Task
+}
+
+// runTwoDonorDrain runs one seed and reports how many stale-snapshot
+// submissions straddled the donors' graduation.
+func runTwoDonorDrain(t *testing.T, seed int64, replicaFirst bool) (graduatedInWindow int) {
+	const units = 200
+	rng := rand.New(rand.NewSource(seed))
+	s := newTestServer(ServerOptions{Policy: sched.Fixed{Size: 1}, VerifyFraction: 0.05, VerifyQuorum: 2})
+	defer s.Close()
+	dm := newRecDM(units)
+	if err := s.Submit(bg, &Problem{ID: "pair", DM: dm}); err != nil {
+		t.Fatal(err)
+	}
+	ps, _ := s.lookup("pair")
+	donors := [2]string{"x", "y"}
+	var out []heldTask // grant order
+	result := func(h heldTask) *Result {
+		return &Result{ProblemID: h.task.ProblemID, UnitID: h.task.Unit.ID, Payload: h.task.Unit.Payload,
+			Elapsed: time.Millisecond, Donor: h.donor, Epoch: h.task.Epoch}
+	}
+	submit := func(h heldTask) {
+		if _, err := s.submitResult(bg, result(h)); err != nil {
+			t.Fatalf("seed %d: submitResult: %v", seed, err)
+		}
+	}
+	// take removes a random held task — or the other replica of its unit,
+	// when the submit order puts that one first.
+	take := func() heldTask {
+		i := rng.Intn(len(out))
+		for j, o := range out {
+			if o.task.Unit.ID == out[i].task.Unit.ID && (replicaFirst && j > i || !replicaFirst && j < i) {
+				i = j
+				break
+			}
+		}
+		h := out[i]
+		out = append(out[:i], out[i+1:]...)
+		return h
+	}
+	for step := 0; step < 20*units; step++ {
+		if st, _ := s.Status(bg, "pair"); st.Done {
+			break
+		}
+		switch op := rng.Intn(6); {
+		case op < 3 || len(out) == 0:
+			donor := donors[rng.Intn(2)]
+			task, _, err := s.RequestTask(bg, donor)
+			if err != nil {
+				t.Fatalf("seed %d: RequestTask: %v", seed, err)
+			}
+			if task != nil {
+				out = append(out, heldTask{donor, task})
+			}
+		case op == 5:
+			// submitResult's window: snapshot h's standing, let the peer's
+			// result for another unit land, then offer h's.
+			h := take()
+			var peers []int
+			for i, o := range out {
+				if o.donor != h.donor && o.task.Unit.ID != h.task.Unit.ID {
+					peers = append(peers, i)
+				}
+			}
+			if len(peers) == 0 {
+				submit(h)
+				break
+			}
+			trusted, _ := s.standing(s.peekDonor(h.donor))
+			i := peers[rng.Intn(len(peers))]
+			peer := out[i]
+			out = append(out[:i], out[i+1:]...)
+			submit(peer)
+			if !trusted && s.trustedDonorExists() {
+				graduatedInWindow++
+			}
+			ps.mu.Lock()
+			if set := ps.units[h.task.Unit.ID]; set != nil && !ps.done {
+				s.offerResultLocked(ps, set, result(h), trusted)
+			}
+			s.unlock(ps)
+		default:
+			submit(take())
+		}
+	}
+	ctx, cancel := context.WithTimeout(bg, 2*time.Second)
+	defer cancel()
+	if _, err := s.Wait(ctx, "pair"); err != nil {
+		ps.mu.Lock()
+		outstanding := len(ps.units)
+		ps.mu.Unlock()
+		t.Fatalf("seed %d replicaFirst %v: Wait: %v (%d units outstanding, %d held tasks)", seed, replicaFirst, err, outstanding, len(out))
+	}
+	for id := int64(1); id <= units; id++ {
+		if n := len(dm.foldsOf(id)); n != 1 {
+			t.Fatalf("seed %d replicaFirst %v: unit %d folded %d times", seed, replicaFirst, id, n)
+		}
+	}
+	return graduatedInWindow
 }
 
 // TestQuorumNeverFoldsMinority: with results X, Y, Y held for one unit,
@@ -316,8 +490,8 @@ func TestQuarantineRequeuesInflightOnce(t *testing.T) {
 }
 
 // TestReadmitAfterReprobation: with ReadmitAfter set, a quarantined donor
-// re-enters after the window on a fresh probation — neutral trust, zero
-// agreements, spot-checked work.
+// re-enters after the window on a fresh probation — neutral trust,
+// spot-checked work.
 func TestReadmitAfterReprobation(t *testing.T) {
 	o := verifyTestOptions()
 	o.QuarantineBelow = 0.3
@@ -350,7 +524,7 @@ func TestReadmitAfterReprobation(t *testing.T) {
 		t.Error("readmitted donor's first unit not spot-checked")
 	}
 	info, ok := s.DonorTrust("evil")
-	if !ok || info.Quarantined || !info.Probation || info.Trust != sched.TrustNeutral || info.Agreements != 0 {
+	if !ok || info.Quarantined || !info.Probation || info.Trust != sched.TrustNeutral {
 		t.Errorf("readmitted donor state %+v, want fresh probation at neutral trust", info)
 	}
 }
@@ -552,7 +726,9 @@ func TestNoTieBreakerFallbackDefersToTrustedVote(t *testing.T) {
 // involved, but it may be the very tie-breaker the set asked for. Driven on
 // the set directly: a fleet whose only trusted donor holds the lease.
 func TestNoTieBreakerFallbackWaitsForOutstandingReplica(t *testing.T) {
-	s := newTestServer(verifyTestOptions())
+	o := verifyTestOptions()
+	o.ProbationUnits = 1 // a bar above neutral, so a and b are not trusted
+	s := newTestServer(o)
 	defer s.Close()
 	dm := newRecDM(1)
 	if err := s.Submit(bg, &Problem{ID: "out", DM: dm}); err != nil {
@@ -561,14 +737,17 @@ func TestNoTieBreakerFallbackWaitsForOutstandingReplica(t *testing.T) {
 	for _, donor := range []string{"a", "b", "T"} {
 		s.touchDonor(donor, time.Now())
 	}
-	s.trusted.Store(1) // T
+	ds := s.peekDonor("T")
+	ds.mu.Lock()
+	ds.trust = 1 // T alone is above the bar
+	ds.mu.Unlock()
 	ps, _ := s.lookup("out")
 	ps.mu.Lock()
 	defer ps.mu.Unlock()
 	set := ps.addSetLocked(1, &Unit{ID: 1}, 2)
 	set.donors = []string{"a", "b", "T"}
 	set.results = []heldResult{{donor: "a", payload: []byte("x")}, {donor: "b", payload: []byte("x")}}
-	set.leases = append(set.leases, lease{donor: "T", deadline: time.Now().Add(time.Hour), trusted: true})
+	set.leases = append(set.leases, lease{donor: "T", deadline: time.Now().Add(time.Hour)})
 	if s.resolveLocked(ps, set, time.Now()) {
 		t.Fatalf("resolved (folds %q) while the trusted tie-breaker is still computing", dm.foldsOf(1))
 	}
@@ -612,6 +791,50 @@ func TestVerifyExhaustionFailsLoudly(t *testing.T) {
 		t.Fatal("problem with un-agreeable replicas completed instead of failing")
 	} else if got := err.Error(); !contains(got, "verification exhausted") {
 		t.Errorf("failure %q does not name verification exhaustion", got)
+	}
+}
+
+// TestQuarantinedDonorsFreeTheDonorCap: a spot-checked set's donor cap
+// counts only donors whose involvement still stands. Seven liars in turn
+// take the replica of a unit whose one honest result is held, and each is
+// caught lying on another unit and quarantined — its result evicted. Their
+// places must not use up the set's maxVerifyDonors, or the unit fails as
+// "verification exhausted" while honest donors could still break the tie.
+func TestQuarantinedDonorsFreeTheDonorCap(t *testing.T) {
+	o := verifyTestOptions()
+	o.QuarantineBelow = 0.3
+	s := newTestServer(o)
+	defer s.Close()
+	dm := newRecDM(1)
+	if err := s.Submit(bg, &Problem{ID: "cap", DM: dm}); err != nil {
+		t.Fatal(err)
+	}
+	th := dispatch(t, s, "h")
+	submitRaw(t, s, th, "h", []byte("right"))
+	for i := 0; i < maxVerifyDonors-1; i++ {
+		liar := fmt.Sprintf("liar%d", i)
+		task := dispatch(t, s, liar)
+		if task.Unit.ID != th.Unit.ID {
+			t.Fatalf("%s got unit %d, want the replica of %d", liar, task.Unit.ID, th.Unit.ID)
+		}
+		submitRaw(t, s, task, liar, []byte(liar))
+		// The liar loses a quorum elsewhere: from neutral, one disagreement
+		// crosses the floor.
+		s.applyTrustDeltas([]trustDelta{{donor: liar, outcome: outcomeDisagree}})
+	}
+	if q := s.QuarantinedDonors(); len(q) != maxVerifyDonors-1 {
+		t.Fatalf("QuarantinedDonors = %v, want all %d liars", q, maxVerifyDonors-1)
+	}
+	tg := dispatch(t, s, "g")
+	if tg.Unit.ID != th.Unit.ID {
+		t.Fatalf("g got unit %d, want the replica of %d", tg.Unit.ID, th.Unit.ID)
+	}
+	submitRaw(t, s, tg, "g", []byte("right"))
+	if _, err := s.Wait(bg, "cap"); err != nil {
+		t.Fatalf("Wait: %v", err)
+	}
+	if got := dm.foldsOf(th.Unit.ID); len(got) != 1 || string(got[0]) != "right" {
+		t.Fatalf("folds = %q, want exactly one \"right\"", got)
 	}
 }
 
