@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check build vet fmt lint test race fuzz-smoke stress bench demo docs-lint swarm loc
+.PHONY: check build vet fmt lint test race fuzz-smoke stress bench bench-compare demo docs-lint swarm loc
 
 # check is the tier-1 gate: everything CI runs (CI invokes this target).
 # vet covers every package, including the control-channel mux and codec in
@@ -75,6 +75,37 @@ loc:
 # is picked up without editing this target again.
 bench:
 	$(GO) test -bench . -benchtime 1x -run '^$$' ./...
+
+# bench-compare BASE=<rev> [PAIRS=<n>] is the paired before/after run of the
+# end-to-end benchmark: it checks BASE out in a detached worktree under
+# .bench_build/, runs `bash bench/run.sh -seed 1` in that tree and in this
+# one PAIRS times (default 10), alternating which tree goes first, and
+# prints one line per pair — the verdict counts of `-compare BASE THIS` and
+# each workload's makespan B/A, plus any verdict that is not ok. Reports,
+# logs and full compare tables stay in .bench_build/compare/; the worktree
+# is removed on exit. From an uncommitted tree, BASE=HEAD is the parent.
+PAIRS ?= 10
+bench-compare:
+	$(if $(BASE),,$(error bench-compare needs BASE=<rev>))
+	@set -eu; root=$$(pwd); out=$$root/.bench_build/compare; base=$$root/.bench_build/base; \
+	rm -rf "$$out"; mkdir -p "$$out"; \
+	git worktree remove --force "$$base" 2>/dev/null || true; \
+	git worktree add --detach "$$base" "$(BASE)" >/dev/null 2>&1; \
+	trap 'git worktree remove --force "$$base"; git worktree prune' EXIT; \
+	for i in $$(seq 1 $(PAIRS)); do \
+		order="base this"; [ $$((i % 2)) -eq 0 ] && order="this base"; \
+		ran=yes; \
+		for side in $$order; do \
+			dir=$$root; [ $$side = base ] && dir=$$base; \
+			bash "$$dir/bench/run.sh" -seed 1 -out "$$out/$$side-$$i.json" >"$$out/$$side-$$i.log" 2>&1 || ran=no; \
+		done; \
+		if [ $$ran = no ]; then echo "pair $$i: a run failed, see $$out/*-$$i.log"; continue; fi; \
+		bash bench/run.sh -compare "$$out/base-$$i.json" "$$out/this-$$i.json" >"$$out/compare-$$i.txt" || true; \
+		awk -v p=$$i -v first="$${order%% *}" \
+			'{ n[$$NF]++ } $$2 == "makespan_s" { m = m " " $$1 " " $$(NF-1) } $$NF != "ok" { bad = bad " " $$1 ":" $$2 "=" $$NF } \
+			END { printf "pair %d (%s first): %d ok, %d unresolved, %d worse | makespan B/A%s%s\n", p, first, n["ok"], n["unresolved"], n["worse"], m, (bad == "" ? "" : " | not ok:" bad) }' \
+			"$$out/compare-$$i.txt"; \
+	done
 
 # swarm runs the full-scale donor-swarm soak under the race detector: 1024
 # shaped donors, 8 problems across three priority tiers, 10% abrupt churn,

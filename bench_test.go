@@ -1,20 +1,20 @@
-// Root benchmark harness: one bench per evaluation artifact of the paper.
+// Root benchmark harness: the paper's figures plus the curves the
+// end-to-end ledger in bench/ does not draw. Workload throughput, layer
+// costs and before/after comparisons live in bench/ (bench/README.md).
 //
 //	BenchmarkFigure1               DSEARCH speedup curve (83 homogeneous donors)
 //	BenchmarkFigure2               DPRml speedup curve (50 taxa, 6 instances)
 //	BenchmarkFigure2SingleInstance the single-instance ablation (paper §3.2 prose)
 //	BenchmarkAdaptiveVsFixed       scheduling-policy ablation (paper §3.1 prose)
 //	BenchmarkChurn                 fault tolerance under donor churn (§2 design)
+//	BenchmarkDiurnal               multi-day workload on a day/night lab
 //	BenchmarkBulkTransfer          RPC vs raw-socket bulk data (§2.2 design)
-//	BenchmarkDSEARCHEndToEnd       real distributed search, in-process workers
-//	BenchmarkDPRmlEndToEnd         real distributed tree build, in-process workers
 //	BenchmarkCoordinatorSharding   RequestTask/SubmitResult throughput vs problem count
+//	BenchmarkDispatchSkipsContended dispatch latency with hot problems locked
 //	BenchmarkDispatchLatency       idle-donor wakeup latency and idle control QPS
 //	                               of WaitTask long-poll dispatch
-//	BenchmarkSharedBlobDedup       bulk bytes stored/fetched for 16 problems sharing
+//	BenchmarkSharedBlobDedup       bulk bytes fetched for 16 problems sharing
 //	                               one alignment
-//	BenchmarkTinyUnitDrain         tiny-unit drain throughput over a real loopback
-//	                               deployment, single vs batched WaitTask dispatch
 //	BenchmarkSwarmMakespan         1024-donor swarm drain on a straggler-heavy
 //	                               fleet, Fixed vs Adaptive vs Adaptive+speculation
 //
@@ -38,12 +38,8 @@ import (
 	"net/rpc"
 
 	"repro/internal/dist"
-	"repro/internal/dprml"
-	"repro/internal/dsearch"
 	"repro/internal/figures"
-	"repro/internal/likelihood"
 	"repro/internal/sched"
-	"repro/internal/seq"
 	"repro/internal/simnet"
 	"repro/internal/swarm"
 	"repro/internal/wire"
@@ -360,9 +356,10 @@ func (d *slowDM) FinalResult() ([]byte, error) { return nil, nil }
 // concurrent problems grows, with a fixed pool of 16 donor goroutines
 // hammering it and each DataManager call holding its problem's lock for
 // 100µs. The pool is hand-rolled (not b.RunParallel, which scales its
-// goroutine count with GOMAXPROCS) so the committed BENCH_prN.json curves
-// are comparable across machines: the donors wait on problem locks, not
-// CPU. Under the pre-shard global mutex, ns/op was flat in the problem
+// goroutine count with GOMAXPROCS) so its curve — round trips scaling
+// ~16x from 1 to 16 problems when per-problem sharding landed (see
+// CHANGES.md) — is comparable across machines: the donors wait on problem
+// locks, not CPU. Under the pre-shard global mutex, ns/op was flat in the problem
 // count (every round-trip serialized); with per-problem state, ns/op
 // drops as problems are added until the donor pool is saturated.
 func BenchmarkCoordinatorSharding(b *testing.B) {
@@ -896,324 +893,4 @@ func BenchmarkSharedBlobDedup(b *testing.B) {
 	b.ReportMetric(fetchedMBPerDonor/float64(b.N), "fetched-MB/donor")
 	b.ReportMetric(submitMS/float64(b.N), "submit-ms")
 	b.ReportMetric(drainMS/float64(b.N), "drain-ms")
-}
-
-// tinyDM hands out a fixed number of minimal units with a small payload —
-// the worst case for per-unit control overhead, which is exactly what
-// batched dispatch attacks.
-type tinyDM struct {
-	units, seq, done int64
-	payload          []byte
-}
-
-func (d *tinyDM) NextUnit(int64) (*dist.Unit, bool, error) {
-	if d.seq >= d.units {
-		return nil, false, nil
-	}
-	d.seq++
-	return &dist.Unit{ID: d.seq, Algorithm: "bench/tiny", Cost: 1, Payload: d.payload}, true, nil
-}
-
-func (d *tinyDM) Consume(int64, []byte) error  { d.done++; return nil }
-func (d *tinyDM) Done() bool                   { return d.done >= d.units }
-func (d *tinyDM) FinalResult() ([]byte, error) { return nil, nil }
-
-// tinyAlg acknowledges a unit with a one-byte result — no compute, so the
-// drain time is almost pure dispatch/result round-trip cost.
-type tinyAlg struct{}
-
-func (tinyAlg) Init([]byte) error { return nil }
-func (tinyAlg) ProcessCtx(context.Context, []byte) ([]byte, error) {
-	return []byte{1}, nil
-}
-
-var registerTinyAlgOnce sync.Once
-
-// BenchmarkTinyUnitDrain drains one problem of 2000 tiny units through a
-// real loopback deployment (4 networked donors), single-unit and batched.
-// With tiny units the drain is dominated by control-channel round trips,
-// so the reported drain-ms/units-per-sec isolate what batched WaitTask
-// replies (fewer round trips) buy.
-func BenchmarkTinyUnitDrain(b *testing.B) {
-	registerTinyAlgOnce.Do(func() {
-		dist.RegisterAlgorithm("bench/tiny", func() dist.Algorithm { return tinyAlg{} })
-	})
-	const (
-		units  = 2000
-		donors = 4
-	)
-	payload := make([]byte, 64)
-	for i := range payload {
-		payload[i] = byte(i)
-	}
-	ctx := context.Background()
-	for _, mode := range []struct {
-		name  string
-		batch int
-	}{
-		{"batch=1", -1},
-		{"batch=8", 8},
-	} {
-		b.Run(mode.name, func(b *testing.B) {
-			b.ReportAllocs()
-			var drainMS float64
-			for iter := 0; iter < b.N; iter++ {
-				srv, err := dist.ListenAndServe("127.0.0.1:0", "127.0.0.1:0",
-					dist.WithPolicy(sched.Fixed{Size: 1}),
-					dist.WithLeaseTTL(time.Hour),
-					dist.WithExpiryScan(time.Hour),
-					dist.WithDispatchBatch(mode.batch),
-				)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if err := srv.Submit(ctx, &dist.Problem{
-					ID: "tiny-drain",
-					DM: &tinyDM{units: units, payload: payload},
-				}); err != nil {
-					b.Fatal(err)
-				}
-				var wg sync.WaitGroup
-				pool := make([]*dist.Donor, donors)
-				clients := make([]*dist.RPCClient, donors)
-				t0 := time.Now()
-				for g := range pool {
-					cl, err := dist.Dial(srv.RPCAddr(), 10*time.Second)
-					if err != nil {
-						b.Fatal(err)
-					}
-					clients[g] = cl
-					pool[g] = dist.NewDonor(cl,
-						dist.WithName(fmt.Sprintf("tiny-%s-%d", mode.name, g)),
-						dist.WithTaskBatch(mode.batch),
-					)
-					wg.Add(1)
-					go func(d *dist.Donor) { defer wg.Done(); _ = d.Run(ctx) }(pool[g])
-				}
-				if _, err := srv.Wait(ctx, "tiny-drain"); err != nil {
-					b.Fatal(err)
-				}
-				drainMS += float64(time.Since(t0).Microseconds()) / 1000
-				for _, d := range pool {
-					d.Stop()
-				}
-				wg.Wait()
-				for _, cl := range clients {
-					_ = cl.Close()
-				}
-				srv.Close()
-			}
-			b.ReportMetric(drainMS/float64(b.N), "drain-ms")
-			b.ReportMetric(float64(units)*1000*float64(b.N)/drainMS, "units/s")
-		})
-	}
-}
-
-// BenchmarkDSEARCHEndToEnd runs a real (non-simulated) distributed search
-// on in-process workers: FASTA partitioning, gob codecs, scheduling, hit
-// merging — everything but physical network and real donor machines.
-func BenchmarkDSEARCHEndToEnd(b *testing.B) {
-	gen := seq.NewGenerator(seq.Protein, 9)
-	w := gen.NewSearchWorkload(120, 3, 3, seq.LengthModel{Mean: 150, StdDev: 40, Min: 60, Max: 300})
-	cfg := dsearch.DefaultConfig()
-	cfg.TopK = 10
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		p, err := dsearch.NewProblem("bench", w.DB, w.Queries, cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		out, err := dist.RunLocal(context.Background(), p, 4, sched.Adaptive{Target: 50 * time.Millisecond, Bootstrap: 5000, Min: 500})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := dsearch.DecodeResult(out, cfg.TopK); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(w.DB.TotalResidues()), "db-residues")
-}
-
-// BenchmarkDPRmlEndToEnd runs a real distributed tree build on in-process
-// workers (10 taxa so a bench iteration stays around a second).
-func BenchmarkDPRmlEndToEnd(b *testing.B) {
-	taxa := make([]string, 10)
-	for i := range taxa {
-		taxa[i] = "t" + string(rune('A'+i))
-	}
-	tree, err := likelihood.RandomTree(taxa, 0.05, 0.3, 4)
-	if err != nil {
-		b.Fatal(err)
-	}
-	model, err := likelihood.NewHKY85(2, [4]float64{0.25, 0.25, 0.25, 0.25})
-	if err != nil {
-		b.Fatal(err)
-	}
-	aln, err := likelihood.Simulate(tree, model, likelihood.UniformRates(), 300, 5)
-	if err != nil {
-		b.Fatal(err)
-	}
-	opts := dprml.Options{Model: "HKY85:kappa=2", LocalRounds: 1, FinalRounds: 1}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		p, err := dprml.NewProblem("bench", aln, opts)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := dist.RunLocal(context.Background(), p, 4, sched.Adaptive{Target: 100 * time.Millisecond, Bootstrap: 4000, Min: 1}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkJournalOverhead is the PR 8 durability-cost ablation: the same
-// tiny-unit DSEARCH drain with the journal off, on (the production
-// group-commit configuration), and on with an fsync per record (the
-// worst-case configuration the group commit exists to avoid). Units are
-// one database sequence each, so the drain is dominated by
-// dispatch/fold traffic and the per-fold journal append is the variable
-// under test. The timer covers only the drain — server open, problem
-// submission and the shutdown checkpoint happen with the clock stopped,
-// because those are one-time latencies a deployment amortises over hours,
-// not drain throughput. BENCH_pr8.json records the ablation; the contract
-// is that journal-on stays within 10% of journal-off.
-func BenchmarkJournalOverhead(b *testing.B) {
-	gen := seq.NewGenerator(seq.Protein, 77)
-	w := gen.NewSearchWorkload(2000, 1, 2, seq.LengthModel{Mean: 60, StdDev: 10, Min: 40, Max: 90})
-	cfg := dsearch.DefaultConfig()
-	cfg.TopK = 5
-	const donors = 4
-
-	drain := func(b *testing.B, durable, fsyncEvery bool) {
-		b.Helper()
-		for i := 0; i < b.N; i++ {
-			b.StopTimer()
-			opts := []dist.ServerOption{
-				dist.WithPolicy(sched.Fixed{Size: 1}), // one sequence per unit
-				dist.WithLeaseTTL(time.Hour),
-				dist.WithExpiryScan(time.Hour),
-				dist.WithAutoForget(true),
-			}
-			if durable {
-				opts = append(opts,
-					dist.WithDataDir(b.TempDir()),
-					dist.WithJournalFsync(fsyncEvery))
-			}
-			srv, err := dist.OpenServer(opts...)
-			if err != nil {
-				b.Fatal(err)
-			}
-			p, err := dsearch.NewProblem("bench-journal", w.DB, w.Queries, cfg)
-			if err != nil {
-				b.Fatal(err)
-			}
-			ctx, cancel := context.WithCancel(context.Background())
-			if err := srv.Submit(ctx, p); err != nil {
-				b.Fatal(err)
-			}
-			b.StartTimer()
-			var wg sync.WaitGroup
-			for d := 0; d < donors; d++ {
-				don := dist.NewDonor(srv,
-					dist.WithName(fmt.Sprintf("bench-%d", d)),
-					dist.WithCancelPoll(2*time.Millisecond))
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					_ = don.Run(ctx)
-				}()
-			}
-			if _, err := srv.Wait(ctx, "bench-journal"); err != nil {
-				b.Fatal(err)
-			}
-			b.StopTimer()
-			cancel()
-			wg.Wait()
-			if err := srv.Close(); err != nil {
-				b.Fatal(err)
-			}
-			b.StartTimer()
-		}
-		b.ReportMetric(float64(w.DB.Len())*float64(b.N)/b.Elapsed().Seconds(), "units/s")
-	}
-
-	b.Run("journal-off", func(b *testing.B) { drain(b, false, false) })
-	b.Run("journal-on", func(b *testing.B) { drain(b, true, false) })
-	b.Run("journal-fsync-every-record", func(b *testing.B) { drain(b, true, true) })
-}
-
-// BenchmarkVerifyOverhead is the PR 10 defense-cost ablation: the same
-// tiny-unit DSEARCH drain on an all-honest in-process fleet with quorum
-// spot-checking off, at the recommended production fraction (0.05), and
-// at an aggressive fraction (0.25), all at quorum 2. Each verified unit
-// is computed twice and held until the replicas agree, so the fraction
-// bounds the duplicate-compute cost directly; probation rides the
-// default (4 agreements per donor) because a deployment pays it too.
-// The contract is that fraction 0 is within noise of a build without the
-// subsystem and fraction 0.05 stays within 10% of fraction 0.
-// BENCH_pr10.json records the ablation.
-func BenchmarkVerifyOverhead(b *testing.B) {
-	gen := seq.NewGenerator(seq.Protein, 99)
-	w := gen.NewSearchWorkload(2000, 1, 2, seq.LengthModel{Mean: 60, StdDev: 10, Min: 40, Max: 90})
-	cfg := dsearch.DefaultConfig()
-	cfg.TopK = 5
-	const donors = 4
-
-	drain := func(b *testing.B, fraction float64) {
-		b.Helper()
-		var verified float64
-		for i := 0; i < b.N; i++ {
-			b.StopTimer()
-			srv, err := dist.OpenServer(
-				dist.WithPolicy(sched.Fixed{Size: 1}), // one sequence per unit
-				dist.WithLeaseTTL(time.Hour),
-				dist.WithExpiryScan(time.Hour),
-				dist.WithVerify(fraction, 2),
-			)
-			if err != nil {
-				b.Fatal(err)
-			}
-			p, err := dsearch.NewProblem("bench-verify", w.DB, w.Queries, cfg)
-			if err != nil {
-				b.Fatal(err)
-			}
-			ctx, cancel := context.WithCancel(context.Background())
-			if err := srv.Submit(ctx, p); err != nil {
-				b.Fatal(err)
-			}
-			b.StartTimer()
-			var wg sync.WaitGroup
-			for d := 0; d < donors; d++ {
-				don := dist.NewDonor(srv,
-					dist.WithName(fmt.Sprintf("bench-%d", d)),
-					dist.WithCancelPoll(2*time.Millisecond))
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					_ = don.Run(ctx)
-				}()
-			}
-			if _, err := srv.Wait(ctx, "bench-verify"); err != nil {
-				b.Fatal(err)
-			}
-			b.StopTimer()
-			st, err := srv.Stats(ctx, "bench-verify")
-			if err != nil {
-				b.Fatal(err)
-			}
-			verified += float64(st.Verified)
-			cancel()
-			wg.Wait()
-			if err := srv.Close(); err != nil {
-				b.Fatal(err)
-			}
-			b.StartTimer()
-		}
-		b.ReportMetric(float64(w.DB.Len())*float64(b.N)/b.Elapsed().Seconds(), "units/s")
-		b.ReportMetric(verified/float64(b.N), "verified-units")
-	}
-
-	b.Run("verify-off", func(b *testing.B) { drain(b, 0) })
-	b.Run("verify-fraction-0.05", func(b *testing.B) { drain(b, 0.05) })
-	b.Run("verify-fraction-0.25", func(b *testing.B) { drain(b, 0.25) })
 }

@@ -24,7 +24,8 @@ import (
 	"log"
 	"time"
 
-	"repro/internal/core"
+	"repro/internal/dist"
+	"repro/internal/sched"
 )
 
 const keyspace = 1 << 24 // 3-byte key
@@ -46,7 +47,7 @@ type searchResult struct {
 // keyManager partitions the keyspace and stops issuing work once a unit
 // reports success — an early-termination DataManager, a shape the
 // bioinformatics applications don't need but cryptographic search does.
-// It implements core.TypedDM[searchUnit, searchResult].
+// It implements dist.TypedDM[searchUnit, searchResult].
 type keyManager struct {
 	salt, target []byte
 
@@ -62,8 +63,8 @@ func newKeyManager(salt, target []byte) *keyManager {
 	return &keyManager{salt: salt, target: target, inflight: make(map[int64][2]uint64)}
 }
 
-// NextUnit implements core.TypedDM; 1 cost unit = 1024 keys.
-func (m *keyManager) NextUnit(budget int64) (*core.UnitOf[searchUnit], bool, error) {
+// NextUnit implements dist.TypedDM; 1 cost unit = 1024 keys.
+func (m *keyManager) NextUnit(budget int64) (*dist.UnitOf[searchUnit], bool, error) {
 	if m.found || m.next >= keyspace {
 		return nil, false, nil
 	}
@@ -78,7 +79,7 @@ func (m *keyManager) NextUnit(budget int64) (*core.UnitOf[searchUnit], bool, err
 	m.next = to
 	m.seq++
 	m.inflight[m.seq] = [2]uint64{from, to}
-	return &core.UnitOf[searchUnit]{
+	return &dist.UnitOf[searchUnit]{
 		ID:        m.seq,
 		Algorithm: "crypto/keysearch",
 		Payload:   searchUnit{From: from, To: to, Salt: m.salt, Target: m.target},
@@ -86,7 +87,7 @@ func (m *keyManager) NextUnit(budget int64) (*core.UnitOf[searchUnit], bool, err
 	}, true, nil
 }
 
-// Consume implements core.TypedDM.
+// Consume implements dist.TypedDM.
 func (m *keyManager) Consume(unitID int64, res searchResult) error {
 	span, ok := m.inflight[unitID]
 	if !ok {
@@ -101,13 +102,13 @@ func (m *keyManager) Consume(unitID int64, res searchResult) error {
 	return nil
 }
 
-// Done implements core.TypedDM: finished when the key is found, or the
+// Done implements dist.TypedDM: finished when the key is found, or the
 // whole keyspace has been scanned without a match.
 func (m *keyManager) Done() bool {
 	return m.found || (m.completed >= keyspace && len(m.inflight) == 0)
 }
 
-// FinalResult implements core.TypedDM.
+// FinalResult implements dist.TypedDM.
 func (m *keyManager) FinalResult() (any, error) {
 	return searchResult{Found: m.found, Key: m.key}, nil
 }
@@ -121,14 +122,14 @@ func (m *keyManager) RemainingCost() int64 {
 }
 
 // keySearcher is the donor-side half. It implements
-// core.TypedAlgorithm[core.NoShared, searchUnit, searchResult]: each unit
+// dist.TypedAlgorithm[dist.NoShared, searchUnit, searchResult]: each unit
 // is self-contained, so there is no shared data.
 type keySearcher struct{}
 
-// Init implements core.TypedAlgorithm.
-func (keySearcher) Init(core.NoShared) error { return nil }
+// Init implements dist.TypedAlgorithm.
+func (keySearcher) Init(dist.NoShared) error { return nil }
 
-// ProcessCtx implements core.TypedAlgorithm. The periodic context check
+// ProcessCtx implements dist.TypedAlgorithm. The periodic context check
 // makes the early-termination pattern sharp: when another donor finds the
 // key and the problem finalises, the server's cancel notice aborts this
 // scan instead of letting it hash out its whole doomed range.
@@ -150,7 +151,7 @@ func (keySearcher) ProcessCtx(ctx context.Context, u searchUnit) (searchResult, 
 }
 
 func main() {
-	core.RegisterTypedAlgorithm("crypto/keysearch", func() core.TypedAlgorithm[core.NoShared, searchUnit, searchResult] {
+	dist.RegisterTypedAlgorithm("crypto/keysearch", func() dist.TypedAlgorithm[dist.NoShared, searchUnit, searchResult] {
 		return keySearcher{}
 	})
 
@@ -161,16 +162,17 @@ func main() {
 	binary.BigEndian.PutUint64(buf[:], secret)
 	target := sha256.Sum256(append(buf[5:], salt...))
 
-	problem, err := core.NewTypedProblem[searchUnit, searchResult]("keysearch", newKeyManager(salt, target[:]), core.NoShared{})
+	problem, err := dist.NewTypedProblem[searchUnit, searchResult]("keysearch", newKeyManager(salt, target[:]), dist.NoShared{})
 	if err != nil {
 		log.Fatal(err)
 	}
 	start := time.Now()
-	out, err := core.RunLocal(context.Background(), problem, 8, core.Adaptive(100*time.Millisecond))
+	policy := sched.Adaptive{Target: 100 * time.Millisecond, Bootstrap: 1000, Min: 1}
+	out, err := dist.RunLocal(context.Background(), problem, 8, policy)
 	if err != nil {
 		log.Fatal(err)
 	}
-	res, err := core.Decode[searchResult](out)
+	res, err := dist.Decode[searchResult](out)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -8,7 +8,7 @@
 // back together. This mirrors the paper's §2.1: "The user is required to
 // extend two classes to create a Problem to run on the system." — with the
 // v2 twist that the payloads are typed structs and the gob codec lives in
-// the core adapters, not in application code.
+// the dist adapters, not in application code.
 //
 // Run:
 //
@@ -22,7 +22,8 @@ import (
 	"math/rand"
 	"time"
 
-	"repro/internal/core"
+	"repro/internal/dist"
+	"repro/internal/sched"
 )
 
 // piUnit is one work unit's payload: how many darts to throw, and the seed
@@ -39,7 +40,7 @@ type piResult struct {
 
 // piManager is the server-side half: it partitions TotalSamples into units
 // whose size follows the scheduler's per-donor budget, and accumulates the
-// inside-circle counts. It implements core.TypedDM[piUnit, piResult].
+// inside-circle counts. It implements dist.TypedDM[piUnit, piResult].
 type piManager struct {
 	TotalSamples int64
 
@@ -54,10 +55,10 @@ func newPiManager(total int64) *piManager {
 	return &piManager{TotalSamples: total, inflight: make(map[int64]int64)}
 }
 
-// NextUnit implements core.TypedDM. The budget is in cost units; we
+// NextUnit implements dist.TypedDM. The budget is in cost units; we
 // declare 1 cost unit = 1000 samples so the adaptive policy's throughput
 // accounting has reasonable magnitudes.
-func (m *piManager) NextUnit(budget int64) (*core.UnitOf[piUnit], bool, error) {
+func (m *piManager) NextUnit(budget int64) (*dist.UnitOf[piUnit], bool, error) {
 	left := m.TotalSamples - m.dispatched
 	if left <= 0 {
 		return nil, false, nil
@@ -72,7 +73,7 @@ func (m *piManager) NextUnit(budget int64) (*core.UnitOf[piUnit], bool, error) {
 	m.seq++
 	m.dispatched += samples
 	m.inflight[m.seq] = samples
-	return &core.UnitOf[piUnit]{
+	return &dist.UnitOf[piUnit]{
 		ID:        m.seq,
 		Algorithm: "quickstart/pi",
 		Payload:   piUnit{Samples: samples, Seed: m.seq},
@@ -80,7 +81,7 @@ func (m *piManager) NextUnit(budget int64) (*core.UnitOf[piUnit], bool, error) {
 	}, true, nil
 }
 
-// Consume implements core.TypedDM.
+// Consume implements dist.TypedDM.
 func (m *piManager) Consume(unitID int64, res piResult) error {
 	samples, ok := m.inflight[unitID]
 	if !ok {
@@ -92,10 +93,10 @@ func (m *piManager) Consume(unitID int64, res piResult) error {
 	return nil
 }
 
-// Done implements core.TypedDM.
+// Done implements dist.TypedDM.
 func (m *piManager) Done() bool { return m.completed >= m.TotalSamples }
 
-// FinalResult implements core.TypedDM.
+// FinalResult implements dist.TypedDM.
 func (m *piManager) FinalResult() (any, error) {
 	return 4 * float64(m.inside) / float64(m.completed), nil
 }
@@ -104,14 +105,14 @@ func (m *piManager) FinalResult() (any, error) {
 func (m *piManager) RemainingCost() int64 { return (m.TotalSamples - m.completed) / 1000 }
 
 // piAlgorithm is the client-side half: throw darts. It implements
-// core.TypedAlgorithm[core.NoShared, piUnit, piResult] — this problem has
+// dist.TypedAlgorithm[dist.NoShared, piUnit, piResult] — this problem has
 // no shared data.
 type piAlgorithm struct{}
 
-// Init implements core.TypedAlgorithm.
-func (piAlgorithm) Init(core.NoShared) error { return nil }
+// Init implements dist.TypedAlgorithm.
+func (piAlgorithm) Init(dist.NoShared) error { return nil }
 
-// ProcessCtx implements core.TypedAlgorithm; the context check between
+// ProcessCtx implements dist.TypedAlgorithm; the context check between
 // dart batches lets a cancelled run stop the workers mid-unit.
 func (piAlgorithm) ProcessCtx(ctx context.Context, u piUnit) (piResult, error) {
 	rng := rand.New(rand.NewSource(u.Seed))
@@ -133,22 +134,23 @@ func (piAlgorithm) ProcessCtx(ctx context.Context, u piUnit) (piResult, error) {
 func main() {
 	// Donor binaries know algorithms by name (the Go substitute for Java's
 	// runtime class shipping — see docs/ARCHITECTURE.md).
-	core.RegisterTypedAlgorithm("quickstart/pi", func() core.TypedAlgorithm[core.NoShared, piUnit, piResult] {
+	dist.RegisterTypedAlgorithm("quickstart/pi", func() dist.TypedAlgorithm[dist.NoShared, piUnit, piResult] {
 		return piAlgorithm{}
 	})
 
 	const totalSamples = 50_000_000
-	problem, err := core.NewTypedProblem[piUnit, piResult]("pi", newPiManager(totalSamples), core.NoShared{})
+	problem, err := dist.NewTypedProblem[piUnit, piResult]("pi", newPiManager(totalSamples), dist.NoShared{})
 	if err != nil {
 		log.Fatal(err)
 	}
 
 	start := time.Now()
-	out, err := core.RunLocal(context.Background(), problem, 8, core.Adaptive(100*time.Millisecond))
+	policy := sched.Adaptive{Target: 100 * time.Millisecond, Bootstrap: 1000, Min: 1}
+	out, err := dist.RunLocal(context.Background(), problem, 8, policy)
 	if err != nil {
 		log.Fatal(err)
 	}
-	pi, err := core.Decode[float64](out)
+	pi, err := dist.Decode[float64](out)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -381,8 +381,7 @@ func (s *Server) foldLocked(ps *problemState, set *attemptSet, payload []byte, d
 	}
 	if ps.durable {
 		// Folds are journaled with a buffered write before the ack; the
-		// group commit makes them durable within one sync interval (or
-		// before this append returns, under JournalFsyncEveryRecord). A
+		// group commit makes them durable within one sync interval. A
 		// crash inside that window loses at most an interval's folds,
 		// which recovery regenerates and the fleet recomputes. An I/O
 		// error here sticks in the store and surfaces at the next

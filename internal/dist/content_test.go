@@ -39,10 +39,12 @@ func registerEcho(t *testing.T) {
 	})
 }
 
-// echoDM hands out `units` trivial units and keeps every consumed payload.
+// echoDM hands out `units` trivial units, each carrying payload, and keeps
+// every consumed payload.
 type echoDM struct {
 	units   int
 	seq     int64
+	payload []byte
 	results map[int64][]byte
 }
 
@@ -55,7 +57,7 @@ func (d *echoDM) NextUnit(int64) (*Unit, bool, error) {
 		return nil, false, nil
 	}
 	d.seq++
-	return &Unit{ID: d.seq, Algorithm: "content-test/echo", Cost: 1}, true, nil
+	return &Unit{ID: d.seq, Algorithm: "content-test/echo", Payload: d.payload, Cost: 1}, true, nil
 }
 
 func (d *echoDM) Consume(id int64, payload []byte) error {

@@ -52,8 +52,8 @@ func (s *Server) RequestTask(ctx context.Context, donor string) (*Task, time.Dur
 	}
 	view, quarantined := s.donorDispatchView(ds, now)
 	if quarantined {
-		// A quarantined donor gets no work at all; it keeps polling (and
-		// long-polling) and is let back in only by ReadmitAfter.
+		// A quarantined donor gets no work at all, however long it keeps
+		// polling (and long-polling).
 		return nil, pollHint, nil
 	}
 	live := s.liveDonorCount(now)

@@ -219,6 +219,17 @@ func TestRunLocalEndToEnd(t *testing.T) {
 			t.Errorf("policy %s: sum = %d, want %d", pol.Name(), got, sumSquares(n))
 		}
 	}
+
+	// A context cancelled before the run starts aborts it with the
+	// context's error instead of computing to completion.
+	t.Run("cancelled-ctx", func(t *testing.T) {
+		ctx, cancel := context.WithCancel(bg)
+		cancel()
+		p := &Problem{ID: "sum-cancelled", DM: newSumDM(n)}
+		if _, err := RunLocal(ctx, p, 2, sched.Fixed{Size: 3}); !errors.Is(err, context.Canceled) {
+			t.Fatalf("RunLocal on cancelled ctx = %v, want context.Canceled", err)
+		}
+	})
 }
 
 func TestRunLocalRequeuesFailedUnits(t *testing.T) {

@@ -72,13 +72,17 @@
 //
 // # Options
 //
-// Servers and donors are constructed with functional options so new knobs
-// never break call sites: WithPolicy, WithLeaseTTL, WithExpiryScan,
-// WithBulkThreshold, WithAutoForget, WithWatchBuffer and
-// WithLongPoll mutate ServerOptions; WithName, WithThrottle, WithLogf,
-// WithRedial, WithRedialBackoff, WithCancelPoll and WithLongPollWait
-// mutate DonorOptions. WithServerOptions/WithDonorOptions adopt a whole
-// bag at once.
+// Servers and donors are constructed with functional options, each one a
+// knob some command flag, RunLocal, the swarm harness or the benchmark
+// turns. Scheduling: WithPolicy, WithLeaseTTL, WithExpiryScan, WithLongPoll,
+// WithDispatchBatch, WithSpeculation and WithAutoForget; durability:
+// WithDataDir and WithSnapshotBudget; verification: WithVerify,
+// WithProbation and WithQuarantineBelow. Donors take WithName,
+// WithThrottle, WithLogf, WithRedial, WithRedialBackoff, WithCancelPoll,
+// WithLongPollWait, WithTaskBatch, WithBlobCacheBytes, WithBlobCache and
+// WithAlgorithmWrapper; Dial takes WithConnWrapper. WithServerOptions and
+// WithDonorOptions adopt a whole ServerOptions/DonorOptions bag at once,
+// which is how a field without an option of its own (BulkThreshold) is set.
 //
 // # Error sentinels
 //

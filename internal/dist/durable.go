@@ -163,9 +163,7 @@ func OpenServer(opts ...ServerOption) (*Server, error) {
 // openDurable opens the journal and replays whatever it holds. Runs before
 // start(): no donor, watcher or background loop exists yet.
 func (s *Server) openDurable() error {
-	st, rec, err := journal.Open(s.opts.DataDir, journal.Options{
-		FsyncEveryRecord: s.opts.JournalFsyncEveryRecord,
-	})
+	st, rec, err := journal.Open(s.opts.DataDir, journal.Options{})
 	if err != nil {
 		return err
 	}
@@ -335,11 +333,15 @@ func (s *Server) recover(rec *journal.Recovered) error {
 	return s.snapshotNow()
 }
 
+// snapshotScan is the interval between the snapshotter's compaction-budget
+// checks.
+const snapshotScan = 2 * time.Second
+
 // snapshotLoop compacts the journal in the background whenever the live
 // WAL segment exceeds the byte or record budget.
 func (s *Server) snapshotLoop() {
 	defer s.wg.Done()
-	t := time.NewTicker(s.opts.SnapshotScan)
+	t := time.NewTicker(snapshotScan)
 	defer t.Stop()
 	for {
 		select {

@@ -124,6 +124,10 @@ type Event struct {
 	Dropped int
 }
 
+// watchBuffer is each Watch subscriber's event buffer; a consumer that
+// falls further behind loses the oldest events.
+const watchBuffer = 64
+
 // watcher is one Watch subscription's server-side state, guarded by the
 // owning problem's mutex while registered.
 type watcher struct {
@@ -143,8 +147,8 @@ type watcher struct {
 // EventSubmitted snapshot of the current state; the stream ends — and the
 // channel closes — after a terminal event (finished, failed, forgotten).
 // Intermediate events are dropped, oldest first, when the subscriber falls
-// more than ServerOptions.WatchBuffer events behind (Event.Dropped counts
-// the losses); terminal events are always delivered. Cancelling ctx
+// more than 64 events (watchBuffer) behind (Event.Dropped counts the
+// losses); terminal events are always delivered. Cancelling ctx
 // unsubscribes and closes the channel.
 //
 // Watching an already-completed problem yields its terminal event
@@ -172,7 +176,7 @@ func (s *Server) Watch(ctx context.Context, id string) (<-chan Event, error) {
 		return ch, nil
 	}
 	w := &watcher{
-		ch:        make(chan Event, s.opts.WatchBuffer),
+		ch:        make(chan Event, watchBuffer),
 		done:      make(chan struct{}),
 		delivered: make(chan struct{}),
 	}

@@ -55,16 +55,18 @@ func (s *Server) WaitTasks(ctx context.Context, donor string, maxWait time.Durat
 	if err != nil || task == nil {
 		return nil, wait, err
 	}
-	tasks := []*Task{task}
-	inline := len(task.Unit.Payload)
-	for len(tasks) < limit && inline < batchByteBudget {
-		extra, _, err := s.RequestTask(ctx, donor)
-		if err != nil || extra == nil {
+	var tasks []*Task
+	inline := 0
+	for {
+		tasks = append(tasks, task)
+		if !s.offloads(task.Unit.Payload) {
+			inline += len(task.Unit.Payload)
+		}
+		if len(tasks) >= limit || inline >= batchByteBudget {
 			break
 		}
-		tasks = append(tasks, extra)
-		if !s.offloads(extra.Unit.Payload) {
-			inline += len(extra.Unit.Payload)
+		if task, _, err = s.RequestTask(ctx, donor); err != nil || task == nil {
+			break
 		}
 	}
 	return tasks, wait, nil

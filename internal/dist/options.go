@@ -37,23 +37,10 @@ func WithExpiryScan(d time.Duration) ServerOption {
 	return func(o *ServerOptions) { o.ExpiryScan = d }
 }
 
-// WithBulkThreshold sets the payload size above which a network server
-// ships unit payloads over the bulk channel (negative disables offloading).
-func WithBulkThreshold(n int) ServerOption {
-	return func(o *ServerOptions) { o.BulkThreshold = n }
-}
-
 // WithAutoForget retires each problem automatically once a Wait call has
 // delivered its final result.
 func WithAutoForget(on bool) ServerOption {
 	return func(o *ServerOptions) { o.AutoForget = on }
-}
-
-// WithWatchBuffer sets the per-subscriber event buffer of Server.Watch; a
-// subscriber that falls more than this many events behind loses the oldest
-// ones (terminal events are always delivered).
-func WithWatchBuffer(n int) ServerOption {
-	return func(o *ServerOptions) { o.WatchBuffer = n }
 }
 
 // WithLongPoll caps how long one WaitTask call may stay parked server-side
@@ -76,13 +63,6 @@ func WithDispatchBatch(n int) ServerOption {
 // crash. Empty keeps today's in-memory coordinator.
 func WithDataDir(dir string) ServerOption {
 	return func(o *ServerOptions) { o.DataDir = dir }
-}
-
-// WithJournalFsync makes every journal append fsync before returning
-// instead of riding the batched group commit — the durability ablation
-// knob (see BenchmarkJournalOverhead). Meaningless without WithDataDir.
-func WithJournalFsync(everyRecord bool) ServerOption {
-	return func(o *ServerOptions) { o.JournalFsyncEveryRecord = everyRecord }
 }
 
 // WithSnapshotBudget sets when the background snapshotter compacts the
@@ -126,14 +106,6 @@ func WithQuarantineBelow(trust float64) ServerOption {
 // WithVerify.
 func WithProbation(units int) ServerOption {
 	return func(o *ServerOptions) { o.ProbationUnits = units }
-}
-
-// WithReadmitAfter lets a quarantined donor back in after d on re-entry
-// probation: its trust resets to neutral as if it had just joined.
-// Zero — the default — quarantines forever. Meaningless without
-// WithVerify.
-func WithReadmitAfter(d time.Duration) ServerOption {
-	return func(o *ServerOptions) { o.ReadmitAfter = d }
 }
 
 // DonorOption tunes one DonorOptions knob.

@@ -93,13 +93,12 @@ func registerDurSum(t *testing.T) {
 }
 
 // durableServerOptions is the bag the recovery tests share: a fixed unit
-// size for deterministic partitioning and a snapshot loop parked out of
-// the way so tests control compaction explicitly.
+// size for deterministic partitioning and both snapshot budgets disabled
+// so tests control compaction explicitly.
 func durableServerOptions(dir string) ServerOptions {
 	return ServerOptions{
 		Policy:          sched.Fixed{Size: 10},
 		DataDir:         dir,
-		SnapshotScan:    time.Hour,
 		SnapshotBytes:   -1,
 		SnapshotRecords: -1,
 	}

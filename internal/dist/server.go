@@ -27,9 +27,10 @@ var ErrUnknownProblem = errors.New("dist: unknown problem")
 // with this error.
 var ErrForgotten = errors.New("dist: problem forgotten")
 
-// ServerOptions tunes scheduling and fault tolerance. Construct servers
-// with functional options (WithPolicy, WithLeaseTTL, ...); the struct is
-// the bag they mutate and can be adopted wholesale with WithServerOptions.
+// ServerOptions tunes scheduling, durability and verification. Construct
+// servers with functional options (WithPolicy, WithLeaseTTL, ...); the
+// struct is the bag they mutate. WithServerOptions adopts it wholesale and
+// is the only way to set BulkThreshold, which has no option of its own.
 type ServerOptions struct {
 	// Policy sizes work units per donor; nil defaults to the paper's
 	// adaptive strategy with a 5s target.
@@ -63,10 +64,6 @@ type ServerOptions struct {
 	// problem's state directly); later Status/Stats/Wait calls get
 	// ErrForgotten.
 	AutoForget bool
-	// WatchBuffer is each Watch subscriber's event buffer; a consumer that
-	// falls further behind loses the oldest events (Event.Dropped counts
-	// them). Zero defaults to 64.
-	WatchBuffer int
 	// LongPoll caps how long one WaitTask call may stay parked server-side
 	// before replying "no task" (the donor immediately re-parks, so the
 	// cap only bounds how long a single RPC is outstanding). Zero or
@@ -85,21 +82,13 @@ type ServerOptions struct {
 	// default — keeps the in-memory behaviour. Construct servers with a
 	// DataDir via OpenServer, which surfaces the journal's I/O errors.
 	DataDir string
-	// JournalFsyncEveryRecord makes every journaled record durable before
-	// its mutation is acknowledged, instead of the default group-commit
-	// batching (folds become durable within one sync interval; submits and
-	// forgets always wait for the fsync). Kept for the durability-cost
-	// ablation benchmark.
-	JournalFsyncEveryRecord bool
 	// SnapshotBytes/SnapshotRecords bound the live WAL segment: when
-	// either is exceeded the background snapshotter checkpoints every
-	// problem and prunes the log. Zero defaults to 8 MiB / 4096 records;
-	// negative disables that trigger (tests drive snapshots directly).
+	// either is exceeded the background snapshotter, which checks every 2s
+	// (snapshotScan), checkpoints every problem and prunes the log. Zero
+	// defaults to 8 MiB / 4096 records; negative disables that trigger
+	// (tests drive snapshots directly).
 	SnapshotBytes   int64
 	SnapshotRecords int
-	// SnapshotScan is the interval between compaction-budget checks. Zero
-	// defaults to 2s.
-	SnapshotScan time.Duration
 	// VerifyFraction enables quorum spot-checking of results from untrusted
 	// donors: this fraction of freshly dispatched units (deterministically
 	// sampled per problem) — plus every unit handed to a donor below the
@@ -131,11 +120,6 @@ type ServerOptions struct {
 	// probation (bar zero: every non-quarantined donor is trusted).
 	// Meaningless without VerifyFraction.
 	ProbationUnits int
-	// ReadmitAfter lets a quarantined donor back in after this long, on
-	// re-entry probation: its trust resets to neutral as if it had just
-	// joined. Zero — the default — quarantines forever.
-	// Meaningless without VerifyFraction.
-	ReadmitAfter time.Duration
 }
 
 func (o *ServerOptions) applyDefaults() {
@@ -154,9 +138,6 @@ func (o *ServerOptions) applyDefaults() {
 	if o.BulkThreshold == 0 {
 		o.BulkThreshold = 64 << 10
 	}
-	if o.WatchBuffer <= 0 {
-		o.WatchBuffer = 64
-	}
 	if o.LongPoll <= 0 {
 		o.LongPoll = 45 * time.Second
 	}
@@ -168,9 +149,6 @@ func (o *ServerOptions) applyDefaults() {
 	}
 	if o.SnapshotRecords == 0 {
 		o.SnapshotRecords = 4096
-	}
-	if o.SnapshotScan <= 0 {
-		o.SnapshotScan = 2 * time.Second
 	}
 	if o.VerifyFraction > 1 {
 		o.VerifyFraction = 1
@@ -322,12 +300,9 @@ type donorState struct {
 	//dist:guardedby mu
 	trust float64
 	// quarantined marks a donor whose trust fell below the floor: it
-	// receives no work and its results are rejected until readmission
-	// (ServerOptions.ReadmitAfter) resets it to neutral trust.
+	// receives no further work and its results are rejected.
 	//dist:guardedby mu
 	quarantined bool
-	//dist:guardedby mu
-	quarantinedAt time.Time
 }
 
 // Status is a point-in-time snapshot of one problem's progress.

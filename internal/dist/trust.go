@@ -116,8 +116,7 @@ func (s *Server) trustedDonorExists() bool {
 }
 
 // donorDispatchView snapshots the donor's stats and verification standing
-// for one dispatch scan, performing readmission of a quarantined donor
-// whose ReadmitAfter has elapsed (back to neutral trust).
+// for one dispatch scan.
 func (s *Server) donorDispatchView(ds *donorState, now time.Time) (view dispatchView, quarantined bool) {
 	ds.mu.Lock()
 	defer ds.mu.Unlock()
@@ -126,12 +125,7 @@ func (s *Server) donorDispatchView(ds *donorState, now time.Time) (view dispatch
 		return view, false
 	}
 	if ds.quarantined {
-		if s.opts.ReadmitAfter > 0 && now.Sub(ds.quarantinedAt) >= s.opts.ReadmitAfter {
-			ds.quarantined = false
-			ds.trust = sched.TrustNeutral
-		} else {
-			return view, true
-		}
+		return view, true
 	}
 	view.trust = ds.trust
 	view.probation = !s.trustedLocked(ds)
@@ -226,7 +220,6 @@ func (s *Server) applyTrustDeltas(deltas []trustDelta) {
 			ds.trust = nextTrust(ds.trust, d.outcome)
 			if floor := s.opts.QuarantineBelow; floor > 0 && ds.trust < floor {
 				ds.quarantined = true
-				ds.quarantinedAt = time.Now()
 				newlyQuarantined = append(newlyQuarantined, d.donor)
 			}
 		}
@@ -322,8 +315,7 @@ func (s *Server) QuarantinedDonors() []string {
 type VerifyStats struct {
 	// Trusted counts donors at or above the trust bar and not quarantined;
 	// Probation counts the other non-quarantined donors; Quarantined counts
-	// donors below the trust floor awaiting readmission (or forever,
-	// without ReadmitAfter).
+	// donors that fell below the trust floor (quarantine is permanent).
 	Trusted, Probation, Quarantined int
 }
 

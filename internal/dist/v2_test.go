@@ -280,7 +280,6 @@ func TestWatchSlowConsumerDrops(t *testing.T) {
 		WithPolicy(sched.Fixed{Size: 1}), // one unit per square: ~100 units, >> buffer
 		WithLeaseTTL(time.Hour),
 		WithExpiryScan(time.Hour),
-		WithWatchBuffer(4),
 	)
 	defer srv.Close()
 	if err := srv.Submit(bg, &Problem{ID: "firehose", DM: newSumDM(100)}); err != nil {
@@ -307,14 +306,14 @@ func TestWatchSlowConsumerDrops(t *testing.T) {
 		got = append(got, ev)
 		dropped += ev.Dropped
 	}
-	if len(got) > 4+1 { // buffer + the terminal event
-		t.Errorf("slow consumer received %d events, buffer is 4", len(got))
+	if len(got) > watchBuffer+1 { // buffer + the terminal event
+		t.Errorf("slow consumer received %d events, buffer is %d", len(got), watchBuffer)
 	}
 	if got[len(got)-1].Kind != EventFinished {
 		t.Errorf("terminal event missing; last = %v", got[len(got)-1].Kind)
 	}
 	if dropped == 0 {
-		t.Error("a ~300-event run through a 4-slot buffer reported zero drops")
+		t.Errorf("a ~300-event run through a %d-slot buffer reported zero drops", watchBuffer)
 	}
 }
 
@@ -377,11 +376,13 @@ func TestWatchLateAndInvalidSubscribers(t *testing.T) {
 }
 
 // typedCountDM is a minimal TypedDM for adapter tests: units carry an int
-// to square, results carry the square.
+// to square, results carry the square. algorithm, when set, replaces the
+// typed square algorithm on every unit.
 type typedCountDM struct {
 	n, next   int
 	completed int
 	sum       int
+	algorithm string
 }
 
 func (d *typedCountDM) NextUnit(int64) (*UnitOf[int], bool, error) {
@@ -389,7 +390,11 @@ func (d *typedCountDM) NextUnit(int64) (*UnitOf[int], bool, error) {
 		return nil, false, nil
 	}
 	d.next++
-	return &UnitOf[int]{ID: int64(d.next), Algorithm: "dist-test/square", Payload: d.next, Cost: 1}, true, nil
+	alg := "dist-test/square"
+	if d.algorithm != "" {
+		alg = d.algorithm
+	}
+	return &UnitOf[int]{ID: int64(d.next), Algorithm: alg, Payload: d.next, Cost: 1}, true, nil
 }
 
 func (d *typedCountDM) Consume(_ int64, sq int) error {
@@ -412,34 +417,58 @@ func (a *squareAlg) ProcessCtx(_ context.Context, v int) (int, error) {
 	return v * v, nil
 }
 
+// byteSquareAlg is the byte-level Algorithm shape of squareAlg: it decodes
+// payloads and encodes results itself instead of going through the typed
+// adapter.
+type byteSquareAlg struct{}
+
+func (byteSquareAlg) Init([]byte) error { return nil }
+
+func (byteSquareAlg) ProcessCtx(_ context.Context, payload []byte) ([]byte, error) {
+	v, err := Decode[int](payload)
+	if err != nil {
+		return nil, err
+	}
+	return Encode(v * v)
+}
+
 var registerSquareOnce sync.Once
 
 // TestTypedAdaptersEndToEnd: a fully typed problem (NoShared shared data,
 // int payloads/results, int final result) round-trips through the whole
-// runtime with the adapters owning every codec.
+// runtime with the adapters owning every codec — and a byte-level algorithm
+// serving the same typed DataManager interoperates unchanged.
 func TestTypedAdaptersEndToEnd(t *testing.T) {
 	registerSquareOnce.Do(func() {
 		RegisterTypedAlgorithm("dist-test/square", func() TypedAlgorithm[NoShared, int, int] {
 			return &squareAlg{}
 		})
+		RegisterAlgorithm("dist-test/square-bytes", func() Algorithm { return byteSquareAlg{} })
 	})
-	p, err := NewTypedProblem[int, int]("squares", &typedCountDM{n: 30}, NoShared{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.SharedData != nil {
-		t.Errorf("NoShared problem carries %d bytes of shared data", len(p.SharedData))
-	}
-	out, err := RunLocal(bg, p, 3, sched.Fixed{Size: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := Decode[int](out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := 30 * 31 * 61 / 6; got != want {
-		t.Errorf("sum of squares = %d, want %d", got, want)
+	for _, tc := range []struct{ name, alg string }{
+		{"typed-algorithm", ""},
+		{"byte-level-algorithm", "dist-test/square-bytes"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			p, err := NewTypedProblem[int, int]("squares"+tc.alg, &typedCountDM{n: 30, algorithm: tc.alg}, NoShared{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if p.SharedData != nil {
+				t.Errorf("NoShared problem carries %d bytes of shared data", len(p.SharedData))
+			}
+			out, err := RunLocal(bg, p, 3, sched.Fixed{Size: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := Decode[int](out)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := 30 * 31 * 61 / 6; got != want {
+				t.Errorf("algorithm %q: sum of squares = %d, want %d", tc.alg, got, want)
+			}
+		})
 	}
 }
 
@@ -512,21 +541,18 @@ func TestFunctionalOptions(t *testing.T) {
 	defer srv.Close()
 	o := srv.opts
 	if o.Policy == nil || o.Lease != 2*time.Minute ||
-		o.BulkThreshold != 64<<10 || o.WatchBuffer != 64 || o.AutoForget {
+		o.BulkThreshold != 64<<10 || o.AutoForget {
 		t.Errorf("zero-option defaults = %+v", o)
 	}
 	srv2 := NewServer(
 		WithPolicy(sched.Fixed{Size: 9}),
 		WithLeaseTTL(5*time.Second),
 		WithExpiryScan(time.Second),
-		WithBulkThreshold(-1),
 		WithAutoForget(true),
-		WithWatchBuffer(3),
 	)
 	defer srv2.Close()
 	o = srv2.opts
-	if o.Lease != 5*time.Second || o.ExpiryScan != time.Second ||
-		o.BulkThreshold != -1 || !o.AutoForget || o.WatchBuffer != 3 {
+	if o.Lease != 5*time.Second || o.ExpiryScan != time.Second || !o.AutoForget {
 		t.Errorf("explicit options = %+v", o)
 	}
 	if f, ok := o.Policy.(sched.Fixed); !ok || f.Size != 9 {

@@ -489,46 +489,6 @@ func TestQuarantineRequeuesInflightOnce(t *testing.T) {
 	}
 }
 
-// TestReadmitAfterReprobation: with ReadmitAfter set, a quarantined donor
-// re-enters after the window on a fresh probation — neutral trust,
-// spot-checked work.
-func TestReadmitAfterReprobation(t *testing.T) {
-	o := verifyTestOptions()
-	o.QuarantineBelow = 0.3
-	o.ProbationUnits = 1
-	o.ReadmitAfter = 30 * time.Millisecond
-	s := newTestServer(o)
-	defer s.Close()
-	dm := newRecDM(8)
-	if err := s.Submit(bg, &Problem{ID: "readmit", DM: dm}); err != nil {
-		t.Fatal(err)
-	}
-	ta := dispatch(t, s, "evil")
-	tb := dispatch(t, s, "b")
-	if ta.Unit.ID != tb.Unit.ID {
-		t.Fatalf("donors got units %d/%d, want replicas of one unit", ta.Unit.ID, tb.Unit.ID)
-	}
-	submitRaw(t, s, ta, "evil", []byte("WRONG"))
-	submitRaw(t, s, tb, "b", []byte("right"))
-	tc := dispatch(t, s, "c")
-	submitRaw(t, s, tc, "c", []byte("right"))
-	if q := s.QuarantinedDonors(); len(q) != 1 || q[0] != "evil" {
-		t.Fatalf("QuarantinedDonors = %v, want [evil]", q)
-	}
-	if task, _, _ := s.RequestTask(bg, "evil"); task != nil {
-		t.Fatalf("quarantined donor dispatched %+v before the readmission window", task)
-	}
-	time.Sleep(40 * time.Millisecond)
-	task := dispatch(t, s, "evil")
-	if !task.Verify {
-		t.Error("readmitted donor's first unit not spot-checked")
-	}
-	info, ok := s.DonorTrust("evil")
-	if !ok || info.Quarantined || !info.Probation || info.Trust != sched.TrustNeutral {
-		t.Errorf("readmitted donor state %+v, want fresh probation at neutral trust", info)
-	}
-}
-
 // TestCrashRecoveryResumesVerification is the durability satellite: a
 // coordinator crashes holding one replica result of a spot-checked unit;
 // the restarted coordinator replays the pending replica, re-attaches the

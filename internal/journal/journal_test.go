@@ -247,28 +247,6 @@ func TestAppendAfterCloseFails(t *testing.T) {
 	}
 }
 
-func TestFsyncEveryRecordMode(t *testing.T) {
-	dir := t.TempDir()
-	opts := testOptions()
-	opts.FsyncEveryRecord = true
-	s, _, err := Open(dir, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range sampleRecords() {
-		if err := s.Append(r); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	_, rec := openT(t, dir)
-	if len(rec.Tail) != len(sampleRecords()) {
-		t.Fatalf("recovered %d records, want %d", len(rec.Tail), len(sampleRecords()))
-	}
-}
-
 func TestConcurrentAppends(t *testing.T) {
 	dir := t.TempDir()
 	s, _ := openT(t, dir)

@@ -29,12 +29,8 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // Options tunes a Store.
 type Options struct {
-	// FsyncEveryRecord makes every Append as durable as AppendSync: the
-	// call returns only once the record is fsynced. Kept for the
-	// durability-cost ablation; the default batches fsyncs instead, so a
-	// crash loses at most one SyncInterval of asynchronous appends.
-	FsyncEveryRecord bool
-	// SyncInterval is the group-commit cadence for asynchronous appends.
+	// SyncInterval is the group-commit cadence for asynchronous appends: a
+	// crash loses at most one interval of them.
 	// Zero defaults to 100ms — wide enough that the fsync cost disappears
 	// into the drain (each lost interval is only recomputed work; leases
 	// already absorb far longer donor losses), short enough that a crash
@@ -189,8 +185,8 @@ func Open(dir string, opts Options) (*Store, *Recovered, error) {
 
 // Append journals one record: it returns after the in-memory buffer
 // append, and the group-commit loop makes it durable within one
-// SyncInterval (or before return, under Options.FsyncEveryRecord).
-func (s *Store) Append(r Record) error { return s.append(r, s.opts.FsyncEveryRecord) }
+// SyncInterval.
+func (s *Store) Append(r Record) error { return s.append(r, false) }
 
 // AppendSync journals one record and returns only once it is fsynced.
 func (s *Store) AppendSync(r Record) error { return s.append(r, true) }
