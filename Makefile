@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check build vet fmt lint test race fuzz-smoke stress bench bench-compare demo docs-lint swarm loc
+.PHONY: check build vet fmt lint test race fuzz-smoke stress bench bench-compare demo docs-lint swarm loc knobs
 
 # check is the tier-1 gate: everything CI runs (CI invokes this target).
 # vet covers every package, including the control-channel mux and codec in
@@ -54,12 +54,14 @@ fuzz-smoke:
 # the offloaded-payload lifetime test (a replica fetching after a held
 # result), the donor loop's stage table and exact-unit cancel test (its
 # cancel poller runs beside Run), the trust bar's demotion and two-donor
-# quorum liveness tests, and the mux's own suite.
+# quorum liveness tests, the server's batch sizing from each donor's
+# measured unit time (in process and over the wire), and the mux's own
+# suite.
 stress:
 	$(GO) test -count=20 ./internal/dist/ ./internal/swarm/
 	$(GO) test -count=5 -run 'TestCoordinatorCrashRecoveryRealNetwork|TestNetworkMatchesRunLocal' . ./internal/dist/
 	$(GO) test -race -count=10 -run TestAttemptLifecycleInvariants ./internal/dist/
-	$(GO) test -race -count=20 -run 'TestParkedDonorDeathLeasesNothing|TestCloseAnswersEveryParkedDonorOverTheWire|TestHeldReplicaLeavesOffloadedPayloadFetchable|TestSiblingCancelNoticeSparesLiveUnits|TestDonorLoopStages|TestDemotedDonorIsSpotCheckedAgain|TestTwoDonorQuorumWithProbationDrains' ./internal/dist/
+	$(GO) test -race -count=20 -run 'TestParkedDonorDeathLeasesNothing|TestCloseAnswersEveryParkedDonorOverTheWire|TestHeldReplicaLeavesOffloadedPayloadFetchable|TestSiblingCancelNoticeSparesLiveUnits|TestDonorLoopStages|TestDemotedDonorIsSpotCheckedAgain|TestTwoDonorQuorumWithProbationDrains|TestWaitTasksSizesBatchFromDonorRate' ./internal/dist/
 	$(GO) test -race -count=20 -run TestMux ./internal/wire/
 
 # loc prints the non-blank, non-comment line count of every non-test file in
@@ -69,6 +71,23 @@ loc:
 	@for f in $$(ls internal/dist/*.go internal/wire/*.go internal/sched/*.go internal/journal/*.go | grep -v _test.go); do \
 		printf '%6d %s\n' $$(grep -vE '^\s*(//|$$)' $$f | wc -l) $$f; \
 	done | awk '{ print; n += $$1 } END { printf "%6d total\n", n }'
+
+# knobs prints how many values an operator or embedder can set, one line per
+# item plus their sum — the other number a simplification PR reports before
+# and after: the exported fields of dist.ServerOptions, dist.DonorOptions and
+# swarm.Config (a "RedialMin, RedialMax" line counts 2), the exported With*
+# options of internal/dist, and the flags each cmd/*/main.go defines.
+knobs:
+	@{ for s in dist.ServerOptions:internal/dist/server.go dist.DonorOptions:internal/dist/donor.go swarm.Config:internal/swarm/swarm.go; do \
+		name=$${s%%:*}; awk -v t="$${name#*.}" -v label="$$name fields" \
+			'$$0 ~ "^type " t " struct" { on = 1; next } on && /^}/ { on = 0 } \
+			on && match($$0, /^\t[A-Z][A-Za-z0-9_]*(, [A-Z][A-Za-z0-9_]*)*/) { m = substr($$0, RSTART, RLENGTH); n += gsub(/,/, ",", m) + 1 } \
+			END { printf "%6d %s\n", n, label }' "$${s#*:}"; \
+	done; \
+	printf '%6d dist With* options\n' $$(cat $$(ls internal/dist/*.go | grep -v _test.go) | grep -c '^func With[A-Z]'); \
+	for f in cmd/*/main.go; do \
+		printf '%6d %s flags\n' $$(grep -cE 'flag\.(Bool|BoolFunc|Duration|Float64|Func|Int|Int64|String|TextVar|Uint|Uint64|Var)\(' $$f) $$(dirname $$f); \
+	done; } | awk '{ print; n += $$1 } END { printf "%6d total\n", n }'
 
 # bench covers every package carrying benchmarks (the root harness plus
 # internal packages like align), so a bench added in a new file or package

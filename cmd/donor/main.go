@@ -32,9 +32,7 @@ func main() {
 		throttle   = flag.Duration("throttle", 0, "pause between units (be a polite background service)")
 		retry      = flag.Duration("retry", 30*time.Second, "max backoff while reconnecting to a vanished server (0 = exit instead of retrying)")
 		cancelPoll = flag.Duration("cancel-poll", 500*time.Millisecond, "how often to poll for server cancel notices mid-unit (<0 disables)")
-		longPoll   = flag.Duration("long-poll", 45*time.Second, "max park per WaitTask long-poll (<=0 keeps the default)")
 		blobCache  = flag.Int64("blob-cache", 256<<20, "shared-blob cache budget in bytes (<=0 keeps only the most recent blob); also bounds resident per-problem state")
-		batch      = flag.Int("batch", 8, "units requested per WaitTask long-poll (<=1 = single-unit)")
 	)
 	flag.Parse()
 
@@ -61,13 +59,6 @@ func main() {
 		blobBudget = -1
 	}
 
-	// "-batch 1" (or less) keeps single-unit dispatch; the option layer
-	// treats 0 as "default", so map it to the negative sentinel.
-	taskBatch := *batch
-	if taskBatch <= 1 {
-		taskBatch = -1
-	}
-
 	d := dist.NewDonor(client,
 		dist.WithName(*name),
 		dist.WithThrottle(*throttle),
@@ -75,9 +66,7 @@ func main() {
 		dist.WithRedial(redial),
 		dist.WithRedialBackoff(0, *retry),
 		dist.WithCancelPoll(*cancelPoll),
-		dist.WithLongPollWait(*longPoll),
 		dist.WithBlobCacheBytes(blobBudget),
-		dist.WithTaskBatch(taskBatch),
 	)
 
 	// First interrupt: finish (or abort, via the cancelled context) the

@@ -283,11 +283,12 @@ func (s *Server) pruneRotation(finished []*problemState) {
 }
 
 // feedThroughput feeds one completed unit's measured cost/elapsed into the
-// donor's scheduling statistics. Elapsed is floored at 1ms: a
-// sub-millisecond (or bogus donor-reported) sample would otherwise make
-// the EWMA throughput — and with it the next adaptive budget, which has no
-// upper clamp by default — effectively infinite, serializing the whole
-// problem onto one donor.
+// donor's scheduling statistics and its unit-time EWMA. For the throughput
+// Elapsed is floored at 1ms: a sub-millisecond (or bogus donor-reported)
+// sample would otherwise make the EWMA throughput — and with it the next
+// adaptive budget, which has no upper clamp by default — effectively
+// infinite, serializing the whole problem onto one donor. The unit time
+// ignores samples ≤ 0 instead: a batch is sized from it with an upper cap.
 func (s *Server) feedThroughput(ds *donorState, cost int64, elapsed time.Duration) {
 	sec := elapsed.Seconds()
 	if sec < 1e-3 {
@@ -296,6 +297,9 @@ func (s *Server) feedThroughput(ds *donorState, cost int64, elapsed time.Duratio
 	ds.mu.Lock()
 	ds.stats.Completed++
 	ds.stats.Throughput = sched.EWMA(ds.stats.Throughput, float64(cost)/sec, throughputAlpha)
+	if elapsed > 0 {
+		ds.unitTime = time.Duration(sched.EWMA(float64(ds.unitTime), float64(elapsed), throughputAlpha))
+	}
 	ds.mu.Unlock()
 }
 

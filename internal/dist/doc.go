@@ -51,11 +51,12 @@
 // failure or lease-expiry requeue, or a fold that can release
 // stage-barrier units all wake parked donors — so idle dispatch latency is
 // a channel wake, not a poll interval, and an idle fleet costs almost no
-// control traffic. One reply may carry several units when the donor's
-// measured unit time makes round trips dominate.
-// ServerOptions.LongPoll caps how long one call stays parked; donors
-// re-park on expiry. Only a foreign Coordinator implementation that lacks
-// TaskBatchWaiter is polled through RequestTask.
+// control traffic. The server owns both halves of a round trip: it sizes
+// each reply's batch from the donor's measured unit time — several units
+// only when round trips would dominate, at most ServerOptions.DispatchBatch
+// — and ServerOptions.LongPoll is the one park time; donors re-park on
+// expiry and ask for neither. Only a foreign Coordinator implementation that
+// lacks TaskBatchWaiter is polled through RequestTask.
 //
 // # One control protocol
 //
@@ -79,10 +80,10 @@
 // WithDataDir and WithSnapshotBudget; verification: WithVerify,
 // WithProbation and WithQuarantineBelow. Donors take WithName,
 // WithThrottle, WithLogf, WithRedial, WithRedialBackoff, WithCancelPoll,
-// WithLongPollWait, WithTaskBatch, WithBlobCacheBytes, WithBlobCache and
-// WithAlgorithmWrapper; Dial takes WithConnWrapper. WithServerOptions and
-// WithDonorOptions adopt a whole ServerOptions/DonorOptions bag at once,
-// which is how a field without an option of its own (BulkThreshold) is set.
+// WithBlobCacheBytes, WithBlobCache and WithAlgorithmWrapper; Dial takes
+// WithConnWrapper. WithServerOptions and WithDonorOptions adopt a whole
+// ServerOptions/DonorOptions bag at once, which is how a field without an
+// option of its own (BulkThreshold) is set.
 //
 // # Error sentinels
 //

@@ -46,12 +46,6 @@ type DonorOptions struct {
 	// doomed unit then runs to the end and the server drops its result).
 	// Coordinators that do not implement CancelNotifier are never polled.
 	CancelPoll time.Duration
-	// LongPollWait is the park duration the donor requests per WaitTask
-	// long-poll (see TaskWaiter): the server holds the call until a unit
-	// is dispatchable or the park expires, and the donor re-parks
-	// immediately on an empty reply — no idle latency, no poll traffic.
-	// Zero or negative defaults to 45s.
-	LongPollWait time.Duration
 	// BlobCacheBytes budgets the donor's shared-blob cache (see BlobCache)
 	// when BlobCache is nil. Zero defaults to 256 MiB; negative keeps only
 	// the single most recently used blob. The budget also derives how many
@@ -62,18 +56,6 @@ type DonorOptions struct {
 	// blob every worker needs is fetched once per process. Nil gives the
 	// donor a private cache of BlobCacheBytes.
 	BlobCache *BlobCache
-	// DispatchBatch caps how many units the donor asks for per WaitTask
-	// long-poll when the coordinator supports batched dispatch
-	// (TaskBatchWaiter). The actual request adapts to measured compute
-	// time (see batchSize): a batch is only worth its load-balance cost
-	// when units are so small that control round trips dominate, so the
-	// donor asks for a tail of at most ~batchLatencyTarget of queued work
-	// and a fleet on coarse units degrades to single-unit dispatch by
-	// itself. The batch is drained locally before the donor re-parks,
-	// amortizing one frame and one park wakeup across the units; the
-	// server clamps the request to its own ServerOptions.DispatchBatch.
-	// Zero defaults to 8; negative (or 1) keeps single-unit dispatch.
-	DispatchBatch int
 	// WrapAlgorithm, when non-nil, interposes on every algorithm instance
 	// the donor creates: it receives the registered name and the fresh
 	// instance and returns the Algorithm actually run. The swarm harness
@@ -103,12 +85,6 @@ func (o *DonorOptions) applyDefaults() {
 	}
 	if o.CancelPoll == 0 {
 		o.CancelPoll = 500 * time.Millisecond
-	}
-	if o.LongPollWait <= 0 {
-		o.LongPollWait = 45 * time.Second
-	}
-	if o.DispatchBatch == 0 {
-		o.DispatchBatch = 8
 	}
 	if o.BlobCacheBytes == 0 {
 		o.BlobCacheBytes = defaultBlobCacheBytes
@@ -174,11 +150,6 @@ type Donor struct {
 	// opts.BlobCache, keyed by content digest.
 	problems     map[string]*residentProblem
 	problemOrder []string
-
-	// unitEWMA tracks this donor's recent per-unit compute time
-	// (exponential moving average), feeding batchSize's adaptive dispatch
-	// sizing. Only Run's goroutine touches it.
-	unitEWMA time.Duration
 
 	// pollMu guards what Run shares with its cancel poller.
 	pollMu sync.Mutex
@@ -254,10 +225,11 @@ func (d *Donor) Stop() { d.halt() }
 // batch tail) or exit.
 //
 // Against a *Server or an *RPCClient the donor parks in WaitTasks and is
-// woken the moment work appears; a park may return several units when
-// measured compute times make batching worthwhile (see batchSize), which
-// the loop drains before parking again. A coordinator without
-// TaskBatchWaiter is polled through RequestTask on its jittered wait hint.
+// woken the moment work appears; the server decides how long the park lasts
+// and how many units it returns (several when the donor's measured unit
+// time makes batching worthwhile), and the loop drains them before parking
+// again. A coordinator without TaskBatchWaiter is polled through
+// RequestTask on its jittered wait hint.
 // A unit that fails to compute is reported (and thereby requeued to
 // another donor); a unit a server cancel notice names is aborted, or
 // dropped unstarted if still queued, and nothing is submitted for it. When
@@ -323,8 +295,9 @@ func (d *Donor) Run(ctx context.Context) error {
 	return nil
 }
 
-// park is the dispatch stage: one WaitTasks long-poll for up to batchSize
-// units, or one RequestTask poll for a coordinator without TaskBatchWaiter.
+// park is the dispatch stage: one WaitTasks long-poll, its park time and
+// batch size left to the coordinator, or one RequestTask poll for a
+// coordinator without TaskBatchWaiter.
 // It returns the delivered units in run order, or how long to back off
 // before parking again: nothing after a park that expired (the server did
 // the waiting), the 1ms floor after an empty "park" that came back too
@@ -341,7 +314,7 @@ func (d *Donor) park(ctx context.Context) ([]*Task, time.Duration, error) {
 	var err error
 	tbw, parks := d.coord.(TaskBatchWaiter)
 	if parks {
-		tasks, wait, err = tbw.WaitTasks(ctx, d.opts.Name, d.opts.LongPollWait, d.batchSize())
+		tasks, wait, err = tbw.WaitTasks(ctx, d.opts.Name, 0, 0)
 	} else {
 		var t *Task
 		t, wait, err = d.coord.RequestTask(ctx, d.opts.Name)
@@ -370,42 +343,6 @@ func taskSlice(t *Task) []*Task {
 		return nil
 	}
 	return []*Task{t}
-}
-
-// batchLatencyTarget bounds the compute time a donor queues behind its
-// current unit via batched dispatch: small enough that a batch tail never
-// meaningfully delays redistribution to an idle donor, large enough to
-// amortize many control round trips when units are tiny.
-const batchLatencyTarget = 10 * time.Millisecond
-
-// batchSize adaptively sizes the next dispatch request. Batching trades
-// load balance for fewer control round trips, and that trade only pays
-// when units are so small that the round trip dominates: a donor hoarding
-// eight 50ms units serializes 400ms of work an idle neighbour could have
-// shared. The request is therefore sized so the batch tail represents at
-// most ~batchLatencyTarget of compute at this donor's measured per-unit
-// time, capped by DispatchBatch. Before the first measurement the donor
-// asks for a single unit — the conservative start costs one round trip
-// and keeps a fresh fleet from carving an evenly divisible workload into
-// lumpy batches.
-func (d *Donor) batchSize() int {
-	limit := d.opts.DispatchBatch
-	if limit <= 1 || d.unitEWMA <= 0 {
-		return 1
-	}
-	return min(1+int(batchLatencyTarget/d.unitEWMA), limit)
-}
-
-// observeUnitTime folds one unit's compute time into the donor's EWMA.
-func (d *Donor) observeUnitTime(elapsed time.Duration) {
-	if elapsed <= 0 {
-		return
-	}
-	if d.unitEWMA == 0 {
-		d.unitEWMA = elapsed
-		return
-	}
-	d.unitEWMA += (elapsed - d.unitEWMA) * 3 / 10
 }
 
 // errUnitCancelled is compute's verdict on a unit a cancel notice named.
@@ -530,7 +467,6 @@ func (d *Donor) report(ctx context.Context, t *Task, res *Result, kind failureKi
 		}
 		return 0, d.coord.ReportFailure(ctx, d.opts.Name, t.ProblemID, t.Unit.ID, err.Error())
 	}
-	d.observeUnitTime(res.Elapsed)
 	if err := d.coord.SubmitResult(ctx, res); err != nil {
 		return 0, err
 	}

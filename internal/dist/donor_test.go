@@ -180,7 +180,6 @@ func (r loopRow) run(t *testing.T) {
 		}
 	}
 	d := newTestDonor(coord, o)
-	d.unitEWMA = time.Millisecond // a measured donor asks for a batch
 	ctx, cancel := context.WithTimeout(bg, 5*time.Second)
 	defer cancel()
 	err := d.Run(ctx)

@@ -82,6 +82,7 @@ func TestBatchedWaitTasksOverWire(t *testing.T) {
 	}
 	defer cl.Close()
 
+	recordUnitTimes(srv.Server, "batcher", time.Microsecond)
 	tasks, _, err := cl.WaitTasks(bg, "batcher", time.Second, 8)
 	if err != nil {
 		t.Fatal(err)
@@ -137,6 +138,7 @@ func TestWaitTasksManyParkedDonorsOneUnit(t *testing.T) {
 	got := make(chan batchResult, parked)
 	for i := 0; i < parked; i++ {
 		name := fmt.Sprintf("bherd-%d", i)
+		recordUnitTimes(srv, name, time.Microsecond)
 		go func() {
 			tasks, _, err := srv.WaitTasks(bg, name, 400*time.Millisecond, 8)
 			got <- batchResult{tasks, err}
@@ -184,6 +186,7 @@ func TestWaitTasksWakesOnLeaseExpiry(t *testing.T) {
 		err   error
 	}
 	got := make(chan batchResult, 1)
+	recordUnitTimes(srv, "b", time.Microsecond)
 	go func() {
 		tasks, _, err := srv.WaitTasks(bg, "b", 10*time.Second, 8)
 		got <- batchResult{tasks, err}

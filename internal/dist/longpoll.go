@@ -11,11 +11,12 @@ import (
 // *Server implements it directly and *RPCClient over the WaitTask verb; a
 // foreign Coordinator without it is polled through RequestTask.
 type TaskWaiter interface {
-	// WaitTask is RequestTask with server-side parking. A nil task with a
-	// zero wait hint means the park deadline elapsed with nothing to hand
-	// out — re-park immediately; a nil task with a positive hint means the
-	// implementation did not park and the caller should sleep the hint
-	// like a poller.
+	// WaitTask is RequestTask with server-side parking. maxWait is an upper
+	// bound on the park; ≤ 0 leaves it to the coordinator (a *Server parks
+	// for ServerOptions.LongPoll). A nil task with a zero wait hint means
+	// the park deadline elapsed with nothing to hand out — re-park
+	// immediately; a nil task with a positive hint means the implementation
+	// did not park and the caller should sleep the hint like a poller.
 	WaitTask(ctx context.Context, donor string, maxWait time.Duration) (t *Task, wait time.Duration, err error)
 }
 
@@ -28,10 +29,13 @@ var _ TaskWaiter = (*Server)(nil)
 // implements it directly (which is how in-process donors batch);
 // *RPCClient implements it over the batched WaitTask verb.
 type TaskBatchWaiter interface {
-	// WaitTasks is WaitTask returning up to max units: the first obtained
+	// WaitTasks is WaitTask returning a batch of units: the first obtained
 	// by parking exactly like WaitTask, the rest by immediate re-scans
-	// that stop as soon as nothing more is dispatchable. A nil/empty slice
-	// follows WaitTask's nil-task conventions for the wait hint.
+	// that stop as soon as nothing more is dispatchable. The coordinator
+	// sizes the batch (a *Server from the donor's measured unit time);
+	// maxWait and max are upper bounds, and ≤ 0 leaves the choice to the
+	// coordinator. A nil/empty slice follows WaitTask's nil-task
+	// conventions for the wait hint.
 	WaitTasks(ctx context.Context, donor string, maxWait time.Duration, max int) (tasks []*Task, wait time.Duration, err error)
 }
 
@@ -44,17 +48,17 @@ var _ TaskBatchWaiter = (*Server)(nil)
 const batchByteBudget = 1 << 20
 
 // WaitTasks implements TaskBatchWaiter. The park semantics are WaitTask's;
-// once a first unit arrives, up to limit-1 extras are collected with
+// once a first unit arrives, up to batchLimit-1 extras are collected with
 // non-parking dispatch scans. Extras stop early when the scan comes up
 // empty (leave the rest for other donors' parks), when the inline byte
 // budget is spent, or on error (whatever was already leased is returned —
 // the donor computes it; its leases are live either way).
 func (s *Server) WaitTasks(ctx context.Context, donor string, maxWait time.Duration, max int) ([]*Task, time.Duration, error) {
-	limit := s.batchLimit(max)
 	task, wait, err := s.WaitTask(ctx, donor, maxWait)
 	if err != nil || task == nil {
 		return nil, wait, err
 	}
+	limit := s.batchLimit(donor, max)
 	var tasks []*Task
 	inline := 0
 	for {
@@ -72,17 +76,36 @@ func (s *Server) WaitTasks(ctx context.Context, donor string, maxWait time.Durat
 	return tasks, wait, nil
 }
 
-// batchLimit clamps a donor's requested batch size to the server's
-// DispatchBatch cap (always at least one unit).
-func (s *Server) batchLimit(requested int) int {
-	limit := s.opts.DispatchBatch
-	if limit < 1 {
-		limit = 1
+// batchLatencyTarget bounds the compute time a batch queues behind its
+// first unit: small enough that a batch tail never meaningfully delays
+// redistribution to an idle donor, large enough to amortize many control
+// round trips when units are tiny.
+const batchLatencyTarget = 10 * time.Millisecond
+
+// batchLimit sizes one WaitTasks batch for donor. Batching trades load
+// balance for fewer control round trips, and that trade only pays when
+// units are so small that the round trip dominates: a donor hoarding eight
+// 50ms units serializes 400ms of work an idle neighbour could have shared.
+// The batch tail is therefore bounded to ~batchLatencyTarget at the donor's
+// measured unit time, and capped by DispatchBatch and by the caller's
+// requested maximum when that is ≥ 1. A donor with no measurement yet gets
+// one unit — the conservative start costs one round trip and keeps a fresh
+// fleet from carving an evenly divisible workload into lumpy batches.
+func (s *Server) batchLimit(donor string, requested int) int {
+	var unitTime time.Duration
+	if ds := s.peekDonor(donor); ds != nil {
+		ds.mu.Lock()
+		unitTime = ds.unitTime
+		ds.mu.Unlock()
 	}
-	if requested >= 1 && requested < limit {
-		limit = requested
+	if unitTime <= 0 {
+		return 1
 	}
-	return limit
+	limit := min(s.opts.DispatchBatch, 1+int(batchLatencyTarget/unitTime))
+	if requested >= 1 {
+		limit = min(limit, requested)
+	}
+	return max(limit, 1)
 }
 
 // parkChan returns the current park broadcast channel. Callers must grab
@@ -113,11 +136,10 @@ func (s *Server) wakeParked() {
 // back to a donor that would sleep and ask again, it parks until a wake
 // source fires — a Submit, a failure or lease-expiry requeue, or a
 // folded result on a problem some scan starved on (stage barriers release
-// new units on a fold) — and rescans. The park is bounded by the smaller of
-// maxWait (donor-requested; <=0 means no preference) and
-// ServerOptions.LongPoll, after which a nil task with a zero hint tells
-// the donor to re-park immediately; the bound only limits how long one
-// call stays outstanding.
+// new units on a fold) — and rescans. The park lasts ServerOptions.LongPoll,
+// or maxWait if the caller sets a shorter positive bound, after which a nil
+// task with a zero hint tells the donor to re-park immediately; the bound
+// only limits how long one call stays outstanding.
 func (s *Server) WaitTask(ctx context.Context, donor string, maxWait time.Duration) (*Task, time.Duration, error) {
 	limit := s.opts.LongPoll
 	if maxWait > 0 && maxWait < limit {

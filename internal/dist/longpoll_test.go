@@ -167,6 +167,77 @@ func (d *barrierDM) FinalResult() ([]byte, error) {
 	return Marshal(int64(d.consumed))
 }
 
+// recordUnitTimes feeds the per-unit compute times a donor reported into
+// the server's estimate, as its accepted results would: the measurement
+// WaitTasks sizes that donor's batches from.
+func recordUnitTimes(srv *Server, donor string, elapsed ...time.Duration) {
+	ds := srv.touchDonor(donor, time.Now())
+	for _, e := range elapsed {
+		srv.feedThroughput(ds, 1, e)
+	}
+}
+
+// TestWaitTasksSizesBatchFromDonorRate: the server alone sizes a batch, from
+// the unit times the donor reported — at most 1+batchLatencyTarget/unit
+// time, capped by DispatchBatch and by the caller's max when it sets one. An
+// unmeasured donor gets one unit, a reported Elapsed ≤ 0 leaves the
+// estimate where it was, and a wire caller that sets no cap is sized the
+// same way.
+func TestWaitTasksSizesBatchFromDonorRate(t *testing.T) {
+	rows := []struct {
+		name     string
+		units    []time.Duration // reported before the call, in order
+		max      int             // the caller's cap; 0 sets none
+		dispatch int             // ServerOptions.DispatchBatch; 0 keeps 8
+		wire     bool            // call through RPCClient.WaitTasks
+		want     int
+	}{
+		{name: "unmeasured", want: 1},
+		{name: "1µs units", units: []time.Duration{time.Microsecond}, want: 8},
+		{name: "4ms units", units: []time.Duration{4 * time.Millisecond}, want: 3},
+		{name: "50ms units", units: []time.Duration{50 * time.Millisecond}, want: 1},
+		{name: "caller max 2", units: []time.Duration{time.Microsecond}, max: 2, want: 2},
+		{name: "elapsed ≤ 0 ignored", units: []time.Duration{4 * time.Millisecond, 0, -time.Second}, want: 3},
+		{name: "DispatchBatch -1", units: []time.Duration{time.Microsecond}, dispatch: -1, want: 1},
+		{name: "over the wire", units: []time.Duration{time.Microsecond}, wire: true, want: 8},
+	}
+	for _, r := range rows {
+		t.Run(r.name, func(t *testing.T) {
+			opts := ServerOptions{Policy: sched.Fixed{Size: 1}, Lease: time.Hour, ExpiryScan: time.Hour, DispatchBatch: r.dispatch}
+			var srv *Server
+			var waiter TaskBatchWaiter
+			if r.wire {
+				ns, err := ListenAndServe("127.0.0.1:0", "127.0.0.1:0", WithServerOptions(opts))
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer ns.Close()
+				cl, err := Dial(ns.RPCAddr(), 5*time.Second)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer cl.Close()
+				srv, waiter = ns.Server, cl
+			} else {
+				srv = newTestServer(opts)
+				defer srv.Close()
+				waiter = srv
+			}
+			if err := srv.Submit(bg, &Problem{ID: "stocked", DM: newSumDM(100)}); err != nil {
+				t.Fatal(err)
+			}
+			recordUnitTimes(srv, "d", r.units...)
+			tasks, _, err := waiter.WaitTasks(bg, "d", 0, r.max)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(tasks) != r.want {
+				t.Errorf("WaitTasks(…, 0, %d) after unit times %v = %d units, want %d", r.max, r.units, len(tasks), r.want)
+			}
+		})
+	}
+}
+
 // TestWaitTasksBudgetCountsInlinePayloadsOnly: a payload shipped by bulk
 // key costs the batch's inline byte budget nothing — the first unit's
 // included — so a batch of offloaded units fills to DispatchBatch.
@@ -184,6 +255,7 @@ func TestWaitTasksBudgetCountsInlinePayloadsOnly(t *testing.T) {
 	if err := srv.Submit(bg, &Problem{ID: "offloaded", DM: dm}); err != nil {
 		t.Fatal(err)
 	}
+	recordUnitTimes(srv, "d", time.Microsecond)
 	tasks, _, err := srv.WaitTasks(bg, "d", time.Second, 8)
 	if err != nil {
 		t.Fatal(err)
@@ -335,10 +407,8 @@ func TestFunctionalOptionsLongPoll(t *testing.T) {
 	for _, v := range []time.Duration{0, -1} {
 		so := ServerOptions{LongPoll: v}
 		so.applyDefaults()
-		do := DonorOptions{LongPollWait: v}
-		do.applyDefaults()
-		if so.LongPoll != 45*time.Second || do.LongPollWait != 45*time.Second {
-			t.Errorf("LongPoll/LongPollWait %v defaulted to %v/%v, want 45s", v, so.LongPoll, do.LongPollWait)
+		if so.LongPoll != 45*time.Second {
+			t.Errorf("LongPoll %v defaulted to %v, want 45s", v, so.LongPoll)
 		}
 	}
 }

@@ -202,16 +202,16 @@ func (ns *NetworkServer) Close() error {
 // of CancelNotices.
 type donorArgs struct{ Donor string }
 
-// waitTaskArgs identifies the donor long-polling for work. MaxWaitNs is
-// the longest park the donor wants from this call (<=0 means no
-// preference); the server further clamps it to ServerOptions.LongPoll.
+// waitTaskArgs identifies the donor long-polling for work. MaxWaitNs and
+// MaxBatch are upper bounds on the park and on the units one reply carries
+// (extras ride in TaskReply.Batch); ≤ 0 leaves each to the server, which
+// parks for ServerOptions.LongPoll and sizes the batch from the donor's
+// measured unit time. This build's donor sends zeros; the fields stay so a
+// donor of an older build, which sends its own values, still connects.
 type waitTaskArgs struct {
 	Donor     string
 	MaxWaitNs int64
-	// MaxBatch asks for up to this many units in one reply (extras ride in
-	// TaskReply.Batch). Zero or one requests a single unit; the server
-	// further clamps to ServerOptions.DispatchBatch.
-	MaxBatch int
+	MaxBatch  int
 }
 
 // TaskReply carries a dispatch of one or more units: the first in the
@@ -236,9 +236,8 @@ type TaskReply struct {
 	// (see Task.Verify). Advisory.
 	Verify bool
 	// Batch carries the extra units of a batched WaitTask dispatch. Only
-	// present when the donor asked for more than one unit; every entry
-	// is leased and epoch-tagged individually, exactly as if dispatched
-	// alone.
+	// present when the server sized a batch above one; every entry is
+	// leased and epoch-tagged individually, exactly as if dispatched alone.
 	Batch []BatchTask
 }
 
@@ -320,7 +319,7 @@ func (ns *NetworkServer) handle(ctx context.Context, verb byte, d *wire.Decoder)
 		if a.UnmarshalFlat(d); d.Err() != nil {
 			return nil, d.Err()
 		}
-		tasks, wait, err := ns.Server.WaitTasks(ctx, a.Donor, time.Duration(a.MaxWaitNs), max(a.MaxBatch, 1))
+		tasks, wait, err := ns.Server.WaitTasks(ctx, a.Donor, time.Duration(a.MaxWaitNs), a.MaxBatch)
 		return ns.taskReply(tasks, wait), err
 
 	case verbSubmitResult:

@@ -50,9 +50,10 @@ func WithLongPoll(d time.Duration) ServerOption {
 	return func(o *ServerOptions) { o.LongPoll = d }
 }
 
-// WithDispatchBatch caps how many units one batched WaitTask reply may
-// carry (zero keeps the default of 8; negative or 1 disables batching —
-// the pre-batch single-unit replies, kept for ablation).
+// WithDispatchBatch caps how many units one WaitTask reply may carry; below
+// the cap the server sizes each batch from the donor's measured unit time
+// (zero keeps the default of 8; negative or 1 disables batching — the
+// pre-batch single-unit replies, kept for ablation).
 func WithDispatchBatch(n int) ServerOption {
 	return func(o *ServerOptions) { o.DispatchBatch = n }
 }
@@ -149,12 +150,6 @@ func WithCancelPoll(d time.Duration) DonorOption {
 	return func(o *DonorOptions) { o.CancelPoll = d }
 }
 
-// WithLongPollWait sets the park duration the donor requests per WaitTask
-// long-poll (zero or negative keeps the 45s default).
-func WithLongPollWait(d time.Duration) DonorOption {
-	return func(o *DonorOptions) { o.LongPollWait = d }
-}
-
 // WithBlobCacheBytes budgets the donor's shared-blob cache (zero keeps the
 // 256 MiB default, negative caches only the most recent blob). The budget
 // also derives how many problems' algorithm state stays resident.
@@ -167,13 +162,6 @@ func WithBlobCacheBytes(n int64) DonorOption {
 // blob once per process instead of once per donor.
 func WithBlobCache(c *BlobCache) DonorOption {
 	return func(o *DonorOptions) { o.BlobCache = c }
-}
-
-// WithTaskBatch sets how many units the donor asks for per WaitTask
-// long-poll against a batch-capable coordinator (zero keeps the default of
-// 8; negative or 1 keeps single-unit dispatch).
-func WithTaskBatch(n int) DonorOption {
-	return func(o *DonorOptions) { o.DispatchBatch = n }
 }
 
 // WithAlgorithmWrapper interposes on every algorithm instance the donor

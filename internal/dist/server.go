@@ -69,12 +69,12 @@ type ServerOptions struct {
 	// cap only bounds how long a single RPC is outstanding). Zero or
 	// negative defaults to 45s.
 	LongPoll time.Duration
-	// DispatchBatch caps how many units one batched WaitTask reply may
-	// carry (see TaskBatchWaiter); the effective batch is the smaller of
-	// this cap and what the donor asked for, and every unit is leased
-	// individually. Zero defaults to 8. Negative (or 1) disables batching:
-	// replies carry a single unit, the pre-batch behaviour, kept for
-	// ablation benchmarks.
+	// DispatchBatch caps how many units one WaitTask reply may carry (see
+	// TaskBatchWaiter). Below the cap the server sizes each batch itself,
+	// from the donor's measured unit time (see Server.WaitTasks), and every
+	// unit is leased individually. Zero defaults to 8. Negative (or 1)
+	// disables batching: replies carry a single unit, the pre-batch
+	// behaviour, kept for ablation benchmarks.
 	DispatchBatch int
 	// DataDir enables the durable coordinator: submits, folds and forgets
 	// of DurableDM-backed problems are journaled under this directory and
@@ -292,6 +292,11 @@ type donorState struct {
 	mu       sync.Mutex
 	stats    sched.DonorStats //dist:guardedby mu
 	lastSeen time.Time        //dist:guardedby mu
+	// unitTime is the EWMA of the donor's reported per-unit compute time
+	// (Result.Elapsed); zero until the first sample. WaitTasks sizes the
+	// donor's batches from it (batchLimit).
+	//dist:guardedby mu
+	unitTime time.Duration
 	// trust is the donor's reputation EWMA in [0, 1], fed by quorum
 	// outcomes (agree pulls toward 1, disagree and timeout toward 0);
 	// seeded at sched.TrustNeutral on first contact. Only meaningful while

@@ -37,7 +37,9 @@ import (
 	"repro/internal/simnet"
 )
 
-// Config parameterises a swarm.
+// Config parameterises a swarm. How long a member's WaitTask parks and how
+// many units one reply carries are not set here: the server under test owns
+// both (ServerOptions.LongPoll and DispatchBatch).
 type Config struct {
 	// RPCAddr is the control-channel address of the server under test.
 	RPCAddr string
@@ -47,9 +49,6 @@ type Config struct {
 	Specs []simnet.DonorSpec
 	// DialTimeout bounds each control-channel dial (default 5s).
 	DialTimeout time.Duration
-	// LongPollWait overrides the donors' WaitTask park duration
-	// (zero keeps the dist default).
-	LongPollWait time.Duration
 	// Seed drives the per-donor load jitter; runs with the same seed
 	// draw the same load sequences.
 	Seed int64
@@ -357,9 +356,6 @@ func (s *Swarm) donorOptions(m *member) []dist.DonorOption {
 		dist.WithCancelPoll(-1),
 		dist.WithBlobCache(s.cache),
 		dist.WithLogf(logf),
-	}
-	if s.cfg.LongPollWait != 0 {
-		opts = append(opts, dist.WithLongPollWait(s.cfg.LongPollWait))
 	}
 	// Throttle and malice share the one algorithm-wrapper slot: malice
 	// wraps outermost so a Byzantine donor still honours its spec's speed.
