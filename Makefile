@@ -35,7 +35,8 @@ test:
 race:
 	$(GO) test -race ./...
 
-# fuzz-smoke gives each wire-protocol and journal-recovery fuzzer a few
+# fuzz-smoke gives each fuzzer — wire protocol, journal recovery, and the
+# Smith–Waterman query-profile kernel against its reference loop — a few
 # seconds of coverage growth on every check; longer runs are a manual
 # `go test -fuzz` away.
 fuzz-smoke:
@@ -45,6 +46,7 @@ fuzz-smoke:
 	$(GO) test ./internal/wire/ -run '^$$' -fuzz FuzzFlatCodec -fuzztime 5s
 	$(GO) test ./internal/wire/ -run '^$$' -fuzz FuzzMuxServe -fuzztime 5s
 	$(GO) test ./internal/journal/ -run '^$$' -fuzz FuzzJournalReplay -fuzztime 5s
+	$(GO) test ./internal/align/ -run '^$$' -fuzz FuzzSWScore -fuzztime 5s
 
 # stress repeats the suites whose failures have been timing flakes — the
 # coordinator and swarm packages, and the two tests that once failed on

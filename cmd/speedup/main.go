@@ -8,7 +8,7 @@
 //	speedup -fig 2              # Figure 2: DPRml, 6 instances, 1-40 donors
 //	speedup -fig 2 -instances 1 # the single-instance ablation
 //	speedup -ablation           # adaptive vs fixed vs GSS vs factoring vs TSS
-//	speedup -all                # everything EXPERIMENTS.md records
+//	speedup -all                # every figure and ablation above
 //	speedup -all -csv out.csv   # also dump every series as CSV for plotting
 package main
 

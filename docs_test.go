@@ -111,12 +111,17 @@ var mdLinkRE = regexp.MustCompile(`\[[^\]]*\]\(\s*([^)\s]+)(?:\s+"[^"]*")?\s*\)`
 // lint does not resolve; they fail loudly instead of passing unchecked.
 var mdRefLinkRE = regexp.MustCompile(`\[[^\]]*\]\[[^\]]*\]`)
 
+// mdCodeSpanRE matches an inline code span; markdown renders its contents
+// verbatim, so an index expression like `f[i](x)` there is not a link.
+var mdCodeSpanRE = regexp.MustCompile("`[^`]*`")
+
 func TestMarkdownDocs(t *testing.T) {
 	for _, file := range mdFiles(t) {
 		file := file
 		t.Run(filepath.ToSlash(file), func(t *testing.T) {
 			ownAnchors := mdAnchors(t, file)
 			for lineNo, line := range mdOutsideFences(t, file) {
+				line = mdCodeSpanRE.ReplaceAllString(line, "")
 				if m := mdRefLinkRE.FindString(line); m != "" {
 					t.Errorf("%s:%d: reference-style link %q is not supported by the docs lint; use an inline link", file, lineNo+1, m)
 				}

@@ -3,12 +3,16 @@
 // (Needleman & Wunsch 1970), Smith–Waterman local alignment (Smith &
 // Waterman 1981), both with affine gap penalties (Gotoh 1982), plus a banded
 // global aligner and a linear-space Hirschberg aligner standing in for the
-// paper's third built-in (the Crochemore et al. 2003 subquadratic method;
-// see DESIGN.md for the substitution rationale).
+// paper's third built-in (the Crochemore et al. 2003 subquadratic method,
+// whose log-factor gain rests on LZ78-parsing both sequences — machinery
+// out of proportion to its benefit at protein lengths, so an exact
+// memory-frugal aligner fills the slot instead).
 //
-// Score-only variants use O(min(m,n)) memory and are the hot path for
-// database search; traceback variants additionally reconstruct the aligned
-// strings.
+// Score-only variants keep O(n) rows instead of the full matrix and are the
+// hot path for database search; traceback variants additionally reconstruct
+// the aligned strings. Smith–Waterman's score path also builds a query
+// profile, one int32 per (residue class, query position) — 25 KB for a
+// 300-residue protein query — which Prepare builds once per query.
 package align
 
 import (
@@ -99,6 +103,17 @@ type Aligner interface {
 	Score(a, b []byte) int
 	// Align computes the optimal alignment with traceback.
 	Align(a, b []byte) *Result
+}
+
+// Prepare readies query for scoring against many subjects: the returned
+// function equals al.Score(query, subject) for every subject. For
+// Smith–Waterman it builds the query profile once (see sw.go); every other
+// algorithm is scored pair by pair. The function is safe for concurrent use.
+func Prepare(al Aligner, query []byte) func(subject []byte) int {
+	if sw, ok := al.(*swAligner); ok {
+		return sw.prepare(query)
+	}
+	return func(b []byte) int { return al.Score(query, b) }
 }
 
 // New resolves an algorithm by name. The banded algorithm takes its

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -221,11 +222,12 @@ func TestSWAlignConsistent(t *testing.T) {
 	}
 }
 
-// swScoreReference is the pre-optimization Smith–Waterman score loop
-// (previous-row copies, -infinity-absorbing arithmetic). The production
-// Score carries neighbours in scalars and uses plain +/- on the grounds
-// that a negInf value loses every max before it can drift; this reference
-// pins that equivalence across matrices, gap regimes, and sequence shapes.
+// swScoreReference is the original Smith–Waterman score loop: Gotoh's
+// three matrices M/X/Y, previous-row copies, -infinity-absorbing
+// arithmetic, and a matrix lookup per cell. The production Score folds
+// M/X/Y into the two-row H/E/F query-profile kernel (sw.go explains why
+// the two agree); this reference pins that equivalence across matrices,
+// gap regimes, and sequence shapes.
 func swScoreReference(p Params, a, b []byte) int {
 	gapO, gapE := p.Gap.Open, p.Gap.Extend
 	mat := p.Matrix
@@ -273,20 +275,34 @@ func TestSWScoreMatchesReference(t *testing.T) {
 		name   string
 		params Params
 		alpha  *seq.Alphabet
+		// noise, if set, overwrites about a fifth of the residues with its
+		// bytes: masked, ambiguous, gap and lowercase residues.
+		noise string
 	}{
-		{"protein-affine", protParams, seq.Protein},
-		{"dna-linear", dnaParams, seq.DNA},
-		{"dna-affine", dnaAffine, seq.DNA},
-		{"zero-extend", Params{Matrix: seq.BLOSUM62, Gap: Gap{Open: 12, Extend: 0}}, seq.Protein},
+		{"protein-affine", protParams, seq.Protein, ""},
+		{"dna-linear", dnaParams, seq.DNA, ""},
+		{"dna-affine", dnaAffine, seq.DNA, ""},
+		{"zero-extend", Params{Matrix: seq.BLOSUM62, Gap: Gap{Open: 12, Extend: 0}}, seq.Protein, ""},
+		{"pam250", Params{Matrix: seq.PAM250, Gap: Gap{Open: 10, Extend: 2}}, seq.Protein, ""},
+		{"protein-linear", Params{Matrix: seq.BLOSUM62, Gap: Gap{Open: 0, Extend: 4}}, seq.Protein, ""},
+		{"masked-ambiguous", protParams, seq.Protein, "XxBZ*-.acwy"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			sw := mustNew(t, "sw", c.params, 0)
 			g := seq.NewGenerator(c.alpha, 77)
 			rng := rand.New(rand.NewSource(77))
+			noisy := func(r []byte) []byte {
+				for i := range r {
+					if c.noise != "" && rng.Intn(5) == 0 {
+						r[i] = c.noise[rng.Intn(len(c.noise))]
+					}
+				}
+				return r
+			}
 			for k := 0; k < 40; k++ {
-				a := g.Random("a", rng.Intn(80)).Residues // 0 length included
-				b := g.Random("b", rng.Intn(80)).Residues
+				a := noisy(g.Random("a", rng.Intn(80)).Residues) // 0 length included
+				b := noisy(g.Random("b", rng.Intn(80)).Residues)
 				want := swScoreReference(c.params, a, b)
 				if got := sw.Score(a, b); got != want {
 					t.Fatalf("case %d (la=%d lb=%d): Score %d != reference %d", k, len(a), len(b), got, want)
@@ -294,6 +310,94 @@ func TestSWScoreMatchesReference(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestPreparedScorerReuse scores one prepared query against subjects of
+// shrinking and growing length, so a scorer that kept rows from an earlier
+// call would show up against the reference.
+func TestPreparedScorerReuse(t *testing.T) {
+	sw := mustNew(t, "sw", protParams, 0)
+	g := seq.NewGenerator(seq.Protein, 91)
+	query := g.Random("q", 120).Residues
+	long := g.Mutate(&seq.Sequence{ID: "l", Residues: append(g.Random("pad", 60).Residues, query...)}, "long", 0.1, 0.02).Residues
+	short := query[30:50]
+	score := Prepare(sw, query)
+	for k, b := range [][]byte{long, short, nil, long} {
+		if got, want := score(b), swScoreReference(protParams, query, b); got != want {
+			t.Fatalf("call %d (len %d): prepared score %d != reference %d", k, len(b), got, want)
+		}
+	}
+}
+
+// TestPreparedScorerConcurrent shares one prepared query between
+// goroutines; run it under -race.
+func TestPreparedScorerConcurrent(t *testing.T) {
+	sw := mustNew(t, "sw", protParams, 0)
+	g := seq.NewGenerator(seq.Protein, 93)
+	query := g.Random("q", 100).Residues
+	subjects := g.RandomDatabase("s", 16, seq.LengthModel{Mean: 100, StdDev: 40, Min: 1, Max: 200}).Seqs
+	want := make([]int, len(subjects))
+	for i, s := range subjects {
+		want[i] = swScoreReference(protParams, query, s.Residues)
+	}
+	score := Prepare(sw, query)
+	var wg sync.WaitGroup
+	errs := make(chan error, 8)
+	for w := 0; w < 8; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for k := range subjects {
+				i := (k + w) % len(subjects)
+				if got := score(subjects[i].Residues); got != want[i] {
+					errs <- fmt.Errorf("goroutine %d subject %d: %d != reference %d", w, i, got, want[i])
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+}
+
+// TestPrepareOtherAlgorithmsScorePairwise checks that Prepare falls back to
+// Score for every algorithm without a query profile.
+func TestPrepareOtherAlgorithmsScorePairwise(t *testing.T) {
+	g := seq.NewGenerator(seq.DNA, 95)
+	a, b := g.Random("a", 40).Residues, g.Random("b", 50).Residues
+	for _, name := range []string{AlgNeedlemanWunsch, AlgBanded, AlgHirschberg, AlgOverlap} {
+		al := mustNew(t, name, dnaAffine, 0)
+		if got, want := Prepare(al, a)(b), al.Score(a, b); got != want {
+			t.Errorf("%s: prepared %d != Score %d", name, got, want)
+		}
+	}
+}
+
+// FuzzSWScore requires the prepared scorer, Score and the reference loop
+// to agree on raw bytes — lowercase, ambiguity codes, gaps and bytes
+// outside every alphabet included — under every built-in matrix and gap
+// penalties from linear to steep.
+func FuzzSWScore(f *testing.F) {
+	f.Add([]byte("HEAGAWGHEE"), []byte("PAWHEAE"), uint8(0), uint8(10), uint8(1))
+	f.Add([]byte("ACGTTGCA"), []byte("acgNNtgca"), uint8(2), uint8(0), uint8(2))
+	f.Add([]byte("MKX*-LVb"), []byte{0, 255, 'M', 'K', 'L'}, uint8(1), uint8(15), uint8(0))
+	f.Add([]byte(""), []byte("ACGT"), uint8(3), uint8(3), uint8(4))
+	matrices := []*seq.Matrix{seq.BLOSUM62, seq.PAM250, seq.DNASimple, seq.DNAUnit}
+	f.Fuzz(func(t *testing.T, a, b []byte, mat, open, extend uint8) {
+		if len(a) > 256 || len(b) > 256 {
+			t.Skip("long inputs only slow the quadratic reference")
+		}
+		p := Params{Matrix: matrices[int(mat)%len(matrices)], Gap: Gap{Open: int(open) % 16, Extend: int(extend) % 5}}
+		sw := mustNew(t, "sw", p, 0)
+		prepared, score, want := Prepare(sw, a)(b), sw.Score(a, b), swScoreReference(p, a, b)
+		if prepared != want || score != want {
+			t.Fatalf("%s gaps %+v: Prepare %d, Score %d, reference %d (a=%q b=%q)",
+				p.Matrix.Name, p.Gap, prepared, score, want, a, b)
+		}
+	})
 }
 
 func TestSWFindsPlantedHomology(t *testing.T) {

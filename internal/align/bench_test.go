@@ -52,3 +52,23 @@ func BenchmarkSWAlign300(b *testing.B) {
 		al.Align(x, y)
 	}
 }
+
+// BenchmarkSWScan is dsearch's inner loop: one 300-residue query, prepared
+// once, scored against 400 subjects of database-like length.
+func BenchmarkSWScan(b *testing.B) {
+	g := seq.NewGenerator(seq.Protein, 7)
+	query := g.Random("q", 300).Residues
+	db := g.RandomDatabase("s", 400, seq.LengthModel{Mean: 300, StdDev: 80, Min: 100, Max: 600})
+	al, err := New(AlgSmithWaterman, benchParams(b), 0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(len(query)) * db.TotalResidues())
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		score := Prepare(al, query)
+		for _, s := range db.Seqs {
+			score(s.Residues)
+		}
+	}
+}

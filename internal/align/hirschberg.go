@@ -6,7 +6,7 @@ package align
 // single-residue gap costs the same as in the affine model, and for
 // Gap.Open == 0 it is exactly equivalent to Needleman–Wunsch. It serves as
 // the memory-frugal built-in for very long sequences, standing in for the
-// paper's third algorithm (see DESIGN.md).
+// paper's third algorithm (the package doc gives the reason).
 
 type hirschbergAligner struct{ p Params }
 

@@ -1,62 +1,103 @@
 package align
 
-// Smith–Waterman local alignment with affine gap penalties. Identical
-// recurrences to the global aligner except M is floored at zero and the
-// result is the global maximum over all M cells.
+// Smith–Waterman local alignment with affine gap penalties.
+//
+// The score-only path is dsearch's hot loop: one call per (query, subject)
+// pair. It follows the query-profile scheme of Rognes & Seeberg
+// (Bioinformatics 16:699, 2000), without the narrow SIMD lanes Farrar
+// (Bioinformatics 23:156, 2007) needs to make 16-bit cells pay:
+//
+//   - The profile. Subject bytes fall into the alphabet's canonical
+//     classes plus one "unknown" class (Alphabet.Index == -1), exactly the
+//     classes seq.Matrix builds its lookup table from. For each class c and
+//     query position i the profile stores Matrix.Score(query[i], y) for any
+//     byte y of class c, as int32, one class after another and contiguous
+//     along the query: (classes x |query|) entries, 21 x 300 x 4 B ≈ 25 KB
+//     for a 300-residue protein query, which stays in L1.
+//   - The loop order. The subject is the outer loop and the query the inner
+//     one, so a subject residue selects one profile column and each cell's
+//     score is a sequential load from it.
+//   - The recurrence. Two rows along the query (H, and E for gaps in the
+//     query) plus a scalar F for gaps in the subject:
+//     h = max(Hdiag + P[i], E[i], F, 0), best = max(best, h),
+//     E[i] = max(E[i] - gapE, h - gapOE), F = max(F - gapE, h - gapOE).
+//     This is Gotoh's three-matrix M/X/Y recurrence (which Align keeps for
+//     its traceback) folded into one: H = max(M, X, Y) because M >= 0; the
+//     X->Y and Y->X transitions cost gapOE >= gapE and are dominated by
+//     going through H; and no X or Y cell exceeds the M cell it descends
+//     from, so the best H is the best M. Column 0 and row 0 hold H = 0, so
+//     the first gap cell off the border is exactly -gapOE: E and F start
+//     there instead of at -infinity, and no value ever falls below -gapOE.
+//   - The cells are Go ints, so no overflow guard or second kernel is
+//     needed; int32 cells measured no faster in this scalar loop.
 
 type swAligner struct{ p Params }
 
 func (s *swAligner) Name() string { return AlgSmithWaterman }
 
-// Score computes the optimal local alignment score in O(lb) memory.
-//
-// This is dsearch's per-(query, chunk) hot loop, so unlike the traceback
-// path it avoids the safeAdd/safeSub branches and the previous-row copies:
-//
-//   - One rolling row per DP matrix. The diagonal and left neighbours ride
-//     in scalars (diag* carries M/X/Y of (i-1, j-1), left* of (i, j-1)), so
-//     each cell touches three slice loads, three stores, and one score
-//     lookup.
-//   - Plain +/- instead of the -infinity-absorbing helpers. M is floored at
-//     zero, so the gap recurrences always see one candidate >= -(gapO+gapE)
-//     (newX >= M[j]-gapO-gapE, newY >= leftM-gapO-gapE) and a negInf value
-//     survives at most one subtraction before losing every max. The worst
-//     transient is negInf minus one gap penalty, nowhere near int overflow
-//     (negInf is -2^40).
-//   - The substitution row for a[i-1] is hoisted out of the inner loop
-//     (Matrix.Row), making the per-cell score a byte-indexed load from a
-//     256-entry slice.
-func (s *swAligner) Score(a, b []byte) int {
+// Score computes the optimal local alignment score through a one-off
+// query profile (see prepare).
+func (s *swAligner) Score(a, b []byte) int { return s.prepare(a)(b) }
+
+// prepare builds query's profile and returns the scorer that runs the
+// two-row kernel over it. The profile is read-only once built, so the
+// scorer is safe for concurrent use; each call allocates its own rows.
+func (s *swAligner) prepare(query []byte) func(subject []byte) int {
+	mat := s.p.Matrix
 	gapE := s.p.Gap.Extend
 	gapOE := s.p.Gap.Open + gapE
-	mat := s.p.Matrix
-	la, lb := len(a), len(b)
-	buf := make([]int, 3*(lb+1))
-	M, X, Y := buf[:lb+1], buf[lb+1:2*(lb+1)], buf[2*(lb+1):]
-	for j := 0; j <= lb; j++ {
-		X[j], Y[j] = negInf, negInf
-	}
-	best := 0
-	for i := 1; i <= la; i++ {
-		row := mat.Row(a[i-1])
-		// Column 0 of rows i-1 and i: M=0, X=Y=-inf.
-		diagM, diagX, diagY := 0, negInf, negInf
-		leftM, leftX, leftY := 0, negInf, negInf
-		for j := 1; j <= lb; j++ {
-			upM, upX, upY := M[j], X[j], Y[j]
-			newM := max3(diagM, diagX, diagY) + int(row[b[j-1]])
-			if newM < 0 {
-				newM = 0
-			}
-			newX := max3(upM-gapOE, upX-gapE, upY-gapOE)
-			newY := max3(leftM-gapOE, leftY-gapE, leftX-gapOE)
-			M[j], X[j], Y[j] = newM, newX, newY
-			diagM, diagX, diagY = upM, upX, upY
-			leftM, leftX, leftY = newM, newX, newY
-			if newM > best {
-				best = newM
-			}
+	unknown := mat.Alphabet.Size()
+	// class maps a subject byte to its profile column; rep is one byte of
+	// each class.
+	var class [256]int
+	rep := make([]byte, unknown+1)
+	for y := 255; y >= 0; y-- {
+		c := mat.Alphabet.Index(byte(y))
+		if c < 0 {
+			c = unknown
 		}
+		class[y], rep[c] = c, byte(y)
+	}
+	la := len(query)
+	profile := make([]int32, len(rep)*la)
+	for c, y := range rep {
+		col := profile[c*la : (c+1)*la]
+		for i, x := range query {
+			col[i] = int32(mat.Score(x, y))
+		}
+	}
+	return func(subject []byte) int {
+		rows := make([]int, 2*la)
+		H, E := rows[:la], rows[la:]
+		for i := range E {
+			E[i] = -gapOE
+		}
+		best := 0
+		for _, y := range subject {
+			c := class[y] * la
+			best = max(best, swColumn(profile[c:c+la], H, E, gapE, gapOE))
+		}
+		return best
+	}
+}
+
+// swColumn advances the H and E rows by one subject residue, whose profile
+// column is P, and returns the column's best H. It is a plain function, not
+// part of prepare's closure, so that the compiler keeps the loop's state in
+// registers instead of spilling it.
+func swColumn(P []int32, H, E []int, gapE, gapOE int) int {
+	H, E = H[:len(P)], E[:len(P)]
+	diag, f, best := 0, -gapOE, 0
+	for i, p := range P {
+		h := diag + int(p)
+		diag = H[i]
+		e := E[i]
+		h = max(h, e, f, 0)
+		H[i] = h
+		best = max(best, h)
+		h -= gapOE
+		E[i] = max(e-gapE, h)
+		f = max(f-gapE, h)
 	}
 	return best
 }

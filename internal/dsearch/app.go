@@ -166,6 +166,9 @@ type Algorithm struct {
 	queries []*seq.Sequence
 	cfg     Config
 	aligner align.Aligner
+	// scorers[i] scores a subject against queries[i], prepared once per
+	// problem (align.Prepare).
+	scorers []func(subject []byte) int
 }
 
 var _ dist.TypedAlgorithm[sharedData, unitPayload, resultPayload] = (*Algorithm)(nil)
@@ -182,6 +185,7 @@ func (a *Algorithm) Init(sd sharedData) error {
 	a.queries = sd.Queries
 	a.cfg = sd.Config
 	a.aligner = al
+	a.scorers = prepare(al, sd.Queries)
 	return nil
 }
 
@@ -190,12 +194,12 @@ func (a *Algorithm) Init(sd sharedData) error {
 // query's worth of alignments.
 func (a *Algorithm) ProcessCtx(ctx context.Context, up unitPayload) (resultPayload, error) {
 	local := NewHitList(a.cfg.TopK)
-	for _, q := range a.queries {
+	for qi, q := range a.queries {
 		if err := ctx.Err(); err != nil {
 			return resultPayload{}, err
 		}
 		for _, s := range up.Seqs {
-			score := a.aligner.Score(q.Residues, s.Residues)
+			score := a.scorers[qi](s.Residues)
 			if score < a.cfg.MinScore {
 				continue
 			}
@@ -239,6 +243,16 @@ func (a *Algorithm) attachAlignments(hits []Hit, chunk []*seq.Sequence) {
 	}
 }
 
+// prepare readies every query for scoring against many subjects — the one
+// scoring path ProcessCtx, SearchLocal and Calibrate share.
+func prepare(al align.Aligner, queries []*seq.Sequence) []func(subject []byte) int {
+	scorers := make([]func(subject []byte) int, len(queries))
+	for i, q := range queries {
+		scorers[i] = align.Prepare(al, q.Residues)
+	}
+	return scorers
+}
+
 func init() {
 	dist.RegisterTypedAlgorithm(AlgorithmName, func() dist.TypedAlgorithm[sharedData, unitPayload, resultPayload] {
 		return &Algorithm{}
@@ -260,9 +274,10 @@ func SearchLocal(db, queries *seq.Database, cfg Config) (*HitList, error) {
 		return nil, err
 	}
 	hits := NewHitList(cfg.TopK)
-	for _, q := range queries.Seqs {
+	scorers := prepare(al, queries.Seqs)
+	for qi, q := range queries.Seqs {
 		for _, s := range db.Seqs {
-			score := al.Score(q.Residues, s.Residues)
+			score := scorers[qi](s.Residues)
 			if score < cfg.MinScore {
 				continue
 			}

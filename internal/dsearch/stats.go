@@ -101,10 +101,11 @@ func Calibrate(db, queries *seq.Database, cfg Config, nDecoys int, seedVal int64
 		decoys[i] = shuffle(rng, db.Seqs[i%db.Len()].Residues)
 	}
 	out := make(map[string]Calibration, queries.Len())
-	for _, q := range queries.Seqs {
+	scorers := prepare(al, queries.Seqs)
+	for qi, q := range queries.Seqs {
 		scores := make([]float64, nDecoys)
 		for i, d := range decoys {
-			scores[i] = float64(al.Score(q.Residues, d))
+			scores[i] = float64(scorers[qi](d))
 		}
 		c, err := FitGumbel(scores)
 		if err != nil {

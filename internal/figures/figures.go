@@ -2,8 +2,9 @@
 // (DSEARCH speedup on 83 homogeneous semi-idle processors) and Figure 2
 // (DPRml speedup on a 50-taxon dataset with 6 problem instances running
 // simultaneously). Both use the discrete-event cluster simulator (simnet)
-// driving the real scheduling policies; see DESIGN.md for the substitution
-// rationale and EXPERIMENTS.md for recorded paper-vs-measured series.
+// driving the real scheduling policies, because the paper's laboratory of
+// 83 processors cannot be reproduced on one machine; `go run
+// ./cmd/speedup -all` prints every series.
 package figures
 
 import (
