@@ -44,7 +44,7 @@ func main() {
 	var (
 		rpcAddr     = flag.String("rpc", ":7070", "control (RPC) listen address")
 		bulkAddr    = flag.String("bulk", ":7071", "bulk data listen address")
-		policy      = flag.String("policy", "adaptive:5s", "scheduling policy (fixed:N | adaptive:DUR | gss[:k] | factoring)")
+		policy      = flag.String("policy", "adaptive:5s", "scheduling policy (fixed:N | adaptive:DUR | gss[:k] | factoring | tss)")
 		lease       = flag.Duration("lease", 2*time.Minute, "work unit reissue timeout")
 		longPoll    = flag.Duration("long-poll", 45*time.Second, "max server-side park per WaitTask long-poll (<=0 keeps the default)")
 		batch       = flag.Int("dispatch-batch", 8, "max units per batched WaitTask reply (<=1 = single-unit dispatch)")

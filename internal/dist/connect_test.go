@@ -250,6 +250,7 @@ func TestDialProtocolMismatch(t *testing.T) {
 	}{
 		{"dflt3 banner", "\x00dflt3\r\n"},
 		{"dflt4 banner", "\x00dflt4\r\n"},
+		{"dflt5 banner", "\x00dflt5\r\n"},
 		{"hangs up", ""},
 	} {
 		t.Run(c.name, func(t *testing.T) {
@@ -277,7 +278,7 @@ func TestDialProtocolMismatch(t *testing.T) {
 			if !errors.Is(err, ErrProtocolMismatch) {
 				t.Fatalf("Dial error = %v, want ErrProtocolMismatch", err)
 			}
-			if c.banner != "" && !(strings.Contains(err.Error(), c.banner[1:6]) && strings.Contains(err.Error(), "dflt5")) {
+			if c.banner != "" && !(strings.Contains(err.Error(), c.banner[1:6]) && strings.Contains(err.Error(), wire.FlatPreamble[1:6])) {
 				t.Errorf("Dial error %q does not name both versions", err)
 			}
 		})

@@ -133,6 +133,48 @@ func TestContentBulkDedupAcrossProblems(t *testing.T) {
 	}
 }
 
+// TestContentDedupAcrossProblemsInProcess is the in-process twin of
+// TestContentBulkDedupAcrossProblems: donors parked on a *Server fetch
+// shared data through the same digest-keyed, verified path as networked
+// ones, so two problems carrying one blob cost a pool sharing one cache a
+// single fetch.
+func TestContentDedupAcrossProblemsInProcess(t *testing.T) {
+	registerEcho(t)
+	shared := bytes.Repeat([]byte("alignment"), 8192)
+	srv := newTestServer(ServerOptions{})
+	defer srv.Close()
+	for _, id := range []string{"ip-1", "ip-2"} {
+		if err := srv.Submit(bg, &Problem{ID: id, DM: newEchoDM(2), SharedData: shared}); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	blobs := NewBlobCache(1 << 20)
+	var wg sync.WaitGroup
+	donors := make([]*Donor, 3)
+	for i := range donors {
+		donors[i] = newTestDonor(srv, DonorOptions{Name: fmt.Sprintf("ip-%d", i), BlobCache: blobs})
+		wg.Add(1)
+		go func(d *Donor) { defer wg.Done(); _ = d.Run(bg) }(donors[i])
+	}
+	for _, id := range []string{"ip-1", "ip-2"} {
+		out, err := srv.Wait(bg, id)
+		if err != nil {
+			t.Fatalf("wait %s: %v", id, err)
+		}
+		if !bytes.Equal(out, shared) {
+			t.Errorf("%s: result is not the shared blob (%d bytes)", id, len(out))
+		}
+	}
+	for _, d := range donors {
+		d.Stop()
+	}
+	wg.Wait()
+	if got := blobs.Fetches(); got != 1 {
+		t.Errorf("in-process pool performed %d shared-blob fetches for 2 problems, want 1", got)
+	}
+}
+
 // TestEpochResubmitDoesNotServeStaleBytes: a forgotten ID resubmitted with
 // different shared data must be computed from the new bytes — the digest
 // changes, so the stale bytes are unreachable by cache key.
@@ -256,115 +298,6 @@ func TestDigestMismatchIsTransportFailure(t *testing.T) {
 	}
 	if !bytes.Equal(out, shared) {
 		t.Errorf("healed run echoed %q", out)
-	}
-}
-
-// bareCoord narrows an RPCClient to the four Coordinator verbs — the shape
-// of a foreign coordinator client with no WaitTask, no batching and no
-// ContentFetcher. With stripDigest it also drops the content digest from
-// every task, as an implementation unaware of content addressing would.
-type bareCoord struct {
-	c           *RPCClient
-	stripDigest bool
-}
-
-func (b bareCoord) RequestTask(ctx context.Context, donor string) (*Task, time.Duration, error) {
-	task, wait, err := b.c.RequestTask(ctx, donor)
-	if task != nil && b.stripDigest {
-		task.SharedDigest = ""
-	}
-	return task, wait, err
-}
-
-func (b bareCoord) SharedData(ctx context.Context, problemID string) ([]byte, error) {
-	return b.c.SharedData(ctx, problemID)
-}
-
-func (b bareCoord) SubmitResult(ctx context.Context, res *Result) error {
-	return b.c.SubmitResult(ctx, res)
-}
-
-func (b bareCoord) ReportFailure(ctx context.Context, donor, problemID string, unitID int64, reason string) error {
-	return b.c.ReportFailure(ctx, donor, problemID, unitID, reason)
-}
-
-// TestBareCoordinatorDonorsDrain runs donors that know only the Coordinator
-// interface beside a full one on a loopback deployment: they poll
-// RequestTask, fetch shared data through the "shared/<problemID>" alias
-// (verified against the task's digest when it has one, uncached when it has
-// none), and every unit is dispatched and folded exactly once.
-func TestBareCoordinatorDonorsDrain(t *testing.T) {
-	registerEcho(t)
-	shared := bytes.Repeat([]byte("mixed"), 4096)
-
-	srv, err := ListenAndServe("127.0.0.1:0", "127.0.0.1:0", WithServerOptions(netOpts()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	const problems, units = 6, 4
-	for i := 0; i < problems; i++ {
-		if err := srv.Submit(bg, &Problem{ID: fmt.Sprintf("mix-%d", i), DM: newEchoDM(units), SharedData: shared}); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	mkClient := func() *RPCClient {
-		t.Helper()
-		cl, err := Dial(srv.RPCAddr(), 5*time.Second)
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { cl.Close() })
-		return cl
-	}
-
-	// The full donor is throttled so the bare ones are guaranteed a share
-	// of the 24 units — and the bare ones a little, so that whichever of
-	// them starts first cannot drain every unit before the other's first
-	// request arrives.
-	full := newTestDonor(mkClient(), DonorOptions{Name: "full", Throttle: 10 * time.Millisecond})
-	bare := newTestDonor(bareCoord{c: mkClient()}, DonorOptions{Name: "bare", Throttle: 2 * time.Millisecond})
-	digestless := newTestDonor(bareCoord{c: mkClient(), stripDigest: true}, DonorOptions{Name: "digestless", Throttle: 2 * time.Millisecond})
-
-	donors := []*Donor{full, bare, digestless}
-	var wg sync.WaitGroup
-	for _, d := range donors {
-		wg.Add(1)
-		go func(d *Donor) { defer wg.Done(); _ = d.Run(bg) }(d)
-	}
-	for i := 0; i < problems; i++ {
-		out, err := srv.Wait(bg, fmt.Sprintf("mix-%d", i))
-		if err != nil {
-			t.Fatalf("mix-%d: %v", i, err)
-		}
-		if !bytes.Equal(out, shared) {
-			t.Errorf("mix-%d echoed wrong bytes", i)
-		}
-	}
-	// Exact accounting lives server-side: every unit dispatched once and
-	// folded once, no reissues. (Donor-side Units() can read one short — a
-	// Stop racing the final in-flight SubmitResult abandons the call
-	// client-side after the server already folded it.)
-	for i := 0; i < problems; i++ {
-		st, err := srv.Stats(bg, fmt.Sprintf("mix-%d", i))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if st.Dispatched != units || st.Completed != units || st.Reissued != 0 {
-			t.Errorf("mix-%d: dispatched/completed/reissued = %d/%d/%d, want %d/%d/0",
-				i, st.Dispatched, st.Completed, st.Reissued, units, units)
-		}
-	}
-	for _, d := range donors {
-		d.Stop()
-	}
-	wg.Wait()
-	if bare.Units() == 0 {
-		t.Error("bare-Coordinator donor drained nothing")
-	}
-	if digestless.Units() == 0 {
-		t.Error("digest-less donor drained nothing")
 	}
 }
 

@@ -8,23 +8,20 @@ import (
 	"repro/internal/sched"
 )
 
-// pollHint is the wait RequestTask suggests alongside an empty reply. No
-// donor of this repository sleeps on it — they park in WaitTask — so it
-// only paces a foreign Coordinator client that polls.
-const pollHint = 50 * time.Millisecond
-
 // throughputAlpha weights the newest cost/elapsed sample in the EWMA the
 // scheduler sizes units from.
 const throughputAlpha = 0.3
 
-// RequestTask implements Coordinator: pick the next unit for a donor,
-// round-robin across live problems. The rotation is snapshotted under the
-// registry read lock; each candidate problem is then tried under its own
-// lock. The first pass only TryLocks each shard — a problem whose
-// DataManager is busy partitioning or folding under its lock is skipped
-// rather than blocked on, so one slow problem never adds latency to a
-// request that an idle problem could serve. Shards skipped as contended
-// are retried with a blocking lock only if the fast pass found nothing.
+// RequestTask is one non-parking dispatch scan, the one WaitTask parks
+// around: pick the next unit for a donor, round-robin across live
+// problems, or return a nil task (the Duration is always zero). The
+// rotation is snapshotted under the registry read lock; each candidate
+// problem is then tried under its own lock. The first pass only TryLocks
+// each shard — a problem whose DataManager is busy partitioning or folding
+// under its lock is skipped rather than blocked on, so one slow problem
+// never adds latency to a request that an idle problem could serve. Shards
+// skipped as contended are retried with a blocking lock only if the fast
+// pass found nothing.
 func (s *Server) RequestTask(ctx context.Context, donor string) (*Task, time.Duration, error) {
 	if err := ctxErr(ctx); err != nil {
 		return nil, 0, err
@@ -48,13 +45,13 @@ func (s *Server) RequestTask(ctx context.Context, donor string) (*Task, time.Dur
 	ds := s.touchDonor(donor, now)
 	n := len(rotation)
 	if n == 0 {
-		return nil, pollHint, nil
+		return nil, 0, nil
 	}
 	view, quarantined := s.donorDispatchView(ds, now)
 	if quarantined {
 		// A quarantined donor gets no work at all, however long it keeps
 		// polling (and long-polling).
-		return nil, pollHint, nil
+		return nil, 0, nil
 	}
 	live := s.liveDonorCount(now)
 
@@ -85,7 +82,7 @@ func (s *Server) RequestTask(ctx context.Context, donor string) (*Task, time.Dur
 		}
 		if task != nil {
 			s.pruneRotation(finished)
-			return task, pollHint, nil
+			return task, 0, nil
 		}
 	}
 	// Slow pass: everything uncontended came up empty, so waiting on the
@@ -98,11 +95,11 @@ func (s *Server) RequestTask(ctx context.Context, donor string) (*Task, time.Dur
 		}
 		if task != nil {
 			s.pruneRotation(finished)
-			return task, pollHint, nil
+			return task, 0, nil
 		}
 	}
 	s.pruneRotation(finished)
-	return nil, pollHint, nil
+	return nil, 0, nil
 }
 
 // tryDispatch attempts to hand one of ps's units to donor under ps's own

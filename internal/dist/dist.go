@@ -125,8 +125,8 @@ type Result struct {
 	Donor string
 	// Epoch echoes the Task's incarnation tag so the server can drop a
 	// straggler computed for a forgotten problem whose ID was reused.
-	// Zero means "unknown" (a foreign Coordinator client that does not echo
-	// the tag) and is accepted unchecked.
+	// *Server stamps every task with an epoch of at least 1; a zero
+	// epoch, which no task carries, is accepted unchecked.
 	Epoch int64
 }
 
@@ -143,9 +143,8 @@ type Task struct {
 	// SharedDigest is the content address (wire.Digest) of the problem's
 	// shared blob. Donors key their blob cache by it — N problems sharing
 	// one alignment cost one fetch — and verify every fetched blob against
-	// it before use. *Server always sets it; a foreign Coordinator may
-	// leave it empty, and donors then fetch through SharedData, uncached
-	// and unverified.
+	// it before use. *Server always sets it; a task without one fails that
+	// verification like any mismatch and is never computed.
 	SharedDigest string
 	// Priority echoes the owning problem's Submit-time priority so a donor
 	// holding a batch can compute urgent units first.
@@ -169,17 +168,16 @@ type CancelNotice struct {
 	UnitID    int64
 }
 
-// Coordinator is the donor's view of a server: the in-process *Server and
-// the networked *RPCClient both implement it. Every call is context-bound;
-// cancelling the context abandons the call (the RPC may still complete
-// server-side).
+// Coordinator is the one contract a donor needs of a server: the
+// in-process *Server and the networked *RPCClient both implement all of
+// it. A donor parks in WaitTasks, fetches shared blobs by content digest,
+// polls cancel notices while a unit computes, and reports each unit's
+// result or failure. Every call is context-bound; cancelling the context
+// abandons the call (the RPC may still complete server-side).
 type Coordinator interface {
-	// RequestTask returns the next unit for the named donor, or a nil task
-	// when none is currently available together with a hint for how long to
-	// wait before polling again.
-	RequestTask(ctx context.Context, donor string) (t *Task, wait time.Duration, err error)
-	// SharedData fetches a problem's shared blob.
-	SharedData(ctx context.Context, problemID string) ([]byte, error)
+	TaskBatchWaiter
+	ContentFetcher
+	CancelNotifier
 	// SubmitResult returns a completed unit's output.
 	SubmitResult(ctx context.Context, res *Result) error
 	// ReportFailure tells the server a unit could not be computed so it can
@@ -187,22 +185,20 @@ type Coordinator interface {
 	ReportFailure(ctx context.Context, donor, problemID string, unitID int64, reason string) error
 }
 
-// CancelNotifier is implemented by coordinators that deliver epoch-tagged
-// cancel notices for in-flight units (*Server and *RPCClient both do). The
-// donor polls it while a unit is computing; foreign Coordinators without it
-// simply never abort mid-unit.
+// CancelNotifier delivers epoch-tagged cancel notices for in-flight units.
+// The donor polls it while a unit is computing and aborts the unit a
+// notice names.
 type CancelNotifier interface {
 	// CancelNotices drains and returns the pending notices for the donor.
 	CancelNotices(ctx context.Context, donor string) ([]CancelNotice, error)
 }
 
-// ContentFetcher is implemented by coordinators that can fetch a shared
-// blob by its content digest (Task.SharedDigest). *RPCClient implements it
-// by fetching the digest's bulk key; problemID rides along for
-// implementations that index by problem. Donors verify every
-// digest-addressed blob against the digest regardless of which path
-// delivered it; coordinators without the interface are fetched through
-// Coordinator.SharedData and verified the same way.
+// ContentFetcher fetches a shared blob by its content digest
+// (Task.SharedDigest). *Server resolves the digest against its live
+// problems, *RPCClient fetches the digest's bulk key; problemID rides along
+// for implementations that index by problem. A digest no live problem
+// carries is an error. Donors verify every fetched blob against the digest
+// before use.
 type ContentFetcher interface {
 	FetchContent(ctx context.Context, problemID, digest string) ([]byte, error)
 }

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"repro/internal/sched"
+	"repro/internal/wire"
 )
 
 // bg is the background context for test calls with no cancellation story.
@@ -373,25 +374,28 @@ func TestRequeueFallsBackWhenOtherDonorDead(t *testing.T) {
 	}
 }
 
-// sharedStub serves shared data for any problem ID without a server.
+// sharedStub serves every problem's ID as its shared blob, without a
+// server; it never dispatches a unit.
 type sharedStub struct{}
 
-func (sharedStub) RequestTask(context.Context, string) (*Task, time.Duration, error) {
+func (sharedStub) WaitTasks(context.Context, string, time.Duration, int) ([]*Task, time.Duration, error) {
 	return nil, 0, nil
 }
 
-func (sharedStub) SharedData(_ context.Context, problemID string) ([]byte, error) {
+func (sharedStub) FetchContent(_ context.Context, problemID, _ string) ([]byte, error) {
 	return []byte(problemID), nil
 }
-func (sharedStub) SubmitResult(context.Context, *Result) error { return nil }
+func (sharedStub) CancelNotices(context.Context, string) ([]CancelNotice, error) { return nil, nil }
+func (sharedStub) SubmitResult(context.Context, *Result) error                   { return nil }
 func (sharedStub) ReportFailure(context.Context, string, string, int64, string) error {
 	return nil
 }
 
-// algFor drives Donor.algorithm with a synthetic task — the pre-digest
-// call shape the donor cache tests were written against.
+// algFor drives Donor.algorithm with a synthetic task whose shared blob is
+// sharedStub's: the problem ID's bytes.
 func algFor(d *Donor, problemID, name string, epoch int64) (Algorithm, error) {
-	alg, _, err := d.algorithm(bg, &Task{ProblemID: problemID, Unit: Unit{Algorithm: name}, Epoch: epoch})
+	alg, _, err := d.algorithm(bg, &Task{ProblemID: problemID, Unit: Unit{Algorithm: name}, Epoch: epoch,
+		SharedDigest: wire.Digest([]byte(problemID))})
 	return alg, err
 }
 
@@ -419,11 +423,13 @@ func TestDonorCacheBounded(t *testing.T) {
 	if algs > cap {
 		t.Errorf("algorithm cache grew unbounded: %d", algs)
 	}
+	// The shared bytes outlive their problem's eviction (another problem
+	// may carry them); the blob cache's own byte budget bounds them.
 	d.opts.BlobCache.mu.Lock()
-	blobEntries := len(d.opts.BlobCache.entries)
+	used, budget := d.opts.BlobCache.used, d.opts.BlobCache.budget
 	d.opts.BlobCache.mu.Unlock()
-	if blobEntries > cap {
-		t.Errorf("legacy blob entries grew unbounded: %d", blobEntries)
+	if used > budget {
+		t.Errorf("blob cache holds %d bytes, over its %d-byte budget", used, budget)
 	}
 	// The most recent problem must still be cached.
 	last := fmt.Sprintf("p%02d", 3*cap-1)
@@ -463,31 +469,32 @@ type fetchCountingStub struct {
 	fetches int
 }
 
-func (s *fetchCountingStub) SharedData(_ context.Context, problemID string) ([]byte, error) {
+func (s *fetchCountingStub) FetchContent(_ context.Context, problemID, _ string) ([]byte, error) {
 	s.fetches++
 	return []byte(problemID), nil
 }
 
+// TestDonorEvictsCacheOnEpochChange: a task of a new epoch means the ID
+// was forgotten and resubmitted — possibly with different shared data — so
+// the resident algorithm state is rebuilt. The bytes themselves come
+// through the digest-keyed blob cache: the same bytes are not fetched again
+// (different bytes would carry another digest).
 func TestDonorEvictsCacheOnEpochChange(t *testing.T) {
 	registerSum(t)
 	stub := &fetchCountingStub{}
-	d := newTestDonor(stub, DonorOptions{Name: "epoch"})
-	if _, err := algFor(d, "p", "dist-test/sum", 1); err != nil {
-		t.Fatal(err)
+	inits := 0
+	d := newTestDonor(stub, DonorOptions{Name: "epoch",
+		WrapAlgorithm: func(_ string, a Algorithm) Algorithm { inits++; return a }})
+	for _, epoch := range []int64{1, 1, 2} {
+		if _, err := algFor(d, "p", "dist-test/sum", epoch); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if _, err := algFor(d, "p", "dist-test/sum", 1); err != nil {
-		t.Fatal(err)
+	if inits != 2 {
+		t.Errorf("epochs 1, 1, 2 built %d algorithm instances, want 2", inits)
 	}
 	if stub.fetches != 1 {
-		t.Fatalf("same-epoch tasks fetched shared data %d times, want 1", stub.fetches)
-	}
-	// A new epoch means the ID was forgotten and resubmitted — possibly
-	// with different shared data — so the cache must be refetched.
-	if _, err := algFor(d, "p", "dist-test/sum", 2); err != nil {
-		t.Fatal(err)
-	}
-	if stub.fetches != 2 {
-		t.Fatalf("epoch change fetched shared data %d times total, want 2", stub.fetches)
+		t.Errorf("fetched the unchanged shared bytes %d times, want 1", stub.fetches)
 	}
 }
 
@@ -539,8 +546,8 @@ func TestForgetLifecycle(t *testing.T) {
 	if _, err := srv.Stats(bg, "gone"); !errors.Is(err, ErrForgotten) {
 		t.Errorf("Stats after Forget = %v, want ErrForgotten", err)
 	}
-	if _, err := srv.SharedData(bg, "gone"); !errors.Is(err, ErrForgotten) {
-		t.Errorf("SharedData after Forget = %v, want ErrForgotten", err)
+	if blob, err := srv.FetchContent(bg, "gone", wire.Digest([]byte("blob"))); err == nil {
+		t.Errorf("FetchContent after Forget served %q, want not found", blob)
 	}
 	if err := srv.Forget("never"); !errors.Is(err, ErrUnknownProblem) {
 		t.Errorf("Forget(never submitted) = %v, want ErrUnknownProblem", err)
@@ -765,12 +772,12 @@ func TestConcurrentSubmitWaitReportFailure(t *testing.T) {
 					return
 				default:
 				}
-				task, wait, err := srv.RequestTask(bg, name)
+				task, _, err := srv.RequestTask(bg, name)
 				if err != nil {
 					return // server closed under us (test tearing down)
 				}
 				if task == nil {
-					time.Sleep(wait)
+					time.Sleep(50 * time.Millisecond) // nothing dispatchable: poll again
 					continue
 				}
 				// One worker fails some units; requeue must migrate them

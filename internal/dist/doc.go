@@ -55,12 +55,14 @@
 // each reply's batch from the donor's measured unit time — several units
 // only when round trips would dominate, at most ServerOptions.DispatchBatch
 // — and ServerOptions.LongPoll is the one park time; donors re-park on
-// expiry and ask for neither. Only a foreign Coordinator implementation that
-// lacks TaskBatchWaiter is polled through RequestTask.
+// expiry and ask for neither. Coordinator is the whole donor↔server
+// contract — park, fetch shared blobs by digest, poll cancel notices,
+// report — and *Server (in process) and *RPCClient (over the wire) each
+// implement all of it, so in-process and networked donors run one path.
 //
 // # One control protocol
 //
-// The control channel is six verbs (net.go) over wire's mux in the flat
+// The control channel is five verbs (net.go) over wire's mux in the flat
 // codec (flat.go) on a single TCP connection per Dial. Both ends open by
 // exchanging wire.FlatPreamble, the protocol's one version token; a peer
 // presenting anything else is disconnected, and Dial reports

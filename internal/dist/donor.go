@@ -44,7 +44,6 @@ type DonorOptions struct {
 	// that exact unit aborts its ProcessCtx instead of letting it finish
 	// doomed work. Zero defaults to 500ms; negative disables the poll (a
 	// doomed unit then runs to the end and the server drops its result).
-	// Coordinators that do not implement CancelNotifier are never polled.
 	CancelPoll time.Duration
 	// BlobCacheBytes budgets the donor's shared-blob cache (see BlobCache)
 	// when BlobCache is nil. Zero defaults to 256 MiB; negative keeps only
@@ -114,9 +113,9 @@ func (o *DonorOptions) problemCacheCap() int {
 	return max(int(o.BlobCacheBytes/problemBytesQuantum), minCachedProblems)
 }
 
-// pollJitterDiv spreads each poll-wait uniformly ±1/5 (20%) around the
-// server's hint, so hundreds of donors released by the same stage barrier
-// do not thundering-herd RequestTask in lockstep forever after.
+// pollJitterDiv spreads the cancel poller's period and every redial
+// back-off uniformly ±1/5 (20%), so hundreds of donors started, or cut
+// off, together do not call the server in lockstep forever after.
 const pollJitterDiv = 5
 
 // jitter returns d perturbed uniformly within ±d/pollJitterDiv.
@@ -128,7 +127,7 @@ func jitter(d time.Duration) time.Duration {
 	return d - spread + rand.N(2*spread+1)
 }
 
-// Donor is one worker's compute loop: poll the coordinator for units, run
+// Donor is one worker's compute loop: park on the coordinator for units, run
 // the registered algorithm, return results, and report failures so lost
 // units are requeued. The paper ran one of these as a low-priority
 // background service on ~200 lab PCs.
@@ -176,8 +175,9 @@ type residentProblem struct {
 }
 
 // watchedUnit is what the cancel poller needs of the computing unit: its
-// exact key, the coordinator that leased it (nil if that one delivers no
-// notices) and the cancel of its compute ctx.
+// exact key, the coordinator that leased it (captured here because
+// reconnect swaps d.coord; nil between units) and the cancel of its
+// compute ctx.
 type watchedUnit struct {
 	key      CancelNotice
 	notifier CancelNotifier
@@ -224,19 +224,16 @@ func (d *Donor) Stop() { d.halt() }
 // every coordinator error to continue, back off, reconnect (dropping the
 // batch tail) or exit.
 //
-// Against a *Server or an *RPCClient the donor parks in WaitTasks and is
-// woken the moment work appears; the server decides how long the park lasts
-// and how many units it returns (several when the donor's measured unit
-// time makes batching worthwhile), and the loop drains them before parking
-// again. A coordinator without TaskBatchWaiter is polled through
-// RequestTask on its jittered wait hint.
-// A unit that fails to compute is reported (and thereby requeued to
-// another donor); a unit a server cancel notice names is aborted, or
-// dropped unstarted if still queued, and nothing is submitted for it. When
-// the server merely becomes unreachable (ErrServerGone — a crash, a
-// restart, a partition) and Redial is configured, Run reconnects with
-// capped exponential backoff and keeps going; without Redial it exits
-// cleanly.
+// The donor parks in WaitTasks and is woken the moment work appears; the
+// server decides how long the park lasts and how many units it returns
+// (several when the donor's measured unit time makes batching worthwhile),
+// and the loop drains them before parking again. A unit that fails to
+// compute is reported (and thereby requeued to another donor); a unit a
+// server cancel notice names is aborted, or dropped unstarted if still
+// queued, and nothing is submitted for it. When the server merely becomes
+// unreachable (ErrServerGone — a crash, a restart, a partition) and Redial
+// is configured, Run reconnects with capped exponential backoff and keeps
+// going; without Redial it exits cleanly.
 func (d *Donor) Run(ctx context.Context) error {
 	if ctx == nil {
 		ctx = context.Background() //dist:allow-background nil-ctx normalisation in a public entry point
@@ -247,7 +244,7 @@ func (d *Donor) Run(ctx context.Context) error {
 	var poller sync.WaitGroup
 	defer poller.Wait()
 	defer cancel()
-	if _, ok := d.coord.(CancelNotifier); ok && d.opts.CancelPoll > 0 {
+	if d.opts.CancelPoll > 0 {
 		poller.Add(1)
 		go func() {
 			defer poller.Done()
@@ -296,30 +293,17 @@ func (d *Donor) Run(ctx context.Context) error {
 }
 
 // park is the dispatch stage: one WaitTasks long-poll, its park time and
-// batch size left to the coordinator, or one RequestTask poll for a
-// coordinator without TaskBatchWaiter.
-// It returns the delivered units in run order, or how long to back off
-// before parking again: nothing after a park that expired (the server did
-// the waiting), the 1ms floor after an empty "park" that came back too
-// fast to have parked (the zero hint rides the wire, so a buggy or hostile
-// server could otherwise spin the loop hot), and the jittered hint after
-// an empty poll or a reply that says it did not park.
+// batch size left to the coordinator. It returns the delivered units in run
+// order, or how long to back off before parking again: nothing after a
+// park that expired (the server did the waiting), and the 1ms floor after
+// an empty "park" that came back too fast to have parked (a buggy or
+// hostile server could otherwise spin the loop hot).
 func (d *Donor) park(ctx context.Context) ([]*Task, time.Duration, error) {
 	d.pollMu.Lock()
 	clear(d.noticed)
 	d.pollMu.Unlock()
 	start := d.now()
-	var tasks []*Task
-	var wait time.Duration
-	var err error
-	tbw, parks := d.coord.(TaskBatchWaiter)
-	if parks {
-		tasks, wait, err = tbw.WaitTasks(ctx, d.opts.Name, 0, 0)
-	} else {
-		var t *Task
-		t, wait, err = d.coord.RequestTask(ctx, d.opts.Name)
-		tasks = taskSlice(t)
-	}
+	tasks, _, err := d.coord.WaitTasks(ctx, d.opts.Name, 0, 0)
 	switch {
 	case err != nil:
 		return nil, 0, err
@@ -329,20 +313,10 @@ func (d *Donor) park(ctx context.Context) ([]*Task, time.Duration, error) {
 		// server's dispatch order among equals.
 		slices.SortStableFunc(tasks, func(a, b *Task) int { return cmp.Compare(b.Priority, a.Priority) })
 		return tasks, 0, nil
-	case !parks || wait > 0:
-		return nil, max(jitter(wait), time.Millisecond), nil
 	case d.now().Sub(start) < 5*time.Millisecond:
 		return nil, time.Millisecond, nil
 	}
 	return nil, 0, nil
-}
-
-// taskSlice lifts a single dispatch into batch shape.
-func taskSlice(t *Task) []*Task {
-	if t == nil {
-		return nil
-	}
-	return []*Task{t}
 }
 
 // errUnitCancelled is compute's verdict on a unit a cancel notice named.
@@ -391,13 +365,12 @@ func (d *Donor) compute(ctx context.Context, t *Task) (res *Result, kind failure
 // watch makes key the unit the cancel poller watches, unless a notice
 // already named it while it was queued (then it reports false).
 func (d *Donor) watch(key CancelNotice, cancel context.CancelFunc) bool {
-	cn, _ := d.coord.(CancelNotifier)
 	d.pollMu.Lock()
 	defer d.pollMu.Unlock()
 	if _, dead := d.noticed[key]; dead {
 		return false
 	}
-	d.computing = watchedUnit{key: key, notifier: cn, cancel: cancel}
+	d.computing = watchedUnit{key: key, notifier: d.coord, cancel: cancel}
 	return true
 }
 
@@ -479,7 +452,8 @@ func (d *Donor) report(ctx context.Context, t *Task, res *Result, kind failureKi
 // requeues the unit without feeding the poisoned-unit caps) and the task's
 // epoch (a straggler report from a forgotten problem ID is dropped instead
 // of revoking the successor's lease). *Server and *RPCClient implement it;
-// foreign Coordinators fall back to plain ReportFailure.
+// a coordinator that wraps one from another package cannot (the method is
+// unexported) and reports through plain ReportFailure.
 type failureReporter interface {
 	reportFailure(ctx context.Context, donor, problemID string, unitID int64, reason string, kind failureKind, epoch int64) error
 }
@@ -520,13 +494,11 @@ func (d *Donor) reconnect(ctx context.Context) bool {
 // shared data and running Init on first use; a failure's kind says whether
 // it was the fetch (failTransport) or not. The task's epoch is its
 // incarnation tag: a mismatch with the resident problem's means the ID was
-// forgotten and reused, so the stale entry is evicted and refetched. Epoch
-// zero (a foreign Coordinator that does not tag its tasks) disables the
-// check.
+// forgotten and reused, so the stale entry is evicted and refetched.
 func (d *Donor) algorithm(ctx context.Context, t *Task) (Algorithm, failureKind, error) {
 	name := t.Unit.Algorithm
 	rp := d.problems[t.ProblemID]
-	if rp != nil && t.Epoch != 0 && rp.epoch != t.Epoch {
+	if rp != nil && rp.epoch != t.Epoch {
 		d.evictProblem(t.ProblemID)
 		rp = nil
 	}
@@ -559,34 +531,23 @@ func (d *Donor) algorithm(ctx context.Context, t *Task) (Algorithm, failureKind,
 	return alg, failCompute, nil
 }
 
-// sharedBlob returns the task's shared data through the blob cache.
-//
-// The cache key is the task's content digest: every problem sharing the
-// bytes hits one entry, an epoch-bumped resubmission with different bytes
-// carries a different digest (so stale bytes are unreachable by
-// construction), and the fetched blob is verified against the digest before
-// use whichever path delivered it — a mismatch is a transport-level failure
+// sharedBlob returns the task's shared data through the blob cache, keyed
+// by the task's content digest: every problem sharing the bytes hits one
+// entry, and an epoch-bumped resubmission with different bytes carries a
+// different digest, so stale bytes are unreachable by construction. The
+// fetched blob is verified against the digest before use; a mismatch — a
+// task without a digest included — is a transport-level failure
 // (wire.ErrDigestMismatch) that requeues the unit without feeding the
-// poisoned-unit caps. A task without a digest — only a foreign Coordinator
-// issues one — has nothing to key or verify by and is fetched uncached.
+// poisoned-unit caps.
 func (d *Donor) sharedBlob(ctx context.Context, t *Task) ([]byte, error) {
 	digest := t.SharedDigest
-	if digest == "" {
-		return d.coord.SharedData(ctx, t.ProblemID)
-	}
 	return d.opts.BlobCache.Get(ctx, digest, func(ctx context.Context) ([]byte, error) {
-		var data []byte
-		var err error
-		if cf, ok := d.coord.(ContentFetcher); ok {
-			data, err = cf.FetchContent(ctx, t.ProblemID, digest)
-		} else {
-			data, err = d.coord.SharedData(ctx, t.ProblemID)
-		}
+		data, err := d.coord.FetchContent(ctx, t.ProblemID, digest)
 		if err != nil {
 			return nil, err
 		}
 		if got := wire.Digest(data); got != digest {
-			return nil, fmt.Errorf("%w: shared blob of %s: fetched %d bytes hashing to %s, task says %s",
+			return nil, fmt.Errorf("%w: shared blob of %s: fetched %d bytes hashing to %s, task says %q",
 				wire.ErrDigestMismatch, t.ProblemID, len(data), got, digest)
 		}
 		return data, nil

@@ -8,6 +8,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/wire"
 )
 
 // scriptCoord is a scripted in-memory Coordinator that drives Donor.Run
@@ -17,7 +19,7 @@ type scriptCoord struct {
 	parks     []parkReply     // dispatch replies in order; ErrClosed once spent
 	submitErr map[int64]error // SubmitResult's error per unit
 	failErr   map[int64]error // the failure report's error per unit
-	sharedErr error           // SharedData's error
+	sharedErr error           // FetchContent's error
 	notices   []CancelNotice  // the first CancelNotices reply
 
 	mu       sync.Mutex
@@ -30,7 +32,6 @@ type scriptCoord struct {
 // parkReply is one scripted dispatch reply, delay after the call starts.
 type parkReply struct {
 	tasks []*Task
-	wait  time.Duration
 	err   error
 	delay time.Duration
 }
@@ -41,9 +42,9 @@ func (s *scriptCoord) log(format string, args ...any) {
 	s.calls = append(s.calls, fmt.Sprintf(format, args...))
 }
 
-func (s *scriptCoord) park(verb string) parkReply {
+func (s *scriptCoord) WaitTasks(context.Context, string, time.Duration, int) ([]*Task, time.Duration, error) {
 	s.mu.Lock()
-	s.calls = append(s.calls, verb)
+	s.calls = append(s.calls, "WaitTasks")
 	s.parkedAt = append(s.parkedAt, time.Now())
 	r := parkReply{err: ErrClosed}
 	if len(s.parks) > 0 {
@@ -51,25 +52,13 @@ func (s *scriptCoord) park(verb string) parkReply {
 	}
 	s.mu.Unlock()
 	time.Sleep(r.delay)
-	return r
+	return r.tasks, 0, r.err
 }
 
-func (s *scriptCoord) RequestTask(context.Context, string) (*Task, time.Duration, error) {
-	r := s.park("RequestTask")
-	if len(r.tasks) == 0 {
-		return nil, r.wait, r.err
-	}
-	return r.tasks[0], r.wait, r.err
-}
-
-func (s *scriptCoord) WaitTasks(context.Context, string, time.Duration, int) ([]*Task, time.Duration, error) {
-	r := s.park("WaitTasks")
-	return r.tasks, r.wait, r.err
-}
-
-func (s *scriptCoord) SharedData(context.Context, string) ([]byte, error) {
-	s.log("SharedData")
-	return []byte("shared"), s.sharedErr
+// FetchContent serves scriptShared for any digest.
+func (s *scriptCoord) FetchContent(context.Context, string, string) ([]byte, error) {
+	s.log("FetchContent")
+	return scriptShared, s.sharedErr
 }
 
 func (s *scriptCoord) SubmitResult(_ context.Context, res *Result) error {
@@ -105,7 +94,12 @@ func (s *scriptCoord) Close() error {
 	return nil
 }
 
-// plainCoord hides everything but the Coordinator methods.
+// scriptShared is every scripted problem's shared blob.
+var scriptShared = []byte("shared")
+
+// plainCoord hides everything but the Coordinator methods — the shape of a
+// coordinator wrapped from another package, which cannot implement the
+// unexported failureReporter.
 type plainCoord struct{ Coordinator }
 
 // loopAlg runs a unit as its payload says: "ok", "fail", "panic", or
@@ -138,14 +132,14 @@ func loopTask(id int64, payload string, priority int) *Task {
 	registerLoopOnce.Do(func() {
 		RegisterAlgorithm("dist-test/loop", func() Algorithm { return loopAlg{} })
 	})
-	return &Task{ProblemID: "P", Epoch: 1, Priority: priority,
+	return &Task{ProblemID: "P", Epoch: 1, Priority: priority, SharedDigest: wire.Digest(scriptShared),
 		Unit: Unit{ID: id, Algorithm: "dist-test/loop", Payload: []byte(payload)}}
 }
 
 // loopRow is one scripted Run: the stub's script and what Run must do.
 type loopRow struct {
 	name      string
-	bare      bool // a bare Coordinator: RequestTask polls, plain ReportFailure
+	bare      bool // only the Coordinator methods: plain ReportFailure, no Close
 	redial    bool
 	poll      bool // run the cancel poller every ~1ms
 	parks     []parkReply
@@ -213,12 +207,12 @@ func TestSiblingCancelNoticeSparesLiveUnits(t *testing.T) {
 	for _, r := range []loopRow{{
 		name: "loser notice for u1", poll: true, parks: batch,
 		notices: []CancelNotice{{ProblemID: "P", Epoch: 1, UnitID: 1}},
-		want:    []string{"WaitTasks", "SharedData", "Submit 2", "Submit 3", "WaitTasks"},
+		want:    []string{"WaitTasks", "FetchContent", "Submit 2", "Submit 3", "WaitTasks"},
 		units:   2,
 	}, {
 		name: "notice for queued u3", poll: true, parks: batch,
 		notices: []CancelNotice{{ProblemID: "P", Epoch: 1, UnitID: 3}},
-		want:    []string{"WaitTasks", "SharedData", "Submit 2", "WaitTasks"},
+		want:    []string{"WaitTasks", "FetchContent", "Submit 2", "WaitTasks"},
 		units:   1, aborted: 1,
 	}} {
 		t.Run(r.name, r.run)
@@ -237,17 +231,19 @@ func TestDonorLoopStages(t *testing.T) {
 	two := func(payload string) []parkReply {
 		return []parkReply{{tasks: []*Task{loopTask(1, payload, 0), loopTask(2, "ok", 0)}}}
 	}
+	// A task without a content digest fails verification whatever bytes
+	// arrive: a transport failure, and the unit is never computed.
+	digestless := loopTask(1, "ok", 0)
+	digestless.SharedDigest = ""
 	for _, r := range []loopRow{
 		// park
 		{name: "park/batch delivered, priority first",
 			parks: []parkReply{{tasks: []*Task{loopTask(1, "ok", 0), loopTask(2, "ok", 5), loopTask(3, "ok", 0)}}},
-			want:  []string{"WaitTasks", "SharedData", "Submit 2", "Submit 1", "Submit 3", "WaitTasks"}, units: 3},
+			want:  []string{"WaitTasks", "FetchContent", "Submit 2", "Submit 1", "Submit 3", "WaitTasks"}, units: 3},
 		{name: "park/slow empty park re-parks", parks: []parkReply{{delay: 6 * time.Millisecond}},
 			want: []string{"WaitTasks", "WaitTasks"}},
 		{name: "park/instant empty park floored", parks: []parkReply{{}},
 			want: []string{"WaitTasks", "WaitTasks"}, minGap: time.Millisecond},
-		{name: "park/bare empty poll sleeps the hint", bare: true, parks: []parkReply{{wait: time.Millisecond}},
-			want: []string{"RequestTask", "RequestTask"}, minGap: 800 * time.Microsecond},
 		{name: "park/gone with Redial", redial: true, parks: []parkReply{{err: ErrServerGone}},
 			want: []string{"WaitTasks", "Close", "Redial", "WaitTasks"}},
 		{name: "park/gone without Redial", parks: []parkReply{{err: ErrServerGone}},
@@ -257,27 +253,29 @@ func TestDonorLoopStages(t *testing.T) {
 			want: []string{"WaitTasks"}, wantErr: errBoom},
 		// compute
 		{name: "compute/ok", parks: one("ok"),
-			want: []string{"WaitTasks", "SharedData", "Submit 1", "WaitTasks"}, units: 1},
+			want: []string{"WaitTasks", "FetchContent", "Submit 1", "WaitTasks"}, units: 1},
 		{name: "compute/algorithm error", parks: one("fail"),
-			want: []string{"WaitTasks", "SharedData", "Fail 1 compute", "WaitTasks"}},
+			want: []string{"WaitTasks", "FetchContent", "Fail 1 compute", "WaitTasks"}},
 		{name: "compute/shared fetch error", parks: one("ok"), sharedErr: errBoom,
-			want: []string{"WaitTasks", "SharedData", "Fail 1 transport", "WaitTasks"}},
+			want: []string{"WaitTasks", "FetchContent", "Fail 1 transport", "WaitTasks"}},
+		{name: "compute/digest-less task", parks: []parkReply{{tasks: []*Task{digestless}}},
+			want: []string{"WaitTasks", "FetchContent", "Fail 1 transport", "WaitTasks"}},
 		{name: "compute/panic", parks: one("panic"),
-			want: []string{"WaitTasks", "SharedData", "Fail 1 compute", "WaitTasks"}},
+			want: []string{"WaitTasks", "FetchContent", "Fail 1 compute", "WaitTasks"}},
 		{name: "compute/bare failure report", bare: true,
 			parks: []parkReply{{tasks: []*Task{loopTask(1, "fail", 0)}}},
-			want:  []string{"RequestTask", "SharedData", "Fail 1", "RequestTask"}},
+			want:  []string{"WaitTasks", "FetchContent", "Fail 1", "WaitTasks"}},
 		{name: "compute/notice for the computing unit", poll: true, parks: one("block"), notices: self,
-			want: []string{"WaitTasks", "SharedData", "WaitTasks"}, aborted: 1},
+			want: []string{"WaitTasks", "FetchContent", "WaitTasks"}, aborted: 1},
 		{name: "compute/queued unit already noticed", poll: true, parks: two("block"), notices: queued,
-			want: []string{"WaitTasks", "SharedData", "Submit 1", "WaitTasks"}, units: 1, aborted: 1},
+			want: []string{"WaitTasks", "FetchContent", "Submit 1", "WaitTasks"}, units: 1, aborted: 1},
 		// report
 		{name: "report/submit gone", redial: true, parks: two("ok"), submitErr: gone,
-			want: []string{"WaitTasks", "SharedData", "Submit 1", "Close", "Redial", "WaitTasks"}},
+			want: []string{"WaitTasks", "FetchContent", "Submit 1", "Close", "Redial", "WaitTasks"}},
 		{name: "report/failure report gone", redial: true, parks: two("fail"), failErr: gone,
-			want: []string{"WaitTasks", "SharedData", "Fail 1 compute", "Close", "Redial", "WaitTasks"}},
+			want: []string{"WaitTasks", "FetchContent", "Fail 1 compute", "Close", "Redial", "WaitTasks"}},
 		{name: "report/submit closed", parks: two("ok"), submitErr: map[int64]error{1: ErrClosed},
-			want: []string{"WaitTasks", "SharedData", "Submit 1"}},
+			want: []string{"WaitTasks", "FetchContent", "Submit 1"}},
 	} {
 		t.Run(r.name, r.run)
 	}

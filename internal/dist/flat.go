@@ -63,7 +63,6 @@ func (r TaskReply) MarshalFlat(e *wire.Encoder) {
 	e.String(r.ProblemID)
 	marshalUnitFlat(e, &r.Unit)
 	e.String(r.BulkKey)
-	e.Varint(r.WaitHintNs)
 	e.Varint(r.Epoch)
 	e.String(r.SharedDigest)
 	e.Varint(r.Priority)
@@ -80,7 +79,6 @@ func (r *TaskReply) UnmarshalFlat(d *wire.Decoder) {
 	r.ProblemID = d.String()
 	unmarshalUnitFlat(d, &r.Unit)
 	r.BulkKey = d.String()
-	r.WaitHintNs = d.Varint()
 	r.Epoch = d.Varint()
 	r.SharedDigest = d.String()
 	r.Priority = d.Varint()

@@ -29,7 +29,6 @@ func TestFlatEnvelopeRoundTrip(t *testing.T) {
 			ProblemID:    "p-1",
 			Unit:         Unit{ID: 7, Algorithm: "sum/v1", Payload: []byte("range"), Cost: 3},
 			BulkKey:      "p-1/7",
-			WaitHintNs:   int64(time.Millisecond),
 			Epoch:        2,
 			SharedDigest: "sha256:aa",
 			Batch: []BatchTask{
@@ -37,7 +36,7 @@ func TestFlatEnvelopeRoundTrip(t *testing.T) {
 				{ProblemID: "p-1", Unit: Unit{ID: 9, Algorithm: "sum/v1", Cost: 1}, BulkKey: "p-1/9", Epoch: 2},
 			},
 		}, &TaskReply{}},
-		{"TaskReply/empty", TaskReply{WaitHintNs: 5}, &TaskReply{}},
+		{"TaskReply/empty", TaskReply{}, &TaskReply{}},
 		{"ResultArgs", ResultArgs{Donor: "d-1", ProblemID: "p-1", UnitID: 7, Payload: []byte("out"), ElapsedNs: 12345, Epoch: 2}, &ResultArgs{}},
 		{"failureArgs", failureArgs{Donor: "d-1", ProblemID: "p-1", UnitID: 7, Reason: "injected", Transport: true, Epoch: 2}, &failureArgs{}},
 		{"cancelReply", cancelReply{Notices: []CancelNotice{

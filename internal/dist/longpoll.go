@@ -5,25 +5,23 @@ import (
 	"time"
 )
 
-// TaskWaiter is implemented by coordinators that support long-poll
-// dispatch: WaitTask parks until a unit is dispatchable for the donor (or
-// maxWait passes) instead of returning "nothing yet" with a poll hint.
-// *Server implements it directly and *RPCClient over the WaitTask verb; a
-// foreign Coordinator without it is polled through RequestTask.
+// TaskWaiter is the single-unit form of TaskBatchWaiter: WaitTask parks
+// until a unit is dispatchable for the donor (or maxWait passes). *Server
+// implements it directly and *RPCClient over the WaitTask verb; the donor
+// loop itself parks through WaitTasks.
 type TaskWaiter interface {
 	// WaitTask is RequestTask with server-side parking. maxWait is an upper
 	// bound on the park; ≤ 0 leaves it to the coordinator (a *Server parks
-	// for ServerOptions.LongPoll). A nil task with a zero wait hint means
-	// the park deadline elapsed with nothing to hand out — re-park
-	// immediately; a nil task with a positive hint means the implementation
-	// did not park and the caller should sleep the hint like a poller.
+	// for ServerOptions.LongPoll). A nil task means the park deadline
+	// elapsed with nothing to hand out — re-park immediately. The Duration
+	// result is always zero.
 	WaitTask(ctx context.Context, donor string, maxWait time.Duration) (t *Task, wait time.Duration, err error)
 }
 
 var _ TaskWaiter = (*Server)(nil)
 
-// TaskBatchWaiter is implemented by coordinators that can hand a donor
-// several units per long-poll, amortizing one frame and one park wakeup
+// TaskBatchWaiter is the donor's one dispatch call: a long-poll that may
+// hand the donor several units, amortizing one frame and one park wakeup
 // across the batch. Every unit is leased and epoch-tagged individually —
 // batching changes transport granularity, never lease accounting. *Server
 // implements it directly (which is how in-process donors batch);
@@ -34,12 +32,10 @@ type TaskBatchWaiter interface {
 	// that stop as soon as nothing more is dispatchable. The coordinator
 	// sizes the batch (a *Server from the donor's measured unit time);
 	// maxWait and max are upper bounds, and ≤ 0 leaves the choice to the
-	// coordinator. A nil/empty slice follows WaitTask's nil-task
-	// conventions for the wait hint.
+	// coordinator. An empty slice means the park expired; the Duration
+	// result is always zero.
 	WaitTasks(ctx context.Context, donor string, maxWait time.Duration, max int) (tasks []*Task, wait time.Duration, err error)
 }
-
-var _ TaskBatchWaiter = (*Server)(nil)
 
 // batchByteBudget caps the cumulative inline payload bytes one batch may
 // carry, so batching many "small" units never snowballs into a frame-sized
@@ -54,9 +50,9 @@ const batchByteBudget = 1 << 20
 // budget is spent, or on error (whatever was already leased is returned —
 // the donor computes it; its leases are live either way).
 func (s *Server) WaitTasks(ctx context.Context, donor string, maxWait time.Duration, max int) ([]*Task, time.Duration, error) {
-	task, wait, err := s.WaitTask(ctx, donor, maxWait)
+	task, _, err := s.WaitTask(ctx, donor, maxWait)
 	if err != nil || task == nil {
-		return nil, wait, err
+		return nil, 0, err
 	}
 	limit := s.batchLimit(donor, max)
 	var tasks []*Task
@@ -73,7 +69,7 @@ func (s *Server) WaitTasks(ctx context.Context, donor string, maxWait time.Durat
 			break
 		}
 	}
-	return tasks, wait, nil
+	return tasks, 0, nil
 }
 
 // batchLatencyTarget bounds the compute time a batch queues behind its
@@ -138,8 +134,8 @@ func (s *Server) wakeParked() {
 // folded result on a problem some scan starved on (stage barriers release
 // new units on a fold) — and rescans. The park lasts ServerOptions.LongPoll,
 // or maxWait if the caller sets a shorter positive bound, after which a nil
-// task with a zero hint tells the donor to re-park immediately; the bound
-// only limits how long one call stays outstanding.
+// task tells the donor to re-park immediately; the bound only limits how
+// long one call stays outstanding.
 func (s *Server) WaitTask(ctx context.Context, donor string, maxWait time.Duration) (*Task, time.Duration, error) {
 	limit := s.opts.LongPoll
 	if maxWait > 0 && maxWait < limit {
@@ -163,9 +159,9 @@ func (s *Server) WaitTask(ctx context.Context, donor string, maxWait time.Durati
 	refresh := s.opts.Lease / 2
 	for {
 		ch := s.parkChan() // before the scan, or a wake in between is lost
-		task, wait, err := s.RequestTask(ctx, donor)
+		task, _, err := s.RequestTask(ctx, donor)
 		if err != nil || task != nil {
-			return task, wait, err
+			return task, 0, err
 		}
 		slice := time.NewTimer(refresh)
 		select {

@@ -414,24 +414,18 @@ func TestFunctionalOptionsLongPoll(t *testing.T) {
 }
 
 // spinStub is a buggy (or hostile) coordinator: WaitTasks claims the
-// long-poll shape but answers instantly with an empty reply and a zero
-// hint, forever. The donor loop must floor these instead of hammering
-// the control channel in a hot loop.
-type spinStub struct{ calls atomic.Int64 }
+// long-poll shape but answers instantly with an empty reply, forever. The
+// donor loop must floor these instead of hammering the control channel in
+// a hot loop.
+type spinStub struct {
+	sharedStub
+	calls atomic.Int64
+}
 
-func (s *spinStub) RequestTask(context.Context, string) (*Task, time.Duration, error) {
+func (s *spinStub) WaitTasks(context.Context, string, time.Duration, int) ([]*Task, time.Duration, error) {
 	s.calls.Add(1)
 	return nil, 0, nil
 }
-
-func (s *spinStub) WaitTasks(ctx context.Context, donor string, _ time.Duration, _ int) ([]*Task, time.Duration, error) {
-	t, wait, err := s.RequestTask(ctx, donor)
-	return taskSlice(t), wait, err
-}
-
-func (s *spinStub) SharedData(context.Context, string) ([]byte, error)                 { return nil, nil }
-func (s *spinStub) SubmitResult(context.Context, *Result) error                        { return nil }
-func (s *spinStub) ReportFailure(context.Context, string, string, int64, string) error { return nil }
 
 func TestDonorFloorsInstantEmptyParks(t *testing.T) {
 	stub := &spinStub{}

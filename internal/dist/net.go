@@ -41,14 +41,15 @@ var ErrServerGone = errors.New("dist: server gone (connection lost)")
 var controlErrors = wire.MuxErrors{Closed: ErrClosed, Lost: ErrServerGone, Mismatch: ErrProtocolMismatch}
 
 // The control channel's verbs: the byte after the sequence number in every
-// request frame (docs/ARCHITECTURE.md, "Control channel").
+// request frame (docs/ARCHITECTURE.md, "Control channel"). Verb 2 was the
+// non-parking RequestTask poll, retired with protocol version 6; the others
+// keep their numbers.
 const (
-	verbHandshake byte = 1 + iota
-	verbRequestTask
-	verbWaitTask
-	verbSubmitResult
-	verbReportFailure
-	verbCancelNotices
+	verbHandshake     byte = 1
+	verbWaitTask      byte = 3
+	verbSubmitResult  byte = 4
+	verbReportFailure byte = 5
+	verbCancelNotices byte = 6
 )
 
 // NetworkServer is a Server with the paper's two network channels attached:
@@ -198,16 +199,15 @@ func (ns *NetworkServer) Close() error {
 
 // Control-channel message types, flat-encoded (see flat.go).
 
-// donorArgs names the calling donor: the whole request of RequestTask and
-// of CancelNotices.
+// donorArgs names the calling donor: the whole request of CancelNotices.
 type donorArgs struct{ Donor string }
 
 // waitTaskArgs identifies the donor long-polling for work. MaxWaitNs and
 // MaxBatch are upper bounds on the park and on the units one reply carries
 // (extras ride in TaskReply.Batch); ≤ 0 leaves each to the server, which
 // parks for ServerOptions.LongPoll and sizes the batch from the donor's
-// measured unit time. This build's donor sends zeros; the fields stay so a
-// donor of an older build, which sends its own values, still connects.
+// measured unit time. The donor loop sends zeros; RPCClient.RequestTask
+// and WaitTask send their own bounds.
 type waitTaskArgs struct {
 	Donor     string
 	MaxWaitNs int64
@@ -218,11 +218,10 @@ type waitTaskArgs struct {
 // head fields, the rest in Batch. When a payload was offloaded to the bulk
 // channel, Unit.Payload is nil and BulkKey names the blob.
 type TaskReply struct {
-	HasTask    bool
-	ProblemID  string
-	Unit       Unit
-	BulkKey    string
-	WaitHintNs int64
+	HasTask   bool
+	ProblemID string
+	Unit      Unit
+	BulkKey   string
 	// Epoch is the problem incarnation tag (see Task.Epoch); donors echo
 	// it in ResultArgs.
 	Epoch int64
@@ -293,7 +292,7 @@ type handshakeReply struct{ BulkAddr string }
 // handle serves one control request: decode the verb's envelope, run the
 // coordinator call under the connection's ctx, return the reply envelope.
 // The ctx ends with the connection, so a donor that dies while parked in
-// WaitTask unparks its handler at once — and, RequestTask refusing a
+// WaitTask unparks its handler at once — and, the dispatch scan refusing a
 // cancelled ctx, can no longer be leased a unit. Every parked call runs in
 // its own goroutine (the mux's), so it never blocks the connection; a
 // server Close answers each with ErrClosed before the connection goes.
@@ -304,23 +303,15 @@ func (ns *NetworkServer) handle(ctx context.Context, verb byte, d *wire.Decoder)
 	case verbHandshake:
 		return handshakeReply{BulkAddr: ns.BulkAddr()}, nil
 
-	case verbRequestTask:
-		var a donorArgs
-		if a.UnmarshalFlat(d); d.Err() != nil {
-			return nil, d.Err()
-		}
-		task, wait, err := ns.Server.RequestTask(ctx, a.Donor)
-		return ns.taskReply(taskSlice(task), wait), err
-
 	case verbWaitTask:
-		// No task and a zero hint in the reply means the park deadline
-		// fired: the donor re-parks immediately.
+		// No task in the reply means the park deadline fired: the donor
+		// re-parks immediately.
 		var a waitTaskArgs
 		if a.UnmarshalFlat(d); d.Err() != nil {
 			return nil, d.Err()
 		}
-		tasks, wait, err := ns.Server.WaitTasks(ctx, a.Donor, time.Duration(a.MaxWaitNs), a.MaxBatch)
-		return ns.taskReply(tasks, wait), err
+		tasks, _, err := ns.Server.WaitTasks(ctx, a.Donor, time.Duration(a.MaxWaitNs), a.MaxBatch)
+		return ns.taskReply(tasks), err
 
 	case verbSubmitResult:
 		var a ResultArgs
@@ -361,8 +352,8 @@ func (ns *NetworkServer) handle(ctx context.Context, verb byte, d *wire.Decoder)
 // taskReply encodes a dispatch of zero or more units: the first in the
 // reply's head fields, extras as Batch entries, each shipped by bulk key
 // instead of inline when large (Server.offloads).
-func (ns *NetworkServer) taskReply(tasks []*Task, wait time.Duration) *TaskReply {
-	reply := &TaskReply{WaitHintNs: int64(wait)}
+func (ns *NetworkServer) taskReply(tasks []*Task) *TaskReply {
+	reply := &TaskReply{}
 	for i, task := range tasks {
 		bt := BatchTask{
 			ProblemID:    task.ProblemID,
@@ -403,10 +394,7 @@ type RPCClient struct {
 }
 
 var _ Coordinator = (*RPCClient)(nil)
-var _ CancelNotifier = (*RPCClient)(nil)
 var _ TaskWaiter = (*RPCClient)(nil)
-var _ TaskBatchWaiter = (*RPCClient)(nil)
-var _ ContentFetcher = (*RPCClient)(nil)
 
 // Dial connects to a server's control channel and learns its bulk address.
 // timeout bounds the dial, the version exchange and every bulk fetch.
@@ -462,10 +450,10 @@ func resolveBulkAddr(rpcAddr, bulkAddr string) string {
 // Close tears down the control connection.
 func (c *RPCClient) Close() error { return c.mux.Close() }
 
-// RequestTask implements Coordinator: one non-parking dispatch scan. See
-// dispatch for how an unfetchable offloaded payload surfaces.
+// RequestTask is one dispatch scan without a park: a one-unit WaitTasks
+// whose 1ns bound expires before the server could park it.
 func (c *RPCClient) RequestTask(ctx context.Context, donor string) (*Task, time.Duration, error) {
-	return firstTask(c.dispatch(ctx, donor, verbRequestTask, donorArgs{Donor: donor}))
+	return firstTask(c.WaitTasks(ctx, donor, time.Nanosecond, 1))
 }
 
 // WaitTask implements TaskWaiter over the control channel.
@@ -475,32 +463,18 @@ func (c *RPCClient) WaitTask(ctx context.Context, donor string, maxWait time.Dur
 
 // WaitTasks implements TaskBatchWaiter over the control channel: one
 // long-poll carrying MaxBatch, extras decoded from TaskReply.Batch.
+// Entries whose offloaded payload cannot be fetched are reported to the
+// server as transport failures (requeued elsewhere without feeding the
+// poisoned-unit caps, not dropped) and skipped, so the reply may come back
+// empty; that is not an error.
 func (c *RPCClient) WaitTasks(ctx context.Context, donor string, maxWait time.Duration, max int) ([]*Task, time.Duration, error) {
-	return c.dispatch(ctx, donor, verbWaitTask, waitTaskArgs{Donor: donor, MaxWaitNs: int64(maxWait), MaxBatch: max})
-}
-
-// firstTask narrows a dispatch that asked for one unit to the
-// single-task shape of RequestTask and WaitTask.
-func firstTask(tasks []*Task, wait time.Duration, err error) (*Task, time.Duration, error) {
-	if len(tasks) == 0 {
-		return nil, wait, err
-	}
-	return tasks[0], wait, err
-}
-
-// dispatch runs one of the two dispatch verbs and materialises its reply
-// of zero or more units. Entries whose offloaded payload cannot be fetched
-// are reported to the server as transport failures (requeued elsewhere
-// without feeding the poisoned-unit caps, not dropped) and skipped, so the
-// reply may come back empty; that is not an error.
-func (c *RPCClient) dispatch(ctx context.Context, donor string, verb byte, args wire.FlatMarshaler) ([]*Task, time.Duration, error) {
 	var r TaskReply
-	if err := c.mux.Call(ctx, verb, args, &r); err != nil {
+	args := waitTaskArgs{Donor: donor, MaxWaitNs: int64(maxWait), MaxBatch: max}
+	if err := c.mux.Call(ctx, verbWaitTask, args, &r); err != nil {
 		return nil, 0, err
 	}
-	wait := time.Duration(r.WaitHintNs)
 	if !r.HasTask {
-		return nil, wait, nil
+		return nil, 0, nil
 	}
 	entries := make([]BatchTask, 0, 1+len(r.Batch))
 	entries = append(entries, BatchTask{ProblemID: r.ProblemID, Unit: r.Unit, BulkKey: r.BulkKey,
@@ -521,11 +495,20 @@ func (c *RPCClient) dispatch(ctx context.Context, donor string, verb byte, args 
 		tasks = append(tasks, &Task{ProblemID: ent.ProblemID, Unit: ent.Unit, Epoch: ent.Epoch,
 			SharedDigest: ent.SharedDigest, Priority: int(ent.Priority), Verify: ent.Verify})
 	}
-	return tasks, wait, nil
+	return tasks, 0, nil
 }
 
-// SharedData implements Coordinator: fetch the problem's shared blob over
-// the bulk channel.
+// firstTask narrows a dispatch that asked for one unit to the
+// single-task shape of RequestTask and WaitTask.
+func firstTask(tasks []*Task, wait time.Duration, err error) (*Task, time.Duration, error) {
+	if len(tasks) == 0 {
+		return nil, wait, err
+	}
+	return tasks[0], wait, err
+}
+
+// SharedData fetches a problem's shared blob over the bulk channel by its
+// per-problem key. Donors fetch by digest (FetchContent) instead.
 func (c *RPCClient) SharedData(ctx context.Context, problemID string) ([]byte, error) {
 	if err := ctxErr(ctx); err != nil {
 		return nil, err

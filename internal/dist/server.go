@@ -17,7 +17,7 @@ import (
 var ErrClosed = errors.New("dist: server closed")
 
 // ErrUnknownProblem is returned by problem-addressed calls (Wait, Status,
-// Stats, SharedData, Watch, Forget) for an ID that was never submitted.
+// Stats, Watch, Forget) for an ID that was never submitted.
 var ErrUnknownProblem = errors.New("dist: unknown problem")
 
 // ErrForgotten is returned by problem-addressed calls for an ID that was
@@ -414,7 +414,6 @@ type Server struct {
 }
 
 var _ Coordinator = (*Server)(nil)
-var _ CancelNotifier = (*Server)(nil)
 
 // NewServer creates an in-process coordinator. With ServerOptions.DataDir
 // set it panics if the journal cannot be opened — use OpenServer when the
@@ -860,18 +859,18 @@ func (s *Server) Close() error {
 	return jerr
 }
 
-// SharedData implements Coordinator.
-func (s *Server) SharedData(ctx context.Context, problemID string) ([]byte, error) {
+// FetchContent implements ContentFetcher in process: the digest resolves
+// through bulkBlob exactly as its bulk key does on the network, so
+// in-process and networked donors share one cached, digest-verified path.
+func (s *Server) FetchContent(ctx context.Context, _ string, digest string) ([]byte, error) {
 	if err := ctxErr(ctx); err != nil {
 		return nil, err
 	}
-	ps, err := s.lookup(problemID)
-	if err != nil {
-		return nil, err
+	key := wire.ContentKey(digest)
+	if blob, ok := s.bulkBlob(key); ok {
+		return blob, nil
 	}
-	ps.mu.Lock()
-	defer ps.mu.Unlock()
-	return ps.shared, nil
+	return nil, fmt.Errorf("dist: blob %q not found", key)
 }
 
 // finalizeLocked marks a problem done with its DataManager's final result.
@@ -907,12 +906,13 @@ func (s *Server) failLocked(ps *problemState, err error) {
 // pin unit payloads for the server's lifetime, and Status should not report
 // in-flight work for a done problem. Donors still computing one of the
 // leased units get a cancel notice so they abort instead of finishing work
-// whose result would be dropped. (A donor fetching shared
-// data for a finished problem gets nil, fails Init, and the failure report
-// is ignored — the problem is done.) Dropping the table and the blob is
-// also what ends their life on the bulk channel, which serves them from
-// here (bulkBlob). The terminal Watch event fires here too, under the
-// problem lock. Callers hold ps.mu; ps.done is already true.
+// whose result would be dropped. (A donor fetching a finished problem's
+// shared blob gets not-found, unless a live problem carries the same
+// bytes, and its failure report is ignored — the problem is done.)
+// Dropping the table and the blob is also what ends their life on the bulk
+// channel, which serves them from here (bulkBlob). The terminal Watch event
+// fires here too, under the problem lock. Callers hold ps.mu; ps.done is
+// already true.
 //
 //dist:locked mu
 func (s *Server) releaseLocked(ps *problemState) {

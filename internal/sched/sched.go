@@ -308,7 +308,7 @@ func EWMA(old, sample, alpha float64) float64 {
 }
 
 // ByName resolves a policy from a config-file string: "fixed:1000",
-// "adaptive:5s", "gss", "gss:2", "factoring".
+// "adaptive:5s", "gss", "gss:2", "factoring", "tss".
 func ByName(spec string) (Policy, error) {
 	var name, arg string
 	name = spec

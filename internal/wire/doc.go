@@ -38,7 +38,7 @@
 // as that state lives: "content/sha256:<hex>" (ContentKey(Digest(blob))) is
 // the shared blob of any live problem carrying those bytes,
 // "shared/<problemID>" the same bytes under the per-problem name behind
-// Coordinator.SharedData, and "unit/<problemID>/<epoch>.<unitID>" the
+// RPCClient.SharedData, and "unit/<problemID>/<epoch>.<unitID>" the
 // payload of a unit that can still fold. Fetchers of a content key verify
 // the bytes hash back to the digest; a mismatch is ErrDigestMismatch,
 // handled like any transport failure.

@@ -27,15 +27,17 @@ import (
 // both peers write it as the very first bytes of a connection and compare
 // what the other side sent before any frame flows, so a peer built against
 // a different envelope encoding is refused at connect instead of being
-// misframed. The digit is the encoding version — bump it with any
-// incompatible change to an envelope's field order (2 added Priority to the
-// dispatch envelopes, 3 the Verify replica flag, 4 dropped the capability
-// list from the handshake reply, 5 replaced net/rpc's method-name headers
-// with the mux's seq/verb/status header). Every version keeps the same byte
-// length so the read window never changes, and the leading zero byte keeps
+// misframed. The digit is the protocol version — bump it with any
+// incompatible change to an envelope's field order or to what a peer may
+// assume the other side implements (2 added Priority to the dispatch
+// envelopes, 3 the Verify replica flag, 4 dropped the capability list from
+// the handshake reply, 5 replaced net/rpc's method-name headers with the
+// mux's seq/verb/status header, 6 retired the RequestTask verb and dropped
+// the wait hint from the dispatch reply). Every version keeps the same
+// byte length so the read window never changes, and the leading zero byte keeps
 // the token unmistakable for the start of a gob-rpc stream, which is what
 // pre-version-4 peers may open a connection with.
-const FlatPreamble = "\x00dflt5\r\n"
+const FlatPreamble = "\x00dflt6\r\n"
 
 // Encoder appends flat-encoded fields to a frame buffer. Encoders come
 // from a sync.Pool (the mux recycles them per message) and never fail:

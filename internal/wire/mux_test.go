@@ -462,7 +462,7 @@ func TestMuxClientVersionMismatch(t *testing.T) {
 		if !errors.Is(err, errTestMismatch) {
 			t.Fatalf("banner %q: NewMuxClient = %v, want the mismatch sentinel", banner, err)
 		}
-		if banner != "" && !(strings.Contains(err.Error(), "dflt4") && strings.Contains(err.Error(), "dflt5")) {
+		if banner != "" && !(strings.Contains(err.Error(), "dflt4") && strings.Contains(err.Error(), FlatPreamble[1:6])) {
 			t.Errorf("mismatch error %q does not name both versions", err)
 		}
 	}
