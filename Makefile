@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check build vet fmt lint test race fuzz-smoke stress bench bench-compare demo docs-lint swarm loc knobs
+.PHONY: check build vet fmt lint test race fuzz-smoke bench-module stress bench bench-compare demo docs-lint swarm loc knobs
 
 # check is the tier-1 gate: everything CI runs (CI invokes this target).
 # vet covers every package, including the control-channel mux and codec in
@@ -10,7 +10,7 @@ GO ?= go
 # links/anchors + README block compilation) is gated through `test`, which
 # runs the root package's TestMarkdownDocs and TestREADMECodeBlocksCompile;
 # docs-lint below re-runs just those for fast iteration on documentation.
-check: build vet fmt lint test race fuzz-smoke
+check: build vet fmt lint test race fuzz-smoke bench-module
 
 build:
 	$(GO) build ./...
@@ -48,6 +48,13 @@ fuzz-smoke:
 	$(GO) test ./internal/journal/ -run '^$$' -fuzz FuzzJournalReplay -fuzztime 5s
 	$(GO) test ./internal/align/ -run '^$$' -fuzz FuzzSWScore -fuzztime 5s
 
+# bench-module vets and tests bench/, a module of its own that imports
+# repro/internal/...: the root `go build ./...` does not see it, so a change
+# to an internal package's exported surface that breaks the benchmark is
+# caught here.
+bench-module:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
+
 # stress repeats the suites whose failures have been timing flakes — the
 # coordinator and swarm packages, and the two tests that once failed on
 # fast or loaded hosts — so a flake is a red build, not a note; and, under
@@ -67,12 +74,15 @@ stress:
 	$(GO) test -race -count=20 -run TestMux ./internal/wire/
 
 # loc prints the non-blank, non-comment line count of every non-test file in
-# the coordinator packages and their sum — the number a simplification PR
-# reports before and after (ROADMAP: "report net lines removed").
+# the coordinator packages and their sum, then the same for the application
+# packages — the numbers a simplification PR reports before and after
+# (ROADMAP: "report net lines removed").
 loc:
-	@for f in $$(ls internal/dist/*.go internal/wire/*.go internal/sched/*.go internal/journal/*.go | grep -v _test.go); do \
-		printf '%6d %s\n' $$(grep -vE '^\s*(//|$$)' $$f | wc -l) $$f; \
-	done | awk '{ print; n += $$1 } END { printf "%6d total\n", n }'
+	@for pkgs in 'dist journal sched wire' 'align dprml dsearch likelihood phylo seq'; do \
+		for f in $$(ls $$(for p in $$pkgs; do echo internal/$$p/*.go; done) | grep -v _test.go); do \
+			printf '%6d %s\n' $$(grep -vE '^\s*(//|$$)' $$f | wc -l) $$f; \
+		done | awk '{ print; n += $$1 } END { printf "%6d total\n", n }'; \
+	done
 
 # knobs prints how many values an operator or embedder can set, one line per
 # item plus their sum — the other number a simplification PR reports before

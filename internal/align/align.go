@@ -29,12 +29,6 @@ type Gap struct {
 	Extend int
 }
 
-// DefaultProteinGap is the conventional BLOSUM62 pairing (11/1).
-var DefaultProteinGap = Gap{Open: 10, Extend: 1}
-
-// DefaultDNAGap pairs with the +5/-4 nucleotide scheme.
-var DefaultDNAGap = Gap{Open: 8, Extend: 2}
-
 // Params bundles a scoring matrix with gap penalties.
 type Params struct {
 	Matrix *seq.Matrix
@@ -78,10 +72,6 @@ func (r *Result) Identity() float64 {
 	}
 	return float64(match) / float64(len(r.AlignedA))
 }
-
-// Columns returns the alignment length (number of columns), 0 for
-// score-only results.
-func (r *Result) Columns() int { return len(r.AlignedA) }
 
 const negInf = int(-1) << 40 // effectively -infinity without overflow risk
 

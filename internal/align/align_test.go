@@ -535,14 +535,11 @@ func TestIdentityScoreIsMaximal(t *testing.T) {
 
 func TestResultIdentityAndColumns(t *testing.T) {
 	r := &Result{AlignedA: []byte("AC-T"), AlignedB: []byte("ACGT")}
-	if r.Columns() != 4 {
-		t.Errorf("Columns = %d", r.Columns())
-	}
 	if got := r.Identity(); got != 0.75 {
 		t.Errorf("Identity = %v, want 0.75", got)
 	}
 	empty := &Result{}
-	if empty.Identity() != 0 || empty.Columns() != 0 {
-		t.Error("empty result should have zero identity and columns")
+	if empty.Identity() != 0 {
+		t.Error("empty result should have zero identity")
 	}
 }

@@ -83,30 +83,29 @@ type sharedData struct {
 	Options        Options
 }
 
-// taskUnit is one work unit: evaluate inserting Taxon on each of Edges
-// (indices into the deterministic pre-order edge enumeration of Tree), or —
-// for the final unit — fully smooth the finished topology.
+// taskUnit is one work unit of one of two kinds: an insertion unit
+// evaluates inserting Taxon on each of Edges (indices into the
+// deterministic pre-order edge enumeration of Tree); a FullOptimize unit
+// smooths every branch of Tree (the triplet warm-up and the finished
+// topology).
 type taskUnit struct {
 	Tree         string
 	Taxon        string
 	Edges        []int
 	FullOptimize bool
-	// Kappas, when non-empty, makes the unit a model-parameter scan: score
-	// each kappa on the (fixed) Tree and report the best (see kappascan.go).
-	Kappas []float64
 	// Rounds overrides Options.FinalRounds for FullOptimize units (the
 	// triplet warm-up uses a single pass, matching the sequential
 	// reference).
 	Rounds int
 }
 
-// taskResult reports the best candidate of a unit.
+// taskResult reports the best candidate of a unit: for an insertion unit
+// the winning edge, its log-likelihood and the optimised tree; for a
+// FullOptimize unit BestEdge is -1 and BestTree is the smoothed Tree.
 type taskResult struct {
 	BestEdge int
 	BestLogL float64
 	BestTree string
-	// BestKappa is set by kappa-scan units.
-	BestKappa float64
 }
 
 // TreeResult is the decoded final answer.
@@ -202,15 +201,12 @@ func (a *Algorithm) Init(sd sharedData) error {
 }
 
 // ProcessCtx implements dist.TypedAlgorithm. Cancellation is checked
-// between candidate evaluations (per edge, per kappa), so a server-side
-// Forget aborts the unit within one likelihood optimisation.
+// before each candidate edge (and before a FullOptimize pass), so a
+// server-side Forget aborts the unit within one likelihood optimisation.
 func (a *Algorithm) ProcessCtx(ctx context.Context, u taskUnit) (taskResult, error) {
 	base, err := phylo.ParseNewick(u.Tree)
 	if err != nil {
 		return taskResult{}, fmt.Errorf("dprml: unit tree: %w", err)
-	}
-	if len(u.Kappas) > 0 {
-		return a.ctx.scanKappas(ctx, base, u.Kappas)
 	}
 	if u.FullOptimize {
 		if err := ctx.Err(); err != nil {

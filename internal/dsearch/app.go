@@ -79,6 +79,9 @@ func NewProblem(id string, db, queries *seq.Database, cfg Config) (*dist.Problem
 	if queries == nil || queries.Len() == 0 {
 		return nil, fmt.Errorf("dsearch: empty query set")
 	}
+	if err := uniqueIDs(db, queries); err != nil {
+		return nil, err
+	}
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -91,6 +94,28 @@ func NewProblem(id string, db, queries *seq.Database, cfg Config) (*dist.Problem
 		return nil, err
 	}
 	return dist.NewTypedProblem[unitPayload, resultPayload](id, dm, sharedData{Queries: queries.Seqs, Config: cfg})
+}
+
+// uniqueIDs rejects a query set or database in which two sequences share
+// an ID: hits, calibrations and the traceback's lookups are all keyed by
+// ID, so a duplicate would silently merge two sequences' results.
+func uniqueIDs(db, queries *seq.Database) error {
+	for _, set := range []struct {
+		what string
+		db   *seq.Database
+	}{{"query", queries}, {"database", db}} {
+		if set.db == nil {
+			continue
+		}
+		seen := make(map[string]bool, set.db.Len())
+		for _, s := range set.db.Seqs {
+			if seen[s.ID] {
+				return fmt.Errorf("dsearch: duplicate %s ID %q", set.what, s.ID)
+			}
+			seen[s.ID] = true
+		}
+	}
+	return nil
 }
 
 // NextUnit implements dist.TypedDM: it takes sequences from the database
@@ -262,6 +287,9 @@ func init() {
 // SearchLocal runs a search without the distributed machinery — the
 // single-machine reference DSEARCH results are validated against.
 func SearchLocal(db, queries *seq.Database, cfg Config) (*HitList, error) {
+	if err := uniqueIDs(db, queries); err != nil {
+		return nil, err
+	}
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}

@@ -2,6 +2,7 @@ package dsearch
 
 import (
 	"context"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -227,6 +228,44 @@ func TestDataManagerValidation(t *testing.T) {
 	dm, _ := NewDataManager(db, fastConfig())
 	if err := dm.Consume(999, resultPayload{}); err == nil {
 		t.Error("unknown unit consumed")
+	}
+}
+
+// TestDuplicateIDsRejected: hits, calibrations and alignments are keyed by
+// sequence ID, so every entry point refuses a query set or database that
+// reuses one, naming it, instead of merging two sequences' results.
+func TestDuplicateIDsRejected(t *testing.T) {
+	g := seq.NewGenerator(seq.Protein, 5)
+	clean := g.RandomDatabase("d", 12, seq.TypicalProtein)
+	dupDB := seq.NewDatabase(append(append([]*seq.Sequence{}, clean.Seqs...), clean.Seqs[3].Clone())...)
+	queries := seq.NewDatabase(g.Random("q", 40), g.Random("r", 40))
+	dupQueries := seq.NewDatabase(g.Random("q", 40), g.Random("q", 12))
+	cases := []struct {
+		name        string
+		db, queries *seq.Database
+		want        string // substring of the error; "" for none
+	}{
+		{"duplicate query", clean, dupQueries, `duplicate query ID "q"`},
+		{"duplicate subject", dupDB, queries, fmt.Sprintf("duplicate database ID %q", clean.Seqs[3].ID)},
+		{"clean input", clean, queries, ""},
+	}
+	cfg := fastConfig()
+	cfg.ReportAlignments = true
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			_, errProblem := NewProblem("p", c.db, c.queries, cfg)
+			_, errLocal := SearchLocal(c.db, c.queries, cfg)
+			_, errCalib := Calibrate(c.db, c.queries, cfg, 10, 1)
+			for i, err := range []error{errProblem, errLocal, errCalib} {
+				entry := []string{"NewProblem", "SearchLocal", "Calibrate"}[i]
+				switch {
+				case c.want == "" && err != nil:
+					t.Errorf("%s rejected clean input: %v", entry, err)
+				case c.want != "" && (err == nil || !strings.Contains(err.Error(), c.want)):
+					t.Errorf("%s: error %v, want one containing %s", entry, err, c.want)
+				}
+			}
+		})
 	}
 }
 

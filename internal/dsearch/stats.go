@@ -91,6 +91,9 @@ func Calibrate(db, queries *seq.Database, cfg Config, nDecoys int, seedVal int64
 	if db == nil || db.Len() == 0 {
 		return nil, fmt.Errorf("dsearch: empty database")
 	}
+	if err := uniqueIDs(db, queries); err != nil {
+		return nil, err
+	}
 	al, err := cfg.aligner()
 	if err != nil {
 		return nil, err

@@ -84,22 +84,3 @@ func identity(n int) [][]float64 {
 	}
 	return v
 }
-
-// matMul returns a·b for dense square matrices.
-func matMul(a, b [][]float64) [][]float64 {
-	n := len(a)
-	out := make([][]float64, n)
-	for i := range out {
-		out[i] = make([]float64, n)
-		for k := 0; k < n; k++ {
-			aik := a[i][k]
-			if aik == 0 {
-				continue
-			}
-			for j := 0; j < n; j++ {
-				out[i][j] += aik * b[k][j]
-			}
-		}
-	}
-	return out
-}

@@ -15,6 +15,25 @@ func approx(t *testing.T, got, want, tol float64, msg string) {
 	}
 }
 
+// matMul returns a·b for dense square matrices.
+func matMul(a, b [][]float64) [][]float64 {
+	n := len(a)
+	out := make([][]float64, n)
+	for i := range out {
+		out[i] = make([]float64, n)
+		for k := 0; k < n; k++ {
+			aik := a[i][k]
+			if aik == 0 {
+				continue
+			}
+			for j := 0; j < n; j++ {
+				out[i][j] += aik * b[k][j]
+			}
+		}
+	}
+	return out
+}
+
 func TestJacobiReconstruction(t *testing.T) {
 	a := [][]float64{
 		{4, 1, 0.5, 0},

@@ -57,27 +57,6 @@ func MajorityRuleConsensus(trees []*Tree) (*Tree, error) {
 	return buildFromSplits(trees[0].LeafNames(), majority, support)
 }
 
-// ConsensusThreshold generalises majority rule: keep splits with support
-// strictly above threshold (0.5 = majority rule; anything lower risks
-// incompatible splits and returns an error if one arises; 1.0-epsilon =
-// strict consensus).
-func ConsensusThreshold(trees []*Tree, threshold float64) (*Tree, error) {
-	if threshold < 0 || threshold >= 1 {
-		return nil, fmt.Errorf("phylo: consensus threshold %g outside [0, 1)", threshold)
-	}
-	support, err := SplitSupport(trees)
-	if err != nil {
-		return nil, err
-	}
-	var keep []Bipartition
-	for s, frac := range support {
-		if frac > threshold {
-			keep = append(keep, s)
-		}
-	}
-	return buildFromSplits(trees[0].LeafNames(), keep, support)
-}
-
 // splitSide returns the side of the split NOT containing the
 // lexicographically first leaf (so every kept side is a proper "clade"
 // under the rooting at that leaf).

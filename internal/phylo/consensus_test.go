@@ -133,28 +133,6 @@ func TestConsensusSupportAsBranchLength(t *testing.T) {
 	}
 }
 
-func TestConsensusThreshold(t *testing.T) {
-	trees := []*Tree{
-		mustParseCons(t, "((A:1,B:1):1,(C:1,D:1):1,E:1);"),
-		mustParseCons(t, "((A:1,B:1):1,(C:1,D:1):1,E:1);"),
-		mustParseCons(t, "((A:1,B:1):1,C:1,D:1,E:1);"),
-	}
-	// Strict consensus (threshold just under 1): only AB survives.
-	cons, err := ConsensusThreshold(trees, 0.99)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n := len(cons.Bipartitions()); n != 1 {
-		t.Errorf("strict consensus has %d splits, want 1", n)
-	}
-	if _, err := ConsensusThreshold(trees, 1.0); err == nil {
-		t.Error("threshold 1.0 accepted")
-	}
-	if _, err := ConsensusThreshold(trees, -0.1); err == nil {
-		t.Error("negative threshold accepted")
-	}
-}
-
 // TestConsensusOfNoisyTrees is the integration-shaped property: majority
 // consensus of many noisy copies of one tree recovers that tree.
 func TestConsensusOfNoisyTrees(t *testing.T) {

@@ -24,9 +24,9 @@ func NewDistanceMatrix(taxa []string) *DistanceMatrix {
 	return &DistanceMatrix{Taxa: append([]string(nil), taxa...), D: d}
 }
 
-// PDistance computes the proportion of differing sites between two aligned
+// pDistance computes the proportion of differing sites between two aligned
 // rows, ignoring columns where either has a gap or ambiguity.
-func PDistance(a, b []byte) float64 {
+func pDistance(a, b []byte) float64 {
 	diff, n := 0, 0
 	for i := range a {
 		x, y := upper(a[i]), upper(b[i])
@@ -53,9 +53,9 @@ func upper(b byte) byte {
 
 func isACGT(b byte) bool { return b == 'A' || b == 'C' || b == 'G' || b == 'T' || b == 'U' }
 
-// JCDistance converts a p-distance to a Jukes–Cantor corrected distance.
+// jcDistance converts a p-distance to a Jukes–Cantor corrected distance.
 // Saturated distances (p >= 0.75) are clamped to a large finite value.
-func JCDistance(p float64) float64 {
+func jcDistance(p float64) float64 {
 	if p >= 0.749 {
 		return 5.0 // effectively saturated
 	}
@@ -68,7 +68,7 @@ func AlignmentDistances(a *seq.Alignment) *DistanceMatrix {
 	m := NewDistanceMatrix(a.Taxa())
 	for i := 0; i < a.NTaxa(); i++ {
 		for j := i + 1; j < a.NTaxa(); j++ {
-			d := JCDistance(PDistance(a.Rows[i].Residues, a.Rows[j].Residues))
+			d := jcDistance(pDistance(a.Rows[i].Residues, a.Rows[j].Residues))
 			m.D[i][j], m.D[j][i] = d, d
 		}
 	}
@@ -166,69 +166,4 @@ func NeighborJoining(dm *DistanceMatrix) (*Tree, error) {
 		return nil, err
 	}
 	return t, nil
-}
-
-// UPGMA builds a rooted ultrametric tree by average-linkage clustering —
-// a second, simpler baseline used in tests.
-func UPGMA(dm *DistanceMatrix) (*Tree, error) {
-	n := len(dm.Taxa)
-	if n < 2 {
-		return nil, fmt.Errorf("phylo: UPGMA needs >= 2 taxa, got %d", n)
-	}
-	type cluster struct {
-		node   *Node
-		size   int
-		height float64
-	}
-	clusters := make([]*cluster, n)
-	for i, t := range dm.Taxa {
-		clusters[i] = &cluster{node: NewLeaf(t, 0), size: 1}
-	}
-	d := make([][]float64, n)
-	for i := range d {
-		d[i] = append([]float64(nil), dm.D[i]...)
-	}
-	active := make([]int, n)
-	for i := range active {
-		active[i] = i
-	}
-	for len(active) > 1 {
-		// Find the closest pair.
-		bestA, bestB := -1, -1
-		best := math.Inf(1)
-		for ai := 0; ai < len(active); ai++ {
-			for bi := ai + 1; bi < len(active); bi++ {
-				i, j := active[ai], active[bi]
-				if d[i][j] < best {
-					best, bestA, bestB = d[i][j], ai, bi
-				}
-			}
-		}
-		i, j := active[bestA], active[bestB]
-		ci, cj := clusters[i], clusters[j]
-		h := best / 2
-		ci.node.Length = h - ci.height
-		cj.node.Length = h - cj.height
-		merged := &cluster{
-			node:   NewInternal(0, ci.node, cj.node),
-			size:   ci.size + cj.size,
-			height: h,
-		}
-		for _, k := range active {
-			if k == i || k == j {
-				continue
-			}
-			nk := (d[i][k]*float64(ci.size) + d[j][k]*float64(cj.size)) / float64(ci.size+cj.size)
-			d[i][k], d[k][i] = nk, nk
-		}
-		clusters[i] = merged
-		na := active[:0]
-		for _, k := range active {
-			if k != j {
-				na = append(na, k)
-			}
-		}
-		active = na
-	}
-	return &Tree{Root: clusters[active[0]].node}, nil
 }

@@ -64,9 +64,6 @@ func TestTreeBasics(t *testing.T) {
 	if tr.NLeaves() != 4 {
 		t.Errorf("NLeaves = %d", tr.NLeaves())
 	}
-	if tr.NNodes() != 6 {
-		t.Errorf("NNodes = %d", tr.NNodes())
-	}
 	if got := tr.TotalLength(); math.Abs(got-1.05) > 1e-12 {
 		t.Errorf("TotalLength = %g", got)
 	}
@@ -221,25 +218,25 @@ func TestTriplet(t *testing.T) {
 }
 
 func TestPDistanceAndJC(t *testing.T) {
-	if d := PDistance([]byte("ACGT"), []byte("ACGT")); d != 0 {
+	if d := pDistance([]byte("ACGT"), []byte("ACGT")); d != 0 {
 		t.Errorf("identical p-distance = %g", d)
 	}
-	if d := PDistance([]byte("ACGT"), []byte("ACGA")); d != 0.25 {
+	if d := pDistance([]byte("ACGT"), []byte("ACGA")); d != 0.25 {
 		t.Errorf("1/4 p-distance = %g", d)
 	}
-	if d := PDistance([]byte("AC-T"), []byte("ACGT")); d != 0 {
+	if d := pDistance([]byte("AC-T"), []byte("ACGT")); d != 0 {
 		t.Errorf("gap column should be skipped: %g", d)
 	}
-	if JCDistance(0) != 0 {
+	if jcDistance(0) != 0 {
 		t.Error("JC(0) != 0")
 	}
 	// JC correction always >= p.
 	for _, p := range []float64{0.05, 0.1, 0.3, 0.5, 0.7} {
-		if JCDistance(p) < p {
-			t.Errorf("JC(%g) = %g < p", p, JCDistance(p))
+		if jcDistance(p) < p {
+			t.Errorf("JC(%g) = %g < p", p, jcDistance(p))
 		}
 	}
-	if JCDistance(0.9) != 5.0 {
+	if jcDistance(0.9) != 5.0 {
 		t.Error("saturated distance not clamped")
 	}
 }
@@ -323,36 +320,6 @@ func TestNeighborJoiningLarger(t *testing.T) {
 func TestNeighborJoiningErrors(t *testing.T) {
 	if _, err := NeighborJoining(NewDistanceMatrix([]string{"A", "B"})); err == nil {
 		t.Error("NJ with 2 taxa accepted")
-	}
-}
-
-func TestUPGMAUltrametric(t *testing.T) {
-	// Ultrametric input: UPGMA recovers it exactly.
-	taxa := []string{"A", "B", "C", "D"}
-	dm := NewDistanceMatrix(taxa)
-	set := func(i, j int, v float64) { dm.D[i][j], dm.D[j][i] = v, v }
-	set(0, 1, 0.2) // A,B close
-	set(2, 3, 0.3) // C,D close
-	set(0, 2, 0.8)
-	set(0, 3, 0.8)
-	set(1, 2, 0.8)
-	set(1, 3, 0.8)
-	tr, err := UPGMA(dm)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tr.NLeaves() != 4 {
-		t.Fatalf("%d leaves", tr.NLeaves())
-	}
-	// Root-to-leaf distance must be 0.4 for every leaf (ultrametric).
-	for _, l := range tr.Leaves() {
-		d := 0.0
-		for cur := l; cur.Parent != nil; cur = cur.Parent {
-			d += cur.Length
-		}
-		if math.Abs(d-0.4) > 1e-9 {
-			t.Errorf("leaf %s at depth %g, want 0.4", l.Name, d)
-		}
 	}
 }
 

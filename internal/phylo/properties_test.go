@@ -101,8 +101,8 @@ func TestRerootInvariantProperty(t *testing.T) {
 	f := func(seed int64, nRaw, eRaw uint8) bool {
 		n := int(nRaw%20) + 4
 		tr := randomBinaryTree(n, seed)
-		edges := tr.Edges()
-		rooted, err := tr.RerootAtEdge(edges[int(eRaw)%len(edges)])
+		e := tr.Edges()[int(eRaw)%len(tr.Edges())]
+		rooted, err := tr.rerootCloneAbove(e.Child, e.Child.Length/2)
 		if err != nil {
 			t.Logf("reroot: %v", err)
 			return false

@@ -11,26 +11,6 @@ import (
 // usually at the midpoint of the longest leaf-to-leaf path when no
 // outgroup is available.
 
-// RerootAtEdge returns a copy of the tree rooted on the edge above the
-// given leaf-set-identified child: the edge is split in two halves and a
-// new degree-2 root placed between them.
-func (t *Tree) RerootAtEdge(e Edge) (*Tree, error) {
-	if e.Child == nil || e.Child.Parent == nil {
-		return nil, fmt.Errorf("phylo: cannot reroot at the root")
-	}
-	// Work on a clone; locate the corresponding node by position path.
-	path := pathFromRoot(e.Child)
-	c := t.Clone()
-	node := c.Root
-	for _, idx := range path {
-		if idx >= len(node.Children) {
-			return nil, fmt.Errorf("phylo: reroot path desynchronised")
-		}
-		node = node.Children[idx]
-	}
-	return rerootAbove(c, node, node.Length/2)
-}
-
 // pathFromRoot returns child indices leading from the root to n.
 func pathFromRoot(n *Node) []int {
 	var rev []int
@@ -101,24 +81,6 @@ func rerootAbove(t *Tree, node *Node, lenBelow float64) (*Tree, error) {
 		return nil, fmt.Errorf("phylo: reroot produced invalid tree: %w", err)
 	}
 	return out, nil
-}
-
-// leafDepths returns, for each leaf, its path length from the root.
-func leafDepths(t *Tree) map[*Node]float64 {
-	out := make(map[*Node]float64)
-	var rec func(n *Node, d float64)
-	rec = func(n *Node, d float64) {
-		if n.IsLeaf() {
-			out[n] = d
-		}
-		for _, c := range n.Children {
-			rec(c, d+c.Length)
-		}
-	}
-	if t.Root != nil {
-		rec(t.Root, 0)
-	}
-	return out
 }
 
 // MidpointRoot returns a copy of the tree rooted at the midpoint of the

@@ -9,7 +9,7 @@ func TestRerootPreservesTopologyAndLength(t *testing.T) {
 	orig := mustParseCons(t, "((A:1,B:2):0.5,(C:1.5,D:0.5):1,E:2);")
 	totalLen := orig.TotalLength()
 	for _, e := range orig.Edges() {
-		rooted, err := orig.RerootAtEdge(e)
+		rooted, err := orig.rerootCloneAbove(e.Child, e.Child.Length/2)
 		if err != nil {
 			t.Fatalf("reroot at %v: %v", e.Child.Name, err)
 		}
@@ -113,7 +113,25 @@ func TestMidpointRootErrors(t *testing.T) {
 
 func TestRerootAtRootRejected(t *testing.T) {
 	tr := mustParseCons(t, "(A:1,B:1,C:1);")
-	if _, err := tr.RerootAtEdge(Edge{Child: tr.Root}); err == nil {
+	if _, err := tr.rerootCloneAbove(tr.Root, 0); err == nil {
 		t.Error("rerooting at the root accepted")
 	}
+}
+
+// leafDepths returns, for each leaf, its path length from the root.
+func leafDepths(t *Tree) map[*Node]float64 {
+	out := make(map[*Node]float64)
+	var rec func(n *Node, d float64)
+	rec = func(n *Node, d float64) {
+		if n.IsLeaf() {
+			out[n] = d
+		}
+		for _, c := range n.Children {
+			rec(c, d+c.Length)
+		}
+	}
+	if t.Root != nil {
+		rec(t.Root, 0)
+	}
+	return out
 }

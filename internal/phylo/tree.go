@@ -122,13 +122,6 @@ func (t *Tree) LeafNames() []string {
 // NLeaves returns the number of leaves.
 func (t *Tree) NLeaves() int { return len(t.Leaves()) }
 
-// NNodes returns the total number of nodes.
-func (t *Tree) NNodes() int {
-	n := 0
-	t.Walk(func(*Node) { n++ })
-	return n
-}
-
 // Index assigns consecutive IDs: leaves first (in pre-order), then internal
 // nodes. Returns the node count. Likelihood buffers are addressed by these
 // IDs.

@@ -99,38 +99,3 @@ func toUpper(b byte) byte {
 	}
 	return b
 }
-
-// complementTable maps nucleotide codes (incl. IUPAC ambiguity) to their
-// complements, preserving case.
-var complementTable = func() [256]byte {
-	var t [256]byte
-	for i := range t {
-		t[i] = byte(i)
-	}
-	pairs := "ATUACGCGRYYRSSWWKMMKBVVBDHHDNN"
-	for i := 0; i+1 < len(pairs); i += 2 {
-		x, y := pairs[i], pairs[i+1]
-		t[x] = y
-		t[x+'a'-'A'] = y + 'a' - 'A'
-	}
-	// A<->T (DNA): the pairs string above sets A->T, T->U? Fix explicitly.
-	t['A'], t['a'] = 'T', 't'
-	t['T'], t['t'] = 'A', 'a'
-	t['U'], t['u'] = 'A', 'a'
-	t['G'], t['g'] = 'C', 'c'
-	t['C'], t['c'] = 'G', 'g'
-	return t
-}()
-
-// Complement returns the complement of a single nucleotide, preserving case.
-// Non-nucleotide bytes are returned unchanged.
-func Complement(b byte) byte { return complementTable[b] }
-
-// ReverseComplement returns a newly allocated reverse complement of s.
-func ReverseComplement(s []byte) []byte {
-	out := make([]byte, len(s))
-	for i, b := range s {
-		out[len(s)-1-i] = complementTable[b]
-	}
-	return out
-}

@@ -132,70 +132,3 @@ func ReadAlignmentFASTA(r io.Reader) (*Alignment, error) {
 	}
 	return NewAlignment(db.Seqs)
 }
-
-// ReadPhylip parses a relaxed sequential PHYLIP alignment: a header line
-// "ntaxa nsites" followed by one "name residues" line per taxon (residues
-// may continue on following lines until nsites residues are read).
-func ReadPhylip(r io.Reader) (*Alignment, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
-	if !sc.Scan() {
-		return nil, fmt.Errorf("seq: empty PHYLIP input")
-	}
-	var ntaxa, nsites int
-	if _, err := fmt.Sscanf(strings.TrimSpace(sc.Text()), "%d %d", &ntaxa, &nsites); err != nil {
-		return nil, fmt.Errorf("seq: bad PHYLIP header %q: %w", sc.Text(), err)
-	}
-	rows := make([]*Sequence, 0, ntaxa)
-	var cur *Sequence
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if line == "" {
-			continue
-		}
-		if cur == nil || cur.Len() >= nsites {
-			if cur != nil && cur.Len() != nsites {
-				return nil, fmt.Errorf("seq: taxon %q has %d sites, want %d", cur.ID, cur.Len(), nsites)
-			}
-			fields := strings.Fields(line)
-			if len(fields) < 1 {
-				continue
-			}
-			cur = &Sequence{ID: fields[0]}
-			for _, f := range fields[1:] {
-				cur.Residues = append(cur.Residues, f...)
-			}
-			rows = append(rows, cur)
-		} else {
-			for _, f := range strings.Fields(line) {
-				cur.Residues = append(cur.Residues, f...)
-			}
-		}
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	if len(rows) != ntaxa {
-		return nil, fmt.Errorf("seq: PHYLIP header promised %d taxa, found %d", ntaxa, len(rows))
-	}
-	for _, r := range rows {
-		if r.Len() != nsites {
-			return nil, fmt.Errorf("seq: taxon %q has %d sites, want %d", r.ID, r.Len(), nsites)
-		}
-	}
-	return NewAlignment(rows)
-}
-
-// WritePhylip writes the alignment in sequential PHYLIP format.
-func WritePhylip(w io.Writer, a *Alignment) error {
-	bw := bufio.NewWriter(w)
-	if _, err := fmt.Fprintf(bw, "%d %d\n", a.NTaxa(), a.NSites()); err != nil {
-		return err
-	}
-	for _, row := range a.Rows {
-		if _, err := fmt.Fprintf(bw, "%-12s %s\n", row.ID, row.Residues); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
-}

@@ -29,35 +29,6 @@ func (g *Generator) Random(id string, n int) *Sequence {
 	return &Sequence{ID: id, Residues: res}
 }
 
-// RandomWithComposition returns a random sequence drawn from the given
-// letter frequencies (indexed in alphabet order; they are normalised
-// internally).
-func (g *Generator) RandomWithComposition(id string, n int, freqs []float64) *Sequence {
-	if len(freqs) != g.alphabet.Size() {
-		panic(fmt.Sprintf("seq: composition has %d frequencies, alphabet %s has %d letters",
-			len(freqs), g.alphabet.Name(), g.alphabet.Size()))
-	}
-	var total float64
-	for _, f := range freqs {
-		total += f
-	}
-	res := make([]byte, n)
-	for i := range res {
-		x := g.rng.Float64() * total
-		acc := 0.0
-		idx := len(freqs) - 1
-		for j, f := range freqs {
-			acc += f
-			if x < acc {
-				idx = j
-				break
-			}
-		}
-		res[i] = g.alphabet.Letter(idx)
-	}
-	return &Sequence{ID: id, Residues: res}
-}
-
 // Mutate returns a copy of s with point substitutions applied at the given
 // per-site rate, plus optional short indels at indelRate per site (geometric
 // length, mean 2). Used to build homolog families that a sensitive search

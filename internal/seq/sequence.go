@@ -1,9 +1,6 @@
 package seq
 
-import (
-	"fmt"
-	"strings"
-)
+import "fmt"
 
 // Sequence is a named biological sequence. Residues are stored as raw bytes
 // in the case they were read in; alignment and scoring code upper-cases on
@@ -40,18 +37,6 @@ func (s *Sequence) Clone() *Sequence {
 	r := make([]byte, len(s.Residues))
 	copy(r, s.Residues)
 	return &Sequence{ID: s.ID, Desc: s.Desc, Residues: r}
-}
-
-// Subsequence returns a deep copy of residues [from, to). It panics if the
-// bounds are out of range, mirroring slice semantics.
-func (s *Sequence) Subsequence(from, to int) *Sequence {
-	r := make([]byte, to-from)
-	copy(r, s.Residues[from:to])
-	return &Sequence{
-		ID:       fmt.Sprintf("%s/%d-%d", s.ID, from+1, to),
-		Desc:     s.Desc,
-		Residues: r,
-	}
 }
 
 // Header reconstructs the FASTA header line content (without '>').
@@ -145,11 +130,6 @@ func (d *Database) PartitionByResidues(maxResidues int64) []*Database {
 	return out
 }
 
-// Concat appends all sequences of other to d.
-func (d *Database) Concat(other *Database) {
-	d.Seqs = append(d.Seqs, other.Seqs...)
-}
-
 // Alignment is a set of equal-length rows over a common alphabet — the
 // input form for phylogenetic inference. Column i of row j is
 // Rows[j].Residues[i].
@@ -200,28 +180,4 @@ func (a *Alignment) Row(taxon string) *Sequence {
 		}
 	}
 	return nil
-}
-
-// Subset returns a new alignment containing only the named taxa, in the
-// given order. It errors if a taxon is missing.
-func (a *Alignment) Subset(taxa []string) (*Alignment, error) {
-	rows := make([]*Sequence, 0, len(taxa))
-	for _, t := range taxa {
-		r := a.Row(t)
-		if r == nil {
-			return nil, fmt.Errorf("seq: taxon %q not in alignment", t)
-		}
-		rows = append(rows, r)
-	}
-	return NewAlignment(rows)
-}
-
-// Column returns column i as a string of residues, one per row.
-func (a *Alignment) Column(i int) string {
-	var b strings.Builder
-	b.Grow(len(a.Rows))
-	for _, r := range a.Rows {
-		b.WriteByte(r.Residues[i])
-	}
-	return b.String()
 }

@@ -178,9 +178,6 @@ func New(cfg Config) (*Swarm, error) {
 	return s, nil
 }
 
-// Cache returns the blob cache shared by every member donor.
-func (s *Swarm) Cache() *dist.BlobCache { return s.cache }
-
 // Start launches every member's schedule. The swarm stops when ctx is
 // cancelled or Stop is called, whichever comes first.
 func (s *Swarm) Start(ctx context.Context) error {
