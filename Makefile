@@ -35,8 +35,9 @@ test:
 race:
 	$(GO) test -race ./...
 
-# fuzz-smoke gives each fuzzer — wire protocol, journal recovery, and the
-# Smith–Waterman query-profile kernel against its reference loop — a few
+# fuzz-smoke gives each fuzzer — wire protocol, journal recovery, the
+# Smith–Waterman query-profile kernel against its reference loop, and the
+# branch-length closed form against a whole-tree pruning pass — a few
 # seconds of coverage growth on every check; longer runs are a manual
 # `go test -fuzz` away.
 fuzz-smoke:
@@ -47,6 +48,7 @@ fuzz-smoke:
 	$(GO) test ./internal/wire/ -run '^$$' -fuzz FuzzMuxServe -fuzztime 5s
 	$(GO) test ./internal/journal/ -run '^$$' -fuzz FuzzJournalReplay -fuzztime 5s
 	$(GO) test ./internal/align/ -run '^$$' -fuzz FuzzSWScore -fuzztime 5s
+	$(GO) test ./internal/likelihood/ -run '^$$' -fuzz FuzzEdgeLogLikelihood -fuzztime 5s
 
 # bench-module vets and tests bench/, a module of its own that imports
 # repro/internal/...: the root `go build ./...` does not see it, so a change

@@ -128,13 +128,15 @@ func (d *DataManager) NextUnit(budget int64) (*dist.UnitOf[taskUnit], bool, erro
 		if remaining <= 0 {
 			return nil, false, nil // stage barrier: waiting on results
 		}
+		// A unit takes at most half of the stage's undispatched edges. The
+		// stage ends in a barrier, so a unit holding the whole remainder
+		// would idle every other donor until it returns. Halving tapers
+		// each stage down to single edges, and once the budget covers a
+		// stage the cut no longer depends on the measured throughput.
 		tc := d.taskCost()
-		n := int(budget / tc)
+		n := min(int(budget/tc), (remaining+1)/2)
 		if n < 1 {
 			n = 1
-		}
-		if n > remaining {
-			n = remaining
 		}
 		edges := make([]int, n)
 		for i := range edges {

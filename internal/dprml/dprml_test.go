@@ -2,6 +2,7 @@ package dprml
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"testing"
 
@@ -174,6 +175,37 @@ func TestDataManagerStageFlow(t *testing.T) {
 	}
 }
 
+// TestDataManagerHalvesStage pins the stage cut: however large the budget,
+// a unit takes at most half of the stage's undispatched edges, so the
+// 3-edge stage for the fourth taxon is cut 2 + 1 and every edge is issued
+// once.
+func TestDataManagerHalvesStage(t *testing.T) {
+	aln, _ := simAlignment(t, 5, 100, 3)
+	dm, err := NewDataManager(aln, testOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	u1, _, _ := dm.NextUnit(1 << 40)
+	trip := phylo.Triplet(aln.Taxa()[0], aln.Taxa()[1], aln.Taxa()[2], 0.1)
+	if err := dm.Consume(u1.ID, taskResult{BestEdge: -1, BestLogL: -100, BestTree: trip.String()}); err != nil {
+		t.Fatal(err)
+	}
+	var edges [][]int
+	for {
+		u, ok, err := dm.NextUnit(1 << 40)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !ok {
+			break
+		}
+		edges = append(edges, u.Payload.Edges)
+	}
+	if got := fmt.Sprint(edges); got != "[[0 1] [2]]" {
+		t.Fatalf("stage cut into %s, want [[0 1] [2]]", got)
+	}
+}
+
 func TestDataManagerRequeue(t *testing.T) {
 	aln, _ := simAlignment(t, 5, 100, 3)
 	dm, err := NewDataManager(aln, testOpts())
@@ -183,10 +215,14 @@ func TestDataManagerRequeue(t *testing.T) {
 	u1, _, _ := dm.NextUnit(1 << 40)
 	trip := phylo.Triplet(aln.Taxa()[0], aln.Taxa()[1], aln.Taxa()[2], 0.1)
 	_ = dm.Consume(u1.ID, taskResult{BestTree: trip.String(), BestLogL: -1})
-	// Take the whole stage as one unit, then lose it.
+	// Take the stage's first unit (two of its three edges) and the rest,
+	// then lose the first.
 	u2, ok, _ := dm.NextUnit(1 << 40)
 	if !ok {
 		t.Fatal("no stage unit")
+	}
+	if _, ok, _ := dm.NextUnit(1 << 40); !ok {
+		t.Fatal("no second stage unit")
 	}
 	if _, ok, _ := dm.NextUnit(1); ok {
 		t.Fatal("stage not exhausted")

@@ -2,7 +2,6 @@ package likelihood
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/phylo"
 )
@@ -26,8 +25,8 @@ type AncestralResult struct {
 // tree's root. The evaluator's scratch state is reused, so it must not be
 // shared across goroutines.
 func (e *Evaluator) AncestralRoot(t *phylo.Tree) (*AncestralResult, error) {
-	// Run the pruning pass to populate the root CLV.
-	if _, err := e.LogLikelihood(t); err != nil {
+	// Run the pruning pass to populate the root's partial.
+	if err := e.down(t); err != nil {
 		return nil, err
 	}
 	ncat := e.Rates.NCategories()
@@ -94,28 +93,12 @@ func (e *Evaluator) patternOfSite() ([]int, error) {
 // original column order. Their sum equals LogLikelihood; per-site values
 // feed topology tests (KH/SH) and model diagnostics.
 func (e *Evaluator) SiteLogLikelihoods(t *phylo.Tree) ([]float64, error) {
-	if _, err := e.LogLikelihood(t); err != nil {
+	if err := e.down(t); err != nil {
 		return nil, err
 	}
-	ncat := e.Rates.NCategories()
-	npat := e.Data.NPatterns()
-	stride := npat * NStates
-	root := e.clv[t.Root.ID]
-	catW := 1.0 / float64(ncat)
-	patLL := make([]float64, npat)
-	for p := 0; p < npat; p++ {
-		site := 0.0
-		for cat := 0; cat < ncat; cat++ {
-			base := cat*stride + p*NStates
-			for i := 0; i < NStates; i++ {
-				site += e.Model.Pi[i] * root[base+i]
-			}
-		}
-		site *= catW
-		if site <= 0 {
-			return nil, fmt.Errorf("likelihood: zero site likelihood at pattern %d", p)
-		}
-		patLL[p] = math.Log(site) + e.logScale[p]
+	patLL := make([]float64, e.Data.NPatterns())
+	if _, err := e.reduce(e.clv[t.Root.ID], e.scale[t.Root.ID], patLL); err != nil {
+		return nil, err
 	}
 	patOf, err := e.patternOfSite()
 	if err != nil {

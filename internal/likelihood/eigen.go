@@ -3,6 +3,15 @@
 // models (JC69 through GTR), discrete-gamma rate heterogeneity, Felsenstein
 // pruning with site-pattern compression and numerical scaling, Brent
 // branch-length optimisation, and sequence simulation along a tree.
+//
+// One pruning kernel (Evaluator.absorb) builds every partial. The down
+// pass gives each node a partial of its subtree and a per-pattern
+// log-scale vector: its children's vectors summed, plus its own rescale.
+// LogLikelihood reduces the root's partial. To optimise one branch,
+// fastDNAml-style, an up pass builds the partial of the rest of the tree
+// at the branch's upper end; each Brent step then scores the branch in
+// closed form, absorbing the lower partial into that upper one through
+// P(x), as if the tree were rooted on the branch.
 package likelihood
 
 import (

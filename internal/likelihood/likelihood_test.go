@@ -1,6 +1,7 @@
 package likelihood
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -693,5 +694,295 @@ func TestRandomTreeProperties(t *testing.T) {
 	}
 	if _, err := RandomTree([]string{"a"}, 0.1, 0.2, 5); err == nil {
 		t.Error("RandomTree with 1 taxon accepted")
+	}
+}
+
+// optimizeBranchReference is the per-step branch optimisation that
+// OptimizeBranch replaced: every Brent step writes the candidate length into
+// the tree and re-runs the whole pruning pass. It pins OptimizeBranch's
+// optimum; unlike OptimizeBranch, it leaves a probed length behind on error.
+func optimizeBranchReference(e *Evaluator, t *phylo.Tree, n *phylo.Node, tol float64) (float64, error) {
+	if n.Parent == nil {
+		return 0, fmt.Errorf("likelihood: cannot optimise the root's parent edge")
+	}
+	var evalErr error
+	f := func(x float64) float64 {
+		n.Length = x
+		ll, err := e.LogLikelihood(t)
+		if err != nil {
+			evalErr = err
+			return math.Inf(-1)
+		}
+		return ll
+	}
+	best, bestLL := brentMax(MinBranchLength, MaxBranchLength, f, tol, 100)
+	if evalErr != nil {
+		return 0, evalErr
+	}
+	n.Length = best
+	return bestLL, nil
+}
+
+// edgeModels are the substitution models the edge closed form is checked
+// under, from equal rates and frequencies to six rates and skewed ones.
+func edgeModels(t *testing.T) []*Model {
+	var out []*Model
+	for _, m := range allModels(t) {
+		if m.Name == "JC69" || m.Name == "HKY85" || m.Name == "GTR" {
+			out = append(out, m)
+		}
+	}
+	return out
+}
+
+// edgeFixture simulates nSites columns down a random tree of nTaxa leaves
+// and returns the tree with two evaluators over the data: one for the edge
+// closed form, one for the whole-tree traversal it is checked against.
+func edgeFixture(tb testing.TB, m *Model, rates *SiteRates, nTaxa, nSites int, minLen, maxLen float64, seed int64) (*phylo.Tree, *Evaluator, *Evaluator) {
+	tb.Helper()
+	taxa := make([]string, nTaxa)
+	for i := range taxa {
+		taxa[i] = fmt.Sprintf("t%03d", i)
+	}
+	tree, err := RandomTree(taxa, minLen, maxLen, seed)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	aln, err := Simulate(tree, m, rates, nSites, seed)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	data := Compress(aln)
+	e, err := NewEvaluator(m, rates, data)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	ref, err := NewEvaluator(m, rates, data)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return tree, e, ref
+}
+
+// checkEdge compares the closed form for n's branch at each length in xs
+// against LogLikelihood with n.Length set to it, at 1e-9 relative.
+func checkEdge(tb testing.TB, e, ref *Evaluator, tree *phylo.Tree, n *phylo.Node, xs []float64) {
+	tb.Helper()
+	logL, err := e.edgeLogLikelihood(tree, n)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	orig := n.Length
+	defer func() { n.Length = orig }()
+	for _, x := range xs {
+		got, err := logL(x)
+		if err != nil {
+			tb.Fatalf("edge above node %d at %g: %v", n.ID, x, err)
+		}
+		n.Length = x
+		want, err := ref.LogLikelihood(tree)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		if math.Abs(got-want) > 1e-9*math.Abs(want) {
+			tb.Errorf("edge above node %d at %g: closed form %.12g, traversal %.12g", n.ID, x, got, want)
+		}
+	}
+}
+
+// rateSettings are the rate models the edge tests cover.
+func rateSettings(tb testing.TB) map[string]*SiteRates {
+	tb.Helper()
+	g4, err := DiscreteGamma(0.5, 4)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return map[string]*SiteRates{"uniform": UniformRates(), "gamma4": g4}
+}
+
+// TestEdgeLogLikelihoodMatchesTraversal checks the closed form a Brent step
+// evaluates against a whole-tree pruning pass, on every edge of a random
+// tree, and on a long-branch tree where numerical rescaling fires on both
+// sides of the edge.
+func TestEdgeLogLikelihoodMatchesTraversal(t *testing.T) {
+	xs := []float64{MinBranchLength, 1e-3, 0.1, 1, MaxBranchLength}
+	for _, m := range edgeModels(t) {
+		for rname, rates := range rateSettings(t) {
+			t.Run(m.Name+"/"+rname, func(t *testing.T) {
+				tree, e, ref := edgeFixture(t, m, rates, 9, 200, 0.02, 0.4, 11)
+				seen := map[string]bool{}
+				for _, edge := range tree.Edges() {
+					n := edge.Child
+					depth := 0
+					for v := n; v.Parent != nil; v = v.Parent {
+						depth++
+					}
+					switch {
+					case depth == 1:
+						seen["root-adjacent"] = true
+					case n.IsLeaf():
+						seen["leaf"] = true
+					case depth >= 3:
+						seen["deep internal"] = true
+					}
+					checkEdge(t, e, ref, tree, n, xs)
+				}
+				if len(seen) != 3 {
+					t.Fatalf("edge kinds covered: %v", seen)
+				}
+
+				// 400 taxa on long branches: partials of ~150 or more
+				// leaves fall below scaleThreshold. The edge closest to
+				// splitting the leaves in half has rescaled partials on
+				// both sides.
+				long, e, ref := edgeFixture(t, m, rates, 400, 20, 0.4, 0.9, 7)
+				leaves := map[*phylo.Node]int{}
+				long.WalkPost(func(n *phylo.Node) {
+					leaves[n] = 1
+					if !n.IsLeaf() {
+						leaves[n] = 0
+						for _, c := range n.Children {
+							leaves[n] += leaves[c]
+						}
+					}
+				})
+				var mid *phylo.Node
+				for _, edge := range long.Edges() {
+					if mid == nil || math.Abs(float64(leaves[edge.Child]-200)) < math.Abs(float64(leaves[mid]-200)) {
+						mid = edge.Child
+					}
+				}
+				checkEdge(t, e, ref, long, mid, xs)
+				rescaled := func(scale []float64) bool {
+					for _, v := range scale {
+						if v != 0 {
+							return true
+						}
+					}
+					return false
+				}
+				upScale := make([]float64, len(e.edgeScale))
+				for p := range upScale {
+					upScale[p] = e.edgeScale[p] - e.scale[mid.ID][p]
+				}
+				if !rescaled(e.scale[mid.ID]) || !rescaled(upScale) {
+					t.Fatalf("edge above a %d-leaf subtree: rescaled below %v, above %v", leaves[mid], rescaled(e.scale[mid.ID]), rescaled(upScale))
+				}
+			})
+		}
+	}
+}
+
+// TestOptimizeBranchMatchesReference optimises every branch of a random
+// tree both ways, from the same starting lengths.
+func TestOptimizeBranchMatchesReference(t *testing.T) {
+	const tol = 1e-6
+	for _, m := range edgeModels(t) {
+		for rname, rates := range rateSettings(t) {
+			t.Run(m.Name+"/"+rname, func(t *testing.T) {
+				tree, e, ref := edgeFixture(t, m, rates, 8, 300, 0.02, 0.4, 5)
+				for i := range tree.Edges() {
+					a, b := tree.Clone(), tree.Clone()
+					na, nb := a.Edges()[i].Child, b.Edges()[i].Child
+					got, err := e.OptimizeBranch(a, na, tol)
+					if err != nil {
+						t.Fatal(err)
+					}
+					want, err := optimizeBranchReference(ref, b, nb, tol)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if math.Abs(got-want) > 1e-6*math.Abs(want) {
+						t.Errorf("edge %d: logL %.10g, reference %.10g", i, got, want)
+					}
+					if math.Abs(na.Length-nb.Length) > 10*tol {
+						t.Errorf("edge %d: length %.10g, reference %.10g", i, na.Length, nb.Length)
+					}
+				}
+			})
+		}
+	}
+}
+
+// FuzzEdgeLogLikelihood checks the edge closed form against the traversal
+// for a fuzzed tree, model, rate setting, edge and branch length.
+func FuzzEdgeLogLikelihood(f *testing.F) {
+	f.Add(int64(1), uint8(5), uint8(0), 0.1)
+	f.Add(int64(2), uint8(12), uint8(4), 1e-3)
+	f.Add(int64(3), uint8(0), uint8(5), 10.0)
+	f.Fuzz(func(t *testing.T, seed int64, taxa, model uint8, x float64) {
+		if math.IsNaN(x) {
+			t.Skip()
+		}
+		x = min(max(math.Abs(x), MinBranchLength), MaxBranchLength)
+		rates := UniformRates()
+		if model/3%2 == 1 {
+			rates = rateSettings(t)["gamma4"]
+		}
+		tree, e, ref := edgeFixture(t, edgeModels(t)[model%3], rates, 3+int(taxa)%14, 60, 0.01, 1, seed)
+		edges := tree.Edges()
+		n := edges[int(uint64(seed)%uint64(len(edges)))].Child
+		checkEdge(t, e, ref, tree, n, []float64{x})
+	})
+}
+
+// TestZeroPassOptimisationReturnsLogLikelihood: an optimisation that
+// optimises no branch (no rounds, or only nil and root nodes) returns the
+// tree's log-likelihood, not a placeholder.
+func TestZeroPassOptimisationReturnsLogLikelihood(t *testing.T) {
+	tree, e, _ := edgeFixture(t, NewJC69(), UniformRates(), 5, 300, 0.05, 0.3, 3)
+	want, err := e.LogLikelihood(tree)
+	if err != nil {
+		t.Fatal(err)
+	}
+	leaves := tree.Leaves()
+	cases := []struct {
+		name string
+		run  func() (float64, error)
+	}{
+		{"local/zero-rounds", func() (float64, error) { return e.OptimizeLocal(tree, leaves[:2], 0, 1e-4) }},
+		{"local/nil-node", func() (float64, error) { return e.OptimizeLocal(tree, []*phylo.Node{nil}, 1, 1e-4) }},
+		{"local/only-the-root", func() (float64, error) { return e.OptimizeLocal(tree, []*phylo.Node{tree.Root}, 1, 1e-4) }},
+		{"all/zero-rounds", func() (float64, error) { return e.OptimizeBranchLengths(tree, 0, 1e-4) }},
+	}
+	for _, c := range cases {
+		got, err := c.run()
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if got != want {
+			t.Errorf("%s: got %g, want the tree's log-likelihood %g", c.name, got, want)
+		}
+	}
+}
+
+// TestFailedOptimizeBranchLeavesLengths: when a branch cannot be scored
+// (here a leaf has no alignment row), OptimizeBranch errors and leaves
+// every branch length as it was.
+func TestFailedOptimizeBranchLeavesLengths(t *testing.T) {
+	aln := mustAlignment(t,
+		seq.NewSequence("A", "ACGTACGTAA"),
+		seq.NewSequence("B", "ACGTACGTTA"),
+		seq.NewSequence("C", "ACGAACGTAC"),
+	)
+	e, err := NewEvaluator(NewJC69(), UniformRates(), Compress(aln))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tree, err := phylo.ParseNewick("((A:0.1,B:0.2):0.3,C:0.4,Z:0.5);")
+	if err != nil {
+		t.Fatal(err)
+	}
+	lengths := map[*phylo.Node]float64{}
+	tree.Walk(func(n *phylo.Node) { lengths[n] = n.Length })
+	for _, edge := range tree.Edges() {
+		if _, err := e.OptimizeBranch(tree, edge.Child, 1e-4); err == nil {
+			t.Fatalf("edge above %q: optimised a tree with an unknown leaf", edge.Child.Name)
+		}
+		for n, l := range lengths {
+			if n.Length != l {
+				t.Fatalf("edge above %q: a failed optimisation changed a length %g -> %g", edge.Child.Name, l, n.Length)
+			}
+		}
 	}
 }

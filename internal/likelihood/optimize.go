@@ -97,15 +97,21 @@ func brentMax(a, b float64, f func(float64) float64, tol float64, maxIter int) (
 
 // OptimizeBranch maximises the tree log-likelihood over the length of a
 // single branch (identified by its child node), holding everything else
-// fixed. Returns the new log-likelihood.
+// fixed. Each Brent step scores the branch from the two partials either
+// side of it (edgeLogLikelihood), not from a pass over the tree. The
+// branch's length is written only on success. Returns the new
+// log-likelihood.
 func (e *Evaluator) OptimizeBranch(t *phylo.Tree, n *phylo.Node, tol float64) (float64, error) {
 	if n.Parent == nil {
 		return 0, fmt.Errorf("likelihood: cannot optimise the root's parent edge")
 	}
+	logL, err := e.edgeLogLikelihood(t, n)
+	if err != nil {
+		return 0, err
+	}
 	var evalErr error
 	f := func(x float64) float64 {
-		n.Length = x
-		ll, err := e.LogLikelihood(t)
+		ll, err := logL(x)
 		if err != nil {
 			evalErr = err
 			return math.Inf(-1)
@@ -125,10 +131,14 @@ func (e *Evaluator) OptimizeBranch(t *phylo.Tree, n *phylo.Node, tol float64) (f
 // log-likelihood. This is the full smoothing pass fastDNAml applies after
 // each insertion stage.
 func (e *Evaluator) OptimizeBranchLengths(t *phylo.Tree, rounds int, tol float64) (float64, error) {
+	edges := t.Edges()
+	if rounds <= 0 || len(edges) == 0 {
+		return e.LogLikelihood(t)
+	}
 	ll := math.Inf(-1)
 	for r := 0; r < rounds; r++ {
 		prev := ll
-		for _, edge := range t.Edges() {
+		for _, edge := range edges {
 			var err error
 			ll, err = e.OptimizeBranch(t, edge.Child, tol)
 			if err != nil {
@@ -145,10 +155,12 @@ func (e *Evaluator) OptimizeBranchLengths(t *phylo.Tree, rounds int, tol float64
 // OptimizeLocal optimises only the given nodes' branch lengths (one pass
 // each, repeated `rounds` times). DPRml uses this to score candidate
 // insertion points cheaply: only the three branches created by the
-// insertion are optimised.
+// insertion are optimised. Nil nodes and the root are skipped; when no
+// branch was optimised, it returns the tree's log-likelihood.
 func (e *Evaluator) OptimizeLocal(t *phylo.Tree, nodes []*phylo.Node, rounds int, tol float64) (float64, error) {
 	var ll float64
 	var err error
+	optimised := false
 	for r := 0; r < rounds; r++ {
 		for _, n := range nodes {
 			if n == nil || n.Parent == nil {
@@ -158,9 +170,10 @@ func (e *Evaluator) OptimizeLocal(t *phylo.Tree, nodes []*phylo.Node, rounds int
 			if err != nil {
 				return 0, err
 			}
+			optimised = true
 		}
 	}
-	if len(nodes) == 0 {
+	if !optimised {
 		return e.LogLikelihood(t)
 	}
 	return ll, nil

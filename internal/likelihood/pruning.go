@@ -80,10 +80,18 @@ type Evaluator struct {
 	Rates *SiteRates
 	Data  *CompressedAlignment
 
-	// scratch buffers, resized per tree
-	clv      [][]float64 // [nodeID][cat*npat*4]
-	logScale []float64   // [npat] accumulated per-pattern scaling
-	pmat     [NStates][NStates]float64
+	// Scratch buffers, resized per tree. A partial (conditional-likelihood
+	// vector) is laid out [cat][pattern][state]; its log-scale vector,
+	// [pattern], holds the logs of every factor rescaled out of it and out
+	// of the partials it was built from.
+	clv   [][]float64 // [nodeID] down partial: the node's subtree given its state
+	scale [][]float64 // [nodeID] the down partial's log-scale vector
+	// up and upScale are a ping-pong pair for the up pass: the partial of
+	// the rest of the tree, seen from a node on the path to the edge being
+	// optimised. edge and edgeScale hold one Brent step's virtual root.
+	up, upScale     [2][]float64
+	edge, edgeScale []float64
+	pmat            [NStates][NStates]float64
 }
 
 // NewEvaluator wires together the three inputs of an ML computation.
@@ -102,128 +110,207 @@ const scaleThreshold = 1e-100
 // LogLikelihood computes the log-likelihood of the tree. Every leaf must
 // name a row of the alignment. The tree's node IDs are (re)assigned.
 func (e *Evaluator) LogLikelihood(t *phylo.Tree) (float64, error) {
+	if err := e.down(t); err != nil {
+		return 0, err
+	}
+	return e.reduce(e.clv[t.Root.ID], e.scale[t.Root.ID], nil)
+}
+
+// edgeLogLikelihood returns the log-likelihood of t as a function of the
+// length of n's branch, every other length held fixed. It runs the down
+// pass and then the up pass to n.Parent once; each call of the returned
+// function then costs one absorb of n's down partial into the up partial,
+// as if the tree were rooted on n's branch (the pulley principle). The
+// function reads e's buffers, so it is valid until e's next use.
+func (e *Evaluator) edgeLogLikelihood(t *phylo.Tree, n *phylo.Node) (func(x float64) (float64, error), error) {
+	if err := e.down(t); err != nil {
+		return nil, err
+	}
+	var path []*phylo.Node // n.Parent up to the root
+	for v := n.Parent; v != nil; v = v.Parent {
+		path = append(path, v)
+	}
+	size, npat := len(e.clv[n.ID]), len(e.scale[n.ID])
+	for i := range e.up {
+		e.up[i], e.upScale[i] = resize(e.up[i], size), resize(e.upScale[i], npat)
+	}
+	e.edge, e.edgeScale = resize(e.edge, size), resize(e.edgeScale, npat)
+	// Root first, each path node v gets the partial of everything outside
+	// the subtree below it on the path: the view from v's parent carried
+	// down v's branch, times v's other children. Time reversibility
+	// (π_i P_ij = π_j P_ji) lets the view from above use the same P·partial
+	// product as the down pass, with π applied once, at the virtual root.
+	var up, upScale []float64
+	for j := len(path) - 1; j >= 0; j-- {
+		v, below := path[j], n
+		if j > 0 {
+			below = path[j-1]
+		}
+		dst, dstScale := e.up[j%2], e.upScale[j%2]
+		fill(dst, 1)
+		clear(dstScale)
+		if up != nil {
+			e.absorb(dst, dstScale, up, upScale, v.Length)
+		}
+		for _, c := range v.Children {
+			if c != below {
+				e.absorb(dst, dstScale, e.clv[c.ID], e.scale[c.ID], c.Length)
+			}
+		}
+		rescale(dst, dstScale)
+		up, upScale = dst, dstScale
+	}
+	down, downScale := e.clv[n.ID], e.scale[n.ID]
+	return func(x float64) (float64, error) {
+		copy(e.edge, up)
+		copy(e.edgeScale, upScale)
+		e.absorb(e.edge, e.edgeScale, down, downScale, x)
+		return e.reduce(e.edge, e.edgeScale, nil)
+	}, nil
+}
+
+// down is Felsenstein's pruning pass: it (re)indexes t and fills every
+// node's down partial and log-scale vector, children before parents.
+func (e *Evaluator) down(t *phylo.Tree) error {
 	nNodes := t.Index()
-	ncat := e.Rates.NCategories()
 	npat := e.Data.NPatterns()
-	stride := npat * NStates
-
+	size := e.Rates.NCategories() * npat * NStates
 	if len(e.clv) < nNodes {
-		e.clv = make([][]float64, nNodes)
+		e.clv = append(e.clv, make([][]float64, nNodes-len(e.clv))...)
+		e.scale = append(e.scale, make([][]float64, nNodes-len(e.scale))...)
 	}
-	for id := 0; id < nNodes; id++ {
-		if len(e.clv[id]) < ncat*stride {
-			e.clv[id] = make([]float64, ncat*stride)
-		}
-	}
-	if len(e.logScale) < npat {
-		e.logScale = make([]float64, npat)
-	}
-	for p := 0; p < npat; p++ {
-		e.logScale[p] = 0
-	}
-
-	var walkErr error
+	var err error
 	t.WalkPost(func(n *phylo.Node) {
-		if walkErr != nil {
+		if err != nil {
 			return
 		}
+		clv, scale := resize(e.clv[n.ID], size), resize(e.scale[n.ID], npat)
+		e.clv[n.ID], e.scale[n.ID] = clv, scale
+		clear(scale)
 		if n.IsLeaf() {
-			walkErr = e.fillLeaf(n, ncat, npat)
+			err = e.fillLeaf(n, clv)
 			return
 		}
-		e.fillInternal(n, ncat, npat)
+		fill(clv, 1)
+		for _, c := range n.Children {
+			e.absorb(clv, scale, e.clv[c.ID], e.scale[c.ID], c.Length)
+		}
+		rescale(clv, scale)
 	})
-	if walkErr != nil {
-		return 0, walkErr
-	}
+	return err
+}
 
-	root := e.clv[t.Root.ID]
+// reduce is the log-likelihood at a (virtual) root whose partial and
+// log-scale vector are clv and scale: the weighted sum over patterns of
+// log(mean over categories of Σ_i π_i clv_i) + scale. If patLL is not nil,
+// it receives each pattern's log-likelihood.
+func (e *Evaluator) reduce(clv, scale, patLL []float64) (float64, error) {
+	npat := len(scale)
+	stride := npat * NStates
+	ncat := len(clv) / stride
+	pi := &e.Model.Pi
 	catW := 1.0 / float64(ncat)
 	logL := 0.0
 	for p := 0; p < npat; p++ {
 		site := 0.0
 		for cat := 0; cat < ncat; cat++ {
-			base := cat*stride + p*NStates
-			for i := 0; i < NStates; i++ {
-				site += e.Model.Pi[i] * root[base+i]
-			}
+			b := cat*stride + p*NStates
+			site += pi[0]*clv[b] + pi[1]*clv[b+1] + pi[2]*clv[b+2] + pi[3]*clv[b+3]
 		}
 		site *= catW
 		if site <= 0 {
 			return 0, fmt.Errorf("likelihood: zero site likelihood at pattern %d (branch lengths too extreme?)", p)
 		}
-		logL += float64(e.Data.Weights[p]) * (math.Log(site) + e.logScale[p])
+		ll := math.Log(site) + scale[p]
+		if patLL != nil {
+			patLL[p] = ll
+		}
+		logL += float64(e.Data.Weights[p]) * ll
 	}
 	return logL, nil
 }
 
-func (e *Evaluator) fillLeaf(n *phylo.Node, ncat, npat int) error {
+func (e *Evaluator) fillLeaf(n *phylo.Node, clv []float64) error {
 	row := e.Data.TaxonIndex(n.Name)
 	if row < 0 {
 		return fmt.Errorf("likelihood: leaf %q has no alignment row", n.Name)
 	}
-	clv := e.clv[n.ID]
+	npat := e.Data.NPatterns()
 	stride := npat * NStates
 	for p := 0; p < npat; p++ {
 		mask := e.Data.Patterns[p][row]
-		base := p * NStates
 		for i := 0; i < NStates; i++ {
-			v := 0.0
-			if mask&(1<<uint(i)) != 0 {
-				v = 1.0
-			}
-			clv[base+i] = v
+			clv[p*NStates+i] = float64(mask >> i & 1)
 		}
 	}
 	// Copy category 0 into the remaining categories (leaf CLVs are
 	// category-independent).
-	for cat := 1; cat < ncat; cat++ {
-		copy(clv[cat*stride:(cat+1)*stride], clv[:stride])
+	for off := stride; off < len(clv); off += stride {
+		copy(clv[off:off+stride], clv[:stride])
 	}
 	return nil
 }
 
-func (e *Evaluator) fillInternal(n *phylo.Node, ncat, npat int) {
-	clv := e.clv[n.ID]
-	stride := npat * NStates
-	for k := 0; k < ncat*stride; k++ {
-		clv[k] = 1
-	}
-	for _, child := range n.Children {
-		childCLV := e.clv[child.ID]
-		for cat := 0; cat < ncat; cat++ {
-			e.Model.TransitionMatrix(child.Length*e.Rates.Rates[cat], &e.pmat)
-			cbase := cat * stride
-			for p := 0; p < npat; p++ {
-				b := cbase + p*NStates
-				c0, c1, c2, c3 := childCLV[b], childCLV[b+1], childCLV[b+2], childCLV[b+3]
-				clv[b] *= e.pmat[0][0]*c0 + e.pmat[0][1]*c1 + e.pmat[0][2]*c2 + e.pmat[0][3]*c3
-				clv[b+1] *= e.pmat[1][0]*c0 + e.pmat[1][1]*c1 + e.pmat[1][2]*c2 + e.pmat[1][3]*c3
-				clv[b+2] *= e.pmat[2][0]*c0 + e.pmat[2][1]*c1 + e.pmat[2][2]*c2 + e.pmat[2][3]*c3
-				clv[b+3] *= e.pmat[3][0]*c0 + e.pmat[3][1]*c1 + e.pmat[3][2]*c2 + e.pmat[3][3]*c3
-			}
+// absorb is the one pruning kernel: it multiplies the partial dst by
+// P(length·r)·src in each rate category r and adds src's log-scale vector
+// to dst's. The down pass absorbs each child into its parent, the up pass
+// the view from above and the siblings, and a Brent step the lower side
+// of an edge into the upper.
+func (e *Evaluator) absorb(dst, dstScale, src, srcScale []float64, length float64) {
+	stride := len(dstScale) * NStates
+	for cat, r := range e.Rates.Rates {
+		e.Model.TransitionMatrix(length*r, &e.pmat)
+		p := &e.pmat
+		d, s := dst[cat*stride:][:stride], src[cat*stride:][:stride]
+		for b := 0; b+NStates <= len(d); b += NStates {
+			c0, c1, c2, c3 := s[b], s[b+1], s[b+2], s[b+3]
+			d[b] *= p[0][0]*c0 + p[0][1]*c1 + p[0][2]*c2 + p[0][3]*c3
+			d[b+1] *= p[1][0]*c0 + p[1][1]*c1 + p[1][2]*c2 + p[1][3]*c3
+			d[b+2] *= p[2][0]*c0 + p[2][1]*c1 + p[2][2]*c2 + p[2][3]*c3
+			d[b+3] *= p[3][0]*c0 + p[3][1]*c1 + p[3][2]*c2 + p[3][3]*c3
 		}
 	}
-	// Per-pattern scaling across categories.
+	for i, v := range srcScale {
+		dstScale[i] += v
+	}
+}
+
+// rescale applies the numerical-scaling rule: a pattern whose largest entry
+// over categories and states is below scaleThreshold is divided by that
+// entry, whose log is added to the pattern's log-scale. The scan of a
+// pattern stops at the first category that reaches the threshold, which
+// for most patterns is the first.
+func rescale(clv, scale []float64) {
+	npat := len(scale)
+	stride := npat * NStates
 	for p := 0; p < npat; p++ {
 		maxV := 0.0
-		for cat := 0; cat < ncat; cat++ {
-			b := cat*stride + p*NStates
-			for i := 0; i < NStates; i++ {
-				if clv[b+i] > maxV {
-					maxV = clv[b+i]
-				}
-			}
+		for b := p * NStates; b < len(clv) && maxV < scaleThreshold; b += stride {
+			maxV = max(maxV, clv[b], clv[b+1], clv[b+2], clv[b+3])
 		}
 		if maxV > 0 && maxV < scaleThreshold {
 			inv := 1 / maxV
-			for cat := 0; cat < ncat; cat++ {
-				b := cat*stride + p*NStates
-				for i := 0; i < NStates; i++ {
-					clv[b+i] *= inv
-				}
+			for b := p * NStates; b < len(clv); b += stride {
+				clv[b] *= inv
+				clv[b+1] *= inv
+				clv[b+2] *= inv
+				clv[b+3] *= inv
 			}
-			e.logScale[p] += math.Log(maxV)
+			scale[p] += math.Log(maxV)
 		}
+	}
+}
+
+// resize returns buf with length n, reallocating only when it is too short.
+func resize(buf []float64, n int) []float64 {
+	if cap(buf) < n {
+		return make([]float64, n)
+	}
+	return buf[:n]
+}
+
+func fill(buf []float64, v float64) {
+	for i := range buf {
+		buf[i] = v
 	}
 }
