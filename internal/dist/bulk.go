@@ -76,9 +76,7 @@ func (s *Server) bulkBlob(key string) ([]byte, bool) {
 		}
 		ps.mu.Lock()
 		defer ps.mu.Unlock()
-		if set := ps.units[uid]; set != nil && set.unit != nil { // units is nil once done
-			return set.unit.Payload, true
-		}
+		return ps.table.payload(uid)
 	}
 	return nil, false
 }

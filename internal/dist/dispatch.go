@@ -53,7 +53,7 @@ func (s *Server) RequestTask(ctx context.Context, donor string) (*Task, time.Dur
 		// polling (and long-polling).
 		return nil, 0, nil
 	}
-	live := s.liveDonorCount(now)
+	live := max(s.liveDonors(now, nil), 1) // the requester itself just polled
 
 	// The visit order starts from the round-robin cursor (the fairness
 	// tiebreak) and is then reordered by urgency: priority descending,
@@ -105,7 +105,7 @@ func (s *Server) RequestTask(ctx context.Context, donor string) (*Task, time.Dur
 // tryDispatch attempts to hand one of ps's units to donor under ps's own
 // lock — acquired blockingly when block is set, with TryLock otherwise
 // (tried is false when the shard was skipped as contended). live is the
-// liveDonorCount sampled for this request. It returns the
+// liveDonors count sampled for this request. It returns the
 // dispatched task (nil when the problem has nothing for this donor) and
 // whether the problem is done — finished problems are pruned from the
 // rotation by the caller.
@@ -116,6 +116,7 @@ func (s *Server) tryDispatch(ps *problemState, donor string, view dispatchView, 
 		return nil, false, false
 	}
 	defer s.unlock(ps)
+	t := &ps.table
 	if ps.done {
 		return nil, true, true
 	}
@@ -124,63 +125,40 @@ func (s *Server) tryDispatch(ps *problemState, donor string, view dispatchView, 
 	// quorums resolve: every unit it takes must be replicated, so an
 	// unbounded stream of them multiplies the problem by the quorum (and
 	// hands a malicious donor free amplification).
-	capped := view.probation && ps.verifyBacklogLocked(donor, s.opts.ProbationUnits)
+	capped := view.probation && t.verifyBacklog(donor, s.opts.ProbationUnits)
 	// An open set — a requeued unit, or a pending quorum wanting one more
 	// replica — outranks fresh work: re-leasing it unblocks its fold.
-	if t := s.reissueLocked(ps, donor, view, capped, live > 1); t != nil {
-		return t, false, true
+	if task := t.reissue(donor, view.probation, capped, live > 1, view.now); task != nil {
+		return task, false, true
 	}
 	if capped {
 		// Parked at the backlog cap: a resolving quorum must wake this
 		// donor so it can claim fresh work again.
-		ps.starved = true
-		return nil, false, true
+		return t.idle(donor, true, view.now), false, true
 	}
 	budget := s.opts.Policy.Budget(view.stats, remainingCost(ps.p.DM), live)
 	budget = scaleBudgetByTrust(budget, view.trust)
 	for {
 		u, ok, err := ps.p.DM.NextUnit(budget)
 		if err != nil {
-			s.failLocked(ps, fmt.Errorf("dist: problem %q: NextUnit: %w", ps.id, err))
+			t.finish(fmt.Errorf("dist: problem %q: NextUnit: %w", ps.id, err))
 			return nil, true, true
 		}
 		if !ok {
 			if ps.p.DM.Done() {
-				s.finalizeLocked(ps)
+				t.finish(nil)
 				return nil, true, true
 			}
-			if len(ps.units) == 0 {
-				// Nothing dispatchable, no unit outstanding, not done: no
-				// future event can unstick this problem. Fail loudly rather
-				// than leaving Wait hanging.
-				s.failLocked(ps, fmt.Errorf("dist: problem %q stalled: no dispatchable units, none in flight, not done", ps.id))
-				return nil, true, true
-			}
-			// Nothing fresh, but the problem is close to done with leases
-			// still out: offer this free donor a speculative copy of the
-			// oldest straggler before parking it. A donor below the trust
-			// bar is never offered speculation — first-result-wins would
-			// let an untrusted copy fold unverified.
-			if !view.probation {
-				if t := s.speculateLocked(ps, donor, view); t != nil {
-					return t, false, true
-				}
-			}
-			// A dispatch scan starved on this problem: the next folded result
-			// may release stage-barrier units, so it must wake parked donors.
-			ps.starved = true
-			return nil, false, true
+			// Nothing fresh: a speculative copy of a straggler, or park.
+			task := t.idle(donor, view.probation, view.now)
+			return task, t.done, true
 		}
-		if set := ps.units[u.ID]; set != nil {
-			// A set rebuilt from the journal whose unit the DataManager
-			// just regenerated: attach the unit, which opens the set. If
-			// this donor cannot serve it, keep scanning — other donors will.
-			if set.unit == nil {
-				set.unit = u
-				s.syncOpenLocked(ps, set)
-			}
-			if t := s.reissueLocked(ps, donor, view, false, live > 1); t != nil {
-				return t, false, true
+		if t.attach(u) {
+			// A set rebuilt from the journal whose unit the DataManager just
+			// regenerated. If this donor cannot serve it, keep scanning —
+			// other donors will.
+			if task := t.reissue(donor, view.probation, false, live > 1, view.now); task != nil {
+				return task, false, true
 			}
 			continue
 		}
@@ -188,77 +166,8 @@ func (s *Server) tryDispatch(ps *problemState, donor string, view dispatchView, 
 		if s.verifyEnabled() && (view.probation || s.sampleVerifyLocked(ps)) {
 			quorum = s.opts.VerifyQuorum
 		}
-		return s.grantLeaseLocked(ps, ps.addSetLocked(u.ID, u, quorum), donor, view), false, true
+		return t.grant(t.add(u.ID, u, quorum), donor, view.probation, view.now), false, true
 	}
-}
-
-// reissueLocked leases donor the first open set it is eligible for: not
-// already involved in it, trusted when the set waits for a trusted
-// tie-breaker, and — for a requeued ordinary unit — preferably not the
-// donor that just lost it, so a unit one machine cannot compute migrates.
-// That preference only holds while some *other* donor is actually alive
-// (othersAlive: the request's live-donor count exceeds the requester
-// itself) — a donor that has not polled for a full lease is presumed gone,
-// and waiting for it would starve the unit forever. The count can be a poll
-// interval stale; the consequence is at most one deferred pickup, never a
-// lost unit. capped donors (see tryDispatch) only serve replicas of sets
-// already spot-checked. Callers hold ps.mu.
-//
-//dist:locked mu
-func (s *Server) reissueLocked(ps *problemState, donor string, view dispatchView, capped, othersAlive bool) *Task {
-	var own *attemptSet
-	for _, set := range ps.open {
-		if set.involves(donor) || (set.trustedOnly && view.probation) || (set.quorum == 1 && capped) {
-			continue
-		}
-		if set.quorum == 1 && set.lastDonor == donor {
-			if own == nil {
-				own = set
-			}
-			continue
-		}
-		return s.grantLeaseLocked(ps, set, donor, view)
-	}
-	if own != nil && !othersAlive {
-		return s.grantLeaseLocked(ps, own, donor, view) // no other live donor: better to retry than to stall
-	}
-	return nil
-}
-
-// speculateLocked implements straggler speculation (ServerOptions.
-// SpeculateAfter): when a problem has no fresh units but is at least the
-// configured fraction complete, a free donor is granted a second,
-// concurrent lease on the ordinary unit whose only lease is oldest, instead
-// of parking. Whichever copy reports first folds and the other donor is
-// sent a cancel notice; a failure or expiry of either lease leaves the
-// other standing. Each unit is speculated at most once, never to its own
-// holder, and never while open sets are waiting for a donor. Callers hold
-// ps.mu.
-//
-//dist:locked mu
-func (s *Server) speculateLocked(ps *problemState, donor string, view dispatchView) *Task {
-	frac := s.opts.SpeculateAfter
-	if frac <= 0 || frac > 1 || len(ps.open) > 0 {
-		return nil
-	}
-	if float64(ps.completed) < frac*float64(ps.completed+len(ps.units)) {
-		return nil
-	}
-	var pick *attemptSet
-	for _, set := range ps.units {
-		if set.quorum != 1 || set.speculated || len(set.leases) != 1 || set.leases[0].donor == donor {
-			continue
-		}
-		if pick == nil || set.leases[0].deadline.Before(pick.leases[0].deadline) {
-			pick = set
-		}
-	}
-	if pick == nil {
-		return nil
-	}
-	pick.speculated = true
-	ps.speculated++
-	return s.grantLeaseLocked(ps, pick, donor, view)
 }
 
 // pruneRotation removes finished problems from the dispatch order. Their
@@ -300,48 +209,27 @@ func (s *Server) feedThroughput(ds *donorState, cost int64, elapsed time.Duratio
 	ds.mu.Unlock()
 }
 
-// liveDonorExcept reports whether any donor that could still be handed
-// work — it polled within the last lease interval before now and is not
-// quarantined — is not skipped. It takes donor locks, possibly under a
-// problem lock, which the lock order permits: donor locks are leaves.
-func (s *Server) liveDonorExcept(now time.Time, skip func(name string) bool) bool {
-	cutoff := now.Add(-s.opts.Lease)
-	s.donorMu.RLock()
-	defer s.donorMu.RUnlock()
-	for name, ds := range s.donors {
-		if skip(name) {
-			continue
-		}
-		ds.mu.Lock()
-		alive := ds.lastSeen.After(cutoff) && !ds.quarantined
-		ds.mu.Unlock()
-		if alive {
-			return true
-		}
-	}
-	return false
-}
-
-// liveDonorCount counts the donors that can be handed work — seen within
-// the last lease interval and not quarantined: the pool size scheduling
-// policies divide remaining work by. Counting every donor ever seen would
-// permanently shrink GSS/factoring unit sizes after churn. Never returns
-// less than 1 (the caller itself just polled), so a count above 1 means
-// some other donor is alive.
-func (s *Server) liveDonorCount(now time.Time) int {
+// liveDonors counts the donors that can be handed work — seen within the
+// last lease interval before now and not quarantined — skipping those skip
+// (if non-nil) names: the pool size scheduling policies divide remaining
+// work by, and the quorum rule's "can a tie-breaker still arrive". Counting
+// every donor ever seen would permanently shrink GSS/factoring unit sizes
+// after churn. It takes donor locks, possibly under a problem lock, which
+// the lock order permits: donor locks are leaves.
+func (s *Server) liveDonors(now time.Time, skip func(name string) bool) int {
 	cutoff := now.Add(-s.opts.Lease)
 	n := 0
 	s.donorMu.RLock()
-	for _, ds := range s.donors {
+	defer s.donorMu.RUnlock()
+	for name, ds := range s.donors {
+		if skip != nil && skip(name) {
+			continue
+		}
 		ds.mu.Lock()
 		if ds.lastSeen.After(cutoff) && !ds.quarantined {
 			n++
 		}
 		ds.mu.Unlock()
-	}
-	s.donorMu.RUnlock()
-	if n < 1 {
-		n = 1
 	}
 	return n
 }

@@ -10,7 +10,7 @@
 // or expired units are requeued to other donors, which is how the system
 // tolerates lab machines being switched off mid-run. Every outstanding
 // unit is one attempt set walking one lifecycle — granted, dropped,
-// offered a result, folded exactly once (attempts.go) — and straggler
+// offered a result, folded exactly once (units.go) — and straggler
 // speculation and quorum verification are two settings of that set, not
 // separate mechanisms. See
 // docs/ARCHITECTURE.md at the repository root for the layer map, the wire

@@ -202,7 +202,7 @@ func (s *Server) recover(rec *journal.Recovered) error {
 		if _, ok := entries[sn.ProblemID]; !ok {
 			order = append(order, sn.ProblemID)
 		}
-		entries[sn.ProblemID] = &recEntry{snap: sn, dm: dm}
+		entries[sn.ProblemID] = &recEntry{snap: sn, dm: dm, replicas: make(map[int64]map[string][]byte)}
 	}
 	for _, sn := range rec.Problems {
 		restore(sn)
@@ -233,9 +233,6 @@ func (s *Server) recover(rec *journal.Recovered) error {
 			if !ok || e.snap.Epoch != r.Epoch {
 				continue
 			}
-			if e.replicas == nil {
-				e.replicas = make(map[int64]map[string][]byte)
-			}
 			if e.replicas[r.UnitID] == nil {
 				e.replicas[r.UnitID] = make(map[string][]byte)
 			}
@@ -260,60 +257,33 @@ func (s *Server) recover(rec *journal.Recovered) error {
 			continue // forgotten in the tail
 		}
 		sn := e.snap
-		requeued := int(sn.Dispatched - sn.Completed)
-		if requeued < 0 {
-			requeued = 0
-		}
+		requeued := max(int(sn.Dispatched-sn.Completed), 0)
 		completed := int(sn.Completed)
-		dispatched := int(sn.Dispatched)
-		if dispatched < completed {
-			// Tail folds can outnumber snapshotted dispatch events; keep
-			// the counters' dispatched ≥ completed invariant.
-			dispatched = completed
-		}
-		ps := &problemState{
-			id:           id,
-			epoch:        s.epochSeq.Add(1),
-			sharedDigest: wire.Digest(sn.Shared),
-			p:            &Problem{ID: id, DM: e.dm, SharedData: sn.Shared},
-			shared:       sn.Shared,
-			units:        make(map[int64]*attemptSet),
-			doneCh:       make(chan struct{}),
-			durable:      true,
-			kind:         sn.Kind,
-			recovered:    true,
-			dispatched:   dispatched,
-			completed:    completed,
-			reissued:     int(sn.Reissued),
-		}
+		// Tail folds can outnumber snapshotted dispatch events; keep the
+		// counters' dispatched ≥ completed invariant.
+		dispatched := max(int(sn.Dispatched), completed)
+		ps := s.newProblemState(&Problem{ID: id, DM: e.dm, SharedData: sn.Shared}, s.epochSeq.Add(1), wire.Digest(sn.Shared))
+		ps.durable, ps.kind, ps.recovered = true, sn.Kind, true
 		s.regMu.Lock()
 		s.problems[id] = ps
 		s.order = append(s.order, id)
 		s.untombstoneLocked(id)
 		s.regMu.Unlock()
 		ps.mu.Lock()
+		ps.table.resume(dispatched, completed, int(sn.Reissued))
 		if e.dm.Done() {
 			// Every fold was journaled before the crash: the problem
 			// completes during replay and waiters get the result without
 			// any recomputation.
-			s.finalizeLocked(ps)
+			ps.table.finish(nil)
 		} else if s.verifyEnabled() {
 			// Rebuild the pending spot-checked sets from their journaled
-			// replicas, so quorums started before the crash complete across
-			// it instead of recomputing every copy. The sets have no unit
-			// yet (the restored DataManager re-emits it under its original
-			// ID at the next dispatch) and no leases; donor trust is soft
-			// state, so every recovered result counts as untrusted. A set
-			// whose quorum was already satisfied — the fold record was lost
-			// with the crash — resolves right here: no donor is trusted
-			// this early, so plain count quorum applies.
+			// replicas (unitTable.restore). No donor is trusted this early,
+			// so a set whose quorum was already satisfied resolves by plain
+			// count.
+			now := time.Now()
 			for uid, byDonor := range e.replicas {
-				set := ps.addSetLocked(uid, nil, s.opts.VerifyQuorum)
-				for donor, payload := range byDonor {
-					set.donors = append(set.donors, donor)
-					set.results = append(set.results, heldResult{donor: donor, payload: payload})
-				}
-				s.settleLocked(ps, set, time.Now())
+				ps.table.restore(uid, byDonor, now, s)
 			}
 		}
 		s.unlock(ps)
@@ -417,22 +387,19 @@ func (s *Server) captureDurable() ([]journal.Snapshot, error) {
 			ps.mu.Unlock()
 			return nil, fmt.Errorf("dist: problem %q: marshal durable state: %w", ps.id, err)
 		}
+		t := &ps.table
 		snaps = append(snaps, journal.Snapshot{
 			ProblemID:  ps.id,
 			Epoch:      ps.epoch,
 			Kind:       ps.kind,
 			State:      state,
 			Shared:     ps.shared,
-			Dispatched: int64(ps.dispatched),
-			Completed:  int64(ps.completed),
-			Reissued:   int64(ps.reissued),
+			Dispatched: int64(t.dispatched),
+			Completed:  int64(t.completed),
+			Reissued:   int64(t.reissued),
 		})
-		for _, set := range ps.units {
-			for _, r := range set.results {
-				_ = s.journal.Append(&journal.Replica{ProblemID: ps.id, Epoch: ps.epoch, UnitID: set.uid, Donor: r.donor, Payload: r.payload})
-			}
-		}
-		ps.mu.Unlock()
+		t.rejournal()
+		s.unlock(ps)
 	}
 	return snaps, nil
 }

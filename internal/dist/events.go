@@ -229,7 +229,7 @@ func (ps *problemState) eventLocked(kind EventKind, app bool) Event {
 		ProblemID: ps.id,
 		Epoch:     ps.epoch,
 		Time:      time.Now(),
-		Completed: ps.completed,
+		Completed: ps.table.completed,
 		Inflight:  int(ps.inflightN.Load()),
 	}
 	if pr, ok := ps.p.DM.(Progresser); ok && app {
@@ -311,25 +311,15 @@ func (s *Server) sendLocked(ps *problemState, w *watcher, ev Event) {
 	}
 }
 
-// publishUnitEventLocked emits a unit-granularity event. Callers hold
-// ps.mu.
+// publishEffectLocked emits an event a table transition owed, with the
+// counters as they were at the transition. Callers hold ps.mu.
 //
 //dist:locked mu
-func (s *Server) publishUnitEventLocked(ps *problemState, kind EventKind, unitID int64, donor string) {
+func (s *Server) publishEffectLocked(ps *problemState, e *effect) {
 	if len(ps.watchers) == 0 {
 		return
 	}
-	ev := ps.eventLocked(kind, false)
-	ev.UnitID, ev.Donor = unitID, donor
+	ev := ps.eventLocked(e.event, e.event == EventProgress)
+	ev.UnitID, ev.Donor, ev.Completed, ev.Inflight = e.uid, e.donor, e.completed, e.inflight
 	s.publishLocked(ps, ev)
-}
-
-// publishProgressLocked emits an EventProgress with current counters.
-// Callers hold ps.mu.
-//
-//dist:locked mu
-func (s *Server) publishProgressLocked(ps *problemState) {
-	if len(ps.watchers) > 0 {
-		s.publishLocked(ps, ps.eventLocked(EventProgress, true))
-	}
 }

@@ -1,6 +1,6 @@
 package dist
 
-// A seeded, clock-free check of the attempt-set machine (attempts.go): each
+// A seeded, clock-free check of the unit lifecycle (units.go): each
 // seed fixes a schedule of coordinator calls and injected faults against one
 // in-process Server whose lease clock never fires on its own, and the
 // invariants are asserted after every single step rather than sampled under
@@ -12,6 +12,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -104,62 +105,109 @@ func (r *lifeRun) failf(format string, args ...any) {
 	r.t.Fatalf("seed %d step %d: %s", r.seed, r.step, fmt.Sprintf(format, args...))
 }
 
-// check asserts the lifecycle invariants against the server's own state.
+// check asserts the lifecycle invariants (checkUnits) against the server's
+// own state, and that Status and Stats agree with the table.
 func (r *lifeRun) check() {
 	r.t.Helper()
-	for item, f := range r.dm.folds {
-		if f > 1 {
-			r.failf("item %d folded %d times", item, f)
-		}
-	}
-	if r.dm.unknown > 0 {
-		r.failf("server folded %d results for units the DataManager retired or never issued", r.dm.unknown)
-	}
 	status, err := r.s.Status(bg, "life")
 	if err != nil {
 		r.failf("Status: %v", err)
 	}
 	stats, _ := r.s.Stats(bg, "life")
-	if stats.Completed > stats.Dispatched {
-		r.failf("completed %d > dispatched %d", stats.Completed, stats.Dispatched)
-	}
 	ps := r.ps
 	ps.mu.Lock()
 	defer ps.mu.Unlock()
-	leases := 0
-	listed := make(map[*attemptSet]bool, len(ps.open))
-	for _, set := range ps.open {
-		if ps.units[set.uid] != set {
-			r.failf("open lists unit %d, which is not in the table", set.uid)
+	if err := checkUnits(&ps.table, r.dm); err != nil {
+		r.failf("%v", err)
+	}
+	if status.Inflight != int(ps.inflightN.Load()) || stats.Completed != ps.table.completed || stats.Dispatched != ps.table.dispatched {
+		r.failf("Status.Inflight %d, Stats %d/%d completed/dispatched; table %d inflight, %d/%d",
+			status.Inflight, stats.Completed, stats.Dispatched, ps.inflightN.Load(), ps.table.completed, ps.table.dispatched)
+	}
+}
+
+// checkUnits asserts the invariants units.go claims against one table and
+// the lifeDM behind it, returning the first violation: each item folded at
+// most once and only through IDs the DataManager issued; completed ≤
+// dispatched; open lists exactly the sets that want a lease, each once; at
+// most one lease per donor per unit and max(quorum, 2) per unit; held
+// results only on spot-checked sets, one per donor, each from a donor
+// involved in the set; at most maxVerifyDonors donors per set; the inflight
+// count equal to the live leases; and a unit's payload servable iff its set
+// is in the table, which holds exactly the units the DataManager has issued
+// and not yet folded or taken back — none at all once the problem ended.
+// The seeded walk below and the exhaustive explorer (units_test.go) both
+// call it after every step.
+func checkUnits(t *unitTable, dm *lifeDM) error {
+	for item, f := range dm.folds {
+		if f > 1 {
+			return fmt.Errorf("item %d folded %d times", item, f)
+		}
+	}
+	if dm.unknown > 0 {
+		return fmt.Errorf("%d results folded for units the DataManager retired or never issued", dm.unknown)
+	}
+	if t.completed > t.dispatched {
+		return fmt.Errorf("completed %d > dispatched %d", t.completed, t.dispatched)
+	}
+	listed := make(map[*attemptSet]bool, len(t.open))
+	for _, set := range t.open {
+		if t.sets[set.uid] != set {
+			return fmt.Errorf("open lists unit %d, which is not in the table", set.uid)
 		}
 		if listed[set] {
-			r.failf("open lists unit %d twice", set.uid)
+			return fmt.Errorf("open lists unit %d twice", set.uid)
 		}
 		listed[set] = true
 	}
-	for uid, set := range ps.units {
+	leases := 0
+	for uid, set := range t.sets {
 		leases += len(set.leases)
 		if limit := max(set.quorum, 2); len(set.leases) > limit {
-			r.failf("unit %d has %d live leases, quorum %d", uid, len(set.leases), set.quorum)
+			return fmt.Errorf("unit %d has %d live leases, quorum %d", uid, len(set.leases), set.quorum)
 		}
 		if len(set.donors) > maxVerifyDonors {
-			r.failf("unit %d involves %d donors", uid, len(set.donors))
+			return fmt.Errorf("unit %d involves %d donors", uid, len(set.donors))
 		}
 		seen := make(map[string]bool, len(set.leases))
 		for _, l := range set.leases {
 			if seen[l.donor] {
-				r.failf("donor %s holds two leases on unit %d", l.donor, uid)
+				return fmt.Errorf("donor %s holds two leases on unit %d", l.donor, uid)
 			}
 			seen[l.donor] = true
 		}
-		want, _ := r.s.wantsLeaseLocked(ps, set)
-		if want != set.open || want != listed[set] {
-			r.failf("unit %d: wants lease %v, open flag %v, listed %v", uid, want, set.open, listed[set])
+		if set.quorum == 1 && len(set.results) > 0 {
+			return fmt.Errorf("unit %d of quorum 1 holds %d results", uid, len(set.results))
+		}
+		clear(seen)
+		for _, r := range set.results {
+			if seen[r.donor] {
+				return fmt.Errorf("unit %d holds two results of donor %s", uid, r.donor)
+			}
+			seen[r.donor] = true
+			if !slices.Contains(set.donors, r.donor) {
+				return fmt.Errorf("unit %d holds a result of donor %s, which is not involved in it", uid, r.donor)
+			}
+		}
+		if want, _ := t.wantsLease(set); want != set.open || want != listed[set] {
+			return fmt.Errorf("unit %d: wants lease %v, open flag %v, listed %v", uid, want, set.open, listed[set])
+		}
+		if _, ok := dm.byID[uid]; !ok {
+			return fmt.Errorf("unit %d is in the table, but the DataManager folded or took it back", uid)
 		}
 	}
-	if n := int(ps.inflightN.Load()); status.Inflight != leases || n != leases {
-		r.failf("Status.Inflight %d, inflightN %d, live leases %d", status.Inflight, n, leases)
+	for uid := range dm.byID {
+		if _, ok := t.payload(uid); ok == t.done {
+			return fmt.Errorf("unit %d is pending at the DataManager; servable %v, problem ended %v", uid, ok, t.done)
+		}
 	}
+	if t.done && (len(t.sets) > 0 || len(t.open) > 0) {
+		return fmt.Errorf("ended with %d units, %d open", len(t.sets), len(t.open))
+	}
+	if n := t.inflight.Load(); n != int64(leases) {
+		return fmt.Errorf("inflight %d, live leases %d", n, leases)
+	}
+	return nil
 }
 
 func (r *lifeRun) request(donor string) {
@@ -324,7 +372,7 @@ func runLifecycleSeed(t *testing.T, seed int64) {
 			break
 		}
 		if round == 64 {
-			r.failf("problem did not finish: %d outstanding units", len(ps.units))
+			r.failf("problem did not finish: %d outstanding units", len(ps.table.sets))
 		}
 		for _, donor := range donors {
 			r.step++
@@ -349,7 +397,7 @@ func runLifecycleSeed(t *testing.T, seed int64) {
 		}
 	}
 	ps.mu.Lock()
-	units, open := len(ps.units), len(ps.open)
+	units, open := len(ps.table.sets), len(ps.table.open)
 	ps.mu.Unlock()
 	if st, _ := s.Status(bg, "life"); units != 0 || open != 0 || st.Inflight != 0 {
 		r.failf("finished with %d units, %d open, %d inflight", units, open, st.Inflight)

@@ -208,8 +208,8 @@ type problemState struct {
 	// inflightN counts the live leases across every attempt set, as an
 	// atomic so the dispatch scan can rank problems by outstanding leases
 	// (the work-stealing key) without locking shards it will not visit. It
-	// is also what Status and every event report as Inflight. Updated
-	// wherever a lease is granted or goes, always under mu.
+	// is also what Status and every event report as Inflight. Only the
+	// problem's unitTable writes it, always under mu.
 	inflightN atomic.Int64
 
 	// mu guards every field below. DataManager methods are called with mu
@@ -223,21 +223,11 @@ type problemState struct {
 	// caller-owned Problem struct.
 	//dist:guardedby mu
 	shared []byte
-	// units is the attempt table: every outstanding unit — leased, awaiting
-	// reissue, or held for quorum — keyed by unit ID (attempts.go). open
-	// lists the sets that currently want a lease, oldest first, so dispatch
-	// never scans the table.
+	// table is the unit lifecycle: the attempt table, its open list and the
+	// unit counters (units.go). Every transition goes through it, and the
+	// effects it owes are applied by Server.unlock.
 	//dist:guardedby mu
-	units map[int64]*attemptSet
-	//dist:guardedby mu
-	open []*attemptSet
-	// wake and trustDeltas are what the current critical section owes once
-	// mu drops: a wake of parked donors, and quorum outcomes for the donor
-	// trust EWMAs. Server.unlock pays both.
-	//dist:guardedby mu
-	wake bool
-	//dist:guardedby mu
-	trustDeltas []trustDelta
+	table unitTable
 	// verifyAcc is the deterministic sampling accumulator: each fresh
 	// dispatch adds VerifyFraction and a unit is spot-checked whenever the
 	// accumulator crosses 1 — no randomness, so tests can count on exact
@@ -247,36 +237,6 @@ type problemState struct {
 	// watchers are the live Watch subscriptions (see events.go).
 	//dist:guardedby mu
 	watchers []*watcher
-
-	dispatched int //dist:guardedby mu
-	completed  int //dist:guardedby mu
-	reissued   int //dist:guardedby mu
-	// speculated counts units re-dispatched by the straggler-speculation
-	// scan; each also counts once more in dispatched.
-	//dist:guardedby mu
-	speculated int
-	// verified counts units folded through quorum agreement; conflicts
-	// counts quorum resolutions that discarded at least one disagreeing
-	// replica result.
-	//dist:guardedby mu
-	verified int
-	//dist:guardedby mu
-	conflicts int
-	// consecFails / consecTransport count compute and transport failures
-	// since the last successful Consume.
-	//dist:guardedby mu
-	consecFails int
-	//dist:guardedby mu
-	consecTransport int
-
-	// starved records that a dispatch scan came up empty-handed for this
-	// problem while it was still live (NextUnit said "nothing yet" — a
-	// stage barrier, typically). Only then can folding a result release
-	// new units, so only then does foldLocked wake parked WaitTask
-	// donors; gating the wake this way keeps a busy fleet's result stream
-	// from making every parked donor rescan on every fold.
-	//dist:guardedby mu
-	starved bool
 
 	done   bool   //dist:guardedby mu
 	result []byte //dist:guardedby mu
@@ -391,9 +351,8 @@ type Server struct {
 	// every parked donor re-runs its dispatch scan; the events that can
 	// make a unit dispatchable — a Submit, an attempt set left open by a
 	// failure, lease expiry or held result, and a folded result on a
-	// problem some scan starved on
-	// (stage barriers release new units on a fold; see problemState.
-	// starved) — all wake it. A leaf lock.
+	// problem some scan starved on (stage barriers release new units on a
+	// fold; see unitTable.starved) — all wake it. A leaf lock.
 	parkMu sync.Mutex
 	parkCh chan struct{} //dist:guardedby parkMu
 
@@ -495,19 +454,8 @@ func (s *Server) Submit(ctx context.Context, p *Problem) error {
 		s.regMu.Unlock()
 		return fmt.Errorf("dist: problem %q already submitted", p.ID)
 	}
-	ps := &problemState{
-		id:           p.ID,
-		epoch:        s.epochSeq.Add(1),
-		sharedDigest: sharedDigest,
-		durable:      jrec != nil,
-		kind:         kind,
-		priority:     p.Priority,
-		deadline:     p.Deadline,
-		p:            p,
-		shared:       p.SharedData,
-		units:        make(map[int64]*attemptSet),
-		doneCh:       make(chan struct{}),
-	}
+	ps := s.newProblemState(p, s.epochSeq.Add(1), sharedDigest)
+	ps.durable, ps.kind = jrec != nil, kind
 	s.problems[p.ID] = ps
 	s.order = append(s.order, p.ID)
 	s.untombstoneLocked(p.ID) // the ID is live again
@@ -525,8 +473,8 @@ func (s *Server) Submit(ctx context.Context, p *Problem) error {
 		if jerr := s.journal.AppendSync(jrec); jerr != nil {
 			jerr = fmt.Errorf("dist: problem %q: journal submit: %w", p.ID, jerr)
 			ps.mu.Lock()
-			s.failLocked(ps, jerr)
-			ps.mu.Unlock()
+			ps.table.finish(jerr)
+			s.unlock(ps)
 			s.regMu.Lock()
 			if cur := s.problems[p.ID]; cur == ps {
 				delete(s.problems, p.ID)
@@ -542,13 +490,13 @@ func (s *Server) Submit(ctx context.Context, p *Problem) error {
 	// held across DataManager calls, or one slow implementation would stall
 	// every other problem's lookups. The problem is dispatchable from the
 	// moment regMu drops; a donor racing in merely discovers Done() itself
-	// and finalizeLocked is idempotent.
+	// and finishing is idempotent.
 	ps.mu.Lock()
 	s.publishLocked(ps, s.snapshotEventLocked(ps))
 	if p.DM.Done() {
-		s.finalizeLocked(ps)
+		ps.table.finish(nil)
 	}
-	ps.mu.Unlock()
+	s.unlock(ps)
 	// A fresh problem means fresh dispatchable units: wake long-poll
 	// donors parked in WaitTask so they pick them up now instead of at
 	// their next poll tick.
@@ -675,9 +623,9 @@ func (s *Server) forgetMatching(id string, only *problemState) error {
 	ps.mu.Lock()
 	// A still-running problem fails (releasing its units and shared blob,
 	// cancelling its donors, and unblocking waiters); a completed one
-	// already released everything in finalize/fail, so this is a no-op.
-	s.failLocked(ps, fmt.Errorf("%w: %q evicted before completion", ErrForgotten, id))
-	ps.mu.Unlock()
+	// already released everything when it ended, so this is a no-op.
+	ps.table.finish(fmt.Errorf("%w: %q evicted before completion", ErrForgotten, id))
+	s.unlock(ps)
 
 	s.regMu.Lock()
 	// Identity-checked removal: a concurrent Forget of the same ID may
@@ -761,9 +709,9 @@ func (s *Server) Status(ctx context.Context, id string) (Status, error) {
 	ps.mu.Lock()
 	defer ps.mu.Unlock()
 	st := Status{
-		Completed: ps.completed,
+		Completed: ps.table.completed,
 		Inflight:  int(ps.inflightN.Load()),
-		Reissued:  ps.reissued,
+		Reissued:  ps.table.reissued,
 		Done:      ps.done,
 		Recovered: ps.recovered,
 	}
@@ -803,13 +751,14 @@ func (s *Server) Stats(ctx context.Context, id string) (ProblemStats, error) {
 	}
 	ps.mu.Lock()
 	defer ps.mu.Unlock()
+	t := &ps.table
 	return ProblemStats{
-		Dispatched: ps.dispatched,
-		Completed:  ps.completed,
-		Reissued:   ps.reissued,
-		Speculated: ps.speculated,
-		Verified:   ps.verified,
-		Conflicts:  ps.conflicts,
+		Dispatched: t.dispatched,
+		Completed:  t.completed,
+		Reissued:   t.reissued,
+		Speculated: t.speculated,
+		Verified:   t.verified,
+		Conflicts:  t.conflicts,
 		Recovered:  ps.recovered,
 	}, nil
 }
@@ -846,8 +795,8 @@ func (s *Server) Close() error {
 	s.regMu.Unlock()
 	for _, ps := range toFail {
 		ps.mu.Lock()
-		s.failLocked(ps, ErrClosed)
-		ps.mu.Unlock()
+		ps.table.finish(ErrClosed)
+		s.unlock(ps)
 	}
 	s.stopOnce.Do(func() { close(s.stop) })
 	s.wg.Wait()
@@ -873,54 +822,46 @@ func (s *Server) FetchContent(ctx context.Context, _ string, digest string) ([]b
 	return nil, fmt.Errorf("dist: blob %q not found", key)
 }
 
-// finalizeLocked marks a problem done with its DataManager's final result.
+// newProblemState builds a problem's bookkeeping under a fresh incarnation
+// epoch. The caller owns it exclusively until it is registered.
+//
+//dist:locked mu
+func (s *Server) newProblemState(p *Problem, epoch int64, sharedDigest string) *problemState {
+	ps := &problemState{
+		id:           p.ID,
+		epoch:        epoch,
+		sharedDigest: sharedDigest,
+		priority:     p.Priority,
+		deadline:     p.Deadline,
+		p:            p,
+		shared:       p.SharedData,
+		doneCh:       make(chan struct{}),
+	}
+	task := Task{ProblemID: p.ID, Epoch: epoch, SharedDigest: sharedDigest, Priority: p.Priority}
+	ps.table = newUnitTable(task, p.DM, s.opts, &ps.inflightN)
+	return ps
+}
+
+// endLocked applies the end of a problem its table owed (unitTable.finish,
+// which already released the attempt table and cancelled every lease still
+// out): done with the DataManager's final result when err is nil, failed
+// with err otherwise. Waiters are released, the terminal Watch event fires,
+// and the server drops its reference to the shared blob — which ends the
+// blob's life on the bulk channel, which serves it from here (bulkBlob). A
+// donor fetching a finished problem's shared blob gets not-found, unless a
+// live problem carries the same bytes, and its failure report is ignored.
 // Callers hold ps.mu.
 //
 //dist:locked mu
-func (s *Server) finalizeLocked(ps *problemState) {
+func (s *Server) endLocked(ps *problemState, err error) {
 	if ps.done {
 		return
 	}
-	out, err := ps.p.DM.FinalResult()
-	ps.done = true
-	ps.result, ps.err = out, err
-	close(ps.doneCh)
-	s.releaseLocked(ps)
-}
-
-// failLocked marks a problem done with an error. Callers hold ps.mu.
-//
-//dist:locked mu
-func (s *Server) failLocked(ps *problemState, err error) {
-	if ps.done {
-		return
+	if err == nil {
+		ps.result, err = ps.p.DM.FinalResult()
 	}
-	ps.done = true
-	ps.err = err
+	ps.done, ps.err = true, err
 	close(ps.doneCh)
-	s.releaseLocked(ps)
-}
-
-// releaseLocked drops a finished problem's attempt table and the shared
-// blob: a problem that finalized early (Done with units still out) must not
-// pin unit payloads for the server's lifetime, and Status should not report
-// in-flight work for a done problem. Donors still computing one of the
-// leased units get a cancel notice so they abort instead of finishing work
-// whose result would be dropped. (A donor fetching a finished problem's
-// shared blob gets not-found, unless a live problem carries the same
-// bytes, and its failure report is ignored — the problem is done.)
-// Dropping the table and the blob is also what ends their life on the bulk
-// channel, which serves them from here (bulkBlob). The terminal Watch event
-// fires here too, under the problem lock. Callers hold ps.mu; ps.done is
-// already true.
-//
-//dist:locked mu
-func (s *Server) releaseLocked(ps *problemState) {
-	for _, set := range ps.units {
-		s.cancelLeasesLocked(ps, set)
-	}
-	ps.inflightN.Store(0)
-	ps.units, ps.open = nil, nil
 	s.publishLocked(ps, s.terminalEventLocked(ps))
 	ps.shared = nil // the server's reference only; the caller's Problem is untouched
 }

@@ -6,13 +6,12 @@ package dist
 // and the coordinator trusts it blindly. With ServerOptions.VerifyFraction
 // set, a sampled fraction of units — and every unit handed to a donor
 // that is not trusted — becomes an attempt set with quorum VerifyQuorum
-// (attempts.go). Quorum outcomes feed the per-donor trust EWMA kept here,
+// (units.go). Quorum outcomes feed the per-donor trust EWMA kept here,
 // the only per-donor verification state: a donor is trusted iff it is not
 // quarantined and its trust is at or above Server.trustBar, and donors
 // falling below the trust floor are quarantined.
 
 import (
-	"slices"
 	"sort"
 	"time"
 
@@ -40,7 +39,7 @@ const (
 )
 
 // trustDelta is one pending trust update, collected under a problem lock
-// (problemState.trustDeltas) and applied after it drops: donor locks are
+// (unitTable's effects) and applied after it drops: donor locks are
 // leaves, and enacting a quarantine walks every problem.
 type trustDelta struct {
 	donor   string
@@ -99,21 +98,9 @@ func (s *Server) standing(ds *donorState) (trusted, quarantined bool) {
 
 // trustedDonorExists reports whether some known donor is trusted — the
 // fleet-wide condition under which a quorum must include a trusted member
-// (see resolveLocked). It takes donor locks, possibly under a problem
+// (see unitTable.resolve). It takes donor locks, possibly under a problem
 // lock, which the lock order permits: donor locks are leaves.
-func (s *Server) trustedDonorExists() bool {
-	s.donorMu.RLock()
-	defer s.donorMu.RUnlock()
-	for _, ds := range s.donors {
-		ds.mu.Lock()
-		trusted := s.trustedLocked(ds)
-		ds.mu.Unlock()
-		if trusted {
-			return true
-		}
-	}
-	return false
-}
+func (s *Server) trustedDonorExists() bool { return s.FleetTrust().Trusted > 0 }
 
 // donorDispatchView snapshots the donor's stats and verification standing
 // for one dispatch scan.
@@ -144,28 +131,6 @@ func scaleBudgetByTrust(budget int64, trust float64) int64 {
 		b = 1
 	}
 	return b
-}
-
-// verifyBacklogLocked reports whether the donor is involved in at least
-// limit pending spot-checked sets — outstanding unverified work
-// attributable to it. An untrusted donor at ProbationUnits of backlog
-// receives no fresh units (it may still serve other sets' replicas):
-// without the bound, a fast unproven donor streams primaries quicker than
-// the fleet resolves them and every one must be replicated, so the
-// cold-start (or an attacker) multiplies the whole problem by the quorum.
-// Callers hold mu.
-//
-//dist:locked mu
-func (ps *problemState) verifyBacklogLocked(donor string, limit int) (atCap bool) {
-	n := 0
-	for _, set := range ps.units {
-		if set.quorum > 1 && set.involves(donor) {
-			if n++; n >= limit {
-				return true
-			}
-		}
-	}
-	return false
 }
 
 // sampleVerifyLocked advances the problem's deterministic sampling
@@ -231,34 +196,16 @@ func (s *Server) applyTrustDeltas(deltas []trustDelta) {
 }
 
 // quarantineDonor enacts one donor's quarantine across the server: every
-// problem drops the donor's leases (failure kind verify), its held results
-// — a proven-bad donor's answers must not keep counting toward quorums —
-// and its places in spot-checked sets, which must not use up a set's
-// maxVerifyDonors while an honest result waits there for a tie-breaker;
-// then it publishes EventDonorQuarantined. Called with no locks held;
-// evicting results can itself resolve quorums, whose outcomes may cascade
-// into further quarantines (bounded: each donor transitions once).
+// problem's table evicts the donor (unitTable.evict: its leases, held
+// results and places in spot-checked sets) and owes EventDonorQuarantined.
+// Called with no locks held; evicting results can itself resolve quorums,
+// whose outcomes may cascade into further quarantines (bounded: each donor
+// transitions once).
 func (s *Server) quarantineDonor(name string) {
 	now := time.Now()
 	for _, ps := range s.allProblems() {
 		ps.mu.Lock()
-		for _, set := range ps.units {
-			if ps.done {
-				break
-			}
-			before := len(set.results) + len(set.donors)
-			set.results = slices.DeleteFunc(set.results, func(r heldResult) bool { return r.donor == name })
-			set.donors = slices.DeleteFunc(set.donors, func(d string) bool { return d == name })
-			evicted := len(set.results)+len(set.donors) < before
-			if set.leaseOf(name) >= 0 {
-				s.dropLeaseLocked(ps, set, name, "donor quarantined", failVerify, now)
-			} else if evicted {
-				s.settleLocked(ps, set, now)
-			}
-		}
-		if !ps.done {
-			s.publishUnitEventLocked(ps, EventDonorQuarantined, 0, name)
-		}
+		ps.table.evict(name, now, s)
 		s.unlock(ps)
 	}
 }

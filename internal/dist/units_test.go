@@ -1,0 +1,515 @@
+package dist
+
+// An exhaustive bounded explorer of the unit lifecycle, in the manner of
+// stateless model checking (Godefroid, VeriSoft, POPL 1997): every sequence
+// of table events up to exploreDepth is enumerated over three donors and a
+// two-item DataManager, with visited states deduplicated by a hash of a
+// canonical encoding (up to a renaming of the donors). After every step the
+// invariants are checked — checkUnits, plus what only a step shows: a
+// spot-checked unit folds only with a quorum of distinct agreeing donors
+// and, once a trusted donor exists, only with a trusted member unless no
+// tie-breaker can ever arrive; no result of another incarnation is held or
+// folded. The search deepens iteratively, so the first violation found is
+// one of the shortest; its trace is printed. Each branch clones the state,
+// so memory stays at one path plus the visited set.
+
+import (
+	"bytes"
+	"encoding/binary"
+	"fmt"
+	"maps"
+	"math"
+	"slices"
+	"strings"
+	"sync/atomic"
+	"testing"
+	"time"
+)
+
+// exploreDepth bounds the event sequences the explorer enumerates.
+const exploreDepth = 6
+
+var exDonors = [3]string{"d0", "d1", "d2"}
+
+// exConfig is one explored configuration.
+type exConfig struct {
+	quorum  int     // 1: verification off; 2: units may be spot-checked
+	spec    float64 // ServerOptions.SpeculateAfter
+	requeue bool    // the DataManager implements Requeuer
+}
+
+func (c exConfig) String() string {
+	return fmt.Sprintf("quorum %d, speculate %v, requeue %v", c.quorum, c.spec, c.requeue)
+}
+
+type exOp uint8
+
+const (
+	opFresh   exOp = iota // a fresh unit granted to donor; arg is its quorum
+	opReissue             // an open set granted to donor
+	opIdle                // donor's scan found nothing fresh: speculate or starve
+	opSubmit              // donor submits a result for uid: arg 0 agrees, 1 lies, 2 is another incarnation's
+	opFail                // donor reports its lease on uid lost; arg is the failureKind
+	opExpire              // the oldest leases lapse
+	opSweep               // an expiry sweep with no lease lapsed
+	opEvict               // donor is quarantined
+	opTrust               // donor's trust crosses the bar
+	opLive                // donor's liveness flips
+	opRelease             // the problem is forgotten
+)
+
+// exEvent is one step of an explored sequence.
+type exEvent struct {
+	op    exOp
+	donor int8
+	arg   int8
+	uid   int64
+}
+
+func (e exEvent) String() string {
+	d := exDonors[e.donor]
+	switch e.op {
+	case opFresh:
+		return fmt.Sprintf("fresh unit to %s, quorum %d", d, e.arg)
+	case opReissue:
+		return "reissue to " + d
+	case opIdle:
+		return "idle scan by " + d
+	case opSubmit:
+		return fmt.Sprintf("%s submits unit %d: %s", d, e.uid, [...]string{"agrees", "lies", "stale epoch"}[e.arg])
+	case opFail:
+		return fmt.Sprintf("%s loses unit %d: %s", d, e.uid, [...]string{"compute", "transport", "expiry", "verify"}[e.arg])
+	case opExpire:
+		return "oldest leases expire"
+	case opSweep:
+		return "expiry sweep"
+	case opEvict:
+		return d + " quarantined"
+	case opTrust:
+		return d + " trust flips"
+	case opLive:
+		return d + " liveness flips"
+	default:
+		return "problem forgotten"
+	}
+}
+
+// payload is what a submit event offers for the set's unit.
+func (e exEvent) payload(set *attemptSet) []byte {
+	switch e.arg {
+	case 0:
+		return set.unit.Payload
+	case 1:
+		return []byte("lie")
+	}
+	return []byte("stale")
+}
+
+// fakeFleet is the explorer's donor standing.
+type fakeFleet struct{ trusted, live, quarantined [3]bool }
+
+func (f *fakeFleet) trustedDonorExists() bool {
+	for i := range exDonors {
+		if f.trusted[i] && !f.quarantined[i] {
+			return true
+		}
+	}
+	return false
+}
+
+func (f *fakeFleet) liveDonors(_ time.Time, skip func(string) bool) int {
+	n := 0
+	for i, d := range exDonors {
+		if f.live[i] && !f.quarantined[i] && (skip == nil || !skip(d)) {
+			n++
+		}
+	}
+	return n
+}
+
+// exState is one explored state: a table, its DataManager and the fleet.
+type exState struct {
+	cfg      exConfig
+	inflight atomic.Int64
+	t        unitTable
+	dm       *lifeDM
+	f        fakeFleet
+	clock    time.Time
+}
+
+func newExState(cfg exConfig) *exState {
+	x := &exState{cfg: cfg, dm: newLifeDM(2), clock: time.Unix(0, 0)}
+	var dm DataManager = x.dm
+	if cfg.requeue {
+		dm = lifeRequeueDM{x.dm}
+	}
+	opts := ServerOptions{Lease: time.Second, VerifyQuorum: 2, SpeculateAfter: cfg.spec}
+	x.t = newUnitTable(Task{ProblemID: "x", Epoch: 1}, dm, opts, &x.inflight)
+	x.f.live = [3]bool{true, true, true}
+	return x
+}
+
+func (x *exState) uids() []int64 {
+	uids := make([]int64, 0, len(x.t.sets))
+	for uid := range x.t.sets {
+		uids = append(uids, uid)
+	}
+	slices.Sort(uids)
+	return uids
+}
+
+func (x *exState) probation(d int8) bool { return x.cfg.quorum > 1 && !x.f.trusted[d] }
+
+// enabled lists the events that can change the state.
+func (x *exState) enabled() []exEvent {
+	if x.t.done {
+		return nil
+	}
+	uids := x.uids()
+	var evs []exEvent
+	for di := range exDonors {
+		d := int8(di)
+		if x.f.quarantined[d] {
+			continue
+		}
+		if len(x.t.open) > 0 {
+			evs = append(evs, exEvent{op: opReissue, donor: d})
+		}
+		switch {
+		case x.dm.next == x.dm.n && len(x.dm.again) == 0:
+			evs = append(evs, exEvent{op: opIdle, donor: d})
+		case !x.probation(d):
+			evs = append(evs, exEvent{op: opFresh, donor: d, arg: 1})
+			if x.cfg.quorum > 1 {
+				evs = append(evs, exEvent{op: opFresh, donor: d, arg: 2})
+			}
+		case !x.t.verifyBacklog(exDonors[d], 1):
+			evs = append(evs, exEvent{op: opFresh, donor: d, arg: 2})
+		}
+		for _, uid := range uids {
+			evs = append(evs, exEvent{op: opSubmit, donor: d, uid: uid}, exEvent{op: opSubmit, donor: d, uid: uid, arg: 1})
+			if x.t.sets[uid].leaseOf(exDonors[d]) >= 0 {
+				for k := failCompute; k <= failVerify; k++ {
+					evs = append(evs, exEvent{op: opFail, donor: d, uid: uid, arg: int8(k)})
+				}
+				evs = append(evs, exEvent{op: opSubmit, donor: d, uid: uid, arg: 2})
+			}
+		}
+		if x.cfg.quorum > 1 {
+			evs = append(evs, exEvent{op: opTrust, donor: d}, exEvent{op: opEvict, donor: d})
+		}
+		evs = append(evs, exEvent{op: opLive, donor: d})
+	}
+	if x.inflight.Load() > 0 {
+		evs = append(evs, exEvent{op: opExpire})
+	}
+	if x.cfg.quorum > 1 {
+		evs = append(evs, exEvent{op: opSweep})
+	}
+	return append(evs, exEvent{op: opRelease})
+}
+
+// apply performs one event the way the server would reach the table.
+func (x *exState) apply(e exEvent) {
+	x.clock = x.clock.Add(time.Millisecond)
+	d, name, probation := e.donor, exDonors[e.donor], x.probation(e.donor)
+	switch e.op {
+	case opFresh, opReissue, opIdle:
+		x.f.live[d] = true // a request is a sign of life
+		switch e.op {
+		case opFresh:
+			if u, ok, _ := x.t.dm.NextUnit(1); ok && !x.t.attach(u) {
+				x.t.grant(x.t.add(u.ID, u, int(e.arg)), name, probation, x.clock)
+			}
+		case opReissue:
+			othersAlive := x.f.liveDonors(x.clock, func(n string) bool { return n == name }) > 0
+			x.t.reissue(name, probation, probation && x.t.verifyBacklog(name, 1), othersAlive, x.clock)
+		default:
+			x.t.idle(name, probation, x.clock)
+		}
+	case opSubmit:
+		x.f.live[d] = true
+		res := &Result{ProblemID: "x", UnitID: e.uid, Donor: name, Epoch: 1, Payload: e.payload(x.t.sets[e.uid])}
+		if e.arg == 2 {
+			res.Epoch = 2
+		}
+		x.t.offer(res, x.f.trusted[d], x.clock, &x.f)
+	case opFail:
+		if x.t.lose(e.uid, name, "injected", failureKind(e.arg), 1, x.clock, &x.f) {
+			x.f.live[d] = true
+		}
+	case opExpire:
+		now := x.clock
+		for _, set := range x.t.sets {
+			for _, l := range set.leases {
+				if l.deadline.Before(now) {
+					now = l.deadline
+				}
+			}
+		}
+		now = now.Add(time.Nanosecond)
+		x.clock = now
+		x.t.expire(now, &x.f)
+	case opSweep:
+		x.t.expire(x.clock, &x.f)
+	case opEvict:
+		x.f.quarantined[d] = true
+		x.t.evict(name, x.clock, &x.f)
+	case opTrust:
+		x.f.trusted[d] = !x.f.trusted[d]
+	case opLive:
+		x.f.live[d] = !x.f.live[d]
+	case opRelease:
+		x.t.finish(ErrForgotten)
+	}
+}
+
+// clone returns an independent copy of the state.
+func (x *exState) clone() *exState {
+	y := &exState{cfg: x.cfg, f: x.f, clock: x.clock}
+	y.inflight.Store(x.inflight.Load())
+	dm := *x.dm
+	dm.byID = maps.Clone(x.dm.byID)
+	dm.again, dm.folds = slices.Clone(x.dm.again), slices.Clone(x.dm.folds)
+	y.dm = &dm
+	y.t = x.t
+	y.t.dm, y.t.inflight, y.t.fx = y.dm, &y.inflight, nil
+	if x.cfg.requeue {
+		y.t.dm = lifeRequeueDM{y.dm}
+	}
+	if x.t.sets == nil {
+		return y
+	}
+	y.t.sets = make(map[int64]*attemptSet, len(x.t.sets))
+	for uid, set := range x.t.sets {
+		c := *set
+		c.leases = append(c.first[:0], set.leases...)
+		c.results, c.donors = slices.Clone(set.results), slices.Clone(set.donors)
+		y.t.sets[uid] = &c
+	}
+	y.t.open = make([]*attemptSet, len(x.t.open))
+	for i, set := range x.t.open {
+		y.t.open[i] = y.t.sets[set.uid]
+	}
+	return y
+}
+
+// check asserts every invariant after event e took pre to x, returning the
+// first violation. The effects e owed are inspected and then dropped, as
+// Server.unlock would apply them.
+func (x *exState) check(pre *exState, e exEvent) error {
+	defer func() { x.t.fx = x.t.fx[:0] }()
+	if err := checkUnits(&x.t, x.dm); err != nil {
+		return err
+	}
+	for _, set := range x.t.sets {
+		for _, r := range set.results {
+			if string(r.payload) == "stale" {
+				return fmt.Errorf("unit %d holds another incarnation's result", set.uid)
+			}
+		}
+	}
+	for _, fx := range x.t.fx {
+		if fx.kind != fxFold {
+			continue
+		}
+		if string(fx.payload) == "stale" {
+			return fmt.Errorf("unit %d folded another incarnation's result", fx.uid)
+		}
+		set := pre.t.sets[fx.uid]
+		if set.quorum < 2 {
+			continue
+		}
+		// What the quorum rule saw: the results, leases and involved donors
+		// of the set as the event left them just before the fold.
+		gone := func(donor string) bool { return e.op == opEvict && donor == exDonors[e.donor] }
+		results := slices.DeleteFunc(slices.Clone(set.results), func(r heldResult) bool { return gone(r.donor) })
+		if e.op == opSubmit {
+			results = append(results, heldResult{donor: exDonors[e.donor], payload: e.payload(set), trusted: x.f.trusted[e.donor]})
+		}
+		leases := slices.DeleteFunc(slices.Clone(set.leases), func(l lease) bool {
+			return gone(l.donor) || (e.op == opSubmit && l.donor == exDonors[e.donor]) || (e.op == opExpire && x.clock.After(l.deadline))
+		})
+		var agree []string
+		groupTrusted, anyTrusted := false, false
+		for _, r := range results {
+			anyTrusted = anyTrusted || r.trusted
+			if bytes.Equal(r.payload, fx.payload) && !slices.Contains(agree, r.donor) {
+				agree = append(agree, r.donor)
+				groupTrusted = groupTrusted || r.trusted
+			}
+		}
+		if len(agree) < set.quorum {
+			return fmt.Errorf("unit %d folded %q agreed by %v, quorum %d", fx.uid, fx.payload, agree, set.quorum)
+		}
+		if groupTrusted || !x.f.trustedDonorExists() {
+			continue
+		}
+		uninvolved := x.f.liveDonors(x.clock, func(n string) bool {
+			return (slices.Contains(set.donors, n) && !gone(n)) || slices.ContainsFunc(leases, func(l lease) bool { return l.donor == n })
+		}) > 0
+		if anyTrusted || len(leases) > 0 || uninvolved {
+			return fmt.Errorf("unit %d folded %q agreed only by untrusted %v while a tie-breaker could arrive (trusted result held %v, replicas out %d, live donor uninvolved %v)",
+				fx.uid, fx.payload, agree, anyTrusted, len(leases), uninvolved)
+		}
+	}
+	return nil
+}
+
+// donorPerms are the six renamings of the three donors.
+var donorPerms = [...][3]byte{{0, 1, 2}, {0, 2, 1}, {1, 0, 2}, {1, 2, 0}, {2, 0, 1}, {2, 1, 0}}
+
+// key hashes everything in the state that can steer a later transition or
+// an invariant. The donors are interchangeable — the initial state and every
+// event treat them alike — so the key is the least hash over the six
+// renamings of the donors. Lease deadlines enter as their rank.
+func (x *exState) key(buf []byte) (uint64, []byte) {
+	t := &x.t
+	flags := func(vs ...bool) byte {
+		var f byte
+		for i, v := range vs {
+			if v {
+				f |= 1 << i
+			}
+		}
+		return f
+	}
+	num := func(b []byte, vs ...int64) []byte {
+		for _, v := range vs {
+			b = binary.AppendVarint(b, v)
+		}
+		return b
+	}
+	b := num(buf[:0], int64(t.dispatched), int64(t.completed), int64(t.consecFails), int64(t.consecTransport), x.inflight.Load(), int64(len(t.open)))
+	b = append(b, flags(t.done))
+	for _, set := range t.open {
+		b = num(b, set.uid)
+	}
+	ids := make([]int64, 0, len(x.dm.byID))
+	for id := range x.dm.byID {
+		ids = append(ids, id)
+	}
+	slices.Sort(ids)
+	b = num(b, int64(x.dm.next), x.dm.seq, int64(x.dm.unknown), int64(len(ids)))
+	for _, id := range ids {
+		b = num(b, id, int64(x.dm.byID[id]))
+	}
+	b = num(b, int64(len(x.dm.again)))
+	for _, item := range x.dm.again {
+		b = num(b, int64(item))
+	}
+	for _, f := range x.dm.folds {
+		b = num(b, int64(f))
+	}
+	uids := x.uids()
+	var deadlines []time.Time
+	for _, set := range t.sets {
+		for _, l := range set.leases {
+			deadlines = append(deadlines, l.deadline)
+		}
+	}
+	slices.SortFunc(deadlines, time.Time.Compare)
+	common, least := len(b), uint64(math.MaxUint64)
+	for _, perm := range donorPerms {
+		donor := func(name string) byte {
+			if name == "" {
+				return 9
+			}
+			return perm[name[1]-'0']
+		}
+		b = b[:common]
+		for _, uid := range uids {
+			set := t.sets[uid]
+			b = num(b, uid, int64(set.quorum), int64(set.fails), int64(len(set.leases)), int64(len(set.results)), int64(len(set.donors)))
+			b = append(b, donor(set.lastDonor), flags(set.open, set.trustedOnly, set.speculated, set.unit != nil))
+			for _, l := range set.leases {
+				b = append(b, donor(l.donor), byte(slices.IndexFunc(deadlines, l.deadline.Equal)))
+			}
+			for _, r := range set.results {
+				b = append(b, donor(r.donor), flags(r.trusted), byte(len(r.payload)))
+				b = append(b, r.payload...)
+			}
+			for _, d := range set.donors {
+				b = append(b, donor(d))
+			}
+		}
+		var standing [3]byte
+		for i := range exDonors {
+			standing[perm[i]] = flags(x.f.trusted[i], x.f.live[i], x.f.quarantined[i])
+		}
+		b = append(b, standing[:]...)
+		h := uint64(14695981039346656037) // FNV-1a
+		for _, c := range b {
+			h = (h ^ uint64(c)) * 1099511628211
+		}
+		least = min(least, h)
+	}
+	return least, b
+}
+
+// explore enumerates every event sequence of cfg up to depth by iterative
+// deepening: a depth-first search per limit, skipping a state already
+// reached with at least as many events left, so the first violation is
+// found at the shortest length that has one. It returns the distinct states
+// of the last search, or the trace to a violation.
+func explore(cfg exConfig, depth int) (states int, trace []exEvent, err error) {
+	var buf []byte
+	key := func(x *exState) (k uint64) {
+		k, buf = x.key(buf)
+		return k
+	}
+	var visited map[uint64]int
+	var walk func(x *exState, tr []exEvent, left int) error
+	walk = func(x *exState, tr []exEvent, left int) error {
+		for _, e := range x.enabled() {
+			y := x.clone()
+			y.apply(e)
+			trace = append(tr, e)
+			if err := y.check(x, e); err != nil {
+				return err
+			}
+			if k := key(y); left > 1 && visited[k] < left {
+				visited[k] = left
+				if err := walk(y, trace, left-1); err != nil {
+					return err
+				}
+			} else if _, ok := visited[k]; !ok {
+				visited[k] = left
+			}
+		}
+		return nil
+	}
+	for limit := 1; limit <= depth; limit++ {
+		x := newExState(cfg)
+		visited = map[uint64]int{key(x): limit + 1}
+		if err := walk(x, nil, limit); err != nil {
+			return len(visited), trace, err
+		}
+	}
+	return len(visited), nil, nil
+}
+
+// TestUnitLifecycleExplorer runs the explorer over every configuration:
+// quorum 1 and 2, speculation off and on, with and without Requeuer.
+func TestUnitLifecycleExplorer(t *testing.T) {
+	start := time.Now()
+	total := 0
+	for _, quorum := range []int{1, 2} {
+		for _, spec := range []float64{0, 0.5} {
+			for _, requeue := range []bool{false, true} {
+				cfg := exConfig{quorum: quorum, spec: spec, requeue: requeue}
+				states, trace, err := explore(cfg, exploreDepth)
+				total += states
+				if err != nil {
+					var b strings.Builder
+					for i, e := range trace {
+						fmt.Fprintf(&b, "\n\t%d. %v", i+1, e)
+					}
+					t.Fatalf("%v: %v after %d events:%s", cfg, err, len(trace), b.String())
+				}
+				t.Logf("%v: %d states", cfg, states)
+			}
+		}
+	}
+	t.Logf("explored %d states to depth %d in %v", total, exploreDepth, time.Since(start).Round(time.Millisecond))
+}

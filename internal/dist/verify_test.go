@@ -318,9 +318,7 @@ func runTwoDonorDrain(t *testing.T, seed int64, replicaFirst bool) (graduatedInW
 				graduatedInWindow++
 			}
 			ps.mu.Lock()
-			if set := ps.units[h.task.Unit.ID]; set != nil && !ps.done {
-				s.offerResultLocked(ps, set, result(h), trusted)
-			}
+			ps.table.offer(result(h), trusted, time.Now(), s)
 			s.unlock(ps)
 		default:
 			submit(take())
@@ -330,7 +328,7 @@ func runTwoDonorDrain(t *testing.T, seed int64, replicaFirst bool) (graduatedInW
 	defer cancel()
 	if _, err := s.Wait(ctx, "pair"); err != nil {
 		ps.mu.Lock()
-		outstanding := len(ps.units)
+		outstanding := len(ps.table.sets)
 		ps.mu.Unlock()
 		t.Fatalf("seed %d replicaFirst %v: Wait: %v (%d units outstanding, %d held tasks)", seed, replicaFirst, err, outstanding, len(out))
 	}
@@ -703,16 +701,16 @@ func TestNoTieBreakerFallbackWaitsForOutstandingReplica(t *testing.T) {
 	ds.mu.Unlock()
 	ps, _ := s.lookup("out")
 	ps.mu.Lock()
-	defer ps.mu.Unlock()
-	set := ps.addSetLocked(1, &Unit{ID: 1}, 2)
+	defer s.unlock(ps)
+	set := ps.table.add(1, &Unit{ID: 1}, 2)
 	set.donors = []string{"a", "b", "T"}
 	set.results = []heldResult{{donor: "a", payload: []byte("x")}, {donor: "b", payload: []byte("x")}}
 	set.leases = append(set.leases, lease{donor: "T", deadline: time.Now().Add(time.Hour)})
-	if s.resolveLocked(ps, set, time.Now()) {
+	if ps.table.resolve(set, time.Now(), s) {
 		t.Fatalf("resolved (folds %q) while the trusted tie-breaker is still computing", dm.foldsOf(1))
 	}
 	set.leases = set.leases[:0] // T's lease is lost without a result
-	if !s.resolveLocked(ps, set, time.Now()) || len(dm.foldsOf(1)) != 1 {
+	if !ps.table.resolve(set, time.Now(), s) || len(dm.foldsOf(1)) != 1 {
 		t.Fatalf("not resolved by count once no replica is out and every live donor is involved")
 	}
 }

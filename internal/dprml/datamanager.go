@@ -37,9 +37,12 @@ type DataManager struct {
 	nextEdge      int
 	edgesConsumed int
 	pending       map[int64]*taskUnit
-	bestEdge      int
-	bestLL        float64
-	bestTree      string
+	// lost are the current stage's units handed back through Requeue,
+	// re-issued whole before any fresh edge.
+	lost     []*taskUnit
+	bestEdge int
+	bestLL   float64
+	bestTree string
 
 	final TreeResult
 }
@@ -124,6 +127,11 @@ func (d *DataManager) NextUnit(budget int64) (*dist.UnitOf[taskUnit], bool, erro
 		return d.issue(u, 3*d.costScale)
 
 	case phaseInsert:
+		if len(d.lost) > 0 {
+			u := d.lost[0]
+			d.lost = d.lost[1:]
+			return d.issue(u, int64(len(u.Edges))*d.taskCost())
+		}
 		remaining := d.stageEdges - d.nextEdge
 		if remaining <= 0 {
 			return nil, false, nil // stage barrier: waiting on results
@@ -173,11 +181,10 @@ func (d *DataManager) issue(u *taskUnit, cost int64) (*dist.UnitOf[taskUnit], bo
 	}, true, nil
 }
 
-// Requeue implements dist.Requeuer: a lost unit's edges return to the
-// dispatch pool. The server calls this through its reissue path; because
-// the DataManager already caches the unit in pending, reissue via the
-// server's payload cache also works — this hook just keeps the stage
-// accounting exact if the server prefers regeneration.
+// Requeue implements dist.Requeuer: a lost unit of the current stage goes
+// back to the dispatch pool as it was — its own edges, not the stage's
+// undispatched tail, so edges other pending units hold are never issued
+// twice and the stage closes only once every edge is scored exactly once.
 func (d *DataManager) Requeue(unitID int64) {
 	u, ok := d.pending[unitID]
 	if !ok {
@@ -185,11 +192,7 @@ func (d *DataManager) Requeue(unitID int64) {
 	}
 	delete(d.pending, unitID)
 	if d.phase == phaseInsert && u.Taxon == d.order[d.taxonIdx] {
-		// Return the lowest edge index so re-dispatch is contiguous.
-		lo := u.Edges[0]
-		if lo < d.nextEdge {
-			d.nextEdge = lo
-		}
+		d.lost = append(d.lost, u)
 	}
 }
 
@@ -246,6 +249,7 @@ func (d *DataManager) startStage() {
 	d.stageEdges = len(d.tree.Edges())
 	d.nextEdge = 0
 	d.edgesConsumed = 0
+	d.lost = nil
 	d.bestEdge = -1
 	d.bestLL = math.Inf(-1)
 	d.bestTree = ""

@@ -237,6 +237,76 @@ func TestDataManagerRequeue(t *testing.T) {
 	}
 }
 
+// TestRequeueReissuesOnlyTheLostEdges: losing the first of two pending
+// units of a stage re-issues exactly its edges — every edge of the stage is
+// then held by one pending unit — and the stage does not advance until the
+// surviving unit is consumed too.
+func TestRequeueReissuesOnlyTheLostEdges(t *testing.T) {
+	aln, _ := simAlignment(t, 6, 100, 3)
+	opts := testOpts()
+	opts.applyDefaults()
+	dm, err := NewDataManager(aln, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ec, err := newEvalContext(aln, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	alg := &Algorithm{ctx: ec}
+	consume := func(u *dist.UnitOf[taskUnit]) {
+		t.Helper()
+		res, err := alg.ProcessCtx(context.Background(), u.Payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := dm.Consume(u.ID, res); err != nil {
+			t.Fatal(err)
+		}
+	}
+	trip, _, _ := dm.NextUnit(1 << 40)
+	consume(trip)
+	placed, _ := dm.Progress()
+	lost, _, _ := dm.NextUnit(1 << 40)
+	kept, _, _ := dm.NextUnit(1 << 40)
+	dm.Requeue(lost.ID)
+	pending := []*dist.UnitOf[taskUnit]{kept}
+	for {
+		u, ok, err := dm.NextUnit(1 << 40)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !ok {
+			break
+		}
+		pending = append(pending, u)
+	}
+	held := make(map[int]int)
+	for _, u := range pending {
+		for _, e := range u.Payload.Edges {
+			held[e]++
+		}
+	}
+	if len(held) != dm.stageEdges {
+		t.Fatalf("pending units hold edges %v of a %d-edge stage", held, dm.stageEdges)
+	}
+	for e, n := range held {
+		if n != 1 {
+			t.Fatalf("edge %d issued to %d pending units (%v)", e, n, held)
+		}
+	}
+	for _, u := range pending[1:] {
+		consume(u)
+	}
+	if p, _ := dm.Progress(); p != placed {
+		t.Fatalf("stage advanced to %d placed taxa with unit %d (edges %v) still pending", p, kept.ID, kept.Payload.Edges)
+	}
+	consume(kept)
+	if p, _ := dm.Progress(); p != placed+1 {
+		t.Fatalf("stage did not advance after its last unit: %d placed, want %d", p, placed+1)
+	}
+}
+
 func TestGammaModelRuns(t *testing.T) {
 	aln, _ := simAlignment(t, 5, 200, 11)
 	opts := testOpts()
