@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check build vet fmt lint test race fuzz-smoke bench-module stress bench bench-compare demo docs-lint swarm loc knobs
+.PHONY: check build vet fmt lint test race fuzz-smoke portable bench-module stress bench bench-compare demo docs-lint swarm loc knobs
 
 # check is the tier-1 gate: everything CI runs (CI invokes this target).
 # vet covers every package, including the control-channel mux and codec in
@@ -10,7 +10,7 @@ GO ?= go
 # links/anchors + README block compilation) is gated through `test`, which
 # runs the root package's TestMarkdownDocs and TestREADMECodeBlocksCompile;
 # docs-lint below re-runs just those for fast iteration on documentation.
-check: build vet fmt lint test race fuzz-smoke bench-module
+check: build vet fmt lint test race fuzz-smoke portable bench-module
 
 build:
 	$(GO) build ./...
@@ -36,10 +36,10 @@ race:
 	$(GO) test -race ./...
 
 # fuzz-smoke gives each fuzzer — wire protocol, journal recovery, the
-# Smith–Waterman query-profile kernel against its reference loop, and the
-# branch-length closed form against a whole-tree pruning pass — a few
-# seconds of coverage growth on every check; longer runs are a manual
-# `go test -fuzz` away.
+# Smith–Waterman striped (AVX2) and scalar kernels against their reference
+# loop, and the branch-length closed form against a whole-tree pruning
+# pass — a few seconds of coverage growth on every check; longer runs are a
+# manual `go test -fuzz` away.
 fuzz-smoke:
 	$(GO) test ./internal/wire/ -run '^$$' -fuzz FuzzFrameDecode -fuzztime 5s
 	$(GO) test ./internal/dist/ -run '^$$' -fuzz FuzzControlPreamble -fuzztime 5s
@@ -49,6 +49,16 @@ fuzz-smoke:
 	$(GO) test ./internal/journal/ -run '^$$' -fuzz FuzzJournalReplay -fuzztime 5s
 	$(GO) test ./internal/align/ -run '^$$' -fuzz FuzzSWScore -fuzztime 5s
 	$(GO) test ./internal/likelihood/ -run '^$$' -fuzz FuzzEdgeLogLikelihood -fuzztime 5s
+
+# portable builds the code that runs where the AVX2 kernel cannot: -tags
+# purego vets everything and tests the packages that score alignments
+# through the scalar Smith–Waterman kernel, and an arm64 vet type-checks
+# the non-amd64 build, which fails if a symbol the assembly provides has no
+# portable stand-in.
+portable:
+	$(GO) vet -tags purego ./...
+	$(GO) test -tags purego ./internal/align/ ./internal/dsearch/
+	GOARCH=arm64 $(GO) vet ./...
 
 # bench-module vets and tests bench/, a module of its own that imports
 # repro/internal/...: the root `go build ./...` does not see it, so a change

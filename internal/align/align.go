@@ -10,9 +10,12 @@
 //
 // Score-only variants keep O(n) rows instead of the full matrix and are the
 // hot path for database search; traceback variants additionally reconstruct
-// the aligned strings. Smith–Waterman's score path also builds a query
-// profile, one int32 per (residue class, query position) — 25 KB for a
-// 300-residue protein query — which Prepare builds once per query.
+// the aligned strings. Smith–Waterman's score path scores through a query
+// profile, which Prepare builds once per query: on amd64 with AVX2 a
+// striped int16 profile for Farrar's 16-lane kernel in assembly
+// (sw_amd64.s), elsewhere — and for gap penalties or scores that overflow
+// 16 bits — an int32 profile for the scalar Go kernel. Both score the same
+// recurrence, so the choice never changes a score.
 package align
 
 import (
@@ -116,7 +119,7 @@ func New(name string, p Params, bandwidth int) (Aligner, error) {
 	case AlgNeedlemanWunsch, "nw", "global":
 		return &nwAligner{p: p}, nil
 	case AlgSmithWaterman, "sw", "local":
-		return &swAligner{p: p}, nil
+		return newSWAligner(p), nil
 	case AlgBanded:
 		return &bandedAligner{p: p, band: bandwidth}, nil
 	case AlgHirschberg:

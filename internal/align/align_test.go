@@ -225,9 +225,9 @@ func TestSWAlignConsistent(t *testing.T) {
 // swScoreReference is the original Smith–Waterman score loop: Gotoh's
 // three matrices M/X/Y, previous-row copies, -infinity-absorbing
 // arithmetic, and a matrix lookup per cell. The production Score folds
-// M/X/Y into the two-row H/E/F query-profile kernel (sw.go explains why
-// the two agree); this reference pins that equivalence across matrices,
-// gap regimes, and sequence shapes.
+// M/X/Y into the H/E/F query-profile recurrence that both kernels score
+// (sw.go explains why the two agree); this reference pins that
+// equivalence across matrices, gap regimes, and sequence shapes.
 func swScoreReference(p Params, a, b []byte) int {
 	gapO, gapE := p.Gap.Open, p.Gap.Extend
 	mat := p.Matrix
@@ -270,6 +270,29 @@ func swScoreReference(p Params, a, b []byte) int {
 	return best
 }
 
+// withKernel runs fn with the striped kernel selected, or the scalar one.
+func withKernel(striped bool, fn func()) {
+	defer func(old bool) { useAVX2 = old }(useAVX2)
+	useAVX2 = striped
+	fn()
+}
+
+// forEachKernel runs fn once per Smith–Waterman kernel, as the subtests
+// "striped" (skipped without AVX2) and "scalar".
+func forEachKernel(t *testing.T, fn func(t *testing.T)) {
+	for _, k := range []struct {
+		name    string
+		striped bool
+	}{{"striped", true}, {"scalar", false}} {
+		t.Run(k.name, func(t *testing.T) {
+			if k.striped && !haveAVX2() {
+				t.Skip("no AVX2 on this host")
+			}
+			withKernel(k.striped, func() { fn(t) })
+		})
+	}
+}
+
 func TestSWScoreMatchesReference(t *testing.T) {
 	cases := []struct {
 		name   string
@@ -286,30 +309,58 @@ func TestSWScoreMatchesReference(t *testing.T) {
 		{"pam250", Params{Matrix: seq.PAM250, Gap: Gap{Open: 10, Extend: 2}}, seq.Protein, ""},
 		{"protein-linear", Params{Matrix: seq.BLOSUM62, Gap: Gap{Open: 0, Extend: 4}}, seq.Protein, ""},
 		{"masked-ambiguous", protParams, seq.Protein, "XxBZ*-.acwy"},
+		// Gap penalties beyond 16-bit lanes take the scalar kernel.
+		{"wide-gaps", Params{Matrix: seq.BLOSUM62, Gap: Gap{Open: 1 << 20, Extend: 3}}, seq.Protein, ""},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			sw := mustNew(t, "sw", c.params, 0)
-			g := seq.NewGenerator(c.alpha, 77)
-			rng := rand.New(rand.NewSource(77))
-			noisy := func(r []byte) []byte {
-				for i := range r {
-					if c.noise != "" && rng.Intn(5) == 0 {
-						r[i] = c.noise[rng.Intn(len(c.noise))]
+			forEachKernel(t, func(t *testing.T) {
+				sw := mustNew(t, "sw", c.params, 0)
+				g := seq.NewGenerator(c.alpha, 77)
+				rng := rand.New(rand.NewSource(77))
+				noisy := func(r []byte) []byte {
+					for i := range r {
+						if c.noise != "" && rng.Intn(5) == 0 {
+							r[i] = c.noise[rng.Intn(len(c.noise))]
+						}
+					}
+					return r
+				}
+				for k := 0; k < 40; k++ {
+					a := noisy(g.Random("a", rng.Intn(80)).Residues)
+					b := noisy(g.Random("b", rng.Intn(80)).Residues)
+					switch k { // an empty query, then an empty subject
+					case 0:
+						a = nil
+					case 1:
+						b = nil
+					}
+					want := swScoreReference(c.params, a, b)
+					if got := sw.Score(a, b); got != want {
+						t.Fatalf("case %d (la=%d lb=%d): Score %d != reference %d", k, len(a), len(b), got, want)
 					}
 				}
-				return r
-			}
-			for k := 0; k < 40; k++ {
-				a := noisy(g.Random("a", rng.Intn(80)).Residues) // 0 length included
-				b := noisy(g.Random("b", rng.Intn(80)).Residues)
-				want := swScoreReference(c.params, a, b)
-				if got := sw.Score(a, b); got != want {
-					t.Fatalf("case %d (la=%d lb=%d): Score %d != reference %d", k, len(a), len(b), got, want)
-				}
-			}
+			})
 		})
 	}
+}
+
+// TestSWStripedSaturationFallsBack scores a subject whose best local score,
+// 3000 x W-W = 33000 under BLOSUM62, overflows the striped kernel's 16-bit
+// lanes; the scorer must notice and return the scalar kernel's score.
+func TestSWStripedSaturationFallsBack(t *testing.T) {
+	w := bytes.Repeat([]byte("W"), 3000)
+	sw := mustNew(t, "sw", protParams, 0)
+	var scalar int
+	withKernel(false, func() { scalar = sw.Score(w, w) })
+	if want := 3000 * seq.BLOSUM62.Score('W', 'W'); scalar != want {
+		t.Fatalf("scalar kernel scores %d, want %d", scalar, want)
+	}
+	forEachKernel(t, func(t *testing.T) {
+		if got := Prepare(sw, w)(w); got != scalar {
+			t.Fatalf("prepared score %d != scalar kernel's %d", got, scalar)
+		}
+	})
 }
 
 // TestPreparedScorerReuse scores one prepared query against subjects of
@@ -321,12 +372,14 @@ func TestPreparedScorerReuse(t *testing.T) {
 	query := g.Random("q", 120).Residues
 	long := g.Mutate(&seq.Sequence{ID: "l", Residues: append(g.Random("pad", 60).Residues, query...)}, "long", 0.1, 0.02).Residues
 	short := query[30:50]
-	score := Prepare(sw, query)
-	for k, b := range [][]byte{long, short, nil, long} {
-		if got, want := score(b), swScoreReference(protParams, query, b); got != want {
-			t.Fatalf("call %d (len %d): prepared score %d != reference %d", k, len(b), got, want)
+	forEachKernel(t, func(t *testing.T) {
+		score := Prepare(sw, query)
+		for k, b := range [][]byte{long, short, nil, long} {
+			if got, want := score(b), swScoreReference(protParams, query, b); got != want {
+				t.Fatalf("call %d (len %d): prepared score %d != reference %d", k, len(b), got, want)
+			}
 		}
-	}
+	})
 }
 
 // TestPreparedScorerConcurrent shares one prepared query between
@@ -340,27 +393,29 @@ func TestPreparedScorerConcurrent(t *testing.T) {
 	for i, s := range subjects {
 		want[i] = swScoreReference(protParams, query, s.Residues)
 	}
-	score := Prepare(sw, query)
-	var wg sync.WaitGroup
-	errs := make(chan error, 8)
-	for w := 0; w < 8; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for k := range subjects {
-				i := (k + w) % len(subjects)
-				if got := score(subjects[i].Residues); got != want[i] {
-					errs <- fmt.Errorf("goroutine %d subject %d: %d != reference %d", w, i, got, want[i])
-					return
+	forEachKernel(t, func(t *testing.T) {
+		score := Prepare(sw, query)
+		var wg sync.WaitGroup
+		errs := make(chan error, 8)
+		for w := 0; w < 8; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				for k := range subjects {
+					i := (k + w) % len(subjects)
+					if got := score(subjects[i].Residues); got != want[i] {
+						errs <- fmt.Errorf("goroutine %d subject %d: %d != reference %d", w, i, got, want[i])
+						return
+					}
 				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Error(err)
-	}
+			}(w)
+		}
+		wg.Wait()
+		close(errs)
+		for err := range errs {
+			t.Error(err)
+		}
+	})
 }
 
 // TestPrepareOtherAlgorithmsScorePairwise checks that Prepare falls back to
@@ -376,10 +431,11 @@ func TestPrepareOtherAlgorithmsScorePairwise(t *testing.T) {
 	}
 }
 
-// FuzzSWScore requires the prepared scorer, Score and the reference loop
-// to agree on raw bytes — lowercase, ambiguity codes, gaps and bytes
-// outside every alphabet included — under every built-in matrix and gap
-// penalties from linear to steep.
+// FuzzSWScore requires the prepared scorer and Score, through the striped
+// kernel (on an AVX2 host) and the scalar one, and the reference loop to
+// agree on raw bytes — lowercase, ambiguity codes, gaps and bytes outside
+// every alphabet included — under every built-in matrix and gap penalties
+// from linear to steep.
 func FuzzSWScore(f *testing.F) {
 	f.Add([]byte("HEAGAWGHEE"), []byte("PAWHEAE"), uint8(0), uint8(10), uint8(1))
 	f.Add([]byte("ACGTTGCA"), []byte("acgNNtgca"), uint8(2), uint8(0), uint8(2))
@@ -392,10 +448,14 @@ func FuzzSWScore(f *testing.F) {
 		}
 		p := Params{Matrix: matrices[int(mat)%len(matrices)], Gap: Gap{Open: int(open) % 16, Extend: int(extend) % 5}}
 		sw := mustNew(t, "sw", p, 0)
-		prepared, score, want := Prepare(sw, a)(b), sw.Score(a, b), swScoreReference(p, a, b)
-		if prepared != want || score != want {
-			t.Fatalf("%s gaps %+v: Prepare %d, Score %d, reference %d (a=%q b=%q)",
-				p.Matrix.Name, p.Gap, prepared, score, want, a, b)
+		want := swScoreReference(p, a, b)
+		for _, striped := range []bool{haveAVX2(), false} {
+			var prepared, score int
+			withKernel(striped, func() { prepared, score = Prepare(sw, a)(b), sw.Score(a, b) })
+			if prepared != want || score != want {
+				t.Fatalf("%s gaps %+v, striped %v: Prepare %d, Score %d, reference %d (a=%q b=%q)",
+					p.Matrix.Name, p.Gap, striped, prepared, score, want, a, b)
+			}
 		}
 	})
 }

@@ -54,8 +54,15 @@ func BenchmarkSWAlign300(b *testing.B) {
 }
 
 // BenchmarkSWScan is dsearch's inner loop: one 300-residue query, prepared
-// once, scored against 400 subjects of database-like length.
-func BenchmarkSWScan(b *testing.B) {
+// once, scored against 400 subjects of database-like length, through the
+// kernel Prepare selects (the striped one on an AVX2 host).
+func BenchmarkSWScan(b *testing.B) { benchScan(b, useAVX2) }
+
+// BenchmarkSWScanScalar is BenchmarkSWScan through the scalar kernel, so
+// the ratio of the two is the striped kernel's gain in one binary.
+func BenchmarkSWScanScalar(b *testing.B) { benchScan(b, false) }
+
+func benchScan(b *testing.B, striped bool) {
 	g := seq.NewGenerator(seq.Protein, 7)
 	query := g.Random("q", 300).Residues
 	db := g.RandomDatabase("s", 400, seq.LengthModel{Mean: 300, StdDev: 80, Min: 100, Max: 600})
@@ -64,11 +71,13 @@ func BenchmarkSWScan(b *testing.B) {
 		b.Fatal(err)
 	}
 	b.SetBytes(int64(len(query)) * db.TotalResidues())
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		score := Prepare(al, query)
-		for _, s := range db.Seqs {
-			score(s.Residues)
+	withKernel(striped, func() {
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			score := Prepare(al, query)
+			for _, s := range db.Seqs {
+				score(s.Residues)
+			}
 		}
-	}
+	})
 }

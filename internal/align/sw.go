@@ -3,22 +3,18 @@ package align
 // Smith–Waterman local alignment with affine gap penalties.
 //
 // The score-only path is dsearch's hot loop: one call per (query, subject)
-// pair. It follows the query-profile scheme of Rognes & Seeberg
-// (Bioinformatics 16:699, 2000), without the narrow SIMD lanes Farrar
-// (Bioinformatics 23:156, 2007) needs to make 16-bit cells pay:
+// pair. Both of its kernels follow the query-profile scheme of Rognes &
+// Seeberg (Bioinformatics 16:699, 2000) and score one recurrence:
 //
-//   - The profile. Subject bytes fall into the alphabet's canonical
+//   - The classes. Subject bytes fall into the alphabet's canonical
 //     classes plus one "unknown" class (Alphabet.Index == -1), exactly the
-//     classes seq.Matrix builds its lookup table from. For each class c and
-//     query position i the profile stores Matrix.Score(query[i], y) for any
-//     byte y of class c, as int32, one class after another and contiguous
-//     along the query: (classes x |query|) entries, 21 x 300 x 4 B ≈ 25 KB
-//     for a 300-residue protein query, which stays in L1.
-//   - The loop order. The subject is the outer loop and the query the inner
-//     one, so a subject residue selects one profile column and each cell's
-//     score is a sequential load from it.
+//     classes seq.Matrix builds its lookup table from, so every byte of a
+//     class scores alike against any query residue. New builds the
+//     byte->class map and one representative byte per class once per
+//     matrix; a profile holds Matrix.Score(query[i], rep[c]).
 //   - The recurrence. Two rows along the query (H, and E for gaps in the
-//     query) plus a scalar F for gaps in the subject:
+//     query) plus F for gaps in the subject, the subject being the outer
+//     loop:
 //     h = max(Hdiag + P[i], E[i], F, 0), best = max(best, h),
 //     E[i] = max(E[i] - gapE, h - gapOE), F = max(F - gapE, h - gapOE).
 //     This is Gotoh's three-matrix M/X/Y recurrence (which Align keeps for
@@ -28,10 +24,57 @@ package align
 //     from, so the best H is the best M. Column 0 and row 0 hold H = 0, so
 //     the first gap cell off the border is exactly -gapOE: E and F start
 //     there instead of at -infinity, and no value ever falls below -gapOE.
-//   - The cells are Go ints, so no overflow guard or second kernel is
-//     needed; int32 cells measured no faster in this scalar loop.
+//   - The striped kernel (sw_striped.go, sw_amd64.s) is Farrar's
+//     (Bioinformatics 23:156, 2007): 16 signed 16-bit lanes per AVX2
+//     register, with query position i in lane i/segLen of vector i%segLen,
+//     segLen = ceil(|query|/16), so a whole column is segLen vectors. The
+//     first pass over a column takes each lane's F as -gapOE at its first
+//     vector, a lower bound; the lazy-F loop then carries the F leaving
+//     each lane into the next one and raises H where it is larger, and E
+//     with it, since E[i] is computed from the final h. The loop stops at
+//     the first vector where no lane's F can still exceed h - gapOE at the
+//     next position, so the column it leaves equals the scalar one.
+//     Additions saturate at 32767; any saturated cell reads 32767, so a
+//     subject whose best reaches 32767 minus the matrix's largest score is
+//     rescored with the scalar kernel.
+//   - The scalar kernel (swColumn) scores the same recurrence in Go ints
+//     over an int32 profile, one class after another and contiguous along
+//     the query. It runs where the striped one cannot: without AVX2 (on
+//     non-amd64 builds and under -tags purego, too), when the gap
+//     penalties do not fit 16-bit lanes, and for the subjects that
+//     saturate them.
 
-type swAligner struct{ p Params }
+import "math"
+
+type swAligner struct {
+	p Params
+	// class maps a subject byte to its profile class; rep holds one byte
+	// of each class.
+	class [256]uint8
+	rep   []byte
+	// stripedLimit is 32767 minus the largest score a profile can hold: a
+	// striped best below it proves that no addition saturated.
+	stripedLimit int
+}
+
+// useAVX2 selects the striped kernel; tests clear it to run the scalar one
+// in the same binary.
+var useAVX2 = haveAVX2()
+
+func newSWAligner(p Params) *swAligner {
+	s := &swAligner{p: p}
+	unknown := p.Matrix.Alphabet.Size()
+	s.rep = make([]byte, unknown+1)
+	for y := 255; y >= 0; y-- {
+		c := p.Matrix.Alphabet.Index(byte(y))
+		if c < 0 {
+			c = unknown
+		}
+		s.class[y], s.rep[c] = uint8(c), byte(y)
+	}
+	s.stripedLimit = math.MaxInt16 - max(p.Matrix.Max(), p.Matrix.Unknown, 0)
+	return s
+}
 
 func (s *swAligner) Name() string { return AlgSmithWaterman }
 
@@ -39,28 +82,26 @@ func (s *swAligner) Name() string { return AlgSmithWaterman }
 // query profile (see prepare).
 func (s *swAligner) Score(a, b []byte) int { return s.prepare(a)(b) }
 
-// prepare builds query's profile and returns the scorer that runs the
-// two-row kernel over it. The profile is read-only once built, so the
-// scorer is safe for concurrent use; each call allocates its own rows.
+// prepare builds query's profile and returns the scorer that runs a kernel
+// over it: the striped one where it applies, else the scalar one. The
+// profile is read-only once built, so the scorer is safe for concurrent
+// use; each call allocates its own rows.
 func (s *swAligner) prepare(query []byte) func(subject []byte) int {
+	if useAVX2 && len(query) > 0 && s.p.Gap.Open+s.p.Gap.Extend <= math.MaxInt16 {
+		return s.prepareStriped(query)
+	}
+	return s.prepareScalar(query)
+}
+
+// prepareScalar returns the scorer that runs swColumn over an int32
+// profile.
+func (s *swAligner) prepareScalar(query []byte) func(subject []byte) int {
 	mat := s.p.Matrix
 	gapE := s.p.Gap.Extend
 	gapOE := s.p.Gap.Open + gapE
-	unknown := mat.Alphabet.Size()
-	// class maps a subject byte to its profile column; rep is one byte of
-	// each class.
-	var class [256]int
-	rep := make([]byte, unknown+1)
-	for y := 255; y >= 0; y-- {
-		c := mat.Alphabet.Index(byte(y))
-		if c < 0 {
-			c = unknown
-		}
-		class[y], rep[c] = c, byte(y)
-	}
 	la := len(query)
-	profile := make([]int32, len(rep)*la)
-	for c, y := range rep {
+	profile := make([]int32, len(s.rep)*la)
+	for c, y := range s.rep {
 		col := profile[c*la : (c+1)*la]
 		for i, x := range query {
 			col[i] = int32(mat.Score(x, y))
@@ -74,7 +115,7 @@ func (s *swAligner) prepare(query []byte) func(subject []byte) int {
 		}
 		best := 0
 		for _, y := range subject {
-			c := class[y] * la
+			c := int(s.class[y]) * la
 			best = max(best, swColumn(profile[c:c+la], H, E, gapE, gapOE))
 		}
 		return best

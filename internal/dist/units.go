@@ -51,6 +51,7 @@ package dist
 
 import (
 	"bytes"
+	"cmp"
 	"fmt"
 	"slices"
 	"sync/atomic"
@@ -274,12 +275,27 @@ func (t *unitTable) finish(err error) {
 		return
 	}
 	t.done = true
-	for _, set := range t.sets {
+	for _, set := range t.acting(func(set *attemptSet) bool { return len(set.leases) > 0 }) {
 		t.cancel(set)
 	}
 	t.inflight.Store(0)
 	t.sets, t.open = nil, nil
 	t.fx = append(t.fx, effect{kind: fxEnd, err: err})
+}
+
+// acting returns the sets that pred selects in unit-ID order: a transition
+// that acts on several sets walks them through acting, so that one schedule
+// of events owes its effects, and requeues its units (which numbers the
+// regenerated ones), in one order.
+func (t *unitTable) acting(pred func(*attemptSet) bool) []*attemptSet {
+	var sets []*attemptSet
+	for _, set := range t.sets {
+		if pred(set) {
+			sets = append(sets, set)
+		}
+	}
+	slices.SortFunc(sets, func(a, b *attemptSet) int { return cmp.Compare(a.uid, b.uid) })
+	return sets
 }
 
 // payload returns a unit's payload while it can still fold: its set is in
@@ -431,11 +447,11 @@ func (t *unitTable) idle(donor string, probation bool, now time.Time) *Task {
 // speculate implements straggler speculation (ServerOptions.SpeculateAfter):
 // once the problem is at least the configured fraction complete, a free
 // donor is granted a second, concurrent lease on the ordinary unit whose
-// only lease is oldest, instead of parking. Whichever copy reports first
-// folds and the other donor is cancelled; a failure or expiry of either
-// lease leaves the other standing. Each unit is speculated at most once,
-// never to its own holder, and never while open sets are waiting for a
-// donor.
+// only lease is oldest (of equals, the lowest unit ID), instead of parking.
+// Whichever copy reports first folds and the other donor is cancelled; a
+// failure or expiry of either lease leaves the other standing. Each unit is
+// speculated at most once, never to its own holder, and never while open
+// sets are waiting for a donor.
 func (t *unitTable) speculate(donor string, now time.Time) *Task {
 	frac := t.opts.SpeculateAfter
 	if frac <= 0 || frac > 1 || len(t.open) > 0 {
@@ -449,7 +465,8 @@ func (t *unitTable) speculate(donor string, now time.Time) *Task {
 		if set.quorum != 1 || set.speculated || len(set.leases) != 1 || set.leases[0].donor == donor {
 			continue
 		}
-		if pick == nil || set.leases[0].deadline.Before(pick.leases[0].deadline) {
+		if pick == nil || set.leases[0].deadline.Before(pick.leases[0].deadline) ||
+			(set.leases[0].deadline.Equal(pick.leases[0].deadline) && set.uid < pick.uid) {
 			pick = set
 		}
 	}
@@ -745,7 +762,10 @@ func (t *unitTable) resolve(set *attemptSet, now time.Time, f fleet) bool {
 // held quorums whose tie-breaker may have stopped being possible. It
 // returns the donors whose leases lapsed.
 func (t *unitTable) expire(now time.Time, f fleet) (blamed []string) {
-	for _, set := range t.sets {
+	for _, set := range t.acting(func(set *attemptSet) bool {
+		return (set.quorum > 1 && len(set.results) >= set.quorum) ||
+			slices.ContainsFunc(set.leases, func(l lease) bool { return now.After(l.deadline) })
+	}) {
 		before := len(blamed)
 		// A drop removes leases[i] — or, when it resolves the set or fails
 		// the problem, ends the loop.
@@ -771,7 +791,9 @@ func (t *unitTable) expire(now time.Time, f fleet) (blamed []string) {
 // result waits there for a tie-breaker. Evicting results can resolve
 // quorums.
 func (t *unitTable) evict(donor string, now time.Time, f fleet) {
-	for _, set := range t.sets {
+	for _, set := range t.acting(func(set *attemptSet) bool {
+		return set.involves(donor) || slices.ContainsFunc(set.results, func(r heldResult) bool { return r.donor == donor })
+	}) {
 		if t.done {
 			return
 		}
@@ -798,9 +820,12 @@ func (t *unitTable) evict(donor string, now time.Time, f fleet) {
 // the fold record was lost with the crash — resolves right here.
 func (t *unitTable) restore(uid int64, byDonor map[string][]byte, now time.Time, f fleet) {
 	set := t.add(uid, nil, t.opts.VerifyQuorum)
-	for donor, payload := range byDonor {
+	for donor := range byDonor {
 		set.donors = append(set.donors, donor)
-		set.results = append(set.results, heldResult{donor: donor, payload: payload})
+	}
+	slices.Sort(set.donors)
+	for _, donor := range set.donors {
+		set.results = append(set.results, heldResult{donor: donor, payload: byDonor[donor]})
 	}
 	t.settle(set, now, f)
 }
@@ -808,7 +833,7 @@ func (t *unitTable) restore(uid int64, byDonor map[string][]byte, now time.Time,
 // rejournal owes a journal record for every held replica — a checkpoint
 // prunes the segments holding their originals.
 func (t *unitTable) rejournal() {
-	for _, set := range t.sets {
+	for _, set := range t.acting(func(set *attemptSet) bool { return len(set.results) > 0 }) {
 		for _, r := range set.results {
 			t.fx = append(t.fx, effect{kind: fxReplica, uid: set.uid, donor: r.donor, payload: r.payload})
 		}

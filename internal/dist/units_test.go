@@ -513,3 +513,51 @@ func TestUnitLifecycleExplorer(t *testing.T) {
 	}
 	t.Logf("explored %d states to depth %d in %v", total, exploreDepth, time.Since(start).Round(time.Millisecond))
 }
+
+// TestUnitTableReplaysIdentically replays one schedule 20 times under a
+// Requeuer DataManager: three units leased at one instant, one folds, an
+// idle donor speculates between the two whose leases tie, then both lapse
+// together. Every replay must owe the same effects, blame the donors in the
+// same order, speculate the lower unit ID and regenerate the same items
+// under the same IDs.
+func TestUnitTableReplaysIdentically(t *testing.T) {
+	replay := func() string {
+		var inflight atomic.Int64
+		dm := newLifeDM(3)
+		opts := ServerOptions{Lease: time.Second, VerifyQuorum: 2, SpeculateAfter: 0.3}
+		tb := newUnitTable(Task{ProblemID: "x", Epoch: 1}, lifeRequeueDM{dm}, opts, &inflight)
+		var f fakeFleet
+		now := time.Unix(0, 0)
+		for _, donor := range exDonors {
+			u, _, _ := dm.NextUnit(1)
+			tb.grant(tb.add(u.ID, u, 1), donor, false, now)
+		}
+		tb.offer(&Result{ProblemID: "x", UnitID: 3, Donor: "d2", Epoch: 1, Payload: []byte{2}}, true, now, &f)
+		var b strings.Builder
+		if task := tb.idle("d2", false, now); task != nil {
+			fmt.Fprintf(&b, "speculated unit %d\n", task.Unit.ID)
+		}
+		blamed := tb.expire(now.Add(2*time.Second), &f)
+		fmt.Fprintf(&b, "blamed %v\n", blamed)
+		for _, fx := range tb.fx {
+			fmt.Fprintf(&b, "effect %d %d unit %d donor %q\n", fx.kind, fx.event, fx.uid, fx.donor)
+		}
+		for {
+			u, ok, _ := dm.NextUnit(1)
+			if !ok {
+				break
+			}
+			fmt.Fprintf(&b, "regenerated item %d as unit %d\n", u.Payload[0], u.ID)
+		}
+		return b.String()
+	}
+	first := replay()
+	if !strings.Contains(first, "speculated unit 1\n") {
+		t.Fatalf("speculation should take the lower unit ID of a deadline tie:\n%s", first)
+	}
+	for i := 1; i < 20; i++ {
+		if got := replay(); got != first {
+			t.Fatalf("replay %d differs:\n%s\nfirst replay:\n%s", i, got, first)
+		}
+	}
+}

@@ -3,6 +3,9 @@ package dsearch
 import (
 	"context"
 	"fmt"
+	"math/rand"
+	"slices"
+	"sort"
 	"strings"
 	"testing"
 
@@ -78,6 +81,46 @@ func TestHitListDeterministicTies(t *testing.T) {
 	}
 	if a[0].Subject != "a" {
 		t.Errorf("ties should prefer lexicographically smaller subject, got %v", a)
+	}
+}
+
+// addBySort is HitList.Add as it was before it inserted in place: append,
+// re-sort the whole list, truncate to K. TestHitListMatchesSortReference
+// holds the in-place Add to it.
+func addBySort(h *HitList, hit Hit) {
+	hs := append(h.hits[hit.Query], hit)
+	sort.Slice(hs, func(i, j int) bool {
+		if hs[i].Score != hs[j].Score {
+			return hs[i].Score > hs[j].Score
+		}
+		return hs[i].Subject < hs[j].Subject
+	})
+	if len(hs) > h.K {
+		hs = hs[:h.K]
+	}
+	h.hits[hit.Query] = hs
+}
+
+// TestHitListMatchesSortReference feeds random hit streams — few queries,
+// narrow scores so ties are common, repeated subjects — to Add and to the
+// sorting reference, and requires identical lists.
+func TestHitListMatchesSortReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for trial := 0; trial < 200; trial++ {
+		k := 1 + rng.Intn(6)
+		got, want := NewHitList(k), NewHitList(k)
+		for n := rng.Intn(60); n > 0; n-- {
+			subject := fmt.Sprintf("s%d", rng.Intn(12))
+			score := rng.Intn(8)
+			// Equal (score, subject) keys carry equal hits, so any order
+			// among them is the same list.
+			hit := Hit{Query: fmt.Sprintf("q%d", rng.Intn(3)), Subject: subject, Score: score, SubjectLen: len(subject) + score}
+			got.Add(hit)
+			addBySort(want, hit)
+		}
+		if a, b := got.All(), want.All(); !slices.Equal(a, b) {
+			t.Fatalf("trial %d (K=%d):\nAdd    %v\nsorted %v", trial, k, a, b)
+		}
 	}
 }
 

@@ -40,20 +40,26 @@ func NewHitList(k int) *HitList {
 }
 
 // Add inserts a hit, keeping only the top K for its query. Ties are broken
-// by subject ID for determinism.
+// by subject ID for determinism. A hit that cannot enter a full list is
+// rejected against its last entry; any other is inserted in place.
 func (h *HitList) Add(hit Hit) {
 	hs := h.hits[hit.Query]
-	hs = append(hs, hit)
-	sort.Slice(hs, func(i, j int) bool {
-		if hs[i].Score != hs[j].Score {
-			return hs[i].Score > hs[j].Score
-		}
-		return hs[i].Subject < hs[j].Subject
-	})
-	if len(hs) > h.K {
-		hs = hs[:h.K]
+	if len(hs) >= h.K && (h.K <= 0 || !ranksBefore(hit, hs[h.K-1])) {
+		return
 	}
-	h.hits[hit.Query] = hs
+	i := sort.Search(len(hs), func(i int) bool { return ranksBefore(hit, hs[i]) })
+	hs = append(hs, Hit{})
+	copy(hs[i+1:], hs[i:])
+	hs[i] = hit
+	h.hits[hit.Query] = hs[:min(len(hs), h.K)]
+}
+
+// ranksBefore orders hits by score, descending, then by subject ID.
+func ranksBefore(a, b Hit) bool {
+	if a.Score != b.Score {
+		return a.Score > b.Score
+	}
+	return a.Subject < b.Subject
 }
 
 // Merge folds another batch of hits in.
