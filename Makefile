@@ -37,9 +37,10 @@ race:
 
 # fuzz-smoke gives each fuzzer — wire protocol, journal recovery, the
 # Smith–Waterman striped (AVX2) and scalar kernels against their reference
-# loop, and the branch-length closed form against a whole-tree pruning
-# pass — a few seconds of coverage growth on every check; longer runs are a
-# manual `go test -fuzz` away.
+# loop, the branch-length closed form against a whole-tree pruning pass, and
+# the sliding low-complexity window against a per-window entropy recount —
+# a few seconds of coverage growth on every check; longer runs are a manual
+# `go test -fuzz` away.
 fuzz-smoke:
 	$(GO) test ./internal/wire/ -run '^$$' -fuzz FuzzFrameDecode -fuzztime 5s
 	$(GO) test ./internal/dist/ -run '^$$' -fuzz FuzzControlPreamble -fuzztime 5s
@@ -49,6 +50,7 @@ fuzz-smoke:
 	$(GO) test ./internal/journal/ -run '^$$' -fuzz FuzzJournalReplay -fuzztime 5s
 	$(GO) test ./internal/align/ -run '^$$' -fuzz FuzzSWScore -fuzztime 5s
 	$(GO) test ./internal/likelihood/ -run '^$$' -fuzz FuzzEdgeLogLikelihood -fuzztime 5s
+	$(GO) test ./internal/seq/ -run '^$$' -fuzz FuzzLowComplexityRegions -fuzztime 5s
 
 # portable builds the code that runs where the AVX2 kernel cannot: -tags
 # purego vets everything and tests the packages that score alignments

@@ -72,11 +72,10 @@ func (c *Config) Validate() error {
 		c.MaskThreshold = 2.2
 	}
 	if c.MaskLowComplexity {
-		if c.MaskWindow < 2 {
-			return fmt.Errorf("dsearch: mask window must be >= 2, got %d", c.MaskWindow)
-		}
-		if c.MaskThreshold <= 0 {
-			return fmt.Errorf("dsearch: mask threshold must be positive, got %g", c.MaskThreshold)
+		// The filter checks its own window and threshold; an empty
+		// sequence has no window to scan.
+		if _, err := seq.LowComplexityRegions(nil, c.MaskWindow, c.MaskThreshold); err != nil {
+			return fmt.Errorf("dsearch: mask: %w", err)
 		}
 	}
 	if _, err := c.aligner(); err != nil {
@@ -91,11 +90,11 @@ func (c *Config) applyMask(db, queries *seq.Database) (*seq.Database, *seq.Datab
 	if !c.MaskLowComplexity {
 		return db, queries, nil
 	}
-	mdb, _, err := seq.MaskDatabase(db, c.MaskWindow, c.MaskThreshold)
+	mdb, err := seq.MaskDatabase(db, c.MaskWindow, c.MaskThreshold)
 	if err != nil {
 		return nil, nil, err
 	}
-	mq, _, err := seq.MaskDatabase(queries, c.MaskWindow, c.MaskThreshold)
+	mq, err := seq.MaskDatabase(queries, c.MaskWindow, c.MaskThreshold)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -125,4 +125,10 @@ func TestMaskConfigKeys(t *testing.T) {
 	if err := bad2.Validate(); err == nil {
 		t.Error("negative threshold accepted")
 	}
+	for _, val := range []string{"NaN", "Inf", "+Inf"} {
+		text := "mask_low_complexity = true\nmask_threshold = " + val + "\n"
+		if _, err := ParseConfig(strings.NewReader(text)); err == nil {
+			t.Errorf("mask_threshold = %s accepted", val)
+		}
+	}
 }
