@@ -9,8 +9,6 @@ import (
 	"context"
 	"errors"
 	"time"
-
-	"repro/internal/journal"
 )
 
 // maxPendingCancels bounds one donor's queued cancel notices; a donor that
@@ -33,23 +31,17 @@ func (s *Server) unlock(ps *problemState) {
 	for i := range t.fx {
 		e := &t.fx[i]
 		switch e.kind {
-		case fxFold:
+		case fxGrant, fxReplica, fxFold:
 			if ps.durable {
-				// Folds are journaled with a buffered write before the ack;
-				// the group commit makes them durable within one sync
-				// interval. A crash inside that window loses at most an
-				// interval's folds, which recovery regenerates and the fleet
-				// recomputes. An I/O error here sticks in the store and
-				// surfaces at the next checkpoint or Close; the fold itself
-				// proceeds — durability degrades rather than aborting a
-				// healthy run.
-				_ = s.journal.Append(&journal.Fold{ProblemID: ps.id, Epoch: ps.epoch, UnitID: e.uid, Payload: e.payload})
-			}
-		case fxReplica:
-			if ps.durable {
-				// Buffered like folds — losing a sync interval's replicas
-				// merely recomputes them.
-				_ = s.journal.Append(&journal.Replica{ProblemID: ps.id, Epoch: ps.epoch, UnitID: e.uid, Donor: e.donor, Payload: e.payload})
+				// Journal records are buffered writes before the ack; the
+				// group commit makes them durable within one sync interval.
+				// A crash inside that window loses the interval's tail, so
+				// replay rebuilds the table as it stood a moment earlier and
+				// the fleet recomputes the difference. An I/O error here
+				// sticks in the store and surfaces at the next checkpoint or
+				// Close; the transition itself stands — durability degrades
+				// rather than aborting a healthy run.
+				_ = s.journal.Append(e.record(ps.id, ps.epoch))
 			}
 		case fxEvent:
 			s.publishEffectLocked(ps, e)

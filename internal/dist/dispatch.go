@@ -138,36 +138,25 @@ func (s *Server) tryDispatch(ps *problemState, donor string, view dispatchView, 
 	}
 	budget := s.opts.Policy.Budget(view.stats, remainingCost(ps.p.DM), live)
 	budget = scaleBudgetByTrust(budget, view.trust)
-	for {
-		u, ok, err := ps.p.DM.NextUnit(budget)
-		if err != nil {
-			t.finish(fmt.Errorf("dist: problem %q: NextUnit: %w", ps.id, err))
+	u, ok, err := ps.p.DM.NextUnit(budget)
+	if err != nil {
+		t.finish(fmt.Errorf("dist: problem %q: NextUnit: %w", ps.id, err))
+		return nil, true, true
+	}
+	if !ok {
+		if ps.p.DM.Done() {
+			t.finish(nil)
 			return nil, true, true
 		}
-		if !ok {
-			if ps.p.DM.Done() {
-				t.finish(nil)
-				return nil, true, true
-			}
-			// Nothing fresh: a speculative copy of a straggler, or park.
-			task := t.idle(donor, view.probation, view.now)
-			return task, t.done, true
-		}
-		if t.attach(u) {
-			// A set rebuilt from the journal whose unit the DataManager just
-			// regenerated. If this donor cannot serve it, keep scanning —
-			// other donors will.
-			if task := t.reissue(donor, view.probation, false, live > 1, view.now); task != nil {
-				return task, false, true
-			}
-			continue
-		}
-		quorum := 1
-		if s.verifyEnabled() && (view.probation || s.sampleVerifyLocked(ps)) {
-			quorum = s.opts.VerifyQuorum
-		}
-		return t.grant(t.add(u.ID, u, quorum), donor, view.probation, view.now), false, true
+		// Nothing fresh: a speculative copy of a straggler, or park.
+		task := t.idle(donor, view.probation, view.now)
+		return task, t.done, true
 	}
+	quorum := 1
+	if s.verifyEnabled() && (view.probation || s.sampleVerifyLocked(ps)) {
+		quorum = s.opts.VerifyQuorum
+	}
+	return t.cut(u, budget, quorum, donor, view.probation, view.now), false, true
 }
 
 // pruneRotation removes finished problems from the dispatch order. Their

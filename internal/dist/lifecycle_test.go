@@ -31,6 +31,9 @@ type lifeDM struct {
 	again   []int // items handed back through Requeue
 	folds   []int
 	unknown int
+	// resume lists the pending unit IDs a DataManager restored from a
+	// checkpoint re-emits first (see restored).
+	resume []int64
 }
 
 func newLifeDM(n int) *lifeDM {
@@ -38,6 +41,13 @@ func newLifeDM(n int) *lifeDM {
 }
 
 func (d *lifeDM) NextUnit(int64) (*Unit, bool, error) {
+	for len(d.resume) > 0 {
+		id := d.resume[0]
+		d.resume = d.resume[1:]
+		if item, ok := d.byID[id]; ok {
+			return &Unit{ID: id, Algorithm: "life", Cost: 1, Payload: []byte{byte(item)}}, true, nil
+		}
+	}
 	var item int
 	switch {
 	case len(d.again) > 0:

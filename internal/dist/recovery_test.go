@@ -202,8 +202,8 @@ func TestCrashRecoveryResumesProblem(t *testing.T) {
 	if err := s1.snapshotNow(); err != nil {
 		t.Fatalf("snapshotNow: %v", err)
 	}
-	// Post-checkpoint: one more dispatch (soft state, never journaled) and
-	// one fold that lands in the WAL tail for a snapshotted pending unit.
+	// Post-checkpoint: one more dispatch (its Grant lands in the WAL tail)
+	// and one fold that lands there for a snapshotted pending unit.
 	straggler := dispatch(t, s1, "a")
 	if !foldTask(t, s1, tasks[2], "a") {
 		t.Fatal("live fold rejected")
@@ -227,8 +227,8 @@ func TestCrashRecoveryResumesProblem(t *testing.T) {
 	if rp.Completed != 3 {
 		t.Errorf("Completed = %d, want 3 (two snapshotted + one replayed)", rp.Completed)
 	}
-	if rp.Requeued != 1 {
-		t.Errorf("Requeued = %d, want 1 (unit 4, dispatched but never folded)", rp.Requeued)
+	if rp.Requeued != 2 {
+		t.Errorf("Requeued = %d, want 2 (units 4 and 5, granted but never folded)", rp.Requeued)
 	}
 	if rp.Epoch <= oldEpoch {
 		t.Errorf("recovered epoch %d not above pre-crash epoch %d", rp.Epoch, oldEpoch)
@@ -551,4 +551,74 @@ func mustRecoveredEpoch(t *testing.T, s *Server, id string) int64 {
 	}
 	t.Fatalf("problem %q not in recovery report %+v", id, rec.Problems)
 	return 0
+}
+
+// TestCrashReplaysUnsnapshottedFolds is recovery as replay: a durable
+// server that never checkpointed folds five units and crashes, so its only
+// state record is the Submit. Each unit's Grant re-cuts it from the
+// restored DataManager, so every journaled fold folds again and none is
+// skipped; the unit granted but not folded comes back under its original
+// ID; no folded unit is dispatched again; and the total is exact.
+func TestCrashReplaysUnsnapshottedFolds(t *testing.T) {
+	registerDurSum(t)
+	dir := t.TempDir()
+	const n, folds = 100, 5 // 10 units of 10 under Fixed{10}
+
+	s1 := openDurableServer(t, dir)
+	if err := s1.Submit(bg, &Problem{ID: "tail", DM: newDurSumDM(n)}); err != nil {
+		t.Fatal(err)
+	}
+	folded := make(map[int64]bool)
+	for range folds {
+		task := dispatch(t, s1, "a")
+		if !foldTask(t, s1, task, "a") {
+			t.Fatal("live fold rejected")
+		}
+		folded[task.Unit.ID] = true
+	}
+	pending := dispatch(t, s1, "a")
+	crashServer(s1)
+
+	s2 := openDurableServer(t, dir)
+	defer s2.Close()
+	rec := s2.Recovery()
+	if rec == nil || len(rec.Problems) != 1 {
+		t.Fatalf("recovery = %+v, want one problem", rec)
+	}
+	if rec.FoldsReplayed != folds || rec.FoldsSkipped != 0 {
+		t.Errorf("FoldsReplayed = %d, FoldsSkipped = %d; want %d and 0", rec.FoldsReplayed, rec.FoldsSkipped, folds)
+	}
+	if rp := rec.Problems[0]; rp.Completed != folds || rp.Requeued != 1 {
+		t.Errorf("Completed = %d, Requeued = %d; want %d and 1", rp.Completed, rp.Requeued, folds)
+	}
+	// Drain by hand, so every unit dispatched after the crash is seen.
+	var redone []int64
+	for i := 0; ; i++ {
+		task, _, err := s2.RequestTask(bg, "b")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if task == nil {
+			break
+		}
+		if i == 0 && task.Unit.ID != pending.Unit.ID {
+			t.Errorf("first unit after the crash is %d, want the pending unit %d", task.Unit.ID, pending.Unit.ID)
+		}
+		if folded[task.Unit.ID] {
+			redone = append(redone, task.Unit.ID)
+		}
+		if !foldTask(t, s2, task, "b") {
+			t.Fatalf("fold of unit %d rejected", task.Unit.ID)
+		}
+	}
+	if len(redone) > 0 {
+		t.Errorf("units %v were folded before the crash and dispatched again", redone)
+	}
+	out, err := s2.Wait(bg, "tail")
+	if err != nil {
+		t.Fatalf("Wait: %v", err)
+	}
+	if got := decodeSum(t, out); got != sumSquares(n) {
+		t.Errorf("sum = %d, want %d", got, sumSquares(n))
+	}
 }

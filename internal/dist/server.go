@@ -432,12 +432,16 @@ func (s *Server) Submit(ctx context.Context, p *Problem) error {
 	sharedDigest := wire.Digest(p.SharedData)
 	// Durable problems marshal their submit record before registration —
 	// the DataManager is still caller-owned here, so no lock is needed —
-	// and a state that cannot be marshalled is rejected up front rather
-	// than discovered at the first checkpoint.
+	// and a state that cannot be marshalled, or a DataManager whose work
+	// replay could not reproduce, is rejected up front rather than
+	// discovered at the first checkpoint or restart.
 	var jrec *journal.Submit
 	var kind string
 	if s.journal != nil {
 		if kind = durableKind(p.DM); kind != "" {
+			if err := replayable(p.DM); err != nil {
+				return fmt.Errorf("dist: problem %q: %w", p.ID, err)
+			}
 			state, merr := p.DM.(DurableDM).MarshalState()
 			if merr != nil {
 				return fmt.Errorf("dist: problem %q: marshal durable state: %w", p.ID, merr)
@@ -457,30 +461,36 @@ func (s *Server) Submit(ctx context.Context, p *Problem) error {
 	ps := s.newProblemState(p, s.epochSeq.Add(1), sharedDigest)
 	ps.durable, ps.kind = jrec != nil, kind
 	s.problems[p.ID] = ps
-	s.order = append(s.order, p.ID)
+	if jrec == nil {
+		s.order = append(s.order, p.ID)
+	}
 	s.untombstoneLocked(p.ID) // the ID is live again
 	s.regMu.Unlock()
 
 	if jrec != nil {
-		// The submit record is fsynced before Submit returns: an
-		// acknowledged problem survives a crash. The problem is already
-		// dispatchable during the append — a crash inside that window
-		// merely loses work donors recompute — but a journal that cannot
-		// accept the record rolls the registration back and fails the
-		// Submit, because an unjournaled "durable" problem would silently
-		// vanish on restart.
+		// The submit record is fsynced before Submit returns — an
+		// acknowledged problem survives a crash — and before the problem
+		// joins the dispatch rotation, so no Grant of its units can reach
+		// the journal ahead of the record replay rebuilds it from. A
+		// journal that cannot accept the record rolls the registration back
+		// and fails the Submit, because an unjournaled "durable" problem
+		// would silently vanish on restart.
 		jrec.Epoch = ps.epoch
-		if jerr := s.journal.AppendSync(jrec); jerr != nil {
+		jerr := s.journal.AppendSync(jrec)
+		s.regMu.Lock()
+		if cur := s.problems[p.ID]; cur == ps {
+			if jerr == nil {
+				s.order = append(s.order, p.ID)
+			} else {
+				delete(s.problems, p.ID)
+			}
+		}
+		s.regMu.Unlock()
+		if jerr != nil {
 			jerr = fmt.Errorf("dist: problem %q: journal submit: %w", p.ID, jerr)
 			ps.mu.Lock()
 			ps.table.finish(jerr)
 			s.unlock(ps)
-			s.regMu.Lock()
-			if cur := s.problems[p.ID]; cur == ps {
-				delete(s.problems, p.ID)
-				s.removeFromOrderLocked(p.ID)
-			}
-			s.regMu.Unlock()
 			return jerr
 		}
 	}
@@ -489,8 +499,8 @@ func (s *Server) Submit(ctx context.Context, p *Problem) error {
 	// FinalResult) run under the problem's own lock only — regMu is never
 	// held across DataManager calls, or one slow implementation would stall
 	// every other problem's lookups. The problem is dispatchable from the
-	// moment regMu drops; a donor racing in merely discovers Done() itself
-	// and finishing is idempotent.
+	// moment it joined the rotation; a donor racing in merely discovers
+	// Done() itself and finishing is idempotent.
 	ps.mu.Lock()
 	s.publishLocked(ps, s.snapshotEventLocked(ps))
 	if p.DM.Done() {

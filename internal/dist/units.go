@@ -47,7 +47,10 @@ package dist
 // fleet. What the server owes for a transition (a journal record, a Watch
 // event, a cancel notice, a trust outcome, the problem's end) is appended
 // to fx, which Server.unlock applies in order before the problem lock
-// drops; wake asks it to wake parked donors after.
+// drops; wake asks it to wake parked donors after. The journal records are
+// the table's own: a durable problem's Grant, Replica and Fold records
+// replay through these same transitions after a crash (unitTable.replay,
+// durable.go).
 
 import (
 	"bytes"
@@ -124,10 +127,7 @@ type heldResult struct {
 // lives in the struct, so an ordinary unit costs one allocation; results
 // and donors stay nil unless the unit is spot-checked.
 type attemptSet struct {
-	uid int64
-	// unit is nil for a set rebuilt from the journal until the DataManager
-	// regenerates the unit under its original ID; no lease can be granted
-	// before then.
+	uid    int64
 	unit   *Unit
 	leases []lease
 	first  [1]lease
@@ -184,7 +184,8 @@ type fleet interface {
 type effectKind uint8
 
 const (
-	fxFold    effectKind = iota // journal a fold of uid (payload)
+	fxGrant   effectKind = iota // journal the cut of uid (budget, quorum)
+	fxFold                      // journal a fold of uid (payload)
 	fxReplica                   // journal a held replica of uid (donor, payload)
 	fxEvent                     // a Watch event (event, uid, donor, counters)
 	fxCancel                    // a cancel notice to donor for its lease on uid
@@ -201,6 +202,10 @@ type effect struct {
 	donor   string
 	payload []byte
 	err     error
+	// budget and quorum are a Grant's: what NextUnit was asked for, and the
+	// set's quorum.
+	budget int64
+	quorum int
 	// completed and inflight are the counters when the event occurred.
 	completed, inflight int
 }
@@ -299,21 +304,31 @@ func (t *unitTable) acting(pred func(*attemptSet) bool) []*attemptSet {
 }
 
 // payload returns a unit's payload while it can still fold: its set is in
-// the table with the unit attached.
+// the table.
 func (t *unitTable) payload(uid int64) ([]byte, bool) {
-	if set := t.sets[uid]; set != nil && set.unit != nil {
+	if set := t.sets[uid]; set != nil {
 		return set.unit.Payload, true
 	}
 	return nil, false
 }
 
-// add registers a fresh attempt set: a unit fresh from the DataManager,
-// spot-checked when quorum is above one, or one rebuilt from the journal.
+// add registers a fresh attempt set for unit u, which the DataManager just
+// cut, spot-checked when quorum is above one.
 func (t *unitTable) add(uid int64, u *Unit, quorum int) *attemptSet {
 	set := &attemptSet{uid: uid, unit: u, quorum: quorum}
 	set.leases = set.first[:0]
 	t.sets[uid] = set
 	return set
+}
+
+// cut is where a unit enters the table: the DataManager just cut u for
+// budget, and donor is granted the first lease. The cut owes a Grant
+// record — replay re-cuts the unit by calling NextUnit with the same budget.
+func (t *unitTable) cut(u *Unit, budget int64, quorum int, donor string, probation bool, now time.Time) *Task {
+	set := t.add(u.ID, u, quorum)
+	task := t.grant(set, donor, probation, now)
+	t.fx = append(t.fx, effect{kind: fxGrant, uid: set.uid, budget: budget, quorum: set.quorum})
+	return task
 }
 
 // remove takes a set out of the table: its unit folded, or was handed back
@@ -341,21 +356,6 @@ func (t *unitTable) setOpen(set *attemptSet, want bool) {
 func (t *unitTable) unlease(set *attemptSet, i int) {
 	set.leases = slices.Delete(set.leases, i, i+1)
 	t.inflight.Add(-1)
-}
-
-// attach reports whether u belongs to a set already in the table — one
-// rebuilt from the journal, whose unit the DataManager just regenerated —
-// and attaches the unit, which opens the set.
-func (t *unitTable) attach(u *Unit) bool {
-	set := t.sets[u.ID]
-	if set == nil {
-		return false
-	}
-	if set.unit == nil {
-		set.unit = u
-		t.sync(set)
-	}
-	return true
 }
 
 // grant is the only place a lease is recorded: it leases the set's unit to
@@ -603,9 +603,9 @@ func (t *unitTable) offer(res *Result, trusted bool, now time.Time, f fleet) (*U
 	return set.unit, true
 }
 
-// fold is the only live-path caller of DataManager.Consume: the set leaves
-// the table, every lease still out on it is cancelled, and the result is
-// folded and journaled.
+// fold is the only caller of DataManager.Consume, live and in replay: the
+// set leaves the table, every lease still out on it is cancelled, and the
+// result is folded and journaled.
 func (t *unitTable) fold(set *attemptSet, payload []byte, donor string) {
 	t.cancel(set)
 	t.inflight.Add(-int64(len(set.leases)))
@@ -662,8 +662,6 @@ func (t *unitTable) sync(set *attemptSet) {
 // agreement.
 func (t *unitTable) wantsLease(set *attemptSet) (want, trustedOnly bool) {
 	switch {
-	case set.unit == nil:
-		return false, false
 	case set.quorum == 1:
 		return len(set.leases) == 0, false
 	case len(set.donors) >= maxVerifyDonors:
@@ -811,29 +809,14 @@ func (t *unitTable) evict(donor string, now time.Time, f fleet) {
 	}
 }
 
-// restore rebuilds a pending spot-checked set from its journaled replicas,
-// so a quorum started before a coordinator crash completes across it
-// instead of recomputing every copy. The set has no unit yet (the restored
-// DataManager re-emits it under its original ID at the next dispatch, see
-// attach) and no leases; donor trust is soft state, so every recovered
-// result counts as untrusted. A set whose quorum was already satisfied —
-// the fold record was lost with the crash — resolves right here.
-func (t *unitTable) restore(uid int64, byDonor map[string][]byte, now time.Time, f fleet) {
-	set := t.add(uid, nil, t.opts.VerifyQuorum)
-	for donor := range byDonor {
-		set.donors = append(set.donors, donor)
-	}
-	slices.Sort(set.donors)
-	for _, donor := range set.donors {
-		set.results = append(set.results, heldResult{donor: donor, payload: byDonor[donor]})
-	}
-	t.settle(set, now, f)
-}
-
-// rejournal owes a journal record for every held replica — a checkpoint
-// prunes the segments holding their originals.
+// rejournal owes the records that rebuild every outstanding set on top of
+// a checkpoint — its Grant, then its held replicas — because the checkpoint
+// prunes the segments holding their originals. A re-appended Grant carries
+// no budget: its unit is pending in the checkpointed state, and a restored
+// DataManager re-emits pending units first, whatever the budget.
 func (t *unitTable) rejournal() {
-	for _, set := range t.acting(func(set *attemptSet) bool { return len(set.results) > 0 }) {
+	for _, set := range t.acting(func(*attemptSet) bool { return true }) {
+		t.fx = append(t.fx, effect{kind: fxGrant, uid: set.uid, quorum: set.quorum})
 		for _, r := range set.results {
 			t.fx = append(t.fx, effect{kind: fxReplica, uid: set.uid, donor: r.donor, payload: r.payload})
 		}

@@ -12,6 +12,13 @@ package dist
 // folded. The search deepens iteratively, so the first violation found is
 // one of the shortest; its trace is printed. Each branch clones the state,
 // so memory stays at one path plus the visited set.
+//
+// Every visited state is also crashed, twice (crashCheck): a restarted
+// coordinator rebuilds the table by replaying the journal records the path
+// owed so far onto a fresh DataManager, and by replaying a checkpoint taken
+// at that state; each rebuild must match the live table — folded units
+// stay folded and none folds twice, every outstanding unit comes back open
+// with its held replicas, and no journaled fold is skipped.
 
 import (
 	"bytes"
@@ -24,6 +31,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/journal"
 )
 
 // exploreDepth bounds the event sequences the explorer enumerates.
@@ -127,7 +136,8 @@ func (f *fakeFleet) liveDonors(_ time.Time, skip func(string) bool) int {
 	return n
 }
 
-// exState is one explored state: a table, its DataManager and the fleet.
+// exState is one explored state: a table, its DataManager and the fleet,
+// and the journal records its path owed.
 type exState struct {
 	cfg      exConfig
 	inflight atomic.Int64
@@ -135,6 +145,7 @@ type exState struct {
 	dm       *lifeDM
 	f        fakeFleet
 	clock    time.Time
+	journal  []journal.Record
 }
 
 func newExState(cfg exConfig) *exState {
@@ -218,8 +229,8 @@ func (x *exState) apply(e exEvent) {
 		x.f.live[d] = true // a request is a sign of life
 		switch e.op {
 		case opFresh:
-			if u, ok, _ := x.t.dm.NextUnit(1); ok && !x.t.attach(u) {
-				x.t.grant(x.t.add(u.ID, u, int(e.arg)), name, probation, x.clock)
+			if u, ok, _ := x.t.dm.NextUnit(1); ok {
+				x.t.cut(u, 1, int(e.arg), name, probation, x.clock)
 			}
 		case opReissue:
 			othersAlive := x.f.liveDonors(x.clock, func(n string) bool { return n == name }) > 0
@@ -266,7 +277,7 @@ func (x *exState) apply(e exEvent) {
 
 // clone returns an independent copy of the state.
 func (x *exState) clone() *exState {
-	y := &exState{cfg: x.cfg, f: x.f, clock: x.clock}
+	y := &exState{cfg: x.cfg, f: x.f, clock: x.clock, journal: slices.Clip(x.journal)}
 	y.inflight.Store(x.inflight.Load())
 	dm := *x.dm
 	dm.byID = maps.Clone(x.dm.byID)
@@ -296,9 +307,10 @@ func (x *exState) clone() *exState {
 
 // check asserts every invariant after event e took pre to x, returning the
 // first violation. The effects e owed are inspected and then dropped, as
-// Server.unlock would apply them.
+// Server.unlock would apply them; the journal records among them are kept.
 func (x *exState) check(pre *exState, e exEvent) error {
 	defer func() { x.t.fx = x.t.fx[:0] }()
+	x.journal = append(x.journal, journalOf(x.t.fx)...)
 	if err := checkUnits(&x.t, x.dm); err != nil {
 		return err
 	}
@@ -352,6 +364,107 @@ func (x *exState) check(pre *exState, e exEvent) error {
 			return fmt.Errorf("unit %d folded %q agreed only by untrusted %v while a tie-breaker could arrive (trusted result held %v, replicas out %d, live donor uninvolved %v)",
 				fx.uid, fx.payload, agree, anyTrusted, len(leases), uninvolved)
 		}
+	}
+	return x.crashCheck()
+}
+
+// journalOf returns the journal records a durable problem owes for fx.
+func journalOf(fx []effect) []journal.Record {
+	var recs []journal.Record
+	for i := range fx {
+		if k := fx[i].kind; k == fxGrant || k == fxReplica || k == fxFold {
+			recs = append(recs, fx[i].record("x", 1))
+		}
+	}
+	return recs
+}
+
+// restored is the DataManager a checkpoint of d restores (DurableDM): the
+// same state, re-emitting its pending units first, in ID order.
+func (d *lifeDM) restored() *lifeDM {
+	r := *d
+	r.byID, r.folds = maps.Clone(d.byID), slices.Clone(d.folds)
+	r.resume = slices.Sorted(maps.Keys(d.byID))
+	return &r
+}
+
+// crashCheck crashes the coordinator at this state and rebuilds the table
+// twice, as recovery would: from the journal records owed so far, replayed
+// onto a fresh DataManager; and from a checkpoint taken now — the restored
+// DataManager plus the records rejournal owes. Both rebuilds must match the
+// live table. A Requeuer is never durable, a problem that failed or was
+// forgotten has no table to rebuild, and a finished one is not checkpointed.
+func (x *exState) crashCheck() error {
+	if x.cfg.requeue || (x.t.done && !x.dm.Done()) {
+		return nil
+	}
+	if err := x.rebuilt(newExState(x.cfg), x.journal); err != nil {
+		return fmt.Errorf("rebuilt from the journal: %w", err)
+	}
+	if x.t.done {
+		return nil // a checkpoint does not capture a finished problem
+	}
+	n := len(x.t.fx)
+	x.t.rejournal()
+	ckpt := journalOf(x.t.fx[n:])
+	x.t.fx = x.t.fx[:n]
+	y := newExState(x.cfg)
+	y.dm = x.dm.restored()
+	y.t.dm = y.dm
+	y.t.resume(x.t.dispatched, x.t.completed, x.t.reissued)
+	if err := x.rebuilt(y, ckpt); err != nil {
+		return fmt.Errorf("rebuilt from a checkpoint: %w", err)
+	}
+	return nil
+}
+
+// rebuilt replays recs into y, as recovery replays them into a restored
+// problem, and compares the result with the live state x: the lifecycle
+// invariants hold, no fold is skipped, the same items are folded, every
+// outstanding unit is back open with the same held replicas (up to the
+// results of donors quarantined since: quarantine, like all trust, is soft
+// state), and nothing else is.
+func (x *exState) rebuilt(y *exState, recs []journal.Record) error {
+	for _, r := range recs {
+		if f, fold := r.(*journal.Fold); !y.t.replay(r) && fold {
+			return fmt.Errorf("fold of unit %d skipped", f.UnitID)
+		}
+	}
+	if y.t.done != x.t.done {
+		for _, fx := range y.t.fx {
+			if fx.kind == fxEnd {
+				return fmt.Errorf("ended (%v), live table did not", fx.err)
+			}
+		}
+		return fmt.Errorf("ended %v, live table ended %v", y.t.done, x.t.done)
+	}
+	if err := checkUnits(&y.t, y.dm); err != nil {
+		return err
+	}
+	if !slices.Equal(y.dm.folds, x.dm.folds) || y.t.completed != x.t.completed {
+		return fmt.Errorf("item folds %v, %d completed; live %v, %d", y.dm.folds, y.t.completed, x.dm.folds, x.t.completed)
+	}
+	held := func(set *attemptSet) []string {
+		var rs []string
+		for _, r := range set.results {
+			if !x.f.quarantined[r.donor[1]-'0'] {
+				rs = append(rs, r.donor+":"+string(r.payload))
+			}
+		}
+		slices.Sort(rs)
+		return rs
+	}
+	for uid, set := range x.t.sets {
+		got := y.t.sets[uid]
+		if got == nil || !got.open {
+			return fmt.Errorf("unit %d did not come back open", uid)
+		}
+		if want, have := held(set), held(got); !slices.Equal(want, have) {
+			return fmt.Errorf("unit %d holds %v, live %v", uid, have, want)
+		}
+	}
+	if len(y.t.sets) != len(x.t.sets) {
+		return fmt.Errorf("%d units outstanding, live %d", len(y.t.sets), len(x.t.sets))
 	}
 	return nil
 }
@@ -421,7 +534,7 @@ func (x *exState) key(buf []byte) (uint64, []byte) {
 		for _, uid := range uids {
 			set := t.sets[uid]
 			b = num(b, uid, int64(set.quorum), int64(set.fails), int64(len(set.leases)), int64(len(set.results)), int64(len(set.donors)))
-			b = append(b, donor(set.lastDonor), flags(set.open, set.trustedOnly, set.speculated, set.unit != nil))
+			b = append(b, donor(set.lastDonor), flags(set.open, set.trustedOnly, set.speculated))
 			for _, l := range set.leases {
 				b = append(b, donor(l.donor), byte(slices.IndexFunc(deadlines, l.deadline.Equal)))
 			}

@@ -9,8 +9,10 @@ package dsearch
 
 import (
 	"bufio"
+	"errors"
 	"fmt"
 	"io"
+	"strconv"
 	"strings"
 
 	"repro/internal/align"
@@ -125,6 +127,11 @@ func parseBool(val string) (bool, error) {
 	}
 }
 
+// errExplicitZero rejects a mask_window or mask_threshold of 0 in a config
+// file: Validate reads a zero field as "unset" and substitutes the default,
+// so a written 0 would silently mean 12 or 2.2.
+var errExplicitZero = errors.New("must be non-zero (omit the key for the default)")
+
 // ParseConfig reads the key=value configuration file format:
 //
 //	# comment
@@ -156,23 +163,27 @@ func ParseConfig(r io.Reader) (Config, error) {
 		case "matrix":
 			c.Matrix = val
 		case "gap_open":
-			_, err = fmt.Sscanf(val, "%d", &c.GapOpen)
+			c.GapOpen, err = strconv.Atoi(val)
 		case "gap_extend":
-			_, err = fmt.Sscanf(val, "%d", &c.GapExtend)
+			c.GapExtend, err = strconv.Atoi(val)
 		case "band":
-			_, err = fmt.Sscanf(val, "%d", &c.Band)
+			c.Band, err = strconv.Atoi(val)
 		case "topk":
-			_, err = fmt.Sscanf(val, "%d", &c.TopK)
+			c.TopK, err = strconv.Atoi(val)
 		case "min_score":
-			_, err = fmt.Sscanf(val, "%d", &c.MinScore)
+			c.MinScore, err = strconv.Atoi(val)
 		case "report_alignments":
 			c.ReportAlignments, err = parseBool(val)
 		case "mask_low_complexity":
 			c.MaskLowComplexity, err = parseBool(val)
 		case "mask_window":
-			_, err = fmt.Sscanf(val, "%d", &c.MaskWindow)
+			if c.MaskWindow, err = strconv.Atoi(val); err == nil && c.MaskWindow == 0 {
+				err = errExplicitZero
+			}
 		case "mask_threshold":
-			_, err = fmt.Sscanf(val, "%g", &c.MaskThreshold)
+			if c.MaskThreshold, err = strconv.ParseFloat(val, 64); err == nil && c.MaskThreshold == 0 {
+				err = errExplicitZero
+			}
 		default:
 			return c, fmt.Errorf("dsearch: config line %d: unknown key %q", line, key)
 		}

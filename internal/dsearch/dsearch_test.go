@@ -41,6 +41,11 @@ func TestParseConfigErrors(t *testing.T) {
 		"topk = 0\n",                   // invalid after validation
 		"algorithm = quantum-search\n", // unknown algorithm
 		"matrix = NOPE\n",              // unknown matrix
+		"topk = 10x\n",                 // trailing garbage after an int
+		"mask_threshold = 2.2abc\n",    // trailing garbage after a float
+		"gap_open = 3.7\n",             // a float where an int belongs
+		"mask_window = 0\n",            // explicit zero, not "unset"
+		"mask_threshold = 0\n",         // explicit zero, not "unset"
 	}
 	for _, text := range bad {
 		if _, err := ParseConfig(strings.NewReader(text)); err == nil {

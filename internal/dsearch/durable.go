@@ -12,10 +12,11 @@ import (
 // coordinator started with a data directory can journal its state and
 // resume a half-finished search after a crash. The flattened state keeps
 // the pending (dispatched, not yet folded) spans under their ORIGINAL unit
-// IDs: a restored DataManager both accepts journal-tail folds for those
-// IDs (replay) and re-emits the unconsumed ones to the fleet before
-// cutting any new chunks, so no database residue is searched twice and
-// none is lost.
+// IDs: a restored DataManager re-emits them, in ID order, before cutting any
+// new chunks — the coordinator's replay rebuilds their units from that —
+// and accepts folds for them, so no database residue is searched twice and
+// none is lost. NextUnit is deterministic given the state and the budget,
+// which lets replay re-cut every chunk granted after the state was taken.
 
 // durableState is the journaled form of a DataManager. Field order is
 // frozen by the gob encoding only within one binary's lifetime, which is
@@ -54,9 +55,8 @@ func (d *DataManager) MarshalState() ([]byte, error) {
 }
 
 // restoreDataManager rebuilds a DataManager from MarshalState's bytes. The
-// pending spans go straight back into the inflight map — journal-tail
-// folds replay against them — and into a resume queue NextUnit drains
-// before advancing the database cursor.
+// pending spans go straight back into the inflight map and into a resume
+// queue NextUnit drains before advancing the database cursor.
 func restoreDataManager(state []byte) (*DataManager, error) {
 	st, err := dist.Decode[durableState](state)
 	if err != nil {
@@ -93,15 +93,15 @@ func restoreDataManager(state []byte) (*DataManager, error) {
 }
 
 // nextResumedUnit re-emits one recovered pending span under its original
-// unit ID, skipping IDs that a replayed journal fold already consumed.
-// Returns nil once the resume queue is drained.
+// unit ID, skipping IDs already consumed. Returns nil once the resume queue
+// is drained.
 func (d *DataManager) nextResumedUnit() *dist.UnitOf[unitPayload] {
 	for len(d.resume) > 0 {
 		id := d.resume[0]
 		d.resume = d.resume[1:]
 		span, ok := d.inflight[id]
 		if !ok {
-			continue // folded during journal replay
+			continue
 		}
 		var cost int64
 		for i := span[0]; i < span[1]; i++ {

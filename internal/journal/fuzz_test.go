@@ -22,6 +22,15 @@ func FuzzJournalReplay(f *testing.F) {
 	}
 	f.Add(valid)
 	f.Add(valid[:len(valid)-5])
+	grants := []byte(walHeader)
+	for _, r := range []Record{
+		&Grant{ProblemID: "fuzz", Epoch: 1, UnitID: 1, Budget: 300, Quorum: 1},
+		&Grant{ProblemID: "fuzz", Epoch: 1, UnitID: 2, Budget: 1 << 40, Quorum: 2},
+	} {
+		grants = append(grants, encodeFrame(r)...)
+	}
+	f.Add(grants)
+	f.Add(grants[:len(grants)-1])
 	f.Add([]byte(walHeader))
 	f.Add([]byte{})
 	f.Add([]byte("DJWAL001\xff\xff\xff\xff\xff\xff\xff\xff\xff\xff"))
@@ -68,6 +77,7 @@ func FuzzJournalReplay(f *testing.F) {
 func sampleFuzzRecords() []Record {
 	return []Record{
 		&Submit{ProblemID: "fuzz", Epoch: 1, Kind: "k/v1", State: []byte{1, 2, 3}, Shared: []byte("shared")},
+		&Grant{ProblemID: "fuzz", Epoch: 1, UnitID: 42, Budget: 9000, Quorum: 2},
 		&Fold{ProblemID: "fuzz", Epoch: 1, UnitID: 42, Payload: []byte("payload")},
 		&Forget{ProblemID: "fuzz", Epoch: 1},
 		&Meta{EpochSeq: 9},

@@ -2,15 +2,18 @@
 // fsync-batched write-ahead log plus atomic snapshots, from which a
 // restarted server rebuilds its registered problems.
 //
-// The design follows the observation that only three coordinator mutations
-// matter for recovery — a problem being submitted, a unit result being
-// folded, and a problem being forgotten. Lease tables, donor statistics and
-// park queues are all soft state the fleet regenerates within one poll
-// interval, so none of it is journaled.
+// The design follows the observation that only five coordinator mutations
+// matter for recovery — a problem being submitted, a unit being granted
+// (cut from the problem's DataManager), a replica result being held for
+// quorum, a unit result being folded, and a problem being forgotten. Lease
+// tables, donor statistics and park queues are all soft state the fleet
+// regenerates within one poll interval, so none of it is journaled. The
+// server recovers by replaying the records through the same unit-table
+// transitions that wrote them.
 //
 // On disk a journal directory holds generation-numbered segments:
 //
-//	wal-<gen>   appended Submit/Fold/Forget records
+//	wal-<gen>   appended Submit/Grant/Replica/Fold/Forget records
 //	snap-<gen>  one atomically written checkpoint (Meta + Snapshot records)
 //
 // Every record, in both file kinds, is framed identically:
@@ -25,7 +28,8 @@
 // segment of an older generation; recovery loads the newest parseable
 // snapshot and replays all WAL generations at or above it, so a crash at
 // any point between those steps replays to the same state (the server's
-// replay is idempotent: a fold for an already-consumed unit is skipped).
+// replay is idempotent: a Grant for a unit already rebuilt is a no-op, a
+// duplicate Replica is dropped).
 package journal
 
 import (
@@ -42,10 +46,11 @@ const (
 	tagSnapshot byte = 4
 	tagMeta     byte = 5
 	tagReplica  byte = 6
+	tagGrant    byte = 7
 )
 
 // Record is one typed journal entry. The concrete types are Submit, Fold,
-// Forget, Snapshot, Meta and Replica; replay switches on them.
+// Forget, Snapshot, Meta, Replica and Grant; replay switches on them.
 type Record interface{ tag() byte }
 
 // Submit records a durable problem's registration: everything needed to
@@ -115,6 +120,23 @@ type Replica struct {
 	Payload []byte
 }
 
+// Grant records the first cut of a unit: the DataManager's NextUnit was
+// called with Budget and returned UnitID, which was set up to fold after
+// Quorum agreeing results. Replay calls NextUnit(Budget) on the restored
+// DataManager — deterministic given its state and the budget — and checks
+// it returns UnitID. Field order: ProblemID, Epoch, UnitID, Budget, Quorum.
+type Grant struct {
+	ProblemID string
+	Epoch     int64
+	// UnitID is the unit NextUnit returned.
+	UnitID int64
+	// Budget is the budget NextUnit was called with.
+	Budget int64
+	// Quorum is the unit's quorum when it was granted (1, or the
+	// verification quorum for a spot-checked unit).
+	Quorum int64
+}
+
 // Meta is the first record of every snapshot file. Field order: EpochSeq.
 type Meta struct {
 	// EpochSeq is the coordinator's incarnation-counter high-water mark at
@@ -129,6 +151,7 @@ func (*Forget) tag() byte   { return tagForget }
 func (*Snapshot) tag() byte { return tagSnapshot }
 func (*Meta) tag() byte     { return tagMeta }
 func (*Replica) tag() byte  { return tagReplica }
+func (*Grant) tag() byte    { return tagGrant }
 
 // recordEpoch reports the incarnation epoch a record carries (0 for Meta,
 // which carries the allocator high-water instead).
@@ -143,6 +166,8 @@ func recordEpoch(r Record) int64 {
 	case *Snapshot:
 		return r.Epoch
 	case *Replica:
+		return r.Epoch
+	case *Grant:
 		return r.Epoch
 	}
 	return 0
@@ -198,6 +223,12 @@ func encodeRecordInto(b []byte, r Record) []byte {
 		b = binary.AppendVarint(b, r.UnitID)
 		b = appendString(b, r.Donor)
 		b = appendBytes(b, r.Payload)
+	case *Grant:
+		b = appendString(b, r.ProblemID)
+		b = binary.AppendVarint(b, r.Epoch)
+		b = binary.AppendVarint(b, r.UnitID)
+		b = binary.AppendVarint(b, r.Budget)
+		b = binary.AppendVarint(b, r.Quorum)
 	default:
 		panic(fmt.Sprintf("journal: encode of unknown record type %T", r))
 	}
@@ -255,6 +286,14 @@ func decodeRecord(body []byte) (Record, error) {
 		rec.UnitID = d.varint()
 		rec.Donor = d.str()
 		rec.Payload = d.bytes()
+		r = rec
+	case tagGrant:
+		rec := &Grant{}
+		rec.ProblemID = d.str()
+		rec.Epoch = d.varint()
+		rec.UnitID = d.varint()
+		rec.Budget = d.varint()
+		rec.Quorum = d.varint()
 		r = rec
 	default:
 		return nil, fmt.Errorf("journal: unknown record tag %d", body[0])

@@ -25,7 +25,9 @@ func openT(t *testing.T, dir string) (*Store, *Recovered) {
 func sampleRecords() []Record {
 	return []Record{
 		&Submit{ProblemID: "p1", Epoch: 3, Kind: "k/v1", State: []byte("state-1"), Shared: []byte("shared blob")},
+		&Grant{ProblemID: "p1", Epoch: 3, UnitID: 1, Budget: 4096, Quorum: 1},
 		&Fold{ProblemID: "p1", Epoch: 3, UnitID: 1, Payload: []byte("result-1")},
+		&Grant{ProblemID: "p1", Epoch: 3, UnitID: 2, Budget: -1, Quorum: 2},
 		&Fold{ProblemID: "p1", Epoch: 3, UnitID: 2, Payload: nil},
 		&Submit{ProblemID: "p2", Epoch: 4, Kind: "k/v1", State: nil, Shared: nil},
 		&Forget{ProblemID: "p2", Epoch: 4},
@@ -113,6 +115,10 @@ func TestTornTailTruncates(t *testing.T) {
 			c[0] = 'X'
 			return c
 		}, 0},
+		{"torn-grant", func(b []byte) []byte {
+			g := encodeFrame(&Grant{ProblemID: "p1", Epoch: 3, UnitID: 4, Budget: 1 << 40, Quorum: 2})
+			return append(append([]byte(nil), b...), g[:len(g)-2]...)
+		}, len(want)},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -125,7 +131,7 @@ func TestTornTailTruncates(t *testing.T) {
 			if len(rec.Tail) != tc.keep {
 				t.Fatalf("recovered %d records, want %d", len(rec.Tail), tc.keep)
 			}
-			if !rec.Truncated && tc.keep != len(want) {
+			if !rec.Truncated && (tc.keep != len(want) || tc.name == "torn-grant") {
 				t.Fatal("corruption not reported as truncated")
 			}
 			if tc.keep > 0 && !reflect.DeepEqual(rec.Tail, want[:tc.keep]) {

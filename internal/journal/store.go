@@ -264,8 +264,9 @@ func (s *Store) Err() error {
 // Rotate fsyncs and retires the live WAL segment and starts a new
 // generation. Callers snapshot their state after rotating and then call
 // WriteSnapshot, so every record in the retired segments is covered by the
-// snapshot (records appended to the new segment during capture replay
-// idempotently on top of it).
+// snapshot. A caller that holds off its own appends from the rotation until
+// its state is captured makes the new segment hold exactly the records
+// written after that state.
 func (s *Store) Rotate() error {
 	s.syncMu.Lock()
 	defer s.syncMu.Unlock()
