@@ -78,7 +78,9 @@ bench-module:
 # result), the donor loop's stage table and exact-unit cancel test (its
 # cancel poller runs beside Run), the trust bar's demotion and two-donor
 # quorum liveness tests, the server's batch sizing from each donor's
-# measured unit time (in process and over the wire), the crash-replay
+# measured unit time (in process and over the wire), the results tail
+# (one control request per dispatch batch, the flushes before a failure
+# report and at Close, donors sharing one client), the crash-replay
 # tests (TestCrashReplaysUnsnapshottedFolds and the two DSEARCH ones,
 # TestDSEARCHCrashReplaysTail and TestDSEARCHCrashReplaysCheckpointAndTail:
 # a durable coordinator crashed mid-run replays its journal through the
@@ -87,7 +89,7 @@ stress:
 	$(GO) test -count=20 ./internal/dist/ ./internal/swarm/
 	$(GO) test -count=5 -run 'TestCoordinatorCrashRecoveryRealNetwork|TestNetworkMatchesRunLocal' . ./internal/dist/
 	$(GO) test -race -count=10 -run TestAttemptLifecycleInvariants ./internal/dist/
-	$(GO) test -race -count=20 -run 'TestParkedDonorDeathLeasesNothing|TestCloseAnswersEveryParkedDonorOverTheWire|TestHeldReplicaLeavesOffloadedPayloadFetchable|TestSiblingCancelNoticeSparesLiveUnits|TestDonorLoopStages|TestDemotedDonorIsSpotCheckedAgain|TestTwoDonorQuorumWithProbationDrains|TestWaitTasksSizesBatchFromDonorRate' ./internal/dist/
+	$(GO) test -race -count=20 -run 'TestParkedDonorDeathLeasesNothing|TestCloseAnswersEveryParkedDonorOverTheWire|TestHeldReplicaLeavesOffloadedPayloadFetchable|TestSiblingCancelNoticeSparesLiveUnits|TestDonorLoopStages|TestDemotedDonorIsSpotCheckedAgain|TestTwoDonorQuorumWithProbationDrains|TestWaitTasksSizesBatchFromDonorRate|TestResultsRideThePark|TestCloseDeliversHeldResults|TestFailureReportFlushesHeldResults|TestDonorsSharingOneClientFoldEveryUnit' ./internal/dist/
 	$(GO) test -race -count=20 -run 'TestCrashReplaysUnsnapshottedFolds|TestDSEARCHCrashReplaysTail|TestDSEARCHCrashReplaysCheckpointAndTail' ./internal/dist/
 	$(GO) test -race -count=20 -run TestMux ./internal/wire/
 

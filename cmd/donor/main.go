@@ -41,7 +41,10 @@ func main() {
 	if err != nil {
 		log.Fatalf("donor: %v", err)
 	}
-	defer client.Close()
+	// Close delivers the results still queued on the connection, so it
+	// must reach the client in use at exit: after a reconnect, the
+	// redialed one.
+	defer func() { client.Close() }()
 
 	// A background-service donor outlives server restarts: when the
 	// connection drops without an explicit close, keep redialing with
@@ -49,7 +52,13 @@ func main() {
 	// interrupt — ends the loop.
 	var redial func() (dist.Coordinator, error)
 	if *retry > 0 {
-		redial = func() (dist.Coordinator, error) { return dist.Dial(*server, dialTimeout) }
+		redial = func() (dist.Coordinator, error) {
+			c, err := dist.Dial(*server, dialTimeout)
+			if err == nil {
+				client = c
+			}
+			return c, err
+		}
 	}
 
 	// "-blob-cache 0" means no caching beyond the blob in use; the option

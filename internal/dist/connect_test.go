@@ -137,6 +137,8 @@ func TestControlConnAcceptBoundary(t *testing.T) {
 		{"dflt2", []byte("\x00dflt2\r\n"), false, false},
 		{"dflt3", []byte("\x00dflt3\r\n"), false, false},
 		{"dflt4", []byte("\x00dflt4\r\n"), false, false},
+		{"dflt5", []byte("\x00dflt5\r\n"), false, false},
+		{"dflt6", []byte("\x00dflt6\r\n"), false, false},
 		{"gob-rpc stream", gobRPCPrefix, false, false},
 		{"truncated then hang-up", []byte(wire.FlatPreamble[:5]), false, false},
 		{"truncated then silence", []byte(wire.FlatPreamble[:5]), true, false},
@@ -166,6 +168,7 @@ func FuzzControlPreamble(f *testing.F) {
 	f.Add([]byte(wire.FlatPreamble[:5]))
 	f.Add([]byte{})
 	f.Add(append([]byte(wire.FlatPreamble), 0xff, 0xff, 0xff, 0xff))
+	f.Add([]byte("\x00dflt6\r\n"))
 
 	f.Fuzz(func(t *testing.T, first []byte) {
 		if bytes.HasPrefix(first, []byte(wire.FlatPreamble)) {
@@ -251,6 +254,7 @@ func TestDialProtocolMismatch(t *testing.T) {
 		{"dflt3 banner", "\x00dflt3\r\n"},
 		{"dflt4 banner", "\x00dflt4\r\n"},
 		{"dflt5 banner", "\x00dflt5\r\n"},
+		{"dflt6 banner", "\x00dflt6\r\n"},
 		{"hangs up", ""},
 	} {
 		t.Run(c.name, func(t *testing.T) {

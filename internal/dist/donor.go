@@ -22,7 +22,10 @@ type DonorOptions struct {
 	// Name identifies the donor in server statistics and logs.
 	Name string
 	// Throttle pauses between units so the donor stays a polite background
-	// service on a machine someone else is using.
+	// service on a machine someone else is using. Over the network a
+	// batch's results land with the donor's next park (see
+	// RPCClient.SubmitResult), so the pauses after a batch's units delay
+	// its results as well.
 	Throttle time.Duration
 	// Logf, when non-nil, receives progress and failure messages.
 	Logf func(format string, args ...any)
@@ -205,7 +208,9 @@ func NewDonor(coord Coordinator, opts ...DonorOption) *Donor {
 	}
 }
 
-// Units reports how many work units this donor has completed.
+// Units reports how many work units this donor has completed: results it
+// handed to the coordinator. An RPCClient queues a result for the next
+// request, so a counted unit's result may not have reached the server yet.
 func (d *Donor) Units() int { return int(d.units.Load()) }
 
 // Aborted reports how many in-flight units this donor abandoned on a

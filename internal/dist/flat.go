@@ -31,6 +31,7 @@ func (a waitTaskArgs) MarshalFlat(e *wire.Encoder) {
 	e.String(a.Donor)
 	e.Varint(a.MaxWaitNs)
 	e.Varint(int64(a.MaxBatch))
+	marshalResultsFlat(e, a.Results)
 }
 
 // UnmarshalFlat implements wire.FlatUnmarshaler.
@@ -38,6 +39,37 @@ func (a *waitTaskArgs) UnmarshalFlat(d *wire.Decoder) {
 	a.Donor = d.String()
 	a.MaxWaitNs = d.Varint()
 	a.MaxBatch = int(d.Varint())
+	a.Results = unmarshalResultsFlat(d)
+}
+
+// MarshalFlat implements wire.FlatMarshaler.
+func (a resultsArgs) MarshalFlat(e *wire.Encoder) { marshalResultsFlat(e, a.Results) }
+
+// UnmarshalFlat implements wire.FlatUnmarshaler.
+func (a *resultsArgs) UnmarshalFlat(d *wire.Decoder) { a.Results = unmarshalResultsFlat(d) }
+
+// marshalResultsFlat / unmarshalResultsFlat encode a list of results — a
+// dispatch request's tail, the SubmitResult verb's body — as a count and
+// then each ResultArgs in its own field order. An empty list decodes nil.
+func marshalResultsFlat(e *wire.Encoder, rs []ResultArgs) {
+	e.Uvarint(uint64(len(rs)))
+	for i := range rs {
+		rs[i].MarshalFlat(e)
+	}
+}
+
+func unmarshalResultsFlat(d *wire.Decoder) []ResultArgs {
+	n := d.Uvarint()
+	if d.Err() != nil || n == 0 {
+		return nil
+	}
+	rs := make([]ResultArgs, 0, int(min(n, 1024)))
+	for i := uint64(0); i < n && d.Err() == nil; i++ {
+		var r ResultArgs
+		r.UnmarshalFlat(d)
+		rs = append(rs, r)
+	}
+	return rs
 }
 
 // marshalUnitFlat / unmarshalUnitFlat encode the embedded Unit wherever an
@@ -87,7 +119,7 @@ func (r *TaskReply) UnmarshalFlat(d *wire.Decoder) {
 	if d.Err() != nil || n == 0 {
 		return
 	}
-	r.Batch = make([]BatchTask, 0, min(int(n), 1024))
+	r.Batch = make([]BatchTask, 0, int(min(n, 1024)))
 	for i := uint64(0); i < n && d.Err() == nil; i++ {
 		var bt BatchTask
 		bt.unmarshalFlat(d)
@@ -172,7 +204,7 @@ func (r *cancelReply) UnmarshalFlat(d *wire.Decoder) {
 	if d.Err() != nil || n == 0 {
 		return
 	}
-	r.Notices = make([]CancelNotice, 0, min(int(n), 1024))
+	r.Notices = make([]CancelNotice, 0, int(min(n, 1024)))
 	for i := uint64(0); i < n && d.Err() == nil; i++ {
 		r.Notices = append(r.Notices, CancelNotice{
 			ProblemID: d.String(),

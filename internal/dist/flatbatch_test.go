@@ -2,7 +2,9 @@ package dist
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
+	"math"
 	"reflect"
 	"sync"
 	"testing"
@@ -23,7 +25,10 @@ func TestFlatEnvelopeRoundTrip(t *testing.T) {
 		out  wire.FlatUnmarshaler
 	}{
 		{"donorArgs", donorArgs{Donor: "d-1"}, &donorArgs{}},
-		{"waitTaskArgs", waitTaskArgs{Donor: "d-1", MaxWaitNs: int64(45 * time.Second), MaxBatch: 8}, &waitTaskArgs{}},
+		{"waitTaskArgs", waitTaskArgs{Donor: "d-1", MaxWaitNs: int64(45 * time.Second), MaxBatch: 8}, &waitTaskArgs{}}, // an empty results tail
+		{"waitTaskArgs/tail-1", waitTaskArgs{Donor: "d-1", MaxBatch: 8, Results: resultTail(1)}, &waitTaskArgs{}},
+		{"waitTaskArgs/tail-8", waitTaskArgs{Donor: "d-1", MaxWaitNs: -1, Results: resultTail(8)}, &waitTaskArgs{}},
+		{"resultsArgs", resultsArgs{Results: resultTail(3)}, &resultsArgs{}},
 		{"TaskReply", TaskReply{
 			HasTask:      true,
 			ProblemID:    "p-1",
@@ -56,6 +61,49 @@ func TestFlatEnvelopeRoundTrip(t *testing.T) {
 			got := reflect.ValueOf(c.out).Elem().Interface()
 			if !reflect.DeepEqual(got, c.in) {
 				t.Errorf("round-trip mismatch:\n got %+v\nwant %+v", got, c.in)
+			}
+		})
+	}
+}
+
+// resultTail returns n distinct results of one donor, as a batch leaves
+// them queued on its connection; the last has an empty payload.
+func resultTail(n int) []ResultArgs {
+	rs := make([]ResultArgs, n)
+	for i := range rs {
+		rs[i] = ResultArgs{Donor: "d-1", ProblemID: fmt.Sprintf("p-%d", i%2), UnitID: int64(7 + i),
+			Payload: []byte(fmt.Sprintf("out-%d", i)), ElapsedNs: int64(1000 * i), Epoch: 2}
+	}
+	rs[n-1].Payload = nil
+	return rs
+}
+
+// TestFlatListCountBounded gives each list-carrying envelope the largest
+// count a uvarint can hold — the last field of each, so the encoding of
+// the empty envelope ends in it: decoding must fail as truncated, not size
+// an allocation from the count (a count past MaxInt64 once turned into a
+// negative capacity and a panic).
+func TestFlatListCountBounded(t *testing.T) {
+	for _, c := range []struct {
+		name  string
+		empty wire.FlatMarshaler
+		out   wire.FlatUnmarshaler
+	}{
+		{"waitTaskArgs", waitTaskArgs{}, &waitTaskArgs{}},
+		{"resultsArgs", resultsArgs{}, &resultsArgs{}},
+		{"TaskReply", TaskReply{}, &TaskReply{}},
+		{"cancelReply", cancelReply{}, &cancelReply{}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			frame := wire.MarshalFlatMessage(c.empty)
+			if frame[len(frame)-1] != 0 {
+				t.Fatalf("test setup: %x does not end in a zero count", frame)
+			}
+			frame = binary.AppendUvarint(frame[:len(frame)-1], math.MaxUint64)
+			d := wire.NewDecoder(frame)
+			c.out.UnmarshalFlat(d)
+			if d.Err() == nil {
+				t.Fatal("a count of MaxUint64 over an empty rest decoded without error")
 			}
 		})
 	}

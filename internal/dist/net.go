@@ -207,12 +207,19 @@ type donorArgs struct{ Donor string }
 // (extras ride in TaskReply.Batch); ≤ 0 leaves each to the server, which
 // parks for ServerOptions.LongPoll and sizes the batch from the donor's
 // measured unit time. The donor loop sends zeros; RPCClient.RequestTask
-// and WaitTask send their own bounds.
+// and WaitTask send their own bounds. Results is the tail of results the
+// connection queued since its last request (RPCClient.SubmitResult): the
+// server folds them, in order, before it dispatches.
 type waitTaskArgs struct {
 	Donor     string
 	MaxWaitNs int64
 	MaxBatch  int
+	Results   []ResultArgs
 }
+
+// resultsArgs is the body of the SubmitResult verb: the queued results
+// that have no park to ride (RPCClient.flush).
+type resultsArgs struct{ Results []ResultArgs }
 
 // TaskReply carries a dispatch of one or more units: the first in the
 // head fields, the rest in Batch. When a payload was offloaded to the bulk
@@ -310,22 +317,18 @@ func (ns *NetworkServer) handle(ctx context.Context, verb byte, d *wire.Decoder)
 		if a.UnmarshalFlat(d); d.Err() != nil {
 			return nil, d.Err()
 		}
+		if err := ns.submitResults(ctx, a.Results); err != nil {
+			return nil, err
+		}
 		tasks, _, err := ns.Server.WaitTasks(ctx, a.Donor, time.Duration(a.MaxWaitNs), a.MaxBatch)
 		return ns.taskReply(tasks), err
 
 	case verbSubmitResult:
-		var a ResultArgs
+		var a resultsArgs
 		if a.UnmarshalFlat(d); d.Err() != nil {
 			return nil, d.Err()
 		}
-		return nil, ns.Server.SubmitResult(ctx, &Result{
-			ProblemID: a.ProblemID,
-			UnitID:    a.UnitID,
-			Payload:   a.Payload,
-			Elapsed:   time.Duration(a.ElapsedNs),
-			Donor:     a.Donor,
-			Epoch:     a.Epoch,
-		})
+		return nil, ns.submitResults(ctx, a.Results)
 
 	case verbReportFailure:
 		var a failureArgs
@@ -347,6 +350,28 @@ func (ns *NetworkServer) handle(ctx context.Context, verb byte, d *wire.Decoder)
 		return cancelReply{Notices: notices}, err
 	}
 	return nil, fmt.Errorf("dist: unknown control verb %d", verb)
+}
+
+// submitResults folds a request's results, in the order the donor queued
+// them, each through Server.SubmitResult — the trust, epoch and quorum
+// checks of a result submitted on its own. It stops at the first error
+// (the coordinator closed, the connection ended): the rest would meet it
+// too.
+func (ns *NetworkServer) submitResults(ctx context.Context, rs []ResultArgs) error {
+	for i := range rs {
+		a := &rs[i]
+		if err := ns.Server.SubmitResult(ctx, &Result{
+			ProblemID: a.ProblemID,
+			UnitID:    a.UnitID,
+			Payload:   a.Payload,
+			Elapsed:   time.Duration(a.ElapsedNs),
+			Donor:     a.Donor,
+			Epoch:     a.Epoch,
+		}); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // taskReply encodes a dispatch of zero or more units: the first in the
@@ -387,11 +412,29 @@ func (ns *NetworkServer) taskReply(tasks []*Task) *TaskReply {
 // control mux, payload and shared-blob fetches over the bulk socket
 // channel. Context cancellation abandons a call client-side; the call
 // itself may still complete on the server.
+//
+// Results are not a round trip of their own: SubmitResult queues them on
+// the client, and the next WaitTasks carries the queue to the server as a
+// results tail, so a donor draining a batch of N units makes one request
+// for the batch rather than 1 + N. ReportFailure and Close first flush
+// the queue with the SubmitResult verb, the two cases no park may follow.
 type RPCClient struct {
 	mux      *wire.MuxClient
 	bulkAddr string
 	timeout  time.Duration
+
+	// heldMu guards the results queued for the next request and their
+	// payload bytes.
+	heldMu    sync.Mutex
+	held      []ResultArgs //dist:guardedby heldMu
+	heldBytes int          //dist:guardedby heldMu
 }
+
+// heldBudget bounds the payload bytes queued for one request, so that a
+// results tail cannot push a frame past wire.MaxFrameSize where the same
+// results sent one by one would fit: a result that would take the queue
+// over it first flushes what is queued.
+const heldBudget = wire.MaxFrameSize / 2
 
 var _ Coordinator = (*RPCClient)(nil)
 var _ TaskWaiter = (*RPCClient)(nil)
@@ -447,8 +490,16 @@ func resolveBulkAddr(rpcAddr, bulkAddr string) string {
 	return net.JoinHostPort(rhost, bport)
 }
 
-// Close tears down the control connection.
-func (c *RPCClient) Close() error { return c.mux.Close() }
+// Close flushes the results still queued — best effort, within the dial
+// timeout, so that a stalled server cannot hold it — and tears down the
+// control connection. On a connection already lost or closed by the
+// server the flush fails at once.
+func (c *RPCClient) Close() error {
+	ctx, cancel := context.WithTimeout(context.Background(), c.timeout) //dist:allow-background Close takes no ctx; the flush is bounded by the dial timeout
+	_ = c.flush(ctx)
+	cancel()
+	return c.mux.Close()
+}
 
 // RequestTask is one dispatch scan without a park: a one-unit WaitTasks
 // whose 1ns bound expires before the server could park it.
@@ -467,9 +518,18 @@ func (c *RPCClient) WaitTask(ctx context.Context, donor string, maxWait time.Dur
 // server as transport failures (requeued elsewhere without feeding the
 // poisoned-unit caps, not dropped) and skipped, so the reply may come back
 // empty; that is not an error.
+//
+// The request carries the results queued since the last one, which the
+// server folds before it dispatches. A park whose ctx has already ended
+// is not sent and leaves the queue to Close; once sent, its results are
+// lost only with the connection — their leases expire and the units
+// reissue.
 func (c *RPCClient) WaitTasks(ctx context.Context, donor string, maxWait time.Duration, max int) ([]*Task, time.Duration, error) {
+	if err := ctxErr(ctx); err != nil {
+		return nil, 0, err
+	}
 	var r TaskReply
-	args := waitTaskArgs{Donor: donor, MaxWaitNs: int64(maxWait), MaxBatch: max}
+	args := waitTaskArgs{Donor: donor, MaxWaitNs: int64(maxWait), MaxBatch: max, Results: c.take()}
 	if err := c.mux.Call(ctx, verbWaitTask, args, &r); err != nil {
 		return nil, 0, err
 	}
@@ -526,7 +586,16 @@ func (c *RPCClient) FetchContent(ctx context.Context, _ string, digest string) (
 	return wire.FetchBlob(c.bulkAddr, wire.ContentKey(digest), c.timeout)
 }
 
-// SubmitResult implements Coordinator.
+// SubmitResult implements Coordinator without a round trip: it queues the
+// result on the connection, and the next WaitTasks carries it to the
+// server, which folds it before that park dispatches anything. The donor
+// loop parks again as soon as its batch is drained, so a result waits at
+// most for the rest of its batch (and any DonorOptions.Throttle pauses);
+// ReportFailure and Close flush the queue when no park follows. A queued
+// result is lost only if the connection dies before it is sent; its lease
+// then expires and the unit reissues. The only error is the flush's, when
+// a result too big to share the queue (heldBudget) first sends what is
+// queued.
 func (c *RPCClient) SubmitResult(ctx context.Context, res *Result) error {
 	args := ResultArgs{
 		Donor:     res.Donor,
@@ -536,7 +605,41 @@ func (c *RPCClient) SubmitResult(ctx context.Context, res *Result) error {
 		ElapsedNs: int64(res.Elapsed),
 		Epoch:     res.Epoch,
 	}
-	return c.mux.Call(ctx, verbSubmitResult, args, nil)
+	c.heldMu.Lock()
+	var full []ResultArgs
+	if len(c.held) > 0 && c.heldBytes+len(args.Payload) > heldBudget {
+		full, c.held, c.heldBytes = c.held, nil, 0
+	}
+	c.held = append(c.held, args)
+	c.heldBytes += len(args.Payload)
+	c.heldMu.Unlock()
+	return c.submit(ctx, full)
+}
+
+// take empties the queue of held results and returns what it held.
+func (c *RPCClient) take() []ResultArgs {
+	c.heldMu.Lock()
+	defer c.heldMu.Unlock()
+	rs := c.held
+	c.held, c.heldBytes = nil, 0
+	return rs
+}
+
+// flush sends the queued results with the SubmitResult verb. Under an
+// ended ctx it sends nothing and leaves the queue to Close.
+func (c *RPCClient) flush(ctx context.Context) error {
+	if err := ctxErr(ctx); err != nil {
+		return err
+	}
+	return c.submit(ctx, c.take())
+}
+
+// submit sends rs with the SubmitResult verb; nothing, when rs is empty.
+func (c *RPCClient) submit(ctx context.Context, rs []ResultArgs) error {
+	if len(rs) == 0 {
+		return nil
+	}
+	return c.mux.Call(ctx, verbSubmitResult, resultsArgs{Results: rs}, nil)
 }
 
 // ReportFailure implements Coordinator.
@@ -545,8 +648,15 @@ func (c *RPCClient) ReportFailure(ctx context.Context, donor, problemID string, 
 }
 
 // reportFailure implements failureReporter; the wire carries the kind as
-// failureArgs.Transport.
+// failureArgs.Transport. It flushes the queued results first, so the
+// server folds them before it drops the failed unit's lease: a failure
+// may end the donor's run (a shutdown, a lost connection) with no park
+// left for them to ride, and the server's consecutive-failure count must
+// see the units that succeeded before it.
 func (c *RPCClient) reportFailure(ctx context.Context, donor, problemID string, unitID int64, reason string, kind failureKind, epoch int64) error {
+	if err := c.flush(ctx); err != nil {
+		return err
+	}
 	args := failureArgs{Donor: donor, ProblemID: problemID, UnitID: unitID, Reason: reason,
 		Transport: kind == failTransport, Epoch: epoch}
 	return c.mux.Call(ctx, verbReportFailure, args, nil)

@@ -487,8 +487,24 @@ func TestHeldReplicaLeavesOffloadedPayloadFetchable(t *testing.T) {
 		Elapsed: time.Millisecond, Donor: "a", Epoch: first.Epoch}); err != nil {
 		t.Fatal(err)
 	}
+	// The result is queued on the client until its next request: a
+	// one-unit dispatch scan carries it, so the server has offered it by
+	// the time the scan (which finds nothing for "a") returns.
+	if again, _, err := cl.RequestTask(bg, "a"); err != nil || again != nil {
+		t.Fatalf("delivering a's result: task %+v, err %v; want none", again, err)
+	}
 	if st, _ := srv.Status(bg, "held"); st.Completed != 0 {
 		t.Fatalf("test setup: unit folded on one result (completed = %d), not held", st.Completed)
+	}
+	if ps, err := srv.lookup("held"); err != nil {
+		t.Fatal(err)
+	} else {
+		ps.mu.Lock()
+		held := len(ps.table.sets[first.Unit.ID].results)
+		ps.mu.Unlock()
+		if held != 1 {
+			t.Fatalf("test setup: unit %d holds %d results after a's was delivered, want 1", first.Unit.ID, held)
+		}
 	}
 	got, err := wire.FetchBlob(srv.BulkAddr(), unitKey("held", replica.Epoch, replica.Unit.ID), time.Second)
 	if err != nil {

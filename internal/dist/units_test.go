@@ -13,12 +13,14 @@ package dist
 // one of the shortest; its trace is printed. Each branch clones the state,
 // so memory stays at one path plus the visited set.
 //
-// Every visited state is also crashed, twice (crashCheck): a restarted
-// coordinator rebuilds the table by replaying the journal records the path
-// owed so far onto a fresh DataManager, and by replaying a checkpoint taken
-// at that state; each rebuild must match the live table — folded units
-// stay folded and none folds twice, every outstanding unit comes back open
-// with its held replicas, and no journaled fold is skipped.
+// Every visited state is also crashed, twice: a restarted coordinator
+// rebuilds the table by replaying the journal records the path owed so far
+// onto a fresh DataManager (crashCheck, after every step: the records are
+// the path's own), and by replaying a checkpoint taken at that state
+// (checkpointCheck, once per distinct state: a checkpoint depends on the
+// state alone); each rebuild must match the live table — folded units stay
+// folded and none folds twice, every outstanding unit comes back open with
+// its held replicas, and no journaled fold is skipped.
 
 import (
 	"bytes"
@@ -388,21 +390,36 @@ func (d *lifeDM) restored() *lifeDM {
 	return &r
 }
 
+// crashable reports whether a crash at this state has a table to rebuild:
+// a Requeuer is never durable, and a problem that failed or was forgotten
+// is gone.
+func (x *exState) crashable() bool {
+	return !x.cfg.requeue && (!x.t.done || x.dm.Done())
+}
+
 // crashCheck crashes the coordinator at this state and rebuilds the table
-// twice, as recovery would: from the journal records owed so far, replayed
-// onto a fresh DataManager; and from a checkpoint taken now — the restored
-// DataManager plus the records rejournal owes. Both rebuilds must match the
-// live table. A Requeuer is never durable, a problem that failed or was
-// forgotten has no table to rebuild, and a finished one is not checkpointed.
+// as recovery would from the journal records owed so far, replayed onto a
+// fresh DataManager. The rebuild must match the live table.
 func (x *exState) crashCheck() error {
-	if x.cfg.requeue || (x.t.done && !x.dm.Done()) {
+	if !x.crashable() {
 		return nil
 	}
 	if err := x.rebuilt(newExState(x.cfg), x.journal); err != nil {
 		return fmt.Errorf("rebuilt from the journal: %w", err)
 	}
-	if x.t.done {
-		return nil // a checkpoint does not capture a finished problem
+	return nil
+}
+
+// checkpointCheck crashes the coordinator at this state and rebuilds the
+// table from a checkpoint taken now — the restored DataManager plus the
+// records rejournal owes — which must match the live table. What it reads
+// is the DataManager, the sets with their held results, the done flag, the
+// quarantined donors and the counters resume seeds; all but reissued enter
+// the state key, and explore adds reissued to the key it runs this once
+// per. A finished problem is not checkpointed.
+func (x *exState) checkpointCheck() error {
+	if !x.crashable() || x.t.done {
+		return nil
 	}
 	n := len(x.t.fx)
 	x.t.rejournal()
@@ -572,16 +589,26 @@ func explore(cfg exConfig, depth int) (states int, trace []exEvent, err error) {
 		return k
 	}
 	var visited map[uint64]int
+	// checkpointed holds the states whose checkpoint has been checked,
+	// across every depth limit.
+	checkpointed := make(map[[2]uint64]bool)
 	var walk func(x *exState, tr []exEvent, left int) error
 	walk = func(x *exState, tr []exEvent, left int) error {
 		for _, e := range x.enabled() {
 			y := x.clone()
 			y.apply(e)
 			trace = append(tr, e)
+			k := key(y)
 			if err := y.check(x, e); err != nil {
 				return err
 			}
-			if k := key(y); left > 1 && visited[k] < left {
+			if ck := [2]uint64{k, uint64(y.t.reissued)}; !checkpointed[ck] {
+				checkpointed[ck] = true
+				if err := y.checkpointCheck(); err != nil {
+					return err
+				}
+			}
+			if left > 1 && visited[k] < left {
 				visited[k] = left
 				if err := walk(y, trace, left-1); err != nil {
 					return err
