@@ -74,13 +74,14 @@ bench-module:
 # fast or loaded hosts — so a flake is a red build, not a note; and, under
 # the race detector, the seeded unit-lifecycle invariant test, the two
 # control-connection lifetime tests (a parked donor's death, a clean Close),
-# the offloaded-payload lifetime test (a replica fetching after a held
-# result), the donor loop's stage table and exact-unit cancel test (its
-# cancel poller runs beside Run), the trust bar's demotion and two-donor
-# quorum liveness tests, the server's batch sizing from each donor's
-# measured unit time (in process and over the wire), the results tail
-# (one control request per dispatch batch, the flushes before a failure
-# report and at Close, donors sharing one client), the crash-replay
+# the held-result replica test (a replica leased after a held result gets
+# its payload), the donor loop's stage table, exact-unit cancel test (its
+# cancel poller runs beside Run) and Stop-inside-a-unit test, the trust
+# bar's demotion and two-donor quorum liveness tests, the server's batch
+# sizing from each donor's measured unit time (in process and over the
+# wire), the results tail (one control request per dispatch batch, the
+# flushes before a failure report and at Close, donors sharing one
+# client), the crash-replay
 # tests (TestCrashReplaysUnsnapshottedFolds and the two DSEARCH ones,
 # TestDSEARCHCrashReplaysTail and TestDSEARCHCrashReplaysCheckpointAndTail:
 # a durable coordinator crashed mid-run replays its journal through the
@@ -89,7 +90,7 @@ stress:
 	$(GO) test -count=20 ./internal/dist/ ./internal/swarm/
 	$(GO) test -count=5 -run 'TestCoordinatorCrashRecoveryRealNetwork|TestNetworkMatchesRunLocal' . ./internal/dist/
 	$(GO) test -race -count=10 -run TestAttemptLifecycleInvariants ./internal/dist/
-	$(GO) test -race -count=20 -run 'TestParkedDonorDeathLeasesNothing|TestCloseAnswersEveryParkedDonorOverTheWire|TestHeldReplicaLeavesOffloadedPayloadFetchable|TestSiblingCancelNoticeSparesLiveUnits|TestDonorLoopStages|TestDemotedDonorIsSpotCheckedAgain|TestTwoDonorQuorumWithProbationDrains|TestWaitTasksSizesBatchFromDonorRate|TestResultsRideThePark|TestCloseDeliversHeldResults|TestFailureReportFlushesHeldResults|TestDonorsSharingOneClientFoldEveryUnit' ./internal/dist/
+	$(GO) test -race -count=20 -run 'TestParkedDonorDeathLeasesNothing|TestCloseAnswersEveryParkedDonorOverTheWire|TestReplicaLeasedAfterHeldResultGetsPayload|TestSiblingCancelNoticeSparesLiveUnits|TestDonorLoopStages|TestStopEndsRunBeforeItReturns|TestDemotedDonorIsSpotCheckedAgain|TestTwoDonorQuorumWithProbationDrains|TestWaitTasksSizesBatchFromDonorRate|TestResultsRideThePark|TestCloseDeliversHeldResults|TestFailureReportFlushesHeldResults|TestDonorsSharingOneClientFoldEveryUnit' ./internal/dist/
 	$(GO) test -race -count=20 -run 'TestCrashReplaysUnsnapshottedFolds|TestDSEARCHCrashReplaysTail|TestDSEARCHCrashReplaysCheckpointAndTail' ./internal/dist/
 	$(GO) test -race -count=20 -run TestMux ./internal/wire/
 

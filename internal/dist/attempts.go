@@ -128,7 +128,7 @@ func (s *Server) ReportFailure(ctx context.Context, donor, problemID string, uni
 
 // reportFailure implements failureReporter: it drops the reporting donor's
 // lease on a failed unit. kind is failTransport for failures to *fetch*
-// the payload or shared data: those say nothing about the unit itself and
+// the shared data: those say nothing about the unit itself and
 // must not feed the poisoned-unit caps — half a fleet with a firewalled
 // bulk port would otherwise fail the whole problem while healthy donors
 // remain. A non-zero epoch that does not match the problem's incarnation

@@ -2,6 +2,7 @@ package dist
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 
 	"repro/internal/sched"
@@ -51,17 +52,20 @@ func newBulkKeyFixture(t testing.TB) *bulkKeyFixture {
 	return fx
 }
 
+// unitKeyOf is the key shape under which the bulk channel once served a
+// leased unit's payload. Payloads now ride the dispatch reply, so every key
+// of this shape must be a miss, live unit or not.
+func unitKeyOf(task *Task) string {
+	return fmt.Sprintf("unit/%s/%d.%d", task.ProblemID, task.Epoch, task.Unit.ID)
+}
+
 // TestBulkKeyResolution is the table for the one parser of outside input
-// the bulk view adds: every key shape resolves to its owner's bytes, IDs
-// containing the syntax's own separators parse from the right, and anything
-// malformed, unknown or of another incarnation is a miss.
+// the bulk view adds: the shared and content key shapes resolve to their
+// owner's bytes, a unit payload is never served by any key, and anything
+// malformed or unknown is a miss.
 func TestBulkKeyResolution(t *testing.T) {
 	fx := newBulkKeyFixture(t)
 	ab, ux := fx.first["a/b.c"], fx.first["unit/x"]
-	if ab.Epoch == ux.Epoch || ab.Unit.ID != ux.Unit.ID {
-		t.Fatalf("test setup: want distinct epochs and colliding unit IDs, got %d.%d and %d.%d",
-			ab.Epoch, ab.Unit.ID, ux.Epoch, ux.Unit.ID)
-	}
 	hits := []struct {
 		key  string
 		want []byte
@@ -69,8 +73,6 @@ func TestBulkKeyResolution(t *testing.T) {
 		{sharedKey("a/b.c"), fx.shared["a/b.c"]},
 		{sharedKey("unit/x"), fx.shared["unit/x"]},
 		{wire.ContentKey(wire.Digest(fx.shared["a/b.c"])), fx.shared["a/b.c"]},
-		{unitKey("a/b.c", ab.Epoch, ab.Unit.ID), ab.Unit.Payload},
-		{unitKey("unit/x", ux.Epoch, ux.Unit.ID), ux.Unit.Payload},
 		{sharedKey("bare"), nil}, // a live problem without shared data serves an empty blob
 		{wire.ContentKey(wire.Digest(nil)), nil},
 	}
@@ -81,14 +83,8 @@ func TestBulkKeyResolution(t *testing.T) {
 		}
 	}
 	misses := []string{
-		// Another problem's epoch, an epoch nobody holds, no such unit, a
-		// prefix of a real ID, an empty ID.
-		unitKey("a/b.c", ux.Epoch, ab.Unit.ID),
-		unitKey("a/b.c", ab.Epoch+100, 1),
-		unitKey("a/b.c", ab.Epoch, 99),
-		unitKey("a/b", ab.Epoch, ab.Unit.ID),
-		unitKey("", ab.Epoch, ab.Unit.ID),
-		// Non-numeric or empty numbers, a separator missing.
+		// Live units under the key shape that once served payloads.
+		unitKeyOf(ab), unitKeyOf(ux),
 		"unit/a/b.c/1.x", "unit/a/b.c/x.1", "unit/a/b.c/1.", "unit/a/b.c/.1",
 		"unit/a/b.c/11", "unit/1.1", "unit/a/b.c", "unit/", "unit",
 		// Unknown owners and unknown namespaces.
@@ -101,8 +97,8 @@ func TestBulkKeyResolution(t *testing.T) {
 		}
 	}
 
-	// The lifetime rule at both ends: a payload is gone once its unit
-	// folds, everything is gone once the problem is.
+	// The lifetime rule: a shared blob outlives a fold of one of its
+	// problem's units and is gone once the problem is.
 	result, err := Marshal(int64(0))
 	if err != nil {
 		t.Fatal(err)
@@ -110,17 +106,13 @@ func TestBulkKeyResolution(t *testing.T) {
 	if !submitRaw(t, fx.srv, ab, "w", result) {
 		t.Fatal("result rejected")
 	}
-	if _, ok := fx.srv.bulkBlob(unitKey("a/b.c", ab.Epoch, ab.Unit.ID)); ok {
-		t.Error("folded unit's payload still served")
-	}
 	if _, ok := fx.srv.bulkBlob(sharedKey("a/b.c")); !ok {
 		t.Error("shared blob gone while the problem is live")
 	}
 	if err := fx.srv.Forget("unit/x"); err != nil {
 		t.Fatal(err)
 	}
-	for _, key := range []string{sharedKey("unit/x"), unitKey("unit/x", ux.Epoch, ux.Unit.ID),
-		wire.ContentKey(wire.Digest(fx.shared["unit/x"]))} {
+	for _, key := range []string{sharedKey("unit/x"), wire.ContentKey(wire.Digest(fx.shared["unit/x"]))} {
 		if _, ok := fx.srv.bulkBlob(key); ok {
 			t.Errorf("bulkBlob(%q) still served after Forget", key)
 		}
@@ -128,7 +120,8 @@ func TestBulkKeyResolution(t *testing.T) {
 }
 
 // FuzzBulkKey feeds the resolver arbitrary key bytes: it must never panic,
-// and whatever it serves must be one of the coordinator's own live blobs.
+// and whatever it serves must be one of the coordinator's own live shared
+// blobs — never a unit payload.
 func FuzzBulkKey(f *testing.F) {
 	fx := newBulkKeyFixture(f)
 	var live [][]byte
@@ -138,8 +131,7 @@ func FuzzBulkKey(f *testing.F) {
 		f.Add([]byte(wire.ContentKey(wire.Digest(shared))))
 	}
 	for _, task := range fx.leased {
-		live = append(live, task.Unit.Payload)
-		f.Add([]byte(unitKey(task.ProblemID, task.Epoch, task.Unit.ID)))
+		f.Add([]byte(unitKeyOf(task)))
 	}
 	for _, seed := range []string{"", "unit/", "unit/a/b.c/1.", "unit/a/b.c/-1.+1", "unit//1.1",
 		"unit/a/b.c/99999999999999999999.1", "shared/unit/x/1.1", "content/sha256:"} {
@@ -155,6 +147,6 @@ func FuzzBulkKey(f *testing.F) {
 				return
 			}
 		}
-		t.Fatalf("bulkBlob(%q) served %d bytes that are no live blob of this server", key, len(got))
+		t.Fatalf("bulkBlob(%q) served %d bytes that are no live shared blob of this server", key, len(got))
 	})
 }

@@ -139,6 +139,7 @@ func TestControlConnAcceptBoundary(t *testing.T) {
 		{"dflt4", []byte("\x00dflt4\r\n"), false, false},
 		{"dflt5", []byte("\x00dflt5\r\n"), false, false},
 		{"dflt6", []byte("\x00dflt6\r\n"), false, false},
+		{"dflt7", []byte("\x00dflt7\r\n"), false, false},
 		{"gob-rpc stream", gobRPCPrefix, false, false},
 		{"truncated then hang-up", []byte(wire.FlatPreamble[:5]), false, false},
 		{"truncated then silence", []byte(wire.FlatPreamble[:5]), true, false},
@@ -169,6 +170,7 @@ func FuzzControlPreamble(f *testing.F) {
 	f.Add([]byte{})
 	f.Add(append([]byte(wire.FlatPreamble), 0xff, 0xff, 0xff, 0xff))
 	f.Add([]byte("\x00dflt6\r\n"))
+	f.Add([]byte("\x00dflt7\r\n"))
 
 	f.Fuzz(func(t *testing.T, first []byte) {
 		if bytes.HasPrefix(first, []byte(wire.FlatPreamble)) {
@@ -255,6 +257,7 @@ func TestDialProtocolMismatch(t *testing.T) {
 		{"dflt4 banner", "\x00dflt4\r\n"},
 		{"dflt5 banner", "\x00dflt5\r\n"},
 		{"dflt6 banner", "\x00dflt6\r\n"},
+		{"dflt7 banner", "\x00dflt7\r\n"},
 		{"hangs up", ""},
 	} {
 		t.Run(c.name, func(t *testing.T) {

@@ -39,17 +39,18 @@ func registerEcho(t *testing.T) {
 	})
 }
 
-// echoDM hands out `units` trivial units, each carrying payload, and keeps
-// every consumed payload.
+// echoDM hands out `units` trivial units of algorithm, each carrying
+// payload, and keeps every consumed result.
 type echoDM struct {
-	units   int
-	seq     int64
-	payload []byte
-	results map[int64][]byte
+	units     int
+	seq       int64
+	algorithm string
+	payload   []byte
+	results   map[int64][]byte
 }
 
 func newEchoDM(units int) *echoDM {
-	return &echoDM{units: units, results: make(map[int64][]byte)}
+	return &echoDM{units: units, algorithm: "content-test/echo", results: make(map[int64][]byte)}
 }
 
 func (d *echoDM) NextUnit(int64) (*Unit, bool, error) {
@@ -57,7 +58,7 @@ func (d *echoDM) NextUnit(int64) (*Unit, bool, error) {
 		return nil, false, nil
 	}
 	d.seq++
-	return &Unit{ID: d.seq, Algorithm: "content-test/echo", Payload: d.payload, Cost: 1}, true, nil
+	return &Unit{ID: d.seq, Algorithm: d.algorithm, Payload: d.payload, Cost: 1}, true, nil
 }
 
 func (d *echoDM) Consume(id int64, payload []byte) error {

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/sched"
+	"repro/internal/wire"
 )
 
 // throughputAlpha weights the newest cost/elapsed sample in the EWMA the
@@ -151,6 +152,13 @@ func (s *Server) tryDispatch(ps *problemState, donor string, view dispatchView, 
 		// Nothing fresh: a speculative copy of a straggler, or park.
 		task := t.idle(donor, view.probation, view.now)
 		return task, t.done, true
+	}
+	if n := taskBytes(ps.id, ps.sharedDigest, u); n > maxTaskBytes {
+		// No reply could carry it: fail the problem now rather than lease
+		// a unit no donor can be sent.
+		t.finish(fmt.Errorf("dist: problem %q: unit %d takes %d bytes of a dispatch reply, over the limit of %d (a %d-byte frame less the %d-byte batch budget)",
+			ps.id, u.ID, n, maxTaskBytes, wire.MaxFrameSize, batchByteBudget))
+		return nil, true, true
 	}
 	quorum := 1
 	if s.verifyEnabled() && (view.probation || s.sampleVerifyLocked(ps)) {

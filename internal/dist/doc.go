@@ -84,8 +84,7 @@
 // WithThrottle, WithLogf, WithRedial, WithRedialBackoff, WithCancelPoll,
 // WithBlobCacheBytes, WithBlobCache and WithAlgorithmWrapper; Dial takes
 // WithConnWrapper. WithServerOptions and WithDonorOptions adopt a whole
-// ServerOptions/DonorOptions bag at once, which is how a field without an
-// option of its own (BulkThreshold) is set.
+// ServerOptions/DonorOptions bag at once.
 //
 // # Error sentinels
 //

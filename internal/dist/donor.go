@@ -138,7 +138,10 @@ type Donor struct {
 	coord Coordinator
 	opts  DonorOptions
 
-	// halted ends when Stop calls halt; every Run's context ends with it.
+	// halted ends when Stop calls halt. Run's context ends with it, on the
+	// goroutine context.AfterFunc starts, which carries a Stop into the
+	// calls in flight (a park, a ProcessCtx); the loop reads halted itself
+	// (ended), so nothing starts or is submitted once Stop has returned.
 	halted  context.Context
 	halt    context.CancelFunc
 	units   atomic.Int64
@@ -217,10 +220,18 @@ func (d *Donor) Units() int { return int(d.units.Load()) }
 // server cancel notice (the problem was forgotten or finished early).
 func (d *Donor) Aborted() int { return int(d.aborted.Load()) }
 
-// Stop ends Run (idempotent). It cancels Run's context, so the unit in
-// progress is aborted — its ProcessCtx context is cancelled and nothing is
-// submitted for it — and its lease expires server-side and reissues.
+// Stop ends Run (idempotent): once it returns no later unit starts, and
+// the unit in progress is aborted — its ProcessCtx context is cancelled
+// and nothing is submitted for it — and its lease expires server-side and
+// reissues. A Run started after Stop returns at once.
 func (d *Donor) Stop() { d.halt() }
+
+// ended is why Run must stop — its ctx ended, or Stop was called — or nil.
+// It reads halted as well as ctx because Stop reaches ctx only through
+// context.AfterFunc's goroutine, which may not have run yet.
+func (d *Donor) ended(ctx context.Context) error {
+	return cmp.Or(ctx.Err(), d.halted.Err())
+}
 
 // Run fetches and computes work until ctx is cancelled, Stop is called, or
 // the server tells the donor it is shutting down (ErrClosed). It is one
@@ -262,7 +273,7 @@ func (d *Donor) Run(ctx context.Context) error {
 	// the old server's leases died with it, and a restarted server may
 	// carry different work under the same unit IDs.
 	var pending []*Task
-	for runCtx.Err() == nil {
+	for d.ended(runCtx) == nil {
 		var wait time.Duration // back-off before the next stage
 		var err error
 		if len(pending) == 0 {
@@ -278,7 +289,7 @@ func (d *Donor) Run(ctx context.Context) error {
 			if wait > 0 && !d.sleep(runCtx, wait) {
 				return nil
 			}
-		case runCtx.Err() != nil || errors.Is(err, ErrClosed):
+		case d.ended(runCtx) != nil || errors.Is(err, ErrClosed):
 			return nil
 		case errors.Is(err, ErrServerGone):
 			// Whatever died with the connection — a park, a result, a
@@ -360,6 +371,9 @@ func (d *Donor) compute(ctx context.Context, t *Task) (res *Result, kind failure
 	}
 	start := d.now()
 	out, err := alg.ProcessCtx(unitCtx, t.Unit.Payload)
+	if err == nil {
+		err = d.ended(ctx) // Run ended mid-unit: nothing is submitted for it
+	}
 	if err != nil {
 		return nil, failCompute, err
 	}
@@ -436,8 +450,8 @@ func (d *Donor) report(ctx context.Context, t *Task, res *Result, kind failureKi
 		d.aborted.Add(1)
 		d.logf("donor %s: unit %d of %s cancelled by server; dropped", d.opts.Name, t.Unit.ID, t.ProblemID)
 		return 0, nil
-	case err != nil && ctx.Err() != nil:
-		return 0, ctx.Err()
+	case err != nil && d.ended(ctx) != nil:
+		return 0, d.ended(ctx)
 	case err != nil:
 		d.logf("donor %s: unit %d of %s failed: %v", d.opts.Name, t.Unit.ID, t.ProblemID, err)
 		if r, ok := d.coord.(failureReporter); ok {

@@ -280,3 +280,49 @@ func TestDonorLoopStages(t *testing.T) {
 		t.Run(r.name, r.run)
 	}
 }
+
+// stopAlg is loopAlg that calls stop at the end of its nth ProcessCtx call
+// and counts every call.
+type stopAlg struct {
+	loopAlg
+	n     int
+	calls *int
+	stop  func()
+}
+
+func (a stopAlg) ProcessCtx(ctx context.Context, payload []byte) ([]byte, error) {
+	if *a.calls++; *a.calls == a.n {
+		defer a.stop()
+	}
+	return a.loopAlg.ProcessCtx(ctx, payload)
+}
+
+// TestStopEndsRunBeforeItReturns: a Stop called inside a unit's ProcessCtx
+// has ended the loop by the time it returns. That unit is not submitted,
+// and no later unit of the batch starts.
+func TestStopEndsRunBeforeItReturns(t *testing.T) {
+	var tasks []*Task
+	for id := int64(1); id <= 9; id++ {
+		tasks = append(tasks, loopTask(id, "ok", 0))
+	}
+	s := &scriptCoord{parks: []parkReply{{tasks: tasks}}, repolled: make(chan struct{})}
+	var d *Donor
+	calls := 0
+	d = newTestDonor(s, DonorOptions{Name: "stopper", CancelPoll: -1,
+		WrapAlgorithm: func(string, Algorithm) Algorithm {
+			return stopAlg{loopAlg: loopAlg{s}, n: 4, calls: &calls, stop: d.Stop}
+		}})
+	ctx, cancel := context.WithTimeout(bg, 5*time.Second)
+	defer cancel()
+	if err := d.Run(ctx); err != nil || ctx.Err() != nil {
+		t.Fatalf("Run = %v (ctx %v), want a clean stop", err, ctx.Err())
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if want := []string{"WaitTasks", "FetchContent", "Submit 1", "Submit 2", "Submit 3"}; !slices.Equal(s.calls, want) {
+		t.Errorf("calls %q, want %q", s.calls, want)
+	}
+	if d.Units() != 3 || calls != 4 {
+		t.Errorf("Units() = %d after %d ProcessCtx calls; want 3 after 4", d.Units(), calls)
+	}
+}

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -75,18 +74,6 @@ func RegisterDurableDM(kind string, restore func(state []byte) (DataManager, err
 		panic(fmt.Sprintf("dist: durable DataManager kind %q registered twice", kind))
 	}
 	durables[kind] = restore
-}
-
-// RegisteredDurableDMs lists the registered durable kinds, sorted.
-func RegisteredDurableDMs() []string {
-	durableMu.RLock()
-	defer durableMu.RUnlock()
-	kinds := make([]string, 0, len(durables))
-	for k := range durables {
-		kinds = append(kinds, k)
-	}
-	sort.Strings(kinds)
-	return kinds
 }
 
 // restoreDurableDM rebuilds a DataManager from its journaled state.

@@ -94,7 +94,6 @@ func (r TaskReply) MarshalFlat(e *wire.Encoder) {
 	e.Bool(r.HasTask)
 	e.String(r.ProblemID)
 	marshalUnitFlat(e, &r.Unit)
-	e.String(r.BulkKey)
 	e.Varint(r.Epoch)
 	e.String(r.SharedDigest)
 	e.Varint(r.Priority)
@@ -110,7 +109,6 @@ func (r *TaskReply) UnmarshalFlat(d *wire.Decoder) {
 	r.HasTask = d.Bool()
 	r.ProblemID = d.String()
 	unmarshalUnitFlat(d, &r.Unit)
-	r.BulkKey = d.String()
 	r.Epoch = d.Varint()
 	r.SharedDigest = d.String()
 	r.Priority = d.Varint()
@@ -130,7 +128,6 @@ func (r *TaskReply) UnmarshalFlat(d *wire.Decoder) {
 func (t *BatchTask) marshalFlat(e *wire.Encoder) {
 	e.String(t.ProblemID)
 	marshalUnitFlat(e, &t.Unit)
-	e.String(t.BulkKey)
 	e.Varint(t.Epoch)
 	e.String(t.SharedDigest)
 	e.Varint(t.Priority)
@@ -140,7 +137,6 @@ func (t *BatchTask) marshalFlat(e *wire.Encoder) {
 func (t *BatchTask) unmarshalFlat(d *wire.Decoder) {
 	t.ProblemID = d.String()
 	unmarshalUnitFlat(d, &t.Unit)
-	t.BulkKey = d.String()
 	t.Epoch = d.Varint()
 	t.SharedDigest = d.String()
 	t.Priority = d.Varint()

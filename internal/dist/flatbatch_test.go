@@ -33,12 +33,11 @@ func TestFlatEnvelopeRoundTrip(t *testing.T) {
 			HasTask:      true,
 			ProblemID:    "p-1",
 			Unit:         Unit{ID: 7, Algorithm: "sum/v1", Payload: []byte("range"), Cost: 3},
-			BulkKey:      "p-1/7",
 			Epoch:        2,
 			SharedDigest: "sha256:aa",
 			Batch: []BatchTask{
 				{ProblemID: "p-1", Unit: Unit{ID: 8, Algorithm: "sum/v1", Payload: []byte("next"), Cost: 1}, Epoch: 2, SharedDigest: "sha256:aa"},
-				{ProblemID: "p-1", Unit: Unit{ID: 9, Algorithm: "sum/v1", Cost: 1}, BulkKey: "p-1/9", Epoch: 2},
+				{ProblemID: "p-1", Unit: Unit{ID: 9, Algorithm: "sum/v1", Cost: 1}, Epoch: 2},
 			},
 		}, &TaskReply{}},
 		{"TaskReply/empty", TaskReply{}, &TaskReply{}},

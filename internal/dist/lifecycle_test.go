@@ -143,9 +143,9 @@ func (r *lifeRun) check() {
 // most one lease per donor per unit and max(quorum, 2) per unit; held
 // results only on spot-checked sets, one per donor, each from a donor
 // involved in the set; at most maxVerifyDonors donors per set; the inflight
-// count equal to the live leases; and a unit's payload servable iff its set
-// is in the table, which holds exactly the units the DataManager has issued
-// and not yet folded or taken back — none at all once the problem ended.
+// count equal to the live leases; and the table holding exactly the units
+// the DataManager has issued and not yet folded or taken back — none at
+// all once the problem ended.
 // The seeded walk below and the exhaustive explorer (units_test.go) both
 // call it after every step.
 func checkUnits(t *unitTable, dm *lifeDM) error {
@@ -207,8 +207,8 @@ func checkUnits(t *unitTable, dm *lifeDM) error {
 		}
 	}
 	for uid := range dm.byID {
-		if _, ok := t.payload(uid); ok == t.done {
-			return fmt.Errorf("unit %d is pending at the DataManager; servable %v, problem ended %v", uid, ok, t.done)
+		if _, ok := t.sets[uid]; ok == t.done {
+			return fmt.Errorf("unit %d is pending at the DataManager; in the table %v, problem ended %v", uid, ok, t.done)
 		}
 	}
 	if t.done && (len(t.sets) > 0 || len(t.open) > 0) {

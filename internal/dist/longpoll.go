@@ -3,6 +3,8 @@ package dist
 import (
 	"context"
 	"time"
+
+	"repro/internal/wire"
 )
 
 // TaskWaiter is the single-unit form of TaskBatchWaiter: WaitTask parks
@@ -37,18 +39,35 @@ type TaskBatchWaiter interface {
 	WaitTasks(ctx context.Context, donor string, maxWait time.Duration, max int) (tasks []*Task, wait time.Duration, err error)
 }
 
-// batchByteBudget caps the cumulative inline payload bytes one batch may
-// carry, so batching many "small" units never snowballs into a frame-sized
-// reply. Offloaded (bulk-channel) payloads don't count against it — the
-// reply holds only their keys.
+// batchByteBudget caps the bytes of units one batch may carry, so batching
+// many small units never snowballs into a frame-sized reply.
 const batchByteBudget = 1 << 20
+
+// taskEnvelope bounds what a dispatch reply spends on one unit beside the
+// bytes of its strings and payload: the entry's varints, bools and length
+// prefixes (10 bytes at most each), with room for the reply's and the
+// control frame's own headers.
+const taskEnvelope = 128
+
+// maxTaskBytes is the largest unit a dispatch reply carries. A batch stops
+// at the first unit that spends batchByteBudget, so the units before the
+// last hold less than the budget, and a last unit of at most this size
+// keeps every reply inside one wire frame. A larger unit fails its
+// problem when it is cut (Server.tryDispatch).
+const maxTaskBytes = wire.MaxFrameSize - batchByteBudget
+
+// taskBytes is what one unit of problemID adds to a dispatch reply, at
+// most.
+func taskBytes(problemID, sharedDigest string, u *Unit) int {
+	return len(problemID) + len(sharedDigest) + len(u.Algorithm) + len(u.Payload) + taskEnvelope
+}
 
 // WaitTasks implements TaskBatchWaiter. The park semantics are WaitTask's;
 // once a first unit arrives, up to batchLimit-1 extras are collected with
 // non-parking dispatch scans. Extras stop early when the scan comes up
-// empty (leave the rest for other donors' parks), when the inline byte
-// budget is spent, or on error (whatever was already leased is returned —
-// the donor computes it; its leases are live either way).
+// empty (leave the rest for other donors' parks), when the byte budget is
+// spent, or on error (whatever was already leased is returned — the donor
+// computes it; its leases are live either way).
 func (s *Server) WaitTasks(ctx context.Context, donor string, maxWait time.Duration, max int) ([]*Task, time.Duration, error) {
 	task, _, err := s.WaitTask(ctx, donor, maxWait)
 	if err != nil || task == nil {
@@ -56,13 +75,11 @@ func (s *Server) WaitTasks(ctx context.Context, donor string, maxWait time.Durat
 	}
 	limit := s.batchLimit(donor, max)
 	var tasks []*Task
-	inline := 0
+	size := 0
 	for {
 		tasks = append(tasks, task)
-		if !s.offloads(task.Unit.Payload) {
-			inline += len(task.Unit.Payload)
-		}
-		if len(tasks) >= limit || inline >= batchByteBudget {
+		size += taskBytes(task.ProblemID, task.SharedDigest, &task.Unit)
+		if len(tasks) >= limit || size >= batchByteBudget {
 			break
 		}
 		if task, _, err = s.RequestTask(ctx, donor); err != nil || task == nil {

@@ -238,33 +238,6 @@ func TestWaitTasksSizesBatchFromDonorRate(t *testing.T) {
 	}
 }
 
-// TestWaitTasksBudgetCountsInlinePayloadsOnly: a payload shipped by bulk
-// key costs the batch's inline byte budget nothing — the first unit's
-// included — so a batch of offloaded units fills to DispatchBatch.
-func TestWaitTasksBudgetCountsInlinePayloadsOnly(t *testing.T) {
-	srv := newTestServer(ServerOptions{
-		Policy:        sched.Fixed{Size: 1},
-		Lease:         time.Hour,
-		ExpiryScan:    time.Hour,
-		BulkThreshold: 1,
-		DispatchBatch: 8,
-	})
-	defer srv.Close()
-	dm := newEchoDM(8)
-	dm.payload = make([]byte, batchByteBudget+1)
-	if err := srv.Submit(bg, &Problem{ID: "offloaded", DM: dm}); err != nil {
-		t.Fatal(err)
-	}
-	recordUnitTimes(srv, "d", time.Microsecond)
-	tasks, _, err := srv.WaitTasks(bg, "d", time.Second, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tasks) != 8 {
-		t.Errorf("WaitTasks handed out %d offloaded units, want a full batch of 8", len(tasks))
-	}
-}
-
 // TestWaitTaskDeadlineReparks: an idle park must end at the deadline with
 // (nil, 0, nil) — the "re-park immediately" shape — and a fresh park after
 // it must still be wakeable.

@@ -53,11 +53,12 @@ const (
 )
 
 // NetworkServer is a Server with the paper's two network channels attached:
-// control traffic (task handout, results, failures, cancel notices) over
-// the wire package's request/response mux — standing where the paper used
-// Java RMI — and bulk data (shared blobs, large unit payloads) over raw
-// TCP sockets, both in length-prefixed, checksummed frames. The bulk socket
-// stores nothing: it serves the coordinator's own state (Server.bulkBlob).
+// control traffic (task handout with every unit payload inline, results,
+// failures, cancel notices) over the wire package's request/response mux —
+// standing where the paper used Java RMI — and problems' shared blobs over
+// raw TCP sockets, both in length-prefixed, checksummed frames. The bulk
+// socket stores nothing: it serves the coordinator's own state
+// (Server.bulkBlob).
 type NetworkServer struct {
 	*Server
 	rpcLn net.Listener
@@ -221,14 +222,12 @@ type waitTaskArgs struct {
 // that have no park to ride (RPCClient.flush).
 type resultsArgs struct{ Results []ResultArgs }
 
-// TaskReply carries a dispatch of one or more units: the first in the
-// head fields, the rest in Batch. When a payload was offloaded to the bulk
-// channel, Unit.Payload is nil and BulkKey names the blob.
+// TaskReply carries a dispatch of one or more units, payloads inline: the
+// first in the head fields, the rest in Batch.
 type TaskReply struct {
 	HasTask   bool
 	ProblemID string
 	Unit      Unit
-	BulkKey   string
 	// Epoch is the problem incarnation tag (see Task.Epoch); donors echo
 	// it in ResultArgs.
 	Epoch int64
@@ -252,7 +251,6 @@ type TaskReply struct {
 type BatchTask struct {
 	ProblemID string
 	Unit      Unit
-	BulkKey   string
 	Epoch     int64
 	// SharedDigest mirrors TaskReply.SharedDigest for this entry's problem
 	// (batches may span problems under round-robin sharing).
@@ -275,9 +273,9 @@ type ResultArgs struct {
 }
 
 // failureArgs reports a unit the donor could not compute. Transport marks
-// failures to *obtain* the unit (bulk payload fetch) rather than failures
-// of the computation itself; they requeue the unit without feeding the
-// poisoned-unit attempt caps. Epoch echoes TaskReply.Epoch (zero — the
+// failures to *obtain* what the unit needs (its shared blob's fetch) rather
+// than failures of the computation itself; they requeue the unit without
+// feeding the poisoned-unit attempt caps. Epoch echoes TaskReply.Epoch (zero — the
 // untagged Coordinator.ReportFailure — is accepted unchecked).
 type failureArgs struct {
 	Donor     string
@@ -375,8 +373,7 @@ func (ns *NetworkServer) submitResults(ctx context.Context, rs []ResultArgs) err
 }
 
 // taskReply encodes a dispatch of zero or more units: the first in the
-// reply's head fields, extras as Batch entries, each shipped by bulk key
-// instead of inline when large (Server.offloads).
+// reply's head fields, extras as Batch entries, every payload inline.
 func (ns *NetworkServer) taskReply(tasks []*Task) *TaskReply {
 	reply := &TaskReply{}
 	for i, task := range tasks {
@@ -388,10 +385,6 @@ func (ns *NetworkServer) taskReply(tasks []*Task) *TaskReply {
 			Priority:     int64(task.Priority),
 			Verify:       task.Verify,
 		}
-		if ns.offloads(task.Unit.Payload) {
-			bt.BulkKey = unitKey(task.ProblemID, task.Epoch, task.Unit.ID)
-			bt.Unit.Payload = nil
-		}
 		if i > 0 {
 			reply.Batch = append(reply.Batch, bt)
 			continue
@@ -399,7 +392,6 @@ func (ns *NetworkServer) taskReply(tasks []*Task) *TaskReply {
 		reply.HasTask = true
 		reply.ProblemID = bt.ProblemID
 		reply.Unit = bt.Unit
-		reply.BulkKey = bt.BulkKey
 		reply.Epoch = bt.Epoch
 		reply.SharedDigest = bt.SharedDigest
 		reply.Priority = bt.Priority
@@ -408,9 +400,9 @@ func (ns *NetworkServer) taskReply(tasks []*Task) *TaskReply {
 	return reply
 }
 
-// RPCClient is the donor-side coordinator proxy: control calls over the
-// control mux, payload and shared-blob fetches over the bulk socket
-// channel. Context cancellation abandons a call client-side; the call
+// RPCClient is the donor-side coordinator proxy: control calls, unit
+// payloads included, over the control mux, and shared-blob fetches over
+// the bulk socket channel. Context cancellation abandons a call client-side; the call
 // itself may still complete on the server.
 //
 // Results are not a round trip of their own: SubmitResult queues them on
@@ -513,11 +505,8 @@ func (c *RPCClient) WaitTask(ctx context.Context, donor string, maxWait time.Dur
 }
 
 // WaitTasks implements TaskBatchWaiter over the control channel: one
-// long-poll carrying MaxBatch, extras decoded from TaskReply.Batch.
-// Entries whose offloaded payload cannot be fetched are reported to the
-// server as transport failures (requeued elsewhere without feeding the
-// poisoned-unit caps, not dropped) and skipped, so the reply may come back
-// empty; that is not an error.
+// long-poll carrying MaxBatch, extras decoded from TaskReply.Batch, every
+// payload inline.
 //
 // The request carries the results queued since the last one, which the
 // server folds before it dispatches. A park whose ctx has already ended
@@ -536,22 +525,11 @@ func (c *RPCClient) WaitTasks(ctx context.Context, donor string, maxWait time.Du
 	if !r.HasTask {
 		return nil, 0, nil
 	}
-	entries := make([]BatchTask, 0, 1+len(r.Batch))
-	entries = append(entries, BatchTask{ProblemID: r.ProblemID, Unit: r.Unit, BulkKey: r.BulkKey,
-		Epoch: r.Epoch, SharedDigest: r.SharedDigest, Priority: r.Priority, Verify: r.Verify})
-	entries = append(entries, r.Batch...)
-	tasks := make([]*Task, 0, len(entries))
-	for i := range entries {
-		ent := &entries[i]
-		if ent.BulkKey != "" {
-			payload, err := wire.FetchBlob(c.bulkAddr, ent.BulkKey, c.timeout)
-			if err != nil {
-				reason := fmt.Sprintf("dist: fetching bulk payload %s: %v", ent.BulkKey, err)
-				_ = c.reportFailure(ctx, donor, ent.ProblemID, ent.Unit.ID, reason, failTransport, ent.Epoch)
-				continue
-			}
-			ent.Unit.Payload = payload
-		}
+	tasks := make([]*Task, 0, 1+len(r.Batch))
+	tasks = append(tasks, &Task{ProblemID: r.ProblemID, Unit: r.Unit, Epoch: r.Epoch,
+		SharedDigest: r.SharedDigest, Priority: int(r.Priority), Verify: r.Verify})
+	for i := range r.Batch {
+		ent := &r.Batch[i]
 		tasks = append(tasks, &Task{ProblemID: ent.ProblemID, Unit: ent.Unit, Epoch: ent.Epoch,
 			SharedDigest: ent.SharedDigest, Priority: int(ent.Priority), Verify: ent.Verify})
 	}

@@ -25,9 +25,9 @@ func netOpts() ServerOptions {
 }
 
 // TestNetworkMatchesRunLocal runs the same problem through RunLocal and
-// through a real loopback server↔donor deployment (control over the mux,
-// payloads forced onto the bulk socket channel) and demands identical
-// results.
+// through a real loopback server↔donor deployment (control and payloads
+// over the mux, the shared blob over the bulk socket channel) and demands
+// identical results.
 func TestNetworkMatchesRunLocal(t *testing.T) {
 	registerSum(t)
 	const n = 400
@@ -36,14 +36,12 @@ func TestNetworkMatchesRunLocal(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	opts := netOpts()
-	opts.BulkThreshold = 1 // every payload takes the bulk channel
-	srv, err := ListenAndServe("127.0.0.1:0", "127.0.0.1:0", WithServerOptions(opts))
+	srv, err := ListenAndServe("127.0.0.1:0", "127.0.0.1:0", WithServerOptions(netOpts()))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	shared := []byte("shared blob travels the bulk channel too")
+	shared := []byte("shared blob travels the bulk channel")
 	if err := srv.Submit(bg, &Problem{ID: "sum-net", DM: newSumDM(n), SharedData: shared}); err != nil {
 		t.Fatal(err)
 	}
@@ -143,20 +141,20 @@ func TestFetchBlobRejectsCorruptFrames(t *testing.T) {
 }
 
 // TestBulkFetchFailureRequeuesUnit wires one donor to a corrupt bulk
-// channel: its payload fetches fail, each failure is reported to the server
-// (not silently dropped), and the units complete on the healthy donor.
+// channel: its shared-blob fetches fail, each failure is reported to the
+// server as a transport failure (not silently dropped), and the units
+// complete on the healthy donor.
 func TestBulkFetchFailureRequeuesUnit(t *testing.T) {
 	registerSum(t)
 	const n = 200
 	opts := netOpts()
 	opts.Policy = sched.Fixed{Size: 5} // 40 units
-	opts.BulkThreshold = 1
 	srv, err := ListenAndServe("127.0.0.1:0", "127.0.0.1:0", WithServerOptions(opts))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	if err := srv.Submit(bg, &Problem{ID: "sum-evil", DM: newSumDM(n)}); err != nil {
+	if err := srv.Submit(bg, &Problem{ID: "sum-evil", DM: newSumDM(n), SharedData: []byte("fetched over the bulk channel")}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -335,14 +333,12 @@ func TestDonorReconnectsAcrossServerBounce(t *testing.T) {
 }
 
 // TestForgetReleasesBulkBlobs covers Forget-while-leased at the network
-// layer: the shared blob and the leased unit's offloaded payload are both
-// dropped from the bulk channel, the unit is not requeued, and Wait fails
-// fast with ErrForgotten.
+// layer: the shared blob is dropped from the bulk channel, the leased unit
+// is not requeued, and Wait fails fast with ErrForgotten.
 func TestForgetReleasesBulkBlobs(t *testing.T) {
 	registerSum(t)
 	opts := netOpts()
 	opts.Policy = sched.Fixed{Size: 50}
-	opts.BulkThreshold = 1 // force every payload onto the bulk channel
 	srv, err := ListenAndServe("127.0.0.1:0", "127.0.0.1:0", WithServerOptions(opts))
 	if err != nil {
 		t.Fatal(err)
@@ -357,16 +353,13 @@ func TestForgetReleasesBulkBlobs(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cl.Close()
-	task, _, err := cl.RequestTask(bg, "w0") // leases a unit, offloading its payload
+	task, _, err := cl.RequestTask(bg, "w0")
 	if err != nil || task == nil {
 		t.Fatalf("no task: %v", err)
 	}
 
 	if _, err := wire.FetchBlob(srv.BulkAddr(), sharedKey("fgt"), time.Second); err != nil {
 		t.Fatalf("shared blob missing before Forget: %v", err)
-	}
-	if _, err := wire.FetchBlob(srv.BulkAddr(), unitKey("fgt", task.Epoch, task.Unit.ID), time.Second); err != nil {
-		t.Fatalf("unit blob missing before Forget: %v", err)
 	}
 
 	if err := srv.Forget("fgt"); err != nil {
@@ -376,9 +369,6 @@ func TestForgetReleasesBulkBlobs(t *testing.T) {
 	if _, err := wire.FetchBlob(srv.BulkAddr(), sharedKey("fgt"), time.Second); err == nil || !strings.Contains(err.Error(), "not found") {
 		t.Errorf("shared blob after Forget: err = %v, want not found", err)
 	}
-	if _, err := wire.FetchBlob(srv.BulkAddr(), unitKey("fgt", task.Epoch, task.Unit.ID), time.Second); err == nil || !strings.Contains(err.Error(), "not found") {
-		t.Errorf("unit blob after Forget: err = %v, want not found", err)
-	}
 	if task2, _, err := srv.RequestTask(bg, "w1"); err != nil || task2 != nil {
 		t.Errorf("unit re-dispatched after Forget: task=%+v err=%v", task2, err)
 	}
@@ -387,74 +377,17 @@ func TestForgetReleasesBulkBlobs(t *testing.T) {
 	}
 }
 
-// TestStaleOffloadDoesNotClobberSuccessor: a task leased from a problem
-// that is then forgotten and resubmitted under the same ID may be fetched
-// late (the donor's fetch follows the reply that carried the key). The
-// stale incarnation's key must answer not-found — never the successor's
-// payload for a colliding unit ID — and the successor's own key must keep
-// serving the successor's bytes.
-func TestStaleOffloadDoesNotClobberSuccessor(t *testing.T) {
-	registerSum(t)
-	opts := netOpts()
-	opts.Policy = sched.Fixed{Size: 50}
-	opts.BulkThreshold = 1
-	srv, err := ListenAndServe("127.0.0.1:0", "127.0.0.1:0", WithServerOptions(opts))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	if err := srv.Submit(bg, &Problem{ID: "so", DM: newSumDM(500)}); err != nil {
-		t.Fatal(err)
-	}
-	// Lease a unit of incarnation 1 without fetching — the state of a
-	// control handler whose reply is in flight.
-	stale, _, err := srv.Server.RequestTask(bg, "a")
-	if err != nil || stale == nil {
-		t.Fatalf("no stale task: %v", err)
-	}
-	if err := srv.Forget("so"); err != nil {
-		t.Fatal(err)
-	}
-	if err := srv.Submit(bg, &Problem{ID: "so", DM: newSumDM(500)}); err != nil {
-		t.Fatal(err)
-	}
-	cl, err := Dial(srv.RPCAddr(), 2*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Close()
-	live, _, err := cl.RequestTask(bg, "b") // fetches the successor's payload by key
-	if err != nil || live == nil {
-		t.Fatalf("no live task: %v", err)
-	}
-	if live.Unit.ID != stale.Unit.ID {
-		t.Fatalf("test setup: unit IDs %d vs %d do not collide", live.Unit.ID, stale.Unit.ID)
-	}
-	got, err := wire.FetchBlob(srv.BulkAddr(), unitKey("so", live.Epoch, live.Unit.ID), time.Second)
-	if err != nil {
-		t.Fatalf("successor blob gone after stale offload: %v", err)
-	}
-	if string(got) != string(live.Unit.Payload) {
-		t.Error("successor blob corrupted by stale offload")
-	}
-	// The stale incarnation's blob is not left behind either.
-	if _, err := wire.FetchBlob(srv.BulkAddr(), unitKey("so", stale.Epoch, stale.Unit.ID), time.Second); err == nil || !strings.Contains(err.Error(), "not found") {
-		t.Errorf("stale blob leaked: err = %v, want not found", err)
-	}
-}
-
-// TestHeldReplicaLeavesOffloadedPayloadFetchable pins the payload lifetime
-// rule (ROADMAP 5b): an offloaded payload is fetchable until its unit
-// folds, not until the first result for it is accepted. Replica "b" of a
-// spot-checked unit is leased before replica "a" submits but fetches after
-// — "a"'s result is merely held, so the payload must still be served, or
-// "b" is charged a transport failure and the set burns another donor.
-func TestHeldReplicaLeavesOffloadedPayloadFetchable(t *testing.T) {
+// TestReplicaLeasedAfterHeldResultGetsPayload: a spot-checked unit whose
+// first result is merely held (not folded) still carries its payload to
+// the next replica. Replica "b" is leased over the wire after replica
+// "a"'s result arrived, and its dispatch reply must hold the same payload
+// "a" computed, or "b" cannot compute the tie and the set burns another
+// donor.
+func TestReplicaLeasedAfterHeldResultGetsPayload(t *testing.T) {
 	registerSum(t)
 	opts := verifyTestOptions()
 	opts.Policy = sched.Fixed{Size: 50}
 	opts.Lease, opts.ExpiryScan = time.Hour, time.Hour
-	opts.BulkThreshold = 1
 	srv, err := ListenAndServe("127.0.0.1:0", "127.0.0.1:0", WithServerOptions(opts))
 	if err != nil {
 		t.Fatal(err)
@@ -464,33 +397,31 @@ func TestHeldReplicaLeavesOffloadedPayloadFetchable(t *testing.T) {
 	if err := srv.Submit(bg, &Problem{ID: "held", DM: newSumDM(n)}); err != nil {
 		t.Fatal(err)
 	}
-	cl, err := Dial(srv.RPCAddr(), 2*time.Second)
-	if err != nil {
-		t.Fatal(err)
+	dial := func() *RPCClient {
+		cl, err := Dial(srv.RPCAddr(), 2*time.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { cl.Close() })
+		return cl
 	}
-	defer cl.Close()
-	first, _, err := cl.RequestTask(bg, "a") // payload arrives via the bulk key
+	clA, clB := dial(), dial()
+	first, _, err := clA.RequestTask(bg, "a")
 	if err != nil || first == nil || len(first.Unit.Payload) == 0 {
-		t.Fatalf("no task with a fetched payload: %+v, %v", first, err)
-	}
-	// "b" is leased the replica, but its fetch has not happened yet — the
-	// state of a control handler whose reply is in flight.
-	replica, _, err := srv.Server.RequestTask(bg, "b")
-	if err != nil || replica == nil || replica.Unit.ID != first.Unit.ID {
-		t.Fatalf("no replica of unit %d: %+v, %v", first.Unit.ID, replica, err)
+		t.Fatalf("no task with a payload: %+v, %v", first, err)
 	}
 	result, err := Marshal(sumSquares(n))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := cl.SubmitResult(bg, &Result{ProblemID: "held", UnitID: first.Unit.ID, Payload: result,
+	if err := clA.SubmitResult(bg, &Result{ProblemID: "held", UnitID: first.Unit.ID, Payload: result,
 		Elapsed: time.Millisecond, Donor: "a", Epoch: first.Epoch}); err != nil {
 		t.Fatal(err)
 	}
 	// The result is queued on the client until its next request: a
 	// one-unit dispatch scan carries it, so the server has offered it by
 	// the time the scan (which finds nothing for "a") returns.
-	if again, _, err := cl.RequestTask(bg, "a"); err != nil || again != nil {
+	if again, _, err := clA.RequestTask(bg, "a"); err != nil || again != nil {
 		t.Fatalf("delivering a's result: task %+v, err %v; want none", again, err)
 	}
 	if st, _ := srv.Status(bg, "held"); st.Completed != 0 {
@@ -506,12 +437,12 @@ func TestHeldReplicaLeavesOffloadedPayloadFetchable(t *testing.T) {
 			t.Fatalf("test setup: unit %d holds %d results after a's was delivered, want 1", first.Unit.ID, held)
 		}
 	}
-	got, err := wire.FetchBlob(srv.BulkAddr(), unitKey("held", replica.Epoch, replica.Unit.ID), time.Second)
-	if err != nil {
-		t.Fatalf("replica's payload fetch after a held result: %v", err)
+	replica, _, err := clB.RequestTask(bg, "b")
+	if err != nil || replica == nil || replica.Unit.ID != first.Unit.ID {
+		t.Fatalf("no replica of unit %d: %+v, %v", first.Unit.ID, replica, err)
 	}
-	if !bytes.Equal(got, replica.Unit.Payload) {
-		t.Error("replica fetched different bytes than it was leased")
+	if !bytes.Equal(replica.Unit.Payload, first.Unit.Payload) {
+		t.Fatalf("replica carries %d payload bytes, want the %d its first lease carried", len(replica.Unit.Payload), len(first.Unit.Payload))
 	}
 	if !submitRaw(t, srv.Server, replica, "b", result) {
 		t.Fatal("replica's result rejected")
@@ -525,6 +456,106 @@ func TestHeldReplicaLeavesOffloadedPayloadFetchable(t *testing.T) {
 	}
 	if st, _ := srv.Stats(bg, "held"); st.Verified != 1 || st.Reissued != 0 {
 		t.Errorf("verified/reissued = %d/%d, want 1/0", st.Verified, st.Reissued)
+	}
+}
+
+// echoPayloadAlg returns each unit's payload as its result, so a test can
+// check the bytes a donor was dispatched.
+type echoPayloadAlg struct{}
+
+func (echoPayloadAlg) Init([]byte) error { return nil }
+
+func (echoPayloadAlg) ProcessCtx(_ context.Context, payload []byte) ([]byte, error) {
+	return payload, nil
+}
+
+var registerEchoPayloadOnce sync.Once
+
+// TestLargePayloadsRideTheDispatchReply: over real sockets, units whose
+// payloads are well past 64 KiB reach the donor inline in its dispatch
+// replies, and the bulk channel answers one fetch, the shared blob's.
+func TestLargePayloadsRideTheDispatchReply(t *testing.T) {
+	registerEchoPayloadOnce.Do(func() {
+		RegisterAlgorithm("net-test/echo-payload", func() Algorithm { return echoPayloadAlg{} })
+	})
+	srv, err := ListenAndServe("127.0.0.1:0", "127.0.0.1:0", WithServerOptions(netOpts()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	dm := newEchoDM(4)
+	dm.algorithm = "net-test/echo-payload"
+	dm.payload = bytes.Repeat([]byte("0123456789abcdef"), 96<<10/16)
+	if err := srv.Submit(bg, &Problem{ID: "large", DM: dm, SharedData: []byte("the one bulk fetch")}); err != nil {
+		t.Fatal(err)
+	}
+	cl, err := Dial(srv.RPCAddr(), 5*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	d := newTestDonor(cl, DonorOptions{Name: "large-donor", Logf: t.Logf})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() { defer wg.Done(); _ = d.Run(bg) }()
+	_, err = srv.Wait(bg, "large")
+	d.Stop()
+	wg.Wait()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for id := int64(1); id <= 4; id++ {
+		if !bytes.Equal(dm.results[id], dm.payload) {
+			t.Errorf("unit %d: result of %d bytes, want its %d-byte payload back", id, len(dm.results[id]), len(dm.payload))
+		}
+	}
+	if st := srv.BulkStats(); st.Fetches != 1 {
+		t.Errorf("bulk channel answered %d fetches, want 1 (the shared blob; payloads ride the reply)", st.Fetches)
+	}
+}
+
+// TestOversizeUnitFailsItsProblem: a unit no dispatch reply can carry in
+// one wire frame fails its problem when it is cut, with an error that
+// names its size and the limit, and no donor is leased it or charged for
+// it. Leasing it would make the reply unwritable: the donor's connection
+// drops, the lease expires and the unit reissues, forever.
+func TestOversizeUnitFailsItsProblem(t *testing.T) {
+	srv, err := ListenAndServe("127.0.0.1:0", "127.0.0.1:0", WithServerOptions(netOpts()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	dm := newEchoDM(1)
+	dm.payload = make([]byte, wire.MaxFrameSize) // the test's one frame-sized allocation
+	if err := srv.Submit(bg, &Problem{ID: "oversize", DM: dm}); err != nil {
+		t.Fatal(err)
+	}
+	cl, err := Dial(srv.RPCAddr(), 5*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	if tasks, _, err := cl.WaitTasks(bg, "big", 100*time.Millisecond, 0); err != nil || len(tasks) != 0 {
+		t.Fatalf("dispatch = %d tasks, %v; want none and no error", len(tasks), err)
+	}
+	ctx, cancel := context.WithTimeout(bg, 5*time.Second)
+	defer cancel()
+	_, err = srv.Wait(ctx, "oversize")
+	size := taskBytes("oversize", wire.Digest(nil), &Unit{Algorithm: dm.algorithm, Payload: dm.payload})
+	if err == nil || !strings.Contains(err.Error(), fmt.Sprintf(" %d bytes", size)) ||
+		!strings.Contains(err.Error(), fmt.Sprintf("limit of %d", maxTaskBytes)) {
+		t.Fatalf("Wait = %v; want the problem failed, naming the unit's size and the limit", err)
+	}
+	if st, _ := srv.Stats(bg, "oversize"); st.Dispatched != 0 {
+		t.Errorf("dispatched = %d, want 0", st.Dispatched)
+	}
+	if ds := srv.peekDonor("big"); ds != nil {
+		ds.mu.Lock()
+		failures := ds.stats.Failures
+		ds.mu.Unlock()
+		if failures != 0 {
+			t.Errorf("donor charged %d failures for a unit it was never sent", failures)
+		}
 	}
 }
 

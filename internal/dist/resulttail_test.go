@@ -151,8 +151,8 @@ func TestResultsRideThePark(t *testing.T) {
 }
 
 // stopAfter wraps an algorithm so that its k-th ProcessCtx call, once it
-// has computed its unit, stops the donor (by cancelling Run's ctx, which —
-// unlike Donor.Stop — ends the loop before its next stage).
+// has computed its unit, stops the donor by cancelling Run's ctx: the loop
+// ends before its next stage, and that unit's result is not submitted.
 type stopAfter struct {
 	Algorithm
 	calls *int
@@ -186,8 +186,8 @@ func TestCloseDeliversHeldResults(t *testing.T) {
 	ctx, stop := context.WithCancel(bg)
 	defer stop()
 	calls := 0
-	// The first park brings one unit, the second a batch: stop on the
-	// batch's third unit, with its first three results queued.
+	// The first park brings one unit, the second a batch: stop in the
+	// batch's third unit, with the batch's first two results queued.
 	d := newTestDonor(cl, DonorOptions{Name: "close-donor", CancelPoll: -1, Logf: t.Logf,
 		WrapAlgorithm: func(_ string, a Algorithm) Algorithm {
 			return stopAfter{Algorithm: a, calls: &calls, k: 4, stop: stop}
@@ -195,8 +195,8 @@ func TestCloseDeliversHeldResults(t *testing.T) {
 	if err := d.Run(ctx); err != nil {
 		t.Fatal(err)
 	}
-	if d.Units() != 4 {
-		t.Fatalf("test setup: donor counted %d units before stopping, want 4", d.Units())
+	if d.Units() != 3 {
+		t.Fatalf("test setup: donor counted %d units before stopping, want 3", d.Units())
 	}
 	if st, _ := srv.Status(bg, "close"); st.Completed != 1 {
 		t.Fatalf("test setup: %d units folded before Close, want 1 (the rest queued on the client)", st.Completed)

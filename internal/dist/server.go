@@ -29,8 +29,7 @@ var ErrForgotten = errors.New("dist: problem forgotten")
 
 // ServerOptions tunes scheduling, durability and verification. Construct
 // servers with functional options (WithPolicy, WithLeaseTTL, ...); the
-// struct is the bag they mutate. WithServerOptions adopts it wholesale and
-// is the only way to set BulkThreshold, which has no option of its own.
+// struct is the bag they mutate. WithServerOptions adopts it wholesale.
 type ServerOptions struct {
 	// Policy sizes work units per donor; nil defaults to the paper's
 	// adaptive strategy with a 5s target.
@@ -52,11 +51,6 @@ type ServerOptions struct {
 	// values outside (0, 1] are ignored. 0.9 is a reasonable tail-chasing
 	// setting.
 	SpeculateAfter float64
-	// BulkThreshold is the payload size in bytes above which a network
-	// server ships unit payloads over the raw-socket bulk channel instead
-	// of inline in the RPC reply (the paper's §2.2 rationale). Zero
-	// defaults to 64 KiB; negative disables offloading.
-	BulkThreshold int
 	// AutoForget retires a problem automatically once a Wait call has
 	// delivered its final result, so a long-lived server submitting many
 	// problems does not accumulate their states. Waiters already blocked
@@ -134,9 +128,6 @@ func (o *ServerOptions) applyDefaults() {
 		if o.ExpiryScan < time.Second {
 			o.ExpiryScan = time.Second
 		}
-	}
-	if o.BulkThreshold == 0 {
-		o.BulkThreshold = 64 << 10
 	}
 	if o.LongPoll <= 0 {
 		o.LongPoll = 45 * time.Second
@@ -588,8 +579,7 @@ func (s *Server) Wait(ctx context.Context, id string) ([]byte, error) {
 }
 
 // Forget retires a problem: its state is evicted from the server, and with
-// it everything the bulk channel served for it (shared blob, offloaded
-// unit payloads). A problem forgotten before completion fails with
+// it the shared blob the bulk channel served for it. A problem forgotten before completion fails with
 // ErrForgotten, unblocking any Wait; leased and requeued units are
 // discarded, not reissued, and every donor holding one of its leases is
 // queued an epoch-tagged cancel notice so it aborts the unit's ProcessCtx

@@ -24,8 +24,8 @@ package dist
 // incarnation or from a donor not involved in the set; a spot-checked set
 // involves at most maxVerifyDonors donors at a time (a quarantine frees the
 // donor's place). For the table: completed ≤ dispatched, the problem's
-// inflight count equals its live leases, and a unit's payload is servable
-// iff its set is in the table. checkUnits (lifecycle_test.go) asserts all
+// inflight count equals its live leases, and a unit the DataManager holds
+// pending is in the table iff the problem has not ended. checkUnits (lifecycle_test.go) asserts all
 // of them after every event of an exhaustive bounded explorer
 // (units_test.go) and of a seeded walk through a whole server.
 //
@@ -72,7 +72,7 @@ const maxUnitAttempts = 8
 // cycling there; this problem-level bound catches it.
 const maxConsecutiveFailures = 64
 
-// maxConsecutiveTransport bounds transport failures (unfetchable payloads)
+// maxConsecutiveTransport bounds transport failures (unfetchable shared data)
 // with no intervening success. Deliberately very loose — partial-fleet
 // bulk-connectivity problems self-heal via requeue and any completed unit
 // resets it — but it turns "no donor can reach the bulk channel at all"
@@ -91,7 +91,7 @@ const maxVerifyDonors = 8
 
 // failureKind classifies why a lease was lost, because each class gets a
 // different bound: compute failures feed the tight poisoned-unit caps;
-// transport failures (payload unfetchable) feed only a very loose cap that
+// transport failures (shared data unfetchable) feed only a very loose cap that
 // catches a bulk channel no donor can reach; lease expiries feed no cap at
 // all — a healthy unit that merely takes many lease periods, or a mass
 // outage expiring every lease in one sweep, must reissue, not fail the
@@ -301,15 +301,6 @@ func (t *unitTable) acting(pred func(*attemptSet) bool) []*attemptSet {
 	}
 	slices.SortFunc(sets, func(a, b *attemptSet) int { return cmp.Compare(a.uid, b.uid) })
 	return sets
-}
-
-// payload returns a unit's payload while it can still fold: its set is in
-// the table.
-func (t *unitTable) payload(uid int64) ([]byte, bool) {
-	if set := t.sets[uid]; set != nil {
-		return set.unit.Payload, true
-	}
-	return nil, false
 }
 
 // add registers a fresh attempt set for unit u, which the DataManager just

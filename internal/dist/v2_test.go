@@ -540,8 +540,7 @@ func TestFunctionalOptions(t *testing.T) {
 	srv := NewServer()
 	defer srv.Close()
 	o := srv.opts
-	if o.Policy == nil || o.Lease != 2*time.Minute ||
-		o.BulkThreshold != 64<<10 || o.AutoForget {
+	if o.Policy == nil || o.Lease != 2*time.Minute || o.AutoForget {
 		t.Errorf("zero-option defaults = %+v", o)
 	}
 	srv2 := NewServer(

@@ -37,9 +37,9 @@
 // everything that way, straight from its own state and for exactly as long
 // as that state lives: "content/sha256:<hex>" (ContentKey(Digest(blob))) is
 // the shared blob of any live problem carrying those bytes,
-// "shared/<problemID>" the same bytes under the per-problem name behind
-// RPCClient.SharedData, and "unit/<problemID>/<epoch>.<unitID>" the
-// payload of a unit that can still fold. Fetchers of a content key verify
+// and "shared/<problemID>" the same bytes under the per-problem name behind
+// RPCClient.SharedData. Unit payloads never travel here: they ride the
+// control channel's dispatch reply. Fetchers of a content key verify
 // the bytes hash back to the digest; a mismatch is ErrDigestMismatch,
 // handled like any transport failure.
 //

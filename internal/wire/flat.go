@@ -34,11 +34,13 @@ import (
 // the handshake reply, 5 replaced net/rpc's method-name headers with the
 // mux's seq/verb/status header, 6 retired the RequestTask verb and dropped
 // the wait hint from the dispatch reply, 7 gave the dispatch request a
-// results tail and made the SubmitResult verb carry a list). Every version
-// keeps the same byte length so the read window never changes, and the
-// leading zero byte keeps the token unmistakable for the start of a gob-rpc
-// stream, which is what pre-version-4 peers may open a connection with.
-const FlatPreamble = "\x00dflt7\r\n"
+// results tail and made the SubmitResult verb carry a list, 8 dropped the
+// bulk key from the dispatch entries: payloads always ride inline). Every
+// version keeps the same byte length so the read window never changes, and
+// the leading zero byte keeps the token unmistakable for the start of a
+// gob-rpc stream, which is what pre-version-4 peers may open a connection
+// with.
+const FlatPreamble = "\x00dflt8\r\n"
 
 // Encoder appends flat-encoded fields to a frame buffer. Encoders come
 // from a sync.Pool (the mux recycles them per message) and never fail:
