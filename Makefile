@@ -85,13 +85,18 @@ bench-module:
 # tests (TestCrashReplaysUnsnapshottedFolds and the two DSEARCH ones,
 # TestDSEARCHCrashReplaysTail and TestDSEARCHCrashReplaysCheckpointAndTail:
 # a durable coordinator crashed mid-run replays its journal through the
-# live unit table), and the mux's own suite.
+# live unit table), the overdue rule's tests (a donor killed mid-unit over
+# real sockets is reissued by the rule, not after the hour-long Lease; a
+# free donor speculates only on an overdue lease; the speculation tests:
+# the loser is cancelled, either lease survives the other's failure, no
+# unit folds twice), and the mux's own suite.
 stress:
 	$(GO) test -count=20 ./internal/dist/ ./internal/swarm/
 	$(GO) test -count=5 -run 'TestCoordinatorCrashRecoveryRealNetwork|TestNetworkMatchesRunLocal' . ./internal/dist/
 	$(GO) test -race -count=10 -run TestAttemptLifecycleInvariants ./internal/dist/
 	$(GO) test -race -count=20 -run 'TestParkedDonorDeathLeasesNothing|TestCloseAnswersEveryParkedDonorOverTheWire|TestReplicaLeasedAfterHeldResultGetsPayload|TestSiblingCancelNoticeSparesLiveUnits|TestDonorLoopStages|TestStopEndsRunBeforeItReturns|TestDemotedDonorIsSpotCheckedAgain|TestTwoDonorQuorumWithProbationDrains|TestWaitTasksSizesBatchFromDonorRate|TestResultsRideThePark|TestCloseDeliversHeldResults|TestFailureReportFlushesHeldResults|TestDonorsSharingOneClientFoldEveryUnit' ./internal/dist/
 	$(GO) test -race -count=20 -run 'TestCrashReplaysUnsnapshottedFolds|TestDSEARCHCrashReplaysTail|TestDSEARCHCrashReplaysCheckpointAndTail' ./internal/dist/
+	$(GO) test -race -count=10 -run 'TestKilledDonorReissuedByOverdueRule|TestNoSpeculationBeforeOverdue|TestSpeculativeRedispatch|TestSpeculatedUnitSurvivesOriginalDonorFailure|TestSpeculationLoserIsCancelled|TestSpeculatorFailureKeepsOriginalLease' ./internal/dist/
 	$(GO) test -race -count=20 -run TestMux ./internal/wire/
 
 # loc prints the non-blank, non-comment line count of every non-test file in
@@ -161,10 +166,10 @@ bench-compare:
 
 # swarm runs the full-scale donor-swarm soak under the race detector: 1024
 # shaped donors, 8 problems across three priority tiers, 10% abrupt churn,
-# speculation on — asserting zero double-folds, completed <= dispatched and
-# empty lease tables at exit. The 256-donor smoke rides the normal test and
-# race targets (so `make check` covers the swarm path); this is the long
-# one, kept opt-in behind SWARM_SOAK.
+# the overdue rule speculating and expiring — asserting zero double-folds,
+# completed <= dispatched and empty lease tables at exit. The 256-donor
+# smoke rides the normal test and race targets (so `make check` covers the
+# swarm path); this is the long one, kept opt-in behind SWARM_SOAK.
 swarm:
 	SWARM_SOAK=1 $(GO) test -race -run TestSwarmSoak1024 -v ./internal/swarm/
 

@@ -373,7 +373,6 @@ func BenchmarkCoordinatorSharding(b *testing.B) {
 			srv := dist.NewServer(
 				dist.WithPolicy(sched.Fixed{Size: 1}),
 				dist.WithLeaseTTL(time.Hour),
-				dist.WithExpiryScan(time.Hour),
 			)
 			defer srv.Close()
 			for i := 0; i < nProblems; i++ {
@@ -449,7 +448,6 @@ func BenchmarkDispatchSkipsContended(b *testing.B) {
 	srv := dist.NewServer(
 		dist.WithPolicy(sched.Fixed{Size: 1}),
 		dist.WithLeaseTTL(time.Hour),
-		dist.WithExpiryScan(time.Hour),
 	)
 	defer srv.Close()
 	for i := 0; i < hot; i++ {
@@ -544,7 +542,6 @@ func BenchmarkDispatchLatency(b *testing.B) {
 			srv := dist.NewServer(
 				dist.WithPolicy(sched.Fixed{Size: 1}),
 				dist.WithLeaseTTL(time.Hour),
-				dist.WithExpiryScan(time.Hour),
 			)
 			defer srv.Close()
 
@@ -684,22 +681,22 @@ func (d *costDM) RemainingCost() int64                 { return d.remaining }
 // BenchmarkSwarmMakespan drains one cost-partitioned problem through a
 // real 1024-donor swarm (internal/swarm: live loopback server, shaped
 // connections, throttled algorithms) on a straggler-heavy fleet — 5% of
-// donors at 2% speed — under three schedulers:
+// donors at 2% speed — under two schedulers:
 //
 //   - fixed64: the non-adaptive baseline. Stragglers receive the same
 //     64-cost units as everyone else and sit on them ~50x longer; the
 //     makespan is their tail.
 //   - adaptive: per-donor throughput sizing (the paper's policy).
 //     Stragglers bootstrap small and stay small, shrinking the tail.
-//   - adaptive+spec: adaptive plus WithSpeculation(0.85) — once the
-//     problem is 85% complete, idle fast donors re-execute straggler
-//     leases and the first result wins. The lease is an hour, so
-//     speculation (not expiry) is the only rescue; this is the PR 9
-//     acceptance comparison.
 //
-// Reported per variant: wall-clock makespan, units speculated, and
-// dispatched/completed totals. Run with -benchtime 1x; each iteration
-// builds and drains a fresh fleet.
+// Under both, the overdue rule lets idle fast donors re-execute a lease
+// overdue by speculateFactor times its expectation (first result wins), and
+// expires one overdue by expireFactor times it. The Lease is an hour, so an
+// unmeasured straggler's lease never expires.
+//
+// Reported per variant: wall-clock makespan, units speculated and
+// reissued, and dispatched/completed totals. Run with -benchtime 1x; each
+// iteration builds and drains a fresh fleet.
 func BenchmarkSwarmMakespan(b *testing.B) {
 	registerCostAlgOnce.Do(func() {
 		dist.RegisterAlgorithm("bench/cost", func() dist.Algorithm { return costAlg{} })
@@ -708,32 +705,22 @@ func BenchmarkSwarmMakespan(b *testing.B) {
 		donors    = 1024
 		totalCost = 96 * 1024 // ~1.5 full-speed units of 64 per donor
 	)
-	adaptive := func() sched.Policy {
-		return sched.Adaptive{Target: 25 * time.Millisecond, Bootstrap: 16, Min: 4, Max: 1024}
-	}
 	for _, v := range []struct {
-		name      string
-		policy    sched.Policy
-		speculate float64
+		name   string
+		policy sched.Policy
 	}{
-		{"fixed64", sched.Fixed{Size: 64}, 0},
-		{"adaptive", adaptive(), 0},
-		{"adaptive+spec", adaptive(), 0.85},
+		{"fixed64", sched.Fixed{Size: 64}},
+		{"adaptive", sched.Adaptive{Target: 25 * time.Millisecond, Bootstrap: 16, Min: 4, Max: 1024}},
 	} {
 		b.Run(fmt.Sprintf("%s/donors=%d", v.name, donors), func(b *testing.B) {
 			ctx := context.Background()
-			var makespanMS, speculated, dispatched, completed float64
+			var makespanMS, speculated, reissued, dispatched, completed float64
 			for iter := 0; iter < b.N; iter++ {
-				opts := []dist.ServerOption{
+				srv, err := dist.ListenAndServe("127.0.0.1:0", "127.0.0.1:0",
 					dist.WithPolicy(v.policy),
-					dist.WithLeaseTTL(time.Hour), // expiry must never rescue the tail
-					dist.WithExpiryScan(time.Hour),
+					dist.WithLeaseTTL(time.Hour),
 					dist.WithDispatchBatch(-1), // single-unit leases: makespan isolates sizing+speculation
-				}
-				if v.speculate > 0 {
-					opts = append(opts, dist.WithSpeculation(v.speculate))
-				}
-				srv, err := dist.ListenAndServe("127.0.0.1:0", "127.0.0.1:0", opts...)
+				)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -762,6 +749,7 @@ func BenchmarkSwarmMakespan(b *testing.B) {
 				srv.Close()
 				makespanMS += float64(makespan.Milliseconds())
 				speculated += float64(st.Speculated)
+				reissued += float64(st.Reissued)
 				dispatched += float64(st.Dispatched)
 				completed += float64(st.Completed)
 				if st.Completed > st.Dispatched {
@@ -771,6 +759,7 @@ func BenchmarkSwarmMakespan(b *testing.B) {
 			n := float64(b.N)
 			b.ReportMetric(makespanMS/n, "makespan-ms")
 			b.ReportMetric(speculated/n, "speculated")
+			b.ReportMetric(reissued/n, "reissued")
 			b.ReportMetric(dispatched/n, "dispatched")
 			b.ReportMetric(completed/n, "completed")
 		})
@@ -843,7 +832,6 @@ func BenchmarkSharedBlobDedup(b *testing.B) {
 		srv, err := dist.ListenAndServe("127.0.0.1:0", "127.0.0.1:0",
 			dist.WithPolicy(sched.Fixed{Size: 1}),
 			dist.WithLeaseTTL(time.Hour),
-			dist.WithExpiryScan(time.Hour),
 		)
 		if err != nil {
 			b.Fatal(err)

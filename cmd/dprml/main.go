@@ -286,7 +286,6 @@ func runInstances(aln *seq.Alignment, opts dprml.Options, n, workers int, pol sc
 	srv := dist.NewServer(
 		dist.WithPolicy(pol),
 		dist.WithLeaseTTL(time.Hour),
-		dist.WithExpiryScan(time.Hour),
 	)
 	defer srv.Close()
 

@@ -45,10 +45,9 @@ func main() {
 		rpcAddr     = flag.String("rpc", ":7070", "control (RPC) listen address")
 		bulkAddr    = flag.String("bulk", ":7071", "bulk data listen address")
 		policy      = flag.String("policy", "adaptive:5s", "scheduling policy (fixed:N | adaptive:DUR | gss[:k] | factoring | tss)")
-		lease       = flag.Duration("lease", 2*time.Minute, "work unit reissue timeout")
+		lease       = flag.Duration("lease", 2*time.Minute, "longest a work unit stays out before it is reissued: the ceiling of the overdue rule, which speculates and reissues from each donor's measured throughput, and the bound for a donor not measured yet")
 		longPoll    = flag.Duration("long-poll", 45*time.Second, "max server-side park per WaitTask long-poll (<=0 keeps the default)")
 		batch       = flag.Int("dispatch-batch", 8, "max units per batched WaitTask reply (<=1 = single-unit dispatch)")
-		speculate   = flag.Float64("speculate-after", 0, "re-dispatch straggler units to idle donors once this fraction of the problem is complete, first result wins (0 = off; 0.9 is a reasonable start)")
 		verifyFrac  = flag.Float64("verify-fraction", 0, "spot-check this fraction of units by redundant dispatch to distinct donors, folding only quorum-agreed results (0 = trust every donor; 0.05 is a reasonable start)")
 		verifyQuo   = flag.Int("verify-quorum", 2, "replica results that must agree before a spot-checked unit folds (min 2; needs -verify-fraction)")
 		quarBelow   = flag.Float64("quarantine-below", 0, "trust floor under which a donor stops receiving work and its results are rejected (0 = default 0.3, negative = never quarantine; needs -verify-fraction)")
@@ -111,7 +110,6 @@ func main() {
 		dist.WithDispatchBatch(dispatchBatch),
 		dist.WithDataDir(*dataDir),
 		dist.WithSnapshotBudget(0, *snapRecords),
-		dist.WithSpeculation(*speculate),
 		dist.WithVerify(*verifyFrac, *verifyQuo),
 		dist.WithQuarantineBelow(*quarBelow),
 	)

@@ -164,8 +164,9 @@ func parseStatsLine(t *testing.T, out string) (dispatched, completed, reissued i
 // suite: a real cmd/server process on loopback, a first generation of real
 // cmd/donor processes SIGKILLed mid-run (taking their leases with them),
 // and a replacement generation that must drain the remainder. Asserts
-// completion, the reissue accounting the kill must have caused (lease 2s,
-// so the dead donors' units come back quickly), that no unit was folded
+// completion, the reissue accounting the kill must have caused (the lease
+// is an hour, so the dead donors' units come back by the overdue rule, a
+// few seconds after their grant at most), that no unit was folded
 // twice (completed never exceeds dispatched, and the planted homologs
 // appear in the report exactly as a clean run produces them), and that the
 // replacement donors actually worked.
@@ -199,7 +200,7 @@ func TestDonorChurnRealNetwork(t *testing.T) {
 	server := exec.Command(serverBin,
 		"-app", "dsearch", "-db", dbPath, "-queries", qPath,
 		"-rpc", rpcAddr, "-bulk", bulkAddr,
-		"-policy", "adaptive:300ms", "-lease", "2s")
+		"-policy", "adaptive:300ms", "-lease", "1h")
 	server.Stdout = &serverOut
 	server.Stderr = &serverOut
 	if err := server.Start(); err != nil {

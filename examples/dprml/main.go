@@ -61,7 +61,6 @@ func main() {
 	srv := dist.NewServer(
 		dist.WithPolicy(sched.Adaptive{Target: 200 * time.Millisecond, Bootstrap: 5000, Min: 1}),
 		dist.WithLeaseTTL(time.Hour),
-		dist.WithExpiryScan(time.Hour),
 		// Each instance's state is evicted as soon as its Wait below
 		// delivers the result — the lifecycle a long-lived multi-problem
 		// server uses to stay bounded.

@@ -19,8 +19,9 @@ const maxPendingCancels = 256
 // unlock applies what the problem's critical section owes and releases
 // ps.mu. Journal records, Watch events, cancel notices and the problem's end
 // are applied first, in the order the table owed them, so the journal's
-// order is the transitions' order. Waking parked donors and trust outcomes
-// wait until the lock drops — donor locks are leaves, and enacting a
+// order is the transitions' order. Waking parked donors, bringing the lease
+// sweep forward to the table's alarm and trust outcomes wait until the lock
+// drops — donor locks are leaves, and enacting a
 // quarantine walks every problem. Every critical section that can change
 // the table ends here.
 //
@@ -55,11 +56,14 @@ func (s *Server) unlock(ps *problemState) {
 	}
 	clear(t.fx)
 	t.fx = t.fx[:0]
-	wake := t.wake
-	t.wake = false
+	wake, alarm := t.wake, t.alarm
+	t.wake, t.alarm = false, time.Time{}
 	ps.mu.Unlock()
 	if wake {
 		s.wakeParked()
+	}
+	if !alarm.IsZero() {
+		s.sweepBy(alarm, false)
 	}
 	s.applyTrustDeltas(deltas)
 }
@@ -136,12 +140,11 @@ func (s *Server) ReportFailure(ctx context.Context, donor, problemID string, uni
 // dropped, like its submitResult counterpart, so it cannot revoke a live
 // lease of the successor when donor names collide.
 //
-// The donor's reputation (its Failures count, and lastSeen liveness) is
-// only touched AFTER the report validates against a live lease held by
-// this donor under the current epoch: a report for a never-leased unit, a
-// stale epoch, or someone else's lease says nothing about this donor and
-// must not move its stats. (Results from stragglers are accepted; their
-// failure reports must not revoke another donor's lease.)
+// The donor's liveness (lastSeen) is only touched AFTER the report
+// validates against a live lease held by this donor under the current
+// epoch: a report for a never-leased unit, a stale epoch, or someone
+// else's lease says nothing about this donor. (Results from stragglers are
+// accepted; their failure reports must not revoke another donor's lease.)
 func (s *Server) reportFailure(ctx context.Context, donor, problemID string, unitID int64, reason string, kind failureKind, epoch int64) error {
 	if err := ctxErr(ctx); err != nil {
 		return err
@@ -162,7 +165,6 @@ func (s *Server) reportFailure(ctx context.Context, donor, problemID string, uni
 	s.unlock(ps)
 	if held {
 		s.touchDonor(donor, now)
-		s.bumpFailures(donor)
 	}
 	return nil
 }
@@ -184,19 +186,33 @@ func (s *Server) CancelNotices(ctx context.Context, donor string) ([]CancelNotic
 	return notices, nil
 }
 
-// expiryLoop periodically reissues units whose lease has lapsed — the
-// fault-tolerance path that lets the run survive donors being powered off.
+// expiryLoop is the lease sweep: it reissues units whose lease has lapsed —
+// the fault-tolerance path that lets the run survive donors being powered
+// off — and wakes parked donors for stragglers due a speculative copy. It
+// schedules itself: each pass arms the next Lease/4 ahead, and the tables
+// bring it forward to the earliest instant they report (their alarms, which
+// a grant between passes also raises).
 func (s *Server) expiryLoop() {
 	defer s.wg.Done()
-	ticker := time.NewTicker(s.opts.ExpiryScan)
-	defer ticker.Stop()
 	for {
 		select {
 		case <-s.stop:
 			return
-		case <-ticker.C:
-			s.expireLeases(time.Now())
+		case now := <-s.sweep.C:
+			s.sweepBy(now.Add(s.opts.Lease/4), true)
+			s.expireLeases(now)
 		}
+	}
+}
+
+// sweepBy brings the next lease sweep forward to at, if it is due later;
+// rearm sets it at at regardless, as the pass that just fired does.
+func (s *Server) sweepBy(at time.Time, rearm bool) {
+	s.sweepMu.Lock()
+	defer s.sweepMu.Unlock()
+	if rearm || at.Before(s.sweepAt) {
+		s.sweepAt = at
+		s.sweep.Reset(time.Until(at))
 	}
 }
 
@@ -211,12 +227,7 @@ func (s *Server) expireLeases(now time.Time) {
 	s.pruneDonors(now)
 	for _, ps := range s.allProblems() {
 		ps.mu.Lock()
-		blamed := ps.table.expire(now, s)
+		ps.table.expire(now, s)
 		s.unlock(ps)
-		// Donor stats are charged outside the problem lock (lock order:
-		// problem locks never nest around donor state).
-		for _, name := range blamed {
-			s.bumpFailures(name)
-		}
 	}
 }

@@ -3,6 +3,7 @@ package dist
 import (
 	"context"
 	"fmt"
+	"math"
 	"time"
 
 	"repro/internal/sched"
@@ -129,13 +130,13 @@ func (s *Server) tryDispatch(ps *problemState, donor string, view dispatchView, 
 	capped := view.probation && t.verifyBacklog(donor, s.opts.ProbationUnits)
 	// An open set — a requeued unit, or a pending quorum wanting one more
 	// replica — outranks fresh work: re-leasing it unblocks its fold.
-	if task := t.reissue(donor, view.probation, capped, live > 1, view.now); task != nil {
+	if task := t.reissue(donor, view, capped, live > 1); task != nil {
 		return task, false, true
 	}
 	if capped {
 		// Parked at the backlog cap: a resolving quorum must wake this
 		// donor so it can claim fresh work again.
-		return t.idle(donor, true, view.now), false, true
+		return t.idle(donor, view, s), false, true
 	}
 	budget := s.opts.Policy.Budget(view.stats, remainingCost(ps.p.DM), live)
 	budget = scaleBudgetByTrust(budget, view.trust)
@@ -150,7 +151,7 @@ func (s *Server) tryDispatch(ps *problemState, donor string, view dispatchView, 
 			return nil, true, true
 		}
 		// Nothing fresh: a speculative copy of a straggler, or park.
-		task := t.idle(donor, view.probation, view.now)
+		task := t.idle(donor, view, s)
 		return task, t.done, true
 	}
 	if n := taskBytes(ps.id, ps.sharedDigest, u); n > maxTaskBytes {
@@ -164,7 +165,7 @@ func (s *Server) tryDispatch(ps *problemState, donor string, view dispatchView, 
 	if s.verifyEnabled() && (view.probation || s.sampleVerifyLocked(ps)) {
 		quorum = s.opts.VerifyQuorum
 	}
-	return t.cut(u, budget, quorum, donor, view.probation, view.now), false, true
+	return t.cut(u, budget, quorum, donor, view), false, true
 }
 
 // pruneRotation removes finished problems from the dispatch order. Their
@@ -186,25 +187,30 @@ func (s *Server) pruneRotation(finished []*problemState) {
 }
 
 // feedThroughput feeds one completed unit's measured cost/elapsed into the
-// donor's scheduling statistics and its unit-time EWMA. For the throughput
+// donor's scheduling statistics, its unit-time EWMA and the fleet's
+// throughput EWMA (which judges an unmeasured donor's leases for
+// speculation, see unitTable.due). For the throughput
 // Elapsed is floored at 1ms: a sub-millisecond (or bogus donor-reported)
 // sample would otherwise make the EWMA throughput — and with it the next
 // adaptive budget, which has no upper clamp by default — effectively
 // infinite, serializing the whole problem onto one donor. The unit time
 // ignores samples ≤ 0 instead: a batch is sized from it with an upper cap.
 func (s *Server) feedThroughput(ds *donorState, cost int64, elapsed time.Duration) {
-	sec := elapsed.Seconds()
-	if sec < 1e-3 {
-		sec = 1e-3
-	}
+	rate := float64(cost) / max(elapsed.Seconds(), 1e-3)
+	// Two results folding at once may lose one of their samples: harmless
+	// to an estimate.
+	s.fleetRate.Store(math.Float64bits(sched.EWMA(math.Float64frombits(s.fleetRate.Load()), rate, throughputAlpha)))
 	ds.mu.Lock()
 	ds.stats.Completed++
-	ds.stats.Throughput = sched.EWMA(ds.stats.Throughput, float64(cost)/sec, throughputAlpha)
+	ds.stats.Throughput = sched.EWMA(ds.stats.Throughput, rate, throughputAlpha)
 	if elapsed > 0 {
 		ds.unitTime = time.Duration(sched.EWMA(float64(ds.unitTime), float64(elapsed), throughputAlpha))
 	}
 	ds.mu.Unlock()
 }
+
+// throughput implements fleet: the fleet's throughput EWMA.
+func (s *Server) throughput() float64 { return math.Float64frombits(s.fleetRate.Load()) }
 
 // liveDonors counts the donors that can be handed work — seen within the
 // last lease interval before now and not quarantined — skipping those skip
@@ -258,16 +264,6 @@ func (s *Server) peekDonor(name string) *donorState {
 	s.donorMu.RLock()
 	defer s.donorMu.RUnlock()
 	return s.donors[name]
-}
-
-// bumpFailures charges one failure to a donor's scheduling statistics, if
-// the donor is still tracked.
-func (s *Server) bumpFailures(name string) {
-	if ds := s.peekDonor(name); ds != nil {
-		ds.mu.Lock()
-		ds.stats.Failures++
-		ds.mu.Unlock()
-	}
 }
 
 // pruneDonors forgets donors gone long enough that their scheduling

@@ -22,6 +22,14 @@ var bg = context.Background()
 // options themselves are covered by TestFunctionalOptions.
 func newTestServer(o ServerOptions) *Server { return NewServer(WithServerOptions(o)) }
 
+// newQuietServer is a server whose lease sweep never runs on its own: a
+// lease expires only when the test calls expireLeases. Speculation still
+// follows the overdue rule at each dispatch scan.
+func newQuietServer(o ServerOptions) *Server {
+	o.applyDefaults()
+	return newServer(o)
+}
+
 func newTestDonor(c Coordinator, o DonorOptions) *Donor {
 	return NewDonor(c, WithDonorOptions(o))
 }
@@ -239,10 +247,9 @@ func TestRunLocalRequeuesFailedUnits(t *testing.T) {
 	failNext.Store(failures)
 	defer failNext.Store(0)
 
-	srv := newTestServer(ServerOptions{
-		Policy:     sched.Fixed{Size: 25},
-		Lease:      time.Hour,
-		ExpiryScan: time.Hour,
+	srv := newQuietServer(ServerOptions{
+		Policy: sched.Fixed{Size: 25},
+		Lease:  time.Hour,
 	})
 	defer srv.Close()
 	p := &Problem{ID: "sum-fail", DM: newSumDM(n)}
@@ -293,9 +300,8 @@ func TestPoisonedUnitFailsProblemEventually(t *testing.T) {
 func TestLeaseExpiryReissuesToOtherDonor(t *testing.T) {
 	registerSum(t)
 	srv := newTestServer(ServerOptions{
-		Policy:     sched.Fixed{Size: 1 << 40}, // whole problem in one unit
-		Lease:      30 * time.Millisecond,
-		ExpiryScan: 5 * time.Millisecond,
+		Policy: sched.Fixed{Size: 1 << 40}, // whole problem in one unit
+		Lease:  30 * time.Millisecond,
 	})
 	defer srv.Close()
 	const n = 100
@@ -332,10 +338,9 @@ func TestLeaseExpiryReissuesToOtherDonor(t *testing.T) {
 
 func TestRequeueFallsBackWhenOtherDonorDead(t *testing.T) {
 	registerSum(t)
-	srv := newTestServer(ServerOptions{
-		Policy:     sched.Fixed{Size: 1 << 40}, // whole problem in one unit
-		Lease:      50 * time.Millisecond,
-		ExpiryScan: time.Hour, // expiry scan out of the picture
+	srv := newQuietServer(ServerOptions{
+		Policy: sched.Fixed{Size: 1 << 40}, // whole problem in one unit
+		Lease:  50 * time.Millisecond,
 	})
 	defer srv.Close()
 	if err := srv.Submit(bg, &Problem{ID: "fallback", DM: newSumDM(50)}); err != nil {
@@ -576,10 +581,9 @@ func TestForgetLifecycle(t *testing.T) {
 }
 
 func TestForgetWhileLeased(t *testing.T) {
-	srv := newTestServer(ServerOptions{
-		Policy:     sched.Fixed{Size: 10},
-		Lease:      time.Hour,
-		ExpiryScan: time.Hour,
+	srv := newQuietServer(ServerOptions{
+		Policy: sched.Fixed{Size: 10},
+		Lease:  time.Hour,
 	})
 	defer srv.Close()
 	if err := srv.Submit(bg, &Problem{ID: "leased", DM: newSumDM(100)}); err != nil {
@@ -625,10 +629,9 @@ func TestForgetWhileLeased(t *testing.T) {
 // incarnation can collide with a new unit's ID. The epoch tag must keep it
 // out of the new problem's DataManager.
 func TestStaleResultAfterResubmitRejected(t *testing.T) {
-	srv := newTestServer(ServerOptions{
-		Policy:     sched.Fixed{Size: 10},
-		Lease:      time.Hour,
-		ExpiryScan: time.Hour,
+	srv := newQuietServer(ServerOptions{
+		Policy: sched.Fixed{Size: 10},
+		Lease:  time.Hour,
 	})
 	defer srv.Close()
 	if err := srv.Submit(bg, &Problem{ID: "re", DM: newSumDM(100)}); err != nil {
@@ -748,10 +751,9 @@ func TestAutoForgetAfterWait(t *testing.T) {
 // unitTable.reissue concurrently with Wait on the same problem.
 func TestConcurrentSubmitWaitReportFailure(t *testing.T) {
 	registerSum(t)
-	srv := newTestServer(ServerOptions{
-		Policy:     sched.Fixed{Size: 7},
-		Lease:      time.Hour,
-		ExpiryScan: time.Hour,
+	srv := newQuietServer(ServerOptions{
+		Policy: sched.Fixed{Size: 7},
+		Lease:  time.Hour,
 	})
 	defer srv.Close()
 

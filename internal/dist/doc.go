@@ -12,7 +12,9 @@
 // unit is one attempt set walking one lifecycle — granted, dropped,
 // offered a result, folded exactly once (units.go) — and straggler
 // speculation and quorum verification are two settings of that set, not
-// separate mechanisms. See
+// separate mechanisms. One overdue rule, from the throughput each unit was
+// sized by, decides when a lease is due a speculative copy and when it
+// expires. See
 // docs/ARCHITECTURE.md at the repository root for the layer map, the wire
 // protocol specification and the problem lifecycle.
 //
@@ -77,8 +79,10 @@
 //
 // Servers and donors are constructed with functional options, each one a
 // knob some command flag, RunLocal, the swarm harness or the benchmark
-// turns. Scheduling: WithPolicy, WithLeaseTTL, WithExpiryScan, WithLongPoll,
-// WithDispatchBatch, WithSpeculation and WithAutoForget; durability:
+// turns. Scheduling: WithPolicy, WithLeaseTTL (the ceiling of the overdue
+// rule that speculates and expires leases from each donor's measured
+// throughput, units.go), WithLongPoll, WithDispatchBatch and
+// WithAutoForget; durability:
 // WithDataDir and WithSnapshotBudget; verification: WithVerify,
 // WithProbation and WithQuarantineBelow. Donors take WithName,
 // WithThrottle, WithLogf, WithRedial, WithRedialBackoff, WithCancelPoll,

@@ -330,6 +330,7 @@ type replayFleet struct{}
 
 func (replayFleet) trustedDonorExists() bool                    { return true }
 func (replayFleet) liveDonors(time.Time, func(string) bool) int { return 1 }
+func (replayFleet) throughput() float64                         { return 0 }
 
 // replay applies one journaled unit record of the table's incarnation
 // through the transitions the live table ran when it owed the record, and

@@ -32,8 +32,8 @@ const (
 	// predates this server process.
 	EventRecovered
 	// EventUnitSpeculated marks a straggler unit granted a second,
-	// concurrent lease (ServerOptions.SpeculateAfter); Donor names the
-	// speculating donor. The original donor's lease stays live.
+	// concurrent lease because its first was overdue (units.go); Donor
+	// names the speculating donor. The original donor's lease stays live.
 	EventUnitSpeculated
 	// EventUnitReplicaDispatched marks an extra replica of a spot-checked
 	// unit leased to a distinct donor for quorum verification

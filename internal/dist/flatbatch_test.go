@@ -173,7 +173,7 @@ func TestBatchedWaitTasksOverWire(t *testing.T) {
 // 16-donor herd test: with batching enabled a single unit must still be
 // dispatched exactly once across every parked WaitTasks call.
 func TestWaitTasksManyParkedDonorsOneUnit(t *testing.T) {
-	srv := newTestServer(ServerOptions{Policy: sched.Fixed{Size: 1000}, Lease: time.Hour, ExpiryScan: time.Hour})
+	srv := newQuietServer(ServerOptions{Policy: sched.Fixed{Size: 1000}, Lease: time.Hour})
 	defer srv.Close()
 
 	const parked = 16
@@ -214,9 +214,8 @@ func TestWaitTasksManyParkedDonorsOneUnit(t *testing.T) {
 // batched WaitTasks path.
 func TestWaitTasksWakesOnLeaseExpiry(t *testing.T) {
 	srv := newTestServer(ServerOptions{
-		Policy:     sched.Fixed{Size: 1000},
-		Lease:      50 * time.Millisecond,
-		ExpiryScan: 20 * time.Millisecond,
+		Policy: sched.Fixed{Size: 1000},
+		Lease:  50 * time.Millisecond,
 	})
 	defer srv.Close()
 	if err := srv.Submit(bg, &Problem{ID: "bwake-expiry", DM: newSumDM(100)}); err != nil {

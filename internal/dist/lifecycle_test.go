@@ -264,7 +264,7 @@ func TestAttemptLifecycleInvariants(t *testing.T) {
 
 func runLifecycleSeed(t *testing.T, seed int64) {
 	rng := rand.New(rand.NewSource(seed))
-	o := ServerOptions{Policy: sched.Fixed{Size: 1}, Lease: time.Hour, ExpiryScan: time.Hour}
+	o := ServerOptions{Policy: sched.Fixed{Size: 1}, Lease: time.Hour}
 	if seed%2 == 0 {
 		o.VerifyFraction, o.VerifyQuorum = 0.5, 2
 		if seed%4 == 0 {
@@ -273,10 +273,7 @@ func runLifecycleSeed(t *testing.T, seed int64) {
 			o.ProbationUnits = -1
 		}
 	}
-	if seed%4 < 2 {
-		o.SpeculateAfter = 0.5
-	}
-	s := newTestServer(o)
+	s := newQuietServer(o)
 	defer s.Close()
 	dm := newLifeDM(12)
 	var pdm DataManager = dm
@@ -295,7 +292,7 @@ func runLifecycleSeed(t *testing.T, seed int64) {
 	// Injected compute failures and quarantines are budgeted so no schedule
 	// can trip a problem-failing cap or strand a quorum: the run must finish.
 	computeFails, quarantines := 6, 2
-	far := time.Now().Add(2 * time.Hour) // past every lease deadline
+	far := time.Now().Add(2 * time.Hour) // past every lease deadline, Lease being an hour
 
 	for r.step = 0; r.step < 250; r.step++ {
 		donor := donors[rng.Intn(len(donors))]
@@ -358,6 +355,8 @@ func runLifecycleSeed(t *testing.T, seed int64) {
 					r.failf("failure report from a non-holder revoked a lease of unit %d", task.Unit.ID)
 				}
 			}
+		case op == 18 && rng.Intn(2) == 0:
+			age(t, s, "life", overdue) // every lease falls due a speculative copy
 		case op == 18:
 			s.expireLeases(far)
 		case op == 19:

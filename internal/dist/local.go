@@ -26,10 +26,9 @@ func RunLocal(ctx context.Context, p *Problem, n int, policy sched.Policy) ([]by
 	}
 	srv := NewServer(
 		WithPolicy(policy),
-		// In-process workers cannot vanish, so leases only matter for the
-		// failure-requeue path, which reports explicitly.
+		// In-process workers cannot vanish: an hour's ceiling keeps a
+		// worker that has not been measured yet from ever expiring.
 		WithLeaseTTL(time.Hour),
-		WithExpiryScan(time.Hour),
 		// The problem's state is evicted as soon as Wait delivers the
 		// result below — the Submit → Wait → Forget lifecycle in one call.
 		WithAutoForget(true),

@@ -46,7 +46,7 @@ func expectWake(t *testing.T, got <-chan waitTaskResult, within time.Duration) w
 // anywhere is woken by a Submit and handed the fresh problem's unit —
 // the push-dispatch path that replaces waiting out a poll interval.
 func TestWaitTaskWakesOnSubmit(t *testing.T) {
-	srv := newTestServer(ServerOptions{Policy: sched.Fixed{Size: 1000}, Lease: time.Hour, ExpiryScan: time.Hour})
+	srv := newQuietServer(ServerOptions{Policy: sched.Fixed{Size: 1000}, Lease: time.Hour})
 	defer srv.Close()
 
 	got := parkWaitTask(srv, "parked", 10*time.Second)
@@ -66,7 +66,7 @@ func TestWaitTaskWakesOnSubmit(t *testing.T) {
 // TestWaitTaskWakesOnFailureRequeue: the only unit is leased to donor A;
 // parked donor B is woken the moment A's failure report requeues it.
 func TestWaitTaskWakesOnFailureRequeue(t *testing.T) {
-	srv := newTestServer(ServerOptions{Policy: sched.Fixed{Size: 1000}, Lease: time.Hour, ExpiryScan: time.Hour})
+	srv := newQuietServer(ServerOptions{Policy: sched.Fixed{Size: 1000}, Lease: time.Hour})
 	defer srv.Close()
 	if err := srv.Submit(bg, &Problem{ID: "wake-requeue", DM: newSumDM(100)}); err != nil {
 		t.Fatal(err)
@@ -94,9 +94,8 @@ func TestWaitTaskWakesOnFailureRequeue(t *testing.T) {
 // silent; the expiry sweep requeues it and must wake parked donor B.
 func TestWaitTaskWakesOnLeaseExpiry(t *testing.T) {
 	srv := newTestServer(ServerOptions{
-		Policy:     sched.Fixed{Size: 1000},
-		Lease:      50 * time.Millisecond,
-		ExpiryScan: 20 * time.Millisecond,
+		Policy: sched.Fixed{Size: 1000},
+		Lease:  50 * time.Millisecond,
 	})
 	defer srv.Close()
 	if err := srv.Submit(bg, &Problem{ID: "wake-expiry", DM: newSumDM(100)}); err != nil {
@@ -121,7 +120,7 @@ func TestWaitTaskWakesOnLeaseExpiry(t *testing.T) {
 // nothing dispatchable until the in-flight unit's result is folded. The
 // parked donor must wake on that SubmitResult, not on a timer.
 func TestWaitTaskWakesOnStageBarrierRelease(t *testing.T) {
-	srv := newTestServer(ServerOptions{Policy: sched.Fixed{Size: 1000}, Lease: time.Hour, ExpiryScan: time.Hour})
+	srv := newQuietServer(ServerOptions{Policy: sched.Fixed{Size: 1000}, Lease: time.Hour})
 	defer srv.Close()
 	// barrierDM releases one unit per stage and refuses the next until the
 	// previous result was consumed.
@@ -203,7 +202,7 @@ func TestWaitTasksSizesBatchFromDonorRate(t *testing.T) {
 	}
 	for _, r := range rows {
 		t.Run(r.name, func(t *testing.T) {
-			opts := ServerOptions{Policy: sched.Fixed{Size: 1}, Lease: time.Hour, ExpiryScan: time.Hour, DispatchBatch: r.dispatch}
+			opts := ServerOptions{Policy: sched.Fixed{Size: 1}, Lease: time.Hour, DispatchBatch: r.dispatch}
 			var srv *Server
 			var waiter TaskBatchWaiter
 			if r.wire {
@@ -242,7 +241,7 @@ func TestWaitTasksSizesBatchFromDonorRate(t *testing.T) {
 // (nil, 0, nil) — the "re-park immediately" shape — and a fresh park after
 // it must still be wakeable.
 func TestWaitTaskDeadlineReparks(t *testing.T) {
-	srv := newTestServer(ServerOptions{Policy: sched.Fixed{Size: 1000}, Lease: time.Hour, ExpiryScan: time.Hour})
+	srv := newQuietServer(ServerOptions{Policy: sched.Fixed{Size: 1000}, Lease: time.Hour})
 	defer srv.Close()
 
 	t0 := time.Now()
@@ -269,7 +268,7 @@ func TestWaitTaskDeadlineReparks(t *testing.T) {
 // TestWaitTaskCtxCancelAndClose: a cancelled context unparks with the
 // context's error; Close unparks every parked donor with ErrClosed.
 func TestWaitTaskCtxCancelAndClose(t *testing.T) {
-	srv := newTestServer(ServerOptions{Policy: sched.Fixed{Size: 1000}, Lease: time.Hour, ExpiryScan: time.Hour})
+	srv := newQuietServer(ServerOptions{Policy: sched.Fixed{Size: 1000}, Lease: time.Hour})
 
 	ctx, cancel := context.WithCancel(bg)
 	got := make(chan waitTaskResult, 1)
@@ -421,7 +420,7 @@ func TestDonorFloorsInstantEmptyParks(t *testing.T) {
 // problem is submitted; exactly one donor gets the unit and the rest
 // re-park without error — the broadcast wake must not duplicate dispatch.
 func TestWaitTaskManyParkedDonorsOneUnit(t *testing.T) {
-	srv := newTestServer(ServerOptions{Policy: sched.Fixed{Size: 1000}, Lease: time.Hour, ExpiryScan: time.Hour})
+	srv := newQuietServer(ServerOptions{Policy: sched.Fixed{Size: 1000}, Lease: time.Hour})
 	defer srv.Close()
 
 	const parked = 16

@@ -18,9 +18,8 @@ import (
 
 func netOpts() ServerOptions {
 	return ServerOptions{
-		Policy:     sched.Fixed{Size: 17},
-		Lease:      time.Hour,
-		ExpiryScan: time.Hour,
+		Policy: sched.Fixed{Size: 17},
+		Lease:  time.Hour,
 	}
 }
 
@@ -387,7 +386,7 @@ func TestReplicaLeasedAfterHeldResultGetsPayload(t *testing.T) {
 	registerSum(t)
 	opts := verifyTestOptions()
 	opts.Policy = sched.Fixed{Size: 50}
-	opts.Lease, opts.ExpiryScan = time.Hour, time.Hour
+	opts.Lease = time.Hour
 	srv, err := ListenAndServe("127.0.0.1:0", "127.0.0.1:0", WithServerOptions(opts))
 	if err != nil {
 		t.Fatal(err)
@@ -516,8 +515,7 @@ func TestLargePayloadsRideTheDispatchReply(t *testing.T) {
 
 // TestOversizeUnitFailsItsProblem: a unit no dispatch reply can carry in
 // one wire frame fails its problem when it is cut, with an error that
-// names its size and the limit, and no donor is leased it or charged for
-// it. Leasing it would make the reply unwritable: the donor's connection
+// names its size and the limit, and no donor is leased it. Leasing it would make the reply unwritable: the donor's connection
 // drops, the lease expires and the unit reissues, forever.
 func TestOversizeUnitFailsItsProblem(t *testing.T) {
 	srv, err := ListenAndServe("127.0.0.1:0", "127.0.0.1:0", WithServerOptions(netOpts()))
@@ -548,14 +546,6 @@ func TestOversizeUnitFailsItsProblem(t *testing.T) {
 	}
 	if st, _ := srv.Stats(bg, "oversize"); st.Dispatched != 0 {
 		t.Errorf("dispatched = %d, want 0", st.Dispatched)
-	}
-	if ds := srv.peekDonor("big"); ds != nil {
-		ds.mu.Lock()
-		failures := ds.stats.Failures
-		ds.mu.Unlock()
-		if failures != 0 {
-			t.Errorf("donor charged %d failures for a unit it was never sent", failures)
-		}
 	}
 }
 
@@ -610,7 +600,7 @@ func parkClients(t *testing.T, ns *NetworkServer, n int) ([]*RPCClient, []net.Co
 // out the (here one-hour) lease on a dead socket.
 func TestParkedDonorDeathLeasesNothing(t *testing.T) {
 	registerSum(t)
-	opts := netOpts() // Lease and ExpiryScan of an hour
+	opts := netOpts() // a Lease of an hour
 	opts.LongPoll = time.Hour
 	opts.Policy = sched.Fixed{Size: 1000}
 	ns, err := ListenAndServe("127.0.0.1:0", "127.0.0.1:0", WithServerOptions(opts))
@@ -693,5 +683,143 @@ func TestCloseAnswersEveryParkedDonorOverTheWire(t *testing.T) {
 	// The goodbye covers a donor that was between calls too.
 	if _, _, err := clients[0].WaitTasks(bg, "parked-0", time.Second, 1); !errors.Is(err, ErrClosed) {
 		t.Errorf("call after Close = %v, want ErrClosed", err)
+	}
+}
+
+// napAlg sleeps napUnit per unit and echoes the payload: a unit of known
+// duration.
+type napAlg struct{}
+
+const napUnit = 10 * time.Millisecond
+
+var registerNapOnce sync.Once
+
+func (napAlg) Init([]byte) error { return nil }
+
+func (napAlg) ProcessCtx(ctx context.Context, payload []byte) ([]byte, error) {
+	select {
+	case <-time.After(napUnit):
+		return payload, nil
+	case <-ctx.Done():
+		return nil, ctx.Err()
+	}
+}
+
+// napDM is gridDM's one-cost units run by napAlg.
+type napDM struct{ *gridDM }
+
+func (d napDM) NextUnit(budget int64) (*Unit, bool, error) {
+	u, ok, err := d.gridDM.NextUnit(budget)
+	if ok {
+		u.Algorithm = "dist-test/nap"
+	}
+	return u, ok, err
+}
+
+// stallAlg runs napAlg but never finishes the unit whose payload is item:
+// it reports the stall and then blocks until its donor is stopped.
+type stallAlg struct {
+	napAlg
+	item    byte
+	stalled chan<- struct{}
+}
+
+func (a stallAlg) ProcessCtx(ctx context.Context, payload []byte) ([]byte, error) {
+	if payload[0] != a.item {
+		return a.napAlg.ProcessCtx(ctx, payload)
+	}
+	a.stalled <- struct{}{}
+	<-ctx.Done()
+	return nil, ctx.Err()
+}
+
+// TestKilledDonorReissuedByOverdueRule: over real sockets, with a Lease of
+// an hour, a donor measured on a few units is killed mid-unit — its control
+// connection cut with no goodbye, as a kill -9 would. Its unit is reissued
+// by the overdue rule, within expireFactor times the unit's expectation (or
+// the floor) plus one sweep, and not after the hour: the live donor still
+// has fresh units to compute, so no speculative copy can rescue it first.
+// Every unit folds exactly once.
+func TestKilledDonorReissuedByOverdueRule(t *testing.T) {
+	registerNapOnce.Do(func() { RegisterAlgorithm("dist-test/nap", func() Algorithm { return napAlg{} }) })
+	opts := netOpts()
+	opts.Policy = sched.Fixed{Size: 1}
+	ns, err := ListenAndServe("127.0.0.1:0", "127.0.0.1:0", WithServerOptions(opts))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ns.Close()
+	// The live donor alone needs ~1.5 s for the units after the stall:
+	// longer than the floor the dead donor's lease expires at.
+	dm := napDM{newGridDM(150)}
+	if err := ns.Submit(bg, &Problem{ID: "overdue", DM: dm}); err != nil {
+		t.Fatal(err)
+	}
+
+	var conn net.Conn
+	clA, err := Dial(ns.RPCAddr(), 5*time.Second, WithConnWrapper(func(c net.Conn) net.Conn { conn = c; return c }))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer clA.Close()
+	stalled := make(chan struct{}, 1)
+	ctxA, killA := context.WithCancel(bg)
+	defer killA()
+	a := NewDonor(clA, WithName("a"), WithAlgorithmWrapper(func(_ string, alg Algorithm) Algorithm {
+		return stallAlg{item: 6, stalled: stalled}
+	}))
+	doneA := make(chan error, 1)
+	go func() { doneA <- a.Run(ctxA) }()
+	select {
+	case <-stalled:
+	case <-time.After(10 * time.Second):
+		t.Fatal("donor a never reached its sixth unit")
+	}
+	stall := time.Now()
+	_ = conn.Close() // killed: no goodbye, no failure report
+	killA()
+	<-doneA
+
+	clB, err := Dial(ns.RPCAddr(), 5*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer clB.Close()
+	ctxB, stopB := context.WithCancel(bg)
+	defer stopB()
+	b := NewDonor(clB, WithName("b"))
+	doneB := make(chan error, 1)
+	go func() { doneB <- b.Run(ctxB) }()
+
+	// One sweep, and a loaded host's slack, on top of the rule's bound.
+	limit := max(expiryFloor, expireFactor*(napUnit+batchLatencyTarget)) + time.Second
+	for {
+		st, err := ns.Stats(bg, "overdue")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.Reissued > 0 {
+			t.Logf("reissued %v after the kill (bound %v)", time.Since(stall).Round(time.Millisecond), limit)
+			break
+		}
+		if time.Since(stall) > limit {
+			t.Fatalf("dead donor's unit not reissued %v after the kill (stats %+v)", time.Since(stall).Round(time.Millisecond), st)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	ctx, cancel := context.WithTimeout(bg, 20*time.Second)
+	defer cancel()
+	if _, err := ns.Wait(ctx, "overdue"); err != nil {
+		t.Fatal(err)
+	}
+	stopB()
+	<-doneB
+	for id, n := range dm.folds {
+		if n != 1 {
+			t.Errorf("unit %d folded %d times", id, n)
+		}
+	}
+	if st, _ := ns.Stats(bg, "overdue"); st.Completed != 150 || st.Completed > st.Dispatched || st.Speculated != 0 {
+		t.Errorf("stats %+v: want 150 completed, no more than dispatched, none speculated", st)
 	}
 }

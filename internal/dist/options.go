@@ -26,15 +26,12 @@ func WithPolicy(p sched.Policy) ServerOption {
 	return func(o *ServerOptions) { o.Policy = p }
 }
 
-// WithLeaseTTL sets how long a dispatched unit may stay out before it is
-// presumed lost and reissued to another donor.
+// WithLeaseTTL sets the longest a dispatched unit may stay out before it
+// is presumed lost and reissued to another donor: the ceiling of the
+// overdue rule, and the bound for a donor not measured yet (see
+// ServerOptions.Lease).
 func WithLeaseTTL(d time.Duration) ServerOption {
 	return func(o *ServerOptions) { o.Lease = d }
-}
-
-// WithExpiryScan sets the interval between lease sweeps.
-func WithExpiryScan(d time.Duration) ServerOption {
-	return func(o *ServerOptions) { o.ExpiryScan = d }
 }
 
 // WithAutoForget retires each problem automatically once a Wait call has
@@ -72,13 +69,6 @@ func WithDataDir(dir string) ServerOption {
 // without WithDataDir.
 func WithSnapshotBudget(bytes int64, records int) ServerOption {
 	return func(o *ServerOptions) { o.SnapshotBytes, o.SnapshotRecords = bytes, records }
-}
-
-// WithSpeculation enables speculative re-dispatch of straggler units once
-// a problem is at least frac complete (see ServerOptions.SpeculateAfter).
-// Zero — the default — disables speculation.
-func WithSpeculation(frac float64) ServerOption {
-	return func(o *ServerOptions) { o.SpeculateAfter = frac }
 }
 
 // WithVerify enables quorum spot-checking of results from untrusted

@@ -34,23 +34,16 @@ type ServerOptions struct {
 	// Policy sizes work units per donor; nil defaults to the paper's
 	// adaptive strategy with a 5s target.
 	Policy sched.Policy
-	// Lease is how long a dispatched unit may stay out before it is
-	// presumed lost and reissued to another donor. Zero defaults to 2m.
+	// Lease is the longest a dispatched unit may stay out before it is
+	// presumed lost and reissued to another donor. A lease is judged
+	// against the unit's expected duration at the donor's measured
+	// throughput: a free donor may be granted a speculative copy of a lease
+	// overdue by a small multiple of it (first result wins, the other donor
+	// is cancelled), and a larger multiple expires it (see units.go). Lease
+	// caps that, bounds the lease of a donor not measured yet, and is the
+	// liveness cutoff: a donor unseen for a Lease no longer counts as live.
+	// Zero defaults to 2m.
 	Lease time.Duration
-	// ExpiryScan is the interval between lease sweeps. Zero defaults to
-	// Lease/4 (at least one second).
-	ExpiryScan time.Duration
-	// SpeculateAfter enables speculative re-dispatch of straggler units: a
-	// free donor with nothing fresh to compute is granted a second,
-	// concurrent lease on a unit that is already leased elsewhere, but only
-	// once the owning problem is at least this fraction complete (completed
-	// over completed plus outstanding). First result wins: the server folds
-	// whichever copy reports first and sends the other donor a cancel
-	// notice, so a unit can never be folded twice; the unit requeues only
-	// when its last lease is lost. Zero (the default) disables speculation;
-	// values outside (0, 1] are ignored. 0.9 is a reasonable tail-chasing
-	// setting.
-	SpeculateAfter float64
 	// AutoForget retires a problem automatically once a Wait call has
 	// delivered its final result, so a long-lived server submitting many
 	// problems does not accumulate their states. Waiters already blocked
@@ -122,12 +115,6 @@ func (o *ServerOptions) applyDefaults() {
 	}
 	if o.Lease <= 0 {
 		o.Lease = 2 * time.Minute
-	}
-	if o.ExpiryScan <= 0 {
-		o.ExpiryScan = o.Lease / 4
-		if o.ExpiryScan < time.Second {
-			o.ExpiryScan = time.Second
-		}
 	}
 	if o.LongPoll <= 0 {
 		o.LongPoll = 45 * time.Second
@@ -330,6 +317,19 @@ type Server struct {
 	// probationBar(ProbationUnits), zero with probation off. Immutable.
 	trustBar float64
 
+	// fleetRate holds the float64 bits of the fleet's throughput EWMA, fed
+	// by every accepted result (feedThroughput): the rate an unmeasured
+	// donor's leases are judged by for speculation.
+	fleetRate atomic.Uint64
+
+	// sweep fires the lease sweep (expiryLoop) at sweepAt: at most Lease/4
+	// after the last pass, brought forward by sweepBy to the earliest
+	// instant a problem's table asks for. The timer is immutable; it is
+	// only reset, under sweepMu, a leaf lock.
+	sweep   *time.Timer
+	sweepMu sync.Mutex
+	sweepAt time.Time //dist:guardedby sweepMu
+
 	// cancelMu guards cancels, the per-donor queues of epoch-tagged cancel
 	// notices for in-flight units of problems that ended while the unit
 	// was out. Donors drain their queue via CancelNotices while computing
@@ -387,6 +387,8 @@ func newServer(o ServerOptions) *Server {
 		donors:    make(map[string]*donorState),
 		cancels:   make(map[string][]CancelNotice),
 		parkCh:    make(chan struct{}),
+		sweep:     time.NewTimer(o.Lease / 4),
+		sweepAt:   time.Now().Add(o.Lease / 4),
 		stop:      make(chan struct{}),
 	}
 }
@@ -729,7 +731,7 @@ type ProblemStats struct {
 	// problems (the snapshot carries them).
 	Dispatched, Completed, Reissued int
 	// Speculated counts straggler units re-dispatched to a second donor
-	// under ServerOptions.SpeculateAfter (each also counts in Dispatched).
+	// because their lease was overdue (each also counts in Dispatched).
 	Speculated int
 	// Verified counts units folded through quorum agreement
 	// (ServerOptions.VerifyFraction); Conflicts counts quorum resolutions

@@ -1,13 +1,14 @@
 package dist
 
-// Tests for the PR 9 scheduler work: speculative re-dispatch of
-// stragglers, priority- and deadline-aware dispatch ordering, and the
+// Tests for the scheduler: speculative re-dispatch of overdue stragglers,
+// priority- and deadline-aware dispatch ordering, and the
 // inflight-balancing scan that lets a starved problem borrow donors from
 // a saturated one. All drive the in-process Server directly through the
 // Coordinator surface, so the assertions are about scheduling decisions,
 // not transport.
 
 import (
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -35,19 +36,56 @@ func (d *gridDM) Consume(unitID int64, _ []byte) error { d.folds[unitID]++; retu
 func (d *gridDM) Done() bool                           { return int64(len(d.folds)) >= d.n }
 func (d *gridDM) FinalResult() ([]byte, error)         { return nil, nil }
 
+// age moves every lease of problem id back by d: as far as the overdue rule
+// is concerned, d passes.
+func age(t *testing.T, srv *Server, id string, d time.Duration) {
+	t.Helper()
+	ps, err := srv.lookup(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ps.mu.Lock()
+	defer ps.mu.Unlock()
+	for _, set := range ps.table.sets {
+		for i := range set.leases {
+			l := &set.leases[i]
+			l.granted, l.deadline = l.granted.Add(-d), l.deadline.Add(-d)
+		}
+	}
+}
+
+// overdue is longer than any lease in these tests takes to fall due a
+// speculative copy: their donors are measured at an hour a unit, whose
+// leases fall due after speculateFactor hours (a lease's expectation is
+// capped at Lease, an hour here).
+const overdue = (speculateFactor + 1) * time.Hour
+
+// measure has donor take and complete one unit of problem id, reporting
+// elapsed, so the overdue rule judges its later leases by its throughput.
+func measure(t *testing.T, srv *Server, id, donor string, elapsed time.Duration) {
+	t.Helper()
+	task, _, err := srv.RequestTask(bg, donor)
+	if err != nil || task == nil {
+		t.Fatalf("%s: no unit to measure on: %v %v", donor, task, err)
+	}
+	if err := srv.SubmitResult(bg, &Result{ProblemID: id, UnitID: task.Unit.ID, Donor: donor, Epoch: task.Epoch, Elapsed: elapsed}); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestSpeculativeRedispatch(t *testing.T) {
-	srv := newTestServer(ServerOptions{
-		Policy:         sched.Fixed{Size: 1},
-		Lease:          time.Hour, // expiry must not rescue the straggler
-		ExpiryScan:     time.Hour,
-		SpeculateAfter: 0.7,
+	srv := newQuietServer(ServerOptions{
+		Policy: sched.Fixed{Size: 1},
+		Lease:  time.Hour, // expiry must not rescue the straggler
 	})
 	defer srv.Close()
-	dm := newGridDM(4)
+	dm := newGridDM(5)
 	if err := srv.Submit(bg, &Problem{ID: "spec", DM: dm}); err != nil {
 		t.Fatal(err)
 	}
-	// Donor a claims all four units, completes three, sits on the last.
+	// Donor a is measured on one unit, claims the other four, completes
+	// three and sits on the last.
+	measure(t, srv, "spec", "a", time.Hour)
 	var tasks []*Task
 	for i := 0; i < 4; i++ {
 		task, _, err := srv.RequestTask(bg, "a")
@@ -63,8 +101,9 @@ func TestSpeculativeRedispatch(t *testing.T) {
 	}
 	straggler := tasks[3].Unit.ID
 
-	// Donor b arrives: 3/4 complete >= 0.7, so it gets a speculative
-	// copy of the straggler instead of a "nothing to do" reply.
+	// Donor b arrives once the straggler is overdue: it gets a speculative
+	// copy instead of a "nothing to do" reply.
+	age(t, srv, "spec", overdue)
 	spec, _, err := srv.RequestTask(bg, "b")
 	if err != nil {
 		t.Fatal(err)
@@ -78,6 +117,7 @@ func TestSpeculativeRedispatch(t *testing.T) {
 
 	// A third donor gets nothing: the one straggler is already
 	// speculated, and a unit is never offered a third concurrent lease.
+	age(t, srv, "spec", overdue)
 	if extra, _, _ := srv.RequestTask(bg, "c"); extra != nil {
 		t.Fatalf("c got %+v, want nothing (straggler already speculated)", extra)
 	}
@@ -101,8 +141,8 @@ func TestSpeculativeRedispatch(t *testing.T) {
 	if st.Speculated != 1 {
 		t.Errorf("Speculated = %d, want 1", st.Speculated)
 	}
-	if st.Dispatched != 5 || st.Completed != 4 {
-		t.Errorf("dispatched/completed = %d/%d, want 5/4", st.Dispatched, st.Completed)
+	if st.Dispatched != 6 || st.Completed != 5 {
+		t.Errorf("dispatched/completed = %d/%d, want 6/5", st.Dispatched, st.Completed)
 	}
 	if st.Completed > st.Dispatched {
 		t.Errorf("completed %d > dispatched %d", st.Completed, st.Dispatched)
@@ -113,104 +153,141 @@ func TestSpeculativeRedispatch(t *testing.T) {
 	}
 }
 
-func TestSpeculationOffByDefault(t *testing.T) {
-	srv := newTestServer(ServerOptions{
-		Policy:     sched.Fixed{Size: 1},
-		Lease:      time.Hour,
-		ExpiryScan: time.Hour,
-	})
-	defer srv.Close()
-	if err := srv.Submit(bg, &Problem{ID: "nospec", DM: newGridDM(2)}); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 2; i++ {
-		if task, _, err := srv.RequestTask(bg, "a"); err != nil || task == nil {
-			t.Fatalf("a task %d: %v %v", i, task, err)
+// TestOverdueRule: a lease is due a speculative copy past speculateFactor
+// times its expectation — the unit's cost over the holder's measured
+// throughput, plus batchLatencyTarget — and expires past expireFactor times
+// it, but never before expiryFloor nor after Lease. A donor not measured yet
+// keeps Lease as its bound and is judged for speculation by the fleet's
+// throughput as it stands when judged; with no throughput known anywhere a
+// lease is never due.
+func TestOverdueRule(t *testing.T) {
+	var inflight atomic.Int64
+	tb := newUnitTable(Task{ProblemID: "x", Epoch: 1}, newGridDM(1), ServerOptions{Lease: time.Hour}, &inflight)
+	expect := func(secs float64) time.Duration { return time.Duration(secs*float64(time.Second)) + batchLatencyTarget }
+	for _, c := range []struct {
+		name          string
+		rate, fleet   float64
+		due, deadline time.Duration // after the grant; zero due: never
+	}{
+		{"nothing measured", 0, 0, 0, time.Hour},
+		{"unmeasured donor, measured fleet", 0, 100, speculateFactor * expect(0.1), time.Hour},
+		{"fast donor: the floor", 1000, 5, speculateFactor * expect(0.01), expiryFloor},
+		{"measured donor", 2, 5, speculateFactor * expect(5), expireFactor * expect(5)},
+		{"slow donor: the ceiling", 0.001, 5, speculateFactor * expect(3600), time.Hour},
+	} {
+		v := dispatchView{now: time.Unix(1000, 0)}
+		v.stats.Throughput = c.rate
+		set := tb.add(int64(len(tb.sets)+1), &Unit{Cost: 10}, 1)
+		tb.grant(set, "d", v)
+		l := set.leases[0]
+		var due time.Duration
+		if at := tb.due(set, l, c.fleet); !at.IsZero() {
+			due = at.Sub(l.granted)
 		}
-	}
-	if err := srv.SubmitResult(bg, &Result{ProblemID: "nospec", UnitID: 1, Donor: "a"}); err != nil {
-		t.Fatal(err)
-	}
-	// 1/2 complete, one straggler out — but speculation is disabled, so
-	// a second donor is told to wait.
-	if task, _, _ := srv.RequestTask(bg, "b"); task != nil {
-		t.Fatalf("b got %+v with speculation disabled", task)
+		if !l.granted.Equal(v.now) || due != c.due || l.deadline.Sub(l.granted) != c.deadline {
+			t.Errorf("%s: lease granted %v, due +%v, expires +%v; want %v, +%v, +%v",
+				c.name, l.granted, due, l.deadline.Sub(l.granted), v.now, c.due, c.deadline)
+		}
 	}
 }
 
+// TestNoSpeculationBeforeOverdue: a free donor with nothing fresh to compute
+// is not granted a copy of a lease that is not overdue yet — it parks — and
+// is granted one once the lease is.
+func TestNoSpeculationBeforeOverdue(t *testing.T) {
+	srv := newQuietServer(ServerOptions{Policy: sched.Fixed{Size: 1}, Lease: time.Hour})
+	defer srv.Close()
+	if err := srv.Submit(bg, &Problem{ID: "early", DM: newGridDM(2)}); err != nil {
+		t.Fatal(err)
+	}
+	measure(t, srv, "early", "a", time.Hour)
+	task, _, _ := srv.RequestTask(bg, "a")
+	if task == nil {
+		t.Fatal("a got no unit")
+	}
+	if extra, _, _ := srv.RequestTask(bg, "b"); extra != nil {
+		t.Fatalf("b got %+v before a's lease was overdue", extra)
+	}
+	if st, _ := srv.Stats(bg, "early"); st.Speculated != 0 {
+		t.Fatalf("Speculated = %d before any lease was overdue", st.Speculated)
+	}
+	age(t, srv, "early", overdue)
+	if spec, _, _ := srv.RequestTask(bg, "b"); spec == nil || spec.Unit.ID != task.Unit.ID {
+		t.Fatalf("b got %+v once a's lease was overdue, want a copy of unit %d", spec, task.Unit.ID)
+	}
+}
+
+// TestSpeculatedUnitSurvivesOriginalDonorFailure: the original donor's
+// failure report drops its own lease only; the speculator's stands.
 func TestSpeculatedUnitSurvivesOriginalDonorFailure(t *testing.T) {
-	srv := newTestServer(ServerOptions{
-		Policy:         sched.Fixed{Size: 1},
-		Lease:          time.Hour,
-		ExpiryScan:     time.Hour,
-		SpeculateAfter: 0.5,
+	srv := newQuietServer(ServerOptions{
+		Policy: sched.Fixed{Size: 1},
+		Lease:  time.Hour,
 	})
 	defer srv.Close()
 	dm := newGridDM(2)
 	if err := srv.Submit(bg, &Problem{ID: "fail", DM: dm}); err != nil {
 		t.Fatal(err)
 	}
-	var ids []int64
-	for i := 0; i < 2; i++ {
-		task, _, err := srv.RequestTask(bg, "a")
-		if err != nil || task == nil {
-			t.Fatalf("a task %d: %v %v", i, task, err)
-		}
-		ids = append(ids, task.Unit.ID)
+	measure(t, srv, "fail", "a", time.Hour)
+	task, _, err := srv.RequestTask(bg, "a")
+	if err != nil || task == nil {
+		t.Fatalf("a task: %v %v", task, err)
 	}
-	if err := srv.SubmitResult(bg, &Result{ProblemID: "fail", UnitID: ids[0], Donor: "a"}); err != nil {
-		t.Fatal(err)
-	}
+	straggler := task.Unit.ID
+	age(t, srv, "fail", overdue)
 	spec, _, err := srv.RequestTask(bg, "b")
-	if err != nil || spec == nil || spec.Unit.ID != ids[1] {
-		t.Fatalf("b got %+v, want speculative copy of %d", spec, ids[1])
+	if err != nil || spec == nil || spec.Unit.ID != straggler {
+		t.Fatalf("b got %+v, want speculative copy of %d", spec, straggler)
 	}
 	// The original donor now reports a (compute) failure for its copy: that
 	// drops a's lease only — b's is still live, so the unit must not
 	// requeue (and, already speculated once, is not offered again).
-	if err := srv.ReportFailure(bg, "a", "fail", ids[1], "boom"); err != nil {
+	if err := srv.ReportFailure(bg, "a", "fail", straggler, "boom"); err != nil {
 		t.Fatalf("stale failure report: %v", err)
 	}
+	age(t, srv, "fail", overdue)
 	if task, _, _ := srv.RequestTask(bg, "c"); task != nil {
 		t.Fatalf("stale failure requeued the unit: c got %+v", task)
 	}
-	if err := srv.SubmitResult(bg, &Result{ProblemID: "fail", UnitID: ids[1], Donor: "b"}); err != nil {
+	if err := srv.SubmitResult(bg, &Result{ProblemID: "fail", UnitID: straggler, Donor: "b"}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := srv.Wait(bg, "fail"); err != nil {
 		t.Fatal(err)
 	}
-	if got := dm.folds[ids[1]]; got != 1 {
+	if got := dm.folds[straggler]; got != 1 {
 		t.Errorf("unit folded %d times, want 1", got)
 	}
 }
 
-// speculated drives a fresh server to the point where donor a holds every
-// unit of an n-unit problem, has completed the first, and donor b has just
-// been granted a speculative second lease on one of the rest; it returns
-// that unit's ID and the incarnation epoch.
+// speculated drives a fresh server to the point where donor a, measured on
+// unit 1, holds every other unit of an n-unit problem, has completed unit 2,
+// and donor b has just been granted a speculative second lease on one of
+// the rest, all of them overdue; it returns that unit's ID and the
+// incarnation epoch.
 func speculated(t *testing.T, id string, n int64) (srv *Server, dm *gridDM, unitID, epoch int64) {
 	t.Helper()
-	srv = newTestServer(ServerOptions{
-		Policy:         sched.Fixed{Size: 1},
-		Lease:          time.Hour,
-		ExpiryScan:     time.Hour,
-		SpeculateAfter: 0.3,
+	srv = newQuietServer(ServerOptions{
+		Policy: sched.Fixed{Size: 1},
+		Lease:  time.Hour,
 	})
 	dm = newGridDM(n)
 	if err := srv.Submit(bg, &Problem{ID: id, DM: dm}); err != nil {
 		t.Fatal(err)
 	}
-	for i := int64(0); i < n; i++ {
+	measure(t, srv, id, "a", time.Hour)
+	for i := int64(1); i < n; i++ {
 		if task, _, err := srv.RequestTask(bg, "a"); err != nil || task == nil {
 			t.Fatalf("a task %d: %v %v", i, task, err)
 		}
 	}
-	if err := srv.SubmitResult(bg, &Result{ProblemID: id, UnitID: 1, Donor: "a"}); err != nil {
+	if err := srv.SubmitResult(bg, &Result{ProblemID: id, UnitID: 2, Donor: "a"}); err != nil {
 		t.Fatal(err)
 	}
+	age(t, srv, id, overdue)
 	spec, _, err := srv.RequestTask(bg, "b")
-	if err != nil || spec == nil || spec.Unit.ID == 1 {
+	if err != nil || spec == nil || spec.Unit.ID <= 2 {
 		t.Fatalf("b got %+v (%v), want a speculative copy of an outstanding unit", spec, err)
 	}
 	return srv, dm, spec.Unit.ID, spec.Epoch
@@ -223,7 +300,7 @@ func speculated(t *testing.T, id string, n int64) (srv *Server, dm *gridDM, unit
 // the notice comes from the fold, not from the problem ending.
 func TestSpeculationLoserIsCancelled(t *testing.T) {
 	for _, c := range []struct{ winner, loser string }{{"b", "a"}, {"a", "b"}} {
-		srv, dm, unit, epoch := speculated(t, "race", 3)
+		srv, dm, unit, epoch := speculated(t, "race", 4)
 		if err := srv.SubmitResult(bg, &Result{ProblemID: "race", UnitID: unit, Donor: c.winner, Epoch: epoch}); err != nil {
 			t.Fatal(err)
 		}
@@ -252,7 +329,7 @@ func TestSpeculationLoserIsCancelled(t *testing.T) {
 // standing — no third dispatch, nothing reissued — and only the original's
 // expiry makes the unit dispatchable again, counted as one reissue.
 func TestSpeculatorFailureKeepsOriginalLease(t *testing.T) {
-	srv, dm, unit, _ := speculated(t, "last", 2)
+	srv, dm, unit, _ := speculated(t, "last", 3)
 	defer srv.Close()
 	if err := srv.ReportFailure(bg, "b", "last", unit, "speculator crashed"); err != nil {
 		t.Fatal(err)
@@ -286,10 +363,9 @@ func TestSpeculatorFailureKeepsOriginalLease(t *testing.T) {
 }
 
 func TestPriorityDispatchOrder(t *testing.T) {
-	srv := newTestServer(ServerOptions{
-		Policy:     sched.Fixed{Size: 1},
-		Lease:      time.Hour,
-		ExpiryScan: time.Hour,
+	srv := newQuietServer(ServerOptions{
+		Policy: sched.Fixed{Size: 1},
+		Lease:  time.Hour,
 	})
 	defer srv.Close()
 	if err := srv.Submit(bg, &Problem{ID: "low", DM: newGridDM(2), Priority: -1}); err != nil {
@@ -319,10 +395,9 @@ func TestPriorityDispatchOrder(t *testing.T) {
 }
 
 func TestDeadlineBreaksPriorityTies(t *testing.T) {
-	srv := newTestServer(ServerOptions{
-		Policy:     sched.Fixed{Size: 1},
-		Lease:      time.Hour,
-		ExpiryScan: time.Hour,
+	srv := newQuietServer(ServerOptions{
+		Policy: sched.Fixed{Size: 1},
+		Lease:  time.Hour,
 	})
 	defer srv.Close()
 	if err := srv.Submit(bg, &Problem{ID: "whenever", DM: newGridDM(1)}); err != nil {
@@ -347,10 +422,9 @@ func TestDeadlineBreaksPriorityTies(t *testing.T) {
 }
 
 func TestStarvedProblemBorrowsDonors(t *testing.T) {
-	srv := newTestServer(ServerOptions{
-		Policy:     sched.Fixed{Size: 1},
-		Lease:      time.Hour,
-		ExpiryScan: time.Hour,
+	srv := newQuietServer(ServerOptions{
+		Policy: sched.Fixed{Size: 1},
+		Lease:  time.Hour,
 	})
 	defer srv.Close()
 	if err := srv.Submit(bg, &Problem{ID: "saturated", DM: newGridDM(8)}); err != nil {

@@ -9,9 +9,9 @@ package dist
 //	             (reopens the set)            agreement within maxVerifyDonors)
 //
 // A set's quorum is how many agreeing results fold it. An ordinary unit has
-// quorum 1: the first result offered folds. Speculation
-// (ServerOptions.SpeculateAfter) is a quorum-1 set granted a second
-// concurrent lease — first result wins, the loser is cancelled. Verification
+// quorum 1: the first result offered folds. Speculation is a quorum-1 set
+// granted a second concurrent lease once its first is overdue (see below) —
+// first result wins, the loser is cancelled. Verification
 // (ServerOptions.VerifyFraction) is a set created with quorum VerifyQuorum:
 // results are held until enough of them agree. A set with no lease that
 // wants one is "open" (unitTable.open) — what a requeue queue would hold;
@@ -28,6 +28,18 @@ package dist
 // pending is in the table iff the problem has not ended. checkUnits (lifecycle_test.go) asserts all
 // of them after every event of an exhaustive bounded explorer
 // (units_test.go) and of a seeded walk through a whole server.
+//
+// Overdue: one rule judges every lease against the scheduler's own estimate
+// of how long it should take — the unit's cost over the donor's measured
+// throughput (the number its budget was cut from), plus batchLatencyTarget
+// for the batch tail and the result riding the next park. A lease past
+// speculateFactor times that expectation may be granted one speculative
+// copy; past expireFactor times it (but never before expiryFloor, nor after
+// ServerOptions.Lease) it expires. A donor with no throughput yet is judged
+// for speculation against the fleet's throughput as it stands when the
+// lease is judged, and expires only after Lease. The table reports the
+// earliest instant it next wants judged (alarm), so the server's sweep runs
+// when a lease falls due rather than on a fixed tick.
 //
 // Collusion defence: a donor is trusted iff its trust EWMA is at or above
 // the one bar (trust.go), and a result is trusted iff its donor was when it
@@ -89,6 +101,17 @@ const maxConsecutiveTransport = 1024
 // is quarantined at most once per readmission.
 const maxVerifyDonors = 8
 
+// The overdue rule's factors and floor: a lease is due a speculative copy
+// past speculateFactor times its expectation and expires past expireFactor
+// times it, but never sooner than expiryFloor, which keeps GC and scheduler
+// pauses from reissuing healthy units. The factors come from a straggler
+// sweep recorded in CHANGES.md.
+const (
+	speculateFactor = 2
+	expireFactor    = 8
+	expiryFloor     = time.Second
+)
+
 // failureKind classifies why a lease was lost, because each class gets a
 // different bound: compute failures feed the tight poisoned-unit caps;
 // transport failures (shared data unfetchable) feed only a very loose cap that
@@ -106,10 +129,13 @@ const (
 	failVerify
 )
 
-// lease is one donor's live claim on a set's unit.
+// lease is one donor's live claim on a set's unit: when it was granted, the
+// donor's throughput then (zero before its first result) and when it
+// expires.
 type lease struct {
-	donor    string
-	deadline time.Time
+	donor             string
+	granted, deadline time.Time
+	rate              float64
 }
 
 // heldResult is one result of a spot-checked unit awaiting quorum.
@@ -150,8 +176,7 @@ type attemptSet struct {
 	// open spot-checked set to trusted donors.
 	open, trustedOnly bool
 	// speculated marks a set that was granted its second concurrent lease
-	// under SpeculateAfter, so the tail-chasing scan never offers the unit
-	// again.
+	// because its first was overdue, so the unit is never offered again.
 	speculated bool
 }
 
@@ -172,12 +197,14 @@ func (set *attemptSet) involves(donor string) bool {
 	return set.leaseOf(donor) >= 0 || slices.Contains(set.donors, donor)
 }
 
-// fleet answers the two server-wide questions the quorum rule asks: is any
-// known donor trusted, and how many donors that could still be handed work
-// are alive at now and not skipped.
+// fleet answers the server-wide questions the quorum and overdue rules ask:
+// is any known donor trusted, how many donors that could still be handed
+// work are alive at now and not skipped, and what is the fleet's throughput
+// EWMA (zero before any result).
 type fleet interface {
 	trustedDonorExists() bool
 	liveDonors(now time.Time, skip func(name string) bool) int
+	throughput() float64
 }
 
 // effectKind names what the server owes for a transition.
@@ -245,7 +272,12 @@ type unitTable struct {
 	// wake asks for parked donors to be woken once the lock drops; done
 	// marks a problem that ended (finish).
 	wake, done bool
-	fx         []effect
+	// alarm is the earliest instant a transition since the lock was taken
+	// wants the lease sweep to run by (zero for none): a lease's deadline, or
+	// when a starved problem's straggler falls due. Server.unlock hands it
+	// to the sweep.
+	alarm time.Time
+	fx    []effect
 }
 
 func newUnitTable(task Task, dm DataManager, opts ServerOptions, inflight *atomic.Int64) unitTable {
@@ -315,9 +347,9 @@ func (t *unitTable) add(uid int64, u *Unit, quorum int) *attemptSet {
 // cut is where a unit enters the table: the DataManager just cut u for
 // budget, and donor is granted the first lease. The cut owes a Grant
 // record — replay re-cuts the unit by calling NextUnit with the same budget.
-func (t *unitTable) cut(u *Unit, budget int64, quorum int, donor string, probation bool, now time.Time) *Task {
+func (t *unitTable) cut(u *Unit, budget int64, quorum int, donor string, v dispatchView) *Task {
 	set := t.add(u.ID, u, quorum)
-	task := t.grant(set, donor, probation, now)
+	task := t.grant(set, donor, v)
 	t.fx = append(t.fx, effect{kind: fxGrant, uid: set.uid, budget: budget, quorum: set.quorum})
 	return task
 }
@@ -350,15 +382,15 @@ func (t *unitTable) unlease(set *attemptSet, i int) {
 }
 
 // grant is the only place a lease is recorded: it leases the set's unit to
-// donor until now plus the lease period and returns the task, or nil when
+// donor, seen as v, under the overdue rule and returns the task, or nil when
 // the donor is already involved in the set. A unit handed to a donor on
 // probation (below the trust bar) is spot-checked from here on — no unit an
 // untrusted donor computes may fold unverified.
-func (t *unitTable) grant(set *attemptSet, donor string, probation bool, now time.Time) *Task {
+func (t *unitTable) grant(set *attemptSet, donor string, v dispatchView) *Task {
 	if set.involves(donor) {
 		return nil
 	}
-	if set.quorum == 1 && probation {
+	if set.quorum == 1 && v.probation {
 		set.quorum = t.opts.VerifyQuorum
 	}
 	kind := EventUnitDispatched
@@ -371,7 +403,12 @@ func (t *unitTable) grant(set *attemptSet, donor string, probation bool, now tim
 	case len(set.leases) > 0:
 		kind = EventUnitSpeculated
 	}
-	set.leases = append(set.leases, lease{donor: donor, deadline: now.Add(t.opts.Lease)})
+	l := lease{donor: donor, granted: v.now, deadline: v.now.Add(t.opts.Lease), rate: v.stats.Throughput}
+	if l.rate > 0 {
+		l.deadline = v.now.Add(min(t.opts.Lease, max(expiryFloor, expireFactor*t.expect(set.unit, l.rate))))
+	}
+	set.leases = append(set.leases, l)
+	t.remind(l.deadline)
 	t.inflight.Add(1)
 	t.dispatched++
 	t.event(kind, set.uid, donor)
@@ -379,6 +416,34 @@ func (t *unitTable) grant(set *attemptSet, donor string, probation bool, now tim
 	task := t.task
 	task.Unit, task.Verify = *set.unit, set.quorum > 1
 	return &task
+}
+
+// expect is how long u should take at rate (cost units per second): its
+// cost over rate, capped at Lease so a tiny rate cannot overflow it, plus
+// batchLatencyTarget for the batch tail and the result riding the next
+// park.
+func (t *unitTable) expect(u *Unit, rate float64) time.Duration {
+	secs := min(max(float64(u.Cost), 0)/rate, t.opts.Lease.Seconds())
+	return time.Duration(secs*float64(time.Second)) + batchLatencyTarget
+}
+
+// due is when lease l on set falls due a speculative copy: past
+// speculateFactor times its expectation at the holder's throughput, or, for
+// a holder not measured yet, at fleet, the fleet's as it stands. Zero when
+// neither is known.
+func (t *unitTable) due(set *attemptSet, l lease, fleet float64) time.Time {
+	rate := cmp.Or(l.rate, fleet)
+	if rate <= 0 {
+		return time.Time{}
+	}
+	return l.granted.Add(speculateFactor * t.expect(set.unit, rate))
+}
+
+// remind asks for the lease sweep to run by at (see alarm).
+func (t *unitTable) remind(at time.Time) {
+	if !at.IsZero() && (t.alarm.IsZero() || at.Before(t.alarm)) {
+		t.alarm = at
+	}
 }
 
 // reissue leases donor the first open set it is eligible for: not already
@@ -391,10 +456,10 @@ func (t *unitTable) grant(set *attemptSet, donor string, probation bool, now tim
 // the consequence is at most one deferred pickup, never a lost unit. capped
 // donors (an untrusted donor at its verification backlog, see
 // verifyBacklog) only serve replicas of sets already spot-checked.
-func (t *unitTable) reissue(donor string, probation, capped, othersAlive bool, now time.Time) *Task {
+func (t *unitTable) reissue(donor string, v dispatchView, capped, othersAlive bool) *Task {
 	var own *attemptSet
 	for _, set := range t.open {
-		if (set.trustedOnly && probation) || (set.quorum == 1 && capped) {
+		if (set.trustedOnly && v.probation) || (set.quorum == 1 && capped) {
 			continue
 		}
 		if set.quorum == 1 && set.lastDonor == donor {
@@ -403,12 +468,12 @@ func (t *unitTable) reissue(donor string, probation, capped, othersAlive bool, n
 			}
 			continue
 		}
-		if task := t.grant(set, donor, probation, now); task != nil {
+		if task := t.grant(set, donor, v); task != nil {
 			return task
 		}
 	}
 	if own != nil && !othersAlive {
-		return t.grant(own, donor, probation, now) // no other live donor: better to retry than to stall
+		return t.grant(own, donor, v) // no other live donor: better to retry than to stall
 	}
 	return nil
 }
@@ -417,56 +482,53 @@ func (t *unitTable) reissue(donor string, probation, capped, othersAlive bool, n
 // fresh from the DataManager. With no unit outstanding either, no future
 // event can unstick the problem, so it fails loudly rather than leaving
 // Wait hanging. Otherwise a donor not on probation may be granted a
-// speculative copy of a straggler (first-result-wins would let an
-// untrusted copy fold unverified); failing that the scan starved, and the
-// next fold — which may release stage-barrier units — must wake parked
-// donors.
-func (t *unitTable) idle(donor string, probation bool, now time.Time) *Task {
+// speculative copy of an overdue straggler (first-result-wins would let an
+// untrusted copy fold unverified); failing that the scan starved: the next
+// fold — which may release stage-barrier units — must wake parked donors,
+// and so must the sweep when a straggler falls due.
+func (t *unitTable) idle(donor string, v dispatchView, f fleet) *Task {
 	if len(t.sets) == 0 {
 		t.finish(fmt.Errorf("dist: problem %q stalled: no dispatchable units, none in flight, not done", t.task.ProblemID))
 		return nil
 	}
-	if !probation {
-		if task := t.speculate(donor, now); task != nil {
-			return task
-		}
+	pick, next := t.straggler(donor, v.now, f.throughput())
+	if pick != nil && !v.probation {
+		pick.speculated = true
+		t.speculated++
+		return t.grant(pick, donor, v)
 	}
 	t.starved = true
+	t.remind(next)
 	return nil
 }
 
-// speculate implements straggler speculation (ServerOptions.SpeculateAfter):
-// once the problem is at least the configured fraction complete, a free
-// donor is granted a second, concurrent lease on the ordinary unit whose
-// only lease is oldest (of equals, the lowest unit ID), instead of parking.
-// Whichever copy reports first folds and the other donor is cancelled; a
-// failure or expiry of either lease leaves the other standing. Each unit is
-// speculated at most once, never to its own holder, and never while open
-// sets are waiting for a donor.
-func (t *unitTable) speculate(donor string, now time.Time) *Task {
-	frac := t.opts.SpeculateAfter
-	if frac <= 0 || frac > 1 || len(t.open) > 0 {
-		return nil
+// straggler returns the set a speculative copy would go to at now — the
+// ordinary set whose one lease is most overdue, of equals the lowest unit
+// ID — and the earliest instant another set falls due. A set is never
+// speculated twice, nor to its own holder, nor while open sets are waiting
+// for a donor. Whichever copy reports first folds and the other donor is
+// cancelled; a failure or expiry of either lease leaves the other standing.
+func (t *unitTable) straggler(donor string, now time.Time, fleet float64) (pick *attemptSet, next time.Time) {
+	if len(t.open) > 0 {
+		return nil, time.Time{}
 	}
-	if float64(t.completed) < frac*float64(t.completed+len(t.sets)) {
-		return nil
-	}
-	var pick *attemptSet
+	var pickDue time.Time
 	for _, set := range t.sets {
 		if set.quorum != 1 || set.speculated || len(set.leases) != 1 || set.leases[0].donor == donor {
 			continue
 		}
-		if pick == nil || set.leases[0].deadline.Before(pick.leases[0].deadline) ||
-			(set.leases[0].deadline.Equal(pick.leases[0].deadline) && set.uid < pick.uid) {
-			pick = set
+		due := t.due(set, set.leases[0], fleet)
+		switch {
+		case due.IsZero():
+		case !now.After(due):
+			if next.IsZero() || due.Before(next) {
+				next = due
+			}
+		case pick == nil || due.Before(pickDue) || (due.Equal(pickDue) && set.uid < pick.uid):
+			pick, pickDue = set, due
 		}
 	}
-	if pick == nil {
-		return nil
-	}
-	pick.speculated = true
-	t.speculated++
-	return t.grant(pick, donor, false, now)
+	return pick, next
 }
 
 // verifyBacklog reports whether the donor is involved in at least limit
@@ -747,30 +809,41 @@ func (t *unitTable) resolve(set *attemptSet, now time.Time, f fleet) bool {
 	return true
 }
 
-// expire drops every lease whose deadline is before now and re-evaluates
-// held quorums whose tie-breaker may have stopped being possible. It
-// returns the donors whose leases lapsed.
-func (t *unitTable) expire(now time.Time, f fleet) (blamed []string) {
+// expire is the lease sweep at now: it drops every lease whose deadline is
+// before now, re-evaluates held quorums whose tie-breaker may have stopped
+// being possible, wakes parked donors when a starved problem has a straggler
+// due a speculative copy, and sets the alarm to the next deadline or, while
+// starved, the next straggler due.
+func (t *unitTable) expire(now time.Time, f fleet) {
 	for _, set := range t.acting(func(set *attemptSet) bool {
 		return (set.quorum > 1 && len(set.results) >= set.quorum) ||
 			slices.ContainsFunc(set.leases, func(l lease) bool { return now.After(l.deadline) })
 	}) {
-		before := len(blamed)
+		dropped := false
 		// A drop removes leases[i] — or, when it resolves the set or fails
 		// the problem, ends the loop.
 		for i := 0; i < len(set.leases) && !t.done; {
 			if l := set.leases[i]; now.After(l.deadline) {
-				blamed = append(blamed, l.donor)
+				dropped = true
 				t.drop(set, l.donor, "lease expired", failExpiry, now, f)
 			} else {
 				i++
 			}
 		}
-		if len(blamed) == before && set.quorum > 1 && len(set.results) >= set.quorum {
+		if !dropped && set.quorum > 1 && len(set.results) >= set.quorum {
 			t.settle(set, now, f)
 		}
 	}
-	return blamed
+	for _, set := range t.sets {
+		for _, l := range set.leases {
+			t.remind(l.deadline)
+		}
+	}
+	if t.starved {
+		pick, next := t.straggler("", now, f.throughput())
+		t.wake = t.wake || pick != nil
+		t.remind(next)
+	}
 }
 
 // evict enacts a donor's quarantine on this problem: its leases are dropped

@@ -4,14 +4,20 @@ package dist
 // stateless model checking (Godefroid, VeriSoft, POPL 1997): every sequence
 // of table events up to exploreDepth is enumerated over three donors and a
 // two-item DataManager, with visited states deduplicated by a hash of a
-// canonical encoding (up to a renaming of the donors). After every step the
-// invariants are checked — checkUnits, plus what only a step shows: a
-// spot-checked unit folds only with a quorum of distinct agreeing donors
-// and, once a trusted donor exists, only with a trusted member unless no
-// tie-breaker can ever arrive; no result of another incarnation is held or
-// folded. The search deepens iteratively, so the first violation found is
-// one of the shortest; its trace is printed. Each branch clones the state,
-// so memory stays at one path plus the visited set.
+// canonical encoding (up to a renaming of the donors). Time passes in two
+// events besides the millisecond every event takes: past the next lease's
+// speculation instant, and past the next lease's deadline, each followed by
+// the sweep that instant would run. After every step the invariants are
+// checked — checkUnits, plus what only a step shows: a spot-checked unit
+// folds only with a quorum of distinct agreeing donors and, once a trusted
+// donor exists, only with a trusted member unless no tie-breaker can ever
+// arrive; no result of another incarnation is held or folded; a speculative
+// copy goes only to an idle donor off probation and only of a lease overdue
+// by speculateFactor times its expectation; and a lease expires only past
+// the overdue rule's bound, recomputed here from the explorer's throughput.
+// The search deepens iteratively, so the first violation found is one of
+// the shortest; its trace is printed. Each branch clones the state, so
+// memory stays at one path plus the visited set.
 //
 // Every visited state is also crashed, twice: a restarted coordinator
 // rebuilds the table by replaying the journal records the path owed so far
@@ -42,15 +48,33 @@ const exploreDepth = 6
 
 var exDonors = [3]string{"d0", "d1", "d2"}
 
+// exRate is every measured throughput in the explorer, the fleet's
+// included, in cost units per second; exLease is its Lease. A one-cost unit
+// is expected in exExpect, so a measured donor's lease expires at the floor
+// and an unmeasured one's at exLease.
+const (
+	exRate   = 100
+	exLease  = 2 * time.Second
+	exExpect = time.Second/exRate + batchLatencyTarget
+)
+
 // exConfig is one explored configuration.
 type exConfig struct {
-	quorum  int     // 1: verification off; 2: units may be spot-checked
-	spec    float64 // ServerOptions.SpeculateAfter
-	requeue bool    // the DataManager implements Requeuer
+	quorum   int  // 1: verification off; 2: units may be spot-checked
+	measured bool // the donors have a throughput; otherwise only the fleet has
+	requeue  bool // the DataManager implements Requeuer
 }
 
 func (c exConfig) String() string {
-	return fmt.Sprintf("quorum %d, speculate %v, requeue %v", c.quorum, c.spec, c.requeue)
+	return fmt.Sprintf("quorum %d, measured %v, requeue %v", c.quorum, c.measured, c.requeue)
+}
+
+// bound is how long after its grant the overdue rule lets a lease live.
+func (c exConfig) bound() time.Duration {
+	if !c.measured {
+		return exLease
+	}
+	return min(exLease, max(expiryFloor, expireFactor*exExpect))
 }
 
 type exOp uint8
@@ -61,8 +85,9 @@ const (
 	opIdle                // donor's scan found nothing fresh: speculate or starve
 	opSubmit              // donor submits a result for uid: arg 0 agrees, 1 lies, 2 is another incarnation's
 	opFail                // donor reports its lease on uid lost; arg is the failureKind
-	opExpire              // the oldest leases lapse
-	opSweep               // an expiry sweep with no lease lapsed
+	opOverdue             // time passes past the next speculation instant, then a sweep
+	opExpire              // time passes past the next deadline, then a sweep
+	opSweep               // a sweep with no time passing
 	opEvict               // donor is quarantined
 	opTrust               // donor's trust crosses the bar
 	opLive                // donor's liveness flips
@@ -90,10 +115,12 @@ func (e exEvent) String() string {
 		return fmt.Sprintf("%s submits unit %d: %s", d, e.uid, [...]string{"agrees", "lies", "stale epoch"}[e.arg])
 	case opFail:
 		return fmt.Sprintf("%s loses unit %d: %s", d, e.uid, [...]string{"compute", "transport", "expiry", "verify"}[e.arg])
+	case opOverdue:
+		return "time passes past the next lease's speculation instant"
 	case opExpire:
-		return "oldest leases expire"
+		return "time passes past the next lease's deadline"
 	case opSweep:
-		return "expiry sweep"
+		return "lease sweep"
 	case opEvict:
 		return d + " quarantined"
 	case opTrust:
@@ -128,6 +155,8 @@ func (f *fakeFleet) trustedDonorExists() bool {
 	return false
 }
 
+func (f *fakeFleet) throughput() float64 { return exRate }
+
 func (f *fakeFleet) liveDonors(_ time.Time, skip func(string) bool) int {
 	n := 0
 	for i, d := range exDonors {
@@ -156,7 +185,7 @@ func newExState(cfg exConfig) *exState {
 	if cfg.requeue {
 		dm = lifeRequeueDM{x.dm}
 	}
-	opts := ServerOptions{Lease: time.Second, VerifyQuorum: 2, SpeculateAfter: cfg.spec}
+	opts := ServerOptions{Lease: exLease, VerifyQuorum: 2}
 	x.t = newUnitTable(Task{ProblemID: "x", Epoch: 1}, dm, opts, &x.inflight)
 	x.f.live = [3]bool{true, true, true}
 	return x
@@ -216,10 +245,26 @@ func (x *exState) enabled() []exEvent {
 	if x.inflight.Load() > 0 {
 		evs = append(evs, exEvent{op: opExpire})
 	}
+	if !x.nextDue().IsZero() {
+		evs = append(evs, exEvent{op: opOverdue})
+	}
 	if x.cfg.quorum > 1 {
 		evs = append(evs, exEvent{op: opSweep})
 	}
 	return append(evs, exEvent{op: opRelease})
+}
+
+// nextDue returns the earliest speculation instant still ahead of the
+// clock, or zero.
+func (x *exState) nextDue() (next time.Time) {
+	for _, set := range x.t.sets {
+		for _, l := range set.leases {
+			if due := x.t.due(set, l, exRate); due.After(x.clock) && (next.IsZero() || due.Before(next)) {
+				next = due
+			}
+		}
+	}
+	return next
 }
 
 // apply performs one event the way the server would reach the table.
@@ -229,16 +274,20 @@ func (x *exState) apply(e exEvent) {
 	switch e.op {
 	case opFresh, opReissue, opIdle:
 		x.f.live[d] = true // a request is a sign of life
+		v := dispatchView{now: x.clock, probation: probation}
+		if x.cfg.measured {
+			v.stats.Throughput = exRate
+		}
 		switch e.op {
 		case opFresh:
 			if u, ok, _ := x.t.dm.NextUnit(1); ok {
-				x.t.cut(u, 1, int(e.arg), name, probation, x.clock)
+				x.t.cut(u, 1, int(e.arg), name, v)
 			}
 		case opReissue:
 			othersAlive := x.f.liveDonors(x.clock, func(n string) bool { return n == name }) > 0
-			x.t.reissue(name, probation, probation && x.t.verifyBacklog(name, 1), othersAlive, x.clock)
+			x.t.reissue(name, v, probation && x.t.verifyBacklog(name, 1), othersAlive)
 		default:
-			x.t.idle(name, probation, x.clock)
+			x.t.idle(name, v, &x.f)
 		}
 	case opSubmit:
 		x.f.live[d] = true
@@ -251,18 +300,22 @@ func (x *exState) apply(e exEvent) {
 		if x.t.lose(e.uid, name, "injected", failureKind(e.arg), 1, x.clock, &x.f) {
 			x.f.live[d] = true
 		}
+	case opOverdue:
+		x.clock = x.nextDue().Add(time.Nanosecond)
+		x.t.expire(x.clock, &x.f)
 	case opExpire:
-		now := x.clock
+		var next time.Time
 		for _, set := range x.t.sets {
 			for _, l := range set.leases {
-				if l.deadline.Before(now) {
-					now = l.deadline
+				if next.IsZero() || l.deadline.Before(next) {
+					next = l.deadline
 				}
 			}
 		}
-		now = now.Add(time.Nanosecond)
-		x.clock = now
-		x.t.expire(now, &x.f)
+		if at := next.Add(time.Nanosecond); at.After(x.clock) {
+			x.clock = at
+		}
+		x.t.expire(x.clock, &x.f)
 	case opSweep:
 		x.t.expire(x.clock, &x.f)
 	case opEvict:
@@ -323,6 +376,9 @@ func (x *exState) check(pre *exState, e exEvent) error {
 			}
 		}
 	}
+	if err := x.checkOverdue(pre, e); err != nil {
+		return err
+	}
 	for _, fx := range x.t.fx {
 		if fx.kind != fxFold {
 			continue
@@ -341,8 +397,9 @@ func (x *exState) check(pre *exState, e exEvent) error {
 		if e.op == opSubmit {
 			results = append(results, heldResult{donor: exDonors[e.donor], payload: e.payload(set), trusted: x.f.trusted[e.donor]})
 		}
+		swept := e.op == opExpire || e.op == opOverdue || e.op == opSweep
 		leases := slices.DeleteFunc(slices.Clone(set.leases), func(l lease) bool {
-			return gone(l.donor) || (e.op == opSubmit && l.donor == exDonors[e.donor]) || (e.op == opExpire && x.clock.After(l.deadline))
+			return gone(l.donor) || (e.op == opSubmit && l.donor == exDonors[e.donor]) || (swept && x.clock.After(l.deadline))
 		})
 		var agree []string
 		groupTrusted, anyTrusted := false, false
@@ -368,6 +425,42 @@ func (x *exState) check(pre *exState, e exEvent) error {
 		}
 	}
 	return x.crashCheck()
+}
+
+// checkOverdue asserts the overdue rule over event e, which took pre to x,
+// against bounds recomputed from the explorer's throughput rather than read
+// off the leases: a set that gained a second lease while it had one
+// ordinary lease was speculated, which only an idle scan by a donor off
+// probation may do, and only past speculateFactor times the expectation; a
+// lease a sweep took from a set that did not fold was expired, which must
+// not happen before the rule's bound.
+func (x *exState) checkOverdue(pre *exState, e exEvent) error {
+	folded := func(uid int64) bool {
+		return slices.ContainsFunc(x.t.fx, func(fx effect) bool { return fx.kind == fxFold && fx.uid == uid })
+	}
+	for uid, before := range pre.t.sets {
+		after := x.t.sets[uid]
+		if after != nil && before.quorum == 1 && len(before.leases) == 1 && len(after.leases) == 2 {
+			l := before.leases[0]
+			switch {
+			case e.op != opIdle:
+				return fmt.Errorf("unit %d gained a second lease outside an idle scan", uid)
+			case pre.probation(e.donor):
+				return fmt.Errorf("unit %d speculated to %s on probation", uid, exDonors[e.donor])
+			case !x.clock.After(l.granted.Add(speculateFactor * exExpect)):
+				return fmt.Errorf("unit %d speculated %v after its grant, before it was overdue (%v)", uid, x.clock.Sub(l.granted), speculateFactor*exExpect)
+			}
+		}
+		if (e.op != opOverdue && e.op != opExpire && e.op != opSweep) || folded(uid) || (x.t.done && !pre.t.done) {
+			continue
+		}
+		for _, l := range before.leases {
+			if (after == nil || after.leaseOf(l.donor) < 0) && x.clock.Sub(l.granted) <= x.cfg.bound() {
+				return fmt.Errorf("%s's lease on unit %d expired %v after its grant, within the bound %v", l.donor, uid, x.clock.Sub(l.granted), x.cfg.bound())
+			}
+		}
+	}
+	return nil
 }
 
 // journalOf returns the journal records a durable problem owes for fx.
@@ -492,7 +585,8 @@ var donorPerms = [...][3]byte{{0, 1, 2}, {0, 2, 1}, {1, 0, 2}, {1, 2, 0}, {2, 0,
 // key hashes everything in the state that can steer a later transition or
 // an invariant. The donors are interchangeable — the initial state and every
 // event treat them alike — so the key is the least hash over the six
-// renamings of the donors. Lease deadlines enter as their rank.
+// renamings of the donors. The clock and every lease's speculation instant
+// and deadline enter as their rank among one another.
 func (x *exState) key(buf []byte) (uint64, []byte) {
 	t := &x.t
 	flags := func(vs ...bool) byte {
@@ -532,13 +626,14 @@ func (x *exState) key(buf []byte) (uint64, []byte) {
 		b = num(b, int64(f))
 	}
 	uids := x.uids()
-	var deadlines []time.Time
+	instants := []time.Time{x.clock}
 	for _, set := range t.sets {
 		for _, l := range set.leases {
-			deadlines = append(deadlines, l.deadline)
+			instants = append(instants, x.t.due(set, l, exRate), l.deadline)
 		}
 	}
-	slices.SortFunc(deadlines, time.Time.Compare)
+	slices.SortFunc(instants, time.Time.Compare)
+	rank := func(at time.Time) byte { return byte(slices.IndexFunc(instants, at.Equal)) }
 	common, least := len(b), uint64(math.MaxUint64)
 	for _, perm := range donorPerms {
 		donor := func(name string) byte {
@@ -553,7 +648,7 @@ func (x *exState) key(buf []byte) (uint64, []byte) {
 			b = num(b, uid, int64(set.quorum), int64(set.fails), int64(len(set.leases)), int64(len(set.results)), int64(len(set.donors)))
 			b = append(b, donor(set.lastDonor), flags(set.open, set.trustedOnly, set.speculated))
 			for _, l := range set.leases {
-				b = append(b, donor(l.donor), byte(slices.IndexFunc(deadlines, l.deadline.Equal)))
+				b = append(b, donor(l.donor), rank(x.t.due(set, l, exRate)), rank(l.deadline))
 			}
 			for _, r := range set.results {
 				b = append(b, donor(r.donor), flags(r.trusted), byte(len(r.payload)))
@@ -630,14 +725,14 @@ func explore(cfg exConfig, depth int) (states int, trace []exEvent, err error) {
 }
 
 // TestUnitLifecycleExplorer runs the explorer over every configuration:
-// quorum 1 and 2, speculation off and on, with and without Requeuer.
+// quorum 1 and 2, donors measured or not, with and without Requeuer.
 func TestUnitLifecycleExplorer(t *testing.T) {
 	start := time.Now()
 	total := 0
 	for _, quorum := range []int{1, 2} {
-		for _, spec := range []float64{0, 0.5} {
+		for _, measured := range []bool{false, true} {
 			for _, requeue := range []bool{false, true} {
-				cfg := exConfig{quorum: quorum, spec: spec, requeue: requeue}
+				cfg := exConfig{quorum: quorum, measured: measured, requeue: requeue}
 				states, trace, err := explore(cfg, exploreDepth)
 				total += states
 				if err != nil {
@@ -655,30 +750,31 @@ func TestUnitLifecycleExplorer(t *testing.T) {
 }
 
 // TestUnitTableReplaysIdentically replays one schedule 20 times under a
-// Requeuer DataManager: three units leased at one instant, one folds, an
-// idle donor speculates between the two whose leases tie, then both lapse
-// together. Every replay must owe the same effects, blame the donors in the
-// same order, speculate the lower unit ID and regenerate the same items
-// under the same IDs.
+// Requeuer DataManager: three units leased at one instant, one folds, once
+// the other two are overdue an idle donor speculates between them, then
+// both lapse together. Every replay must owe the same effects, speculate
+// the lower unit ID and regenerate the same items under the same IDs.
 func TestUnitTableReplaysIdentically(t *testing.T) {
 	replay := func() string {
 		var inflight atomic.Int64
 		dm := newLifeDM(3)
-		opts := ServerOptions{Lease: time.Second, VerifyQuorum: 2, SpeculateAfter: 0.3}
+		opts := ServerOptions{Lease: exLease, VerifyQuorum: 2}
 		tb := newUnitTable(Task{ProblemID: "x", Epoch: 1}, lifeRequeueDM{dm}, opts, &inflight)
 		var f fakeFleet
 		now := time.Unix(0, 0)
+		v := dispatchView{now: now}
+		v.stats.Throughput = exRate
 		for _, donor := range exDonors {
 			u, _, _ := dm.NextUnit(1)
-			tb.grant(tb.add(u.ID, u, 1), donor, false, now)
+			tb.grant(tb.add(u.ID, u, 1), donor, v)
 		}
 		tb.offer(&Result{ProblemID: "x", UnitID: 3, Donor: "d2", Epoch: 1, Payload: []byte{2}}, true, now, &f)
 		var b strings.Builder
-		if task := tb.idle("d2", false, now); task != nil {
+		v.now = now.Add(speculateFactor*exExpect + time.Millisecond)
+		if task := tb.idle("d2", v, &f); task != nil {
 			fmt.Fprintf(&b, "speculated unit %d\n", task.Unit.ID)
 		}
-		blamed := tb.expire(now.Add(2*time.Second), &f)
-		fmt.Fprintf(&b, "blamed %v\n", blamed)
+		tb.expire(now.Add(exLease+time.Millisecond), &f)
 		for _, fx := range tb.fx {
 			fmt.Fprintf(&b, "effect %d %d unit %d donor %q\n", fx.kind, fx.event, fx.uid, fx.donor)
 		}

@@ -72,7 +72,6 @@ func TestForgetCancelsInFlightUnitOverLoopback(t *testing.T) {
 	srv, err := ListenAndServe("127.0.0.1:0", "127.0.0.1:0",
 		WithPolicy(sched.Fixed{Size: 1}),
 		WithLeaseTTL(time.Hour),
-		WithExpiryScan(time.Hour),
 	)
 	if err != nil {
 		t.Fatal(err)
@@ -144,8 +143,8 @@ func waitFor(t *testing.T, timeout time.Duration, cond func() bool) {
 // destructive.
 func TestCancelNoticesDrainOnce(t *testing.T) {
 	registerSum(t)
-	srv := newTestServer(ServerOptions{
-		Policy: sched.Fixed{Size: 10}, Lease: time.Hour, ExpiryScan: time.Hour,
+	srv := newQuietServer(ServerOptions{
+		Policy: sched.Fixed{Size: 10}, Lease: time.Hour,
 	})
 	defer srv.Close()
 	if err := srv.Submit(bg, &Problem{ID: "cn", DM: newSumDM(100)}); err != nil {
@@ -179,8 +178,8 @@ func TestCancelNoticesDrainOnce(t *testing.T) {
 // channel).
 func TestWatchEventOrdering(t *testing.T) {
 	registerSum(t)
-	srv := newTestServer(ServerOptions{
-		Policy: sched.Fixed{Size: 25}, Lease: time.Hour, ExpiryScan: time.Hour,
+	srv := newQuietServer(ServerOptions{
+		Policy: sched.Fixed{Size: 25}, Lease: time.Hour,
 	})
 	defer srv.Close()
 	if err := srv.Submit(bg, &Problem{ID: "watched", DM: newSumDM(200)}); err != nil {
@@ -279,7 +278,6 @@ func TestWatchSlowConsumerDrops(t *testing.T) {
 	srv := NewServer(
 		WithPolicy(sched.Fixed{Size: 1}), // one unit per square: ~100 units, >> buffer
 		WithLeaseTTL(time.Hour),
-		WithExpiryScan(time.Hour),
 	)
 	defer srv.Close()
 	if err := srv.Submit(bg, &Problem{ID: "firehose", DM: newSumDM(100)}); err != nil {
@@ -546,12 +544,11 @@ func TestFunctionalOptions(t *testing.T) {
 	srv2 := NewServer(
 		WithPolicy(sched.Fixed{Size: 9}),
 		WithLeaseTTL(5*time.Second),
-		WithExpiryScan(time.Second),
 		WithAutoForget(true),
 	)
 	defer srv2.Close()
 	o = srv2.opts
-	if o.Lease != 5*time.Second || o.ExpiryScan != time.Second || !o.AutoForget {
+	if o.Lease != 5*time.Second || !o.AutoForget {
 		t.Errorf("explicit options = %+v", o)
 	}
 	if f, ok := o.Policy.(sched.Fixed); !ok || f.Size != 9 {

@@ -586,7 +586,7 @@ func TestCrashRecoveryResumesVerification(t *testing.T) {
 func TestQuorumResolvesWhenNoTieBreakerCanExist(t *testing.T) {
 	o := verifyTestOptions()
 	o.ProbationUnits, o.QuarantineBelow = 0, 0 // the defaults: 4 agreements, floor 0.3
-	o.Lease, o.ExpiryScan = time.Hour, time.Hour
+	o.Lease = time.Hour
 	s := newTestServer(o)
 	defer s.Close()
 	if err := s.Submit(bg, &Problem{ID: "stuck", DM: newRecDM(7)}); err != nil {
@@ -647,7 +647,7 @@ func TestQuorumResolvesWhenNoTieBreakerCanExist(t *testing.T) {
 func TestNoTieBreakerFallbackDefersToTrustedVote(t *testing.T) {
 	o := verifyTestOptions()
 	o.ProbationUnits = 1
-	o.Lease, o.ExpiryScan = time.Hour, time.Hour
+	o.Lease = time.Hour
 	s := newTestServer(o)
 	defer s.Close()
 	dm := newRecDM(2)

@@ -44,7 +44,6 @@ func Bootstrap(ctx context.Context, aln *seq.Alignment, opts Options, b, nWorker
 	srv := dist.NewServer(
 		dist.WithPolicy(policy),
 		dist.WithLeaseTTL(time.Hour),
-		dist.WithExpiryScan(time.Hour),
 	)
 	defer srv.Close()
 

@@ -42,7 +42,6 @@ func TestMultiInstanceConcurrent(t *testing.T) {
 	srv := dist.NewServer(
 		dist.WithPolicy(sched.Adaptive{Target: 50 * time.Millisecond, Bootstrap: 2000, Min: 1}),
 		dist.WithLeaseTTL(time.Hour),
-		dist.WithExpiryScan(time.Hour),
 	)
 	defer srv.Close()
 	for i, ord := range orders {

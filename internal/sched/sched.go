@@ -7,8 +7,12 @@
 package sched
 
 import (
+	"cmp"
+	"errors"
 	"fmt"
 	"sort"
+	"strconv"
+	"strings"
 	"time"
 )
 
@@ -21,8 +25,6 @@ type DonorStats struct {
 	Throughput float64
 	// Completed is the number of units this donor has finished.
 	Completed int
-	// Failures counts errored or expired units attributed to the donor.
-	Failures int
 }
 
 // Policy chooses the cost budget for the next work unit handed to a donor.
@@ -308,43 +310,36 @@ func EWMA(old, sample, alpha float64) float64 {
 }
 
 // ByName resolves a policy from a config-file string: "fixed:1000",
-// "adaptive:5s", "gss", "gss:2", "factoring", "tss".
+// "adaptive:5s", "gss", "gss:2", "factoring", "tss". An argument must parse
+// whole and be positive; the error names the spec.
 func ByName(spec string) (Policy, error) {
-	var name, arg string
-	name = spec
-	for i := 0; i < len(spec); i++ {
-		if spec[i] == ':' {
-			name, arg = spec[:i], spec[i+1:]
-			break
-		}
+	name, arg, hasArg := strings.Cut(spec, ":")
+	var n int64
+	var err error
+	switch {
+	case !hasArg:
+	case name == "adaptive":
+		var d time.Duration
+		d, err = time.ParseDuration(arg)
+		n = int64(d)
+	case name == "fixed" || name == "gss":
+		n, err = strconv.ParseInt(arg, 10, 64)
+	default:
+		err = errors.New("takes no argument")
+	}
+	if err == nil && hasArg && n <= 0 {
+		err = errors.New("must be positive")
+	}
+	if err != nil {
+		return nil, fmt.Errorf("sched: policy %q: bad argument %q: %w", spec, arg, err)
 	}
 	switch name {
 	case "fixed":
-		var size int64 = 1000
-		if arg != "" {
-			if _, err := fmt.Sscanf(arg, "%d", &size); err != nil {
-				return nil, fmt.Errorf("sched: bad fixed size %q: %w", arg, err)
-			}
-		}
-		return Fixed{Size: size}, nil
+		return Fixed{Size: cmp.Or(n, 1000)}, nil
 	case "adaptive":
-		target := 5 * time.Second
-		if arg != "" {
-			d, err := time.ParseDuration(arg)
-			if err != nil {
-				return nil, fmt.Errorf("sched: bad adaptive target %q: %w", arg, err)
-			}
-			target = d
-		}
-		return Adaptive{Target: target, Bootstrap: 1000, Min: 1}, nil
+		return Adaptive{Target: cmp.Or(time.Duration(n), 5*time.Second), Bootstrap: 1000, Min: 1}, nil
 	case "gss":
-		k := 1
-		if arg != "" {
-			if _, err := fmt.Sscanf(arg, "%d", &k); err != nil {
-				return nil, fmt.Errorf("sched: bad gss k %q: %w", arg, err)
-			}
-		}
-		return GSS{K: k, Min: 1}, nil
+		return GSS{K: int(cmp.Or(n, 1)), Min: 1}, nil
 	case "factoring":
 		return Factoring{Min: 1}, nil
 	case "tss":

@@ -2,6 +2,7 @@ package sched
 
 import (
 	"math/rand"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -110,7 +111,7 @@ func TestPolicyBudgetsAlwaysPositive(t *testing.T) {
 		GSS{}, GSS{K: -1},
 		Factoring{}, TSS{}, TSS{First: -10, Last: -10},
 	}
-	stats := []DonorStats{{}, {Throughput: 1e-12}, {Throughput: 1e12}, {Failures: 100}}
+	stats := []DonorStats{{}, {Throughput: 1e-12}, {Throughput: 1e12}, {Completed: 100}}
 	for _, p := range policies {
 		for _, d := range stats {
 			for _, rem := range []int64{-1, 0, 1, 1 << 40} {
@@ -143,7 +144,6 @@ func randStats(rng *rand.Rand) DonorStats {
 	return DonorStats{
 		Throughput: rng.Float64() * float64(int64(1)<<rng.Intn(40)),
 		Completed:  rng.Intn(1 << 20),
-		Failures:   rng.Intn(100),
 	}
 }
 
@@ -393,6 +393,27 @@ func TestByName(t *testing.T) {
 	for _, bad := range []string{"", "nope", "fixed:x", "adaptive:zzz", "gss:x"} {
 		if _, err := ByName(bad); err == nil {
 			t.Errorf("ByName(%q) accepted", bad)
+		}
+	}
+}
+
+// TestByNameRejectsMalformedArguments: the whole argument must parse, and a
+// size, k or target must be positive. Each spec here once parsed to a
+// policy: a scan that stopped at the first non-digit, or no sign check.
+func TestByNameRejectsMalformedArguments(t *testing.T) {
+	for _, spec := range []string{
+		"fixed:10x", "fixed:0", "fixed:-3", "fixed: 10", "fixed:", "fixed:1e3",
+		"gss:2junk", "gss:0", "gss:-1", "gss:",
+		"adaptive:0s", "adaptive:-1s", "adaptive:",
+		"factoring:3", "tss:x",
+	} {
+		p, err := ByName(spec)
+		if err == nil {
+			t.Errorf("ByName(%q) = %s, want an error", spec, p.Name())
+			continue
+		}
+		if !strings.Contains(err.Error(), strconv.Quote(spec)) {
+			t.Errorf("ByName(%q): error %q does not name the spec", spec, err)
 		}
 	}
 }

@@ -476,9 +476,6 @@ func Run(cfg Config, w Workload) (*Metrics, error) {
 			delete(pending, e.unit.ID)
 			w.Requeue(e.unit)
 			m.UnitsLost++
-			if d := donors[e.donor]; d != nil {
-				d.stats.Failures++
-			}
 		}
 	}
 	if !w.Done() {

@@ -156,7 +156,6 @@ func TestSwarmByzantine(t *testing.T) {
 	srv, err := dist.ListenAndServe("127.0.0.1:0", "127.0.0.1:0",
 		dist.WithPolicy(sched.Fixed{Size: 1}),
 		dist.WithLeaseTTL(2*time.Second),
-		dist.WithExpiryScan(100*time.Millisecond),
 		dist.WithVerify(0.1, 2),
 		dist.WithProbation(2),
 		dist.WithQuarantineBelow(0.3),

@@ -140,8 +140,6 @@ func runSoak(t *testing.T, alg string, donors, problems int, unitsPer int64, chu
 	srv, err := dist.ListenAndServe("127.0.0.1:0", "127.0.0.1:0",
 		dist.WithPolicy(sched.Fixed{Size: 1}),
 		dist.WithLeaseTTL(2*time.Second),
-		dist.WithExpiryScan(100*time.Millisecond),
-		dist.WithSpeculation(0.95),
 	)
 	if err != nil {
 		t.Fatalf("ListenAndServe: %v", err)
@@ -186,7 +184,7 @@ func runSoak(t *testing.T, alg string, donors, problems int, unitsPer int64, chu
 	}
 	sw.Stop()
 
-	var speculated int
+	var speculated, reissued int
 	for i, id := range ids {
 		if bad := dms[i].doubleFolds(); len(bad) > 0 {
 			t.Errorf("%s: units folded more than once: %v", id, bad)
@@ -202,6 +200,7 @@ func runSoak(t *testing.T, alg string, donors, problems int, unitsPer int64, chu
 			t.Errorf("%s: completed %d units, want %d", id, stats.Completed, unitsPer)
 		}
 		speculated += stats.Speculated
+		reissued += stats.Reissued
 		status, err := srv.Status(ctx, id)
 		if err != nil {
 			t.Fatalf("Status %s: %v", id, err)
@@ -220,7 +219,7 @@ func runSoak(t *testing.T, alg string, donors, problems int, unitsPer int64, chu
 	if churnFrac > 0 && st.Drops == 0 {
 		t.Errorf("churn configured but no drops recorded: %+v", st)
 	}
-	t.Logf("swarm: %+v; problems speculated %d units total", st, speculated)
+	t.Logf("swarm: %+v; problems speculated %d units and reissued %d in total", st, speculated, reissued)
 }
 
 // TestSwarmSmoke is the CI-sized swarm: 256 donors, 4 problems, 10%%
@@ -342,7 +341,6 @@ func TestSwarmSharedBlobCache(t *testing.T) {
 	srv, err := dist.ListenAndServe("127.0.0.1:0", "127.0.0.1:0",
 		dist.WithPolicy(sched.Fixed{Size: 1}),
 		dist.WithLeaseTTL(time.Hour),
-		dist.WithExpiryScan(time.Hour),
 	)
 	if err != nil {
 		t.Fatalf("ListenAndServe: %v", err)

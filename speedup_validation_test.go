@@ -74,7 +74,6 @@ func measureRealMakespan(t *testing.T, n int, units, unitCost int64) time.Durati
 	srv, err := dist.ListenAndServe("127.0.0.1:0", "127.0.0.1:0",
 		dist.WithPolicy(sched.Fixed{Size: unitCost}),
 		dist.WithLeaseTTL(time.Hour),
-		dist.WithExpiryScan(time.Hour),
 	)
 	if err != nil {
 		t.Fatal(err)
