@@ -113,7 +113,7 @@ loc:
 # knobs prints how many values an operator or embedder can set, one line per
 # item plus their sum — the other number a simplification PR reports before
 # and after: the exported fields of dist.ServerOptions, dist.DonorOptions and
-# swarm.Config (a "RedialMin, RedialMax" line counts 2), the exported With*
+# swarm.Config (an "A, B T" line counts 2), the exported With*
 # options of internal/dist, and the flags each cmd/*/main.go defines.
 knobs:
 	@{ for s in dist.ServerOptions:internal/dist/server.go dist.DonorOptions:internal/dist/donor.go swarm.Config:internal/swarm/swarm.go; do \

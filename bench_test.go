@@ -719,7 +719,6 @@ func BenchmarkSwarmMakespan(b *testing.B) {
 				srv, err := dist.ListenAndServe("127.0.0.1:0", "127.0.0.1:0",
 					dist.WithPolicy(v.policy),
 					dist.WithLeaseTTL(time.Hour),
-					dist.WithDispatchBatch(-1), // single-unit leases: makespan isolates sizing+speculation
 				)
 				if err != nil {
 					b.Fatal(err)

@@ -61,21 +61,14 @@ func main() {
 		}
 	}
 
-	// "-blob-cache 0" means no caching beyond the blob in use; the option
-	// layer treats 0 as "default", so map it to the negative sentinel.
-	blobBudget := *blobCache
-	if blobBudget <= 0 {
-		blobBudget = -1
-	}
-
 	d := dist.NewDonor(client,
 		dist.WithName(*name),
 		dist.WithThrottle(*throttle),
 		dist.WithLogf(log.Printf),
 		dist.WithRedial(redial),
-		dist.WithRedialBackoff(0, *retry),
+		dist.WithRedialBackoff(*retry),
 		dist.WithCancelPoll(*cancelPoll),
-		dist.WithBlobCacheBytes(blobBudget),
+		dist.WithBlobCache(dist.NewBlobCache(*blobCache)),
 	)
 
 	// First interrupt: finish (or abort, via the cancelled context) the

@@ -46,13 +46,11 @@ func main() {
 		bulkAddr    = flag.String("bulk", ":7071", "bulk data listen address")
 		policy      = flag.String("policy", "adaptive:5s", "scheduling policy (fixed:N | adaptive:DUR | gss[:k] | factoring | tss)")
 		lease       = flag.Duration("lease", 2*time.Minute, "longest a work unit stays out before it is reissued: the ceiling of the overdue rule, which speculates and reissues from each donor's measured throughput, and the bound for a donor not measured yet")
-		longPoll    = flag.Duration("long-poll", 45*time.Second, "max server-side park per WaitTask long-poll (<=0 keeps the default)")
-		batch       = flag.Int("dispatch-batch", 8, "max units per batched WaitTask reply (<=1 = single-unit dispatch)")
 		verifyFrac  = flag.Float64("verify-fraction", 0, "spot-check this fraction of units by redundant dispatch to distinct donors, folding only quorum-agreed results (0 = trust every donor; 0.05 is a reasonable start)")
 		verifyQuo   = flag.Int("verify-quorum", 2, "replica results that must agree before a spot-checked unit folds (min 2; needs -verify-fraction)")
 		quarBelow   = flag.Float64("quarantine-below", 0, "trust floor under which a donor stops receiving work and its results are rejected (0 = default 0.3, negative = never quarantine; needs -verify-fraction)")
 		dataDir     = flag.String("data-dir", "", "durability directory: journal mutations and resume the problem after a crash or SIGTERM (empty = in-memory only)")
-		snapRecords = flag.Int("snapshot-records", 0, "journal records that trigger a background checkpoint (0 = default; needs -data-dir)")
+		snapRecords = flag.Int("snapshot-records", 0, "journal records appended since the last checkpoint that trigger the next one (0 = default; needs -data-dir)")
 		app         = flag.String("app", "", "application: dsearch | dprml")
 		progress    = flag.Duration("progress", 10*time.Second, "minimum interval between progress log lines")
 
@@ -94,20 +92,12 @@ func main() {
 	if err != nil {
 		log.Fatalf("server: %v", err)
 	}
-	// "-dispatch-batch 1" (or less) disables batching; the option layer
-	// treats 0 as "default", so map it to the negative sentinel.
-	dispatchBatch := *batch
-	if dispatchBatch <= 1 {
-		dispatchBatch = -1
-	}
 	if *app != "dsearch" && *app != "dprml" {
 		log.Fatalf("server: -app must be dsearch or dprml")
 	}
 	ns, err := dist.ListenAndServe(*rpcAddr, *bulkAddr,
 		dist.WithPolicy(pol),
 		dist.WithLeaseTTL(*lease),
-		dist.WithLongPoll(*longPoll),
-		dist.WithDispatchBatch(dispatchBatch),
 		dist.WithDataDir(*dataDir),
 		dist.WithSnapshotBudget(0, *snapRecords),
 		dist.WithVerify(*verifyFrac, *verifyQuo),

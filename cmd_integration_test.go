@@ -366,11 +366,16 @@ func TestCoordinatorCrashRecoveryRealNetwork(t *testing.T) {
 		}
 	}()
 
-	// Kill the coordinator without ceremony once its own output shows the
-	// state worth crashing in: a checkpoint on disk (2s scan ticks, 20
-	// records each), folds journaled past it, and units out on lease.
+	// Kill the coordinator without ceremony once the state worth crashing
+	// in is on disk: a checkpoint that holds at least killAfterUnits folds,
+	// and units out on lease. Folds journaled after the newest checkpoint
+	// may still sit in the group-commit buffer, which a SIGKILL discards,
+	// so the checkpoint must be one that began after killAfterUnits folds
+	// were seen: its generation is past the newest WAL segment's at that
+	// moment (a checkpoint rotated before it may capture fewer).
 	const killAfterUnits = 25
 	var doneAtKill, inflightAtKill int
+	walAtCount := -1
 	for deadline := time.Now().Add(60 * time.Second); ; time.Sleep(10 * time.Millisecond) {
 		select {
 		case err := <-done1:
@@ -378,20 +383,24 @@ func TestCoordinatorCrashRecoveryRealNetwork(t *testing.T) {
 		default:
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("no checkpoint plus %d folds with units in flight within 60s:\n%s", killAfterUnits, out1.String())
+			t.Fatalf("no checkpoint of %d folds with units in flight within 60s:\n%s", killAfterUnits, out1.String())
 		}
-		// Only a renamed-into-place checkpoint counts: the journal writes
-		// snap-N.tmp first, and a kill landing mid-write leaves no snapshot
-		// at all, so recovery would replay from the Submit record and
-		// restore nothing.
-		snaps, _ := filepath.Glob(filepath.Join(dataDir, "snap-*[0-9]"))
 		lines := progressLineRE.FindAllStringSubmatch(out1.String(), -1)
-		if len(snaps) == 0 || len(lines) == 0 {
+		if len(lines) == 0 {
 			continue
 		}
 		doneAtKill, _ = strconv.Atoi(lines[len(lines)-1][1])
 		inflightAtKill, _ = strconv.Atoi(lines[len(lines)-1][2])
-		if doneAtKill >= killAfterUnits && inflightAtKill >= 1 {
+		if doneAtKill < killAfterUnits {
+			continue
+		}
+		if walAtCount < 0 {
+			walAtCount = newestGeneration(t, dataDir, "wal-")
+			continue
+		}
+		// Only a renamed-into-place checkpoint counts: the journal writes
+		// snap-N.tmp first.
+		if newestGeneration(t, dataDir, "snap-") > walAtCount && inflightAtKill >= 1 {
 			break
 		}
 	}
@@ -451,6 +460,23 @@ func TestCoordinatorCrashRecoveryRealNetwork(t *testing.T) {
 			t.Errorf("report missing planted homolog %s for %s", members[0], q)
 		}
 	}
+}
+
+// newestGeneration returns the highest generation among the journal
+// files in dir named prefix followed by digits, or -1 when there is none.
+func newestGeneration(t *testing.T, dir, prefix string) int {
+	t.Helper()
+	names, err := filepath.Glob(filepath.Join(dir, prefix+"*[0-9]"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	newest := -1
+	for _, name := range names {
+		if g, err := strconv.Atoi(strings.TrimPrefix(filepath.Base(name), prefix)); err == nil && g > newest {
+			newest = g
+		}
+	}
+	return newest
 }
 
 // progressLineRE matches cmd/server's per-fold progress line;

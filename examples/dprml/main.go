@@ -61,10 +61,6 @@ func main() {
 	srv := dist.NewServer(
 		dist.WithPolicy(sched.Adaptive{Target: 200 * time.Millisecond, Bootstrap: 5000, Min: 1}),
 		dist.WithLeaseTTL(time.Hour),
-		// Each instance's state is evicted as soon as its Wait below
-		// delivers the result — the lifecycle a long-lived multi-problem
-		// server uses to stay bounded.
-		dist.WithAutoForget(true),
 	)
 	defer srv.Close()
 
@@ -96,6 +92,12 @@ func main() {
 	for _, id := range ids {
 		out, err := srv.Wait(ctx, id)
 		if err != nil {
+			log.Fatal(err)
+		}
+		// Evict each instance once its result is delivered: the
+		// Submit → Wait → Forget lifecycle a long-lived multi-problem
+		// server uses to stay bounded.
+		if err := srv.Forget(id); err != nil {
 			log.Fatal(err)
 		}
 		res, err := dprml.DecodeResult(out)

@@ -66,6 +66,9 @@ func (s *Server) unlock(ps *problemState) {
 		s.sweepBy(alarm, false)
 	}
 	s.applyTrustDeltas(deltas)
+	if ps.durable {
+		s.checkpointIfDue()
+	}
 }
 
 // queueCancel queues one cancel notice for a donor; cancelMu is a leaf

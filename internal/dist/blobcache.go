@@ -14,8 +14,8 @@ import (
 //
 // One cache may be shared by several donors in a process (RunLocal wires
 // its whole worker pool to one, and WithBlobCache does the same for
-// hand-built pools); a Donor given no cache creates a private one sized by
-// DonorOptions.BlobCacheBytes. Entries are immutable by construction —
+// hand-built pools); a Donor given no cache creates a private 256 MiB one.
+// Entries are immutable by construction —
 // the key is the hash of the bytes — so sharing them across donors,
 // problems and even server reconnects is always safe.
 type BlobCache struct {

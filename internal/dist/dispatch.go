@@ -268,14 +268,15 @@ func (s *Server) peekDonor(name string) *donorState {
 
 // pruneDonors forgets donors gone long enough that their scheduling
 // statistics are worthless, so the donor map stays bounded on a long-lived
-// server.
+// server. A quarantined donor is kept: quarantine lasts for the server's
+// lifetime, and a liar that stayed away must not redial at neutral trust.
 func (s *Server) pruneDonors(now time.Time) {
 	cutoff := now.Add(-10 * s.opts.Lease)
 	s.donorMu.Lock()
 	var pruned []string
 	for name, ds := range s.donors {
 		ds.mu.Lock()
-		gone := ds.lastSeen.Before(cutoff)
+		gone := ds.lastSeen.Before(cutoff) && !ds.quarantined
 		ds.mu.Unlock()
 		if gone {
 			delete(s.donors, name)

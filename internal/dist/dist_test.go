@@ -448,21 +448,21 @@ func TestDonorCacheBounded(t *testing.T) {
 // caches the problem being computed.
 func TestDonorProblemCapDerivedFromBudget(t *testing.T) {
 	cases := []struct {
-		budget int64
-		want   int
+		cache *BlobCache
+		want  int
 	}{
-		{0, 8},                        // default 256 MiB
-		{256 << 20, 8},                // explicit default
-		{1 << 30, 32},                 // bigger budget, more resident problems
-		{32 << 20, minCachedProblems}, // one quantum still floors
-		{-1, minCachedProblems},       // "no cache" keeps the floor
-		{4 << 10, minCachedProblems},  // tiny budget keeps the floor
+		{nil, 8},                                    // default 256 MiB
+		{NewBlobCache(256 << 20), 8},                // explicit default
+		{NewBlobCache(1 << 30), 32},                 // bigger budget, more resident problems
+		{NewBlobCache(32 << 20), minCachedProblems}, // one quantum still floors
+		{NewBlobCache(-1), minCachedProblems},       // "no cache" keeps the floor
+		{NewBlobCache(4 << 10), minCachedProblems},  // tiny budget keeps the floor
 	}
-	for _, c := range cases {
-		o := DonorOptions{BlobCacheBytes: c.budget}
+	for i, c := range cases {
+		o := DonorOptions{BlobCache: c.cache}
 		o.applyDefaults()
 		if got := o.problemCacheCap(); got != c.want {
-			t.Errorf("problemCacheCap(budget=%d) = %d, want %d", c.budget, got, c.want)
+			t.Errorf("case %d: problemCacheCap(budget=%d) = %d, want %d", i, o.BlobCache.budget, got, c.want)
 		}
 	}
 }
@@ -720,27 +720,13 @@ func TestDonorOptionsRedialDefaults(t *testing.T) {
 	// means backoff ≤ 100ms, not a silent raise to 250ms.
 	o := DonorOptions{RedialMax: 100 * time.Millisecond}
 	o.applyDefaults()
-	if o.RedialMin != 100*time.Millisecond || o.RedialMax != 100*time.Millisecond {
-		t.Errorf("sub-default cap not honored: min=%s max=%s", o.RedialMin, o.RedialMax)
+	if o.redialFloor() != 100*time.Millisecond || o.RedialMax != 100*time.Millisecond {
+		t.Errorf("sub-default cap not honored: floor=%s max=%s", o.redialFloor(), o.RedialMax)
 	}
 	o = DonorOptions{}
 	o.applyDefaults()
-	if o.RedialMin != 250*time.Millisecond || o.RedialMax != 30*time.Second {
-		t.Errorf("defaults: min=%s max=%s", o.RedialMin, o.RedialMax)
-	}
-}
-
-func TestAutoForgetAfterWait(t *testing.T) {
-	srv := newTestServer(ServerOptions{AutoForget: true})
-	defer srv.Close()
-	if err := srv.Submit(bg, &Problem{ID: "auto", DM: newSumDM(0)}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := srv.Wait(bg, "auto"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := srv.Status(bg, "auto"); !errors.Is(err, ErrForgotten) {
-		t.Errorf("Status after auto-forgetting Wait = %v, want ErrForgotten", err)
+	if o.redialFloor() != 250*time.Millisecond || o.RedialMax != 30*time.Second {
+		t.Errorf("defaults: floor=%s max=%s", o.redialFloor(), o.RedialMax)
 	}
 }
 

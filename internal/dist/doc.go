@@ -55,9 +55,9 @@
 // a channel wake, not a poll interval, and an idle fleet costs almost no
 // control traffic. The server owns both halves of a round trip: it sizes
 // each reply's batch from the donor's measured unit time — several units
-// only when round trips would dominate, at most ServerOptions.DispatchBatch
-// — and ServerOptions.LongPoll is the one park time; donors re-park on
-// expiry and ask for neither. Coordinator is the whole donor↔server
+// only when round trips would dominate, at most dispatchBatch — and
+// longPoll is the one park time; donors re-park on expiry and ask for
+// neither. Coordinator is the whole donor↔server
 // contract — park, fetch shared blobs by digest, poll cancel notices,
 // report — and *Server (in process) and *RPCClient (over the wire) each
 // implement all of it, so in-process and networked donors run one path.
@@ -81,12 +81,10 @@
 // knob some command flag, RunLocal, the swarm harness or the benchmark
 // turns. Scheduling: WithPolicy, WithLeaseTTL (the ceiling of the overdue
 // rule that speculates and expires leases from each donor's measured
-// throughput, units.go), WithLongPoll, WithDispatchBatch and
-// WithAutoForget; durability:
-// WithDataDir and WithSnapshotBudget; verification: WithVerify,
-// WithProbation and WithQuarantineBelow. Donors take WithName,
-// WithThrottle, WithLogf, WithRedial, WithRedialBackoff, WithCancelPoll,
-// WithBlobCacheBytes, WithBlobCache and WithAlgorithmWrapper; Dial takes
+// throughput, units.go); durability: WithDataDir and WithSnapshotBudget;
+// verification: WithVerify, WithProbation and WithQuarantineBelow. Donors
+// take WithName, WithThrottle, WithLogf, WithRedial, WithRedialBackoff,
+// WithCancelPoll, WithBlobCache and WithAlgorithmWrapper; Dial takes
 // WithConnWrapper. WithServerOptions and WithDonorOptions adopt a whole
 // ServerOptions/DonorOptions bag at once.
 //
@@ -105,9 +103,8 @@
 //   - ErrProtocolMismatch: Dial reached something that does not speak
 //     this build's control protocol version. Not retried by Dial; a donor's
 //     Redial loop keeps trying, which is right for a rolling upgrade.
-//   - ErrForgotten: the problem existed but was retired with Forget (or
-//     auto-retired by ServerOptions.AutoForget after Wait). Distinct from
-//     ErrUnknownProblem, which marks an ID that was never submitted; the
-//     tombstone set behind the distinction is bounded, so very old retired
-//     IDs eventually degrade to ErrUnknownProblem.
+//   - ErrForgotten: the problem existed but was retired with Forget.
+//     Distinct from ErrUnknownProblem, which marks an ID that was never
+//     submitted; the tombstone set behind the distinction is bounded, so
+//     very old retired IDs eventually degrade to ErrUnknownProblem.
 package dist

@@ -38,9 +38,10 @@ type DonorOptions struct {
 	// Close (ErrClosed) always ends the loop; only lost connections are
 	// retried.
 	Redial func() (Coordinator, error)
-	// RedialMin and RedialMax bound the exponential backoff between
-	// redial attempts. Zero values default to 250ms and 30s.
-	RedialMin, RedialMax time.Duration
+	// RedialMax caps the exponential backoff between redial attempts,
+	// which starts at 250ms (redialMin), or at RedialMax when that is
+	// smaller. Zero defaults to 30s.
+	RedialMax time.Duration
 	// CancelPoll is how often the donor's one cancel poller asks the
 	// coordinator for cancel notices. It asks only while a unit is
 	// computing — an idle donor makes no such call — and a notice naming
@@ -48,15 +49,11 @@ type DonorOptions struct {
 	// doomed work. Zero defaults to 500ms; negative disables the poll (a
 	// doomed unit then runs to the end and the server drops its result).
 	CancelPoll time.Duration
-	// BlobCacheBytes budgets the donor's shared-blob cache (see BlobCache)
-	// when BlobCache is nil. Zero defaults to 256 MiB; negative keeps only
-	// the single most recently used blob. The budget also derives how many
-	// problems' algorithm state stays resident (problemCacheCap).
-	BlobCacheBytes int64
 	// BlobCache, when non-nil, is the shared-blob cache this donor uses —
 	// set the same instance on several in-process donors to share it, so a
 	// blob every worker needs is fetched once per process. Nil gives the
-	// donor a private cache of BlobCacheBytes.
+	// donor a private 256 MiB cache. The cache's budget also derives how
+	// many problems' algorithm state stays resident (problemCacheCap).
 	BlobCache *BlobCache
 	// WrapAlgorithm, when non-nil, interposes on every algorithm instance
 	// the donor creates: it receives the registered name and the fresh
@@ -71,29 +68,25 @@ func (o *DonorOptions) applyDefaults() {
 	if o.Name == "" {
 		o.Name = "donor"
 	}
-	if o.RedialMin <= 0 {
-		o.RedialMin = 250 * time.Millisecond
-		// An explicit cap below the default floor wins: "-retry 100ms"
-		// must mean backoff ≤ 100ms, not a silent raise to the floor.
-		if o.RedialMax > 0 && o.RedialMax < o.RedialMin {
-			o.RedialMin = o.RedialMax
-		}
-	}
 	if o.RedialMax <= 0 {
 		o.RedialMax = 30 * time.Second
-	}
-	if o.RedialMax < o.RedialMin {
-		o.RedialMax = o.RedialMin
 	}
 	if o.CancelPoll == 0 {
 		o.CancelPoll = 500 * time.Millisecond
 	}
-	if o.BlobCacheBytes == 0 {
-		o.BlobCacheBytes = defaultBlobCacheBytes
-	}
 	if o.BlobCache == nil {
-		o.BlobCache = NewBlobCache(o.BlobCacheBytes)
+		o.BlobCache = NewBlobCache(defaultBlobCacheBytes)
 	}
+}
+
+// redialMin is the first back-off between redial attempts.
+const redialMin = 250 * time.Millisecond
+
+// redialFloor is where the redial back-off starts: redialMin, or RedialMax
+// when that cap is smaller — "-retry 100ms" must mean backoff ≤ 100ms, not
+// a silent raise to the floor.
+func (o *DonorOptions) redialFloor() time.Duration {
+	return min(redialMin, o.RedialMax)
 }
 
 // defaultBlobCacheBytes is the default shared-blob cache budget.
@@ -109,11 +102,11 @@ const (
 )
 
 // problemCacheCap derives how many problems' shared data and algorithm
-// state a donor keeps resident from its blob budget — one problem per
-// problemBytesQuantum, floored. At the 256 MiB default this reproduces the
-// pre-budget hardcoded bound of 8.
+// state a donor keeps resident from its blob cache's budget — one problem
+// per problemBytesQuantum, floored. At the 256 MiB default this reproduces
+// the pre-budget hardcoded bound of 8.
 func (o *DonorOptions) problemCacheCap() int {
-	return max(int(o.BlobCacheBytes/problemBytesQuantum), minCachedProblems)
+	return max(int(o.BlobCache.budget/problemBytesQuantum), minCachedProblems)
 }
 
 // pollJitterDiv spreads the cancel poller's period and every redial
@@ -479,7 +472,7 @@ type failureReporter interface {
 
 // reconnect closes the dead coordinator and redials — immediately at
 // first (a rolling restart may already be back up), then with exponential
-// backoff between RedialMin and RedialMax — until a dial succeeds or ctx,
+// backoff between redialFloor and RedialMax — until a dial succeeds or ctx,
 // which Stop cancels, ends (returning false). Problem caches are cleared
 // on success: a restarted server may resubmit an ID with different shared
 // data, and a stale Init would silently corrupt results.
@@ -487,7 +480,7 @@ func (d *Donor) reconnect(ctx context.Context) bool {
 	if c, ok := d.coord.(io.Closer); ok {
 		_ = c.Close()
 	}
-	backoff := d.opts.RedialMin
+	backoff := d.opts.redialFloor()
 	for attempt := 1; ctx.Err() == nil; attempt++ {
 		coord, err := d.opts.Redial()
 		if err == nil {

@@ -162,7 +162,7 @@ func (r loopRow) run(t *testing.T) {
 	if r.bare {
 		coord = plainCoord{s}
 	}
-	o := DonorOptions{Name: "loop", CancelPoll: -1, RedialMin: time.Millisecond,
+	o := DonorOptions{Name: "loop", CancelPoll: -1, RedialMax: time.Millisecond,
 		WrapAlgorithm: func(string, Algorithm) Algorithm { return loopAlg{s} }}
 	if r.poll {
 		o.CancelPoll = time.Millisecond

@@ -198,6 +198,10 @@ func (s *Server) openDurable() error {
 // Forget ends the problem the way the live Forget did. A Submit below the
 // incarnation already rebuilt is one the checkpoint covers.
 func (s *Server) recover(rec *journal.Recovered) error {
+	// Replay ends in a checkpoint of every rebuilt problem; one triggered
+	// midway would capture only the problems registered so far.
+	s.snapMu.Lock()
+	defer s.snapMu.Unlock()
 	info := &Recovery{Truncated: rec.Truncated}
 	// Epoch fencing across the restart: seed the incarnation allocator
 	// above everything the journal ever issued; every rebuilt problem draws
@@ -311,7 +315,7 @@ func (s *Server) recover(rec *journal.Recovered) error {
 	// second crash replays records journaled under them instead of
 	// mismatched pre-crash incarnations — and the old segments are
 	// compacted away.
-	return s.snapshotNow()
+	return s.snapshotLocked()
 }
 
 // replay applies one journaled unit record to a problem under rebuild, then
@@ -428,30 +432,28 @@ func (e *effect) record(problemID string, epoch int64) journal.Record {
 	panic(fmt.Sprintf("dist: effect kind %d has no journal record", e.kind))
 }
 
-// snapshotScan is the interval between the snapshotter's compaction-budget
-// checks.
-const snapshotScan = 2 * time.Second
-
-// snapshotLoop compacts the journal in the background whenever the live
-// WAL segment exceeds the byte or record budget.
-func (s *Server) snapshotLoop() {
-	defer s.wg.Done()
-	t := time.NewTicker(snapshotScan)
-	defer t.Stop()
-	for {
-		select {
-		case <-s.stop:
-			return
-		case <-t.C:
-			bytes, records := s.journal.LogSize()
-			if (s.opts.SnapshotBytes > 0 && bytes >= s.opts.SnapshotBytes) ||
-				(s.opts.SnapshotRecords > 0 && records >= s.opts.SnapshotRecords) {
-				// A failed snapshot keeps the old segments (nothing is
-				// pruned), so the error is not fatal here; sticky journal
-				// I/O errors surface at Close.
-				_ = s.snapshotNow()
-			}
-		}
+// checkpointIfDue writes a checkpoint when the records or bytes appended
+// to the live WAL segment since the last one exceed the snapshot budget.
+// Server.unlock calls it after a durable problem's critical section, so the
+// request whose append crosses the budget runs the checkpoint; while one is
+// already running (or recovery is replaying) the check is skipped. Counting
+// from the last checkpoint, not from the segment's start, keeps the Grants a
+// checkpoint re-journals from triggering the next one.
+func (s *Server) checkpointIfDue() {
+	if s.opts.SnapshotBytes <= 0 && s.opts.SnapshotRecords <= 0 {
+		return
+	}
+	if !s.snapMu.TryLock() {
+		return
+	}
+	defer s.snapMu.Unlock()
+	bytes, records := s.journal.LogSize()
+	if (s.opts.SnapshotBytes > 0 && bytes-s.snapBytes >= s.opts.SnapshotBytes) ||
+		(s.opts.SnapshotRecords > 0 && records-s.snapRecords >= s.opts.SnapshotRecords) {
+		// A failed snapshot keeps the old segments (nothing is pruned), so
+		// the error is not fatal here; sticky journal I/O errors surface at
+		// Close.
+		_ = s.snapshotLocked()
 	}
 }
 
@@ -471,7 +473,23 @@ func (s *Server) snapshotLoop() {
 func (s *Server) snapshotNow() error {
 	s.snapMu.Lock()
 	defer s.snapMu.Unlock()
+	return s.snapshotLocked()
+}
+
+// snapshotLocked is snapshotNow under snapMu. It records the live segment's
+// size once the checkpoint is over, failed or not, as the base
+// checkpointIfDue counts from. A closed server writes none: its problems
+// are ending, and a checkpoint that skipped them would prune the records
+// the next Open resumes them from.
+//
+//dist:locked snapMu
+func (s *Server) snapshotLocked() error {
+	defer func() { s.snapBytes, s.snapRecords = s.journal.LogSize() }()
 	s.regMu.RLock()
+	if s.closed {
+		s.regMu.RUnlock()
+		return ErrClosed
+	}
 	var states []*problemState
 	for _, ps := range s.problems {
 		if ps.durable {

@@ -29,9 +29,6 @@ func RunLocal(ctx context.Context, p *Problem, n int, policy sched.Policy) ([]by
 		// In-process workers cannot vanish: an hour's ceiling keeps a
 		// worker that has not been measured yet from ever expiring.
 		WithLeaseTTL(time.Hour),
-		// The problem's state is evicted as soon as Wait delivers the
-		// result below — the Submit → Wait → Forget lifecycle in one call.
-		WithAutoForget(true),
 	)
 	defer srv.Close()
 	if err := srv.Submit(ctx, p); err != nil {

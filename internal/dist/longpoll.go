@@ -14,9 +14,9 @@ import (
 type TaskWaiter interface {
 	// WaitTask is RequestTask with server-side parking. maxWait is an upper
 	// bound on the park; ≤ 0 leaves it to the coordinator (a *Server parks
-	// for ServerOptions.LongPoll). A nil task means the park deadline
-	// elapsed with nothing to hand out — re-park immediately. The Duration
-	// result is always zero.
+	// for longPoll). A nil task means the park deadline elapsed with
+	// nothing to hand out — re-park immediately. The Duration result is
+	// always zero.
 	WaitTask(ctx context.Context, donor string, maxWait time.Duration) (t *Task, wait time.Duration, err error)
 }
 
@@ -89,6 +89,15 @@ func (s *Server) WaitTasks(ctx context.Context, donor string, maxWait time.Durat
 	return tasks, 0, nil
 }
 
+// dispatchBatch caps how many units one WaitTasks reply carries; below the
+// cap batchLimit sizes each batch from the donor's measured unit time.
+const dispatchBatch = 8
+
+// longPoll caps how long one WaitTask call stays parked server-side before
+// replying "no task"; the donor re-parks at once, so the cap only bounds
+// how long a single call is outstanding.
+const longPoll = 45 * time.Second
+
 // batchLatencyTarget bounds the compute time a batch queues behind its
 // first unit: small enough that a batch tail never meaningfully delays
 // redistribution to an idle donor, large enough to amortize many control
@@ -100,7 +109,7 @@ const batchLatencyTarget = 10 * time.Millisecond
 // units are so small that the round trip dominates: a donor hoarding eight
 // 50ms units serializes 400ms of work an idle neighbour could have shared.
 // The batch tail is therefore bounded to ~batchLatencyTarget at the donor's
-// measured unit time, and capped by DispatchBatch and by the caller's
+// measured unit time, and capped by dispatchBatch and by the caller's
 // requested maximum when that is ≥ 1. A donor with no measurement yet gets
 // one unit — the conservative start costs one round trip and keeps a fresh
 // fleet from carving an evenly divisible workload into lumpy batches.
@@ -114,7 +123,7 @@ func (s *Server) batchLimit(donor string, requested int) int {
 	if unitTime <= 0 {
 		return 1
 	}
-	limit := min(s.opts.DispatchBatch, 1+int(batchLatencyTarget/unitTime))
+	limit := min(dispatchBatch, 1+int(batchLatencyTarget/unitTime))
 	if requested >= 1 {
 		limit = min(limit, requested)
 	}
@@ -149,12 +158,12 @@ func (s *Server) wakeParked() {
 // back to a donor that would sleep and ask again, it parks until a wake
 // source fires — a Submit, a failure or lease-expiry requeue, or a
 // folded result on a problem some scan starved on (stage barriers release
-// new units on a fold) — and rescans. The park lasts ServerOptions.LongPoll,
-// or maxWait if the caller sets a shorter positive bound, after which a nil
-// task tells the donor to re-park immediately; the bound only limits how
-// long one call stays outstanding.
+// new units on a fold) — and rescans. The park lasts longPoll, or maxWait
+// if the caller sets a shorter positive bound, after which a nil task tells
+// the donor to re-park immediately; the bound only limits how long one call
+// stays outstanding.
 func (s *Server) WaitTask(ctx context.Context, donor string, maxWait time.Duration) (*Task, time.Duration, error) {
-	limit := s.opts.LongPoll
+	limit := longPoll
 	if maxWait > 0 && maxWait < limit {
 		limit = maxWait
 	}
@@ -170,7 +179,7 @@ func (s *Server) WaitTask(ctx context.Context, donor string, maxWait time.Durati
 	// Lease. The park is therefore sliced at half the lease: each slice
 	// expiry loops back through the dispatch scan, whose touchDonor stamps
 	// lastSeen, without ending the caller-visible park. With the default
-	// Lease (2m) ≥ LongPoll (45s) the slice never fires; it only matters
+	// Lease (2m) ≥ longPoll (45s) the slice never fires; it only matters
 	// when the operator shortens the lease below the park.
 	refresh := s.opts.Lease / 2
 	for {

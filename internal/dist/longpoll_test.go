@@ -178,18 +178,17 @@ func recordUnitTimes(srv *Server, donor string, elapsed ...time.Duration) {
 
 // TestWaitTasksSizesBatchFromDonorRate: the server alone sizes a batch, from
 // the unit times the donor reported — at most 1+batchLatencyTarget/unit
-// time, capped by DispatchBatch and by the caller's max when it sets one. An
+// time, capped by dispatchBatch and by the caller's max when it sets one. An
 // unmeasured donor gets one unit, a reported Elapsed ≤ 0 leaves the
 // estimate where it was, and a wire caller that sets no cap is sized the
 // same way.
 func TestWaitTasksSizesBatchFromDonorRate(t *testing.T) {
 	rows := []struct {
-		name     string
-		units    []time.Duration // reported before the call, in order
-		max      int             // the caller's cap; 0 sets none
-		dispatch int             // ServerOptions.DispatchBatch; 0 keeps 8
-		wire     bool            // call through RPCClient.WaitTasks
-		want     int
+		name  string
+		units []time.Duration // reported before the call, in order
+		max   int             // the caller's cap; 0 sets none
+		wire  bool            // call through RPCClient.WaitTasks
+		want  int
 	}{
 		{name: "unmeasured", want: 1},
 		{name: "1µs units", units: []time.Duration{time.Microsecond}, want: 8},
@@ -197,12 +196,11 @@ func TestWaitTasksSizesBatchFromDonorRate(t *testing.T) {
 		{name: "50ms units", units: []time.Duration{50 * time.Millisecond}, want: 1},
 		{name: "caller max 2", units: []time.Duration{time.Microsecond}, max: 2, want: 2},
 		{name: "elapsed ≤ 0 ignored", units: []time.Duration{4 * time.Millisecond, 0, -time.Second}, want: 3},
-		{name: "DispatchBatch -1", units: []time.Duration{time.Microsecond}, dispatch: -1, want: 1},
 		{name: "over the wire", units: []time.Duration{time.Microsecond}, wire: true, want: 8},
 	}
 	for _, r := range rows {
 		t.Run(r.name, func(t *testing.T) {
-			opts := ServerOptions{Policy: sched.Fixed{Size: 1}, Lease: time.Hour, DispatchBatch: r.dispatch}
+			opts := ServerOptions{Policy: sched.Fixed{Size: 1}, Lease: time.Hour}
 			var srv *Server
 			var waiter TaskBatchWaiter
 			if r.wire {
@@ -314,7 +312,6 @@ func TestLongPollDonorSurvivesServerBounce(t *testing.T) {
 		Name:      "parked-bouncer",
 		Logf:      t.Logf,
 		Redial:    func() (Coordinator, error) { return Dial(rpcAddr, 2*time.Second) },
-		RedialMin: 5 * time.Millisecond,
 		RedialMax: 50 * time.Millisecond,
 	})
 	runErr := make(chan error, 1)
@@ -360,28 +357,6 @@ func TestLongPollDonorSurvivesServerBounce(t *testing.T) {
 		}
 	case <-time.After(10 * time.Second):
 		t.Fatal("donor still running after an explicit server Close")
-	}
-}
-
-// TestFunctionalOptionsLongPoll covers the new knobs' defaults and
-// overrides alongside the existing option plumbing.
-func TestFunctionalOptionsLongPoll(t *testing.T) {
-	var so ServerOptions
-	WithLongPoll(3 * time.Second)(&so)
-	if so.LongPoll != 3*time.Second {
-		t.Errorf("WithLongPoll = %v", so.LongPoll)
-	}
-	so.applyDefaults()
-	if so.LongPoll != 3*time.Second {
-		t.Errorf("applyDefaults clobbered LongPoll: %v", so.LongPoll)
-	}
-	// Non-positive values are not a "disable" switch: they take the default.
-	for _, v := range []time.Duration{0, -1} {
-		so := ServerOptions{LongPoll: v}
-		so.applyDefaults()
-		if so.LongPoll != 45*time.Second {
-			t.Errorf("LongPoll %v defaulted to %v, want 45s", v, so.LongPoll)
-		}
 	}
 }
 

@@ -206,7 +206,7 @@ type donorArgs struct{ Donor string }
 // waitTaskArgs identifies the donor long-polling for work. MaxWaitNs and
 // MaxBatch are upper bounds on the park and on the units one reply carries
 // (extras ride in TaskReply.Batch); ≤ 0 leaves each to the server, which
-// parks for ServerOptions.LongPoll and sizes the batch from the donor's
+// parks for longPoll and sizes the batch from the donor's
 // measured unit time. The donor loop sends zeros; RPCClient.RequestTask
 // and WaitTask send their own bounds. Results is the tail of results the
 // connection queued since its last request (RPCClient.SubmitResult): the

@@ -268,7 +268,6 @@ func TestDonorReconnectsAcrossServerBounce(t *testing.T) {
 		Throttle:  2 * time.Millisecond,
 		Logf:      t.Logf,
 		Redial:    func() (Coordinator, error) { return Dial(rpcAddr, 2*time.Second) },
-		RedialMin: 5 * time.Millisecond,
 		RedialMax: 50 * time.Millisecond,
 	})
 	runErr := make(chan error, 1)
@@ -601,7 +600,6 @@ func parkClients(t *testing.T, ns *NetworkServer, n int) ([]*RPCClient, []net.Co
 func TestParkedDonorDeathLeasesNothing(t *testing.T) {
 	registerSum(t)
 	opts := netOpts() // a Lease of an hour
-	opts.LongPoll = time.Hour
 	opts.Policy = sched.Fixed{Size: 1000}
 	ns, err := ListenAndServe("127.0.0.1:0", "127.0.0.1:0", WithServerOptions(opts))
 	if err != nil {

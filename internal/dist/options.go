@@ -34,27 +34,6 @@ func WithLeaseTTL(d time.Duration) ServerOption {
 	return func(o *ServerOptions) { o.Lease = d }
 }
 
-// WithAutoForget retires each problem automatically once a Wait call has
-// delivered its final result.
-func WithAutoForget(on bool) ServerOption {
-	return func(o *ServerOptions) { o.AutoForget = on }
-}
-
-// WithLongPoll caps how long one WaitTask call may stay parked server-side
-// before replying "no task" (the donor immediately re-parks). Zero or
-// negative keeps the 45s default.
-func WithLongPoll(d time.Duration) ServerOption {
-	return func(o *ServerOptions) { o.LongPoll = d }
-}
-
-// WithDispatchBatch caps how many units one WaitTask reply may carry; below
-// the cap the server sizes each batch from the donor's measured unit time
-// (zero keeps the default of 8; negative or 1 disables batching — the
-// pre-batch single-unit replies, kept for ablation).
-func WithDispatchBatch(n int) ServerOption {
-	return func(o *ServerOptions) { o.DispatchBatch = n }
-}
-
 // WithDataDir makes the coordinator durable: mutations are journaled to a
 // write-ahead log under dir, compacted into periodic snapshots, and
 // replayed on the next start so registered durable problems survive a
@@ -63,10 +42,10 @@ func WithDataDir(dir string) ServerOption {
 	return func(o *ServerOptions) { o.DataDir = dir }
 }
 
-// WithSnapshotBudget sets when the background snapshotter compacts the
-// write-ahead log: whenever the live segment exceeds bytes or records
-// (zero keeps a default; negative disables that trigger). Meaningless
-// without WithDataDir.
+// WithSnapshotBudget sets when the coordinator checkpoints and compacts the
+// write-ahead log: as soon as the bytes or records appended since the last
+// checkpoint exceed bytes or records (zero keeps a default; negative
+// disables that trigger). Meaningless without WithDataDir.
 func WithSnapshotBudget(bytes int64, records int) ServerOption {
 	return func(o *ServerOptions) { o.SnapshotBytes, o.SnapshotRecords = bytes, records }
 }
@@ -128,9 +107,10 @@ func WithRedial(f func() (Coordinator, error)) DonorOption {
 	return func(o *DonorOptions) { o.Redial = f }
 }
 
-// WithRedialBackoff bounds the exponential backoff between redial attempts.
-func WithRedialBackoff(min, max time.Duration) DonorOption {
-	return func(o *DonorOptions) { o.RedialMin, o.RedialMax = min, max }
+// WithRedialBackoff caps the exponential backoff between redial attempts
+// (zero keeps the 30s default; see DonorOptions.RedialMax).
+func WithRedialBackoff(max time.Duration) DonorOption {
+	return func(o *DonorOptions) { o.RedialMax = max }
 }
 
 // WithCancelPoll sets how often a donor's one cancel poller asks the
@@ -140,16 +120,10 @@ func WithCancelPoll(d time.Duration) DonorOption {
 	return func(o *DonorOptions) { o.CancelPoll = d }
 }
 
-// WithBlobCacheBytes budgets the donor's shared-blob cache (zero keeps the
-// 256 MiB default, negative caches only the most recent blob). The budget
-// also derives how many problems' algorithm state stays resident.
-func WithBlobCacheBytes(n int64) DonorOption {
-	return func(o *DonorOptions) { o.BlobCacheBytes = n }
-}
-
 // WithBlobCache attaches a specific (typically shared) blob cache to the
 // donor; several in-process donors given the same cache fetch a shared
-// blob once per process instead of once per donor.
+// blob once per process instead of once per donor. The cache's budget also
+// derives how many problems' algorithm state the donor keeps resident.
 func WithBlobCache(c *BlobCache) DonorOption {
 	return func(o *DonorOptions) { o.BlobCache = c }
 }

@@ -409,6 +409,52 @@ func TestNonDurableProblemsSkipped(t *testing.T) {
 	}
 }
 
+// TestCheckpointFiresOnTheCrossingAppend: the request whose journal append
+// takes the live segment past SnapshotRecords writes the checkpoint before
+// it returns — no background tick is waited for — and the Grants that
+// checkpoint re-journals for the outstanding units do not count toward the
+// next one.
+func TestCheckpointFiresOnTheCrossingAppend(t *testing.T) {
+	registerDurSum(t)
+	dir := t.TempDir()
+	const budget = 8
+	o := durableServerOptions(dir)
+	o.SnapshotRecords = budget
+	s, err := OpenServer(WithServerOptions(o))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	snaps := func() []string {
+		names, err := filepath.Glob(filepath.Join(dir, "snap-*"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return names
+	}
+	if err := s.Submit(bg, &Problem{ID: "trigger", DM: newDurSumDM(1000)}); err != nil {
+		t.Fatal(err)
+	}
+	// The Submit record and budget-2 Grants stay under the budget.
+	for i := 0; i < budget-2; i++ {
+		dispatch(t, s, "a")
+	}
+	if got := snaps(); len(got) != 0 {
+		t.Fatalf("snapshot %v written under the budget", got)
+	}
+	dispatch(t, s, "a") // the budget-th record
+	first := snaps()
+	if len(first) != 1 {
+		t.Fatalf("snapshots after the crossing dispatch = %v, want one", first)
+	}
+	// The new segment opens with the re-journaled Grants of the budget-1
+	// outstanding units; one more Grant must not reach the budget again.
+	dispatch(t, s, "a")
+	if got := snaps(); len(got) != 1 || got[0] != first[0] {
+		t.Errorf("snapshots after one more dispatch = %v, want still %v", got, first)
+	}
+}
+
 // TestTornTailStillRecovers: a crash can tear the last WAL record
 // mid-write. Recovery reports the truncation and restores everything up to
 // the last intact record instead of failing or half-applying.

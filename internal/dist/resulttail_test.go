@@ -99,14 +99,12 @@ func dialCounting(t *testing.T, srv *NetworkServer, onVerb func(byte)) (*RPCClie
 }
 
 // TestResultsRideThePark: a donor draining zero-compute units in batches of
-// DispatchBatch 8 returns every result as the results tail of its next
+// up to eight returns every result as the results tail of its next
 // park — one control request per batch, not one per unit — and never
 // sends the SubmitResult verb.
 func TestResultsRideThePark(t *testing.T) {
 	registerEcho(t)
-	opts := netOpts()
-	opts.DispatchBatch = 8
-	srv, err := ListenAndServe("127.0.0.1:0", "127.0.0.1:0", WithServerOptions(opts))
+	srv, err := ListenAndServe("127.0.0.1:0", "127.0.0.1:0", WithServerOptions(netOpts()))
 	if err != nil {
 		t.Fatal(err)
 	}

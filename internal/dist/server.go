@@ -21,8 +21,8 @@ var ErrClosed = errors.New("dist: server closed")
 var ErrUnknownProblem = errors.New("dist: unknown problem")
 
 // ErrForgotten is returned by problem-addressed calls for an ID that was
-// submitted and later retired with Forget (or auto-retired after Wait), so
-// callers can distinguish "never existed" from "completed and evicted".
+// submitted and later retired with Forget, so callers can distinguish
+// "never existed" from "completed and evicted".
 // A Wait already blocked when the problem is forgotten mid-run also fails
 // with this error.
 var ErrForgotten = errors.New("dist: problem forgotten")
@@ -44,34 +44,15 @@ type ServerOptions struct {
 	// liveness cutoff: a donor unseen for a Lease no longer counts as live.
 	// Zero defaults to 2m.
 	Lease time.Duration
-	// AutoForget retires a problem automatically once a Wait call has
-	// delivered its final result, so a long-lived server submitting many
-	// problems does not accumulate their states. Waiters already blocked
-	// when the first Wait returns still receive the result (they hold the
-	// problem's state directly); later Status/Stats/Wait calls get
-	// ErrForgotten.
-	AutoForget bool
-	// LongPoll caps how long one WaitTask call may stay parked server-side
-	// before replying "no task" (the donor immediately re-parks, so the
-	// cap only bounds how long a single RPC is outstanding). Zero or
-	// negative defaults to 45s.
-	LongPoll time.Duration
-	// DispatchBatch caps how many units one WaitTask reply may carry (see
-	// TaskBatchWaiter). Below the cap the server sizes each batch itself,
-	// from the donor's measured unit time (see Server.WaitTasks), and every
-	// unit is leased individually. Zero defaults to 8. Negative (or 1)
-	// disables batching: replies carry a single unit, the pre-batch
-	// behaviour, kept for ablation benchmarks.
-	DispatchBatch int
 	// DataDir enables the durable coordinator: submits, folds and forgets
 	// of DurableDM-backed problems are journaled under this directory and
 	// a restarted server recovers them (see durable.go). Empty — the
 	// default — keeps the in-memory behaviour. Construct servers with a
 	// DataDir via OpenServer, which surfaces the journal's I/O errors.
 	DataDir string
-	// SnapshotBytes/SnapshotRecords bound the live WAL segment: when
-	// either is exceeded the background snapshotter, which checks every 2s
-	// (snapshotScan), checkpoints every problem and prunes the log. Zero
+	// SnapshotBytes/SnapshotRecords bound what the live WAL segment gains
+	// between checkpoints: the request whose append exceeds either
+	// checkpoints every problem and prunes the log (checkpointIfDue). Zero
 	// defaults to 8 MiB / 4096 records; negative disables that trigger
 	// (tests drive snapshots directly).
 	SnapshotBytes   int64
@@ -115,12 +96,6 @@ func (o *ServerOptions) applyDefaults() {
 	}
 	if o.Lease <= 0 {
 		o.Lease = 2 * time.Minute
-	}
-	if o.LongPoll <= 0 {
-		o.LongPoll = 45 * time.Second
-	}
-	if o.DispatchBatch == 0 {
-		o.DispatchBatch = 8
 	}
 	if o.SnapshotBytes == 0 {
 		o.SnapshotBytes = 8 << 20
@@ -351,12 +326,16 @@ type Server struct {
 	// ServerOptions.DataDir); recovery holds what was rebuilt from it at
 	// startup. Both are set before start() and immutable afterwards. The
 	// store's internal locks are leaves under ps.mu (fold appends);
-	// snapMu serialises whole snapshots (the background loop racing a
-	// final Close checkpoint) and is only ever taken first, before any
-	// registry or problem lock.
-	journal  *journal.Store
-	recovery *Recovery
-	snapMu   sync.Mutex
+	// snapMu serialises whole snapshots (a request's checkpoint racing
+	// another's or the final Close checkpoint) and is only ever taken
+	// first, before any registry or problem lock. snapBytes and
+	// snapRecords are the live segment's size when the last checkpoint
+	// ended (checkpointIfDue).
+	journal     *journal.Store
+	recovery    *Recovery
+	snapMu      sync.Mutex
+	snapBytes   int64 //dist:guardedby snapMu
+	snapRecords int   //dist:guardedby snapMu
 
 	stop     chan struct{}
 	stopOnce sync.Once
@@ -398,10 +377,6 @@ func newServer(o ServerOptions) *Server {
 func (s *Server) start() {
 	s.wg.Add(1)
 	go s.expiryLoop()
-	if s.journal != nil {
-		s.wg.Add(1)
-		go s.snapshotLoop()
-	}
 }
 
 // Submit registers a problem for dispatch. An ID retired with Forget may be
@@ -549,8 +524,7 @@ func (s *Server) isClosed() bool {
 }
 
 // Wait blocks until the problem completes (or ctx is cancelled) and returns
-// its final result. With ServerOptions.AutoForget the problem is retired
-// once the result has been delivered; subsequent calls return ErrForgotten.
+// its final result. The problem stays registered until Forget retires it.
 // A ctx cancellation only abandons this Wait — pair it with Forget to also
 // stop the donors' in-flight compute (RunLocal does exactly that).
 func (s *Server) Wait(ctx context.Context, id string) ([]byte, error) {
@@ -569,14 +543,6 @@ func (s *Server) Wait(ctx context.Context, id string) ([]byte, error) {
 	ps.mu.Lock()
 	out, werr := ps.result, ps.err
 	ps.mu.Unlock()
-	if s.opts.AutoForget {
-		// Idempotent across concurrent waiters; each already holds ps, so
-		// every Wait in flight still delivers the result. The eviction is
-		// identity-checked: if another waiter already forgot this ID and
-		// the caller resubmitted a fresh problem under it, a slow waiter's
-		// deferred forget must not evict the new problem mid-run.
-		_ = s.forgetMatching(id, ps)
-	}
 	return out, werr
 }
 
@@ -588,15 +554,6 @@ func (s *Server) Wait(ctx context.Context, id string) ([]byte, error) {
 // instead of finishing doomed work. Forgetting an already-forgotten ID is a no-op;
 // forgetting a never-submitted ID returns ErrUnknownProblem.
 func (s *Server) Forget(id string) error {
-	return s.forgetMatching(id, nil)
-}
-
-// forgetMatching is Forget, optionally restricted to a specific problem
-// instance: with only non-nil the eviction happens just when the registry
-// still maps id to that exact state, so a stale ID-addressed forget (an
-// AutoForget waiter racing a resubmission of the same ID) never evicts a
-// successor problem.
-func (s *Server) forgetMatching(id string, only *problemState) error {
 	s.regMu.Lock()
 	if s.closed {
 		s.regMu.Unlock()
@@ -610,10 +567,6 @@ func (s *Server) forgetMatching(id string, only *problemState) error {
 			return nil // idempotent double-Forget
 		}
 		return fmt.Errorf("%w %q", ErrUnknownProblem, id)
-	}
-	if only != nil && ps != only {
-		s.regMu.Unlock()
-		return nil // the ID was reused; the caller's problem is already gone
 	}
 	s.regMu.Unlock()
 
@@ -765,7 +718,9 @@ func (s *Server) Stats(ctx context.Context, id string) (ProblemStats, error) {
 	}, nil
 }
 
-// DonorCount reports how many distinct donors have contacted the server.
+// DonorCount reports how many donors the server tracks: every donor seen
+// within the last 10 × Lease, plus every quarantined donor. Donors silent
+// for longer are pruned and drop out of the count.
 func (s *Server) DonorCount() int {
 	s.donorMu.RLock()
 	defer s.donorMu.RUnlock()

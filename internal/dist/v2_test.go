@@ -538,17 +538,16 @@ func TestFunctionalOptions(t *testing.T) {
 	srv := NewServer()
 	defer srv.Close()
 	o := srv.opts
-	if o.Policy == nil || o.Lease != 2*time.Minute || o.AutoForget {
+	if o.Policy == nil || o.Lease != 2*time.Minute {
 		t.Errorf("zero-option defaults = %+v", o)
 	}
 	srv2 := NewServer(
 		WithPolicy(sched.Fixed{Size: 9}),
 		WithLeaseTTL(5*time.Second),
-		WithAutoForget(true),
 	)
 	defer srv2.Close()
 	o = srv2.opts
-	if o.Lease != 5*time.Second || !o.AutoForget {
+	if o.Lease != 5*time.Second {
 		t.Errorf("explicit options = %+v", o)
 	}
 	if f, ok := o.Policy.(sched.Fixed); !ok || f.Size != 9 {
@@ -557,17 +556,17 @@ func TestFunctionalOptions(t *testing.T) {
 
 	d := NewDonor(sharedStub{})
 	if d.opts.Name != "donor" || d.opts.CancelPoll != 500*time.Millisecond ||
-		d.opts.RedialMin != 250*time.Millisecond || d.opts.RedialMax != 30*time.Second {
+		d.opts.redialFloor() != 250*time.Millisecond || d.opts.RedialMax != 30*time.Second {
 		t.Errorf("donor defaults = %+v", d.opts)
 	}
 	d2 := NewDonor(sharedStub{},
 		WithName("n"),
 		WithThrottle(time.Second),
 		WithCancelPoll(-1),
-		WithRedialBackoff(time.Millisecond, time.Minute),
+		WithRedialBackoff(time.Minute),
 	)
 	if d2.opts.Name != "n" || d2.opts.Throttle != time.Second || d2.opts.CancelPoll != -1 ||
-		d2.opts.RedialMin != time.Millisecond || d2.opts.RedialMax != time.Minute {
+		d2.opts.redialFloor() != 250*time.Millisecond || d2.opts.RedialMax != time.Minute {
 		t.Errorf("donor options = %+v", d2.opts)
 	}
 }

@@ -487,6 +487,41 @@ func TestQuarantineRequeuesInflightOnce(t *testing.T) {
 	}
 }
 
+// TestQuarantineOutlivesDonorPruning: quarantine lasts for the server's
+// lifetime. A liar silent for longer than the donor-pruning horizon
+// (10 × Lease) is still quarantined when the lease sweep runs, and when it
+// polls again it gets no work instead of a fresh start at neutral trust.
+func TestQuarantineOutlivesDonorPruning(t *testing.T) {
+	o := verifyTestOptions()
+	o.QuarantineBelow = 0.3
+	s := newQuietServer(o)
+	defer s.Close()
+	if err := s.Submit(bg, &Problem{ID: "prune", DM: newRecDM(3)}); err != nil {
+		t.Fatal(err)
+	}
+	ta := dispatch(t, s, "evil")
+	tb := dispatch(t, s, "b")
+	if !submitRaw(t, s, ta, "evil", []byte("WRONG")) || !submitRaw(t, s, tb, "b", []byte("right")) {
+		t.Fatal("a replica result was rejected before any quorum")
+	}
+	tc := dispatch(t, s, "c")
+	if tc.Unit.ID != ta.Unit.ID {
+		t.Fatalf("donor c got unit %d, want the tie-breaker of %d", tc.Unit.ID, ta.Unit.ID)
+	}
+	submitRaw(t, s, tc, "c", []byte("right"))
+	if q := s.QuarantinedDonors(); len(q) != 1 || q[0] != "evil" {
+		t.Fatalf("QuarantinedDonors = %v, want [evil]", q)
+	}
+
+	s.expireLeases(time.Now().Add(11 * s.opts.Lease))
+	if info, ok := s.DonorTrust("evil"); !ok || !info.Quarantined {
+		t.Errorf("DonorTrust(evil) after pruning = %+v, %v; want quarantined", info, ok)
+	}
+	if task, _, err := s.RequestTask(bg, "evil"); err != nil || task != nil {
+		t.Errorf("quarantined donor redialing after pruning was dispatched %+v, %v", task, err)
+	}
+}
+
 // TestCrashRecoveryResumesVerification is the durability satellite: a
 // coordinator crashes holding one replica result of a spot-checked unit;
 // the restarted coordinator replays the pending replica, re-attaches the

@@ -247,7 +247,7 @@ func (s *Store) flushLocked() {
 }
 
 // LogSize reports the bytes and records appended to the live WAL since the
-// last rotation — the numbers the snapshotter's compaction budget watches.
+// last rotation, from which the coordinator's checkpoint trigger counts.
 func (s *Store) LogSize() (bytes int64, records int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -38,8 +38,8 @@ import (
 )
 
 // Config parameterises a swarm. How long a member's WaitTask parks and how
-// many units one reply carries are not set here: the server under test owns
-// both (ServerOptions.LongPoll and DispatchBatch).
+// many units one reply carries are not set here: the server under test
+// decides both.
 type Config struct {
 	// RPCAddr is the control-channel address of the server under test.
 	RPCAddr string
@@ -47,24 +47,9 @@ type Config struct {
 	// profile factories: Uniform, HeterogeneousLab, StragglerLab,
 	// DiurnalLab — compressed with simnet.Compress for wall-clock runs).
 	Specs []simnet.DonorSpec
-	// DialTimeout bounds each control-channel dial (default 5s).
-	DialTimeout time.Duration
 	// Seed drives the per-donor load jitter; runs with the same seed
 	// draw the same load sequences.
 	Seed int64
-	// Logf, when set, receives donor log lines. The default swallows
-	// them: a thousand donors re-dialling through churn is noise.
-	Logf func(format string, args ...any)
-	// BlobCache is the shared donor-side blob cache (nil allocates a
-	// 256 MiB one shared by every member).
-	BlobCache *dist.BlobCache
-	// DonorOptions are appended to every member's option list, after the
-	// harness's own (name, cancel-poll, blob cache, throttle), so tests
-	// can override any of them.
-	DonorOptions []dist.DonorOption
-	// DialOptions are appended to every dial, after the harness's
-	// connection wrapper.
-	DialOptions []dist.DialOption
 }
 
 // Stats is a point-in-time summary of swarm activity. Units is exact
@@ -157,14 +142,7 @@ func New(cfg Config) (*Swarm, error) {
 	if len(cfg.Specs) == 0 {
 		return nil, errors.New("swarm: Config.Specs empty")
 	}
-	if cfg.DialTimeout <= 0 {
-		cfg.DialTimeout = 5 * time.Second
-	}
-	cache := cfg.BlobCache
-	if cache == nil {
-		cache = dist.NewBlobCache(256 << 20)
-	}
-	s := &Swarm{cfg: cfg, cache: cache}
+	s := &Swarm{cfg: cfg, cache: dist.NewBlobCache(256 << 20)}
 	for i, spec := range cfg.Specs {
 		if spec.Name == "" {
 			spec.Name = fmt.Sprintf("swarm%04d", i)
@@ -312,6 +290,9 @@ func (s *Swarm) runSession(ctx context.Context, m *member, deadline time.Time) {
 	}
 }
 
+// dialTimeout bounds each control-channel dial.
+const dialTimeout = 5 * time.Second
+
 // dialRetry dials the server with backoff until it succeeds, the
 // deadline passes, or the swarm stops.
 func (s *Swarm) dialRetry(ctx context.Context, m *member, deadline time.Time) *dist.RPCClient {
@@ -320,14 +301,11 @@ func (s *Swarm) dialRetry(ctx context.Context, m *member, deadline time.Time) *d
 		if ctx.Err() != nil || (!deadline.IsZero() && !time.Now().Before(deadline)) {
 			return nil
 		}
-		opts := make([]dist.DialOption, 0, 1+len(s.cfg.DialOptions))
-		opts = append(opts, dist.WithConnWrapper(func(c net.Conn) net.Conn {
+		cl, err := dist.Dial(s.cfg.RPCAddr, dialTimeout, dist.WithConnWrapper(func(c net.Conn) net.Conn {
 			sc := &shapedConn{Conn: c, latency: m.spec.Latency, bandwidth: m.spec.Bandwidth}
 			m.wrapConn(sc)
 			return sc
 		}))
-		opts = append(opts, s.cfg.DialOptions...)
-		cl, err := dist.Dial(s.cfg.RPCAddr, s.cfg.DialTimeout, opts...)
 		if err == nil {
 			return cl
 		}
@@ -342,17 +320,14 @@ func (s *Swarm) dialRetry(ctx context.Context, m *member, deadline time.Time) *d
 }
 
 func (s *Swarm) donorOptions(m *member) []dist.DonorOption {
-	logf := s.cfg.Logf
-	if logf == nil {
-		logf = func(string, ...any) {}
-	}
 	opts := []dist.DonorOption{
 		dist.WithName(m.spec.Name),
 		// A thousand cancel-poll tickers would dominate the scheduler;
 		// churn and shutdown already bound unit lifetimes.
 		dist.WithCancelPoll(-1),
 		dist.WithBlobCache(s.cache),
-		dist.WithLogf(logf),
+		// A thousand donors re-dialling through churn is noise.
+		dist.WithLogf(func(string, ...any) {}),
 	}
 	// Throttle and malice share the one algorithm-wrapper slot: malice
 	// wraps outermost so a Byzantine donor still honours its spec's speed.
@@ -368,7 +343,7 @@ func (s *Swarm) donorOptions(m *member) []dist.DonorOption {
 	case malice != nil:
 		opts = append(opts, dist.WithAlgorithmWrapper(malice))
 	}
-	return append(opts, s.cfg.DonorOptions...)
+	return opts
 }
 
 // onlineSegments converts a spec's schedule — JoinAt, Offline windows,
