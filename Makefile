@@ -37,10 +37,11 @@ race:
 
 # fuzz-smoke gives each fuzzer — wire protocol, journal recovery, the
 # Smith–Waterman striped (AVX2) and scalar kernels against their reference
-# loop, the branch-length closed form against a whole-tree pruning pass, and
-# the sliding low-complexity window against a per-window entropy recount —
-# a few seconds of coverage growth on every check; longer runs are a manual
-# `go test -fuzz` away.
+# loop, the branch-length closed form against a whole-tree pruning pass, a
+# stage's insertions scored on the three-branch star against cloning and
+# re-pruning, and the sliding low-complexity window against a per-window
+# entropy recount — a few seconds of coverage growth on every check; longer
+# runs are a manual `go test -fuzz` away.
 fuzz-smoke:
 	$(GO) test ./internal/wire/ -run '^$$' -fuzz FuzzFrameDecode -fuzztime 5s
 	$(GO) test ./internal/dist/ -run '^$$' -fuzz FuzzControlPreamble -fuzztime 5s
@@ -50,6 +51,7 @@ fuzz-smoke:
 	$(GO) test ./internal/journal/ -run '^$$' -fuzz FuzzJournalReplay -fuzztime 5s
 	$(GO) test ./internal/align/ -run '^$$' -fuzz FuzzSWScore -fuzztime 5s
 	$(GO) test ./internal/likelihood/ -run '^$$' -fuzz FuzzEdgeLogLikelihood -fuzztime 5s
+	$(GO) test ./internal/dprml/ -run '^$$' -fuzz FuzzInsertionScore -fuzztime 5s
 	$(GO) test ./internal/seq/ -run '^$$' -fuzz FuzzLowComplexityRegions -fuzztime 5s
 
 # portable builds the code that runs where the AVX2 kernel cannot: -tags

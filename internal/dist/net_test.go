@@ -57,7 +57,8 @@ func TestNetworkMatchesRunLocal(t *testing.T) {
 		if got, err := cl.SharedData(bg, "sum-net"); err != nil || string(got) != string(shared) {
 			t.Fatalf("shared data over bulk channel = %q, %v", got, err)
 		}
-		donors = append(donors, newTestDonor(cl, DonorOptions{Name: fmt.Sprintf("net-%d", i), Logf: t.Logf}))
+		gated := &registeredFirst{Coordinator: cl, donors: srv.DonorCount, want: 2}
+		donors = append(donors, newTestDonor(gated, DonorOptions{Name: fmt.Sprintf("net-%d", i), Logf: t.Logf}))
 	}
 	var wg sync.WaitGroup
 	for _, d := range donors {
@@ -86,6 +87,29 @@ func TestNetworkMatchesRunLocal(t *testing.T) {
 	if total == 0 {
 		t.Error("donors completed no units")
 	}
+}
+
+// registeredFirst passes a donor's first WaitTasks call through and holds
+// every later one until the server has seen want donors. A donor registers
+// with its first call and its results ride the next, so no result folds,
+// and the problem cannot drain, before every donor is registered.
+type registeredFirst struct {
+	Coordinator
+	donors func() int
+	want   int
+	calls  int // the donor loop calls WaitTasks from one goroutine
+}
+
+func (r *registeredFirst) WaitTasks(ctx context.Context, donor string, maxWait time.Duration, max int) ([]*Task, time.Duration, error) {
+	r.calls++
+	for r.calls > 1 && r.donors() < r.want {
+		select {
+		case <-ctx.Done():
+			return nil, 0, ctx.Err()
+		case <-time.After(time.Millisecond):
+		}
+	}
+	return r.Coordinator.WaitTasks(ctx, donor, maxWait, max)
 }
 
 // evilBulkListener accepts bulk connections and answers every request with

@@ -1,51 +1,60 @@
 package dprml
 
 import (
-	"fmt"
+	"context"
 	"testing"
-
-	"repro/internal/likelihood"
 )
 
-// BenchmarkScoreInsertion times one candidate insertion, the step a
-// dprml.staged donor repeats, at the shape of that workload's last stage:
-// the 17th taxon tried on an edge of a 16-leaf tree over 540 sites,
-// HKY85+Γ4. Successive iterations cycle through the tree's edges.
+// BenchmarkScoreInsertion times the insertion units a dprml.staged donor
+// runs, at the shape of that workload's last stage: the 17th taxon tried
+// on the edges of a 16-leaf tree over 540 sites, HKY85+Γ4. "stage" scores
+// every edge of the stage in one unit, "unit4" four edges (dprml.staged
+// averages 3.6 a unit); successive
+// unit4 iterations cycle through the stage's edges. The star arm is what a
+// unit runs (host partials once, a three-branch star per candidate); the
+// reference arm clones the host and optimises each candidate with
+// whole-tree passes.
 func BenchmarkScoreInsertion(b *testing.B) {
-	taxa := make([]string, 17)
-	for i := range taxa {
-		taxa[i] = fmt.Sprintf("t%02d", i)
+	star, ref, host, taxon := insertionStage(b, 17, 540, 1, Options{Model: "HKY85:kappa=2", GammaCategories: 4, GammaAlpha: 0.5, LocalRounds: 1})
+	nEdges := len(host.Edges())
+	all := make([]int, nEdges)
+	for i := range all {
+		all[i] = i
 	}
-	truth, err := likelihood.RandomTree(taxa, 0.05, 0.3, 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	m, err := likelihood.NewHKY85(2, [4]float64{0.25, 0.25, 0.25, 0.25})
-	if err != nil {
-		b.Fatal(err)
-	}
-	rates, err := likelihood.DiscreteGamma(0.5, 4)
-	if err != nil {
-		b.Fatal(err)
-	}
-	aln, err := likelihood.Simulate(truth, m, rates, 540, 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	ctx, err := newEvalContext(aln, Options{Model: "HKY85:kappa=2", GammaCategories: 4, GammaAlpha: 0.5, LocalRounds: 1})
-	if err != nil {
-		b.Fatal(err)
-	}
-	last := taxa[len(taxa)-1]
-	base := truth.Clone()
-	if err := base.RemoveLeaf(last); err != nil {
-		b.Fatal(err)
-	}
-	nEdges := len(base.Edges())
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := ctx.scoreInsertion(base, last, i%nEdges); err != nil {
-			b.Fatal(err)
+	unit4 := func(i int) []int {
+		edges := make([]int, 4)
+		for k := range edges {
+			edges[k] = (4*i + k) % nEdges
 		}
+		return edges
+	}
+	arms := []struct {
+		name string
+		run  func(edges []int) error
+	}{
+		{"star", func(edges []int) error {
+			_, _, _, err := star.bestInsertion(context.Background(), host, taxon, edges)
+			return err
+		}},
+		{"reference", func(edges []int) error {
+			_, _, _, err := bestInsertionReference(ref, host, taxon, edges)
+			return err
+		}},
+	}
+	for _, arm := range arms {
+		b.Run("stage/"+arm.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if err := arm.run(all); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		b.Run("unit4/"+arm.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if err := arm.run(unit4(i)); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

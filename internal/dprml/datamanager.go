@@ -26,11 +26,11 @@ type DataManager struct {
 	opts  Options
 	order []string
 
-	phase     int
-	taxonIdx  int // index into order of the taxon being inserted
-	tree      *phylo.Tree
-	unitSeq   int64
-	costScale int64 // cost of one candidate evaluation ~ tree size
+	phase    int
+	taxonIdx int // index into order of the taxon being inserted
+	tree     *phylo.Tree
+	unitSeq  int64
+	sites    int64 // the cost scale: every likelihood pass is linear in it
 
 	// current stage bookkeeping
 	stageEdges    int
@@ -72,10 +72,7 @@ func NewDataManager(aln *seq.Alignment, opts Options) (*DataManager, error) {
 		phase:   phaseTriplet,
 		tree:    phylo.Triplet(order[0], order[1], order[2], opts.InitialBranchLength),
 		pending: make(map[int64]*taskUnit),
-		// One candidate evaluation costs roughly tree-size likelihood
-		// work; sites scale it so throughput is comparable across
-		// problems.
-		costScale: int64(aln.NSites()),
+		sites:   int64(aln.NSites()),
 	}
 	return d, nil
 }
@@ -106,14 +103,29 @@ func (w *writerBuf) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
-// taskCost estimates one candidate evaluation's cost at the current stage.
-func (d *DataManager) taskCost() int64 {
-	leaves := int64(d.tree.NLeaves() + 1)
-	c := leaves * d.costScale
-	if c < 1 {
-		c = 1
-	}
-	return c
+// A unit's cost is its sites times the weights below, fitted to ProcessCtx
+// timings of units on trees of 3 to 16 leaves, with 1 to 8 candidates (one
+// cost unit is about 45 ns of a 2-vCPU Xeon core at dprml.staged's
+// HKY85+Γ4). A unit computes its tree's partials once, a host term that
+// grows with the leaves, and then scores each candidate on a three-branch
+// star, or optimises each branch of a FullOptimize tree, at a cost that
+// barely grows with the tree.
+const (
+	leafCost      = 1  // the host's down pass and views, its parse and print
+	candidateCost = 25 // one insertion's three Brent optimisations
+	branchCost    = 12 // one branch's Brent optimisation and path pass
+)
+
+// insertCost is the cost of a unit scoring n candidates on a host tree of
+// the given number of leaves.
+func (d *DataManager) insertCost(leaves, n int) int64 {
+	return d.sites * int64(leaves*leafCost+n*candidateCost)
+}
+
+// smoothCost is the cost of a FullOptimize unit on a tree of the given
+// number of leaves, whose 2·leaves−3 branches are each optimised once.
+func (d *DataManager) smoothCost(leaves int) int64 {
+	return d.sites * int64(leaves*leafCost+(2*leaves-3)*branchCost)
 }
 
 // NextUnit implements dist.TypedDM.
@@ -124,13 +136,13 @@ func (d *DataManager) NextUnit(budget int64) (*dist.UnitOf[taskUnit], bool, erro
 			return nil, false, nil // triplet unit already out
 		}
 		u := &taskUnit{Tree: d.tree.String(), FullOptimize: true, Rounds: 1}
-		return d.issue(u, 3*d.costScale)
+		return d.issue(u, d.smoothCost(3))
 
 	case phaseInsert:
 		if len(d.lost) > 0 {
 			u := d.lost[0]
 			d.lost = d.lost[1:]
-			return d.issue(u, int64(len(u.Edges))*d.taskCost())
+			return d.issue(u, d.insertCost(d.tree.NLeaves(), len(u.Edges)))
 		}
 		remaining := d.stageEdges - d.nextEdge
 		if remaining <= 0 {
@@ -141,11 +153,9 @@ func (d *DataManager) NextUnit(budget int64) (*dist.UnitOf[taskUnit], bool, erro
 		// would idle every other donor until it returns. Halving tapers
 		// each stage down to single edges, and once the budget covers a
 		// stage the cut no longer depends on the measured throughput.
-		tc := d.taskCost()
-		n := min(int(budget/tc), (remaining+1)/2)
-		if n < 1 {
-			n = 1
-		}
+		leaves := d.tree.NLeaves()
+		host, candidate := d.insertCost(leaves, 0), d.insertCost(0, 1)
+		n := max(1, min(int((budget-host)/candidate), (remaining+1)/2))
 		edges := make([]int, n)
 		for i := range edges {
 			edges[i] = d.nextEdge + i
@@ -156,14 +166,14 @@ func (d *DataManager) NextUnit(budget int64) (*dist.UnitOf[taskUnit], bool, erro
 			Taxon: d.order[d.taxonIdx],
 			Edges: edges,
 		}
-		return d.issue(u, int64(n)*tc)
+		return d.issue(u, d.insertCost(leaves, n))
 
 	case phaseFinal:
 		if len(d.pending) > 0 {
 			return nil, false, nil
 		}
 		u := &taskUnit{Tree: d.tree.String(), FullOptimize: true, Rounds: d.opts.FinalRounds}
-		return d.issue(u, int64(d.tree.NLeaves())*d.costScale)
+		return d.issue(u, d.smoothCost(d.tree.NLeaves()))
 
 	default:
 		return nil, false, nil
@@ -266,23 +276,28 @@ func (d *DataManager) FinalResult() (any, error) {
 	return d.final, nil
 }
 
-// RemainingCost implements dist.CostReporter: a rough estimate of the
-// outstanding candidate evaluations across all future stages.
+// RemainingCost implements dist.CostReporter: the cost of the work still
+// to do, counting one host term per stage — the current stage's
+// unconsumed candidates, every future stage and the final smoothing.
 func (d *DataManager) RemainingCost() int64 {
-	if d.phase == phaseDone {
-		return 0
-	}
+	n := len(d.order)
 	var sum int64
-	k := d.tree.NLeaves() + 1
-	// Current stage's undispatched tasks plus all future stages.
-	if d.phase == phaseInsert {
-		sum += int64(d.stageEdges-d.edgesConsumed) * d.taskCost()
+	k := 4 // the next stage to cost inserts the k-th taxon into k-1 leaves
+	switch d.phase {
+	case phaseDone:
+		return 0
+	case phaseTriplet:
+		sum += d.smoothCost(3)
+	case phaseInsert:
+		sum += d.insertCost(d.tree.NLeaves(), d.stageEdges-d.edgesConsumed)
 		k = d.tree.NLeaves() + 2
+	case phaseFinal:
+		k = n + 1
 	}
-	for ; k <= len(d.order); k++ {
-		sum += int64(2*k-5) * int64(k) * d.costScale
+	for ; k <= n; k++ {
+		sum += d.insertCost(k-1, 2*k-5)
 	}
-	return sum
+	return sum + d.smoothCost(n)
 }
 
 // Progress reports (taxa placed, total taxa) for status displays.

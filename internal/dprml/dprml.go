@@ -16,7 +16,6 @@ import (
 	"bytes"
 	"context"
 	"fmt"
-	"math"
 	"strings"
 
 	"repro/internal/dist"
@@ -144,27 +143,46 @@ func newEvalContext(aln *seq.Alignment, opts Options) (*evalContext, error) {
 	return &evalContext{eval: eval, opts: opts, aln: aln, data: data}, nil
 }
 
-// scoreInsertion clones the tree, inserts taxon on edge idx, optimises the
-// three branches the insertion created, and returns (logL, resulting tree).
-func (c *evalContext) scoreInsertion(base *phylo.Tree, taxon string, idx int) (float64, *phylo.Tree, error) {
-	work := base.Clone()
-	edges := work.Edges()
-	if idx < 0 || idx >= len(edges) {
-		return 0, nil, fmt.Errorf("dprml: edge index %d out of range (%d edges)", idx, len(edges))
-	}
-	leaf, err := work.InsertLeafOnEdge(edges[idx], taxon, c.opts.InitialBranchLength)
+// bestInsertion scores inserting taxon on the given edges of host (indices into
+// its pre-order edge enumeration) and returns the winner: the best edge,
+// its log-likelihood and the host with the taxon inserted there. The host's
+// partials are computed once and each candidate is scored on a three-branch
+// star (likelihood.InsertionScorer); only the winner's tree is built. ctx
+// is checked before each candidate.
+func (c *evalContext) bestInsertion(ctx context.Context, host *phylo.Tree, taxon string, edges []int) (int, float64, *phylo.Tree, error) {
+	s, err := c.eval.NewInsertionScorer(host, taxon)
 	if err != nil {
-		return 0, nil, err
+		return 0, 0, nil, err
+	}
+	all := host.Edges()
+	bestEdge := -1
+	var best likelihood.Insertion
+	for _, idx := range edges {
+		if err := ctx.Err(); err != nil {
+			return 0, 0, nil, err
+		}
+		if idx < 0 || idx >= len(all) {
+			return 0, 0, nil, fmt.Errorf("dprml: edge index %d out of range (%d edges)", idx, len(all))
+		}
+		ins, err := s.Score(all[idx].Child, c.opts.InitialBranchLength, c.opts.LocalRounds, c.opts.BranchTolerance)
+		if err != nil {
+			return 0, 0, nil, err
+		}
+		if bestEdge < 0 || better(ins.LogL, idx, best.LogL, bestEdge) {
+			bestEdge, best = idx, ins
+		}
+	}
+	if bestEdge < 0 {
+		return 0, 0, nil, fmt.Errorf("dprml: unit had no edges")
+	}
+	tree := host.Clone()
+	leaf, err := tree.InsertLeafOnEdge(tree.Edges()[bestEdge], taxon, best.Leaf)
+	if err != nil {
+		return 0, 0, nil, err
 	}
 	mid := leaf.Parent
-	// The three branches created/split by the insertion: the new leaf's,
-	// the mid node's (upper half) and the original child's (lower half).
-	locals := []*phylo.Node{leaf, mid, mid.Children[0]}
-	ll, err := c.eval.OptimizeLocal(work, locals, c.opts.LocalRounds, c.opts.BranchTolerance)
-	if err != nil {
-		return 0, nil, err
-	}
-	return ll, work, nil
+	mid.Length, mid.Children[0].Length = best.Mid, best.Child
+	return bestEdge, best.LogL, tree, nil
 }
 
 // better reports whether candidate (ll, edge) beats the incumbent —
@@ -222,23 +240,11 @@ func (a *Algorithm) ProcessCtx(ctx context.Context, u taskUnit) (taskResult, err
 		}
 		return taskResult{BestEdge: -1, BestLogL: ll, BestTree: base.String()}, nil
 	}
-	best := taskResult{BestEdge: -1, BestLogL: math.Inf(-1)}
-	for _, idx := range u.Edges {
-		if err := ctx.Err(); err != nil {
-			return taskResult{}, err
-		}
-		ll, tree, err := a.ctx.scoreInsertion(base, u.Taxon, idx)
-		if err != nil {
-			return taskResult{}, err
-		}
-		if best.BestEdge < 0 || better(ll, idx, best.BestLogL, best.BestEdge) {
-			best = taskResult{BestEdge: idx, BestLogL: ll, BestTree: tree.String()}
-		}
+	idx, ll, tree, err := a.ctx.bestInsertion(ctx, base, u.Taxon, u.Edges)
+	if err != nil {
+		return taskResult{}, err
 	}
-	if best.BestEdge < 0 {
-		return taskResult{}, fmt.Errorf("dprml: unit had no edges")
-	}
-	return best, nil
+	return taskResult{BestEdge: idx, BestLogL: ll, BestTree: tree.String()}, nil
 }
 
 func init() {
@@ -263,20 +269,15 @@ func BuildTreeLocal(aln *seq.Alignment, opts Options) (*TreeResult, error) {
 	if _, err := ctx.eval.OptimizeBranchLengths(tree, 1, ctx.opts.BranchTolerance); err != nil {
 		return nil, err
 	}
+	bg := context.Background() //dist:allow-background BuildTreeLocal takes no ctx: the sequential reference runs to the end
 	for _, taxon := range order[3:] {
-		nEdges := len(tree.Edges())
-		bestEdge, bestLL := -1, math.Inf(-1)
-		var bestTree *phylo.Tree
-		for idx := 0; idx < nEdges; idx++ {
-			ll, cand, err := ctx.scoreInsertion(tree, taxon, idx)
-			if err != nil {
-				return nil, err
-			}
-			if bestEdge < 0 || better(ll, idx, bestLL, bestEdge) {
-				bestEdge, bestLL, bestTree = idx, ll, cand
-			}
+		edges := make([]int, len(tree.Edges()))
+		for i := range edges {
+			edges[i] = i
 		}
-		tree = bestTree
+		if _, _, tree, err = ctx.bestInsertion(bg, tree, taxon, edges); err != nil {
+			return nil, err
+		}
 	}
 	ll, err := ctx.eval.OptimizeBranchLengths(tree, ctx.opts.FinalRounds, ctx.opts.BranchTolerance)
 	if err != nil {

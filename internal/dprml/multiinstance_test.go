@@ -44,6 +44,21 @@ func TestMultiInstanceConcurrent(t *testing.T) {
 		dist.WithLeaseTTL(time.Hour),
 	)
 	defer srv.Close()
+	var wg sync.WaitGroup
+	var donors []*dist.Donor
+	for i := 0; i < 4; i++ {
+		d := dist.NewDonor(srv, dist.WithName(fmt.Sprintf("w%d", i)))
+		donors = append(donors, d)
+		wg.Add(1)
+		go func() { defer wg.Done(); _ = d.Run(ctx) }()
+	}
+	// Every donor is parked before the first problem arrives, so the
+	// spread below depends on the dispatcher, not on how fast the first
+	// donor to start can drain the problems.
+	for srv.DonorCount() < len(donors) {
+		time.Sleep(time.Millisecond)
+	}
+
 	for i, ord := range orders {
 		o := opts
 		o.AdditionOrder = ord
@@ -54,15 +69,6 @@ func TestMultiInstanceConcurrent(t *testing.T) {
 		if err := srv.Submit(ctx, p); err != nil {
 			t.Fatal(err)
 		}
-	}
-
-	var wg sync.WaitGroup
-	var donors []*dist.Donor
-	for i := 0; i < 4; i++ {
-		d := dist.NewDonor(srv, dist.WithName(fmt.Sprintf("w%d", i)))
-		donors = append(donors, d)
-		wg.Add(1)
-		go func() { defer wg.Done(); _ = d.Run(ctx) }()
 	}
 
 	for i := range orders {

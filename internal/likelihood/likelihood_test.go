@@ -612,32 +612,6 @@ func TestMLPrefersTrueTopologyFourTaxa(t *testing.T) {
 	}
 }
 
-func TestOptimizeLocal(t *testing.T) {
-	tree, err := phylo.ParseNewick("((A:0.2,B:0.2):0.1,C:0.2,D:0.2);")
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := NewJC69()
-	aln, err := Simulate(tree, m, UniformRates(), 500, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e, _ := NewEvaluator(m, UniformRates(), Compress(aln))
-	work := tree.Clone()
-	leafA := work.FindLeaf("A")
-	ll0, err := e.LogLikelihood(work)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ll1, err := e.OptimizeLocal(work, []*phylo.Node{leafA}, 2, 1e-6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ll1 < ll0-1e-9 {
-		t.Errorf("local optimisation decreased LL: %g -> %g", ll0, ll1)
-	}
-}
-
 func TestSimulateProperties(t *testing.T) {
 	tree, err := RandomTree([]string{"A", "B", "C", "D", "E", "F"}, 0.05, 0.3, 11)
 	if err != nil {
@@ -721,6 +695,25 @@ func optimizeBranchReference(e *Evaluator, t *phylo.Tree, n *phylo.Node, tol flo
 	}
 	n.Length = best
 	return bestLL, nil
+}
+
+// optimizeBranchLengthsReference is the smoothing pass OptimizeBranchLengths
+// replaced: every edge's OptimizeBranch re-runs the whole down pass.
+func optimizeBranchLengthsReference(e *Evaluator, t *phylo.Tree, rounds int, tol float64) (float64, error) {
+	ll := math.Inf(-1)
+	for r := 0; r < rounds; r++ {
+		prev := ll
+		for _, edge := range t.Edges() {
+			var err error
+			if ll, err = e.OptimizeBranch(t, edge.Child, tol); err != nil {
+				return 0, err
+			}
+		}
+		if !math.IsInf(prev, -1) && ll-prev < 1e-4 {
+			break
+		}
+	}
+	return ll, nil
 }
 
 // edgeModels are the substitution models the edge closed form is checked
@@ -904,6 +897,40 @@ func TestOptimizeBranchMatchesReference(t *testing.T) {
 	}
 }
 
+// TestOptimizeBranchLengthsMatchesReference smooths random trees, rooted
+// on a trifurcation and on a bifurcation, with the ancestor-only update and
+// with a whole-tree pass per edge: the log-likelihood and every length must
+// be bit-identical.
+func TestOptimizeBranchLengthsMatchesReference(t *testing.T) {
+	for _, m := range edgeModels(t) {
+		for rname, rates := range rateSettings(t) {
+			t.Run(m.Name+"/"+rname, func(t *testing.T) {
+				tree, e, ref := edgeFixture(t, m, rates, 9, 200, 0.02, 0.4, 13)
+				rooted, err := phylo.ParseNewick("((t000:0.1,(t001:0.2,t002:0.05):0.3):0.2,((t003:0.1,t004:0.4):0.1,t005:0.2):0.15);")
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, host := range []*phylo.Tree{tree, rooted} {
+					for _, rounds := range []int{1, 3} {
+						a, b := host.Clone(), host.Clone()
+						got, err := e.OptimizeBranchLengths(a, rounds, 1e-5)
+						if err != nil {
+							t.Fatal(err)
+						}
+						want, err := optimizeBranchLengthsReference(ref, b, rounds, 1e-5)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if got != want || a.String() != b.String() {
+							t.Errorf("%d rounds: logL %v, tree %s; reference %v, %s", rounds, got, a, want, b)
+						}
+					}
+				}
+			})
+		}
+	}
+}
+
 // FuzzEdgeLogLikelihood checks the edge closed form against the traversal
 // for a fuzzed tree, model, rate setting, edge and branch length.
 func FuzzEdgeLogLikelihood(f *testing.F) {
@@ -927,32 +954,19 @@ func FuzzEdgeLogLikelihood(f *testing.F) {
 }
 
 // TestZeroPassOptimisationReturnsLogLikelihood: an optimisation that
-// optimises no branch (no rounds, or only nil and root nodes) returns the
-// tree's log-likelihood, not a placeholder.
+// optimises no branch returns the tree's log-likelihood, not a placeholder.
 func TestZeroPassOptimisationReturnsLogLikelihood(t *testing.T) {
 	tree, e, _ := edgeFixture(t, NewJC69(), UniformRates(), 5, 300, 0.05, 0.3, 3)
 	want, err := e.LogLikelihood(tree)
 	if err != nil {
 		t.Fatal(err)
 	}
-	leaves := tree.Leaves()
-	cases := []struct {
-		name string
-		run  func() (float64, error)
-	}{
-		{"local/zero-rounds", func() (float64, error) { return e.OptimizeLocal(tree, leaves[:2], 0, 1e-4) }},
-		{"local/nil-node", func() (float64, error) { return e.OptimizeLocal(tree, []*phylo.Node{nil}, 1, 1e-4) }},
-		{"local/only-the-root", func() (float64, error) { return e.OptimizeLocal(tree, []*phylo.Node{tree.Root}, 1, 1e-4) }},
-		{"all/zero-rounds", func() (float64, error) { return e.OptimizeBranchLengths(tree, 0, 1e-4) }},
+	got, err := e.OptimizeBranchLengths(tree, 0, 1e-4)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, c := range cases {
-		got, err := c.run()
-		if err != nil {
-			t.Fatalf("%s: %v", c.name, err)
-		}
-		if got != want {
-			t.Errorf("%s: got %g, want the tree's log-likelihood %g", c.name, got, want)
-		}
+	if got != want {
+		t.Errorf("zero rounds: got %g, want the tree's log-likelihood %g", got, want)
 	}
 }
 

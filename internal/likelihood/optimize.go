@@ -95,6 +95,24 @@ func brentMax(a, b float64, f func(float64) float64, tol float64, maxIter int) (
 	return x, fx
 }
 
+// maximiseBranch maximises a branch's log-likelihood function, as
+// edgeFunc returns it, over the branch-length bounds with Brent's method.
+// It returns the best length and its log-likelihood, or the first error a
+// step met.
+func maximiseBranch(logL func(x float64) (float64, error), tol float64) (float64, float64, error) {
+	var evalErr error
+	f := func(x float64) float64 {
+		ll, err := logL(x)
+		if err != nil {
+			evalErr = err
+			return math.Inf(-1)
+		}
+		return ll
+	}
+	best, bestLL := brentMax(MinBranchLength, MaxBranchLength, f, tol, 100)
+	return best, bestLL, evalErr
+}
+
 // OptimizeBranch maximises the tree log-likelihood over the length of a
 // single branch (identified by its child node), holding everything else
 // fixed. Each Brent step scores the branch from the two partials either
@@ -109,18 +127,9 @@ func (e *Evaluator) OptimizeBranch(t *phylo.Tree, n *phylo.Node, tol float64) (f
 	if err != nil {
 		return 0, err
 	}
-	var evalErr error
-	f := func(x float64) float64 {
-		ll, err := logL(x)
-		if err != nil {
-			evalErr = err
-			return math.Inf(-1)
-		}
-		return ll
-	}
-	best, bestLL := brentMax(MinBranchLength, MaxBranchLength, f, tol, 100)
-	if evalErr != nil {
-		return 0, evalErr
+	best, bestLL, err := maximiseBranch(logL, tol)
+	if err != nil {
+		return 0, err
 	}
 	n.Length = best
 	return bestLL, nil
@@ -129,52 +138,36 @@ func (e *Evaluator) OptimizeBranch(t *phylo.Tree, n *phylo.Node, tol float64) (f
 // OptimizeBranchLengths runs `rounds` passes of per-branch Brent
 // optimisation over every edge of the tree and returns the final
 // log-likelihood. This is the full smoothing pass fastDNAml applies after
-// each insertion stage.
+// each insertion stage. The down pass runs once: a new length changes only
+// the down partials of the branch's ancestors, so those are recomputed, in
+// the same order, before the next edge, and every edge sees the partials
+// a whole-tree pass would give it.
 func (e *Evaluator) OptimizeBranchLengths(t *phylo.Tree, rounds int, tol float64) (float64, error) {
 	edges := t.Edges()
 	if rounds <= 0 || len(edges) == 0 {
 		return e.LogLikelihood(t)
 	}
+	if err := e.down(t); err != nil {
+		return 0, err
+	}
 	ll := math.Inf(-1)
 	for r := 0; r < rounds; r++ {
 		prev := ll
 		for _, edge := range edges {
-			var err error
-			ll, err = e.OptimizeBranch(t, edge.Child, tol)
+			n := edge.Child
+			best, bestLL, err := maximiseBranch(e.branchLogLikelihood(n), tol)
 			if err != nil {
 				return 0, err
 			}
+			n.Length, ll = best, bestLL
+			for v := n.Parent; v != nil; v = v.Parent {
+				e.downNode(v)
+			}
+			e.forgetViews()
 		}
 		if !math.IsInf(prev, -1) && ll-prev < 1e-4 {
 			break
 		}
-	}
-	return ll, nil
-}
-
-// OptimizeLocal optimises only the given nodes' branch lengths (one pass
-// each, repeated `rounds` times). DPRml uses this to score candidate
-// insertion points cheaply: only the three branches created by the
-// insertion are optimised. Nil nodes and the root are skipped; when no
-// branch was optimised, it returns the tree's log-likelihood.
-func (e *Evaluator) OptimizeLocal(t *phylo.Tree, nodes []*phylo.Node, rounds int, tol float64) (float64, error) {
-	var ll float64
-	var err error
-	optimised := false
-	for r := 0; r < rounds; r++ {
-		for _, n := range nodes {
-			if n == nil || n.Parent == nil {
-				continue
-			}
-			ll, err = e.OptimizeBranch(t, n, tol)
-			if err != nil {
-				return 0, err
-			}
-			optimised = true
-		}
-	}
-	if !optimised {
-		return e.LogLikelihood(t)
 	}
 	return ll, nil
 }

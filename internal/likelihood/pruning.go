@@ -86,11 +86,18 @@ type Evaluator struct {
 	// of the partials it was built from.
 	clv   [][]float64 // [nodeID] down partial: the node's subtree given its state
 	scale [][]float64 // [nodeID] the down partial's log-scale vector
-	// up and upScale are a ping-pong pair for the up pass: the partial of
-	// the rest of the tree, seen from a node on the path to the edge being
-	// optimised. edge and edgeScale hold one Brent step's virtual root.
-	up, upScale     [2][]float64
-	edge, edgeScale []float64
+	// view and viewScale hold, by node ID, the partial at the node's parent
+	// seen from the node's branch (upView); viewed marks the ones that match
+	// the current down partials and lengths.
+	view, viewScale [][]float64
+	viewed          []bool
+	// edgeScale and site are a Brent step's: its virtual root's log-scale
+	// vector and per-pattern likelihood.
+	edgeScale, site []float64
+	// star and tip are an InsertionScorer's: the star's set-up partial and
+	// the new leaf's tip partial, with their log-scale vectors.
+	star, starScale []float64
+	tip, tipScale   []float64
 	pmat            [NStates][NStates]float64
 }
 
@@ -118,55 +125,100 @@ func (e *Evaluator) LogLikelihood(t *phylo.Tree) (float64, error) {
 
 // edgeLogLikelihood returns the log-likelihood of t as a function of the
 // length of n's branch, every other length held fixed. It runs the down
-// pass and then the up pass to n.Parent once; each call of the returned
-// function then costs one absorb of n's down partial into the up partial,
-// as if the tree were rooted on n's branch (the pulley principle). The
-// function reads e's buffers, so it is valid until e's next use.
+// pass and then branchLogLikelihood. The function reads e's buffers, so it
+// is valid until e's next use.
 func (e *Evaluator) edgeLogLikelihood(t *phylo.Tree, n *phylo.Node) (func(x float64) (float64, error), error) {
 	if err := e.down(t); err != nil {
 		return nil, err
 	}
-	var path []*phylo.Node // n.Parent up to the root
-	for v := n.Parent; v != nil; v = v.Parent {
-		path = append(path, v)
+	return e.branchLogLikelihood(n), nil
+}
+
+// branchLogLikelihood is edgeLogLikelihood over the down partials already
+// in e: once n's view of the rest of the tree is computed, each call of the
+// returned function costs one absorb of n's down partial into that view, as
+// if the tree were rooted on n's branch (the pulley principle).
+func (e *Evaluator) branchLogLikelihood(n *phylo.Node) func(x float64) (float64, error) {
+	up, upScale := e.upView(n)
+	return e.edgeFunc(up, upScale, e.clv[n.ID], e.scale[n.ID])
+}
+
+// upView returns the partial at c's parent p seen from c's branch: the
+// partial of everything outside c's subtree. It is p's own view carried
+// down p's branch, times p's other children in order; the views up to the
+// root are computed first and every view is kept until the next down pass
+// or forgetViews. Time reversibility (π_i P_ij = π_j P_ji) lets the view
+// from above use the same P·partial product as the down pass, with π
+// applied once, at the virtual root.
+func (e *Evaluator) upView(c *phylo.Node) ([]float64, []float64) {
+	if e.viewed[c.ID] {
+		return e.view[c.ID], e.viewScale[c.ID]
 	}
-	size, npat := len(e.clv[n.ID]), len(e.scale[n.ID])
-	for i := range e.up {
-		e.up[i], e.upScale[i] = resize(e.up[i], size), resize(e.upScale[i], npat)
+	p := c.Parent
+	size, npat := len(e.clv[c.ID]), len(e.scale[c.ID])
+	dst, dstScale := resize(e.view[c.ID], size), resize(e.viewScale[c.ID], npat)
+	e.view[c.ID], e.viewScale[c.ID] = dst, dstScale
+	var base, baseScale []float64
+	if p.Parent != nil {
+		up, upScale := e.upView(p)
+		e.absorb(dst, dstScale, nil, nil, up, upScale, p.Length)
+		base, baseScale = dst, dstScale
 	}
-	e.edge, e.edgeScale = resize(e.edge, size), resize(e.edgeScale, npat)
-	// Root first, each path node v gets the partial of everything outside
-	// the subtree below it on the path: the view from v's parent carried
-	// down v's branch, times v's other children. Time reversibility
-	// (π_i P_ij = π_j P_ji) lets the view from above use the same P·partial
-	// product as the down pass, with π applied once, at the virtual root.
-	var up, upScale []float64
-	for j := len(path) - 1; j >= 0; j-- {
-		v, below := path[j], n
-		if j > 0 {
-			below = path[j-1]
+	for _, sib := range p.Children {
+		if sib != c {
+			e.absorb(dst, dstScale, base, baseScale, e.clv[sib.ID], e.scale[sib.ID], sib.Length)
+			base, baseScale = dst, dstScale
 		}
-		dst, dstScale := e.up[j%2], e.upScale[j%2]
+	}
+	if base == nil { // a root with c as its only child
 		fill(dst, 1)
 		clear(dstScale)
-		if up != nil {
-			e.absorb(dst, dstScale, up, upScale, v.Length)
-		}
-		for _, c := range v.Children {
-			if c != below {
-				e.absorb(dst, dstScale, e.clv[c.ID], e.scale[c.ID], c.Length)
+	}
+	rescale(dst, dstScale)
+	e.viewed[c.ID] = true
+	return dst, dstScale
+}
+
+// edgeFunc returns the log-likelihood as a function of the length of the
+// branch between two partials: up, the tree seen from the branch's upper
+// end, and down, the subtree below it. Each call is one absorb of down into
+// up fused with the reduce of their product, the virtual root: the same
+// products and sums in the same order as absorb then reduce, without
+// storing the root's partial. Its log-scale vector is left in e.edgeScale.
+func (e *Evaluator) edgeFunc(up, upScale, down, downScale []float64) func(x float64) (float64, error) {
+	npat := len(upScale)
+	stride := npat * NStates
+	e.edgeScale, e.site = resize(e.edgeScale, npat), resize(e.site, npat)
+	edgeScale, site := e.edgeScale, e.site
+	pi := &e.Model.Pi
+	catW := 1.0 / float64(len(e.Rates.Rates))
+	return func(x float64) (float64, error) {
+		clear(site)
+		for cat, r := range e.Rates.Rates {
+			e.Model.TransitionMatrix(x*r, &e.pmat)
+			m := &e.pmat
+			u, d := up[cat*stride:][:stride], down[cat*stride:][:stride]
+			for p := range site {
+				b := p * NStates
+				c0, c1, c2, c3 := d[b], d[b+1], d[b+2], d[b+3]
+				v0 := u[b] * (m[0][0]*c0 + m[0][1]*c1 + m[0][2]*c2 + m[0][3]*c3)
+				v1 := u[b+1] * (m[1][0]*c0 + m[1][1]*c1 + m[1][2]*c2 + m[1][3]*c3)
+				v2 := u[b+2] * (m[2][0]*c0 + m[2][1]*c1 + m[2][2]*c2 + m[2][3]*c3)
+				v3 := u[b+3] * (m[3][0]*c0 + m[3][1]*c1 + m[3][2]*c2 + m[3][3]*c3)
+				site[p] += pi[0]*v0 + pi[1]*v1 + pi[2]*v2 + pi[3]*v3
 			}
 		}
-		rescale(dst, dstScale)
-		up, upScale = dst, dstScale
+		logL := 0.0
+		for p, l := range site {
+			l *= catW
+			if l <= 0 {
+				return 0, fmt.Errorf("likelihood: zero site likelihood at pattern %d (branch lengths too extreme?)", p)
+			}
+			edgeScale[p] = upScale[p] + downScale[p]
+			logL += float64(e.Data.Weights[p]) * (math.Log(l) + edgeScale[p])
+		}
+		return logL, nil
 	}
-	down, downScale := e.clv[n.ID], e.scale[n.ID]
-	return func(x float64) (float64, error) {
-		copy(e.edge, up)
-		copy(e.edgeScale, upScale)
-		e.absorb(e.edge, e.edgeScale, down, downScale, x)
-		return e.reduce(e.edge, e.edgeScale, nil)
-	}, nil
 }
 
 // down is Felsenstein's pruning pass: it (re)indexes t and fills every
@@ -178,26 +230,40 @@ func (e *Evaluator) down(t *phylo.Tree) error {
 	if len(e.clv) < nNodes {
 		e.clv = append(e.clv, make([][]float64, nNodes-len(e.clv))...)
 		e.scale = append(e.scale, make([][]float64, nNodes-len(e.scale))...)
+		e.view = append(e.view, make([][]float64, nNodes-len(e.view))...)
+		e.viewScale = append(e.viewScale, make([][]float64, nNodes-len(e.viewScale))...)
+		e.viewed = make([]bool, nNodes)
 	}
+	e.forgetViews()
 	var err error
 	t.WalkPost(func(n *phylo.Node) {
 		if err != nil {
 			return
 		}
-		clv, scale := resize(e.clv[n.ID], size), resize(e.scale[n.ID], npat)
-		e.clv[n.ID], e.scale[n.ID] = clv, scale
-		clear(scale)
+		e.clv[n.ID], e.scale[n.ID] = resize(e.clv[n.ID], size), resize(e.scale[n.ID], npat)
 		if n.IsLeaf() {
-			err = e.fillLeaf(n, clv)
+			clear(e.scale[n.ID])
+			err = e.fillLeaf(n.Name, e.clv[n.ID])
 			return
 		}
-		fill(clv, 1)
-		for _, c := range n.Children {
-			e.absorb(clv, scale, e.clv[c.ID], e.scale[c.ID], c.Length)
-		}
-		rescale(clv, scale)
+		e.downNode(n)
 	})
 	return err
+}
+
+// forgetViews marks every upView stale: a down partial or a length changed.
+func (e *Evaluator) forgetViews() { clear(e.viewed) }
+
+// downNode recomputes an internal node's down partial from its children's,
+// in child order.
+func (e *Evaluator) downNode(n *phylo.Node) {
+	clv, scale := e.clv[n.ID], e.scale[n.ID]
+	var base, baseScale []float64
+	for _, c := range n.Children {
+		e.absorb(clv, scale, base, baseScale, e.clv[c.ID], e.scale[c.ID], c.Length)
+		base, baseScale = clv, scale
+	}
+	rescale(clv, scale)
 }
 
 // reduce is the log-likelihood at a (virtual) root whose partial and
@@ -230,10 +296,11 @@ func (e *Evaluator) reduce(clv, scale, patLL []float64) (float64, error) {
 	return logL, nil
 }
 
-func (e *Evaluator) fillLeaf(n *phylo.Node, clv []float64) error {
-	row := e.Data.TaxonIndex(n.Name)
+// fillLeaf sets clv to the tip partial of the named taxon's row.
+func (e *Evaluator) fillLeaf(name string, clv []float64) error {
+	row := e.Data.TaxonIndex(name)
 	if row < 0 {
-		return fmt.Errorf("likelihood: leaf %q has no alignment row", n.Name)
+		return fmt.Errorf("likelihood: leaf %q has no alignment row", name)
 	}
 	npat := e.Data.NPatterns()
 	stride := npat * NStates
@@ -251,27 +318,45 @@ func (e *Evaluator) fillLeaf(n *phylo.Node, clv []float64) error {
 	return nil
 }
 
-// absorb is the one pruning kernel: it multiplies the partial dst by
-// P(length·r)·src in each rate category r and adds src's log-scale vector
-// to dst's. The down pass absorbs each child into its parent, the up pass
-// the view from above and the siblings, and a Brent step the lower side
-// of an edge into the upper.
-func (e *Evaluator) absorb(dst, dstScale, src, srcScale []float64, length float64) {
+// absorb is the one pruning kernel: in each rate category r it sets the
+// partial dst to base times P(length·r)·src, and dst's log-scale vector to
+// the sum of base's and src's. base may be dst itself. A nil base stands
+// for a partial of ones, so the first factor of a product is assigned, not
+// multiplied into a filled buffer (1·x == x: the bits are the same). The
+// down pass absorbs each child into its parent, the up pass the view from
+// above and the siblings, and a Brent step the lower side of an edge into
+// the upper.
+func (e *Evaluator) absorb(dst, dstScale, base, baseScale, src, srcScale []float64, length float64) {
 	stride := len(dstScale) * NStates
 	for cat, r := range e.Rates.Rates {
 		e.Model.TransitionMatrix(length*r, &e.pmat)
 		p := &e.pmat
 		d, s := dst[cat*stride:][:stride], src[cat*stride:][:stride]
+		if base == nil {
+			for b := 0; b+NStates <= len(d); b += NStates {
+				c0, c1, c2, c3 := s[b], s[b+1], s[b+2], s[b+3]
+				d[b] = p[0][0]*c0 + p[0][1]*c1 + p[0][2]*c2 + p[0][3]*c3
+				d[b+1] = p[1][0]*c0 + p[1][1]*c1 + p[1][2]*c2 + p[1][3]*c3
+				d[b+2] = p[2][0]*c0 + p[2][1]*c1 + p[2][2]*c2 + p[2][3]*c3
+				d[b+3] = p[3][0]*c0 + p[3][1]*c1 + p[3][2]*c2 + p[3][3]*c3
+			}
+			continue
+		}
+		g := base[cat*stride:][:stride]
 		for b := 0; b+NStates <= len(d); b += NStates {
 			c0, c1, c2, c3 := s[b], s[b+1], s[b+2], s[b+3]
-			d[b] *= p[0][0]*c0 + p[0][1]*c1 + p[0][2]*c2 + p[0][3]*c3
-			d[b+1] *= p[1][0]*c0 + p[1][1]*c1 + p[1][2]*c2 + p[1][3]*c3
-			d[b+2] *= p[2][0]*c0 + p[2][1]*c1 + p[2][2]*c2 + p[2][3]*c3
-			d[b+3] *= p[3][0]*c0 + p[3][1]*c1 + p[3][2]*c2 + p[3][3]*c3
+			d[b] = g[b] * (p[0][0]*c0 + p[0][1]*c1 + p[0][2]*c2 + p[0][3]*c3)
+			d[b+1] = g[b+1] * (p[1][0]*c0 + p[1][1]*c1 + p[1][2]*c2 + p[1][3]*c3)
+			d[b+2] = g[b+2] * (p[2][0]*c0 + p[2][1]*c1 + p[2][2]*c2 + p[2][3]*c3)
+			d[b+3] = g[b+3] * (p[3][0]*c0 + p[3][1]*c1 + p[3][2]*c2 + p[3][3]*c3)
 		}
 	}
+	if baseScale == nil {
+		copy(dstScale, srcScale)
+		return
+	}
 	for i, v := range srcScale {
-		dstScale[i] += v
+		dstScale[i] = baseScale[i] + v
 	}
 }
 
