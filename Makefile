@@ -91,7 +91,9 @@ bench-module:
 # real sockets is reissued by the rule, not after the hour-long Lease; a
 # free donor speculates only on an overdue lease; the speculation tests:
 # the loser is cancelled, either lease survives the other's failure, no
-# unit folds twice), and the mux's own suite.
+# unit folds twice), the mux's own suite, and the simulator's exact replay
+# (two runs of one seeded simnet Config, driving the real server in virtual
+# time, must agree on every metric).
 stress:
 	$(GO) test -count=20 ./internal/dist/ ./internal/swarm/
 	$(GO) test -count=5 -run 'TestCoordinatorCrashRecoveryRealNetwork|TestNetworkMatchesRunLocal' . ./internal/dist/
@@ -100,6 +102,7 @@ stress:
 	$(GO) test -race -count=20 -run 'TestCrashReplaysUnsnapshottedFolds|TestDSEARCHCrashReplaysTail|TestDSEARCHCrashReplaysCheckpointAndTail' ./internal/dist/
 	$(GO) test -race -count=10 -run 'TestKilledDonorReissuedByOverdueRule|TestNoSpeculationBeforeOverdue|TestSpeculativeRedispatch|TestSpeculatedUnitSurvivesOriginalDonorFailure|TestSpeculationLoserIsCancelled|TestSpeculatorFailureKeepsOriginalLease' ./internal/dist/
 	$(GO) test -race -count=20 -run TestMux ./internal/wire/
+	$(GO) test -count=20 -run TestRunReplaysExactly ./internal/simnet/
 
 # loc prints the non-blank, non-comment line count of every non-test file in
 # the coordinator packages and their sum, then the same for the application

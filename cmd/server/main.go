@@ -192,8 +192,8 @@ func main() {
 	}
 	elapsed := time.Since(start)
 	st, _ := ns.Stats(ctx, problemID)
-	log.Printf("server: done in %s (%d units dispatched, %d completed, %d reissued, %d donors)",
-		elapsed.Round(time.Millisecond), st.Dispatched, st.Completed, st.Reissued, ns.DonorCount())
+	log.Printf("server: done in %s (%d units dispatched, %d completed, %d reissued, %d speculated, %d donors)",
+		elapsed.Round(time.Millisecond), st.Dispatched, st.Completed, st.Reissued, st.Speculated, ns.DonorCount())
 	// Retire the problem now that its stats have been read: a long-lived
 	// server submitting job after job evicts each one's state and bulk
 	// blobs this way instead of growing without bound.

@@ -103,7 +103,7 @@ func (s *Server) submitResult(ctx context.Context, res *Result) (accepted bool, 
 	if s.isClosed() {
 		return false, ErrClosed
 	}
-	now := time.Now()
+	now := s.opts.Clock.Now()
 	ds := s.touchDonor(res.Donor, now)
 	donorTrusted, quarantined := s.standing(ds)
 	if quarantined {
@@ -162,7 +162,7 @@ func (s *Server) reportFailure(ctx context.Context, donor, problemID string, uni
 	if lerr != nil {
 		return nil // problem finished or forgotten; nothing to requeue
 	}
-	now := time.Now()
+	now := s.opts.Clock.Now()
 	ps.mu.Lock()
 	held := ps.table.lose(unitID, donor, reason, kind, epoch, now, s)
 	s.unlock(ps)
@@ -189,23 +189,25 @@ func (s *Server) CancelNotices(ctx context.Context, donor string) ([]CancelNotic
 	return notices, nil
 }
 
-// expiryLoop is the lease sweep: it reissues units whose lease has lapsed —
-// the fault-tolerance path that lets the run survive donors being powered
-// off — and wakes parked donors for stragglers due a speculative copy. It
-// schedules itself: each pass arms the next Lease/4 ahead, and the tables
-// bring it forward to the earliest instant they report (their alarms, which
-// a grant between passes also raises).
-func (s *Server) expiryLoop() {
-	defer s.wg.Done()
-	for {
-		select {
-		case <-s.stop:
-			return
-		case now := <-s.sweep.C:
-			s.sweepBy(now.Add(s.opts.Lease/4), true)
-			s.expireLeases(now)
-		}
+// sweepNow is the lease sweep, run by the Clock's timer: it reissues units
+// whose lease has lapsed — the fault-tolerance path that lets the run
+// survive donors being powered off — and wakes parked donors for stragglers
+// due a speculative copy. It schedules itself: each pass arms the next
+// Lease/4 ahead, and the tables bring it forward to the earliest instant
+// they report (their alarms, which a grant between passes also raises).
+// After Close it does nothing, and Close waits for a pass already running.
+func (s *Server) sweepNow() {
+	s.sweepMu.Lock()
+	if s.sweep == nil {
+		s.sweepMu.Unlock()
+		return // closed
 	}
+	s.wg.Add(1)
+	s.sweepMu.Unlock()
+	defer s.wg.Done()
+	now := s.opts.Clock.Now()
+	s.sweepBy(now.Add(s.opts.Lease/4), true)
+	s.expireLeases(now)
 }
 
 // sweepBy brings the next lease sweep forward to at, if it is due later;
@@ -215,7 +217,9 @@ func (s *Server) sweepBy(at time.Time, rearm bool) {
 	defer s.sweepMu.Unlock()
 	if rearm || at.Before(s.sweepAt) {
 		s.sweepAt = at
-		s.sweep.Reset(time.Until(at))
+		if s.sweep != nil {
+			s.sweep.Reset(at.Sub(s.opts.Clock.Now()))
+		}
 	}
 }
 

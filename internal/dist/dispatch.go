@@ -43,7 +43,7 @@ func (s *Server) RequestTask(ctx context.Context, donor string) (*Task, time.Dur
 
 	// One clock reading serves the whole request: the donor's last-seen
 	// stamp, the liveness cutoff and the deadline of the lease it is granted.
-	now := time.Now()
+	now := s.opts.Clock.Now()
 	ds := s.touchDonor(donor, now)
 	n := len(rotation)
 	if n == 0 {

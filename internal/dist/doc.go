@@ -23,10 +23,11 @@
 // The model is the paper's: a Problem bundles a DataManager (server side —
 // partitions work, folds results) with optional shared data every donor
 // fetches once; the donor side is an Algorithm registered under the name
-// the DataManager stamps on each Unit. Three deployment shapes run the
-// same Problem unchanged: RunLocal (in-process workers), ListenAndServe +
-// Dial/NewDonor (the paper's networked shape), and package simnet's
-// discrete-event simulation.
+// the DataManager stamps on each Unit. Two deployment shapes run the same
+// Problem unchanged: RunLocal (in-process workers) and ListenAndServe +
+// Dial/NewDonor (the paper's networked shape). Package simnet drives this
+// same Server in virtual time through ServerOptions.Clock, with modelled
+// donors, to regenerate the paper's figures.
 //
 // # The v2 surface
 //
@@ -86,7 +87,8 @@
 // take WithName, WithThrottle, WithLogf, WithRedial, WithRedialBackoff,
 // WithCancelPoll, WithBlobCache and WithAlgorithmWrapper; Dial takes
 // WithConnWrapper. WithServerOptions and WithDonorOptions adopt a whole
-// ServerOptions/DonorOptions bag at once.
+// ServerOptions/DonorOptions bag at once; ServerOptions.Clock, the
+// server's source of time, is set only that way.
 //
 // # Error sentinels
 //

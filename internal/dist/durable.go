@@ -277,7 +277,7 @@ func (s *Server) recover(rec *journal.Recovered) error {
 		}
 	}
 
-	now := time.Now()
+	now := s.opts.Clock.Now()
 	for _, id := range order {
 		e, ok := rebuilt[id]
 		if !ok {

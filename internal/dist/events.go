@@ -228,7 +228,7 @@ func (ps *problemState) eventLocked(kind EventKind, app bool) Event {
 		Kind:      kind,
 		ProblemID: ps.id,
 		Epoch:     ps.epoch,
-		Time:      time.Now(),
+		Time:      ps.table.opts.Clock.Now(),
 		Completed: ps.table.completed,
 		Inflight:  int(ps.inflightN.Load()),
 	}

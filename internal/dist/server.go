@@ -88,7 +88,30 @@ type ServerOptions struct {
 	// probation (bar zero: every non-quarantined donor is trusted).
 	// Meaningless without VerifyFraction.
 	ProbationUnits int
+	// Clock is the server's time: every lease, liveness stamp and event
+	// time reads it, and the lease sweep runs on its AfterFunc. Nil
+	// defaults to the wall clock; package simnet drives the server in
+	// virtual time through it.
+	Clock Clock
 }
+
+// Clock is the server's source of time (ServerOptions.Clock).
+type Clock interface {
+	Now() time.Time
+	AfterFunc(d time.Duration, f func()) Timer
+}
+
+// Timer is the handle Clock.AfterFunc returns; *time.Timer is one.
+type Timer interface {
+	Stop() bool
+	Reset(d time.Duration) bool
+}
+
+// wallClock is the default Clock.
+type wallClock struct{}
+
+func (wallClock) Now() time.Time                            { return time.Now() }
+func (wallClock) AfterFunc(d time.Duration, f func()) Timer { return time.AfterFunc(d, f) }
 
 func (o *ServerOptions) applyDefaults() {
 	if o.Policy == nil {
@@ -96,6 +119,9 @@ func (o *ServerOptions) applyDefaults() {
 	}
 	if o.Lease <= 0 {
 		o.Lease = 2 * time.Minute
+	}
+	if o.Clock == nil {
+		o.Clock = wallClock{}
 	}
 	if o.SnapshotBytes == 0 {
 		o.SnapshotBytes = 8 << 20
@@ -297,12 +323,12 @@ type Server struct {
 	// donor's leases are judged by for speculation.
 	fleetRate atomic.Uint64
 
-	// sweep fires the lease sweep (expiryLoop) at sweepAt: at most Lease/4
+	// sweep fires the lease sweep (sweepNow) at sweepAt: at most Lease/4
 	// after the last pass, brought forward by sweepBy to the earliest
-	// instant a problem's table asks for. The timer is immutable; it is
-	// only reset, under sweepMu, a leaf lock.
-	sweep   *time.Timer
+	// instant a problem's table asks for. It is nil until start and again
+	// after Close. sweepMu is a leaf lock.
 	sweepMu sync.Mutex
+	sweep   Timer     //dist:guardedby sweepMu
 	sweepAt time.Time //dist:guardedby sweepMu
 
 	// cancelMu guards cancels, the per-donor queues of epoch-tagged cancel
@@ -366,17 +392,17 @@ func newServer(o ServerOptions) *Server {
 		donors:    make(map[string]*donorState),
 		cancels:   make(map[string][]CancelNotice),
 		parkCh:    make(chan struct{}),
-		sweep:     time.NewTimer(o.Lease / 4),
-		sweepAt:   time.Now().Add(o.Lease / 4),
+		sweepAt:   o.Clock.Now().Add(o.Lease / 4),
 		stop:      make(chan struct{}),
 	}
 }
 
-// start launches the background loops once construction (and any journal
-// recovery) is complete.
+// start arms the lease sweep once construction (and any journal recovery)
+// is complete.
 func (s *Server) start() {
-	s.wg.Add(1)
-	go s.expiryLoop()
+	s.sweepMu.Lock()
+	defer s.sweepMu.Unlock()
+	s.sweep = s.opts.Clock.AfterFunc(s.sweepAt.Sub(s.opts.Clock.Now()), s.sweepNow)
 }
 
 // Submit registers a problem for dispatch. An ID retired with Forget may be
@@ -755,8 +781,14 @@ func (s *Server) Close() error {
 		ps.table.finish(ErrClosed)
 		s.unlock(ps)
 	}
+	s.sweepMu.Lock()
+	if s.sweep != nil {
+		s.sweep.Stop()
+		s.sweep = nil
+	}
+	s.sweepMu.Unlock()
 	s.stopOnce.Do(func() { close(s.stop) })
-	s.wg.Wait()
+	s.wg.Wait() // a sweep already running
 	if s.journal != nil {
 		if cerr := s.journal.Close(); jerr == nil {
 			jerr = cerr

@@ -202,7 +202,7 @@ func (s *Server) applyTrustDeltas(deltas []trustDelta) {
 // whose outcomes may cascade into further quarantines (bounded: each donor
 // transitions once).
 func (s *Server) quarantineDonor(name string) {
-	now := time.Now()
+	now := s.opts.Clock.Now()
 	for _, ps := range s.allProblems() {
 		ps.mu.Lock()
 		ps.table.evict(name, now, s)

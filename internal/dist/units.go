@@ -504,10 +504,12 @@ func (t *unitTable) idle(donor string, v dispatchView, f fleet) *Task {
 
 // straggler returns the set a speculative copy would go to at now — the
 // ordinary set whose one lease is most overdue, of equals the lowest unit
-// ID — and the earliest instant another set falls due. A set is never
-// speculated twice, nor to its own holder, nor while open sets are waiting
-// for a donor. Whichever copy reports first folds and the other donor is
-// cancelled; a failure or expiry of either lease leaves the other standing.
+// ID — and the earliest instant another set falls due. A set is due from
+// its due instant on, so the sweep its alarm fires finds it due. A set is
+// never speculated twice, nor to its own holder, nor while open sets are
+// waiting for a donor. Whichever copy reports first folds and the other
+// donor is cancelled; a failure or expiry of either lease leaves the other
+// standing.
 func (t *unitTable) straggler(donor string, now time.Time, fleet float64) (pick *attemptSet, next time.Time) {
 	if len(t.open) > 0 {
 		return nil, time.Time{}
@@ -520,7 +522,7 @@ func (t *unitTable) straggler(donor string, now time.Time, fleet float64) (pick 
 		due := t.due(set, set.leases[0], fleet)
 		switch {
 		case due.IsZero():
-		case !now.After(due):
+		case now.Before(due):
 			if next.IsZero() || due.Before(next) {
 				next = due
 			}
@@ -810,20 +812,21 @@ func (t *unitTable) resolve(set *attemptSet, now time.Time, f fleet) bool {
 }
 
 // expire is the lease sweep at now: it drops every lease whose deadline is
-// before now, re-evaluates held quorums whose tie-breaker may have stopped
-// being possible, wakes parked donors when a starved problem has a straggler
-// due a speculative copy, and sets the alarm to the next deadline or, while
-// starved, the next straggler due.
+// not after now (a sweep the alarm fires at a deadline must act on it, or
+// it re-arms for the same instant), re-evaluates held quorums whose
+// tie-breaker may have stopped being possible, wakes parked donors when a
+// starved problem has a straggler due a speculative copy, and sets the
+// alarm to the next deadline or, while starved, the next straggler due.
 func (t *unitTable) expire(now time.Time, f fleet) {
 	for _, set := range t.acting(func(set *attemptSet) bool {
 		return (set.quorum > 1 && len(set.results) >= set.quorum) ||
-			slices.ContainsFunc(set.leases, func(l lease) bool { return now.After(l.deadline) })
+			slices.ContainsFunc(set.leases, func(l lease) bool { return !now.Before(l.deadline) })
 	}) {
 		dropped := false
 		// A drop removes leases[i] — or, when it resolves the set or fails
 		// the problem, ends the loop.
 		for i := 0; i < len(set.leases) && !t.done; {
-			if l := set.leases[i]; now.After(l.deadline) {
+			if l := set.leases[i]; !now.Before(l.deadline) {
 				dropped = true
 				t.drop(set, l.donor, "lease expired", failExpiry, now, f)
 			} else {

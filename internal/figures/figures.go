@@ -1,9 +1,10 @@
 // Package figures regenerates the paper's evaluation artifacts: Figure 1
 // (DSEARCH speedup on 83 homogeneous semi-idle processors) and Figure 2
 // (DPRml speedup on a 50-taxon dataset with 6 problem instances running
-// simultaneously). Both use the discrete-event cluster simulator (simnet)
-// driving the real scheduling policies, because the paper's laboratory of
-// 83 processors cannot be reproduced on one machine; `go run
+// simultaneously). Both use the discrete-event cluster simulator (simnet),
+// whose modelled donors drive the production dist.Server — its policies,
+// leases, reissue and dispatch — in virtual time, because the paper's
+// laboratory of 83 processors cannot be reproduced on one machine; `go run
 // ./cmd/speedup -all` prints every series.
 package figures
 
@@ -62,18 +63,17 @@ func Figure1(cfg Figure1Config, counts []int) ([]simnet.SpeedupPoint, error) {
 	mkDonors := func(n int) []simnet.DonorSpec {
 		return simnet.Uniform(n, 1.0, cfg.OwnerLoad, 2*time.Millisecond, 100e6/8)
 	}
-	mkWorkload := func() simnet.Workload {
+	mkWorkloads := func() []simnet.Workload {
 		// ~40 bytes of database chunk per residue of cost; small result.
-		return simnet.NewDivisibleWorkload(cfg.TotalCost, 40, 4096)
+		return []simnet.Workload{simnet.NewDivisibleWorkload(cfg.TotalCost, 40, 4096)}
 	}
 	sim := simnet.Config{
 		Policy:         sched.Adaptive{Target: cfg.Target, Bootstrap: 1000, Min: 100},
 		ServerOverhead: 3 * time.Millisecond, // P-III 500 dispatch cost
 		Lease:          5 * time.Minute,
-		WaitHint:       500 * time.Millisecond,
 		Seed:           cfg.Seed,
 	}
-	return simnet.SpeedupCurve(counts, mkDonors, mkWorkload, sim)
+	return simnet.SpeedupCurve(counts, mkDonors, mkWorkloads, sim)
 }
 
 // Figure2Config describes the Fig. 2 experiment: stepwise-insertion ML over
@@ -106,25 +106,21 @@ func Figure2(cfg Figure2Config, counts []int) ([]simnet.SpeedupPoint, error) {
 	mkDonors := func(n int) []simnet.DonorSpec {
 		return simnet.Uniform(n, 1.0, 0, 2*time.Millisecond, 100e6/8)
 	}
-	mkWorkload := func() simnet.Workload {
-		if cfg.Instances == 1 {
-			return simnet.DPRmlWorkload(cfg.Taxa, cfg.CostScale, 64<<10, 2048)
+	mkWorkloads := func() []simnet.Workload {
+		ws := make([]simnet.Workload, cfg.Instances)
+		for i := range ws {
+			ws[i] = simnet.DPRmlWorkload(cfg.Taxa, cfg.CostScale, 64<<10, 2048)
 		}
-		var ws []simnet.Workload
-		for i := 0; i < cfg.Instances; i++ {
-			ws = append(ws, simnet.DPRmlWorkload(cfg.Taxa, cfg.CostScale, 64<<10, 2048))
-		}
-		return simnet.NewMultiWorkload(ws...)
+		return ws
 	}
 	sim := simnet.Config{
 		// One candidate per unit: the natural DPRml granularity.
 		Policy:         sched.Fixed{Size: 1},
 		ServerOverhead: 3 * time.Millisecond,
 		Lease:          5 * time.Minute,
-		WaitHint:       500 * time.Millisecond,
 		Seed:           cfg.Seed,
 	}
-	return simnet.SpeedupCurve(counts, mkDonors, mkWorkload, sim)
+	return simnet.SpeedupCurve(counts, mkDonors, mkWorkloads, sim)
 }
 
 // AdaptiveVsFixed runs the §3.1 ablation: on a heterogeneous donor pool,
@@ -145,7 +141,6 @@ func AdaptiveVsFixed(donors int, totalCost int64, seed int64) (map[string]time.D
 			Policy:         p,
 			ServerOverhead: 3 * time.Millisecond,
 			Lease:          5 * time.Minute,
-			WaitHint:       500 * time.Millisecond,
 			Seed:           seed,
 		}
 		m, err := simnet.Run(cfg, simnet.NewDivisibleWorkload(totalCost, 40, 4096))

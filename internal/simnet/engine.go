@@ -1,12 +1,15 @@
 package simnet
 
 import (
-	"container/heap"
+	"cmp"
+	"context"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"time"
 
+	"repro/internal/dist"
 	"repro/internal/sched"
 )
 
@@ -197,15 +200,15 @@ func Compress(specs []DonorSpec, factor float64) []DonorSpec {
 // Config parameterises one simulation run.
 type Config struct {
 	Donors []DonorSpec
-	// Policy is the unit-sizing policy (the real scheduler code).
+	// Policy is the unit-sizing policy (the real scheduler code); nil is
+	// the server's default.
 	Policy sched.Policy
 	// ServerOverhead is the server's service time per request (dispatch or
 	// result ingest) — the single P-III 500 server is a shared resource.
 	ServerOverhead time.Duration
-	// Lease is the reissue timeout for lost units.
+	// Lease is the server's dist.ServerOptions.Lease: the ceiling of its
+	// overdue rule, and the lease of a donor it has not measured yet.
 	Lease time.Duration
-	// WaitHint is how long an idle donor waits when no unit is available.
-	WaitHint time.Duration
 	// Seed drives the load jitter.
 	Seed int64
 	// MaxVirtual aborts runaway simulations (default 100 days).
@@ -213,17 +216,11 @@ type Config struct {
 }
 
 func (c *Config) applyDefaults() {
-	if c.Policy == nil {
-		c.Policy = sched.Adaptive{Target: 5 * time.Second, Bootstrap: 1000, Min: 1}
-	}
 	if c.ServerOverhead <= 0 {
 		c.ServerOverhead = 2 * time.Millisecond
 	}
 	if c.Lease <= 0 {
 		c.Lease = 5 * time.Minute
-	}
-	if c.WaitHint <= 0 {
-		c.WaitHint = 250 * time.Millisecond
 	}
 	if c.MaxVirtual <= 0 {
 		c.MaxVirtual = 100 * 24 * time.Hour
@@ -232,30 +229,34 @@ func (c *Config) applyDefaults() {
 
 // Metrics summarises a simulation run.
 type Metrics struct {
-	// Makespan is the virtual time at which the workload completed.
+	// Makespan is the virtual time at which the last workload completed.
 	Makespan time.Duration
-	// UnitsDispatched and UnitsCompleted count dispatches (including
-	// reissues) and successful completions.
-	UnitsDispatched int64
-	UnitsCompleted  int64
-	UnitsLost       int64
-	// BusyTime is summed donor compute time; Efficiency is
+	// UnitsDispatched and UnitsCompleted count the server's leases
+	// (including reissues and speculative copies) and folds; UnitsLost
+	// counts the leases it reissued after a failure or expiry.
+	UnitsDispatched, UnitsCompleted, UnitsLost int64
+	// BusyTime is summed donor compute time, cut where a cancel notice, a
+	// leave or the end of the run stopped a unit; Efficiency is
 	// BusyTime / (donors * Makespan) for always-on donors.
 	BusyTime   time.Duration
 	Efficiency float64
 	// ServerBusy is total server service time (dispatch + ingest).
 	ServerBusy time.Duration
-	// PerDonorUnits maps donor name to completed units.
+	// PerDonorUnits maps donor name to the units whose result it folded.
 	PerDonorUnits map[string]int64
 }
 
-// event kinds
+// event kinds. A donor's request and result each wait in the server's
+// service queue (ServerOverhead) before the server acts on them: the kind
+// after each is the server's act.
 const (
-	evDonorRequest = iota // donor asks the server for work
-	evUnitDone            // donor finished computing; result arrives at server
-	evLeaseCheck          // server checks whether a unit is overdue
-	evDonorLeave          // donor vanishes
-	evDonorRejoin         // donor returns after an Offline window
+	evRequest  = iota // a donor's request reaches the server
+	evDispatch        // the server serves it: RequestTask
+	evResult          // a donor's result reaches the server
+	evIngest          // the server serves it: SubmitResult
+	evLeave           // the donor vanishes
+	evRejoin          // the donor returns after an Offline window
+	evTimer           // a server timer (its lease sweep) fires
 )
 
 type event struct {
@@ -263,119 +264,176 @@ type event struct {
 	seq   int64
 	kind  int
 	donor int
-	unit  Unit
-	// sentAt stamps dispatch time for lease checks.
-	sentAt time.Duration
-	// epoch is the donor's availability epoch at scheduling time; requests
-	// and completions from before a leave are stale in later epochs.
+	// epoch is the donor's epoch (a timer event: the timer's) when the
+	// event was scheduled; a leave, a rejoin or a cancel moves the donor's
+	// on, and a Stop or Reset the timer's, so what came before is stale.
 	epoch int
-}
-
-type eventQueue []*event
-
-func (q eventQueue) Len() int { return len(q) }
-func (q eventQueue) Less(i, j int) bool {
-	if q[i].at != q[j].at {
-		return q[i].at < q[j].at
-	}
-	return q[i].seq < q[j].seq
-}
-func (q eventQueue) Swap(i, j int) { q[i], q[j] = q[j], q[i] }
-func (q *eventQueue) Push(x any)   { *q = append(*q, x.(*event)) }
-func (q *eventQueue) Pop() any {
-	old := *q
-	n := len(old)
-	e := old[n-1]
-	*q = old[:n-1]
-	return e
+	timer *timer
 }
 
 type simDonor struct {
-	spec  DonorSpec
-	stats sched.DonorStats
-	gone  bool
-	epoch int
-	busy  time.Duration
-	units int64
+	spec         DonorSpec
+	gone, parked bool
+	epoch        int
+	task         *dist.Task // the unit in hand, from dispatch to ingest
+	from, to     time.Duration
+	busy         time.Duration
+	units        int64
 }
 
-// Run simulates the workload to completion and returns metrics. The
-// simulation is deterministic for a given (Config, Workload) pair.
-func Run(cfg Config, w Workload) (*Metrics, error) {
+// cut drops the donor's unit at now. Dispatch counted its whole compute,
+// [from, to), as busy; cut takes back what lies after now.
+func (d *simDonor) cut(now time.Duration) {
+	if d.task != nil {
+		d.busy -= max(d.to-max(now, d.from), 0)
+		d.task = nil
+	}
+}
+
+// problem adapts a Workload to dist.DataManager: the server cuts, leases,
+// reissues and folds its units as it does any application's. units holds
+// the outstanding units' transfer sizes; folded records that a Consume ran
+// since the driver last cleared it.
+type problem struct {
+	w      Workload
+	units  map[int64]Unit
+	folded bool
+}
+
+func (p *problem) NextUnit(budget int64) (*dist.Unit, bool, error) {
+	u, ok := p.w.Next(budget)
+	if !ok {
+		return nil, false, nil
+	}
+	p.units[u.ID] = u
+	return &dist.Unit{ID: u.ID, Algorithm: "simnet", Cost: u.Cost}, true, nil
+}
+
+func (p *problem) Consume(id int64, _ []byte) error {
+	p.w.Complete(id)
+	delete(p.units, id)
+	p.folded = true
+	return nil
+}
+
+func (p *problem) Done() bool                   { return p.w.Done() }
+func (p *problem) FinalResult() ([]byte, error) { return nil, nil }
+func (p *problem) RemainingCost() int64         { return p.w.Remaining() }
+
+// origin is virtual time zero on the server's clock.
+var origin = time.Date(2005, 4, 4, 0, 0, 0, 0, time.UTC)
+
+// sim is one run's event queue, kept in (at, seq) order, and the server's
+// dist.Clock. donorEvs counts the donor events queued, stale ones included.
+type sim struct {
+	q        []*event
+	seq      int64
+	now      time.Duration
+	donorEvs int
+}
+
+func (s *sim) push(e *event) {
+	s.seq++
+	e.seq = s.seq
+	if e.timer == nil {
+		s.donorEvs++
+	}
+	i, _ := slices.BinarySearchFunc(s.q, e, func(a, b *event) int {
+		return cmp.Or(cmp.Compare(a.at, b.at), cmp.Compare(a.seq, b.seq))
+	})
+	s.q = slices.Insert(s.q, i, e)
+}
+
+// Now implements dist.Clock.
+func (s *sim) Now() time.Time { return origin.Add(s.now) }
+
+// AfterFunc implements dist.Clock: f runs from the event loop when virtual
+// time reaches now+d.
+func (s *sim) AfterFunc(d time.Duration, f func()) dist.Timer {
+	t := &timer{s: s, f: f}
+	t.Reset(d)
+	return t
+}
+
+// timer is a dist.Timer in virtual time.
+type timer struct {
+	s     *sim
+	f     func()
+	epoch int
+	armed bool
+}
+
+func (t *timer) Stop() bool {
+	was := t.armed
+	t.armed, t.epoch = false, t.epoch+1
+	return was
+}
+
+func (t *timer) Reset(d time.Duration) bool {
+	was := t.Stop()
+	t.armed = true
+	t.s.push(&event{at: t.s.now + max(d, 0), kind: evTimer, epoch: t.epoch, timer: t})
+	return was
+}
+
+// Run simulates the workloads — each its own problem on one real
+// dist.Server, which dispatches, leases, reissues, speculates and folds in
+// virtual time — to completion and returns metrics. The event queue models
+// only the donors (speed, load, transfers, churn) and the server's service
+// queue. The simulation is deterministic for a given Config and workloads.
+func Run(cfg Config, ws ...Workload) (*Metrics, error) {
 	cfg.applyDefaults()
-	if len(cfg.Donors) == 0 {
-		return nil, fmt.Errorf("simnet: no donors configured")
+	if len(cfg.Donors) == 0 || len(ws) == 0 {
+		return nil, fmt.Errorf("simnet: %d donors and %d workloads configured, want at least one of each", len(cfg.Donors), len(ws))
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
+	s := &sim{}
 	donors := make([]*simDonor, len(cfg.Donors))
+	request := func(at time.Duration, i int) {
+		s.push(&event{at: at, kind: evRequest, donor: i, epoch: donors[i].epoch})
+	}
 	for i, spec := range cfg.Donors {
+		if spec.Speed <= 0 {
+			return nil, fmt.Errorf("simnet: donor %s has speed %g", spec.Name, spec.Speed)
+		}
 		donors[i] = &simDonor{spec: spec}
+		request(spec.JoinAt, i)
+		if spec.LeaveAt > 0 {
+			s.push(&event{at: spec.LeaveAt, kind: evLeave, donor: i})
+		}
+		for _, w := range spec.Offline {
+			if w.To <= w.From {
+				return nil, fmt.Errorf("simnet: donor %s has inverted offline window %v", spec.Name, w)
+			}
+			s.push(&event{at: w.From, kind: evLeave, donor: i})
+			s.push(&event{at: w.To, kind: evRejoin, donor: i})
+		}
 	}
 
-	var q eventQueue
-	seq := int64(0)
-	push := func(at time.Duration, kind, donor int, u Unit, sentAt time.Duration) {
-		seq++
-		heap.Push(&q, &event{
-			at: at, seq: seq, kind: kind, donor: donor, unit: u, sentAt: sentAt,
-			epoch: donors[donor].epoch,
-		})
-	}
-	for i, d := range donors {
-		push(d.spec.JoinAt, evDonorRequest, i, Unit{}, 0)
-		if d.spec.LeaveAt > 0 {
-			push(d.spec.LeaveAt, evDonorLeave, i, Unit{}, 0)
+	ctx := context.Background() //dist:allow-background the simulation is the root of every call it makes
+	srv := dist.NewServer(dist.WithServerOptions(dist.ServerOptions{Policy: cfg.Policy, Lease: cfg.Lease, Clock: s}))
+	defer srv.Close()
+	probs := make(map[string]*problem, len(ws))
+	ids := make([]string, len(ws))
+	left := 0 // workloads not done
+	for i, w := range ws {
+		ids[i] = fmt.Sprintf("w%d", i)
+		probs[ids[i]] = &problem{w: w, units: make(map[int64]Unit)}
+		if !w.Done() {
+			left++
 		}
-		for _, w := range d.spec.Offline {
-			if w.To <= w.From {
-				return nil, fmt.Errorf("simnet: donor %s has inverted offline window %v", d.spec.Name, w)
-			}
-			push(w.From, evDonorLeave, i, Unit{}, 0)
-			push(w.To, evDonorRejoin, i, Unit{}, 0)
+		if err := srv.Submit(ctx, &dist.Problem{ID: ids[i], DM: probs[ids[i]]}); err != nil {
+			return nil, err
 		}
 	}
 
 	m := &Metrics{PerDonorUnits: make(map[string]int64)}
-	// meanSpeed lets the server estimate how long a unit *should* take when
-	// a donor has no throughput history yet; the reissue deadline scales
-	// with that estimate so leases never fire mid-computation on healthy
-	// donors (the live system's lease is likewise set well above the
-	// scheduler's target unit duration).
-	meanSpeed := 0.0
-	for _, d := range donors {
-		meanSpeed += d.spec.Speed
-	}
-	meanSpeed /= float64(len(donors))
-	if meanSpeed <= 0 {
-		return nil, fmt.Errorf("simnet: donors have zero mean speed")
-	}
-	leaseFor := func(d *simDonor, cost int64) time.Duration {
-		tp := d.stats.Throughput
-		if tp <= 0 {
-			tp = meanSpeed
-		}
-		expected := time.Duration(float64(cost) / tp * float64(time.Second))
-		if 4*expected > cfg.Lease {
-			return 4 * expected
-		}
-		return cfg.Lease
-	}
 	var serverFreeAt time.Duration
-	// pending maps unit ID -> donor index for lease accounting. completed
-	// tracks IDs so late/lost duplicates are ignored.
-	pending := make(map[int64]int)
-	completed := make(map[int64]bool)
-
-	serverService := func(arrive time.Duration) time.Duration {
-		start := arrive
-		if serverFreeAt > start {
-			start = serverFreeAt
-		}
-		serverFreeAt = start + cfg.ServerOverhead
+	serve := func(arrive time.Duration) time.Duration {
+		serverFreeAt = max(arrive, serverFreeAt) + cfg.ServerOverhead
 		m.ServerBusy += cfg.ServerOverhead
 		return serverFreeAt
 	}
-
 	xfer := func(spec DonorSpec, bytes int64) time.Duration {
 		d := spec.Latency
 		if spec.Bandwidth > 0 && bytes > 0 {
@@ -383,116 +441,134 @@ func Run(cfg Config, w Workload) (*Metrics, error) {
 		}
 		return d
 	}
+	// settle acts on what a server call may have changed: a donor still
+	// computing a unit a cancel notice names drops it and asks again, as a
+	// production donor's cancel poller makes it; and after a fold or a
+	// sweep every parked donor rescans, as a WaitTasks park wakes.
+	settle := func(wake bool) {
+		for i, d := range donors {
+			if d.task != nil && s.now < d.to {
+				notices, _ := srv.CancelNotices(ctx, d.spec.Name) // fails only after Close
+				if slices.Contains(notices, dist.CancelNotice{ProblemID: d.task.ProblemID, Epoch: d.task.Epoch, UnitID: d.task.Unit.ID}) {
+					d.cut(s.now)
+					d.epoch++
+					request(s.now, i)
+				}
+			}
+			if wake && d.parked {
+				d.parked = false
+				request(s.now, i)
+			}
+		}
+	}
 
-	for q.Len() > 0 {
-		e := heap.Pop(&q).(*event)
+	for left > 0 {
+		if len(s.q) == 0 || (s.donorEvs == 0 && !slices.ContainsFunc(donors, func(d *simDonor) bool { return d.parked })) {
+			return nil, fmt.Errorf("simnet: every donor gone before completion")
+		}
+		e := s.q[0]
+		s.q = s.q[1:]
 		if e.at > cfg.MaxVirtual {
 			return nil, fmt.Errorf("simnet: exceeded virtual time limit %s (workload stuck?)", cfg.MaxVirtual)
 		}
+		s.now = e.at
+		if e.timer != nil {
+			if e.epoch == e.timer.epoch {
+				e.timer.armed = false
+				e.timer.f()
+				settle(true)
+			}
+			continue
+		}
+		s.donorEvs--
+		d := donors[e.donor]
+		if (d.gone && e.kind != evRejoin) || (e.epoch != d.epoch && e.kind != evLeave && e.kind != evRejoin) {
+			continue // the donor left, or moved on from what this event was for
+		}
 		switch e.kind {
-		case evDonorLeave:
-			// Invalidate the donor's outstanding request/completion events:
-			// whatever it was computing is lost with it.
-			donors[e.donor].gone = true
-			donors[e.donor].epoch++
-
-		case evDonorRejoin:
-			d := donors[e.donor]
-			if !d.gone {
-				continue
-			}
-			d.gone = false
+		case evLeave:
+			// Whatever the donor was computing is lost with it; its lease
+			// stands until the server's overdue rule expires it.
+			d.cut(e.at)
+			d.gone, d.parked = true, false
 			d.epoch++
-			push(e.at, evDonorRequest, e.donor, Unit{}, 0)
 
-		case evDonorRequest:
-			d := donors[e.donor]
-			if d.gone || e.epoch != d.epoch || w.Done() {
+		case evRejoin:
+			if d.gone {
+				d.gone = false
+				d.epoch++
+				request(e.at, e.donor)
+			}
+
+		case evRequest, evResult:
+			e.kind++ // to evDispatch or evIngest, once the server is free
+			e.at = serve(e.at)
+			s.push(e)
+
+		case evDispatch:
+			task, _, err := srv.RequestTask(ctx, d.spec.Name)
+			if err != nil {
+				return nil, err
+			}
+			if task == nil {
+				for _, id := range ids { // a problem the server ended unfinished stays so
+					if st, _ := srv.Status(ctx, id); st.Done && !probs[id].w.Done() { // every id is registered
+						_, err := srv.Wait(ctx, id)
+						return nil, fmt.Errorf("simnet: problem %s ended unfinished: %w", id, err)
+					}
+				}
+				d.parked = true
 				continue
 			}
-			decideAt := serverService(e.at)
-			budget := cfg.Policy.Budget(d.stats, w.Remaining(), len(donors))
-			u, ok := w.Next(budget)
-			if !ok {
-				push(decideAt+cfg.WaitHint, evDonorRequest, e.donor, Unit{}, 0)
-				continue
-			}
-			m.UnitsDispatched++
-			pending[u.ID] = e.donor
-			// Unit data travels to the donor; compute; result travels back.
-			arrive := decideAt + xfer(d.spec, u.DataBytes)
-			load := d.spec.Load * 2 * rng.Float64()
-			if load > 0.95 {
-				load = 0.95
-			}
-			eff := d.spec.Speed * (1 - load)
-			compute := time.Duration(float64(u.Cost) / eff * float64(time.Second))
+			// A notice queued while the donor held no unit names none it
+			// could be computing now (and the call fails only after Close).
+			_, _ = srv.CancelNotices(ctx, d.spec.Name)
+			u := probs[task.ProblemID].units[task.Unit.ID]
+			load := min(d.spec.Load*2*rng.Float64(), 0.95)
+			compute := time.Duration(float64(u.Cost) / (d.spec.Speed * (1 - load)) * float64(time.Second))
+			d.task, d.from = task, e.at+xfer(d.spec, u.DataBytes)
+			d.to = d.from + compute
 			d.busy += compute
-			doneAt := arrive + compute + xfer(d.spec, u.ResultBytes)
-			push(doneAt, evUnitDone, e.donor, u, decideAt)
-			push(decideAt+leaseFor(d, u.Cost), evLeaseCheck, e.donor, u, decideAt)
+			s.push(&event{at: d.to + xfer(d.spec, u.ResultBytes), kind: evResult, donor: e.donor, epoch: d.epoch})
 
-		case evUnitDone:
-			d := donors[e.donor]
-			if d.gone || e.epoch != d.epoch {
-				continue // result lost with the donor (or with its old epoch)
+		case evIngest:
+			p := probs[d.task.ProblemID]
+			p.folded = false
+			err := srv.SubmitResult(ctx, &dist.Result{
+				ProblemID: d.task.ProblemID, UnitID: d.task.Unit.ID, Epoch: d.task.Epoch,
+				Donor: d.spec.Name, Elapsed: d.to - d.from,
+			})
+			if err != nil {
+				return nil, err
 			}
-			if _, still := pending[e.unit.ID]; !still || completed[e.unit.ID] {
-				// Late result for a unit already reissued (and possibly
-				// completed elsewhere): drop it, but the donor is alive and
-				// idle, so it immediately asks for more work.
-				ingestAt := serverService(e.at)
-				push(ingestAt, evDonorRequest, e.donor, Unit{}, 0)
-				continue
+			d.task = nil
+			if p.folded {
+				d.units++
+				if p.w.Done() {
+					left--
+				}
 			}
-			ingestAt := serverService(e.at)
-			delete(pending, e.unit.ID)
-			completed[e.unit.ID] = true
-			w.Complete(e.unit.ID)
-			m.UnitsCompleted++
-			d.units++
-			// Throughput sample: cost / wall time since dispatch.
-			wall := (e.at - e.sentAt).Seconds()
-			if wall > 0 {
-				d.stats.Throughput = sched.EWMA(d.stats.Throughput, float64(e.unit.Cost)/wall, 0.3)
-			}
-			d.stats.Completed++
-			if w.Done() {
-				m.Makespan = ingestAt
-				finish(m, donors)
-				return m, nil
-			}
-			// Donor immediately asks for more work.
-			push(ingestAt, evDonorRequest, e.donor, Unit{}, 0)
-
-		case evLeaseCheck:
-			if completed[e.unit.ID] {
-				continue
-			}
-			if _, still := pending[e.unit.ID]; !still {
-				continue
-			}
-			// Overdue: requeue for another donor.
-			delete(pending, e.unit.ID)
-			w.Requeue(e.unit)
-			m.UnitsLost++
+			m.Makespan = e.at
+			settle(p.folded)
+			request(e.at, e.donor)
 		}
 	}
-	if !w.Done() {
-		return nil, fmt.Errorf("simnet: event queue drained before completion (all donors gone?)")
-	}
-	finish(m, donors)
-	return m, nil
-}
 
-func finish(m *Metrics, donors []*simDonor) {
+	for _, id := range ids {
+		st, _ := srv.Stats(ctx, id) // every id is registered
+		m.UnitsDispatched += int64(st.Dispatched)
+		m.UnitsCompleted += int64(st.Completed)
+		m.UnitsLost += int64(st.Reissued)
+	}
 	for _, d := range donors {
+		d.cut(m.Makespan)
 		m.BusyTime += d.busy
 		m.PerDonorUnits[d.spec.Name] = d.units
 	}
-	if m.Makespan > 0 && len(donors) > 0 {
+	if m.Makespan > 0 {
 		m.Efficiency = m.BusyTime.Seconds() / (m.Makespan.Seconds() * float64(len(donors)))
 	}
+	return m, nil
 }
 
 // SpeedupPoint is one (processors, speedup) sample of a scaling curve.
@@ -503,17 +579,17 @@ type SpeedupPoint struct {
 	Efficiency float64
 }
 
-// SpeedupCurve runs the workload factory at each donor count and reports
-// speedup relative to the single-donor makespan — the exact construction of
-// the paper's Figures 1 and 2.
-func SpeedupCurve(counts []int, mkDonors func(n int) []DonorSpec, mkWorkload func() Workload, cfg Config) ([]SpeedupPoint, error) {
+// SpeedupCurve runs the workload factory's instances at each donor count and
+// reports speedup relative to the single-donor makespan — the exact
+// construction of the paper's Figures 1 and 2.
+func SpeedupCurve(counts []int, mkDonors func(n int) []DonorSpec, mkWorkloads func() []Workload, cfg Config) ([]SpeedupPoint, error) {
 	sort.Ints(counts)
 	if len(counts) == 0 || counts[0] < 1 {
 		return nil, fmt.Errorf("simnet: speedup curve needs donor counts >= 1")
 	}
 	base := cfg
 	base.Donors = mkDonors(1)
-	m1, err := Run(base, mkWorkload())
+	m1, err := Run(base, mkWorkloads()...)
 	if err != nil {
 		return nil, fmt.Errorf("simnet: baseline run: %w", err)
 	}
@@ -522,7 +598,7 @@ func SpeedupCurve(counts []int, mkDonors func(n int) []DonorSpec, mkWorkload fun
 	for _, n := range counts {
 		c := cfg
 		c.Donors = mkDonors(n)
-		m, err := Run(c, mkWorkload())
+		m, err := Run(c, mkWorkloads()...)
 		if err != nil {
 			return nil, fmt.Errorf("simnet: run with %d donors: %w", n, err)
 		}

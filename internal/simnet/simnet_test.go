@@ -1,6 +1,8 @@
 package simnet
 
 import (
+	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -34,28 +36,6 @@ func TestDivisibleWorkloadInvariants(t *testing.T) {
 	if w.Remaining() != 0 {
 		t.Fatalf("remaining = %d", w.Remaining())
 	}
-}
-
-func TestDivisibleRequeue(t *testing.T) {
-	w := NewDivisibleWorkload(50, 0, 0)
-	u1, ok := w.Next(50)
-	if !ok {
-		t.Fatal("no unit")
-	}
-	if _, ok := w.Next(10); ok {
-		t.Fatal("dispatched more than total")
-	}
-	w.Requeue(u1)
-	u2, ok := w.Next(10)
-	if !ok || u2.ID != u1.ID || u2.Cost != 50 {
-		t.Fatalf("requeued unit mangled: %+v", u2)
-	}
-	w.Complete(u2.ID)
-	if !w.Done() {
-		t.Fatal("not done")
-	}
-	// Double complete is harmless.
-	w.Complete(u2.ID)
 }
 
 func TestStagedWorkloadBarrier(t *testing.T) {
@@ -115,39 +95,11 @@ func TestDPRmlWorkloadShape(t *testing.T) {
 	}
 }
 
-func TestMultiWorkloadRoundRobin(t *testing.T) {
-	a := NewDivisibleWorkload(10, 0, 0)
-	b := NewDivisibleWorkload(10, 0, 0)
-	m := NewMultiWorkload(a, b)
-	u1, _ := m.Next(5)
-	u2, _ := m.Next(5)
-	// Units must come from different instances (namespaced IDs).
-	if u1.ID>>multiShift == u2.ID>>multiShift {
-		t.Errorf("round robin broken: %d %d", u1.ID, u2.ID)
-	}
-	m.Complete(u1.ID)
-	m.Complete(u2.ID)
-	for {
-		u, ok := m.Next(100)
-		if !ok {
-			break
-		}
-		m.Complete(u.ID)
-	}
-	if !m.Done() {
-		t.Fatal("multi not done")
-	}
-	if m.Remaining() != 0 {
-		t.Fatalf("remaining %d", m.Remaining())
-	}
-}
-
 func baseConfig() Config {
 	return Config{
 		Policy:         sched.Adaptive{Target: 5 * time.Second, Bootstrap: 500, Min: 1},
 		ServerOverhead: time.Millisecond,
 		Lease:          time.Minute,
-		WaitHint:       100 * time.Millisecond,
 		Seed:           1,
 	}
 }
@@ -200,8 +152,8 @@ func TestRunNearLinearSpeedupDivisible(t *testing.T) {
 	// Idle homogeneous donors, negligible overhead: speedup ~ N.
 	mk := func(n int) []DonorSpec { return Uniform(n, 1.0, 0, time.Millisecond, 0) }
 	cfg := baseConfig()
-	pts, err := SpeedupCurve([]int{1, 4, 16}, mk, func() Workload {
-		return NewDivisibleWorkload(200000, 0, 0)
+	pts, err := SpeedupCurve([]int{1, 4, 16}, mk, func() []Workload {
+		return []Workload{NewDivisibleWorkload(200000, 0, 0)}
 	}, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -223,7 +175,7 @@ func TestStagedSingleInstanceSaturates(t *testing.T) {
 	mk := func(n int) []DonorSpec { return Uniform(n, 1.0, 0, time.Millisecond, 0) }
 	cfg := baseConfig()
 	cfg.Policy = sched.Fixed{Size: 1} // one task per unit
-	single := func() Workload { return DPRmlWorkload(20, 10, 0, 0) }
+	single := func() []Workload { return []Workload{DPRmlWorkload(20, 10, 0, 0)} }
 	pts, err := SpeedupCurve([]int{1, 40}, mk, single, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -235,12 +187,12 @@ func TestStagedSingleInstanceSaturates(t *testing.T) {
 
 	// Six concurrent instances keep donors busy: speedup must rise
 	// substantially above the single-instance case.
-	multi := func() Workload {
+	multi := func() []Workload {
 		var ws []Workload
 		for i := 0; i < 6; i++ {
 			ws = append(ws, DPRmlWorkload(20, 10, 0, 0))
 		}
-		return NewMultiWorkload(ws...)
+		return ws
 	}
 	mpts, err := SpeedupCurve([]int{1, 40}, mk, multi, cfg)
 	if err != nil {
@@ -317,8 +269,8 @@ func TestServerOverheadLimitsScaling(t *testing.T) {
 	cfg := baseConfig()
 	cfg.ServerOverhead = 50 * time.Millisecond
 	cfg.Policy = sched.Fixed{Size: 20} // 20 s of compute per unit
-	pts, err := SpeedupCurve([]int{1, 64}, mk, func() Workload {
-		return NewDivisibleWorkload(50000, 0, 0)
+	pts, err := SpeedupCurve([]int{1, 64}, mk, func() []Workload {
+		return []Workload{NewDivisibleWorkload(50000, 0, 0)}
 	}, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -348,5 +300,79 @@ func TestHeterogeneousLabGenerator(t *testing.T) {
 			specs[i].Load != specs2[i].Load || specs[i].Latency != specs2[i].Latency {
 			t.Fatal("HeterogeneousLab not deterministic")
 		}
+	}
+}
+
+// TestRunReplaysExactly: a run is a function of its Config and workloads —
+// the server it drives reads only the virtual clock, and the event heap
+// breaks ties by insertion order — so two runs agree on every metric, the
+// per-donor unit counts and busy time included. Checked on Figure 1's
+// 83-donor lab and on a churning pool of leaves and offline windows.
+func TestRunReplaysExactly(t *testing.T) {
+	churn := Uniform(12, 1, 0.2, 2*time.Millisecond, 100e6/8)
+	for i := 0; i < 4; i++ {
+		churn[i].LeaveAt = time.Duration(20+10*i) * time.Minute
+	}
+	for i := 4; i < 8; i++ {
+		from := time.Duration(10*i) * time.Minute
+		churn[i].Offline = []Window{{From: from, To: from + 45*time.Minute}}
+	}
+	cases := []struct {
+		name string
+		cfg  Config
+		ws   func() []Workload
+	}{
+		{"figure1-83", Config{
+			Donors:         Uniform(83, 1.0, 0.15, 2*time.Millisecond, 100e6/8),
+			Policy:         sched.Adaptive{Target: 30 * time.Second, Bootstrap: 1000, Min: 100},
+			ServerOverhead: 3 * time.Millisecond,
+			Lease:          5 * time.Minute,
+			Seed:           1,
+		}, func() []Workload { return []Workload{NewDivisibleWorkload(80_000, 40, 4096)} }},
+		{"churn", Config{
+			Donors:         churn,
+			Policy:         sched.Adaptive{Target: 30 * time.Second, Bootstrap: 200, Min: 20},
+			ServerOverhead: 3 * time.Millisecond,
+			Lease:          2 * time.Minute,
+			Seed:           3,
+		}, func() []Workload {
+			return []Workload{NewDivisibleWorkload(50_000, 40, 4096), DPRmlWorkload(12, 20, 64<<10, 2048)}
+		}},
+	}
+	for _, c := range cases {
+		m1, err := Run(c.cfg, c.ws()...)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		m2, err := Run(c.cfg, c.ws()...)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if !reflect.DeepEqual(m1, m2) {
+			t.Errorf("%s: replay diverged:\n%+v\n%+v", c.name, m1, m2)
+		}
+		if c.name == "churn" && m1.UnitsLost == 0 {
+			t.Errorf("churn: no unit lost, so the churn path went unexercised: %+v", m1)
+		}
+	}
+}
+
+// stalled never has a unit to give and is never done.
+type stalled struct{}
+
+func (stalled) Next(int64) (Unit, bool) { return Unit{}, false }
+func (stalled) Complete(int64)          {}
+func (stalled) Done() bool              { return false }
+func (stalled) Remaining() int64        { return 1 }
+
+// TestStalledWorkloadFails: a workload the server fails (nothing to hand
+// out, nothing in flight, not done) ends the run with the server's error
+// instead of parking the donors until MaxVirtual.
+func TestStalledWorkloadFails(t *testing.T) {
+	cfg := baseConfig()
+	cfg.Donors = Uniform(2, 1.0, 0, time.Millisecond, 0)
+	_, err := Run(cfg, NewDivisibleWorkload(100, 0, 0), stalled{})
+	if err == nil || !strings.Contains(err.Error(), "stalled") {
+		t.Fatalf("Run = %v, want the server's stalled-problem error", err)
 	}
 }

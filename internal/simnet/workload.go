@@ -1,26 +1,26 @@
 // Package simnet is a deterministic discrete-event simulator of the
 // paper's deployment: a single coordinating server (a Pentium III 500 in
 // the paper) dispatching work units to a pool of heterogeneous,
-// possibly-churning donor machines over a 100 Mbit/s network. It reuses the
-// real scheduling policies from package sched, so the speedup curves of
-// Figures 1 and 2 are produced by the same granularity logic the live
-// system runs, with compute modelled analytically (cost units / donor
-// speed) instead of burning real CPU per donor.
+// possibly-churning donor machines over a 100 Mbit/s network. The server is
+// the real dist.Server — its dispatch scan, leases, overdue rule, reissue
+// and folds — run in virtual time through its Clock, so the speedup curves
+// of Figures 1 and 2 come from the scheduler production runs. Only the
+// donors are modelled: compute is analytic (cost units / donor speed), not
+// burnt CPU, and transfers are latency plus bytes over bandwidth.
 package simnet
 
 // Workload is the simulator's abstract view of a problem: a supply of work
 // units with costs, possibly staged (units of a later stage only become
 // available once all results of the current stage are in — the DPRml
-// pattern).
+// pattern). Run adapts it to a dist.DataManager; a lost unit is the
+// server's to reissue, so a workload never sees it again until Complete.
 type Workload interface {
 	// Next produces a unit with approximately the given cost budget.
 	// ok=false means nothing is available right now (stage barrier or
 	// fully dispatched); the caller retries after results arrive.
 	Next(budget int64) (u Unit, ok bool)
-	// Complete reports a unit's result back.
+	// Complete reports a unit's result back, once per unit.
 	Complete(id int64)
-	// Requeue returns a lost (expired) unit to the dispatch pool.
-	Requeue(u Unit)
 	// Done reports whether every unit completed.
 	Done() bool
 	// Remaining returns outstanding cost (for remaining-aware policies).
@@ -47,7 +47,6 @@ type DivisibleWorkload struct {
 	dispatched int64
 	completed  int64
 	seq        int64
-	requeued   []Unit
 	inflight   map[int64]int64 // id -> cost
 }
 
@@ -63,12 +62,6 @@ func NewDivisibleWorkload(total int64, bytesPerCost float64, resultBytes int64) 
 
 // Next implements Workload.
 func (w *DivisibleWorkload) Next(budget int64) (Unit, bool) {
-	if len(w.requeued) > 0 {
-		u := w.requeued[0]
-		w.requeued = w.requeued[1:]
-		w.inflight[u.ID] = u.Cost
-		return u, true
-	}
 	left := w.Total - w.dispatched
 	if left <= 0 {
 		return Unit{}, false
@@ -99,14 +92,6 @@ func (w *DivisibleWorkload) Complete(id int64) {
 	}
 }
 
-// Requeue implements Workload.
-func (w *DivisibleWorkload) Requeue(u Unit) {
-	if _, ok := w.inflight[u.ID]; ok {
-		delete(w.inflight, u.ID)
-		w.requeued = append(w.requeued, u)
-	}
-}
-
 // Done implements Workload.
 func (w *DivisibleWorkload) Done() bool {
 	return w.completed >= w.Total
@@ -129,7 +114,6 @@ type StagedWorkload struct {
 	issuedInStage  int
 	doneInStage    int
 	seq            int64
-	requeued       []Unit
 	inflight       map[int64]int // id -> task count
 	totalRemaining int64
 }
@@ -167,12 +151,6 @@ func DPRmlWorkload(nTaxa int, costScale int64, dataBytes, resultBytes int64) *St
 
 // Next implements Workload.
 func (w *StagedWorkload) Next(budget int64) (Unit, bool) {
-	if len(w.requeued) > 0 {
-		u := w.requeued[0]
-		w.requeued = w.requeued[1:]
-		w.inflight[u.ID] = int(u.Cost / w.TaskCost[w.stage]) // cost encodes batch
-		return u, true
-	}
 	if w.stage >= len(w.Tasks) {
 		return Unit{}, false
 	}
@@ -215,83 +193,8 @@ func (w *StagedWorkload) Complete(id int64) {
 	}
 }
 
-// Requeue implements Workload.
-func (w *StagedWorkload) Requeue(u Unit) {
-	if _, ok := w.inflight[u.ID]; ok {
-		delete(w.inflight, u.ID)
-		w.requeued = append(w.requeued, u)
-	}
-}
-
 // Done implements Workload.
 func (w *StagedWorkload) Done() bool { return w.stage >= len(w.Tasks) }
 
 // Remaining implements Workload.
 func (w *StagedWorkload) Remaining() int64 { return w.totalRemaining }
-
-// MultiWorkload interleaves several independent workloads — the paper's
-// Figure 2 scenario of six DPRml problem instances sharing the donor pool.
-// Unit IDs are namespaced per instance.
-type MultiWorkload struct {
-	Instances []Workload
-	rr        int
-}
-
-// NewMultiWorkload wraps the given instances.
-func NewMultiWorkload(instances ...Workload) *MultiWorkload {
-	return &MultiWorkload{Instances: instances}
-}
-
-const multiShift = 32
-
-// Next implements Workload with round-robin fairness across instances.
-func (m *MultiWorkload) Next(budget int64) (Unit, bool) {
-	n := len(m.Instances)
-	for k := 0; k < n; k++ {
-		idx := (m.rr + k) % n
-		u, ok := m.Instances[idx].Next(budget)
-		if ok {
-			m.rr = (idx + 1) % n
-			u.ID = int64(idx)<<multiShift | (u.ID & (1<<multiShift - 1))
-			return u, true
-		}
-	}
-	return Unit{}, false
-}
-
-// Complete implements Workload.
-func (m *MultiWorkload) Complete(id int64) {
-	idx := int(id >> multiShift)
-	if idx < len(m.Instances) {
-		m.Instances[idx].Complete(id & (1<<multiShift - 1))
-	}
-}
-
-// Requeue implements Workload.
-func (m *MultiWorkload) Requeue(u Unit) {
-	idx := int(u.ID >> multiShift)
-	if idx < len(m.Instances) {
-		inner := u
-		inner.ID = u.ID & (1<<multiShift - 1)
-		m.Instances[idx].Requeue(inner)
-	}
-}
-
-// Done implements Workload.
-func (m *MultiWorkload) Done() bool {
-	for _, w := range m.Instances {
-		if !w.Done() {
-			return false
-		}
-	}
-	return true
-}
-
-// Remaining implements Workload.
-func (m *MultiWorkload) Remaining() int64 {
-	var sum int64
-	for _, w := range m.Instances {
-		sum += w.Remaining()
-	}
-	return sum
-}

@@ -141,14 +141,13 @@ func TestRealRuntimeSpeedupMatchesFigures(t *testing.T) {
 		func(n int) []simnet.DonorSpec {
 			return simnet.Uniform(n, 1.0, 0, time.Millisecond, 0)
 		},
-		func() simnet.Workload {
-			return simnet.NewDivisibleWorkload(units*unitCost, 1, 64)
+		func() []simnet.Workload {
+			return []simnet.Workload{simnet.NewDivisibleWorkload(units*unitCost, 1, 64)}
 		},
 		simnet.Config{
 			Policy:         sched.Fixed{Size: unitCost},
 			ServerOverhead: time.Millisecond,
 			Lease:          time.Hour,
-			WaitHint:       50 * time.Millisecond,
 			Seed:           7,
 		})
 	if err != nil {
